@@ -20,9 +20,8 @@ run cargo build --release
 # clock or ambient entropy in critical crates) and the serve panic
 # policy. Exits nonzero on any unwaived violation, on a waiver without a
 # reason, and on a waiver that no longer suppresses anything. Writes the
-# committed BENCH_lint.json inventory (CI uploads it as the eighth
-# artifact); `cargo test` runs the same gate via crates/lint's
-# workspace_gate test.
+# committed BENCH_lint.json inventory (CI uploads it as an artifact);
+# `cargo test` runs the same gate via crates/lint's workspace_gate test.
 run cargo run --release -p rideshare-lint -- --root . --out BENCH_lint.json
 run cargo test -q
 # Doc tests again, explicitly: `cargo test -q` runs them for the library
@@ -35,14 +34,21 @@ run cargo test --doc -q
 # documentation.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo bench --no-run
-# bench-smoke: sequential vs parallel dispatch must be bit-identical;
-# hub-label builds must match Dijkstra ground truth, be bit-identical
-# across worker counts, round-trip through the on-disk format, and stay
-# >= 3x faster than the frozen seed pipeline at 40x40; the sparse MIP
-# solver must agree with the frozen dense baseline and beat it >= 10x at
-# 3 trips on board. BENCH_dispatch.json, BENCH_hublabel.json and
-# BENCH_mip.json record the numbers (CI uploads all three artifacts).
-run cargo run --release -p rideshare-bench --bin bench_summary -- --scale smoke --out BENCH_dispatch.json --hublabel-out BENCH_hublabel.json --mip-out BENCH_mip.json
+# The benchmark (BENCHMARK.json) lives in benchmark/, a workspace of its
+# own that no step above compiles: a changed signature it calls would
+# break it unnoticed. Run its unit tests, then every workload at smoke
+# size; the exit code carries the output checks (wait/detour limits rider
+# by rider, books balance, pass-to-pass digests, workers 2 == 1, serve ==
+# offline replay).
+run cargo test --offline --manifest-path benchmark/Cargo.toml
+run cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload all --seed 1 --smoke
+# bench-smoke: hub-label builds must match Dijkstra ground truth, be
+# bit-identical across worker counts, round-trip through the on-disk
+# format, and stay >= 3x faster than the frozen seed pipeline at 40x40;
+# the sparse MIP solver must agree with the frozen dense baseline and
+# beat it >= 10x at 3 trips on board. BENCH_hublabel.json and
+# BENCH_mip.json record the numbers (CI uploads both artifacts).
+run cargo run --release -p rideshare-bench --bin bench_summary -- --scale smoke --hublabel-out BENCH_hublabel.json --mip-out BENCH_mip.json
 # Replay gate: the paper_replay harness at quick scale over a truncated
 # stream. The first invocation exercises the persisted-oracle store
 # (build -> save -> reload-verify), the interrupt-at-midpoint + resume
@@ -65,7 +71,7 @@ run cargo run --release -p rideshare-bench --bin paper_replay -- --scale quick -
 # Serve gate: the deterministic truncated capacity sweep (fixed ladder,
 # synthetic cost model). Fails on any guarantee violation at any offered
 # load or when mean admission latency is not monotone in load. Writes the
-# BENCH_serve.json artifact (CI uploads it as the fifth artifact).
+# BENCH_serve.json artifact (CI uploads it).
 run cargo run --release -p rideshare-bench --bin serve_sweep -- --smoke --out target/BENCH_serve_ci.json
 # Chaos gate: deterministic fault injection over the same serve stack —
 # seeded oracle spikes, sink saturation and torn checkpoint writes across

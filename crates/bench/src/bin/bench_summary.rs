@@ -1,17 +1,13 @@
-//! CI bench gate: dispatch determinism, hub-label construction and the
-//! distance-cache sizing sweep, emitting machine-readable artifacts.
+//! CI bench gate: hub-label construction, the distance-cache sizing sweep
+//! and the MIP solver comparison, emitting machine-readable artifacts.
 //!
 //! ```text
 //! cargo run --release -p rideshare-bench --bin bench_summary -- \
-//!     --scale smoke --out BENCH_dispatch.json \
-//!     --hublabel-out BENCH_hublabel.json --mip-out BENCH_mip.json
+//!     --scale smoke --hublabel-out BENCH_hublabel.json --mip-out BENCH_mip.json
 //! ```
 //!
-//! Three artifacts are written:
+//! Two artifacts are written:
 //!
-//! * `BENCH_dispatch.json` — one deterministic tick of requests dispatched
-//!   sequentially and through the parallel dispatcher at 1/2/4/8 workers,
-//!   with ACRT per worker count.
 //! * `BENCH_hublabel.json` — hub-label build time / mean label size /
 //!   query latency on 20×20, 40×40 and 80×80 grids plus the ring-radial
 //!   city preset; the 40×40 comparison against the frozen seed pipeline
@@ -27,7 +23,6 @@
 //! The process exits non-zero when any correctness or regression gate
 //! fails:
 //!
-//! * parallel dispatch diverges from sequential dispatch;
 //! * hub-label distances diverge from Dijkstra ground truth;
 //! * a parallel label build is not bit-identical to the sequential build;
 //! * the persistence round-trip does not reproduce the labels;
@@ -45,117 +40,16 @@
 use std::time::Instant;
 
 use kinetic_core::algorithms::{MipBuild, MipFormulation};
-use kinetic_core::{
-    AssignmentOutcome, DispatchStats, Dispatcher, DispatcherConfig, ParallelDispatcher,
-};
 use rideshare_bench::baseline::dense_mip;
 use rideshare_bench::baseline::{SeedLabels, SeedOrdering};
-use rideshare_bench::dispatch_fixture::{self, DispatchFixture};
 use rideshare_bench::mip_fixture;
 use rideshare_mip::{SolveError, SolveOptions};
 use rideshare_workload::CityConfig;
 use roadnet::{
-    CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, NetworkKind, NodeId,
-    RoadNetwork, ShardedOracle, ShortestPathEngine,
+    DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, NetworkKind, NodeId, RoadNetwork,
+    ShardedOracle, ShortestPathEngine,
 };
 use workpool::WorkPool;
-
-/// One measured dispatch run: what it assigned and how fast.
-struct RunResult {
-    label: String,
-    workers: usize,
-    acrt_ms: f64,
-    outcomes: Vec<AssignmentOutcome>,
-    assigned: u64,
-    rejected: u64,
-    candidates: u64,
-    art_counts: Vec<(usize, u64)>,
-}
-
-fn summarize(
-    label: &str,
-    workers: usize,
-    acrt_ms: f64,
-    outcomes: Vec<AssignmentOutcome>,
-    stats: &DispatchStats,
-) -> RunResult {
-    RunResult {
-        label: label.to_string(),
-        workers,
-        acrt_ms,
-        outcomes,
-        assigned: stats.assigned,
-        rejected: stats.rejected,
-        candidates: stats.candidates,
-        art_counts: stats
-            .art_buckets
-            .iter()
-            .map(|(&k, &(c, _))| (k, c))
-            .collect(),
-    }
-}
-
-/// Identical observable results: same assignments (vehicle, cost,
-/// candidate counts) and same statistics counts.
-fn matches(a: &RunResult, b: &RunResult) -> bool {
-    a.outcomes == b.outcomes
-        && a.assigned == b.assigned
-        && a.rejected == b.rejected
-        && a.candidates == b.candidates
-        && a.art_counts == b.art_counts
-}
-
-/// Times the production sequential path: `Dispatcher` over the
-/// `RefCell`-cached `CachedOracle` — the baseline the speedup numbers are
-/// relative to (a mutex-taking oracle would flatter them).
-fn run_sequential(fx: &DispatchFixture, oracle: &CachedOracle<'_>, repeats: usize) -> RunResult {
-    let mut best_ms = f64::INFINITY;
-    let mut kept: Option<(Vec<AssignmentOutcome>, DispatchStats)> = None;
-    for _ in 0..repeats {
-        let mut vehicles = fx.vehicles.clone();
-        let mut index = fx.index.clone();
-        let mut d = Dispatcher::new(DispatcherConfig::default());
-        let timer = Instant::now();
-        let outcomes: Vec<_> = fx
-            .requests
-            .iter()
-            .map(|r| d.assign(r, &mut vehicles, &fx.network, &mut index, oracle))
-            .collect();
-        let ms = timer.elapsed().as_secs_f64() * 1e3 / fx.requests.len() as f64;
-        best_ms = best_ms.min(ms);
-        kept = Some((outcomes, d.stats().clone()));
-    }
-    let (outcomes, stats) = kept.expect("at least one repeat");
-    summarize("sequential", 1, best_ms, outcomes, &stats)
-}
-
-fn run_parallel(
-    fx: &DispatchFixture,
-    oracle: &ShardedOracle<'_>,
-    workers: usize,
-    repeats: usize,
-) -> RunResult {
-    let mut best_ms = f64::INFINITY;
-    let mut kept: Option<(Vec<AssignmentOutcome>, DispatchStats)> = None;
-    for _ in 0..repeats {
-        let mut vehicles = fx.vehicles.clone();
-        let mut index = fx.index.clone();
-        let mut d = ParallelDispatcher::new(DispatcherConfig::default(), workers);
-        let timer = Instant::now();
-        let outcomes = d.assign_batch(&fx.requests, &mut vehicles, &fx.network, &mut index, oracle);
-        let ms = timer.elapsed().as_secs_f64() * 1e3 / fx.requests.len() as f64;
-        best_ms = best_ms.min(ms);
-        kept = Some((outcomes, d.stats().clone()));
-    }
-    let (outcomes, stats) = kept.expect("at least one repeat");
-    summarize(
-        &format!("parallel-{workers}"),
-        workers,
-        best_ms,
-        outcomes,
-        &stats,
-    )
-}
 
 /// One benchmarked hub-label network preset.
 struct HubLabelPoint {
@@ -538,7 +432,6 @@ fn json_escape_free(s: &str) -> &str {
 
 fn main() {
     let mut scale = "smoke".to_string();
-    let mut out = "BENCH_dispatch.json".to_string();
     let mut hublabel_out = "BENCH_hublabel.json".to_string();
     let mut mip_out = "BENCH_mip.json".to_string();
     let mut paper_build = false;
@@ -549,10 +442,6 @@ fn main() {
         match args[i].as_str() {
             "--scale" if i + 1 < args.len() => {
                 scale = args[i + 1].clone();
-                i += 1;
-            }
-            "--out" if i + 1 < args.len() => {
-                out = args[i + 1].clone();
                 i += 1;
             }
             "--hublabel-out" if i + 1 < args.len() => {
@@ -572,7 +461,7 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown argument {other:?} (expected --scale smoke|quick, --out PATH, \
+                    "unknown argument {other:?} (expected --scale smoke|quick, \
                      --hublabel-out PATH, --mip-out PATH, --paper-build, --seed N)"
                 );
                 std::process::exit(2);
@@ -581,88 +470,17 @@ fn main() {
         i += 1;
     }
 
-    // smoke: small and fast enough for every CI push; quick: the issue's
-    // 40×40 / 1,000-vehicle acceptance geometry.
-    let (rows, cols, fleet, requests, repeats) = match scale.as_str() {
-        "smoke" => (20, 20, 250, 24, 3),
-        "quick" => (40, 40, 1_000, 48, 3),
+    // MIP instances per trips-on-board point: smoke is sized for every CI
+    // push, quick for a steadier mean.
+    let mip_instances = match scale.as_str() {
+        "smoke" => 3,
+        "quick" => 5,
         other => {
             eprintln!("unknown --scale {other:?} (expected smoke or quick)");
             std::process::exit(2);
         }
     };
-
-    eprintln!(
-        "building fixture: {rows}x{cols} grid, {fleet} vehicles, {requests} requests, seed {seed}"
-    );
-    let fx = dispatch_fixture::build(rows, cols, fleet, requests, seed);
-    // The sequential baseline runs over the production CachedOracle, the
-    // parallel runs over the thread-safe ShardedOracle; both are exact, so
-    // the identity check is unaffected. Warm each so timing compares
-    // dispatch, not cache fill.
-    let seq_oracle = CachedOracle::new(&fx.network);
-    let par_oracle = ShardedOracle::new(&fx.network);
-    dispatch_fixture::warm(&fx, &seq_oracle, &par_oracle);
-
-    let sequential = run_sequential(&fx, &seq_oracle, repeats);
-    let parallel: Vec<RunResult> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| run_parallel(&fx, &par_oracle, w, repeats))
-        .collect();
-
-    let mut all_identical = true;
-    for run in &parallel {
-        let same = matches(run, &sequential);
-        all_identical &= same;
-        let speedup = sequential.acrt_ms / run.acrt_ms;
-        eprintln!(
-            "{:<12} acrt {:>9.3} ms  speedup {:>5.2}x  identical-to-sequential: {}",
-            run.label, run.acrt_ms, speedup, same
-        );
-    }
-    eprintln!(
-        "{:<12} acrt {:>9.3} ms  (assigned {}/{})",
-        sequential.label,
-        sequential.acrt_ms,
-        sequential.assigned,
-        fx.requests.len()
-    );
-
     let threads = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"bench_dispatch/v1\",\n");
-    json.push_str(&format!("  \"scale\": \"{}\",\n", json_escape_free(&scale)));
-    json.push_str(&format!(
-        "  \"grid\": {{\"rows\": {rows}, \"cols\": {cols}}},\n"
-    ));
-    json.push_str(&format!("  \"fleet\": {fleet},\n"));
-    json.push_str(&format!("  \"requests\": {requests},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"hardware_threads\": {threads},\n"));
-    json.push_str(&format!(
-        "  \"sequential\": {{\"acrt_ms\": {:.6}, \"assigned\": {}, \"rejected\": {}}},\n",
-        sequential.acrt_ms, sequential.assigned, sequential.rejected
-    ));
-    json.push_str("  \"parallel\": [\n");
-    for (i, run) in parallel.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"acrt_ms\": {:.6}, \"speedup\": {:.4}, \"identical\": {}}}{}\n",
-            run.workers,
-            run.acrt_ms,
-            sequential.acrt_ms / run.acrt_ms,
-            matches(run, &sequential),
-            if i + 1 == parallel.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"identical\": {all_identical}\n"));
-    json.push_str("}\n");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
-    }
-    eprintln!("wrote {out}");
 
     // ---- Hub-label construction section -------------------------------
     let mut points = Vec::new();
@@ -798,7 +616,6 @@ fn main() {
     eprintln!("wrote {hublabel_out}");
 
     // ---- MIP solver section -------------------------------------------
-    let mip_instances = if scale == "quick" { 5 } else { 3 };
     let mip_points = mip_section(seed, mip_instances);
     let mip_equiv_ok = mip_points
         .iter()
@@ -851,10 +668,6 @@ fn main() {
     eprintln!("wrote {mip_out}");
 
     let mut failed = false;
-    if !all_identical {
-        eprintln!("FAIL: parallel dispatch diverged from sequential dispatch");
-        failed = true;
-    }
     if !exact_ok {
         eprintln!("FAIL: hub-label distances diverged from Dijkstra ground truth");
         failed = true;
@@ -892,7 +705,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "OK: dispatch identical; hub labels exact, deterministic across workers, \
+        "OK: hub labels exact, deterministic across workers, \
          persistable, and {:.1}x faster than the seed pipeline at 40x40; \
          MIP solver equivalent to the dense baseline and {:.1}x faster at 3 trips",
         comparison.speedup_vs_degree(),

@@ -360,120 +360,6 @@ impl Experiment {
     }
 }
 
-/// Deterministic fleet-dispatch fixture shared by the `dispatch_parallel`
-/// criterion bench and the `bench_summary` CI gate.
-///
-/// Everything is derived from the seed through splittable hashing — no
-/// `HashMap` iteration, no wall clock — so two processes building the same
-/// configuration produce byte-identical fleets and request batches, which
-/// is what lets CI compare sequential and parallel dispatch for divergence.
-pub mod dispatch_fixture {
-    use kinetic_core::{Constraints, KineticConfig, PlannerKind, TripRequest, Vehicle};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use roadnet::{GeneratorConfig, NetworkKind, NodeId, RoadNetwork};
-    use spatial::{GridIndex, Position};
-
-    /// A frozen dispatch scenario: network, fleet, spatial index, and the
-    /// request batch to dispatch against them.
-    pub struct DispatchFixture {
-        /// The synthetic road network.
-        pub network: RoadNetwork,
-        /// The idle fleet, vehicle `i` has id `i`.
-        pub vehicles: Vec<Vehicle>,
-        /// Grid index over the fleet's starting positions.
-        pub index: GridIndex,
-        /// The deterministic request batch (one dispatch tick).
-        pub requests: Vec<TripRequest>,
-    }
-
-    /// Builds a `rows × cols` grid city with `fleet` idle kinetic-tree
-    /// vehicles on seed-chosen vertices and `requests` seed-chosen trips
-    /// submitted at time zero (one tick's worth of concurrent demand).
-    pub fn build(
-        rows: usize,
-        cols: usize,
-        fleet: usize,
-        requests: usize,
-        seed: u64,
-    ) -> DispatchFixture {
-        let network = GeneratorConfig {
-            kind: NetworkKind::Grid { rows, cols },
-            seed,
-            ..GeneratorConfig::default()
-        }
-        .generate();
-        let n = network.node_count() as u64;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD15F_A7C4_0000_0001);
-        let mut vehicles = Vec::with_capacity(fleet);
-        let mut index = GridIndex::new(2_000.0);
-        for id in 0..fleet as u32 {
-            let start = (rng.gen::<u64>() % n) as NodeId;
-            let v = Vehicle::new(
-                id,
-                start,
-                4,
-                PlannerKind::Kinetic(KineticConfig::slack()),
-                0.0,
-            );
-            let p = network.point(start);
-            index.insert(id, Position::new(p.x, p.y));
-            vehicles.push(v);
-        }
-        let constraints = Constraints::paper_default();
-        let mut reqs = Vec::with_capacity(requests);
-        for rid in 0..requests as u64 {
-            let source = (rng.gen::<u64>() % n) as NodeId;
-            let mut destination = (rng.gen::<u64>() % n) as NodeId;
-            if destination == source {
-                destination = (destination + 1) % n as NodeId;
-            }
-            reqs.push(TripRequest::new(
-                rid + 1,
-                source,
-                destination,
-                0.0,
-                constraints,
-            ));
-        }
-        DispatchFixture {
-            network,
-            vehicles,
-            index,
-            requests: reqs,
-        }
-    }
-
-    /// Warms both oracles by replaying the fixture's request batch once
-    /// through each dispatcher, so subsequent timed runs compare dispatch
-    /// cost rather than cache fill. Shared by the `dispatch_parallel`
-    /// criterion bench and the `bench_summary` CI gate so the two
-    /// measurement protocols cannot drift.
-    pub fn warm(
-        fx: &DispatchFixture,
-        seq_oracle: &roadnet::CachedOracle<'_>,
-        par_oracle: &roadnet::ShardedOracle<'_>,
-    ) {
-        use kinetic_core::{Dispatcher, DispatcherConfig, ParallelDispatcher};
-        let mut vehicles = fx.vehicles.clone();
-        let mut index = fx.index.clone();
-        let mut d = Dispatcher::new(DispatcherConfig::default());
-        for r in &fx.requests {
-            let _ = d.assign(r, &mut vehicles, &fx.network, &mut index, seq_oracle);
-        }
-        let mut vehicles = fx.vehicles.clone();
-        let mut index = fx.index.clone();
-        let mut d = ParallelDispatcher::new(DispatcherConfig::default(), 1);
-        let _ = d.assign_batch(
-            &fx.requests,
-            &mut vehicles,
-            &fx.network,
-            &mut index,
-            par_oracle,
-        );
-    }
-}
-
 /// Deterministic MIP-matcher fixture shared by the `mip_solve` criterion
 /// bench and the `bench_summary` MIP section/CI gate.
 ///

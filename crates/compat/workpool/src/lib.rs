@@ -2,16 +2,17 @@
 //!
 //! The build environment has no network access, so the workspace cannot
 //! depend on `rayon`; this crate provides the small slice of functionality
-//! the dispatcher needs — split a slice into contiguous chunks and run one
-//! closure per chunk on scoped OS threads (`std::thread::scope`), returning
-//! the per-chunk results in chunk order.
+//! the hub-label build and the simulator's vehicle movement need — split a
+//! slice into contiguous chunks and run one closure per chunk on scoped OS
+//! threads (`std::thread::scope`), returning the per-chunk results in
+//! chunk order.
 //!
 //! Threads are spawned per call rather than kept in a persistent pool.
 //! That costs a few tens of microseconds per spawn, which is negligible
-//! against the multi-millisecond fan-outs the dispatcher issues (hundreds
-//! to thousands of ~2 µs kinetic-tree evaluations per chunk); callers that
-//! fan out tiny batches should use [`WorkPool::run_inline_below`] to gate
-//! parallelism by batch size.
+//! against a multi-millisecond fan-out (a batch of pruned Dijkstras, a
+//! few thousand vehicles advanced one window); callers that fan out tiny
+//! batches should use [`WorkPool::run_inline_below`] to gate parallelism
+//! by batch size.
 //!
 //! Determinism contract: [`WorkPool::map_chunks`] always returns results
 //! ordered by chunk index and always produces the same chunk boundaries

@@ -14,7 +14,7 @@
 //! time of a single vehicle evaluation, bucketed by how many active requests
 //! that vehicle already has).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use roadnet::{DistanceOracle, Point, RoadNetwork};
@@ -38,12 +38,6 @@ pub struct DispatcherConfig {
     /// Euclidean length; generated networks add jitter, hence the default
     /// slack).
     pub radius_factor: f64,
-    /// Minimum number of `(request, candidate)` work items before the
-    /// *parallel* dispatcher spawns worker threads; smaller batches run
-    /// inline (spawn latency would exceed the work distributed). Ignored by
-    /// the sequential [`Dispatcher`]; results are identical either way. See
-    /// [`crate::parallel::MIN_PARALLEL_ITEMS`] for the default's rationale.
-    pub min_parallel_items: usize,
     /// Slack-aware best-first candidate pruning (Sec. IV of the paper).
     ///
     /// When enabled, each candidate is first screened with O(1) straight-line
@@ -69,7 +63,6 @@ impl Default for DispatcherConfig {
         DispatcherConfig {
             use_spatial_filter: true,
             radius_factor: 1.0,
-            min_parallel_items: crate::parallel::MIN_PARALLEL_ITEMS,
             use_pruning: true,
         }
     }
@@ -270,28 +263,14 @@ impl DispatchStats {
     }
 }
 
-/// Candidate vehicle ids for a request under `config`: every vehicle when
-/// spatial filtering is off, otherwise the grid-index hits within the
-/// waiting-time radius of the pickup vertex. Both forms return ids in
-/// ascending order ([`GridIndex::query_radius`] sorts), which is what makes
-/// first-wins iteration equivalent to the lowest-id tie-break the parallel
-/// dispatcher reduces with.
-pub(crate) fn filter_candidates(
-    config: &DispatcherConfig,
-    request: &TripRequest,
-    graph: &RoadNetwork,
-    index: &mut GridIndex,
-    fleet_size: usize,
-) -> Vec<u32> {
-    let mut out = Vec::new();
-    filter_candidates_into(config, request, graph, index, fleet_size, &mut out);
-    out
-}
-
-/// Buffer-reusing form of [`filter_candidates`]: the dispatch hot path runs
-/// once per submitted trip, so both dispatchers keep one scratch vector
-/// alive across requests instead of allocating a candidate `Vec` each time.
-pub(crate) fn filter_candidates_into(
+/// Candidate vehicle ids for a request under `config`, written into `out`:
+/// every vehicle when spatial filtering is off, otherwise the grid-index
+/// hits within the waiting-time radius of the pickup vertex. Both forms
+/// yield ids in ascending order ([`GridIndex::query_radius_into`] sorts),
+/// which is what makes keep-the-incumbent iteration implement the
+/// lowest-id tie-break. `out` is a caller-owned buffer because the dispatch
+/// hot path runs once per submitted trip and reuses one scratch vector.
+fn filter_candidates_into(
     config: &DispatcherConfig,
     request: &TripRequest,
     graph: &RoadNetwork,
@@ -314,11 +293,11 @@ pub(crate) fn filter_candidates_into(
 /// its straight-line lower bound exceeds the relevant budget by more than
 /// this, so screening can never reject a vehicle whose evaluation would
 /// have succeeded.
-pub(crate) const PRUNE_EPS: f64 = 1e-3;
+const PRUNE_EPS: f64 = 1e-3;
 
 /// Outcome of the O(1) candidate screen.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Screen {
+enum Screen {
     /// No feasible insertion can exist: every augmented schedule provably
     /// violates the pickup deadline or a cached root slack.
     Pruned,
@@ -355,7 +334,7 @@ pub(crate) enum Screen {
 /// valid old route (so the augmented cost is at least the old optimum), and
 /// every augmented route travels to the pickup and then covers at least the
 /// direct pickup-to-dropoff distance.
-pub(crate) fn screen_candidate(
+fn screen_candidate(
     vehicle: &Vehicle,
     graph: &RoadNetwork,
     pickup: Point,
@@ -392,6 +371,46 @@ pub(crate) fn screen_candidate(
     }
     Screen::Keep {
         lb: base.max(to_pickup + direct),
+    }
+}
+
+/// The fleet slice one [`Dispatcher::assign`] call was handed, with
+/// candidate vehicle ids resolved to its slots. Built once per request.
+///
+/// An engine's whole fleet is *canonical* — vehicle `i` sits in slot `i` —
+/// and needs no table at all. A shard's local fleet or a borrowed
+/// evaluation set is an arbitrary slice; those get an id → slot map in
+/// which the first slot carrying an id wins, the answer a linear
+/// `position(|v| v.id() == vid)` scan would give.
+struct Fleet<'a> {
+    vehicles: &'a [Vehicle],
+    /// First slot carrying each id; `None` for a canonical slice, where
+    /// `slot == id` for every id below `vehicles.len()`.
+    slot_of: Option<HashMap<u32, usize>>,
+}
+
+impl<'a> Fleet<'a> {
+    fn new(vehicles: &'a [Vehicle]) -> Self {
+        let canonical = vehicles
+            .iter()
+            .enumerate()
+            .all(|(slot, v)| v.id() as usize == slot);
+        let slot_of = (!canonical).then(|| {
+            let mut map = HashMap::with_capacity(vehicles.len());
+            for (slot, v) in vehicles.iter().enumerate() {
+                map.entry(v.id()).or_insert(slot);
+            }
+            map
+        });
+        Fleet { vehicles, slot_of }
+    }
+
+    /// Slot of vehicle `vid`, `None` when the slice does not carry it.
+    fn slot(&self, vid: u32) -> Option<usize> {
+        match &self.slot_of {
+            None => ((vid as usize) < self.vehicles.len()).then_some(vid as usize),
+            Some(map) => map.get(&vid).copied(),
+        }
     }
 }
 
@@ -454,7 +473,9 @@ impl Dispatcher {
         index: &mut GridIndex,
         fleet_size: usize,
     ) -> Vec<u32> {
-        filter_candidates(&self.config, request, graph, index, fleet_size)
+        let mut out = Vec::new();
+        filter_candidates_into(&self.config, request, graph, index, fleet_size, &mut out);
+        out
     }
 
     /// Processes one request: filters candidates, evaluates them, assigns
@@ -468,10 +489,10 @@ impl Dispatcher {
     /// identical either way.
     ///
     /// Cost ties break to the lowest vehicle id, so the assignment is a
-    /// pure function of fleet state — [`ParallelDispatcher`] reduces its
-    /// worker results with the same rule and is bit-identical to this loop.
-    ///
-    /// [`ParallelDispatcher`]: crate::parallel::ParallelDispatcher
+    /// pure function of fleet state. A batch of concurrent requests is
+    /// dispatched by calling this once per request in submission order:
+    /// each call commits its winner before the next request is screened, so
+    /// request `i` sees every commit made for requests `0..i`.
     pub fn assign(
         &mut self,
         request: &TripRequest,
@@ -490,15 +511,16 @@ impl Dispatcher {
             vehicles.len(),
             &mut candidate_ids,
         );
+        let fleet = Fleet::new(vehicles);
         let best = match self.effort {
             DispatchEffort::Full if !self.config.use_pruning => {
-                self.evaluate_exhaustive(request, &candidate_ids, vehicles, index, oracle)
+                self.evaluate_exhaustive(request, &candidate_ids, &fleet, index, oracle)
             }
             DispatchEffort::Full | DispatchEffort::SlackPruned => {
-                self.evaluate_pruned(request, &candidate_ids, vehicles, graph, index, oracle)
+                self.evaluate_pruned(request, &candidate_ids, &fleet, graph, index, oracle)
             }
             DispatchEffort::Greedy => {
-                self.evaluate_greedy(request, &candidate_ids, vehicles, graph, index, oracle)
+                self.evaluate_greedy(request, &candidate_ids, &fleet, graph, index, oracle)
             }
         };
         self.stats.requests += 1;
@@ -532,14 +554,15 @@ impl Dispatcher {
         &mut self,
         request: &TripRequest,
         candidate_ids: &[u32],
-        vehicles: &[Vehicle],
+        fleet: &Fleet<'_>,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
     ) -> Option<(usize, Proposal)> {
+        let vehicles = fleet.vehicles;
         let mut best: Option<(usize, Proposal)> = None;
         let mut evaluated = 0u64;
         for &vid in candidate_ids {
-            let Some(slot) = vehicles.iter().position(|v| v.id() == vid) else {
+            let Some(slot) = fleet.slot(vid) else {
                 continue;
             };
             let active = vehicles[slot].active_trip_count();
@@ -572,18 +595,19 @@ impl Dispatcher {
         &mut self,
         request: &TripRequest,
         candidate_ids: &[u32],
-        vehicles: &[Vehicle],
+        fleet: &Fleet<'_>,
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
     ) -> Option<(usize, Proposal)> {
+        let vehicles = fleet.vehicles;
         let pickup = graph.point(request.source);
         let deadline = request.pickup_deadline();
         let direct = oracle.dist(request.source, request.destination);
         let mut ranked: Vec<(Cost, u32, u32)> = Vec::with_capacity(candidate_ids.len());
         let mut by_slack = 0u64;
         for &vid in candidate_ids {
-            let Some(slot) = vehicles.iter().position(|v| v.id() == vid) else {
+            let Some(slot) = fleet.slot(vid) else {
                 continue;
             };
             match screen_candidate(&vehicles[slot], graph, pickup, deadline, direct) {
@@ -634,89 +658,67 @@ impl Dispatcher {
         best.map(|(slot, _, p)| (slot, p))
     }
 
-    /// Nearest-feasible evaluation ([`DispatchEffort::Greedy`]); see
-    /// [`evaluate_greedy`].
+    /// Nearest-feasible evaluation ([`DispatchEffort::Greedy`]): screen the
+    /// candidates, visit survivors in ascending straight-line distance to
+    /// the pickup (ties to the lowest vehicle id) and return the **first**
+    /// feasible insertion. The schedule walker still enforces every
+    /// guarantee, so a greedy assignment is feasible — just not necessarily
+    /// cheapest. Deterministic: the visit order and the stop-at-first rule
+    /// are pure functions of fleet state.
     fn evaluate_greedy(
         &mut self,
         request: &TripRequest,
         candidate_ids: &[u32],
-        vehicles: &[Vehicle],
+        fleet: &Fleet<'_>,
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
     ) -> Option<(usize, Proposal)> {
-        evaluate_greedy(
-            &mut self.stats,
-            request,
-            candidate_ids,
-            vehicles,
-            graph,
-            index,
-            oracle,
-        )
-    }
-}
-
-/// Nearest-feasible evaluation ([`DispatchEffort::Greedy`]): screen the
-/// candidates, visit survivors in ascending straight-line distance to the
-/// pickup (ties to the lowest vehicle id) and return the **first** feasible
-/// insertion. The schedule walker still enforces every guarantee, so a
-/// greedy assignment is feasible — just not necessarily cheapest.
-/// Deterministic: the visit order and the stop-at-first rule are pure
-/// functions of fleet state. Shared by both dispatchers so the parallel
-/// greedy path is bit-identical to the sequential one.
-pub(crate) fn evaluate_greedy(
-    stats: &mut DispatchStats,
-    request: &TripRequest,
-    candidate_ids: &[u32],
-    vehicles: &[Vehicle],
-    graph: &RoadNetwork,
-    index: &mut GridIndex,
-    oracle: &dyn DistanceOracle,
-) -> Option<(usize, Proposal)> {
-    let pickup = graph.point(request.source);
-    let deadline = request.pickup_deadline();
-    let direct = oracle.dist(request.source, request.destination);
-    let mut ranked: Vec<(Cost, u32, u32)> = Vec::with_capacity(candidate_ids.len());
-    let mut by_slack = 0u64;
-    for &vid in candidate_ids {
-        let Some(slot) = vehicles.iter().position(|v| v.id() == vid) else {
-            continue;
-        };
-        match screen_candidate(&vehicles[slot], graph, pickup, deadline, direct) {
-            Screen::Pruned => by_slack += 1,
-            Screen::Keep { .. } => {
-                let to_pickup = graph.point(vehicles[slot].location()).distance(&pickup);
-                ranked.push((to_pickup, vid, slot as u32));
+        let vehicles = fleet.vehicles;
+        let pickup = graph.point(request.source);
+        let deadline = request.pickup_deadline();
+        let direct = oracle.dist(request.source, request.destination);
+        let mut ranked: Vec<(Cost, u32, u32)> = Vec::with_capacity(candidate_ids.len());
+        let mut by_slack = 0u64;
+        for &vid in candidate_ids {
+            let Some(slot) = fleet.slot(vid) else {
+                continue;
+            };
+            match screen_candidate(&vehicles[slot], graph, pickup, deadline, direct) {
+                Screen::Pruned => by_slack += 1,
+                Screen::Keep { .. } => {
+                    let to_pickup = graph.point(vehicles[slot].location()).distance(&pickup);
+                    ranked.push((to_pickup, vid, slot as u32));
+                }
             }
         }
-    }
-    ranked.sort_unstable_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("distances are never NaN")
-            .then(a.1.cmp(&b.1))
-    });
-    let mut evaluated = 0u64;
-    let mut skipped = 0u64;
-    let mut found: Option<(usize, Proposal)> = None;
-    for (i, &(_, _, slot)) in ranked.iter().enumerate() {
-        let slot = slot as usize;
-        let active = vehicles[slot].active_trip_count();
-        let eval_timer = Instant::now();
-        let proposal = vehicles[slot].evaluate(request, oracle);
-        let nanos = eval_timer.elapsed().as_nanos();
-        let bucket = stats.art_buckets.entry(active).or_insert((0, 0));
-        bucket.0 += 1;
-        bucket.1 += nanos;
-        evaluated += 1;
-        if let Some(p) = proposal {
-            skipped = (ranked.len() - i - 1) as u64;
-            found = Some((slot, p));
-            break;
+        ranked.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("distances are never NaN")
+                .then(a.1.cmp(&b.1))
+        });
+        let mut evaluated = 0u64;
+        let mut skipped = 0u64;
+        let mut found: Option<(usize, Proposal)> = None;
+        for (i, &(_, _, slot)) in ranked.iter().enumerate() {
+            let slot = slot as usize;
+            let active = vehicles[slot].active_trip_count();
+            let eval_timer = Instant::now();
+            let proposal = vehicles[slot].evaluate(request, oracle);
+            let nanos = eval_timer.elapsed().as_nanos();
+            let bucket = self.stats.art_buckets.entry(active).or_insert((0, 0));
+            bucket.0 += 1;
+            bucket.1 += nanos;
+            evaluated += 1;
+            if let Some(p) = proposal {
+                skipped = (ranked.len() - i - 1) as u64;
+                found = Some((slot, p));
+                break;
+            }
         }
+        index.record_pruning(candidate_ids.len() as u64, by_slack, skipped, evaluated);
+        found
     }
-    index.record_pruning(candidate_ids.len() as u64, by_slack, skipped, evaluated);
-    found
 }
 
 #[cfg(test)]
@@ -891,6 +893,182 @@ mod tests {
             }
             other => panic!("expected two assignments, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn second_request_of_a_window_sees_the_first_commit() {
+        // Both requests start right next to vehicle 1 (node 35). Dispatched
+        // in order, the second is evaluated against vehicle 1's schedule
+        // *with the first rider already committed* — so it cannot get the
+        // answer it would get from an untouched fleet.
+        let positions = [0u32, 35, 63];
+        let planner = PlannerKind::Kinetic(KineticConfig::basic());
+        let first = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
+        let second = TripRequest::new(2, 36, 59, 0.0, Constraints::new(8_400.0, 0.3));
+
+        let (graph, mut untouched, mut untouched_index) = setup(planner, &positions);
+        let oracle = CachedOracle::without_labels(&graph);
+        let alone = Dispatcher::new(DispatcherConfig::default()).assign(
+            &second,
+            &mut untouched,
+            &graph,
+            &mut untouched_index,
+            &oracle,
+        );
+        let AssignmentOutcome::Assigned {
+            vehicle: 1,
+            cost: alone_cost,
+            ..
+        } = alone
+        else {
+            panic!("alone, the second request goes to the adjacent vehicle: {alone:?}");
+        };
+
+        let (_, mut vehicles, mut index) = setup(planner, &positions);
+        let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
+        let a = dispatcher.assign(&first, &mut vehicles, &graph, &mut index, &oracle);
+        assert!(matches!(a, AssignmentOutcome::Assigned { vehicle: 1, .. }));
+        assert_eq!(vehicles[1].active_trip_count(), 1, "committed before b");
+        let b = dispatcher.assign(&second, &mut vehicles, &graph, &mut index, &oracle);
+        match b {
+            AssignmentOutcome::Assigned {
+                vehicle: 1, cost, ..
+            } => {
+                assert!(
+                    cost > alone_cost,
+                    "sharing vehicle 1 must price in the first rider ({cost} vs {alone_cost})"
+                );
+                assert_eq!(vehicles[1].active_trip_count(), 2);
+            }
+            AssignmentOutcome::Assigned { vehicle, .. } => {
+                assert_eq!(vehicles[vehicle as usize].active_trip_count(), 1);
+                assert_eq!(vehicles[1].active_trip_count(), 1);
+            }
+            other => panic!("an idle fleet must place the second request: {other:?}"),
+        }
+        assert_eq!(dispatcher.stats().assigned, 2);
+    }
+
+    #[test]
+    fn empty_fleet_rejects_with_zero_candidates() {
+        let (graph, mut vehicles, mut index) =
+            setup(PlannerKind::Kinetic(KineticConfig::basic()), &[]);
+        let oracle = CachedOracle::without_labels(&graph);
+        let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
+        for effort in DispatchEffort::ALL {
+            for use_spatial_filter in [true, false] {
+                let mut dispatcher = Dispatcher::new(DispatcherConfig {
+                    use_spatial_filter,
+                    ..DispatcherConfig::default()
+                });
+                dispatcher.set_effort(effort);
+                let out = dispatcher.assign(&req, &mut vehicles, &graph, &mut index, &oracle);
+                assert_eq!(out, AssignmentOutcome::Rejected { candidates: 0 });
+                assert_eq!(dispatcher.stats().rejected, 1);
+            }
+        }
+    }
+
+    fn fleet_with_ids(ids: &[u32]) -> Vec<Vehicle> {
+        ids.iter()
+            .map(|&id| Vehicle::new(id, 0, 4, PlannerKind::Kinetic(KineticConfig::basic()), 0.0))
+            .collect()
+    }
+
+    #[test]
+    fn resolver_takes_the_canonical_fast_path_and_bounds_it() {
+        let vehicles = fleet_with_ids(&[0, 1, 2, 3]);
+        let slots = Fleet::new(&vehicles);
+        assert!(slots.slot_of.is_none(), "canonical slices need no table");
+        assert_eq!(slots.slot(0), Some(0));
+        assert_eq!(slots.slot(3), Some(3));
+        assert_eq!(
+            slots.slot(4),
+            None,
+            "an id >= fleet length resolves to nothing"
+        );
+        assert_eq!(slots.slot(u32::MAX), None);
+        let empty = Fleet::new(&[]);
+        assert_eq!(empty.slot(0), None);
+    }
+
+    #[test]
+    fn resolver_maps_shifted_ids_to_their_slots() {
+        // A shard-local fleet: ids ascending but not starting at zero.
+        let vehicles = fleet_with_ids(&[10, 11, 14, 17]);
+        let slots = Fleet::new(&vehicles);
+        assert!(slots.slot_of.is_some());
+        assert_eq!(slots.slot(10), Some(0));
+        assert_eq!(slots.slot(14), Some(2));
+        assert_eq!(slots.slot(17), Some(3));
+        assert_eq!(slots.slot(0), None, "slot numbers are not ids here");
+        assert_eq!(slots.slot(12), None);
+    }
+
+    #[test]
+    fn resolver_gives_a_duplicated_id_to_its_first_slot() {
+        let vehicles = fleet_with_ids(&[0, 1, 1, 3]);
+        let slots = Fleet::new(&vehicles);
+        assert_eq!(
+            slots.slot(1),
+            Some(1),
+            "first slot wins, as a linear scan would"
+        );
+        assert_eq!(slots.slot(3), Some(3));
+        assert_eq!(slots.slot(2), None, "slot 2 carries id 1, not id 2");
+    }
+
+    #[test]
+    fn dispatch_resolves_a_non_canonical_fleet_like_a_canonical_one() {
+        // The same three cars, once with ids 0..3 and once renumbered
+        // 100..103 (index entries renumbered to match): the winner is the
+        // same car at the same cost.
+        let positions = [0u32, 35, 63];
+        let planner = PlannerKind::Kinetic(KineticConfig::slack());
+        let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
+        let (graph, mut canonical, mut index) = setup(planner, &positions);
+        let oracle = CachedOracle::without_labels(&graph);
+        let expect = Dispatcher::new(DispatcherConfig::default()).assign(
+            &req,
+            &mut canonical,
+            &graph,
+            &mut index,
+            &oracle,
+        );
+        let mut shifted = Vec::new();
+        let mut shifted_index = GridIndex::new(1_000.0);
+        for (i, &node) in positions.iter().enumerate() {
+            let id = 100 + i as u32;
+            shifted.push(Vehicle::new(id, node, 4, planner, 0.0));
+            let p = graph.point(node);
+            shifted_index.insert(id, Position::new(p.x, p.y));
+        }
+        let got = Dispatcher::new(DispatcherConfig::default()).assign(
+            &req,
+            &mut shifted,
+            &graph,
+            &mut shifted_index,
+            &oracle,
+        );
+        match (expect, got) {
+            (
+                AssignmentOutcome::Assigned {
+                    vehicle: 1,
+                    cost: a,
+                    candidates: ca,
+                },
+                AssignmentOutcome::Assigned {
+                    vehicle: 101,
+                    cost: b,
+                    candidates: cb,
+                },
+            ) => {
+                assert_eq!(a, b);
+                assert_eq!(ca, cb);
+            }
+            other => panic!("expected vehicle 1 / 101 to win: {other:?}"),
+        }
+        assert_eq!(shifted[1].active_trip_count(), 1);
     }
 
     #[test]

@@ -26,11 +26,13 @@
 //!   (Theorem 1) and hotspot clustering (Sec. V).
 //!
 //! [`Vehicle`] packages a server's state with a pluggable planner and
-//! [`dispatch::Dispatcher`] runs the fleet-level matching loop (grid-index
-//! candidate filtering, per-vehicle evaluation, minimum-cost assignment).
-//! [`parallel::ParallelDispatcher`] is its multi-threaded counterpart:
-//! candidate evaluations fan out across a scoped work pool and reduce with
-//! lowest-vehicle-id tie-breaking, producing bit-identical assignments.
+//! [`dispatch::Dispatcher`] runs the fleet-level matching loop: grid-index
+//! candidate filtering, an O(1) slack screen, best-first evaluation by
+//! admissible lower bound with an early exit, minimum-cost assignment with
+//! cost ties broken to the lowest vehicle id. It is the only dispatcher —
+//! per-request submission, batched windows and every serve tick feed their
+//! requests through [`dispatch::Dispatcher::assign`] one at a time, in
+//! order, on the calling thread.
 //!
 //! All quantities are measured in meters. With the paper's constant speed of
 //! 14 m/s, meters and seconds are interchangeable; the simulation crate
@@ -41,7 +43,6 @@ pub mod codec;
 pub mod dispatch;
 pub mod fault;
 pub mod kinetic;
-pub mod parallel;
 pub mod problem;
 pub mod request;
 pub mod stats;
@@ -57,7 +58,6 @@ pub use dispatch::{
 };
 pub use fault::FaultPlan;
 pub use kinetic::{KineticConfig, KineticTree, TreeInsertError, TreeStats};
-pub use parallel::ParallelDispatcher;
 pub use problem::{OnboardTrip, Schedule, SchedulingProblem, ValidationError, WaitingTrip};
 pub use request::{Constraints, TripRequest};
 pub use stats::{LatencyHistogram, LatencySummary};

@@ -5,16 +5,14 @@
 //! assignment sequence, the same [`DispatchStats`] counts — modulo the ART
 //! evaluation buckets, which legitimately shrink under pruning — and the
 //! same committed fleet state as exhaustive evaluation
-//! (`use_pruning: false`); and the pruned [`ParallelDispatcher`] must stay
-//! bit-identical to the pruned sequential loop (ART buckets included) for
-//! every worker count.
+//! (`use_pruning: false`).
 
 use kinetic_core::{
     AssignmentOutcome, Constraints, DispatchStats, Dispatcher, DispatcherConfig, KineticConfig,
-    ParallelDispatcher, PlannerKind, SolverKind, TripRequest, Vehicle,
+    PlannerKind, SolverKind, TripRequest, Vehicle,
 };
 use proptest::prelude::*;
-use roadnet::{CachedOracle, GeneratorConfig, NetworkKind, NodeId, ShardedOracle};
+use roadnet::{CachedOracle, GeneratorConfig, NetworkKind, NodeId};
 use spatial::{GridIndex, Position};
 
 fn network(kind_index: usize) -> roadnet::RoadNetwork {
@@ -88,23 +86,6 @@ fn outcome_counts(stats: &DispatchStats) -> (u64, u64, u64, u64) {
     )
 }
 
-/// Full counts-only view including ART buckets, for the pruned-sequential
-/// vs pruned-parallel comparison (the nanosecond fields are wall clock and
-/// legitimately differ).
-fn stat_counts(stats: &DispatchStats) -> (u64, u64, u64, u64, Vec<(usize, u64)>) {
-    (
-        stats.requests,
-        stats.assigned,
-        stats.rejected,
-        stats.candidates,
-        stats
-            .art_buckets
-            .iter()
-            .map(|(&k, &(c, _))| (k, c))
-            .collect(),
-    )
-}
-
 fn assert_fleet_eq(a: &[Vehicle], b: &[Vehicle]) {
     for (v, sv) in a.iter().zip(b.iter()) {
         assert_eq!(v.id(), sv.id());
@@ -164,28 +145,5 @@ proptest! {
             exhaustive.stats().evaluated()
         );
         assert_fleet_eq(&pr_vehicles, &ex_vehicles);
-        let pruned_counts = stat_counts(pruned.stats());
-
-        // Pruned parallel: bit-identical to pruned sequential — ART
-        // buckets included — at every worker count.
-        let par_oracle = ShardedOracle::without_labels(&graph);
-        for workers in [1usize, 2, 4, 8] {
-            let (mut vehicles, mut index) = fleet(&graph, &positions, kind);
-            // Threshold zero: force the threaded path even on tiny fleets.
-            let par_config = DispatcherConfig {
-                min_parallel_items: 0,
-                ..DispatcherConfig::default()
-            };
-            let mut par = ParallelDispatcher::new(par_config, workers);
-            let outcomes = par.assign_batch(&requests, &mut vehicles, &graph, &mut index, &par_oracle);
-            prop_assert_eq!(&outcomes, &pr_outcomes, "outcomes diverged at workers = {}", workers);
-            prop_assert_eq!(
-                stat_counts(par.stats()),
-                pruned_counts.clone(),
-                "stat counts diverged at workers = {}",
-                workers
-            );
-            assert_fleet_eq(&vehicles, &pr_vehicles);
-        }
     }
 }

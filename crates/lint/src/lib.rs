@@ -1,7 +1,7 @@
 //! `rideshare-lint`: a workspace determinism & panic-policy static
 //! analyzer.
 //!
-//! Every headline guarantee in this workspace — parallel dispatch,
+//! Every headline guarantee in this workspace — parallel movement,
 //! sharded simulation, checkpoint resume and crash recovery all
 //! bit-identical — is enforced *dynamically*, by property suites that
 //! sample a tiny fraction of the state space. This crate adds the static

@@ -13,9 +13,9 @@ use crate::rules::{analyze_source, Rule, Violation, WaiverRecord};
 /// is to record real compute cost, so `Instant::now` is their job, and a
 /// waiver on every call site would be noise rather than signal. Any
 /// *other* module that wants the clock must carry an inline waiver with
-/// its reason.
-pub const TIMING_ALLOWLIST: [&str; 2] =
-    ["crates/core/src/dispatch.rs", "crates/core/src/parallel.rs"];
+/// its reason. Every entry must name a file that exists — the workspace
+/// gate fails on a stale one.
+pub const TIMING_ALLOWLIST: [&str; 1] = ["crates/core/src/dispatch.rs"];
 
 /// Determinism-critical crates: their `src/` trees get the D-rules.
 const DETERMINISM_CRATES: [&str; 4] = ["core", "sim", "roadnet", "serve"];

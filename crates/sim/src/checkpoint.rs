@@ -28,7 +28,7 @@
 //! 0       magic  b"RSCK"
 //! 4       format version (u32, currently 1)
 //! 8       network fingerprint (u64)
-//! 16      SimConfig digest (u64) — excludes worker-count knobs, which are
+//! 16      SimConfig digest (u64) — excludes the worker count, which is
 //!         proven not to affect results, so a sequential checkpoint can
 //!         resume on a parallel engine and vice versa
 //! 24      trip-stream digest (u64)
@@ -60,10 +60,9 @@ const MAGIC: &[u8; 4] = b"RSCK";
 const VERSION: u32 = 1;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation
-/// *results*. The worker-count knobs (`workers`,
-/// `dispatcher.min_parallel_items`) are excluded: dispatch and movement are
-/// bit-identical at any worker count (property-tested since PR 2/3), so a
-/// checkpoint may legitimately resume under different parallelism.
+/// *results*. `workers` is excluded: vehicle movement is bit-identical at
+/// any worker count (property-tested), so a checkpoint may legitimately
+/// resume under different parallelism.
 pub fn digest_config(config: &SimConfig) -> u64 {
     let mut buf = Vec::with_capacity(96);
     bin::put_u64(&mut buf, config.vehicles as u64);
@@ -89,7 +88,7 @@ pub fn digest_config(config: &SimConfig) -> u64 {
     // per-request checkpoints written before the knob existed keep their
     // digest. `dispatcher.use_pruning` is deliberately absent: pruned and
     // exhaustive evaluation produce bit-identical results (property-tested),
-    // exactly like the worker knobs.
+    // exactly like the worker count.
     if config.batch_window_seconds != 0.0 {
         bin::put_f64(&mut buf, config.batch_window_seconds);
     }
@@ -338,7 +337,7 @@ impl Simulation<'_> {
         restore(sim, trips, bytes)
     }
 
-    /// Restores a simulation whose dispatcher and movement fan out across
+    /// Restores a simulation whose vehicle movement fans out across
     /// [`SimConfig::workers`] threads (the counterpart of
     /// [`Simulation::with_parallel`]). A checkpoint written by either
     /// engine restores into either: results are bit-identical at any
@@ -825,15 +824,12 @@ mod tests {
         let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
         let par_config = SimConfig {
             workers: 4,
-            dispatcher: kinetic_core::DispatcherConfig {
-                min_parallel_items: 0,
-                ..config().dispatcher
-            },
             ..config()
         };
         let (mut resumed, next) =
             Simulation::resume_parallel(&w.network, &par_oracle, par_config, &w.trips, &bytes)
                 .unwrap();
+        resumed.force_movement_threads();
         run_tail(&mut resumed, &w.trips, next);
         let got = observables(&resumed);
         assert_eq!(got.0, expect.0);
@@ -913,16 +909,20 @@ mod tests {
             Simulation::resume(&w.network, &oracle, different, &w.trips, &bytes),
             Err(RoadNetError::Persist(msg)) if msg.contains("configuration")
         ));
-        // Worker knobs are deliberately NOT part of the binding.
+        // The worker count is deliberately NOT part of the binding.
         let more_workers = SimConfig {
-            workers: 1,
-            dispatcher: kinetic_core::DispatcherConfig {
-                min_parallel_items: 0,
-                ..config().dispatcher
-            },
+            workers: 3,
             ..config()
         };
-        assert!(Simulation::resume(&w.network, &oracle, more_workers, &w.trips, &bytes).is_ok());
+        let sync_oracle = roadnet::ShardedOracle::without_labels(&w.network);
+        assert!(Simulation::resume_parallel(
+            &w.network,
+            &sync_oracle,
+            more_workers,
+            &w.trips,
+            &bytes
+        )
+        .is_ok());
         // Different trip stream.
         assert!(matches!(
             Simulation::resume(&w.network, &oracle, config(), &other.trips, &bytes),

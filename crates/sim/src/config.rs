@@ -32,26 +32,30 @@ pub struct SimConfig {
     pub seed: u64,
     /// Dispatcher behaviour (spatial filtering on/off, radius slack).
     pub dispatcher: DispatcherConfig,
-    /// Worker threads for candidate evaluation. `1` dispatches inline on
-    /// the simulation thread; higher values require the parallel entry
-    /// point ([`Simulation::with_parallel`]) because the oracle must be
-    /// `Sync` (the sequential constructor panics otherwise rather than
-    /// silently ignoring the knob). Assignments are bit-identical for
-    /// every value.
+    /// Worker threads for vehicle movement — the only thing this knob
+    /// does. With `workers > 1`, [`Simulation::advance_all`] splits the
+    /// fleet into that many contiguous chunks and advances them on scoped
+    /// threads (fleets under 256 vehicles stay on the calling thread);
+    /// dispatch always runs on the simulation thread. Values above `1`
+    /// require the parallel entry point ([`Simulation::with_parallel`])
+    /// because the movement threads share the oracle, which must be `Sync`
+    /// (the sequential constructor panics otherwise rather than silently
+    /// ignoring the knob). Results are bit-identical for every value.
     ///
+    /// [`Simulation::advance_all`]: crate::Simulation::advance_all
     /// [`Simulation::with_parallel`]: crate::Simulation::with_parallel
     pub workers: usize,
     /// Width of a dispatch tick in seconds. Requests whose submission
-    /// times fall into the same window (`floor(t / window)`) are dispatched
-    /// through one batched call — grid queries and (with `workers > 1`)
-    /// parallel candidate evaluation amortize across the batch. `0.0`
-    /// (the default) dispatches every request individually the moment it
-    /// arrives. Each request keeps its own submission time, and batching
-    /// preserves submission order with the lowest-vehicle-id tie-break, so
-    /// for a fixed window width runs are deterministic and bit-identical
-    /// across worker counts; different window widths are different
-    /// experiments (vehicles advance once per window rather than per
-    /// request) and checkpoints record the width in the config digest.
+    /// times fall into the same window (`floor(t / window)`) are submitted
+    /// together: the fleet advances once, to the window's last request,
+    /// candidate positions are synced once over the union of the window's
+    /// candidate sets, and the requests are then dispatched one by one in
+    /// submission order. `0.0` (the default) dispatches every request
+    /// individually the moment it arrives. Each request keeps its own
+    /// submission time, so for a fixed window width runs are deterministic
+    /// and bit-identical across worker counts; different window widths are
+    /// different experiments (vehicles advance once per window rather than
+    /// per request) and checkpoints record the width in the config digest.
     pub batch_window_seconds: f64,
 }
 

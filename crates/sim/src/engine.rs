@@ -2,9 +2,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use kinetic_core::{
-    AssignmentOutcome, Dispatcher, ParallelDispatcher, StopKind, TripId, TripRequest, Vehicle,
-};
+use kinetic_core::{AssignmentOutcome, Dispatcher, StopKind, TripId, TripRequest, Vehicle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rideshare_workload::TripEvent;
@@ -85,123 +83,30 @@ pub(crate) struct TripRecord {
     pub(crate) picked_up_m: Option<f64>,
 }
 
-/// The engine's matcher: sequential, or fanning candidate evaluations out
-/// across worker threads. Both produce bit-identical assignments; the
-/// parallel arm needs a `Sync` oracle (e.g. `roadnet::ShardedOracle`).
-pub(crate) enum FleetDispatcher {
-    Sequential(Dispatcher),
-    Parallel(ParallelDispatcher),
-}
+/// Fleets (or shard lists) smaller than this advance inline on the calling
+/// thread even when [`SimConfig::workers`] asks for more: spawning a scoped
+/// worker costs tens of microseconds, more than moving a handful of
+/// vehicles one window forward. Results are identical either way.
+const MIN_PARALLEL_MOVES: usize = 256;
 
-impl FleetDispatcher {
-    pub(crate) fn stats(&self) -> &kinetic_core::DispatchStats {
-        match self {
-            FleetDispatcher::Sequential(d) => d.stats(),
-            FleetDispatcher::Parallel(d) => d.stats(),
-        }
-    }
-
-    /// Restores previously accumulated statistics (checkpoint resume).
-    pub(crate) fn set_stats(&mut self, stats: kinetic_core::DispatchStats) {
-        match self {
-            FleetDispatcher::Sequential(d) => d.set_stats(stats),
-            FleetDispatcher::Parallel(d) => d.set_stats(stats),
-        }
-    }
-
-    pub(crate) fn effort(&self) -> kinetic_core::DispatchEffort {
-        match self {
-            FleetDispatcher::Sequential(d) => d.effort(),
-            FleetDispatcher::Parallel(d) => d.effort(),
-        }
-    }
-
-    pub(crate) fn set_effort(&mut self, effort: kinetic_core::DispatchEffort) {
-        match self {
-            FleetDispatcher::Sequential(d) => d.set_effort(effort),
-            FleetDispatcher::Parallel(d) => d.set_effort(effort),
-        }
-    }
-
-    fn candidates(
-        &self,
-        request: &TripRequest,
-        graph: &RoadNetwork,
-        index: &mut GridIndex,
-        fleet_size: usize,
-    ) -> Vec<u32> {
-        match self {
-            FleetDispatcher::Sequential(d) => d.candidates(request, graph, index, fleet_size),
-            FleetDispatcher::Parallel(d) => d.candidates(request, graph, index, fleet_size),
-        }
-    }
-
-    /// Dispatches one request. The sequential arm uses `oracle`; the
-    /// parallel arm needs the `Sync` oracle, which its constructor
-    /// guarantees is present.
-    fn assign(
-        &mut self,
-        request: &TripRequest,
-        vehicles: &mut [Vehicle],
-        graph: &RoadNetwork,
-        index: &mut GridIndex,
-        oracle: &dyn DistanceOracle,
-        par_oracle: Option<&(dyn DistanceOracle + Sync)>,
-    ) -> AssignmentOutcome {
-        match self {
-            FleetDispatcher::Sequential(d) => d.assign(request, vehicles, graph, index, oracle),
-            FleetDispatcher::Parallel(d) => d.assign(
-                request,
-                vehicles,
-                graph,
-                index,
-                par_oracle.expect("parallel dispatcher always has a Sync oracle"),
-            ),
-        }
-    }
-
-    /// Dispatches a batch of same-tick requests in slice order. The
-    /// parallel arm amortizes candidate evaluation across the whole batch;
-    /// the sequential arm feeds the requests through
-    /// [`Dispatcher::assign`](kinetic_core::Dispatcher) one by one. Both
-    /// produce identical outcome sequences.
-    fn assign_batch(
-        &mut self,
-        requests: &[TripRequest],
-        vehicles: &mut [Vehicle],
-        graph: &RoadNetwork,
-        index: &mut GridIndex,
-        oracle: &dyn DistanceOracle,
-        par_oracle: Option<&(dyn DistanceOracle + Sync)>,
-    ) -> Vec<AssignmentOutcome> {
-        match self {
-            FleetDispatcher::Sequential(d) => requests
-                .iter()
-                .map(|r| d.assign(r, vehicles, graph, index, oracle))
-                .collect(),
-            FleetDispatcher::Parallel(d) => d.assign_batch(
-                requests,
-                vehicles,
-                graph,
-                index,
-                par_oracle.expect("parallel dispatcher always has a Sync oracle"),
-            ),
-        }
-    }
+/// The pool both engines fan vehicle movement out over.
+pub(crate) fn movement_pool(workers: usize) -> WorkPool {
+    WorkPool::new(workers).run_inline_below(MIN_PARALLEL_MOVES)
 }
 
 /// A single simulation run over a road network.
 pub struct Simulation<'a> {
     pub(crate) graph: &'a RoadNetwork,
     pub(crate) oracle: &'a dyn DistanceOracle,
-    /// `Some` when constructed through [`Simulation::with_parallel`]; the
-    /// parallel dispatcher requires the oracle to be `Sync`.
+    /// The same oracle seen as `Sync`, `Some` when constructed through
+    /// [`Simulation::with_parallel`]: what the movement threads of
+    /// [`Simulation::advance_all`] query. Dispatch never reads it.
     pub(crate) par_oracle: Option<&'a (dyn DistanceOracle + Sync)>,
     pub(crate) config: SimConfig,
     pub(crate) vehicles: Vec<Vehicle>,
     pub(crate) motions: Vec<Motion>,
     pub(crate) index: GridIndex,
-    pub(crate) dispatcher: FleetDispatcher,
+    pub(crate) dispatcher: Dispatcher,
     /// Fans vehicle movement out across threads when constructed through
     /// [`Simulation::with_parallel`] with more than one worker.
     pub(crate) pool: WorkPool,
@@ -212,11 +117,10 @@ pub struct Simulation<'a> {
 }
 
 impl<'a> Simulation<'a> {
-    /// Creates a sequential simulation: vehicles are placed on uniformly
-    /// random vertices (as in the paper) and registered in the spatial
-    /// index. Candidate evaluation runs inline on the calling thread; use
-    /// [`Simulation::with_parallel`] (which needs a `Sync` oracle) to fan
-    /// evaluations out across threads.
+    /// Creates a single-threaded simulation: vehicles are placed on
+    /// uniformly random vertices (as in the paper) and registered in the
+    /// spatial index. Use [`Simulation::with_parallel`] (which needs a
+    /// `Sync` oracle) to fan vehicle movement out across threads.
     ///
     /// # Panics
     /// Panics when [`SimConfig::workers`] is greater than 1 — the knob
@@ -225,10 +129,11 @@ impl<'a> Simulation<'a> {
         Self::build(graph, oracle, None, config)
     }
 
-    /// Creates a simulation whose dispatcher fans candidate evaluations out
-    /// across [`SimConfig::workers`] threads. Requires a thread-safe oracle
-    /// (e.g. `roadnet::ShardedOracle`); assignments and every report
-    /// counter are bit-identical to the sequential engine.
+    /// Creates a simulation whose [`Simulation::advance_all`] moves the
+    /// fleet on [`SimConfig::workers`] threads. Requires a thread-safe
+    /// oracle (e.g. `roadnet::ShardedOracle`). Dispatch is the same
+    /// single-threaded [`Dispatcher`] loop as under [`Simulation::new`];
+    /// assignments and every report counter are bit-identical to it.
     pub fn with_parallel(
         graph: &'a RoadNetwork,
         oracle: &'a (dyn DistanceOracle + Sync),
@@ -271,17 +176,6 @@ impl<'a> Simulation<'a> {
                 .wrapping_add((id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             motions.push(Motion::parked_at(start, StdRng::seed_from_u64(stream)));
         }
-        let dispatcher = match par_oracle {
-            Some(_) => FleetDispatcher::Parallel(ParallelDispatcher::new(
-                config.dispatcher,
-                config.workers,
-            )),
-            None => FleetDispatcher::Sequential(Dispatcher::new(config.dispatcher)),
-        };
-        // Movement fan-out reuses the dispatcher's inline threshold: both
-        // knobs gate "is this batch big enough to be worth spawning for".
-        let pool =
-            WorkPool::new(config.workers).run_inline_below(config.dispatcher.min_parallel_items);
         Simulation {
             graph,
             oracle,
@@ -290,8 +184,8 @@ impl<'a> Simulation<'a> {
             vehicles,
             motions,
             index,
-            dispatcher,
-            pool,
+            dispatcher: Dispatcher::new(config.dispatcher),
+            pool: movement_pool(config.workers),
             clock_m: 0.0,
             collector: MetricsCollector::default(),
             records: BTreeMap::new(),
@@ -313,6 +207,13 @@ impl<'a> Simulation<'a> {
     /// Access to the fleet (e.g. for inspecting kinetic trees in tests).
     pub fn vehicles(&self) -> &[Vehicle] {
         &self.vehicles
+    }
+
+    /// Zeroes the movement pool's inline threshold, so a test-sized fleet
+    /// really advances on [`SimConfig::workers`] threads.
+    #[cfg(test)]
+    pub(crate) fn force_movement_threads(&mut self) {
+        self.pool = self.pool.run_inline_below(0);
     }
 
     /// Runs the full workload and returns the report. Requests are submitted
@@ -408,7 +309,6 @@ impl<'a> Simulation<'a> {
             self.graph,
             &mut self.index,
             self.oracle,
-            self.par_oracle,
         );
         self.trace.push(RequestTrace::submitted(
             trip.id,
@@ -423,15 +323,15 @@ impl<'a> Simulation<'a> {
         outcome
     }
 
-    /// Submits one dispatch window's worth of requests through a single
-    /// batched dispatcher call. Requests are dispatched in slice order
-    /// (ascending submission time) and each keeps its **own** submission
-    /// time for deadlines, records and the trace — only vehicle movement is
-    /// quantized to the window (the caller advances the fleet to the
-    /// window's last request before submitting, see [`Simulation::run`]).
-    /// Candidate-vehicle positions are synced once over the union of the
-    /// batch's candidate sets, which is what amortizes the per-request
-    /// setup cost.
+    /// Submits one dispatch window's worth of requests. Requests go
+    /// through [`Dispatcher::assign`] one at a time in slice order
+    /// (ascending submission time), each seeing the commits of those before
+    /// it, and each keeps its **own** submission time for deadlines,
+    /// records and the trace — only vehicle movement is quantized to the
+    /// window (the caller advances the fleet to the window's last request
+    /// before submitting, see [`Simulation::run`]). Candidate-vehicle
+    /// positions are synced once over the union of the batch's candidate
+    /// sets, which is what amortizes the per-request setup cost.
     pub fn submit_batch(&mut self, trips: &[TripEvent]) -> Vec<AssignmentOutcome> {
         if trips.is_empty() {
             return Vec::new();
@@ -481,14 +381,18 @@ impl<'a> Simulation<'a> {
             let (node, clock) = self.effective_position(i);
             self.vehicles[i].set_position(node, clock, self.oracle);
         }
-        let outcomes = self.dispatcher.assign_batch(
-            &requests,
-            &mut self.vehicles,
-            self.graph,
-            &mut self.index,
-            self.oracle,
-            self.par_oracle,
-        );
+        let outcomes: Vec<AssignmentOutcome> = requests
+            .iter()
+            .map(|request| {
+                self.dispatcher.assign(
+                    request,
+                    &mut self.vehicles,
+                    self.graph,
+                    &mut self.index,
+                    self.oracle,
+                )
+            })
+            .collect();
         for (((trip, outcome), direct), n_candidates) in trips
             .iter()
             .zip(&outcomes)
@@ -1013,17 +917,9 @@ mod tests {
 
         for workers in [1usize, 4] {
             let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
-            // Threshold zero forces real worker threads even on this small
-            // fleet, so the threaded engine path is actually exercised.
-            let config = SimConfig {
-                workers,
-                dispatcher: kinetic_core::DispatcherConfig {
-                    min_parallel_items: 0,
-                    ..base.dispatcher
-                },
-                ..base
-            };
+            let config = SimConfig { workers, ..base };
             let mut par = Simulation::with_parallel(&w.network, &par_oracle, config);
+            par.force_movement_threads();
             let report = par.run(&w.trips);
             assert_eq!(report.requests, seq_report.requests, "workers = {workers}");
             assert_eq!(report.assigned, seq_report.assigned, "workers = {workers}");
@@ -1062,16 +958,9 @@ mod tests {
 
         for workers in [2usize, 4, 8] {
             let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
-            let config = SimConfig {
-                workers,
-                dispatcher: kinetic_core::DispatcherConfig {
-                    // Force real worker threads even for a 30-vehicle fleet.
-                    min_parallel_items: 0,
-                    ..base.dispatcher
-                },
-                ..base
-            };
+            let config = SimConfig { workers, ..base };
             let mut par = Simulation::with_parallel(&w.network, &par_oracle, config);
+            par.force_movement_threads();
             let report = par.run(&w.trips);
             let locations: Vec<_> = par.vehicles().iter().map(|v| v.location()).collect();
             assert_eq!(locations, seq_locations, "workers = {workers}");
@@ -1097,10 +986,9 @@ mod tests {
 
     #[test]
     fn batched_ticks_match_sequential_at_any_worker_count() {
-        // A fixed batch window is one experiment: the sequential engine
-        // (one dispatcher call per request inside the batch) and the
-        // parallel engine (one genuinely batched call per window) must
-        // agree on every assignment, trace row and counter.
+        // A fixed batch window is one experiment: moving the fleet on one
+        // thread or several between windows must not change any
+        // assignment, trace row or counter.
         let w = small_workload(60, 13);
         let base = SimConfig {
             vehicles: 12,
@@ -1120,15 +1008,9 @@ mod tests {
 
         for workers in [1usize, 4] {
             let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
-            let config = SimConfig {
-                workers,
-                dispatcher: kinetic_core::DispatcherConfig {
-                    min_parallel_items: 0,
-                    ..base.dispatcher
-                },
-                ..base
-            };
+            let config = SimConfig { workers, ..base };
             let mut par = Simulation::with_parallel(&w.network, &par_oracle, config);
+            par.force_movement_threads();
             let report = par.run(&w.trips);
             assert_eq!(report.requests, seq_report.requests, "workers = {workers}");
             assert_eq!(report.assigned, seq_report.assigned, "workers = {workers}");

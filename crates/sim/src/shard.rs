@@ -65,8 +65,8 @@ use workpool::WorkPool;
 
 use crate::config::SimConfig;
 use crate::engine::{
-    advance_one, apply_outcome_to, effective_position, replan_after_assignment, AdvanceOutcome,
-    Motion, TripRecord,
+    advance_one, apply_outcome_to, effective_position, movement_pool, replan_after_assignment,
+    AdvanceOutcome, Motion, TripRecord,
 };
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::trace::{RequestTrace, TraceLog};
@@ -345,8 +345,6 @@ impl<'a> ShardedSimulation<'a> {
                 .push(Motion::parked_at(start, StdRng::seed_from_u64(stream)));
         }
         let broker = ShardBroker::new(shards.len());
-        let pool =
-            WorkPool::new(config.workers).run_inline_below(config.dispatcher.min_parallel_items);
         ShardedSimulation {
             graph,
             oracle,
@@ -357,7 +355,7 @@ impl<'a> ShardedSimulation<'a> {
             broker,
             owner_of,
             index,
-            pool,
+            pool: movement_pool(config.workers),
             clock_m: 0.0,
             tick: 0,
             collector: MetricsCollector::default(),

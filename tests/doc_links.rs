@@ -115,7 +115,7 @@ fn named_binaries_artifacts_and_sources_exist() {
     for r in &referenced {
         // Generated-at-runtime paths live under target/; committed
         // artifacts and sources must exist in the tree.
-        if r.starts_with("target/") || r.starts_with("BENCH_dispatch") {
+        if r.starts_with("target/") {
             continue;
         }
         if !root.join(r).exists() {
