@@ -44,10 +44,11 @@ run cargo test --offline --manifest-path benchmark/Cargo.toml
 run cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload all --seed 1 --smoke
 # bench-smoke: hub-label builds must match Dijkstra ground truth, be
 # bit-identical across worker counts, round-trip through the on-disk
-# format, and stay >= 3x faster than the frozen seed pipeline at 40x40;
-# the sparse MIP solver must agree with the frozen dense baseline and
-# beat it >= 10x at 3 trips on board. BENCH_hublabel.json and
-# BENCH_mip.json record the numbers (CI uploads both artifacts).
+# format, and stay >= 3x faster than the frozen seed pipeline at 40x40,
+# one thread against one thread; the sparse MIP solver must agree with
+# the frozen dense baseline and beat it >= 10x at 3 trips on board.
+# BENCH_hublabel.json and BENCH_mip.json record the numbers (CI uploads
+# both artifacts).
 run cargo run --release -p rideshare-bench --bin bench_summary -- --scale smoke --hublabel-out BENCH_hublabel.json --mip-out BENCH_mip.json
 # Replay gate: the paper_replay harness at quick scale over a truncated
 # stream. The first invocation exercises the persisted-oracle store
@@ -82,14 +83,6 @@ run cargo run --release -p rideshare-bench --bin serve_sweep -- --smoke --out ta
 # report that is not bit-identical to the uninterrupted run, or a store
 # fault that does not surface its fallback reason.
 run cargo run --release -p rideshare-bench --bin chaos_smoke -- --out target/BENCH_chaos_ci.json
-# Shard gate: the partitioned engine at 1/2/4/8 shards must be
-# bit-identical to the single-shard reference (reports, traces, final
-# fleet) with zero guarantee violations, and at k >= 2 the run must
-# actually exercise the broker (vehicle migrations and boundary-request
-# dispatches). Local runs use --smoke (small city, Dijkstra oracle) and
-# write under target/ so they never clobber the committed medium-city
-# BENCH_shard.json.
-run cargo run --release -p rideshare-bench --bin shard_smoke -- --smoke --out target/BENCH_shard_ci.json
 
 echo
 echo "CI OK"

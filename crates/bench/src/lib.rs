@@ -18,7 +18,7 @@ pub mod store;
 use kinetic_core::{Constraints, KineticConfig, PlannerKind, SolverKind};
 use rideshare_sim::{SimConfig, SimReport, Simulation};
 use rideshare_workload::{CityConfig, DemandConfig, Workload};
-use roadnet::{CachedOracle, OracleBackend, ShardedOracle};
+use roadnet::{CachedOracle, OracleBackend};
 
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,18 +152,6 @@ impl Scale {
         }
     }
 
-    /// Cache shard count for the thread-safe oracle. The sweep showed
-    /// sharding costs at most 0.1% hit rate, so paper scale shards
-    /// aggressively (4M entries / 64 shards = 62.5k per shard — still far
-    /// above the per-shard saturation point).
-    pub fn oracle_shards(&self) -> usize {
-        match self {
-            Scale::Smoke => 4,
-            Scale::Quick => 16,
-            Scale::Paper => 64,
-        }
-    }
-
     /// Length of one metrics window in seconds: the simulated span divided
     /// into 24 equal buckets, so every scale reports the same bucket count
     /// and the paper scale's windows are exactly the hours of its
@@ -288,42 +276,6 @@ impl Experiment {
                 let (labels, report) = store::load_or_build(&self.workload.network);
                 (
                     CachedOracle::with_labels(&self.workload.network, labels, dcache, pcache),
-                    Some(report),
-                )
-            }
-        }
-    }
-
-    /// Thread-safe counterpart of [`Experiment::oracle_with_report`] for
-    /// parallel replays: the same store-backed labels behind the sharded
-    /// caches, with per-scale shard counts and the same total capacities.
-    pub fn sharded_oracle_with_report(
-        &self,
-        scale: Scale,
-    ) -> (ShardedOracle<'_>, Option<store::StoreReport>) {
-        let (dcache, pcache) = (scale.distance_cache_entries(), scale.path_cache_entries());
-        let shards = scale.oracle_shards();
-        match scale {
-            Scale::Smoke => (
-                ShardedOracle::with_options(
-                    &self.workload.network,
-                    OracleBackend::Dijkstra,
-                    shards,
-                    dcache,
-                    pcache,
-                ),
-                None,
-            ),
-            Scale::Quick | Scale::Paper => {
-                let (labels, report) = store::load_or_build(&self.workload.network);
-                (
-                    ShardedOracle::with_labels(
-                        &self.workload.network,
-                        labels,
-                        shards,
-                        dcache,
-                        pcache,
-                    ),
                     Some(report),
                 )
             }
@@ -563,12 +515,6 @@ mod tests {
             assert!(
                 scale.path_cache_entries() <= scale.distance_cache_entries() / 5,
                 "path cache should stay well below the distance cache"
-            );
-            // Per-shard capacity must stay above the saturation point so
-            // sharding never costs hit rate.
-            assert!(
-                scale.distance_cache_entries() / scale.oracle_shards() >= 2_500,
-                "{scale:?}: shards would starve"
             );
         }
     }

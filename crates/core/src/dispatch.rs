@@ -247,20 +247,6 @@ impl DispatchStats {
             self.evaluated() as f64 / self.requests as f64
         }
     }
-
-    /// Merges another statistics block into this one.
-    pub fn merge(&mut self, other: &DispatchStats) {
-        self.requests += other.requests;
-        self.assigned += other.assigned;
-        self.rejected += other.rejected;
-        self.candidates += other.candidates;
-        self.response_nanos += other.response_nanos;
-        for (&k, &(c, n)) in &other.art_buckets {
-            let e = self.art_buckets.entry(k).or_insert((0, 0));
-            e.0 += c;
-            e.1 += n;
-        }
-    }
 }
 
 /// Candidate vehicle ids for a request under `config`, written into `out`:
@@ -378,9 +364,10 @@ fn screen_candidate(
 /// candidate vehicle ids resolved to its slots. Built once per request.
 ///
 /// An engine's whole fleet is *canonical* — vehicle `i` sits in slot `i` —
-/// and needs no table at all. A shard's local fleet or a borrowed
-/// evaluation set is an arbitrary slice; those get an id → slot map in
-/// which the first slot carrying an id wins, the answer a linear
+/// and needs no table at all. [`Dispatcher::assign`] is public and takes
+/// any slice, though (a caller dispatching over part of a fleet, say); a
+/// slice that is not canonical gets an id → slot map in which the first
+/// slot carrying an id wins, the answer a linear
 /// `position(|v| v.id() == vid)` scan would give.
 struct Fleet<'a> {
     vehicles: &'a [Vehicle],
@@ -994,7 +981,7 @@ mod tests {
 
     #[test]
     fn resolver_maps_shifted_ids_to_their_slots() {
-        // A shard-local fleet: ids ascending but not starting at zero.
+        // Part of a fleet: ids ascending but not starting at zero.
         let vehicles = fleet_with_ids(&[10, 11, 14, 17]);
         let slots = Fleet::new(&vehicles);
         assert!(slots.slot_of.is_some());
@@ -1069,32 +1056,5 @@ mod tests {
             other => panic!("expected vehicle 1 / 101 to win: {other:?}"),
         }
         assert_eq!(shifted[1].active_trip_count(), 1);
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let mut a = DispatchStats {
-            requests: 2,
-            assigned: 1,
-            rejected: 1,
-            candidates: 5,
-            response_nanos: 1_000,
-            art_buckets: BTreeMap::from([(0, (2, 500))]),
-        };
-        let b = DispatchStats {
-            requests: 1,
-            assigned: 1,
-            rejected: 0,
-            candidates: 2,
-            response_nanos: 500,
-            art_buckets: BTreeMap::from([(0, (1, 100)), (3, (1, 900))]),
-        };
-        a.merge(&b);
-        assert_eq!(a.requests, 3);
-        assert_eq!(a.assigned, 2);
-        assert_eq!(a.candidates, 7);
-        assert_eq!(a.art_buckets[&0], (3, 600));
-        assert_eq!(a.art_buckets[&3], (1, 900));
-        assert!(a.art_ms(7).is_none());
     }
 }

@@ -2,8 +2,8 @@
 //! analyzer.
 //!
 //! Every headline guarantee in this workspace — parallel movement,
-//! sharded simulation, checkpoint resume and crash recovery all
-//! bit-identical — is enforced *dynamically*, by property suites that
+//! region accounting, checkpoint resume and crash recovery all
+//! bit-identical to the plain run — is enforced *dynamically*, by property suites that
 //! sample a tiny fraction of the state space. This crate adds the static
 //! half: an offline, dependency-free analyzer that lexes every workspace
 //! `.rs` file (a real mini-lexer — strings, raw strings, char literals

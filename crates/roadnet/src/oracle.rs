@@ -7,9 +7,9 @@
 //! interface. [`CachedOracle`] is the sequential production implementation:
 //! hub labels (falling back to Dijkstra when labels are disabled) behind the
 //! paper's two LRU caches. [`ShardedOracle`](crate::ShardedOracle) is its
-//! thread-safe counterpart for the parallel dispatcher. [`MatrixOracle`]
-//! pre-computes all pairs and is used by tests and tiny scheduling
-//! instances.
+//! thread-safe counterpart, for an engine that moves its fleet on several
+//! threads. [`MatrixOracle`] pre-computes all pairs and is used by tests
+//! and tiny scheduling instances.
 
 use std::cell::RefCell;
 
@@ -38,10 +38,12 @@ pub trait ShortestPathEngine {
 /// # Thread safety
 ///
 /// The trait itself does not require [`Sync`]: [`CachedOracle`] deliberately
-/// uses `RefCell` so the sequential dispatch loop pays no synchronisation
-/// cost. The parallel dispatcher instead takes `&(dyn DistanceOracle +
-/// Sync)`, and implementations meant for it must make `&self` calls safe
-/// from concurrent threads — [`ShardedOracle`](crate::ShardedOracle) does so
+/// uses `RefCell` so the dispatch loop, which is sequential, pays no
+/// synchronisation cost. The one concurrent reader is the movement phase of
+/// `Simulation::advance_all` (`rideshare-sim`), which routes vehicles on
+/// worker threads and so takes `&(dyn DistanceOracle + Sync)`;
+/// implementations meant for it must make `&self` calls safe from
+/// concurrent threads — [`ShardedOracle`](crate::ShardedOracle) does so
 /// by splitting the LRU caches into independently mutex-guarded shards, and
 /// [`MatrixOracle`] is immutable after construction and therefore trivially
 /// `Sync`. Every implementation, concurrent or not, must return identical

@@ -1,11 +1,9 @@
 //! Deterministic k-way partitioning of a road network into contiguous
 //! regions.
 //!
-//! The sharded simulation engine (`rideshare-sim`) runs each region of the
-//! city as a near-independent simulation and exchanges boundary traffic
-//! through a message broker. Everything downstream of a partition —
-//! which shard owns which vehicle, which requests cross regions, which
-//! messages flow at a tick barrier — must be a pure function of the
+//! The simulation engine (`rideshare-sim`) uses a partition as a grouping
+//! key: it labels every vehicle and request with a region and counts what
+//! crosses a region border. Those counts must be a pure function of the
 //! `(network, k)` pair, so this module is deterministic by construction:
 //!
 //! 1. **Seed selection** recursively splits the node set kd-tree style
@@ -19,17 +17,14 @@
 //! 3. Nodes unreachable from every seed (disconnected fragments) are
 //!    assigned to the euclidean-nearest seed, lowest region first.
 //!
-//! The resulting [`PartitionSpec`] classifies **boundary edges** (edges
-//! whose endpoints lie in different regions — the road segments on which
-//! vehicles migrate between shards) and carries a stable fingerprint
-//! binding it to the network, so engines can verify they agree on the
-//! partition before exchanging state.
+//! A [`PartitionSpec`] only answers for the network it was grown on;
+//! [`PartitionSpec::node_count`] is what a caller checks before indexing
+//! it with another network's node ids.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::RoadNetwork;
-use crate::io::bin;
 use crate::types::NodeId;
 
 /// A total-ordered f64 wrapper so Dijkstra's frontier has a deterministic
@@ -53,19 +48,14 @@ impl Ord for OrdF64 {
 }
 
 /// A deterministic assignment of every road-network node to one of `k`
-/// contiguous regions, with the cross-region edges classified.
+/// contiguous regions.
 ///
 /// Build one with [`PartitionSpec::grow`]; `k = 1` yields the trivial
-/// partition under which a sharded engine degenerates to the single-shard
-/// one.
+/// partition with every node in region 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
     k: u16,
     region_of: Vec<u16>,
-    sizes: Vec<usize>,
-    boundary_edges: Vec<(NodeId, NodeId)>,
-    total_edges: usize,
-    fingerprint: u64,
 }
 
 impl PartitionSpec {
@@ -77,32 +67,7 @@ impl PartitionSpec {
         let k = k.clamp(1, n.max(1)).min(u16::MAX as usize) as u16;
         let seeds = select_seeds(network, k);
         let region_of = grow_regions(network, &seeds);
-        let mut sizes = vec![0usize; k as usize];
-        for &r in &region_of {
-            sizes[r as usize] += 1;
-        }
-        let mut boundary_edges = Vec::new();
-        let mut total_edges = 0usize;
-        for (u, v, _w) in network.edges() {
-            total_edges += 1;
-            if region_of[u as usize] != region_of[v as usize] {
-                boundary_edges.push((u, v));
-            }
-        }
-        let fingerprint = fingerprint_of(network, k, &region_of);
-        PartitionSpec {
-            k,
-            region_of,
-            sizes,
-            boundary_edges,
-            total_edges,
-            fingerprint,
-        }
-    }
-
-    /// The trivial one-region partition (every node in region 0).
-    pub fn single(network: &RoadNetwork) -> Self {
-        Self::grow(network, 1)
+        PartitionSpec { k, region_of }
     }
 
     /// Number of regions.
@@ -110,56 +75,18 @@ impl PartitionSpec {
         self.k as usize
     }
 
+    /// Number of nodes of the network this partition was grown on.
+    pub fn node_count(&self) -> usize {
+        self.region_of.len()
+    }
+
     /// Region owning `node`.
+    ///
+    /// # Panics
+    /// Panics when `node` is not below [`PartitionSpec::node_count`].
     pub fn region_of(&self, node: NodeId) -> u16 {
         self.region_of[node as usize]
     }
-
-    /// Node count of each region, indexed by region id.
-    pub fn region_sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Edges whose endpoints lie in different regions, in the network's
-    /// canonical edge order — the road segments over which vehicles
-    /// migrate between shards.
-    pub fn boundary_edges(&self) -> &[(NodeId, NodeId)] {
-        &self.boundary_edges
-    }
-
-    /// Fraction of the network's edges that cross a region boundary
-    /// (0.0 for `k = 1`). A quality signal: lower means less cross-shard
-    /// traffic.
-    pub fn boundary_fraction(&self) -> f64 {
-        if self.total_edges == 0 {
-            0.0
-        } else {
-            self.boundary_edges.len() as f64 / self.total_edges as f64
-        }
-    }
-
-    /// Whether the directed pair `(u, v)` crosses a region boundary.
-    pub fn is_cross_region(&self, u: NodeId, v: NodeId) -> bool {
-        self.region_of[u as usize] != self.region_of[v as usize]
-    }
-
-    /// Stable identity of this partition: an FNV-1a digest over the
-    /// network fingerprint, `k` and the full node-to-region assignment.
-    /// Two engines agreeing on the fingerprint agree on every ownership
-    /// decision the partition implies.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-}
-
-fn fingerprint_of(network: &RoadNetwork, k: u16, region_of: &[u16]) -> u64 {
-    let mut buf = Vec::with_capacity(16 + 2 * region_of.len());
-    bin::put_u64(&mut buf, network.fingerprint());
-    bin::put_u64(&mut buf, k as u64);
-    for &r in region_of {
-        buf.extend_from_slice(&r.to_le_bytes());
-    }
-    bin::fnv1a(&buf)
 }
 
 /// Recursive kd-style median split of the node set into `k` cells, then
@@ -291,11 +218,12 @@ mod tests {
         for k in [1usize, 2, 3, 4, 8] {
             let p = PartitionSpec::grow(&g, k);
             assert_eq!(p.regions(), k);
-            assert_eq!(p.region_sizes().iter().sum::<usize>(), g.node_count());
-            assert!(p.region_sizes().iter().all(|&s| s > 0), "k = {k}");
+            assert_eq!(p.node_count(), g.node_count());
+            let mut sizes = vec![0usize; k];
             for u in 0..g.node_count() as NodeId {
-                assert!((p.region_of(u) as usize) < k);
+                sizes[p.region_of(u) as usize] += 1;
             }
+            assert!(sizes.iter().all(|&s| s > 0), "k = {k}");
         }
     }
 
@@ -306,45 +234,15 @@ mod tests {
             let a = PartitionSpec::grow(&g, k);
             let b = PartitionSpec::grow(&g, k);
             assert_eq!(a, b);
-            assert_eq!(a.fingerprint(), b.fingerprint());
-        }
-    }
-
-    #[test]
-    fn fingerprint_separates_k_and_network() {
-        let g = grid(9, 9, 1);
-        let h = grid(9, 9, 2);
-        let g2 = PartitionSpec::grow(&g, 2);
-        let g4 = PartitionSpec::grow(&g, 4);
-        let h2 = PartitionSpec::grow(&h, 2);
-        assert_ne!(g2.fingerprint(), g4.fingerprint());
-        assert_ne!(g2.fingerprint(), h2.fingerprint());
-    }
-
-    #[test]
-    fn boundary_edges_are_exactly_the_cross_region_ones() {
-        let g = grid(11, 11, 5);
-        let p = PartitionSpec::grow(&g, 4);
-        let expected: Vec<(NodeId, NodeId)> = g
-            .edges()
-            .filter(|&(u, v, _)| p.region_of(u) != p.region_of(v))
-            .map(|(u, v, _)| (u, v))
-            .collect();
-        assert_eq!(p.boundary_edges(), expected.as_slice());
-        assert!(!p.boundary_edges().is_empty(), "4 regions must touch");
-        assert!(p.boundary_fraction() > 0.0 && p.boundary_fraction() < 0.5);
-        for &(u, v) in p.boundary_edges() {
-            assert!(p.is_cross_region(u, v));
         }
     }
 
     #[test]
     fn single_region_has_no_boundary() {
         let g = grid(6, 6, 2);
-        let p = PartitionSpec::single(&g);
+        let p = PartitionSpec::grow(&g, 1);
         assert_eq!(p.regions(), 1);
-        assert!(p.boundary_edges().is_empty());
-        assert_eq!(p.boundary_fraction(), 0.0);
+        assert!(g.edges().all(|(u, v, _)| p.region_of(u) == p.region_of(v)));
     }
 
     #[test]
@@ -384,6 +282,6 @@ mod tests {
         let g = grid(2, 2, 1);
         let p = PartitionSpec::grow(&g, 50);
         assert_eq!(p.regions(), 4);
-        assert_eq!(p.region_sizes().iter().sum::<usize>(), 4);
+        assert_eq!(p.node_count(), 4);
     }
 }

@@ -1,9 +1,11 @@
-//! Thread-safe sharded distance oracle for the parallel dispatcher.
+//! Thread-safe sharded distance oracle, for moving the fleet on several
+//! threads.
 //!
 //! [`CachedOracle`](crate::CachedOracle) puts the paper's two LRU caches
 //! behind `RefCell`, which is the right call for the sequential simulation
-//! loop (zero synchronisation cost) but makes the oracle `!Sync`: worker
-//! threads evaluating candidate vehicles concurrently cannot share it.
+//! loop (zero synchronisation cost) but makes the oracle `!Sync`: the
+//! worker threads that route vehicles in the movement phase of
+//! `Simulation::advance_all` (`rideshare-sim`) cannot share it.
 //! [`ShardedOracle`] is the concurrent counterpart. The immutable query
 //! machinery (hub labels, Dijkstra over the frozen graph) is shared freely
 //! across threads; only the caches need writes, and those are split into
@@ -15,8 +17,9 @@
 //!
 //! Sharding changes *which* entries survive eviction (each shard runs LRU
 //! over its slice of the key space) but never the values returned —
-//! distances are exact regardless of cache state — so sequential and
-//! parallel dispatch over this oracle agree bit-for-bit.
+//! distances are exact regardless of cache state — so a run over this
+//! oracle agrees bit-for-bit with one over `CachedOracle`, at any worker
+//! count.
 
 use std::sync::Mutex;
 
@@ -44,8 +47,8 @@ struct Shard {
 /// mutex-guarded LRU caches. See the module docs for the design.
 ///
 /// This type is `Sync`; share it by reference (`&ShardedOracle` implements
-/// [`DistanceOracle`] through `&self` methods) across the dispatcher's
-/// worker threads.
+/// [`DistanceOracle`] through `&self` methods) across the engine's
+/// movement threads.
 ///
 /// # Examples
 ///
@@ -336,7 +339,7 @@ mod tests {
         let g = grid(3, 3, 0);
         let o = ShardedOracle::without_labels(&g);
         assert_sync(&o);
-        // And usable as the trait object the parallel dispatcher takes.
+        // And usable as the trait object `Simulation::with_parallel` takes.
         let _dyn_oracle: &(dyn DistanceOracle + Sync) = &o;
     }
 

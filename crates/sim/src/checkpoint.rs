@@ -41,17 +41,16 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use kinetic_core::codec;
-use kinetic_core::{DispatchStats, TripId, Vehicle};
+use kinetic_core::{DispatchStats, Vehicle};
 use rand::rngs::StdRng;
 use rideshare_workload::TripEvent;
 use roadnet::io::bin::{self, Reader};
-use roadnet::{DistanceOracle, PartitionSpec, RoadNetError, RoadNetwork};
+use roadnet::{DistanceOracle, RoadNetError, RoadNetwork};
 use spatial::{GridIndex, Position};
 
 use crate::config::SimConfig;
 use crate::engine::{Motion, Simulation, TripRecord};
 use crate::metrics::MetricsCollector;
-use crate::shard::ShardedSimulation;
 use crate::trace::{RequestTrace, TraceLog};
 
 /// File magic: "RSCK" (ridesharing checkpoint).
@@ -153,132 +152,94 @@ fn read_stats(r: &mut Reader<'_>) -> Result<DispatchStats, RoadNetError> {
     Ok(stats)
 }
 
-/// Borrowed view of everything a checkpoint captures, assembled by either
-/// engine. `vehicles`/`motions` must be aligned and in ascending id order —
-/// the single-shard engine stores them that way, the sharded engine
-/// assembles them across shards (see `ShardedSimulation::ordered_state`).
-pub(crate) struct SnapshotView<'s> {
-    pub(crate) graph: &'s RoadNetwork,
-    pub(crate) config: &'s SimConfig,
-    pub(crate) clock_m: f64,
-    pub(crate) vehicles: Vec<&'s Vehicle>,
-    pub(crate) motions: Vec<&'s Motion>,
-    /// Owned because the sharded engine merges per-shard statistics.
-    pub(crate) stats: DispatchStats,
-    pub(crate) collector: &'s MetricsCollector,
-    pub(crate) records: &'s BTreeMap<TripId, TripRecord>,
-    pub(crate) trace: &'s TraceLog,
-}
-
-/// Serialises a [`SnapshotView`] into the RSCK v1 byte layout. Shared by
-/// both engines, so a checkpoint written by one restores into the other.
-pub(crate) fn encode_snapshot(
-    view: &SnapshotView<'_>,
-    next_trip: usize,
-    trips_digest: u64,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 << 16);
-    out.extend_from_slice(MAGIC);
-    bin::put_u32(&mut out, VERSION);
-    bin::put_u64(&mut out, view.graph.fingerprint());
-    bin::put_u64(&mut out, digest_config(view.config));
-    bin::put_u64(&mut out, trips_digest);
-    bin::put_u64(&mut out, next_trip as u64);
-    bin::put_f64(&mut out, view.clock_m);
-
-    bin::put_u64(&mut out, view.vehicles.len() as u64);
-    for v in &view.vehicles {
-        v.encode(&mut out);
-    }
-    for m in &view.motions {
-        bin::put_u32(&mut out, m.at);
-        bin::put_f64(&mut out, m.at_clock_m);
-        bin::put_f64(&mut out, m.next_arrival_m);
-        for word in m.rng.state() {
-            bin::put_u64(&mut out, word);
-        }
-        bin::put_u64(&mut out, m.path.len() as u64);
-        for &(node, leg) in &m.path {
-            bin::put_u32(&mut out, node);
-            bin::put_f64(&mut out, leg);
-        }
-    }
-
-    put_stats(&mut out, &view.stats);
-
-    let c = view.collector;
-    bin::put_u64(&mut out, c.wait_seconds.len() as u64);
-    for &w in &c.wait_seconds {
-        bin::put_f64(&mut out, w);
-    }
-    bin::put_u64(&mut out, c.detour_ratios.len() as u64);
-    for &d in &c.detour_ratios {
-        bin::put_f64(&mut out, d);
-    }
-    bin::put_u64(&mut out, c.guarantee_violations);
-    bin::put_u64(&mut out, c.completed);
-    bin::put_u64(&mut out, c.onboard_at_pickup.len() as u64);
-    for &n in &c.onboard_at_pickup {
-        bin::put_u64(&mut out, n as u64);
-    }
-    for &t in &c.pickup_clock_seconds {
-        bin::put_f64(&mut out, t);
-    }
-    bin::put_u64(&mut out, c.per_vehicle_max_onboard.len() as u64);
-    for (&vid, &max) in &c.per_vehicle_max_onboard {
-        bin::put_u32(&mut out, vid);
-        bin::put_u64(&mut out, max as u64);
-    }
-    bin::put_f64(&mut out, c.fleet_distance_m);
-
-    // Records walk in trip order by construction: the record map is a
-    // `BTreeMap`, so identical states produce identical bytes.
-    bin::put_u64(&mut out, view.records.len() as u64);
-    for (&trip, rec) in view.records {
-        bin::put_u64(&mut out, trip);
-        bin::put_f64(&mut out, rec.submitted_m);
-        bin::put_f64(&mut out, rec.direct_m);
-        bin::put_f64(&mut out, rec.max_wait_m);
-        bin::put_f64(&mut out, rec.max_ride_m);
-        codec::put_opt_f64(&mut out, rec.picked_up_m);
-    }
-
-    bin::put_u64(&mut out, view.trace.len() as u64);
-    for e in view.trace.iter() {
-        bin::put_u64(&mut out, e.trip);
-        bin::put_f64(&mut out, e.submitted_s);
-        codec::put_opt_u32(&mut out, e.vehicle);
-        codec::put_opt_f64(&mut out, e.assignment_cost_m);
-        bin::put_u64(&mut out, e.candidates as u64);
-        codec::put_opt_f64(&mut out, e.picked_up_s);
-        codec::put_opt_f64(&mut out, e.delivered_s);
-        bin::put_f64(&mut out, e.direct_m);
-        codec::put_opt_f64(&mut out, e.ride_m);
-    }
-
-    let checksum = bin::fnv1a(&out);
-    bin::put_u64(&mut out, checksum);
-    out
-}
-
 impl Simulation<'_> {
     /// Serialises the complete simulation state plus the position in the
     /// trip stream (`next_trip` = number of trips already submitted).
     /// `trips_digest` is [`digest_trips`] of the stream being replayed;
     /// compute it once per run, not per checkpoint.
     pub fn checkpoint_bytes(&self, next_trip: usize, trips_digest: u64) -> Vec<u8> {
-        let view = SnapshotView {
-            graph: self.graph,
-            config: &self.config,
-            clock_m: self.clock_m,
-            vehicles: self.vehicles.iter().collect(),
-            motions: self.motions.iter().collect(),
-            stats: self.dispatcher.stats().clone(),
-            collector: &self.collector,
-            records: &self.records,
-            trace: &self.trace,
-        };
-        encode_snapshot(&view, next_trip, trips_digest)
+        let mut out = Vec::with_capacity(1 << 16);
+        out.extend_from_slice(MAGIC);
+        bin::put_u32(&mut out, VERSION);
+        bin::put_u64(&mut out, self.graph.fingerprint());
+        bin::put_u64(&mut out, digest_config(&self.config));
+        bin::put_u64(&mut out, trips_digest);
+        bin::put_u64(&mut out, next_trip as u64);
+        bin::put_f64(&mut out, self.clock_m);
+
+        bin::put_u64(&mut out, self.vehicles.len() as u64);
+        for v in &self.vehicles {
+            v.encode(&mut out);
+        }
+        for m in &self.motions {
+            bin::put_u32(&mut out, m.at);
+            bin::put_f64(&mut out, m.at_clock_m);
+            bin::put_f64(&mut out, m.next_arrival_m);
+            for word in m.rng.state() {
+                bin::put_u64(&mut out, word);
+            }
+            bin::put_u64(&mut out, m.path.len() as u64);
+            for &(node, leg) in &m.path {
+                bin::put_u32(&mut out, node);
+                bin::put_f64(&mut out, leg);
+            }
+        }
+
+        put_stats(&mut out, self.dispatcher.stats());
+
+        let c = &self.collector;
+        bin::put_u64(&mut out, c.wait_seconds.len() as u64);
+        for &w in &c.wait_seconds {
+            bin::put_f64(&mut out, w);
+        }
+        bin::put_u64(&mut out, c.detour_ratios.len() as u64);
+        for &d in &c.detour_ratios {
+            bin::put_f64(&mut out, d);
+        }
+        bin::put_u64(&mut out, c.guarantee_violations);
+        bin::put_u64(&mut out, c.completed);
+        bin::put_u64(&mut out, c.onboard_at_pickup.len() as u64);
+        for &n in &c.onboard_at_pickup {
+            bin::put_u64(&mut out, n as u64);
+        }
+        for &t in &c.pickup_clock_seconds {
+            bin::put_f64(&mut out, t);
+        }
+        bin::put_u64(&mut out, c.per_vehicle_max_onboard.len() as u64);
+        for (&vid, &max) in &c.per_vehicle_max_onboard {
+            bin::put_u32(&mut out, vid);
+            bin::put_u64(&mut out, max as u64);
+        }
+        bin::put_f64(&mut out, c.fleet_distance_m);
+
+        // Records walk in trip order by construction: the record map is a
+        // `BTreeMap`, so identical states produce identical bytes.
+        bin::put_u64(&mut out, self.records.len() as u64);
+        for (&trip, rec) in &self.records {
+            bin::put_u64(&mut out, trip);
+            bin::put_f64(&mut out, rec.submitted_m);
+            bin::put_f64(&mut out, rec.direct_m);
+            bin::put_f64(&mut out, rec.max_wait_m);
+            bin::put_f64(&mut out, rec.max_ride_m);
+            codec::put_opt_f64(&mut out, rec.picked_up_m);
+        }
+
+        bin::put_u64(&mut out, self.trace.len() as u64);
+        for e in self.trace.iter() {
+            bin::put_u64(&mut out, e.trip);
+            bin::put_f64(&mut out, e.submitted_s);
+            codec::put_opt_u32(&mut out, e.vehicle);
+            codec::put_opt_f64(&mut out, e.assignment_cost_m);
+            bin::put_u64(&mut out, e.candidates as u64);
+            codec::put_opt_f64(&mut out, e.picked_up_s);
+            codec::put_opt_f64(&mut out, e.delivered_s);
+            bin::put_f64(&mut out, e.direct_m);
+            codec::put_opt_f64(&mut out, e.ride_m);
+        }
+
+        let checksum = bin::fnv1a(&out);
+        bin::put_u64(&mut out, checksum);
+        out
     }
 
     /// Writes [`Simulation::checkpoint_bytes`] to `path` atomically (via a
@@ -367,138 +328,18 @@ impl Simulation<'_> {
     }
 }
 
-impl<'a> ShardedSimulation<'a> {
-    /// Serialises the complete sharded-run state in the same RSCK v1
-    /// layout as [`Simulation::checkpoint_bytes`]: the fleet is assembled
-    /// across shards in ascending vehicle-id order and the per-shard
-    /// dispatcher statistics are merged, so the snapshot is engine-neutral
-    /// — it restores into a single-shard engine, or into a sharded engine
-    /// under **any** partition (shard ownership is derived state, not part
-    /// of the image).
-    pub fn checkpoint_bytes(&self, next_trip: usize, trips_digest: u64) -> Vec<u8> {
-        let (vehicles, motions) = self.ordered_state();
-        let view = SnapshotView {
-            graph: self.graph(),
-            config: self.config(),
-            clock_m: self.clock_m(),
-            vehicles,
-            motions,
-            stats: self.dispatch_stats(),
-            collector: &self.collector,
-            records: &self.records,
-            trace: &self.trace,
-        };
-        encode_snapshot(&view, next_trip, trips_digest)
-    }
-
-    /// Writes [`ShardedSimulation::checkpoint_bytes`] to `path` atomically
-    /// (sibling temp file + rename), like
-    /// [`Simulation::write_checkpoint`].
-    pub fn write_checkpoint<P: AsRef<Path>>(
-        &self,
-        path: P,
-        next_trip: usize,
-        trips_digest: u64,
-    ) -> Result<(), RoadNetError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("ckpt.tmp");
-        std::fs::write(&tmp, self.checkpoint_bytes(next_trip, trips_digest))?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Restores a sharded simulation from checkpoint bytes, verifying the
-    /// (network, config, trip stream) binding exactly as
-    /// [`Simulation::resume`] does. The partition is **not** part of the
-    /// binding: restored vehicles are scattered to the shard owning their
-    /// snapshotted position, so a checkpoint taken by the single-shard
-    /// engine — or by a sharded engine under a different
-    /// [`PartitionSpec`] — adapts correctly instead of being refused.
-    pub fn resume(
-        graph: &'a RoadNetwork,
-        oracle: &'a dyn DistanceOracle,
-        partition: PartitionSpec,
-        config: SimConfig,
-        trips: &[TripEvent],
-        bytes: &[u8],
-    ) -> Result<(ShardedSimulation<'a>, usize), RoadNetError> {
-        let state = decode_snapshot(graph, &config, trips, bytes)?;
-        let mut sim = ShardedSimulation::new(graph, oracle, partition, config);
-        sim.set_clock_m(state.clock_m);
-        sim.adopt_fleet(state.vehicles, state.motions);
-        sim.carried_stats = state.stats;
-        sim.collector = state.collector;
-        sim.records = state.records;
-        sim.trace = state.trace;
-        Ok((sim, state.next_trip))
-    }
-
-    /// Convenience wrapper: reads `path` and delegates to
-    /// [`ShardedSimulation::resume`].
-    pub fn resume_from_file<P: AsRef<Path>>(
-        graph: &'a RoadNetwork,
-        oracle: &'a dyn DistanceOracle,
-        partition: PartitionSpec,
-        config: SimConfig,
-        trips: &[TripEvent],
-        path: P,
-    ) -> Result<(ShardedSimulation<'a>, usize), RoadNetError> {
-        let bytes = std::fs::read(path)?;
-        Self::resume(graph, oracle, partition, config, trips, &bytes)
-    }
-}
-
-/// Everything a checkpoint restores, decoded and validated but not yet
-/// committed to an engine. `vehicles` and `motions` are aligned and in
-/// ascending id order.
-pub(crate) struct DecodedState {
-    pub(crate) next_trip: usize,
-    pub(crate) clock_m: f64,
-    pub(crate) vehicles: Vec<Vehicle>,
-    pub(crate) motions: Vec<Motion>,
-    pub(crate) stats: DispatchStats,
-    pub(crate) collector: MetricsCollector,
-    pub(crate) records: BTreeMap<TripId, TripRecord>,
-    pub(crate) trace: TraceLog,
-}
-
 /// Decodes `bytes` into the freshly built `sim`, replacing every piece of
 /// run state. The builder placed vehicles and seeded RNG streams already;
 /// all of that is overwritten, so the restored simulation continues exactly
-/// where the snapshot was taken.
+/// where the snapshot was taken. The header binding (checksum, magic,
+/// version, network fingerprint, config digest, trips digest) is validated
+/// and the whole image parsed before anything is committed.
 fn restore<'a>(
     mut sim: Simulation<'a>,
     trips: &[TripEvent],
     bytes: &[u8],
 ) -> Result<(Simulation<'a>, usize), RoadNetError> {
-    let state = decode_snapshot(sim.graph, &sim.config, trips, bytes)?;
-    // Everything parsed; commit the state. The spatial index is derived
-    // state: each vehicle is indexed at the last vertex it reached.
-    let mut index = GridIndex::new(sim.config.grid_cell_meters.max(1.0));
-    for (vid, m) in state.motions.iter().enumerate() {
-        let p = sim.graph.point(m.at);
-        index.insert(vid as u32, Position::new(p.x, p.y));
-    }
-    sim.clock_m = state.clock_m;
-    sim.vehicles = state.vehicles;
-    sim.motions = state.motions;
-    sim.index = index;
-    sim.dispatcher.set_stats(state.stats);
-    sim.collector = state.collector;
-    sim.records = state.records;
-    sim.trace = state.trace;
-    Ok((sim, state.next_trip))
-}
-
-/// Validates the header binding (checksum, magic, version, network
-/// fingerprint, config digest, trips digest) and decodes the full run
-/// state. Shared by both engines' resume paths.
-pub(crate) fn decode_snapshot(
-    graph: &RoadNetwork,
-    config: &SimConfig,
-    trips: &[TripEvent],
-    bytes: &[u8],
-) -> Result<DecodedState, RoadNetError> {
+    let (graph, config) = (sim.graph, sim.config);
     if bytes.len() < 8 {
         return Err(RoadNetError::Persist(format!(
             "checkpoint is only {} bytes; not even a checksum fits",
@@ -536,7 +377,7 @@ pub(crate) fn decode_snapshot(
         )));
     }
     let config_digest = r.u64("checkpoint config digest")?;
-    if config_digest != digest_config(config) {
+    if config_digest != digest_config(&config) {
         return Err(RoadNetError::Persist(
             "checkpoint was taken under a different simulation configuration".to_string(),
         ));
@@ -676,7 +517,19 @@ pub(crate) fn decode_snapshot(
         )));
     }
 
-    let collector = MetricsCollector {
+    // Everything parsed; commit the state. The spatial index is derived
+    // state: each vehicle is indexed at the last vertex it reached.
+    let mut index = GridIndex::new(config.grid_cell_meters.max(1.0));
+    for (vid, m) in motions.iter().enumerate() {
+        let p = graph.point(m.at);
+        index.insert(vid as u32, Position::new(p.x, p.y));
+    }
+    sim.clock_m = clock_m;
+    sim.vehicles = vehicles;
+    sim.motions = motions;
+    sim.index = index;
+    sim.dispatcher.set_stats(stats);
+    sim.collector = MetricsCollector {
         wait_seconds,
         detour_ratios,
         guarantee_violations,
@@ -686,16 +539,9 @@ pub(crate) fn decode_snapshot(
         per_vehicle_max_onboard,
         fleet_distance_m,
     };
-    Ok(DecodedState {
-        next_trip,
-        clock_m,
-        vehicles,
-        motions,
-        stats,
-        collector,
-        records,
-        trace,
-    })
+    sim.records = records;
+    sim.trace = trace;
+    Ok((sim, next_trip))
 }
 
 #[cfg(test)]

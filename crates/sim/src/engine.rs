@@ -12,14 +12,14 @@ use workpool::WorkPool;
 
 use crate::config::SimConfig;
 use crate::metrics::{MetricsCollector, SimReport};
+use crate::shard::RegionLedger;
 use crate::trace::{RequestTrace, TraceLog};
 
 /// Motion state of one vehicle: the remaining nodes of its current drive
 /// (each with the leg length from the previous node) and the clock at which
-/// the first of them is reached. Opaque outside the crate; it appears in
-/// the public API only as the payload of a shard migration message.
+/// the first of them is reached.
 #[derive(Debug, Clone)]
-pub struct Motion {
+pub(crate) struct Motion {
     /// Nodes still to traverse; front is reached at `next_arrival_m`.
     pub(crate) path: VecDeque<(NodeId, f64)>,
     /// Absolute clock (meter-equivalents) at which `path[0]` is reached.
@@ -83,16 +83,11 @@ pub(crate) struct TripRecord {
     pub(crate) picked_up_m: Option<f64>,
 }
 
-/// Fleets (or shard lists) smaller than this advance inline on the calling
-/// thread even when [`SimConfig::workers`] asks for more: spawning a scoped
-/// worker costs tens of microseconds, more than moving a handful of
-/// vehicles one window forward. Results are identical either way.
+/// Fleets smaller than this advance inline on the calling thread even when
+/// [`SimConfig::workers`] asks for more: spawning a scoped worker costs
+/// tens of microseconds, more than moving a handful of vehicles one window
+/// forward. Results are identical either way.
 const MIN_PARALLEL_MOVES: usize = 256;
-
-/// The pool both engines fan vehicle movement out over.
-pub(crate) fn movement_pool(workers: usize) -> WorkPool {
-    WorkPool::new(workers).run_inline_below(MIN_PARALLEL_MOVES)
-}
 
 /// A single simulation run over a road network.
 pub struct Simulation<'a> {
@@ -114,6 +109,10 @@ pub struct Simulation<'a> {
     pub(crate) collector: MetricsCollector,
     pub(crate) records: BTreeMap<TripId, TripRecord>,
     pub(crate) trace: TraceLog,
+    /// Region accounting, on when built through
+    /// [`ShardedSimulation`](crate::ShardedSimulation). Counts only: no
+    /// decision reads it.
+    pub(crate) regions: Option<RegionLedger>,
 }
 
 impl<'a> Simulation<'a> {
@@ -185,11 +184,12 @@ impl<'a> Simulation<'a> {
             motions,
             index,
             dispatcher: Dispatcher::new(config.dispatcher),
-            pool: movement_pool(config.workers),
+            pool: WorkPool::new(config.workers).run_inline_below(MIN_PARALLEL_MOVES),
             clock_m: 0.0,
             collector: MetricsCollector::default(),
             records: BTreeMap::new(),
             trace: TraceLog::new(),
+            regions: None,
         }
     }
 
@@ -320,6 +320,12 @@ impl<'a> Simulation<'a> {
             self.trace.record_assignment(trip.id, vehicle, cost);
             self.replan_after_assignment(vehicle as usize);
         }
+        if let Some(ledger) = &mut self.regions {
+            ledger.request(trip.source, &candidates);
+            if let AssignmentOutcome::Assigned { vehicle, .. } = outcome {
+                ledger.assigned(trip.source, vehicle);
+            }
+        }
         outcome
     }
 
@@ -366,6 +372,9 @@ impl<'a> Simulation<'a> {
                 &mut self.index,
                 self.vehicles.len(),
             );
+            if let Some(ledger) = &mut self.regions {
+                ledger.request(trip.source, &candidates);
+            }
             candidate_counts.push(candidates.len());
             to_sync.extend(candidates);
             requests.push(request);
@@ -408,6 +417,9 @@ impl<'a> Simulation<'a> {
             if let AssignmentOutcome::Assigned { vehicle, cost, .. } = *outcome {
                 self.trace.record_assignment(trip.id, vehicle, cost);
                 self.replan_after_assignment(vehicle as usize);
+                if let Some(ledger) = &mut self.regions {
+                    ledger.assigned(trip.source, vehicle);
+                }
             }
         }
         outcomes
@@ -456,22 +468,72 @@ impl<'a> Simulation<'a> {
         for (i, outcome) in outcomes.iter().enumerate() {
             self.apply_outcome(i as u32, outcome);
         }
+        if let Some(ledger) = &mut self.regions {
+            for (i, outcome) in outcomes.iter().enumerate() {
+                if let Some(node) = outcome.moved_to {
+                    ledger.moved(i as u32, node);
+                }
+            }
+        }
         self.clock_m = until_m;
     }
 
     /// Applies one vehicle's buffered movement effects: spatial index,
-    /// fleet distance, and every served stop in order.
+    /// fleet distance, and every served stop in order. Called in ascending
+    /// vehicle-id order, which fixes the f64 accumulation order at any
+    /// worker count.
     fn apply_outcome(&mut self, vehicle_id: u32, outcome: &AdvanceOutcome) {
-        apply_outcome_to(
-            self.graph,
-            &self.config,
-            &mut self.index,
-            &mut self.collector,
-            &mut self.records,
-            &mut self.trace,
-            vehicle_id,
-            outcome,
-        );
+        if let Some(node) = outcome.moved_to {
+            let p = self.graph.point(node);
+            self.index.update(vehicle_id, Position::new(p.x, p.y));
+        }
+        self.collector.fleet_distance_m += outcome.distance_m;
+        for stop in &outcome.stops {
+            self.apply_served_stop(vehicle_id, stop);
+        }
+    }
+
+    fn apply_served_stop(&mut self, vehicle_id: u32, stop: &ServedStop) {
+        let config = &self.config;
+        match stop.kind {
+            StopKind::Pickup => {
+                if let Some(rec) = self.records.get_mut(&stop.trip) {
+                    rec.picked_up_m = Some(stop.clock_m);
+                    let waited_m = stop.clock_m - rec.submitted_m;
+                    if waited_m > rec.max_wait_m + 1e-6 {
+                        self.collector.record_wait_violation();
+                    }
+                    let waited_s = config.meters_to_seconds(waited_m);
+                    self.collector.record_pickup(
+                        vehicle_id,
+                        stop.onboard_after,
+                        waited_s,
+                        config.meters_to_seconds(stop.clock_m),
+                    );
+                }
+                self.trace
+                    .record_pickup(stop.trip, config.meters_to_seconds(stop.clock_m));
+            }
+            StopKind::Dropoff => {
+                if let Some(rec) = self.records.get(&stop.trip) {
+                    if let Some(picked) = rec.picked_up_m {
+                        let ride = stop.clock_m - picked;
+                        let ratio = if rec.direct_m > 0.0 {
+                            ride / rec.direct_m
+                        } else {
+                            1.0
+                        };
+                        let violated = ride > rec.max_ride_m + 1e-6;
+                        self.collector.record_delivery(ratio, violated);
+                        self.trace.record_delivery(
+                            stop.trip,
+                            config.meters_to_seconds(stop.clock_m),
+                            ride,
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Current simulated clock, in seconds.
@@ -522,12 +584,34 @@ impl<'a> Simulation<'a> {
         &self.collector.pickup_clock_seconds
     }
 
+    /// The vertex vehicle `i` should be evaluated at and the clock it gets
+    /// there: the next vertex of an in-flight drive, or the parked position.
     fn effective_position(&self, i: usize) -> (NodeId, f64) {
-        effective_position(&self.motions[i], self.clock_m)
+        let m = &self.motions[i];
+        match m.path.front() {
+            Some(&(node, _)) => (node, m.next_arrival_m),
+            None => (m.at, self.clock_m.max(m.at_clock_m)),
+        }
     }
 
+    /// Reconciles vehicle `i`'s motion state with a freshly committed
+    /// schedule.
     fn replan_after_assignment(&mut self, i: usize) {
-        replan_after_assignment(&mut self.motions[i], self.clock_m);
+        let motion = &mut self.motions[i];
+        if motion.path.is_empty() {
+            // Parked: the vehicle departs now (not at the stale time it
+            // finished its last stop); the next advance plans its drive.
+            motion.at_clock_m = motion.at_clock_m.max(self.clock_m);
+        } else {
+            // In flight: finish the current leg, then the arrival handler
+            // will route towards the new schedule. Drop any queued legs that
+            // belonged to the previous plan.
+            let first = motion.path.front().copied();
+            motion.path.clear();
+            if let Some(leg) = first {
+                motion.path.push_back(leg);
+            }
+        }
     }
 
     /// Runs the fleet until every committed stop has been served, bounded by
@@ -574,105 +658,6 @@ impl<'a> Simulation<'a> {
             mean_candidates: d.mean_candidates(),
             mean_candidates_evaluated: d.mean_evaluated(),
             span_seconds: self.clock_seconds(),
-        }
-    }
-}
-
-/// The vertex a vehicle should be evaluated at and the clock it gets
-/// there: the next vertex of an in-flight drive, or the parked position.
-/// Shared by the single-shard and sharded engines so both sync candidate
-/// vehicles identically before dispatch.
-pub(crate) fn effective_position(m: &Motion, clock_m: f64) -> (NodeId, f64) {
-    match m.path.front() {
-        Some(&(node, _)) => (node, m.next_arrival_m),
-        None => (m.at, clock_m.max(m.at_clock_m)),
-    }
-}
-
-/// Reconciles a vehicle's motion state with a freshly committed schedule.
-pub(crate) fn replan_after_assignment(motion: &mut Motion, clock_m: f64) {
-    if motion.path.is_empty() {
-        // Parked: the vehicle departs now (not at the stale time it
-        // finished its last stop); the next advance plans its drive.
-        motion.at_clock_m = motion.at_clock_m.max(clock_m);
-    } else {
-        // In flight: finish the current leg, then the arrival handler
-        // will route towards the new schedule. Drop any queued legs that
-        // belonged to the previous plan.
-        let first = motion.path.front().copied();
-        motion.path.clear();
-        if let Some(leg) = first {
-            motion.path.push_back(leg);
-        }
-    }
-}
-
-/// Applies one vehicle's buffered movement effects — spatial index update,
-/// fleet distance, served stops — to the observable run state. Both
-/// engines call this in ascending vehicle-id order, which fixes the f64
-/// accumulation order and keeps the sharded engine bit-identical to the
-/// single-shard one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_outcome_to(
-    graph: &RoadNetwork,
-    config: &SimConfig,
-    index: &mut GridIndex,
-    collector: &mut MetricsCollector,
-    records: &mut BTreeMap<TripId, TripRecord>,
-    trace: &mut TraceLog,
-    vehicle_id: u32,
-    outcome: &AdvanceOutcome,
-) {
-    if let Some(node) = outcome.moved_to {
-        let p = graph.point(node);
-        index.update(vehicle_id, Position::new(p.x, p.y));
-    }
-    collector.fleet_distance_m += outcome.distance_m;
-    for stop in &outcome.stops {
-        apply_served_stop_to(config, collector, records, trace, vehicle_id, stop);
-    }
-}
-
-fn apply_served_stop_to(
-    config: &SimConfig,
-    collector: &mut MetricsCollector,
-    records: &mut BTreeMap<TripId, TripRecord>,
-    trace: &mut TraceLog,
-    vehicle_id: u32,
-    stop: &ServedStop,
-) {
-    match stop.kind {
-        StopKind::Pickup => {
-            if let Some(rec) = records.get_mut(&stop.trip) {
-                rec.picked_up_m = Some(stop.clock_m);
-                let waited_m = stop.clock_m - rec.submitted_m;
-                if waited_m > rec.max_wait_m + 1e-6 {
-                    collector.record_wait_violation();
-                }
-                let waited_s = config.meters_to_seconds(waited_m);
-                collector.record_pickup(
-                    vehicle_id,
-                    stop.onboard_after,
-                    waited_s,
-                    config.meters_to_seconds(stop.clock_m),
-                );
-            }
-            trace.record_pickup(stop.trip, config.meters_to_seconds(stop.clock_m));
-        }
-        StopKind::Dropoff => {
-            if let Some(rec) = records.get(&stop.trip) {
-                if let Some(picked) = rec.picked_up_m {
-                    let ride = stop.clock_m - picked;
-                    let ratio = if rec.direct_m > 0.0 {
-                        ride / rec.direct_m
-                    } else {
-                        1.0
-                    };
-                    let violated = ride > rec.max_ride_m + 1e-6;
-                    collector.record_delivery(ratio, violated);
-                    trace.record_delivery(stop.trip, config.meters_to_seconds(stop.clock_m), ride);
-                }
-            }
         }
     }
 }

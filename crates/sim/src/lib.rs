@@ -44,5 +44,5 @@ pub use checkpoint::{digest_config, digest_trips};
 pub use config::SimConfig;
 pub use engine::Simulation;
 pub use metrics::{OccupancyStats, SimReport};
-pub use shard::{Envelope, ShardBroker, ShardMessage, ShardNetStats, ShardedSimulation};
+pub use shard::{ShardNetStats, ShardedSimulation};
 pub use trace::{RequestTrace, TraceLog};

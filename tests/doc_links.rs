@@ -141,17 +141,14 @@ fn named_binaries_artifacts_and_sources_exist() {
         "BENCH_serve.json",
         "BENCH_replay.json",
         "BENCH_chaos.json",
-        "BENCH_shard.json",
         "BENCH_lint.json",
         "rideshare-lint",
         "lint:allow",
         "serve_sweep",
         "paper_replay",
         "chaos_smoke",
-        "shard_smoke",
         "ShardedSimulation",
         "PartitionSpec",
-        "ShardBroker",
         "--fault-plan",
         "--recover-dir",
         "RIDESHARE_LABEL_CACHE",
