@@ -67,6 +67,26 @@ fn bench_point_to_point(c: &mut Criterion) {
             hl.distance(s, t)
         })
     });
+    // What an oracle path miss costs: the point-to-point search it used to
+    // run, and the label unpack that replaced it.
+    group.bench_function("dijkstra_path", |b| {
+        let e = DijkstraEngine::new(&g);
+        let mut i = 0;
+        b.iter(|| {
+            let (s, t) = pairs[i % pairs.len()];
+            i += 1;
+            e.path(s, t)
+        })
+    });
+    group.bench_function("hub_labels_path", |b| {
+        let hl = HubLabels::build(&g);
+        let mut i = 0;
+        b.iter(|| {
+            let (s, t) = pairs[i % pairs.len()];
+            i += 1;
+            hl.path(s, t)
+        })
+    });
     group.finish();
 }
 

@@ -9,8 +9,10 @@
 //! Two artifacts are written:
 //!
 //! * `BENCH_hublabel.json` — hub-label build time / mean label size /
-//!   query latency on 20×20, 40×40 and 80×80 grids plus the ring-radial
-//!   city preset; the 40×40 comparison against the frozen seed pipeline
+//!   distance-query latency, and the cost of a path unpacked from the
+//!   labels beside the point-to-point Dijkstra it replaced, on 20×20,
+//!   40×40 and 80×80 grids plus the ring-radial city preset; the 40×40
+//!   comparison against the frozen seed pipeline
 //!   ([`rideshare_bench::baseline`]); the label persistence round-trip;
 //!   and the LRU cache sizing sweep (hit rate vs capacity at three shard
 //!   counts). Pass `--paper-build` to additionally run the ≥100k-vertex
@@ -24,6 +26,9 @@
 //! fails:
 //!
 //! * hub-label distances diverge from Dijkstra ground truth;
+//! * `HubLabels::path`, called directly, declines a sampled pair or
+//!   unpacks a vertex sequence other than Dijkstra's (the oracles would
+//!   hide a broken chain behind their Dijkstra arm; this gate does not);
 //! * a parallel label build is not bit-identical to the sequential build;
 //! * the persistence round-trip does not reproduce the labels;
 //! * the new 40×40 build is not ≥3× faster than the seed degree pipeline,
@@ -35,7 +40,7 @@
 //!
 //! Absolute time thresholds are deliberately not enforced (shared runners
 //! are too noisy); the speedup gate is a same-process ratio, which is
-//! stable.
+//! stable. The two path timings are recorded without a ratio gate.
 
 use std::time::Instant;
 
@@ -60,7 +65,10 @@ struct HubLabelPoint {
     mean_label_size: f64,
     total_entries: usize,
     query_ns: f64,
+    path_ns: f64,
+    dijkstra_path_ns: f64,
     exact: bool,
+    paths_exact: bool,
     parallel_identical: Option<bool>,
     persist: Option<PersistPoint>,
 }
@@ -97,6 +105,44 @@ fn exact_vs_dijkstra(graph: &RoadNetwork, labels: &HubLabels, pairs: usize) -> b
         }
     }
     true
+}
+
+/// The path exactness gate: every sampled pair unpacks straight from the
+/// labels, to Dijkstra's vertex sequence (the presets' jittered weights
+/// make shortest paths unique).
+fn paths_exact_vs_dijkstra(graph: &RoadNetwork, labels: &HubLabels, pairs: usize) -> bool {
+    let dij = DijkstraEngine::new(graph);
+    for (s, t) in query_pairs(graph.node_count(), pairs) {
+        let expect = dij.path(s, t).map(|(_, p)| p);
+        let got = labels.path(s, t);
+        if got.is_none() || got != expect {
+            eprintln!("  PATH FAILURE at ({s}, {t}): dijkstra {expect:?} vs labels {got:?}");
+            return false;
+        }
+    }
+    true
+}
+
+/// Mean latency of one path computation over sampled pairs, in
+/// nanoseconds; the same pairs whichever engine `path` calls.
+fn mean_path_ns(n: usize, path: impl Fn(NodeId, NodeId) -> Option<Vec<NodeId>>) -> f64 {
+    let pairs = query_pairs(n, 128);
+    let run = |acc: &mut usize| {
+        for &(s, t) in &pairs {
+            *acc += path(s, t).map_or(0, |p| p.len());
+        }
+    };
+    // Warm once, then time several passes.
+    let mut acc = 0usize;
+    run(&mut acc);
+    let timer = Instant::now();
+    let passes = 3;
+    for _ in 0..passes {
+        run(&mut acc);
+    }
+    let ns = timer.elapsed().as_nanos() as f64 / (passes * pairs.len()) as f64;
+    std::hint::black_box(acc);
+    ns
 }
 
 /// Mean query latency over sampled pairs, in nanoseconds.
@@ -137,6 +183,8 @@ fn hublabel_point(
     let labels = HubLabels::build(graph);
     let build_ms = timer.elapsed().as_secs_f64() * 1e3;
     let exact = exact_vs_dijkstra(graph, &labels, exact_pairs);
+    let paths_exact = paths_exact_vs_dijkstra(graph, &labels, exact_pairs);
+    let dijkstra = DijkstraEngine::new(graph);
     let parallel_identical = check_parallel.then(|| {
         let sequential = HubLabels::build_sequential(graph, roadnet::HubOrdering::Contraction);
         let four =
@@ -170,7 +218,12 @@ fn hublabel_point(
         mean_label_size: labels.mean_label_size(),
         total_entries: labels.total_label_entries(),
         query_ns: mean_query_ns(&labels, graph.node_count()),
+        path_ns: mean_path_ns(graph.node_count(), |s, t| labels.path(s, t)),
+        dijkstra_path_ns: mean_path_ns(graph.node_count(), |s, t| {
+            dijkstra.path(s, t).map(|(_, p)| p)
+        }),
         exact,
+        paths_exact,
         parallel_identical,
         persist,
     }
@@ -528,8 +581,18 @@ fn main() {
 
     for p in &points {
         eprintln!(
-            "{:<22} n={:<7} build {:>10.1} ms  mean label {:>6.1}  query {:>7.1} ns  exact {}  par-id {:?}",
-            p.name, p.nodes, p.build_ms, p.mean_label_size, p.query_ns, p.exact, p.parallel_identical
+            "{:<22} n={:<7} build {:>10.1} ms  mean label {:>6.1}  query {:>7.1} ns  \
+             path {:>8.1} ns (dijkstra {:>10.1} ns)  exact {}  paths {}  par-id {:?}",
+            p.name,
+            p.nodes,
+            p.build_ms,
+            p.mean_label_size,
+            p.query_ns,
+            p.path_ns,
+            p.dijkstra_path_ns,
+            p.exact,
+            p.paths_exact,
+            p.parallel_identical
         );
     }
     eprintln!(
@@ -545,6 +608,7 @@ fn main() {
     );
 
     let exact_ok = points.iter().all(|p| p.exact);
+    let paths_ok = points.iter().all(|p| p.paths_exact);
     let parallel_ok = points.iter().all(|p| p.parallel_identical.unwrap_or(true));
     let persist_ok = points
         .iter()
@@ -561,7 +625,8 @@ fn main() {
         hl_json.push_str(&format!(
             "    {{\"name\": \"{}\", \"nodes\": {}, \"edges\": {}, \"build_ms\": {:.3}, \
              \"mean_label_size\": {:.3}, \"total_entries\": {}, \"query_ns\": {:.1}, \
-             \"exact\": {}, \"parallel_identical\": {}, \"persist\": {}}}{}\n",
+             \"path_ns\": {:.1}, \"dijkstra_path_ns\": {:.1}, \
+             \"exact\": {}, \"paths_exact\": {}, \"parallel_identical\": {}, \"persist\": {}}}{}\n",
             json_escape_free(&p.name),
             p.nodes,
             p.edges,
@@ -569,7 +634,10 @@ fn main() {
             p.mean_label_size,
             p.total_entries,
             p.query_ns,
+            p.path_ns,
+            p.dijkstra_path_ns,
             p.exact,
+            p.paths_exact,
             p.parallel_identical
                 .map_or("null".to_string(), |b| b.to_string()),
             p.persist.as_ref().map_or("null".to_string(), |q| format!(
@@ -609,7 +677,8 @@ fn main() {
     }
     hl_json.push_str("  ],\n");
     hl_json.push_str(&format!(
-        "  \"gates\": {{\"exact\": {exact_ok}, \"parallel_identical\": {parallel_ok}, \
+        "  \"gates\": {{\"exact\": {exact_ok}, \"paths_exact\": {paths_ok}, \
+         \"parallel_identical\": {parallel_ok}, \
          \"persist_roundtrip\": {persist_ok}, \"baseline_speedup\": {baseline_ok}}}\n"
     ));
     hl_json.push_str("}\n");
@@ -676,6 +745,10 @@ fn main() {
         eprintln!("FAIL: hub-label distances diverged from Dijkstra ground truth");
         failed = true;
     }
+    if !paths_ok {
+        eprintln!("FAIL: paths unpacked from the hub labels diverged from Dijkstra's");
+        failed = true;
+    }
     if !parallel_ok {
         eprintln!("FAIL: parallel hub-label build is not bit-identical to sequential");
         failed = true;
@@ -709,7 +782,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "OK: hub labels exact, deterministic across workers, \
+        "OK: hub labels exact for distances and paths, deterministic across workers, \
          persistable, and {:.1}x faster than the seed pipeline at 40x40; \
          MIP solver equivalent to the dense baseline and {:.1}x faster at 3 trips",
         comparison.speedup_vs_degree(),

@@ -263,6 +263,25 @@ mod tests {
         assert_eq!(report2.fallback_reason, None);
         assert_eq!(report3.fallback_reason, None);
 
+        // A file left by a build that wrote an older format (the version
+        // word is bytes 4..8) is rebuilt once, saying why, and the rewrite
+        // is what the next call reloads: upgrading needs no manual step.
+        let mut bytes = std::fs::read(&report.path).unwrap();
+        bytes[4] = 2;
+        std::fs::write(&report.path, bytes).unwrap();
+        let (upgraded, report5) = load_or_build(&g);
+        assert_eq!(report5.source, LabelSource::Built);
+        assert_eq!(upgraded, labels);
+        assert!(
+            report5
+                .fallback_reason
+                .as_deref()
+                .is_some_and(|r| r.contains("version")),
+            "stale-format fallback must name the version: {:?}",
+            report5.fallback_reason
+        );
+        assert_eq!(load_or_build(&g).1.source, LabelSource::Reloaded);
+
         std::env::remove_var(CACHE_DIR_ENV);
         std::fs::remove_dir_all(&dir).ok();
     }

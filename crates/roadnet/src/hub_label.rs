@@ -25,6 +25,13 @@
 //!
 //! The resulting oracle is *exact*: `query(s, t)` equals the shortest-path
 //! distance, which the tests verify against Dijkstra.
+//!
+//! Labels answer *path* queries too. Every entry carries a next-hop
+//! pointer — the labelled vertex's parent in the hub's pruned search tree,
+//! recorded by the Dijkstra that creates the entry — so
+//! [`HubLabels::path`] finds the best hub with one label merge and walks
+//! both endpoints to it, one binary search per hop, instead of running a
+//! point-to-point Dijkstra.
 
 pub mod persist;
 
@@ -37,6 +44,7 @@ use workpool::WorkPool;
 use crate::contraction::ContractionOrder;
 use crate::error::RoadNetError;
 use crate::graph::RoadNetwork;
+use crate::oracle::ShortestPathEngine;
 use crate::types::{HeapEntry, NodeId, Weight, INFINITY};
 
 /// Tolerance of the pruning test, absorbing floating-point summation error
@@ -66,12 +74,17 @@ pub enum HubOrdering {
     Contraction,
 }
 
-/// One entry of a vertex label: a hub and the exact distance to it.
+/// One entry of a vertex label: a hub, the exact distance to it and the
+/// first step of a shortest path towards it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabelEntry {
     /// Rank of the hub in the construction ordering (not the original node
     /// id); ranks are what queries intersect on.
     pub hub_rank: u32,
+    /// Next vertex on the shortest path from the labelled vertex towards
+    /// the hub (the hub's own entry points at itself). Sits in what would
+    /// otherwise be padding before `dist`, so an entry is still 16 bytes.
+    pub parent: NodeId,
     /// Exact shortest-path distance from the labelled vertex to the hub.
     pub dist: Weight,
 }
@@ -143,7 +156,7 @@ impl HubLabels {
             let roots = &order[start..end];
             // Parallel phase: one pruned Dijkstra per root against the
             // frozen labels (ranks < start).
-            let chunk_results: Vec<Vec<Vec<(NodeId, Weight)>>> =
+            let chunk_results: Vec<Vec<Vec<Candidate>>> =
                 pool.map_chunks(roots, |chunk_idx, _range, chunk| {
                     let mut scratch = scratch[chunk_idx]
                         .lock()
@@ -160,13 +173,14 @@ impl HubLabels {
             for (rank, candidates) in (start..).zip(chunk_results.into_iter().flatten()) {
                 let root = order[rank] as usize;
                 let is_first_in_batch = rank == start;
-                for (v, d) in candidates {
+                for Candidate { node, parent, dist } in candidates {
                     let keep = is_first_in_batch
-                        || query_labels(&labels[root], &labels[v as usize]) > d + PRUNE_EPS;
+                        || query_labels(&labels[root], &labels[node as usize]) > dist + PRUNE_EPS;
                     if keep {
-                        labels[v as usize].push(LabelEntry {
+                        labels[node as usize].push(LabelEntry {
                             hub_rank: rank as u32,
-                            dist: d,
+                            parent,
+                            dist,
                         });
                     }
                 }
@@ -179,6 +193,21 @@ impl HubLabels {
         debug_assert!(labels
             .iter()
             .all(|l| l.windows(2).all(|w| w[0].hub_rank < w[1].hub_rank)));
+        // The closure property `path` walks on: an entry's parent carries
+        // the same hub, nearer to it (no farther, across a zero-weight edge
+        // — where the walk, which insists on progress, declines). It holds
+        // because a pruned vertex relaxes nothing, so every labelled vertex
+        // was reached from a labelled one — and the merge filter drops a
+        // vertex along with its tree parent (what certifies the parent's
+        // distance certifies that of the child reached through it).
+        debug_assert!(labels.iter().enumerate().all(|(v, label)| {
+            label.iter().all(|e| {
+                if e.parent as usize == v {
+                    return order[e.hub_rank as usize] as usize == v;
+                }
+                hub_entry(&labels[e.parent as usize], e.hub_rank).is_some_and(|p| p.dist <= e.dist)
+            })
+        }));
         Self::from_per_vertex(labels, order)
     }
 
@@ -211,6 +240,45 @@ impl HubLabels {
         } else {
             Some(d)
         }
+    }
+
+    /// Exact shortest path from `s` to `t`, inclusive of both endpoints, or
+    /// `None` when they are disconnected.
+    ///
+    /// One label merge finds the hub the shortest path runs through; each
+    /// endpoint then walks to it along the next-hop pointers, looking the
+    /// hub up in every visited vertex's label. Where shortest paths are
+    /// unique this is Dijkstra's vertex sequence; under ties it is *a*
+    /// shortest path.
+    ///
+    /// Also `None` — never a panic or an endless walk — when a chain is
+    /// broken: a vertex on it lacks the hub's entry, or the distance to
+    /// the hub fails to strictly decrease (a zero-weight edge, or labels
+    /// that did not come from [`HubLabels::build`]). Callers that must
+    /// tell the two apart fall back to Dijkstra.
+    pub fn path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
+        ShortestPathEngine::path(self, s, t).map(|(_, p)| p)
+    }
+
+    /// Appends the vertices from `v` to the hub at `hub_rank`, both
+    /// inclusive, following next-hop pointers. The distance to the hub must
+    /// strictly decrease at every hop, which bounds the walk by the vertex
+    /// count on any input.
+    fn walk_to_hub(&self, v: NodeId, hub_rank: u32, out: &mut Vec<NodeId>) -> Option<()> {
+        let hub = self.hub_node(hub_rank);
+        let mut cur = v;
+        let mut remaining = INFINITY;
+        out.push(cur);
+        while cur != hub {
+            let entry = hub_entry(self.label(cur), hub_rank)?;
+            if entry.dist >= remaining {
+                return None;
+            }
+            remaining = entry.dist;
+            cur = entry.parent;
+            out.push(cur);
+        }
+        Some(())
     }
 
     /// Number of vertices the labeling covers.
@@ -303,12 +371,47 @@ impl HubLabels {
     }
 }
 
-/// Reusable pruned-Dijkstra scratch: tentative distances plus a
-/// processed-once mark, reset via the touched list in O(search size), and
-/// the root's label spread into a dense by-rank array so the pruning test
-/// is a linear scan of the visited vertex's label with O(1) lookups.
+impl ShortestPathEngine for HubLabels {
+    fn distance(&self, s: NodeId, t: NodeId) -> Option<Weight> {
+        HubLabels::distance(self, s, t)
+    }
+
+    /// [`HubLabels::path`] with its cost, which is the label merge's (the
+    /// two distances to the best hub, exactly [`HubLabels::distance`]), not
+    /// a re-sum along the path.
+    fn path(&self, s: NodeId, t: NodeId) -> Option<(Weight, Vec<NodeId>)> {
+        if s == t {
+            return Some((0.0, vec![s]));
+        }
+        let (d, hub_rank) = best_common_hub(self.label(s), self.label(t))?;
+        let mut path = Vec::new();
+        self.walk_to_hub(s, hub_rank, &mut path)?;
+        let joint = path.len();
+        self.walk_to_hub(t, hub_rank, &mut path)?;
+        path.pop(); // the hub again: it already ends the `s` half
+        path[joint..].reverse();
+        Some((d, path))
+    }
+}
+
+/// One label entry a pruned Dijkstra proposes for `node`, with the hub
+/// implied by the search root.
+struct Candidate {
+    node: NodeId,
+    /// Predecessor of `node` in the search tree: its next hop to the root.
+    parent: NodeId,
+    dist: Weight,
+}
+
+/// Reusable pruned-Dijkstra scratch: tentative distances and tree parents
+/// plus a processed-once mark, reset via the touched list in O(search
+/// size) (parents need no reset: one is written whenever a distance
+/// is), and the root's label spread into a dense by-rank array so the
+/// pruning test is a linear scan of the visited vertex's label with O(1)
+/// lookups.
 struct SearchScratch {
     dist: Vec<Weight>,
+    parent: Vec<NodeId>,
     done: Vec<bool>,
     touched: Vec<NodeId>,
     root_dist_by_rank: Vec<Weight>,
@@ -318,6 +421,7 @@ impl SearchScratch {
     fn new(n: usize) -> Self {
         SearchScratch {
             dist: vec![INFINITY; n],
+            parent: vec![0; n],
             done: vec![false; n],
             touched: Vec::new(),
             root_dist_by_rank: vec![INFINITY; n],
@@ -338,19 +442,20 @@ fn certified(root_dist_by_rank: &[Weight], label_v: &[LabelEntry], d: Weight) ->
 }
 
 /// One pruned Dijkstra from `root`, pruning against the frozen `labels`.
-/// Returns the candidate label entries `(vertex, distance)` in visitation
-/// order. Matches the sequential algorithm exactly when `labels` holds
-/// every rank below the root's (the `done` mark reproduces the sequential
-/// dedup of equal-distance duplicates, which there falls out of the
-/// just-added label).
+/// Returns the candidate label entries in visitation order. Matches the
+/// sequential algorithm exactly when `labels` holds every rank below the
+/// root's (the `done` mark reproduces the sequential dedup of
+/// equal-distance duplicates, which there falls out of the just-added
+/// label).
 fn pruned_dijkstra(
     graph: &RoadNetwork,
     labels: &[Vec<LabelEntry>],
     root: NodeId,
     scratch: &mut SearchScratch,
-) -> Vec<(NodeId, Weight)> {
+) -> Vec<Candidate> {
     let SearchScratch {
         dist,
+        parent,
         done,
         touched,
         root_dist_by_rank,
@@ -362,6 +467,7 @@ fn pruned_dijkstra(
     let mut out = Vec::new();
     let mut heap = BinaryHeap::new();
     dist[root as usize] = 0.0;
+    parent[root as usize] = root;
     touched.push(root);
     heap.push(HeapEntry::new(0.0, root));
     while let Some(HeapEntry { cost, node }) = heap.pop() {
@@ -376,7 +482,11 @@ fn pruned_dijkstra(
         if certified(root_dist_by_rank, &labels[node as usize], d) {
             continue;
         }
-        out.push((node, d));
+        out.push(Candidate {
+            node,
+            parent: parent[node as usize],
+            dist: d,
+        });
         for (v, w) in graph.neighbors(node) {
             let nd = d + w;
             if nd < dist[v as usize] {
@@ -384,6 +494,7 @@ fn pruned_dijkstra(
                     touched.push(v);
                 }
                 dist[v as usize] = nd;
+                parent[v as usize] = node;
                 heap.push(HeapEntry::new(nd, v));
             }
         }
@@ -399,27 +510,57 @@ fn pruned_dijkstra(
     out
 }
 
-/// Merge-intersects two rank-sorted labels and returns the minimum combined
-/// distance.
-fn query_labels(a: &[LabelEntry], b: &[LabelEntry]) -> Weight {
+/// The entry for the hub at `hub_rank` in a rank-sorted label.
+fn hub_entry(label: &[LabelEntry], hub_rank: u32) -> Option<&LabelEntry> {
+    label
+        .binary_search_by_key(&hub_rank, |e| e.hub_rank)
+        .ok()
+        .map(|i| &label[i])
+}
+
+/// Merge-intersects two rank-sorted labels, calling `on_common(rank, d)`
+/// in rank order for every hub both carry, `d` the combined distance
+/// through it. Inlined into each caller, so the distance query pays
+/// nothing for the path query's wish to know *which* hub is best.
+#[inline(always)]
+fn for_each_common_hub(a: &[LabelEntry], b: &[LabelEntry], mut on_common: impl FnMut(u32, Weight)) {
     let mut i = 0;
     let mut j = 0;
-    let mut best = INFINITY;
     while i < a.len() && j < b.len() {
         match a[i].hub_rank.cmp(&b[j].hub_rank) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let d = a[i].dist + b[j].dist;
-                if d < best {
-                    best = d;
-                }
+                on_common(a[i].hub_rank, a[i].dist + b[j].dist);
                 i += 1;
                 j += 1;
             }
         }
     }
+}
+
+/// The minimum combined distance over the hubs two labels share;
+/// `INFINITY` when they share none.
+fn query_labels(a: &[LabelEntry], b: &[LabelEntry]) -> Weight {
+    let mut best = INFINITY;
+    for_each_common_hub(a, b, |_, d| {
+        if d < best {
+            best = d;
+        }
+    });
     best
+}
+
+/// [`query_labels`] with the rank of the (lowest-ranked) hub that attains
+/// the minimum; `None` when the labels share no hub.
+fn best_common_hub(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(Weight, u32)> {
+    let mut best = (INFINITY, 0);
+    for_each_common_hub(a, b, |rank, d| {
+        if d < best.0 {
+            best = (d, rank);
+        }
+    });
+    (best.0 != INFINITY).then_some(best)
 }
 
 /// Computes the construction ordering for a given strategy.
@@ -475,7 +616,7 @@ mod tests {
     use crate::dijkstra::DijkstraEngine;
     use crate::generators::{GeneratorConfig, NetworkKind};
     use crate::graph::GraphBuilder;
-    use crate::oracle::ShortestPathEngine;
+    use crate::oracle::{CachedOracle, DistanceOracle};
     use crate::types::{approx_eq, Point};
 
     #[test]
@@ -501,6 +642,137 @@ mod tests {
         let hl = HubLabels::build(&g);
         assert_eq!(hl.distance(0, 2), None);
         assert_eq!(hl.distance(2, 1), None);
+        assert_eq!(hl.path(0, 2), None);
+        assert_eq!(hl.path(2, 1), None);
+        assert_eq!(hl.path(1, 0), Some(vec![1, 0]));
+        assert_eq!(hl.path(2, 2), Some(vec![2]));
+    }
+
+    #[test]
+    fn zero_weight_edges_build_and_still_route() {
+        // Across a zero-weight edge the distance to a hub ties instead of
+        // falling, so a walk may decline; the build must not mind, and the
+        // oracle routes regardless.
+        let mut b = GraphBuilder::new();
+        for i in 0..4 {
+            b.add_node(Point::new(i as f64, 0.0));
+        }
+        b.add_edge(0, 1, 0.0);
+        b.add_edge(1, 2, 3.0);
+        b.add_edge(2, 3, 0.0);
+        let g = b.build();
+        let hl = HubLabels::build(&g);
+        assert_eq!(hl.distance(0, 3), Some(3.0));
+        assert!(hl.path(0, 3).is_none_or(|p| p == [0, 1, 2, 3]));
+        let oracle = CachedOracle::with_labels(&g, hl, 10, 10);
+        assert_eq!(oracle.shortest_path(0, 3), Some(vec![0, 1, 2, 3]));
+        assert_eq!(oracle.shortest_path(3, 1), Some(vec![3, 2, 1]));
+    }
+
+    #[test]
+    fn label_entry_is_sixteen_bytes() {
+        // The next-hop pointer lives in what was padding between `hub_rank`
+        // and `dist`. The benchmark's `roadnet.label_mb` (and the resident
+        // set it accounts for) is entries x this size, so it must not grow.
+        assert_eq!(std::mem::size_of::<LabelEntry>(), 16);
+    }
+
+    #[test]
+    fn unpacked_paths_equal_dijkstra_all_pairs() {
+        let cfg = GeneratorConfig {
+            kind: NetworkKind::Grid { rows: 7, cols: 6 },
+            seed: 9,
+            edge_dropout: 0.1,
+            ..GeneratorConfig::default()
+        };
+        let g = cfg.generate();
+        let dij = DijkstraEngine::new(&g);
+        for ordering in [HubOrdering::Contraction, HubOrdering::Degree] {
+            let hl = HubLabels::build_with(&g, ordering);
+            for s in 0..g.node_count() as NodeId {
+                let tree = dij.search(s);
+                for t in 0..g.node_count() as NodeId {
+                    assert_eq!(hl.path(s, t), tree.path_to(t), "{s}->{t} ({ordering:?})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trait_path_reports_the_label_distance() {
+        let cfg = GeneratorConfig {
+            kind: NetworkKind::Grid { rows: 5, cols: 5 },
+            seed: 2,
+            ..GeneratorConfig::default()
+        };
+        let g = cfg.generate();
+        let hl = HubLabels::build(&g);
+        let engine: &dyn ShortestPathEngine = &hl;
+        let (d, p) = engine.path(0, 24).unwrap();
+        assert_eq!(Some(d), hl.distance(0, 24));
+        assert_eq!(Some(p), hl.path(0, 24));
+        assert_eq!(engine.path(7, 7), Some((0.0, vec![7])));
+    }
+
+    #[test]
+    fn broken_chains_end_in_none_not_a_panic_or_a_loop() {
+        let cfg = GeneratorConfig {
+            kind: NetworkKind::Grid { rows: 6, cols: 6 },
+            seed: 3,
+            ..GeneratorConfig::default()
+        };
+        let g = cfg.generate();
+        let hl = HubLabels::build(&g);
+        let n = g.node_count() as NodeId;
+        // An entry (v -> hub via p) two or more hops from its hub — the
+        // least important such hub, which pruning keeps out of most labels.
+        let (v, entry) = (0..n)
+            .flat_map(|v| hl.label(v).iter().map(move |e| (v, *e)))
+            .filter(|&(v, e)| e.parent != v && e.parent != hl.hub_node(e.hub_rank))
+            .max_by_key(|&(_, e)| e.hub_rank)
+            .expect("some label entry is two hops from its hub");
+        let slot = |labels: &HubLabels, v: NodeId, hub_rank: u32| {
+            let at = labels
+                .label(v)
+                .binary_search_by_key(&hub_rank, |e| e.hub_rank);
+            labels.label_offsets[v as usize] + at.expect("entry present")
+        };
+        let walk = |labels: &HubLabels| labels.walk_to_hub(v, entry.hub_rank, &mut Vec::new());
+        assert!(walk(&hl).is_some());
+
+        // A two-cycle: the parent points straight back.
+        let mut cycle = hl.clone();
+        let at = slot(&cycle, entry.parent, entry.hub_rank);
+        cycle.entries[at].parent = v;
+        assert_eq!(walk(&cycle), None);
+
+        // A parent that does not know the hub at all.
+        let stranger = (0..n)
+            .find(|&u| hub_entry(hl.label(u), entry.hub_rank).is_none())
+            .expect("pruning leaves some vertex without this hub");
+        let mut dangling = hl.clone();
+        let at = slot(&dangling, v, entry.hub_rank);
+        dangling.entries[at].parent = stranger;
+        assert_eq!(walk(&dangling), None);
+
+        // No progress anywhere: every entry points at its own vertex. Every
+        // query declines, and an oracle over these labels still routes,
+        // because Dijkstra answers what the labels do not.
+        let mut stuck = hl.clone();
+        for u in 0..n as usize {
+            for e in &mut stuck.entries[hl.label_offsets[u]..hl.label_offsets[u + 1]] {
+                e.parent = u as NodeId;
+            }
+        }
+        for (s, t) in (0..n).map(|i| (i, (i * 7 + 1) % n)).filter(|(s, t)| s != t) {
+            assert_eq!(stuck.path(s, t), None, "{s}->{t}");
+        }
+        let oracle = CachedOracle::with_labels(&g, stuck, 100, 100);
+        let dij = DijkstraEngine::new(&g);
+        assert_eq!(
+            oracle.shortest_path(0, n - 1),
+            dij.path(0, n - 1).map(|(_, p)| p)
+        );
     }
 
     #[test]
@@ -615,6 +887,8 @@ mod tests {
         );
     }
 
+    /// `PartialEq` on `HubLabels` compares whole entries, so "identical"
+    /// here includes every next-hop pointer.
     #[test]
     fn parallel_build_is_bit_identical_to_sequential() {
         for (kind, seed) in [

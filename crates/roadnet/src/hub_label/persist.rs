@@ -8,27 +8,30 @@
 //! ```text
 //! offset  size        field
 //! 0       4           magic  b"HLBL"
-//! 4       4           format version (u32, currently 2)
+//! 4       4           format version (u32, currently 3)
 //! 8       8           network fingerprint (u64, RoadNetwork::fingerprint)
 //! 16      8           node count (u64)
 //! 24      8           entry count (u64)
 //! 32      4·n         rank_to_node (u32 per rank)
 //! …       8·(n+1)     label_offsets (u64 per vertex, plus the end offset)
-//! …       12·e        entries (u32 hub rank + f64 distance bits each)
+//! …       16·e        entries (u32 hub rank + u32 next hop + f64 distance bits each)
 //! end-8   8           FNV-1a checksum over every preceding byte
 //! ```
 //!
 //! [`load`] validates everything it cannot afford to trust: the magic and
 //! version, that the embedded network fingerprint matches the network the
 //! labels are being loaded *for* (a labeling is only exact for the network
-//! it was built from — version 2 made the binding explicit; version-1
-//! files are rejected and must be rebuilt), the exact file length implied
-//! by the header, the checksum, and the structural invariants queries rely
-//! on (offsets monotone and bounded, ranks in range and strictly
-//! increasing within each label, distances finite and non-negative,
-//! `rank_to_node` a permutation). Corrupt or truncated input always
-//! yields [`RoadNetError::Persist`] — never a panic and never a
-//! structurally unsound `HubLabels`.
+//! it was built from — version 2 made the binding explicit), the exact
+//! file length implied by the header, the checksum, and the structural
+//! invariants queries rely on (offsets monotone and bounded, ranks in
+//! range and strictly increasing within each label, next hops in range,
+//! distances finite and non-negative, `rank_to_node` a permutation).
+//! Corrupt or truncated input always yields [`RoadNetError::Persist`] —
+//! never a panic and never a structurally unsound `HubLabels`. Whether the
+//! next hops *chain* to their hubs is not checked here:
+//! [`HubLabels::path`] verifies that as it walks and answers `None` on a
+//! broken chain. Files of versions 1 and 2 are rejected and must be
+//! rebuilt: they carry no next-hop pointers (and version 1 no fingerprint).
 
 use std::path::Path;
 
@@ -41,15 +44,16 @@ use super::{HubLabels, LabelEntry};
 const MAGIC: &[u8; 4] = b"HLBL";
 /// Current format version. Bump on any layout change; [`load`] rejects
 /// versions it does not understand. Version 2 added the network
-/// fingerprint that binds a label file to the network it was built from.
-const VERSION: u32 = 2;
+/// fingerprint that binds a label file to the network it was built from;
+/// version 3 the next-hop pointer in every entry (12 → 16 bytes each).
+const VERSION: u32 = 3;
 
 /// Serialises a labeling into the versioned binary format, stamped with the
 /// fingerprint of the network the labels were built from.
 pub fn to_bytes(labels: &HubLabels, fingerprint: u64) -> Vec<u8> {
     let n = labels.rank_to_node.len();
     let e = labels.entries.len();
-    let mut out = Vec::with_capacity(32 + 4 * n + 8 * (n + 1) + 12 * e + 8);
+    let mut out = Vec::with_capacity(32 + 4 * n + 8 * (n + 1) + 16 * e + 8);
     out.extend_from_slice(MAGIC);
     bin::put_u32(&mut out, VERSION);
     bin::put_u64(&mut out, fingerprint);
@@ -63,6 +67,7 @@ pub fn to_bytes(labels: &HubLabels, fingerprint: u64) -> Vec<u8> {
     }
     for entry in &labels.entries {
         bin::put_u32(&mut out, entry.hub_rank);
+        bin::put_u32(&mut out, entry.parent);
         bin::put_f64(&mut out, entry.dist);
     }
     let checksum = bin::fnv1a(&out);
@@ -87,7 +92,7 @@ pub fn from_bytes(buf: &[u8], expected_fingerprint: u64) -> Result<HubLabels, Ro
     if version != VERSION {
         return Err(RoadNetError::Persist(format!(
             "unsupported format version {version} (this build reads {VERSION}; \
-             version-1 files predate the network fingerprint and must be rebuilt)"
+             version-2 and older files predate next-hop pointers and must be rebuilt)"
         )));
     }
     let fingerprint = r.u64("network fingerprint")?;
@@ -107,7 +112,7 @@ pub fn from_bytes(buf: &[u8], expected_fingerprint: u64) -> Result<HubLabels, Ro
         .checked_add(4usize.checked_mul(n).ok_or_else(|| too_big(n, e))?)
         // `n + 1` cannot overflow here: `4 * n` just succeeded.
         .and_then(|s| s.checked_add(8usize.checked_mul(n + 1)?))
-        .and_then(|s| s.checked_add(12usize.checked_mul(e)?))
+        .and_then(|s| s.checked_add(16usize.checked_mul(e)?))
         .and_then(|s| s.checked_add(8))
         .ok_or_else(|| too_big(n, e))?;
     if buf.len() != expected {
@@ -155,10 +160,16 @@ pub fn from_bytes(buf: &[u8], expected_fingerprint: u64) -> Result<HubLabels, Ro
     let mut entries = Vec::with_capacity(e);
     for i in 0..e {
         let hub_rank = r.u32("entry hub rank")?;
+        let parent = r.u32("entry next hop")?;
         let dist = r.f64("entry distance")?;
         if hub_rank as usize >= n {
             return Err(RoadNetError::Persist(format!(
                 "entry {i} references hub rank {hub_rank} but there are only {n} nodes"
+            )));
+        }
+        if parent as usize >= n {
+            return Err(RoadNetError::Persist(format!(
+                "entry {i} points at next hop {parent} but there are only {n} nodes"
             )));
         }
         if !dist.is_finite() || dist < 0.0 {
@@ -166,7 +177,11 @@ pub fn from_bytes(buf: &[u8], expected_fingerprint: u64) -> Result<HubLabels, Ro
                 "entry {i} has invalid distance {dist}"
             )));
         }
-        entries.push(LabelEntry { hub_rank, dist });
+        entries.push(LabelEntry {
+            hub_rank,
+            parent,
+            dist,
+        });
     }
     debug_assert_eq!(r.remaining(), 8, "only the checksum should remain");
     // Per-vertex labels must be strictly increasing in rank for the merge
@@ -233,7 +248,37 @@ mod tests {
         let (g, labels) = sample();
         let bytes = to_bytes(&labels, g.fingerprint());
         let back = from_bytes(&bytes, g.fingerprint()).unwrap();
+        // Whole entries are compared, next hops included; spell that out
+        // for one path so a format that dropped them could not pass.
         assert_eq!(back, labels);
+        let t = (g.node_count() - 1) as u32;
+        assert!(labels.path(0, t).is_some_and(|p| p.len() > 2));
+        assert_eq!(back.path(0, t), labels.path(0, t));
+    }
+
+    /// Overwrites 4 bytes at `pos` and re-stamps the checksum, so the
+    /// structural validation behind it is what has to catch the damage.
+    fn patched(mut bytes: Vec<u8>, pos: usize, value: u32) -> Vec<u8> {
+        bytes[pos..pos + 4].copy_from_slice(&value.to_le_bytes());
+        let body = bytes.len() - 8;
+        let checksum = bin::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn out_of_range_next_hop_is_rejected() {
+        let (g, labels) = sample();
+        let n = g.node_count();
+        let bytes = to_bytes(&labels, g.fingerprint());
+        // Next hop of the first entry: past the header, `rank_to_node`,
+        // the offsets and the entry's own hub rank.
+        let pos = 32 + 4 * n + 8 * (n + 1) + 4;
+        assert!(from_bytes(&patched(bytes.clone(), pos, n as u32 - 1), g.fingerprint()).is_ok());
+        assert!(matches!(
+            from_bytes(&patched(bytes, pos, n as u32), g.fingerprint()),
+            Err(RoadNetError::Persist(msg)) if msg.contains("next hop")
+        ));
     }
 
     #[test]
@@ -278,12 +323,16 @@ mod tests {
             from_bytes(&bytes, g.fingerprint()),
             Err(RoadNetError::Persist(msg)) if msg.contains("magic")
         ));
-        let mut bytes = to_bytes(&labels, g.fingerprint());
-        bytes[4] = 99;
-        assert!(matches!(
-            from_bytes(&bytes, g.fingerprint()),
-            Err(RoadNetError::Persist(msg)) if msg.contains("version")
-        ));
+        // 99 is from the future; 2 is the 12-bytes-per-entry layout without
+        // next-hop pointers, which must be rebuilt rather than misparsed.
+        for (version, needle) in [(99u8, "version"), (2, "version-2")] {
+            let mut bytes = to_bytes(&labels, g.fingerprint());
+            bytes[4] = version;
+            assert!(matches!(
+                from_bytes(&bytes, g.fingerprint()),
+                Err(RoadNetError::Persist(msg)) if msg.contains(needle) && msg.contains("version")
+            ));
+        }
     }
 
     #[test]

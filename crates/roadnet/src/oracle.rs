@@ -5,11 +5,14 @@
 //! shortest distance between two vertices and, occasionally, the actual
 //! shortest path (for driving the vehicle). [`DistanceOracle`] is that
 //! interface. [`CachedOracle`] is the sequential production implementation:
-//! hub labels (falling back to Dijkstra when labels are disabled) behind the
-//! paper's two LRU caches. [`ShardedOracle`](crate::ShardedOracle) is its
-//! thread-safe counterpart, for an engine that moves its fleet on several
-//! threads. [`MatrixOracle`] pre-computes all pairs and is used by tests
-//! and tiny scheduling instances.
+//! the paper's two LRU caches in front of hub labels, which answer both
+//! kinds of miss — a distance by one label merge, a path by unpacking the
+//! labels' next-hop pointers (plain Dijkstra does both when labels are
+//! disabled). [`ShardedOracle`](crate::ShardedOracle) is its thread-safe
+//! counterpart, for an engine that moves its fleet on several threads; the
+//! two differ only in how they guard their caches and share one miss path.
+//! [`MatrixOracle`] pre-computes all pairs and is used by tests and tiny
+//! scheduling instances.
 
 use std::cell::RefCell;
 
@@ -21,7 +24,8 @@ use crate::types::{NodeId, Weight, INFINITY};
 
 /// Point-to-point shortest path computation.
 ///
-/// Implemented by every engine in this crate (Dijkstra, A*, bidirectional).
+/// Implemented by every engine in this crate (Dijkstra, A*, bidirectional,
+/// ALT, hub labels).
 pub trait ShortestPathEngine {
     /// Exact shortest-path distance, or `None` when `t` is unreachable.
     fn distance(&self, s: NodeId, t: NodeId) -> Option<Weight>;
@@ -107,17 +111,107 @@ impl OracleStats {
 /// Which engine a [`CachedOracle`] uses on a cache miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleBackend {
-    /// Pruned-landmark hub labels for distances, Dijkstra for paths.
+    /// Pruned-landmark hub labels for distances and for paths (unpacked
+    /// along the labels' next-hop pointers). Dijkstra only answers radius
+    /// searches, and the path queries the labels decline: disconnected
+    /// pairs and chains broken by a zero-weight edge.
     HubLabels,
     /// Plain Dijkstra for everything (no preprocessing cost; slower queries).
     Dijkstra,
 }
 
-/// Production oracle: hub labels + Dijkstra behind the paper's LRU caches.
-pub struct CachedOracle<'g> {
+/// What a caching oracle computes when its caches miss: hub labels when the
+/// backend has them, Dijkstra otherwise. [`CachedOracle`] and
+/// [`ShardedOracle`](crate::ShardedOracle) each own one and differ only in
+/// how they guard the caches in front of it. Immutable after construction,
+/// so freely shared across threads.
+pub(crate) struct Uncached<'g> {
     graph: &'g RoadNetwork,
     labels: Option<HubLabels>,
     dijkstra: DijkstraEngine<'g>,
+}
+
+impl<'g> Uncached<'g> {
+    /// Builds the labels `backend` asks for.
+    pub(crate) fn new(graph: &'g RoadNetwork, backend: OracleBackend) -> Self {
+        let labels = match backend {
+            OracleBackend::HubLabels => Some(HubLabels::build(graph)),
+            OracleBackend::Dijkstra => None,
+        };
+        Self::from_parts(graph, labels)
+    }
+
+    /// Adopts pre-built labels, refusing ones that cover a different number
+    /// of vertices than `graph` has.
+    pub(crate) fn with_labels(graph: &'g RoadNetwork, labels: HubLabels) -> Self {
+        assert_eq!(
+            labels.node_count(),
+            graph.node_count(),
+            "hub labels cover {} vertices but the network has {}",
+            labels.node_count(),
+            graph.node_count()
+        );
+        Self::from_parts(graph, Some(labels))
+    }
+
+    fn from_parts(graph: &'g RoadNetwork, labels: Option<HubLabels>) -> Self {
+        Uncached {
+            graph,
+            labels,
+            dijkstra: DijkstraEngine::new(graph),
+        }
+    }
+
+    pub(crate) fn graph(&self) -> &'g RoadNetwork {
+        self.graph
+    }
+
+    pub(crate) fn labels(&self) -> Option<&HubLabels> {
+        self.labels.as_ref()
+    }
+
+    /// Computes the exact distance for the unordered pair `{s, t}`, always
+    /// in the low-id → high-id direction. The network is undirected, so the
+    /// distance is direction-independent mathematically — but a Dijkstra
+    /// run from `t` accumulates the same edge weights in a different order
+    /// than one from `s` and can differ in the last ULP. Canonicalising
+    /// makes the value a pure function of the pair, which is what lets both
+    /// cache directions be primed with it and keeps `dist` independent of
+    /// cache state (the contract checkpointed replays rely on: a resumed
+    /// run's cold caches must reproduce the warm-cache run bit for bit).
+    pub(crate) fn distance(&self, s: NodeId, t: NodeId) -> Weight {
+        let (a, b) = if s <= t { (s, t) } else { (t, s) };
+        match &self.labels {
+            Some(hl) => hl.distance(a, b).unwrap_or(INFINITY),
+            None => self.dijkstra.distance(a, b).unwrap_or(INFINITY),
+        }
+    }
+
+    /// Computes a shortest path from `s` to `t`: unpacked from the labels
+    /// when the backend has them, by Dijkstra otherwise — and whenever the
+    /// labels answer `None`, which leaves it to Dijkstra to say whether the
+    /// pair is really disconnected.
+    ///
+    /// Callers must NOT prime the distance cache from a path: summed along
+    /// the query direction its cost can disagree with the canonical
+    /// [`Uncached::distance`] in the last ULP, which would make `dist`
+    /// depend on which queries ran before it.
+    pub(crate) fn path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
+        self.labels
+            .as_ref()
+            .and_then(|hl| hl.path(s, t))
+            .or_else(|| self.dijkstra.path(s, t).map(|(_, p)| p))
+    }
+
+    pub(crate) fn nodes_within(&self, s: NodeId, radius: Weight) -> Vec<(NodeId, Weight)> {
+        self.dijkstra.nodes_within(s, radius)
+    }
+}
+
+/// Production oracle: hub labels (or Dijkstra) behind the paper's LRU
+/// caches.
+pub struct CachedOracle<'g> {
+    uncached: Uncached<'g>,
     caches: RefCell<SharedPathCaches>,
     stats: RefCell<OracleStats>,
 }
@@ -140,11 +234,7 @@ impl<'g> CachedOracle<'g> {
         distance_cache: usize,
         path_cache: usize,
     ) -> Self {
-        let labels = match backend {
-            OracleBackend::HubLabels => Some(HubLabels::build(graph)),
-            OracleBackend::Dijkstra => None,
-        };
-        Self::from_parts(graph, labels, distance_cache, path_cache)
+        Self::from_parts(Uncached::new(graph, backend), distance_cache, path_cache)
     }
 
     /// Builds an oracle around pre-built hub labels — typically loaded from
@@ -160,31 +250,22 @@ impl<'g> CachedOracle<'g> {
         distance_cache: usize,
         path_cache: usize,
     ) -> Self {
-        assert_eq!(
-            labels.node_count(),
-            graph.node_count(),
-            "hub labels cover {} vertices but the network has {}",
-            labels.node_count(),
-            graph.node_count()
-        );
-        Self::from_parts(graph, Some(labels), distance_cache, path_cache)
+        Self::from_parts(
+            Uncached::with_labels(graph, labels),
+            distance_cache,
+            path_cache,
+        )
     }
 
-    fn from_parts(
-        graph: &'g RoadNetwork,
-        labels: Option<HubLabels>,
-        distance_cache: usize,
-        path_cache: usize,
-    ) -> Self {
+    fn from_parts(uncached: Uncached<'g>, distance_cache: usize, path_cache: usize) -> Self {
+        let caches = SharedPathCaches::with_capacity(
+            uncached.graph().node_count(),
+            distance_cache,
+            path_cache,
+        );
         CachedOracle {
-            graph,
-            labels,
-            dijkstra: DijkstraEngine::new(graph),
-            caches: RefCell::new(SharedPathCaches::with_capacity(
-                graph.node_count(),
-                distance_cache,
-                path_cache,
-            )),
+            uncached,
+            caches: RefCell::new(caches),
             stats: RefCell::new(OracleStats::default()),
         }
     }
@@ -192,12 +273,12 @@ impl<'g> CachedOracle<'g> {
     /// The hub labels backing this oracle, when the backend uses them
     /// (e.g. to persist them with [`HubLabels::save`]).
     pub fn labels(&self) -> Option<&HubLabels> {
-        self.labels.as_ref()
+        self.uncached.labels()
     }
 
     /// The underlying road network.
     pub fn graph(&self) -> &RoadNetwork {
-        self.graph
+        self.uncached.graph()
     }
 
     /// Snapshot of the query counters.
@@ -216,23 +297,6 @@ impl<'g> CachedOracle<'g> {
     pub fn clear_caches(&self) {
         self.caches.borrow_mut().clear();
     }
-
-    /// Computes the exact distance for the unordered pair `{s, t}`, always
-    /// in the low-id → high-id direction. The network is undirected, so the
-    /// distance is direction-independent mathematically — but a Dijkstra
-    /// run from `t` accumulates the same edge weights in a different order
-    /// than one from `s` and can differ in the last ULP. Canonicalising
-    /// makes the value a pure function of the pair, which is what lets both
-    /// cache directions be primed with it and keeps `dist` independent of
-    /// cache state (the contract checkpointed replays rely on: a resumed
-    /// run's cold caches must reproduce the warm-cache run bit for bit).
-    fn compute_distance(&self, s: NodeId, t: NodeId) -> Weight {
-        let (a, b) = if s <= t { (s, t) } else { (t, s) };
-        match &self.labels {
-            Some(hl) => hl.distance(a, b).unwrap_or(INFINITY),
-            None => self.dijkstra.distance(a, b).unwrap_or(INFINITY),
-        }
-    }
 }
 
 impl DistanceOracle for CachedOracle<'_> {
@@ -249,7 +313,7 @@ impl DistanceOracle for CachedOracle<'_> {
         }
         stats.distance_cache_misses += 1;
         drop(caches);
-        let d = self.compute_distance(s, t);
+        let d = self.uncached.distance(s, t);
         self.caches.borrow_mut().put_distance(s, t, d);
         // The computation is canonicalised per unordered pair, so the
         // reverse distance is bit-identical; prime the cache for it too
@@ -273,21 +337,17 @@ impl DistanceOracle for CachedOracle<'_> {
         stats.path_cache_misses += 1;
         drop(caches);
         drop(stats);
-        let (_, p) = self.dijkstra.path(s, t)?;
-        // Deliberately NOT primed into the distance cache: the path
-        // engine's cost is accumulated along the query direction and can
-        // disagree with the canonical distance in the last ULP, which
-        // would make `dist` depend on which queries ran before it.
+        let p = self.uncached.path(s, t)?;
         self.caches.borrow_mut().put_path(s, t, p.clone());
         Some(p)
     }
 
     fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.uncached.graph().node_count()
     }
 
     fn nodes_within(&self, s: NodeId, radius: Weight) -> Vec<(NodeId, Weight)> {
-        self.dijkstra.nodes_within(s, radius)
+        self.uncached.nodes_within(s, radius)
     }
 }
 
@@ -390,6 +450,37 @@ mod tests {
         // Second call comes from the path cache and must be identical.
         assert_eq!(oracle.shortest_path(0, t).unwrap(), p);
         assert_eq!(oracle.stats().path_cache_hits, 1);
+    }
+
+    #[test]
+    fn label_backed_oracles_return_the_dijkstra_backed_paths() {
+        // Jittered weights: shortest paths are unique, so unpacking the
+        // labels must reproduce the label-less twins' paths exactly.
+        let g = grid(12, 12, 8);
+        let n = g.node_count() as NodeId;
+        let cached = CachedOracle::new(&g);
+        let sharded = ShardedOracle::new(&g);
+        let cached_twin = CachedOracle::without_labels(&g);
+        let sharded_twin = ShardedOracle::without_labels(&g);
+        for (s, t) in (0..40).map(|i| ((i * 5) % n, (i * 17 + 3) % n)) {
+            let expect = cached_twin.shortest_path(s, t);
+            assert!(expect.is_some(), "grid is connected ({s}, {t})");
+            assert_eq!(sharded_twin.shortest_path(s, t), expect, "({s}, {t})");
+            assert_eq!(cached.shortest_path(s, t), expect, "({s}, {t})");
+            assert_eq!(sharded.shortest_path(s, t), expect, "({s}, {t})");
+            if s == t {
+                continue; // answered before the caches are consulted
+            }
+            // A second call is a path-cache hit with the identical vector.
+            let (cached_hits, sharded_hits) = (
+                cached.stats().path_cache_hits,
+                sharded.stats().path_cache_hits,
+            );
+            assert_eq!(cached.shortest_path(s, t), expect, "({s}, {t})");
+            assert_eq!(sharded.shortest_path(s, t), expect, "({s}, {t})");
+            assert_eq!(cached.stats().path_cache_hits, cached_hits + 1);
+            assert_eq!(sharded.stats().path_cache_hits, sharded_hits + 1);
+        }
     }
 
     #[test]

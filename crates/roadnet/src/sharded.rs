@@ -6,29 +6,30 @@
 //! loop (zero synchronisation cost) but makes the oracle `!Sync`: the
 //! worker threads that route vehicles in the movement phase of
 //! `Simulation::advance_all` (`rideshare-sim`) cannot share it.
-//! [`ShardedOracle`] is the concurrent counterpart. The immutable query
-//! machinery (hub labels, Dijkstra over the frozen graph) is shared freely
-//! across threads; only the caches need writes, and those are split into
-//! `2^k` independent shards, each holding its own
-//! [`SharedPathCaches`] behind its own `Mutex`.
+//! [`ShardedOracle`] is the concurrent counterpart. What a miss computes —
+//! a label merge for a distance, a walk along the labels' next-hop pointers
+//! for a path, Dijkstra when the backend has no labels — is the same
+//! immutable machinery `CachedOracle` owns and is shared freely across
+//! threads; only the caches need writes, and those are split into `2^k`
+//! independent shards, each holding its own [`SharedPathCaches`] behind its
+//! own `Mutex`.
 //! A query locks exactly one shard (chosen by mixing the paper's pair key
 //! `id(s)·|V| + id(e)`), so lookups for different vertex pairs almost never
 //! contend, and a hot pair serialises only with itself.
 //!
 //! Sharding changes *which* entries survive eviction (each shard runs LRU
 //! over its slice of the key space) but never the values returned —
-//! distances are exact regardless of cache state — so a run over this
-//! oracle agrees bit-for-bit with one over `CachedOracle`, at any worker
-//! count.
+//! distances and paths are pure functions of the pair, whatever the cache
+//! state — so a run over this oracle agrees bit-for-bit with one over
+//! `CachedOracle`, at any worker count.
 
 use std::sync::Mutex;
 
 use crate::cache::SharedPathCaches;
-use crate::dijkstra::DijkstraEngine;
 use crate::graph::RoadNetwork;
 use crate::hub_label::HubLabels;
-use crate::oracle::{DistanceOracle, OracleBackend, OracleStats, ShortestPathEngine};
-use crate::types::{NodeId, Weight, INFINITY};
+use crate::oracle::{DistanceOracle, OracleBackend, OracleStats, Uncached};
+use crate::types::{NodeId, Weight};
 
 /// Default number of cache shards (`16`): enough that a handful of worker
 /// threads rarely collide, small enough that per-shard LRU capacity stays
@@ -43,8 +44,8 @@ struct Shard {
     stats: OracleStats,
 }
 
-/// Concurrent distance/path oracle: hub labels + Dijkstra behind sharded,
-/// mutex-guarded LRU caches. See the module docs for the design.
+/// Concurrent distance/path oracle: hub labels (or Dijkstra) behind
+/// sharded, mutex-guarded LRU caches. See the module docs for the design.
 ///
 /// This type is `Sync`; share it by reference (`&ShardedOracle` implements
 /// [`DistanceOracle`] through `&self` methods) across the engine's
@@ -71,9 +72,7 @@ struct Shard {
 /// });
 /// ```
 pub struct ShardedOracle<'g> {
-    graph: &'g RoadNetwork,
-    labels: Option<HubLabels>,
-    dijkstra: DijkstraEngine<'g>,
+    uncached: Uncached<'g>,
     shards: Vec<Mutex<Shard>>,
     shard_mask: u64,
 }
@@ -112,11 +111,12 @@ impl<'g> ShardedOracle<'g> {
         distance_cache: usize,
         path_cache: usize,
     ) -> Self {
-        let labels = match backend {
-            OracleBackend::HubLabels => Some(HubLabels::build(graph)),
-            OracleBackend::Dijkstra => None,
-        };
-        Self::from_parts(graph, labels, shards, distance_cache, path_cache)
+        Self::from_parts(
+            Uncached::new(graph, backend),
+            shards,
+            distance_cache,
+            path_cache,
+        )
     }
 
     /// Builds an oracle around pre-built hub labels — typically loaded from
@@ -133,23 +133,21 @@ impl<'g> ShardedOracle<'g> {
         distance_cache: usize,
         path_cache: usize,
     ) -> Self {
-        assert_eq!(
-            labels.node_count(),
-            graph.node_count(),
-            "hub labels cover {} vertices but the network has {}",
-            labels.node_count(),
-            graph.node_count()
-        );
-        Self::from_parts(graph, Some(labels), shards, distance_cache, path_cache)
+        Self::from_parts(
+            Uncached::with_labels(graph, labels),
+            shards,
+            distance_cache,
+            path_cache,
+        )
     }
 
     fn from_parts(
-        graph: &'g RoadNetwork,
-        labels: Option<HubLabels>,
+        uncached: Uncached<'g>,
         shards: usize,
         distance_cache: usize,
         path_cache: usize,
     ) -> Self {
+        let node_count = uncached.graph().node_count();
         let shard_count = shards.max(1).next_power_of_two();
         let per_shard_dist = distance_cache.div_ceil(shard_count);
         let per_shard_path = path_cache.div_ceil(shard_count);
@@ -157,7 +155,7 @@ impl<'g> ShardedOracle<'g> {
             .map(|_| {
                 Mutex::new(Shard {
                     caches: SharedPathCaches::with_capacity(
-                        graph.node_count(),
+                        node_count,
                         per_shard_dist,
                         per_shard_path,
                     ),
@@ -166,9 +164,7 @@ impl<'g> ShardedOracle<'g> {
             })
             .collect();
         ShardedOracle {
-            graph,
-            labels,
-            dijkstra: DijkstraEngine::new(graph),
+            uncached,
             shards,
             shard_mask: (shard_count - 1) as u64,
         }
@@ -176,7 +172,7 @@ impl<'g> ShardedOracle<'g> {
 
     /// The underlying road network.
     pub fn graph(&self) -> &RoadNetwork {
-        self.graph
+        self.uncached.graph()
     }
 
     /// Number of cache shards (a power of two).
@@ -220,24 +216,11 @@ impl<'g> ShardedOracle<'g> {
     /// access pattern when evaluating one vehicle's schedule) would
     /// otherwise land in the same shard and serialise.
     fn shard_for(&self, s: NodeId, t: NodeId) -> usize {
-        let key = s as u64 * self.graph.node_count() as u64 + t as u64;
+        let key = s as u64 * self.uncached.graph().node_count() as u64 + t as u64;
         let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) & self.shard_mask) as usize
-    }
-
-    /// Computes the exact distance for the unordered pair `{s, t}`, always
-    /// in the low-id → high-id direction — identical to
-    /// [`CachedOracle`](crate::CachedOracle)'s canonicalisation, so the two
-    /// oracles return bit-identical values regardless of cache state (see
-    /// the rationale there).
-    fn compute_distance(&self, s: NodeId, t: NodeId) -> Weight {
-        let (a, b) = if s <= t { (s, t) } else { (t, s) };
-        match &self.labels {
-            Some(hl) => hl.distance(a, b).unwrap_or(INFINITY),
-            None => self.dijkstra.distance(a, b).unwrap_or(INFINITY),
-        }
     }
 
     /// Stores `d` for `(s, t)` in the shard owning that pair. Used for the
@@ -269,7 +252,7 @@ impl DistanceOracle for ShardedOracle<'_> {
         }
         // Compute outside any lock: misses cost microseconds to milliseconds
         // and must not serialise other shards' lookups.
-        let d = self.compute_distance(s, t);
+        let d = self.uncached.distance(s, t);
         self.prime_distance(s, t, d);
         // The computation is canonicalised per unordered pair, so the
         // reverse value is bit-identical; prime it too (same rationale as
@@ -294,26 +277,21 @@ impl DistanceOracle for ShardedOracle<'_> {
             }
             shard.stats.path_cache_misses += 1;
         }
-        let (_, p) = self.dijkstra.path(s, t)?;
-        {
-            let mut shard = self.shards[self.shard_for(s, t)]
-                .lock()
-                .expect("oracle shard poisoned");
-            // Deliberately NOT primed into the distance cache: the path
-            // engine's cost is accumulated along the query direction and
-            // can disagree with the canonical distance in the last ULP
-            // (see CachedOracle::shortest_path).
-            shard.caches.put_path(s, t, p.clone());
-        }
+        let p = self.uncached.path(s, t)?;
+        self.shards[self.shard_for(s, t)]
+            .lock()
+            .expect("oracle shard poisoned")
+            .caches
+            .put_path(s, t, p.clone());
         Some(p)
     }
 
     fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.uncached.graph().node_count()
     }
 
     fn nodes_within(&self, s: NodeId, radius: Weight) -> Vec<(NodeId, Weight)> {
-        self.dijkstra.nodes_within(s, radius)
+        self.uncached.nodes_within(s, radius)
     }
 }
 
@@ -413,6 +391,41 @@ mod tests {
         assert_eq!(o.stats().distance_cache_misses, 1);
         assert_eq!(o.dist(4, 4), 0.0);
         assert_eq!(o.shortest_path(4, 4), Some(vec![4]));
+    }
+
+    #[test]
+    fn concurrent_path_unpacking_agrees_with_dijkstra() {
+        let g = grid(12, 12, 8);
+        let o = ShardedOracle::new(&g);
+        let reference = CachedOracle::without_labels(&g);
+        let n = g.node_count() as NodeId;
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..48).map(|i| ((i * 5) % n, (i * 17 + 3) % n)).collect();
+        let expect: Vec<_> = pairs
+            .iter()
+            .map(|&(s, t)| reference.shortest_path(s, t))
+            .collect();
+        // Four threads walk the same pairs from different starting points,
+        // so every pair is unpacked by one thread and served from a cache
+        // shard (or unpacked again, racing) to the others.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4usize)
+                .map(|w| {
+                    let (o, pairs) = (&o, &pairs);
+                    scope.spawn(move || {
+                        let mut got = vec![None; pairs.len()];
+                        for k in 0..pairs.len() {
+                            let i = (k + w * 12) % pairs.len();
+                            got[i] = o.shortest_path(pairs[i].0, pairs[i].1);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(h.join().expect("worker panicked"), expect);
+            }
+        });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use roadnet::{
-    AStarEngine, BidirectionalEngine, CachedOracle, DijkstraEngine, DistanceOracle,
+    AStarEngine, AltEngine, BidirectionalEngine, CachedOracle, DijkstraEngine, DistanceOracle,
     GeneratorConfig, HubLabels, LruCache, NetworkKind, NodeId, ShortestPathEngine,
 };
 
@@ -67,23 +67,34 @@ proptest! {
     }
 
     /// A reported path is a real walk in the graph whose edge weights sum to
-    /// the reported distance.
+    /// the reported distance — for every [`ShortestPathEngine`] in the
+    /// crate, hub labels included.
     #[test]
     fn paths_are_consistent((g, seed) in network_strategy()) {
-        let dij = DijkstraEngine::new(&g);
         let n = g.node_count() as u64;
         let s = ((seed * 11) % n) as NodeId;
         let t = ((seed * 29 + 5) % n) as NodeId;
-        if let Some((d, p)) = dij.path(s, t) {
-            prop_assert_eq!(p[0], s);
-            prop_assert_eq!(*p.last().unwrap(), t);
+        let engines: [(&str, Box<dyn ShortestPathEngine + '_>); 5] = [
+            ("dijkstra", Box::new(DijkstraEngine::new(&g))),
+            ("astar", Box::new(AStarEngine::new(&g))),
+            ("bidirectional", Box::new(BidirectionalEngine::new(&g))),
+            ("alt", Box::new(AltEngine::new(&g, 4))),
+            ("hub labels", Box::new(HubLabels::build(&g))),
+        ];
+        for (name, engine) in &engines {
+            // Generated networks are connected.
+            let found = engine.path(s, t);
+            prop_assert!(found.is_some(), "{}: no path {}->{}", name, s, t);
+            let (d, p) = found.unwrap();
+            prop_assert_eq!(p[0], s, "{}", name);
+            prop_assert_eq!(*p.last().unwrap(), t, "{}", name);
             let mut acc = 0.0;
             for w in p.windows(2) {
                 let e = g.edge_weight(w[0], w[1]);
-                prop_assert!(e.is_some(), "path uses non-existent edge");
+                prop_assert!(e.is_some(), "{}: path uses non-existent edge", name);
                 acc += e.unwrap();
             }
-            prop_assert!((acc - d).abs() < 1e-6);
+            prop_assert!((acc - d).abs() < 1e-6, "{}: walk {} vs reported {}", name, acc, d);
         }
     }
 

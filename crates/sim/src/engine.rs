@@ -764,8 +764,9 @@ fn plan_path_to(motion: &mut Motion, target: NodeId, oracle: &dyn DistanceOracle
         return false;
     }
     let Some(path) = oracle.shortest_path(at, target) else {
-        // Unreachable target: drop the stop by cancelling the trip on
-        // this vehicle (cannot happen on connected networks).
+        // Unreachable target: nothing is planned, so the vehicle stays
+        // parked where it is with the stop still in its schedule (cannot
+        // happen on connected networks).
         return false;
     };
     let mut prev = at;
