@@ -4,6 +4,7 @@
 //! large-scale matching and that hub labels + an LRU cache keep it cheap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rideshare_bench::shared_endpoint_runs;
 use roadnet::{
     AStarEngine, BidirectionalEngine, CachedOracle, DijkstraEngine, DistanceOracle,
     GeneratorConfig, HubLabels, NetworkKind, NodeId, OracleBackend, ShortestPathEngine,
@@ -101,6 +102,27 @@ fn bench_cached_oracle(c: &mut Criterion) {
             let mut i = 0;
             b.iter(|| {
                 let (s, t) = pairs[i % pairs.len()];
+                i += 1;
+                oracle.dist(s, t)
+            })
+        });
+    }
+    // What a distance miss costs on hub labels (zero-capacity caches make
+    // every call one): over runs that share an endpoint, as a dispatcher
+    // probes a request's pickup, and over pairs whose endpoints do not
+    // repeat (the worst case for labels kept spread between queries).
+    let labels = HubLabels::build(&g);
+    let random = query_pairs(n, 512);
+    let shared = shared_endpoint_runs(&random);
+    for (name, queries) in [
+        ("oracle_miss_shared_endpoint", &shared),
+        ("oracle_miss_random", &random),
+    ] {
+        group.bench_function(name, |b| {
+            let oracle = CachedOracle::with_labels(&g, labels.clone(), 0, 0);
+            let mut i = 0;
+            b.iter(|| {
+                let (s, t) = queries[i % queries.len()];
                 i += 1;
                 oracle.dist(s, t)
             })

@@ -9,7 +9,9 @@
 //! Two artifacts are written:
 //!
 //! * `BENCH_hublabel.json` — hub-label build time / mean label size /
-//!   distance-query latency, and the cost of a path unpacked from the
+//!   distance-query latency (the stateless merge, and a distance miss
+//!   through the oracle — endpoints that never repeat, and runs that share
+//!   one as a dispatcher's do), and the cost of a path unpacked from the
 //!   labels beside the point-to-point Dijkstra it replaced, on 20×20,
 //!   40×40 and 80×80 grids plus the ring-radial city preset; the 40×40
 //!   comparison against the frozen seed pipeline
@@ -26,6 +28,9 @@
 //! fails:
 //!
 //! * hub-label distances diverge from Dijkstra ground truth;
+//! * a distance miss through the oracle (which scans one label against the
+//!   other's, kept spread by hub rank) differs in any bit from
+//!   `HubLabels::distance` (which merges them);
 //! * `HubLabels::path`, called directly, declines a sampled pair or
 //!   unpacks a vertex sequence other than Dijkstra's (the oracles would
 //!   hide a broken chain behind their Dijkstra arm; this gate does not);
@@ -40,19 +45,20 @@
 //!
 //! Absolute time thresholds are deliberately not enforced (shared runners
 //! are too noisy); the speedup gate is a same-process ratio, which is
-//! stable. The two path timings are recorded without a ratio gate.
+//! stable. The path and distance-miss timings are recorded without a
+//! ratio gate.
 
 use std::time::Instant;
 
 use kinetic_core::algorithms::{MipBuild, MipFormulation};
 use rideshare_bench::baseline::dense_mip;
 use rideshare_bench::baseline::{SeedLabels, SeedOrdering};
-use rideshare_bench::mip_fixture;
+use rideshare_bench::{mip_fixture, shared_endpoint_runs};
 use rideshare_mip::{SolveError, SolveOptions};
 use rideshare_workload::CityConfig;
 use roadnet::{
-    DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, NetworkKind, NodeId, RoadNetwork,
-    ShardedOracle, ShortestPathEngine,
+    CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, NetworkKind, NodeId,
+    RoadNetwork, ShardedOracle, ShortestPathEngine,
 };
 use workpool::WorkPool;
 
@@ -65,9 +71,12 @@ struct HubLabelPoint {
     mean_label_size: f64,
     total_entries: usize,
     query_ns: f64,
+    miss_ns: f64,
+    miss_shared_endpoint_ns: f64,
     path_ns: f64,
     dijkstra_path_ns: f64,
     exact: bool,
+    spread_exact: bool,
     paths_exact: bool,
     parallel_identical: Option<bool>,
     persist: Option<PersistPoint>,
@@ -165,6 +174,38 @@ fn mean_query_ns(labels: &HubLabels, n: usize) -> f64 {
     ns
 }
 
+/// Mean cost of a distance miss over `queries`, in nanoseconds, through
+/// `oracle` — zero-capacity caches over `labels`, so every call is a miss —
+/// and whether every answer equalled `HubLabels::distance` of the pair bit
+/// for bit: the `spread_exact` gate.
+fn mean_miss_ns(
+    oracle: &CachedOracle<'_>,
+    labels: &HubLabels,
+    queries: &[(NodeId, NodeId)],
+) -> (f64, bool) {
+    // The first pass warms the oracle and checks it; the rest are timed.
+    let mut exact = true;
+    for &(s, t) in queries {
+        let merged = labels.distance(s.min(t), s.max(t));
+        let got = oracle.dist(s, t);
+        if got.to_bits() != merged.unwrap_or(f64::INFINITY).to_bits() {
+            eprintln!("  SPREAD FAILURE at ({s}, {t}): oracle {got:?} vs merge {merged:?}");
+            exact = false;
+        }
+    }
+    let mut acc = 0.0f64;
+    let timer = Instant::now();
+    let passes = 20;
+    for _ in 0..passes {
+        for &(s, t) in queries {
+            acc += oracle.dist(s, t);
+        }
+    }
+    let ns = timer.elapsed().as_nanos() as f64 / (passes * queries.len()) as f64;
+    std::hint::black_box(acc);
+    (ns, exact)
+}
+
 /// Benchmarks one network preset: timed build, exactness, query latency,
 /// and (optionally) the parallel-identity and persistence gates.
 fn hublabel_point(
@@ -210,6 +251,12 @@ fn hublabel_point(
             roundtrip_identical: back == labels,
         }
     });
+    // The pairs `mean_query_ns` merges, through the oracle's miss path.
+    let pairs = query_pairs(graph.node_count(), 512);
+    let zero_cache = CachedOracle::with_labels(graph, labels.clone(), 0, 0);
+    let (miss_ns, random_exact) = mean_miss_ns(&zero_cache, &labels, &pairs);
+    let (miss_shared_endpoint_ns, shared_exact) =
+        mean_miss_ns(&zero_cache, &labels, &shared_endpoint_runs(&pairs));
     HubLabelPoint {
         name: name.to_string(),
         nodes: graph.node_count(),
@@ -218,11 +265,14 @@ fn hublabel_point(
         mean_label_size: labels.mean_label_size(),
         total_entries: labels.total_label_entries(),
         query_ns: mean_query_ns(&labels, graph.node_count()),
+        miss_ns,
+        miss_shared_endpoint_ns,
         path_ns: mean_path_ns(graph.node_count(), |s, t| labels.path(s, t)),
         dijkstra_path_ns: mean_path_ns(graph.node_count(), |s, t| {
             dijkstra.path(s, t).map(|(_, p)| p)
         }),
         exact,
+        spread_exact: random_exact && shared_exact,
         paths_exact,
         parallel_identical,
         persist,
@@ -582,15 +632,19 @@ fn main() {
     for p in &points {
         eprintln!(
             "{:<22} n={:<7} build {:>10.1} ms  mean label {:>6.1}  query {:>7.1} ns  \
-             path {:>8.1} ns (dijkstra {:>10.1} ns)  exact {}  paths {}  par-id {:?}",
+             miss {:>7.1} ns (shared endpoint {:>6.1} ns)  \
+             path {:>8.1} ns (dijkstra {:>10.1} ns)  exact {}  spread {}  paths {}  par-id {:?}",
             p.name,
             p.nodes,
             p.build_ms,
             p.mean_label_size,
             p.query_ns,
+            p.miss_ns,
+            p.miss_shared_endpoint_ns,
             p.path_ns,
             p.dijkstra_path_ns,
             p.exact,
+            p.spread_exact,
             p.paths_exact,
             p.parallel_identical
         );
@@ -608,6 +662,7 @@ fn main() {
     );
 
     let exact_ok = points.iter().all(|p| p.exact);
+    let spread_ok = points.iter().all(|p| p.spread_exact);
     let paths_ok = points.iter().all(|p| p.paths_exact);
     let parallel_ok = points.iter().all(|p| p.parallel_identical.unwrap_or(true));
     let persist_ok = points
@@ -625,8 +680,10 @@ fn main() {
         hl_json.push_str(&format!(
             "    {{\"name\": \"{}\", \"nodes\": {}, \"edges\": {}, \"build_ms\": {:.3}, \
              \"mean_label_size\": {:.3}, \"total_entries\": {}, \"query_ns\": {:.1}, \
+             \"miss_ns\": {:.1}, \"miss_shared_endpoint_ns\": {:.1}, \
              \"path_ns\": {:.1}, \"dijkstra_path_ns\": {:.1}, \
-             \"exact\": {}, \"paths_exact\": {}, \"parallel_identical\": {}, \"persist\": {}}}{}\n",
+             \"exact\": {}, \"spread_exact\": {}, \"paths_exact\": {}, \
+             \"parallel_identical\": {}, \"persist\": {}}}{}\n",
             json_escape_free(&p.name),
             p.nodes,
             p.edges,
@@ -634,9 +691,12 @@ fn main() {
             p.mean_label_size,
             p.total_entries,
             p.query_ns,
+            p.miss_ns,
+            p.miss_shared_endpoint_ns,
             p.path_ns,
             p.dijkstra_path_ns,
             p.exact,
+            p.spread_exact,
             p.paths_exact,
             p.parallel_identical
                 .map_or("null".to_string(), |b| b.to_string()),
@@ -677,7 +737,8 @@ fn main() {
     }
     hl_json.push_str("  ],\n");
     hl_json.push_str(&format!(
-        "  \"gates\": {{\"exact\": {exact_ok}, \"paths_exact\": {paths_ok}, \
+        "  \"gates\": {{\"exact\": {exact_ok}, \"spread_exact\": {spread_ok}, \
+         \"paths_exact\": {paths_ok}, \
          \"parallel_identical\": {parallel_ok}, \
          \"persist_roundtrip\": {persist_ok}, \"baseline_speedup\": {baseline_ok}}}\n"
     ));
@@ -743,6 +804,10 @@ fn main() {
     let mut failed = false;
     if !exact_ok {
         eprintln!("FAIL: hub-label distances diverged from Dijkstra ground truth");
+        failed = true;
+    }
+    if !spread_ok {
+        eprintln!("FAIL: a distance miss through the oracle differed from the label merge");
         failed = true;
     }
     if !paths_ok {

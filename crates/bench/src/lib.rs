@@ -18,7 +18,7 @@ pub mod store;
 use kinetic_core::{Constraints, KineticConfig, PlannerKind, SolverKind};
 use rideshare_sim::{SimConfig, SimReport, Simulation};
 use rideshare_workload::{CityConfig, DemandConfig, Workload};
-use roadnet::{CachedOracle, OracleBackend};
+use roadnet::{CachedOracle, NodeId, OracleBackend};
 
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,6 +424,22 @@ impl HarnessArgs {
     pub fn wants(&self, panel: &str) -> bool {
         self.panel == "all" || self.panel == panel
     }
+}
+
+/// The shape of a dispatcher's distance misses, for the oracle
+/// micro-benchmarks: runs of 40 queries that share one endpoint (a new
+/// request's pickup or drop-off) on alternating sides, against vertices
+/// drawn from `pairs`.
+pub fn shared_endpoint_runs(pairs: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
+    pairs
+        .chunks(40)
+        .flat_map(|run| {
+            let shared = run[0].0;
+            run.iter().enumerate().filter_map(move |(i, &(_, x))| {
+                (x != shared).then_some(if i % 2 == 0 { (x, shared) } else { (shared, x) })
+            })
+        })
+        .collect()
 }
 
 /// Prints an aligned plain-text table: a header row followed by data rows.

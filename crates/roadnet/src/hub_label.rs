@@ -32,6 +32,16 @@
 //! [`HubLabels::path`] finds the best hub with one label merge and walks
 //! both endpoints to it, one binary search per hop, instead of running a
 //! point-to-point Dijkstra.
+//!
+//! A distance query is a join of two rank-sorted labels on hub rank under
+//! a minimum. [`HubLabels::distance`] merges them and keeps no state. When
+//! one side is shared by hundreds of queries in a row — a new request's
+//! pickup, against every vehicle that might serve it — it is cheaper to
+//! index that side once and probe it: the oracles' miss path keeps the
+//! labels of its last few query endpoints spread into dense arrays by hub
+//! rank (the crate-private `Spread`, as the build does for its pruning
+//! test) and scans the other label against one. Both compute the same sums
+//! and the same minimum, to the same bits.
 
 pub mod persist;
 
@@ -429,6 +439,25 @@ impl SearchScratch {
     }
 }
 
+/// Spreads `label` into a dense array indexed by hub rank: `by_rank[r]`
+/// becomes the labelled vertex's distance to the hub of rank `r`, so the
+/// other side of a join on hub rank is one lookup per entry.
+#[inline]
+fn spread_label(by_rank: &mut [Weight], label: &[LabelEntry]) {
+    for e in label {
+        by_rank[e.hub_rank as usize] = e.dist;
+    }
+}
+
+/// Undoes [`spread_label`] of the same `label` in O(label), not O(n): an
+/// array that was all `INFINITY` before the spread is all `INFINITY` again.
+#[inline]
+fn unspread_label(by_rank: &mut [Weight], label: &[LabelEntry]) {
+    for e in label {
+        by_rank[e.hub_rank as usize] = INFINITY;
+    }
+}
+
 /// True when the labels certify a root-to-vertex distance of at most
 /// `d + PRUNE_EPS`, given the root's label spread into `root_dist_by_rank`.
 #[inline]
@@ -461,9 +490,7 @@ fn pruned_dijkstra(
         root_dist_by_rank,
     } = scratch;
     let root_label = &labels[root as usize];
-    for e in root_label {
-        root_dist_by_rank[e.hub_rank as usize] = e.dist;
-    }
+    spread_label(root_dist_by_rank, root_label);
     let mut out = Vec::new();
     let mut heap = BinaryHeap::new();
     dist[root as usize] = 0.0;
@@ -504,9 +531,7 @@ fn pruned_dijkstra(
         done[t as usize] = false;
     }
     touched.clear();
-    for e in root_label {
-        root_dist_by_rank[e.hub_rank as usize] = INFINITY;
-    }
+    unspread_label(root_dist_by_rank, root_label);
     out
 }
 
@@ -561,6 +586,109 @@ fn best_common_hub(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(Weight, u32)> 
         }
     });
     (best.0 != INFINITY).then_some(best)
+}
+
+/// [`query_labels`] with one side already spread by rank: the same sums
+/// (two `f64`s add to the same bits in either order) and the minimum over
+/// the same set — a hub the spread side lacks reads `INFINITY`, which never
+/// beats `best` — so the result is bit-identical to the merge's, without
+/// the merge's unpredictable three-way branch per step.
+#[inline]
+fn scan_spread(by_rank: &[Weight], label: &[LabelEntry]) -> Weight {
+    let mut best = INFINITY;
+    for e in label {
+        let d = by_rank[e.hub_rank as usize] + e.dist;
+        if d < best {
+            best = d;
+        }
+    }
+    best
+}
+
+/// Slots of a [`Spread`]. Chosen from counts, not tuned: over one
+/// `replay_dense` pass, two slots refilled together re-spread on 39 % of
+/// queries (a request's pickup and drop-off evict each other), three
+/// slots on 3.1 %, four on 3.0 %, eight on 2.8 %. Four is the smallest
+/// count at which a request's two endpoints outlive one unrelated pair.
+const SPREAD_SLOTS: usize = 4;
+
+/// One vertex's label spread by hub rank.
+struct Slot {
+    vertex: Option<NodeId>,
+    /// `INFINITY` everywhere but at the ranks of `vertex`'s label.
+    by_rank: Vec<Weight>,
+}
+
+impl Slot {
+    /// Replaces the spread label with `v`'s. The old one is un-spread by
+    /// re-reading its label rather than from a list of the ranks written:
+    /// labels never change once built and a [`Spread`] only ever sees one
+    /// `HubLabels`, so those *are* the ranks written. A panic part-way (a
+    /// rank past the array, in labels this module did not validate)
+    /// poisons the lock the scratch sits behind and it is never read again.
+    fn respread(&mut self, labels: &HubLabels, v: NodeId) {
+        if let Some(old) = self.vertex.replace(v) {
+            unspread_label(&mut self.by_rank, labels.label(old));
+        }
+        spread_label(&mut self.by_rank, labels.label(v));
+    }
+}
+
+/// Query-time counterpart of [`SearchScratch::root_dist_by_rank`]: the
+/// labels of the last few query endpoints, kept spread between queries. A
+/// dispatcher asks for hundreds of distances from the same pickup and
+/// drop-off in a row; with either endpoint already spread, a query is one
+/// pass over the *other* endpoint's label ([`scan_spread`]).
+///
+/// Allocates on the first query (`SPREAD_SLOTS × 8 B ×` the vertex count).
+#[derive(Default)]
+pub(crate) struct Spread {
+    /// Most recently used first.
+    slots: Vec<Slot>,
+}
+
+impl Spread {
+    /// [`HubLabels::distance`] of `s != t`, bit for bit, with `INFINITY`
+    /// for a disconnected pair. `labels` must be the same on every call.
+    pub(crate) fn distance(&mut self, labels: &HubLabels, s: NodeId, t: NodeId) -> Weight {
+        debug_assert_ne!(s, t, "the oracle answers s == t itself");
+        if self.slots.is_empty() {
+            self.slots = (0..SPREAD_SLOTS)
+                .map(|_| Slot {
+                    vertex: None,
+                    by_rank: vec![INFINITY; labels.node_count()],
+                })
+                .collect();
+        }
+        let stale = claim_slots(&mut self.slots, s, t);
+        for (slot, v) in self.slots[..stale].iter_mut().zip([s, t]) {
+            slot.respread(labels, v);
+        }
+        let front = &self.slots[0];
+        let other = if front.vertex == Some(s) { t } else { s };
+        scan_spread(&front.by_rank, labels.label(other))
+    }
+}
+
+/// The slot policy: brings the slot that will answer `{s, t}` to the front
+/// and returns how many front slots must first be refilled, with `s` then
+/// `t`. A slot holding either endpoint answers as it is (0). Otherwise the
+/// two least recently used are refilled with *both* endpoints (2): one
+/// query cannot tell which endpoint the next will repeat, and with both
+/// spread it need not — refilling one means guessing, and a wrong guess
+/// re-spreads on every other query for as long as the request lasts.
+fn claim_slots(slots: &mut [Slot], s: NodeId, t: NodeId) -> usize {
+    let holds = |slot: &Slot| slot.vertex == Some(s) || slot.vertex == Some(t);
+    match slots.iter().position(holds) {
+        Some(i) => {
+            slots[..=i].rotate_right(1);
+            0
+        }
+        None => {
+            slots.rotate_right(2);
+            2
+        }
+    }
 }
 
 /// Computes the construction ordering for a given strategy.
@@ -919,6 +1047,135 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// How many labels `claim_slots` orders spread over a query sequence,
+    /// with the slots filled the way `Spread::distance` fills them.
+    fn respreads(queries: impl IntoIterator<Item = (NodeId, NodeId)>) -> usize {
+        let mut slots: Vec<Slot> = (0..SPREAD_SLOTS)
+            .map(|_| Slot {
+                vertex: None,
+                by_rank: Vec::new(),
+            })
+            .collect();
+        let mut total = 0;
+        for (s, t) in queries {
+            let stale = claim_slots(&mut slots, s, t);
+            for (slot, v) in slots[..stale].iter_mut().zip([s, t]) {
+                slot.vertex = Some(v);
+            }
+            total += stale;
+        }
+        total
+    }
+
+    /// What one request asks of the oracle: its own trip, then vehicle
+    /// positions and tree stops against its pickup and its drop-off in
+    /// turn, the shared endpoint on either side.
+    fn request_shaped(p: NodeId, d: NodeId, probes: u32) -> impl Iterator<Item = (NodeId, NodeId)> {
+        let others = (0..probes).map(|i| 1_000 + i);
+        std::iter::once((p, d)).chain(others.map(move |x| if x % 2 == 0 { (x, p) } else { (d, x) }))
+    }
+
+    #[test]
+    fn a_request_respreads_a_constant_number_of_labels_however_long_it_runs() {
+        // Pickup and drop-off, once each. A policy under which the two
+        // evict each other (two slots, both refilled on a double miss)
+        // grows linearly here instead.
+        for probes in [2, 40, 10_000] {
+            assert_eq!(
+                respreads(request_shaped(7, 3, probes)),
+                2,
+                "{probes} probes"
+            );
+            // Its own trip never asked: each endpoint arrives with a probe.
+            let probes_only = request_shaped(7, 3, probes).skip(1);
+            assert_eq!(respreads(probes_only), 4, "{probes} probes");
+        }
+        // An unrelated pair in the middle (a hop of some vehicle's route)
+        // costs its own two labels and evicts neither endpoint ...
+        let interrupted = request_shaped(7, 3, 500)
+            .chain([(600, 601)])
+            .chain(request_shaped(7, 3, 500).skip(1));
+        assert_eq!(respreads(interrupted), 4);
+        // ... and every further request costs its own two, no more.
+        let day = (0..50u32).flat_map(|r| request_shaped(2 * r, 2 * r + 1, 400));
+        assert_eq!(respreads(day), 100);
+    }
+
+    #[test]
+    fn spread_scratch_agrees_with_the_merge_and_unspreads_to_all_infinity() {
+        let cfg = GeneratorConfig {
+            kind: NetworkKind::Grid { rows: 8, cols: 7 },
+            seed: 12,
+            edge_dropout: 0.1,
+            ..GeneratorConfig::default()
+        };
+        let g = cfg.generate();
+        let hl = HubLabels::build(&g);
+        let n = g.node_count() as NodeId;
+        let mut spread = Spread::default();
+        // Request-shaped runs and pairs that never repeat, so slots are
+        // hit, aged out and refilled many times over.
+        let queries = (0..6)
+            .flat_map(|r| request_shaped(r * 5 % n, (r * 11 + 2) % n, 30))
+            .map(|(s, t)| (s % n, t % n))
+            .chain((0..200).map(|i| (i * 5 % n, (i * 17 + 3) % n)))
+            .filter(|(s, t)| s != t);
+        for (s, t) in queries {
+            let merged = hl.distance(s, t).unwrap_or(INFINITY);
+            assert_eq!(
+                spread.distance(&hl, s, t).to_bits(),
+                merged.to_bits(),
+                "({s}, {t})"
+            );
+            // Every slot is exactly its vertex's label, spread: taking
+            // that label back out leaves nothing behind.
+            for slot in &spread.slots {
+                let mut by_rank = slot.by_rank.clone();
+                assert_eq!(by_rank.len(), hl.node_count());
+                if let Some(v) = slot.vertex {
+                    assert!(hl
+                        .label(v)
+                        .iter()
+                        .all(|e| by_rank[e.hub_rank as usize] == e.dist));
+                    unspread_label(&mut by_rank, hl.label(v));
+                }
+                assert!(by_rank.iter().all(|&d| d == INFINITY), "after ({s}, {t})");
+            }
+        }
+    }
+
+    #[test]
+    fn spread_scan_finds_a_lone_common_hub_at_either_end_of_a_label() {
+        // Hand-built: vertices 0 and 1 share only the hub of rank 5, the
+        // last entry of one label and the first of the other; vertex 2
+        // shares a hub with nobody.
+        let entry = |hub_rank, dist| LabelEntry {
+            hub_rank,
+            parent: 0,
+            dist,
+        };
+        let mut labels = vec![Vec::new(); 8];
+        labels[0] = vec![entry(0, 1.0), entry(1, 2.0), entry(5, 3.5)];
+        labels[1] = vec![entry(5, 1.25), entry(6, 1.0), entry(7, 2.0)];
+        labels[2] = vec![entry(2, 0.0)];
+        let hl = HubLabels::from_per_vertex(labels, (0..8).collect());
+        assert_eq!(hl.distance(0, 1), Some(4.75));
+        assert_eq!(hl.distance(0, 2), None);
+        // Cold, the first endpoint named is the one spread; warm, whichever
+        // a slot already holds — so both labels get scanned and spread.
+        let mut spread = Spread::default();
+        assert!(spread.slots.is_empty(), "nothing allocated before a query");
+        for (s, t) in [(0, 1), (1, 0), (2, 0), (1, 2), (1, 0), (0, 1)] {
+            let expect = if s == 2 || t == 2 { INFINITY } else { 4.75 };
+            assert_eq!(spread.distance(&hl, s, t), expect, "({s}, {t})");
+            assert_eq!(
+                Spread::default().distance(&hl, s, t),
+                expect,
+                "cold ({s}, {t})"
+            );
         }
     }
 

@@ -6,20 +6,24 @@
 //! shortest path (for driving the vehicle). [`DistanceOracle`] is that
 //! interface. [`CachedOracle`] is the sequential production implementation:
 //! the paper's two LRU caches in front of hub labels, which answer both
-//! kinds of miss — a distance by one label merge, a path by unpacking the
+//! kinds of miss — a distance by scanning one endpoint's label against the
+//! other's, which stays spread by hub rank from the queries before (a
+//! request's misses share its pickup or drop-off), a path by unpacking the
 //! labels' next-hop pointers (plain Dijkstra does both when labels are
-//! disabled). [`ShardedOracle`](crate::ShardedOracle) is its thread-safe
+//! disabled). Distances are cached once per unordered pair.
+//! [`ShardedOracle`](crate::ShardedOracle) is its thread-safe
 //! counterpart, for an engine that moves its fleet on several threads; the
 //! two differ only in how they guard their caches and share one miss path.
 //! [`MatrixOracle`] pre-computes all pairs and is used by tests and tiny
 //! scheduling instances.
 
 use std::cell::RefCell;
+use std::sync::Mutex;
 
 use crate::cache::SharedPathCaches;
 use crate::dijkstra::{floyd_warshall, DijkstraEngine};
 use crate::graph::RoadNetwork;
-use crate::hub_label::HubLabels;
+use crate::hub_label::{HubLabels, Spread};
 use crate::types::{NodeId, Weight, INFINITY};
 
 /// Point-to-point shortest path computation.
@@ -43,7 +47,8 @@ pub trait ShortestPathEngine {
 ///
 /// The trait itself does not require [`Sync`]: [`CachedOracle`] deliberately
 /// uses `RefCell` so the dispatch loop, which is sequential, pays no
-/// synchronisation cost. The one concurrent reader is the movement phase of
+/// synchronisation cost on a cache hit (a label miss takes one uncontended
+/// `try_lock`). The one concurrent reader is the movement phase of
 /// `Simulation::advance_all` (`rideshare-sim`), which routes vehicles on
 /// worker threads and so takes `&(dyn DistanceOracle + Sync)`;
 /// implementations meant for it must make `&self` calls safe from
@@ -120,15 +125,30 @@ pub enum OracleBackend {
     Dijkstra,
 }
 
+/// The unordered pair `{s, t}` as `(low id, high id)`: the direction every
+/// distance is computed in and the one key it is cached under.
+pub(crate) fn ordered(s: NodeId, t: NodeId) -> (NodeId, NodeId) {
+    if s <= t {
+        (s, t)
+    } else {
+        (t, s)
+    }
+}
+
 /// What a caching oracle computes when its caches miss: hub labels when the
 /// backend has them, Dijkstra otherwise. [`CachedOracle`] and
 /// [`ShardedOracle`](crate::ShardedOracle) each own one and differ only in
-/// how they guard the caches in front of it. Immutable after construction,
-/// so freely shared across threads.
+/// how they guard the caches in front of it. Graph, labels and Dijkstra
+/// are immutable after construction; the one thing a query writes is
+/// `spread`, a scratch that changes how fast a distance is found and never
+/// which — so one `Uncached` is shared freely across threads.
 pub(crate) struct Uncached<'g> {
     graph: &'g RoadNetwork,
     labels: Option<HubLabels>,
     dijkstra: DijkstraEngine<'g>,
+    /// Labels of recent query endpoints, spread by hub rank. Only ever
+    /// `try_lock`ed, and never while the caller holds another lock.
+    spread: Mutex<Spread>,
 }
 
 impl<'g> Uncached<'g> {
@@ -159,6 +179,7 @@ impl<'g> Uncached<'g> {
             graph,
             labels,
             dijkstra: DijkstraEngine::new(graph),
+            spread: Mutex::default(),
         }
     }
 
@@ -175,14 +196,27 @@ impl<'g> Uncached<'g> {
     /// distance is direction-independent mathematically — but a Dijkstra
     /// run from `t` accumulates the same edge weights in a different order
     /// than one from `s` and can differ in the last ULP. Canonicalising
-    /// makes the value a pure function of the pair, which is what lets both
-    /// cache directions be primed with it and keeps `dist` independent of
+    /// makes the value a pure function of the pair, which is what lets one
+    /// cache entry serve both directions and keeps `dist` independent of
     /// cache state (the contract checkpointed replays rely on: a resumed
     /// run's cold caches must reproduce the warm-cache run bit for bit).
+    ///
+    /// With labels, the pair is answered by scanning one endpoint's label
+    /// against the other's, kept spread by hub rank from earlier queries
+    /// ([`Spread`]): a dispatcher's misses come in runs that share the new
+    /// request's pickup or drop-off. A thread that finds the scratch taken
+    /// (a second movement worker) or poisoned merges the two labels
+    /// instead — [`HubLabels::distance`], the same bits — and never waits.
     pub(crate) fn distance(&self, s: NodeId, t: NodeId) -> Weight {
-        let (a, b) = if s <= t { (s, t) } else { (t, s) };
+        if s == t {
+            return 0.0;
+        }
+        let (a, b) = ordered(s, t);
         match &self.labels {
-            Some(hl) => hl.distance(a, b).unwrap_or(INFINITY),
+            Some(hl) => match self.spread.try_lock() {
+                Ok(mut spread) => spread.distance(hl, a, b),
+                Err(_) => hl.distance(a, b).unwrap_or(INFINITY),
+            },
             None => self.dijkstra.distance(a, b).unwrap_or(INFINITY),
         }
     }
@@ -304,6 +338,10 @@ impl DistanceOracle for CachedOracle<'_> {
         if s == t {
             return 0.0;
         }
+        // The value is canonical per unordered pair, so one entry serves
+        // both directions: a reverse lookup hits, and a pair takes one of
+        // the cache's slots and one insertion, not two.
+        let (s, t) = ordered(s, t);
         let mut stats = self.stats.borrow_mut();
         stats.distance_queries += 1;
         let mut caches = self.caches.borrow_mut();
@@ -312,14 +350,8 @@ impl DistanceOracle for CachedOracle<'_> {
             return d;
         }
         stats.distance_cache_misses += 1;
-        drop(caches);
         let d = self.uncached.distance(s, t);
-        self.caches.borrow_mut().put_distance(s, t, d);
-        // The computation is canonicalised per unordered pair, so the
-        // reverse distance is bit-identical; prime the cache for it too
-        // (halves misses for symmetric call patterns like detour
-        // evaluation).
-        self.caches.borrow_mut().put_distance(t, s, d);
+        caches.put_distance(s, t, d);
         d
     }
 
@@ -424,7 +456,7 @@ mod tests {
         let oracle = CachedOracle::new(&g);
         let _ = oracle.dist(0, 10);
         let _ = oracle.dist(0, 10);
-        let _ = oracle.dist(10, 0); // symmetric priming should make this a hit
+        let _ = oracle.dist(10, 0); // the pair's one entry: a hit from either side
         let stats = oracle.stats();
         assert_eq!(stats.distance_queries, 3);
         assert_eq!(stats.distance_cache_misses, 1);
@@ -432,6 +464,51 @@ mod tests {
         assert!(stats.distance_hit_rate() > 0.5);
         oracle.reset_stats();
         assert_eq!(oracle.stats().distance_queries, 0);
+        // Asked high id -> low id first: still one miss, one entry, and a
+        // hit from either direction after it.
+        let d = oracle.dist(20, 3);
+        assert_eq!(oracle.dist(3, 20).to_bits(), d.to_bits());
+        assert_eq!(oracle.dist(20, 3).to_bits(), d.to_bits());
+        let stats = oracle.stats();
+        assert_eq!(stats.distance_queries, 3);
+        assert_eq!(stats.distance_cache_misses, 1);
+        assert_eq!(stats.distance_cache_hits, 2);
+    }
+
+    #[test]
+    fn a_busy_or_poisoned_scratch_falls_back_to_the_merge() {
+        let g = grid(6, 6, 3);
+        let labels = HubLabels::build(&g);
+        let uncached = Uncached::with_labels(&g, labels.clone());
+        let n = g.node_count() as NodeId;
+        let check = |when: &str| {
+            for (s, t) in (0..30).map(|i| ((i * 5) % n, (i * 17 + 3) % n)) {
+                let (a, b) = ordered(s, t);
+                let merged = labels.distance(a, b).unwrap_or(INFINITY);
+                assert_eq!(
+                    uncached.distance(s, t).to_bits(),
+                    merged.to_bits(),
+                    "({s}, {t}) {when}"
+                );
+            }
+        };
+        check("through the scratch");
+        {
+            // Another thread is mid-query: answered all the same, without
+            // waiting for it (this thread would wait on itself for ever).
+            let _held = uncached.spread.lock().expect("not poisoned yet");
+            check("with the scratch taken");
+        }
+        let holder = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = uncached.spread.lock().expect("not poisoned yet");
+                    panic!("poison the scratch");
+                })
+                .join()
+        });
+        assert!(holder.is_err() && uncached.spread.is_poisoned());
+        check("with the scratch poisoned");
     }
 
     #[test]

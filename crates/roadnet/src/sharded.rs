@@ -3,19 +3,22 @@
 //!
 //! [`CachedOracle`](crate::CachedOracle) puts the paper's two LRU caches
 //! behind `RefCell`, which is the right call for the sequential simulation
-//! loop (zero synchronisation cost) but makes the oracle `!Sync`: the
+//! loop (no lock around the caches) but makes the oracle `!Sync`: the
 //! worker threads that route vehicles in the movement phase of
 //! `Simulation::advance_all` (`rideshare-sim`) cannot share it.
 //! [`ShardedOracle`] is the concurrent counterpart. What a miss computes —
-//! a label merge for a distance, a walk along the labels' next-hop pointers
-//! for a path, Dijkstra when the backend has no labels — is the same
-//! immutable machinery `CachedOracle` owns and is shared freely across
-//! threads; only the caches need writes, and those are split into `2^k`
-//! independent shards, each holding its own [`SharedPathCaches`] behind its
-//! own `Mutex`.
+//! for a distance, a scan of one endpoint's label against the other's kept
+//! spread by hub rank (or, on a thread that finds that scratch taken, the
+//! plain merge of the two labels: the same bits, and it never waits); for a
+//! path, a walk along the labels' next-hop pointers; Dijkstra when the
+//! backend has no labels — is the same machinery `CachedOracle` owns and is
+//! shared freely across threads; only the caches must be written under a
+//! lock, and those are split into `2^k` independent shards, each holding
+//! its own [`SharedPathCaches`] behind its own `Mutex`.
 //! A query locks exactly one shard (chosen by mixing the paper's pair key
-//! `id(s)·|V| + id(e)`), so lookups for different vertex pairs almost never
-//! contend, and a hot pair serialises only with itself.
+//! `id(s)·|V| + id(e)`, of the low-id → high-id pair for a distance), so
+//! lookups for different vertex pairs almost never contend, and a hot pair
+//! serialises only with itself.
 //!
 //! Sharding changes *which* entries survive eviction (each shard runs LRU
 //! over its slice of the key space) but never the values returned —
@@ -28,7 +31,7 @@ use std::sync::Mutex;
 use crate::cache::SharedPathCaches;
 use crate::graph::RoadNetwork;
 use crate::hub_label::HubLabels;
-use crate::oracle::{DistanceOracle, OracleBackend, OracleStats, Uncached};
+use crate::oracle::{ordered, DistanceOracle, OracleBackend, OracleStats, Uncached};
 use crate::types::{NodeId, Weight};
 
 /// Default number of cache shards (`16`): enough that a handful of worker
@@ -222,16 +225,6 @@ impl<'g> ShardedOracle<'g> {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) & self.shard_mask) as usize
     }
-
-    /// Stores `d` for `(s, t)` in the shard owning that pair. Used for the
-    /// symmetric priming write, which may target a different shard than the
-    /// original query; shards are locked one at a time, never nested.
-    fn prime_distance(&self, s: NodeId, t: NodeId, d: Weight) {
-        let mut shard = self.shards[self.shard_for(s, t)]
-            .lock()
-            .expect("oracle shard poisoned");
-        shard.caches.put_distance(s, t, d);
-    }
 }
 
 impl DistanceOracle for ShardedOracle<'_> {
@@ -239,10 +232,12 @@ impl DistanceOracle for ShardedOracle<'_> {
         if s == t {
             return 0.0;
         }
+        // One entry, in one shard, per unordered pair (same rationale as
+        // CachedOracle: the value is canonical, so a reverse lookup hits).
+        let (s, t) = ordered(s, t);
+        let shard = &self.shards[self.shard_for(s, t)];
         {
-            let mut shard = self.shards[self.shard_for(s, t)]
-                .lock()
-                .expect("oracle shard poisoned");
+            let mut shard = shard.lock().expect("oracle shard poisoned");
             shard.stats.distance_queries += 1;
             if let Some(d) = shard.caches.get_distance(s, t) {
                 shard.stats.distance_cache_hits += 1;
@@ -250,15 +245,16 @@ impl DistanceOracle for ShardedOracle<'_> {
             }
             shard.stats.distance_cache_misses += 1;
         }
-        // Compute outside any lock: misses cost microseconds to milliseconds
-        // and must not serialise other shards' lookups.
+        // Compute outside any lock: a miss must not serialise this shard's
+        // other lookups (without labels it is a whole Dijkstra), and the
+        // label scratch inside is only ever `try_lock`ed, here where no
+        // shard lock is held.
         let d = self.uncached.distance(s, t);
-        self.prime_distance(s, t, d);
-        // The computation is canonicalised per unordered pair, so the
-        // reverse value is bit-identical; prime it too (same rationale as
-        // CachedOracle — halves misses for symmetric call patterns like
-        // detour evaluation).
-        self.prime_distance(t, s, d);
+        shard
+            .lock()
+            .expect("oracle shard poisoned")
+            .caches
+            .put_distance(s, t, d);
         d
     }
 
@@ -355,7 +351,7 @@ mod tests {
             let _ = o.dist(0, t);
         }
         for t in 1..n {
-            let _ = o.dist(0, t); // cache hits (plus symmetric priming)
+            let _ = o.dist(0, t); // cache hits
         }
         let stats = o.stats();
         assert_eq!(stats.distance_queries, 2 * (n as u64 - 1));
@@ -367,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_priming_spans_shards() {
+    fn reverse_lookup_hits_the_pairs_one_entry() {
         let g = grid(5, 5, 4);
         let o = ShardedOracle::without_labels(&g);
         let _ = o.dist(3, 19);
@@ -426,6 +422,55 @@ mod tests {
                 assert_eq!(h.join().expect("worker panicked"), expect);
             }
         });
+    }
+
+    #[test]
+    fn concurrent_misses_agree_with_the_merge_bit_for_bit() {
+        // Zero-capacity caches: every call is a miss, so four threads keep
+        // meeting at the one label scratch — whoever holds it scans, the
+        // rest merge — and every answer must still be the merge's.
+        let g = grid(10, 10, 11);
+        let labels = HubLabels::build(&g);
+        let o = ShardedOracle::with_labels(&g, labels.clone(), 4, 0, 0);
+        let n = g.node_count() as NodeId;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u32)
+                .map(|w| {
+                    let (o, labels, start) = (&o, &labels, &start);
+                    scope.spawn(move || {
+                        // Request-shaped runs (40 probes against one pickup
+                        // and drop-off, either side) with a random pair
+                        // between every two probes; a different stream on
+                        // each thread.
+                        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1);
+                        let mut next = move || {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            (state % n as u64) as NodeId
+                        };
+                        start.wait();
+                        for _ in 0..50 {
+                            let (p, d) = (next(), next());
+                            for i in 0..40 {
+                                let x = next();
+                                let probe = if i % 2 == 0 { (x, p) } else { (d, x) };
+                                for (s, t) in [probe, (next(), next())] {
+                                    let (a, b) = ordered(s, t);
+                                    let merged = labels.distance(a, b).expect("grid is connected");
+                                    assert_eq!(o.dist(s, t).to_bits(), merged.to_bits());
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("worker panicked");
+            }
+        });
+        assert_eq!(o.stats().distance_cache_hits, 0, "every call was a miss");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property-based tests of the contraction-ordered hub-label pipeline:
 //! exactness of distances and unpacked paths against Dijkstra on random
 //! generator networks (jittered, and zero-jitter where ties are
-//! everywhere), bit-identity of the rank-batched parallel build, and
-//! persistence round-trips.
+//! everywhere), bit-identity of the rank-batched parallel build and of the
+//! oracles' distance miss path with the label merge, and persistence
+//! round-trips.
 
 use proptest::prelude::*;
 use roadnet::{
-    DijkstraEngine, GeneratorConfig, HubLabels, HubOrdering, NetworkKind, NodeId,
-    ShortestPathEngine,
+    CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, GraphBuilder, HubLabels,
+    HubOrdering, NetworkKind, NodeId, Point, RoadNetwork, ShardedOracle, ShortestPathEngine,
+    INFINITY,
 };
 use workpool::WorkPool;
 
@@ -56,8 +58,70 @@ fn sampled_pairs(n: usize, seed: u64) -> impl Iterator<Item = (NodeId, NodeId)> 
     })
 }
 
+/// `g` plus a two-vertex component of its own. The generators return
+/// connected networks whatever the dropout, so this is where a query
+/// sequence meets pairs with no common hub.
+fn with_island(g: &RoadNetwork) -> RoadNetwork {
+    let mut b = GraphBuilder::new();
+    for &p in g.points() {
+        b.add_node(p);
+    }
+    for (u, v, w) in g.edges() {
+        b.add_edge(u, v, w);
+    }
+    let shore = b.add_node(Point::new(-500.0, -500.0));
+    let reef = b.add_node(Point::new(-500.0, -600.0));
+    b.add_edge(shore, reef, 100.0);
+    b.build()
+}
+
+/// A query sequence drawn from `(kind, a, b)` triples: fresh pairs, the
+/// previous query with one endpoint kept on either side (how a dispatcher
+/// probes a request's pickup and drop-off), the previous query reversed,
+/// and `s == t`.
+fn query_sequence(steps: &[(u8, u32, u32)], n: usize) -> Vec<(NodeId, NodeId)> {
+    let n = n as u32;
+    let mut out: Vec<(NodeId, NodeId)> = Vec::with_capacity(steps.len());
+    for &(kind, a, b) in steps {
+        let (ps, pt) = out.last().copied().unwrap_or((a % n, b % n));
+        out.push(match kind {
+            0 => (a % n, b % n),
+            1 => (ps, b % n),
+            2 => (a % n, ps),
+            3 => (pt, a % n),
+            4 => (pt, ps),
+            _ => (a % n, a % n),
+        });
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Whatever was asked before, every oracle's `dist` is the label merge
+    /// of the pair, low id first, bit for bit: through zero-capacity caches
+    /// (every call a miss, answered from labels kept spread by earlier
+    /// queries), through warm caches (one entry per unordered pair) and
+    /// through the sharded oracle, under unique and under tied distances.
+    #[test]
+    fn oracle_distances_equal_the_label_merge_bit_for_bit(
+        (g, _seed) in prop_oneof![network_strategy(), tied_network_strategy()],
+        steps in proptest::collection::vec((0u8..6, 0u32..1 << 30, 0u32..1 << 30), 1..120),
+    ) {
+        let g = with_island(&g);
+        let hl = HubLabels::build(&g);
+        let cold = CachedOracle::with_labels(&g, hl.clone(), 0, 0);
+        let warm = CachedOracle::with_labels(&g, hl.clone(), 64, 4);
+        let sharded = ShardedOracle::with_labels(&g, hl.clone(), 4, 64, 4);
+        for (s, t) in query_sequence(&steps, g.node_count()) {
+            let merged = hl.distance(s.min(t), s.max(t)).unwrap_or(INFINITY).to_bits();
+            prop_assert_eq!(cold.dist(s, t).to_bits(), merged, "cold ({}, {})", s, t);
+            prop_assert_eq!(warm.dist(s, t).to_bits(), merged, "warm ({}, {})", s, t);
+            prop_assert_eq!(sharded.dist(s, t).to_bits(), merged, "sharded ({}, {})", s, t);
+        }
+        prop_assert_eq!(cold.stats().distance_cache_hits, 0);
+    }
 
     /// Contraction-ordered labels answer every sampled query exactly like
     /// Dijkstra, on grids and ring-radial networks alike.
