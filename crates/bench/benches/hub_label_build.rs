@@ -1,14 +1,14 @@
-//! Hub-label construction benchmarks: ordering strategies and the batched
-//! parallel build, reported as nodes/second via `Throughput::Elements`.
+//! Hub-label construction benchmarks — the workspace's only ones: the
+//! contraction-ordered build across network sizes and the batched parallel
+//! build across worker counts, reported as nodes/second via
+//! `Throughput::Elements`.
 //!
-//! Backs the tentpole claim of this repo's hub-label rework: the
-//! contraction-hierarchy ordering keeps construction near-linear where the
-//! seed's degree/betweenness orderings grew superlinearly, which is what
-//! makes `Scale::Paper` label builds feasible (see `BENCH_hublabel.json`
-//! from `bench_summary` for the paper-scale headline numbers).
+//! Construction that stays near-linear in the network size is what makes
+//! `Scale::Paper` label builds feasible (see `BENCH_hublabel.json` from
+//! `bench_summary` for the paper-scale headline numbers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use roadnet::{GeneratorConfig, HubLabels, HubOrdering, NetworkKind};
+use roadnet::{GeneratorConfig, HubLabels, NetworkKind};
 use workpool::WorkPool;
 
 fn network(side: usize) -> roadnet::RoadNetwork {
@@ -25,31 +25,8 @@ fn network(side: usize) -> roadnet::RoadNetwork {
     .generate()
 }
 
-/// Ordering strategies at a fixed 30×30 size (the largest where the legacy
-/// orderings are still tolerable inside a bench loop).
-fn bench_orderings(c: &mut Criterion) {
-    let g = network(30);
-    let nodes = g.node_count() as u64;
-    let mut group = c.benchmark_group("hub_label_orderings_30x30");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(nodes));
-    for (name, ordering) in [
-        ("contraction", HubOrdering::Contraction),
-        ("degree", HubOrdering::Degree),
-        (
-            "betweenness-16",
-            HubOrdering::SampledBetweenness { samples: 16 },
-        ),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &ordering, |b, &ord| {
-            b.iter(|| HubLabels::build_with(&g, ord).total_label_entries())
-        });
-    }
-    group.finish();
-}
-
 /// Contraction-ordered build across network sizes (nodes/sec should stay
-/// roughly flat where the seed pipeline degraded superlinearly).
+/// roughly flat).
 fn bench_contraction_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("hub_label_build_contraction");
     group.sample_size(10);
@@ -57,7 +34,7 @@ fn bench_contraction_scaling(c: &mut Criterion) {
         let g = network(side);
         group.throughput(Throughput::Elements(g.node_count() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(side), &side, |b, _| {
-            b.iter(|| HubLabels::build_with(&g, HubOrdering::Contraction).total_label_entries())
+            b.iter(|| HubLabels::build(&g).total_label_entries())
         });
     }
     group.finish();
@@ -74,10 +51,7 @@ fn bench_parallel_build(c: &mut Criterion) {
     for workers in [1usize, 2, 4] {
         let pool = WorkPool::new(workers);
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
-            b.iter(|| {
-                HubLabels::build_with_pool(&g, HubOrdering::Contraction, &pool)
-                    .total_label_entries()
-            })
+            b.iter(|| HubLabels::build_with_pool(&g, &pool).total_label_entries())
         });
     }
     group.finish();
@@ -89,6 +63,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1500));
-    targets = bench_orderings, bench_contraction_scaling, bench_parallel_build
+    targets = bench_contraction_scaling, bench_parallel_build
 }
 criterion_main!(benches);

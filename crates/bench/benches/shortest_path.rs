@@ -1,4 +1,6 @@
-//! Micro-benchmarks of the shortest-path engines and the cached oracle.
+//! Micro-benchmarks of the two shortest-path engines — Dijkstra, the
+//! reference, and hub labels, the oracle — and of the cached oracle's hits
+//! and misses. Label construction is timed in `hub_label_build.rs`.
 //!
 //! Backs the paper's claim that the distance computation is the hot loop of
 //! large-scale matching and that hub labels + an LRU cache keep it cheap.
@@ -6,8 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rideshare_bench::shared_endpoint_runs;
 use roadnet::{
-    AStarEngine, BidirectionalEngine, CachedOracle, DijkstraEngine, DistanceOracle,
-    GeneratorConfig, HubLabels, NetworkKind, NodeId, OracleBackend, ShortestPathEngine,
+    CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, NetworkKind, NodeId,
+    OracleBackend, ShortestPathEngine,
 };
 
 fn network(rows: usize, cols: usize) -> roadnet::RoadNetwork {
@@ -34,24 +36,6 @@ fn bench_point_to_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("point_to_point_40x40");
     group.bench_function("dijkstra", |b| {
         let e = DijkstraEngine::new(&g);
-        let mut i = 0;
-        b.iter(|| {
-            let (s, t) = pairs[i % pairs.len()];
-            i += 1;
-            e.distance(s, t)
-        })
-    });
-    group.bench_function("astar", |b| {
-        let e = AStarEngine::new(&g);
-        let mut i = 0;
-        b.iter(|| {
-            let (s, t) = pairs[i % pairs.len()];
-            i += 1;
-            e.distance(s, t)
-        })
-    });
-    group.bench_function("bidirectional", |b| {
-        let e = BidirectionalEngine::new(&g);
         let mut i = 0;
         b.iter(|| {
             let (s, t) = pairs[i % pairs.len()];
@@ -131,26 +115,12 @@ fn bench_cached_oracle(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_hub_label_construction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hub_label_build");
-    group.sample_size(10);
-    for size in [10usize, 20, 30] {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &s| {
-            let g = network(s, s);
-            b.iter(|| HubLabels::build(&g).total_label_entries())
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(15)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1500));
-    targets = bench_point_to_point,
-    bench_cached_oracle,
-    bench_hub_label_construction
+    targets = bench_point_to_point, bench_cached_oracle
 }
 criterion_main!(benches);

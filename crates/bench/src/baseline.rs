@@ -1,199 +1,11 @@
-//! Frozen copy of the seed's hub-label construction pipeline.
+//! Frozen reference implementations that tests and gates compare against.
 //!
-//! The contraction-ordered, batched, CSR-arena build in `roadnet`
-//! replaced the seed's pruned-landmark implementation (per-vertex `Vec`
-//! labels, merge-intersection pruning, degree or sampled-betweenness
-//! ordering). The `bench_summary` hub-label section reports speedup and
-//! label-size ratios *against that seed pipeline*, so this module keeps a
-//! faithful copy as the measurement baseline — it is deliberately not
-//! optimised and must not borrow improvements from `roadnet::hub_label`.
-//!
-//! Only what the comparison needs is reproduced: build, total label
-//! entries, and a distance query for spot-checking exactness.
-//!
-//! The same policy covers the optimisation substrate: [`dense_mip`] keeps
-//! the seed's dense two-phase simplex + branch-and-bound solver as the
-//! frozen baseline the sparse revised-simplex rewrite is measured against.
+//! [`dense_mip`] keeps the seed's dense two-phase simplex + branch-and-bound
+//! solver as the reference the sparse revised-simplex rewrite is checked
+//! and measured against: `tests/proptest_mip_equivalence.rs` holds the
+//! sparse solver to it on random models that brute force cannot referee,
+//! and `bench_summary` gates objective equivalence and speed on it. It is
+//! deliberately not optimised and must not borrow improvements from
+//! `rideshare_mip`.
 
 pub mod dense_mip;
-
-use std::collections::BinaryHeap;
-
-use roadnet::types::{HeapEntry, NodeId, Weight, INFINITY};
-use roadnet::{DijkstraEngine, RoadNetwork};
-
-/// The seed's ordering strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedOrdering {
-    /// Descending degree — the seed's `HubLabels::build` default, the
-    /// configuration whose superlinear build times ROADMAP records.
-    Degree,
-    /// Descending sampled betweenness over `samples` shortest-path trees.
-    SampledBetweenness {
-        /// Number of sampled sources.
-        samples: usize,
-    },
-}
-
-/// Labels produced by the seed pipeline.
-pub struct SeedLabels {
-    labels: Vec<Vec<(u32, Weight)>>,
-}
-
-impl SeedLabels {
-    /// Runs the seed's pruned-landmark construction.
-    pub fn build(graph: &RoadNetwork, ordering: SeedOrdering) -> Self {
-        let order = seed_order(graph, ordering);
-        let n = graph.node_count();
-        let mut labels: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); n];
-        let mut dist = vec![INFINITY; n];
-        let mut touched: Vec<NodeId> = Vec::new();
-        for (rank, &root) in order.iter().enumerate() {
-            let rank = rank as u32;
-            let mut heap = BinaryHeap::new();
-            dist[root as usize] = 0.0;
-            touched.push(root);
-            heap.push(HeapEntry::new(0.0, root));
-            while let Some(HeapEntry { cost, node }) = heap.pop() {
-                let d = cost.0;
-                if d > dist[node as usize] {
-                    continue;
-                }
-                if query(&labels[root as usize], &labels[node as usize]) <= d + 1e-9 {
-                    continue;
-                }
-                labels[node as usize].push((rank, d));
-                for (v, w) in graph.neighbors(node) {
-                    let nd = d + w;
-                    if nd < dist[v as usize] {
-                        dist[v as usize] = nd;
-                        touched.push(v);
-                        heap.push(HeapEntry::new(nd, v));
-                    }
-                }
-            }
-            for &t in &touched {
-                dist[t as usize] = INFINITY;
-            }
-            touched.clear();
-        }
-        SeedLabels { labels }
-    }
-
-    /// Total label entries over all vertices.
-    pub fn total_label_entries(&self) -> usize {
-        self.labels.iter().map(Vec::len).sum()
-    }
-
-    /// Mean label size per vertex.
-    pub fn mean_label_size(&self) -> f64 {
-        if self.labels.is_empty() {
-            0.0
-        } else {
-            self.total_label_entries() as f64 / self.labels.len() as f64
-        }
-    }
-
-    /// Exact distance query (None when disconnected).
-    pub fn distance(&self, s: NodeId, t: NodeId) -> Option<Weight> {
-        if s == t {
-            return Some(0.0);
-        }
-        let d = query(&self.labels[s as usize], &self.labels[t as usize]);
-        if d == INFINITY {
-            None
-        } else {
-            Some(d)
-        }
-    }
-}
-
-fn query(a: &[(u32, Weight)], b: &[(u32, Weight)]) -> Weight {
-    let mut i = 0;
-    let mut j = 0;
-    let mut best = INFINITY;
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let d = a[i].1 + b[j].1;
-                if d < best {
-                    best = d;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    best
-}
-
-fn seed_order(graph: &RoadNetwork, ordering: SeedOrdering) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut score = vec![0.0f64; n];
-    match ordering {
-        SeedOrdering::Degree => {
-            for (v, s) in score.iter_mut().enumerate() {
-                *s = graph.degree(v as NodeId) as f64;
-            }
-        }
-        SeedOrdering::SampledBetweenness { samples } => {
-            let engine = DijkstraEngine::new(graph);
-            let samples = samples.clamp(1, n);
-            let stride = (n / samples).max(1);
-            for s in (0..n).step_by(stride) {
-                let tree = engine.search(s as NodeId);
-                for v in 0..n {
-                    let mut cur = v;
-                    let mut hops = 0usize;
-                    while tree.parent[cur] != u32::MAX && hops < n {
-                        cur = tree.parent[cur] as usize;
-                        score[cur] += 1.0;
-                        hops += 1;
-                    }
-                }
-            }
-            for (v, s) in score.iter_mut().enumerate() {
-                *s += graph.degree(v as NodeId) as f64 * 1e-3;
-            }
-        }
-    }
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.sort_by(|&a, &b| {
-        score[b as usize]
-            .partial_cmp(&score[a as usize])
-            .unwrap()
-            .then(a.cmp(&b))
-    });
-    order
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use roadnet::{GeneratorConfig, NetworkKind, ShortestPathEngine};
-
-    #[test]
-    fn seed_pipeline_is_exact() {
-        let g = GeneratorConfig {
-            kind: NetworkKind::Grid { rows: 6, cols: 6 },
-            seed: 5,
-            ..GeneratorConfig::default()
-        }
-        .generate();
-        let labels = SeedLabels::build(&g, SeedOrdering::SampledBetweenness { samples: 8 });
-        let dij = DijkstraEngine::new(&g);
-        let n = g.node_count() as NodeId;
-        for (s, t) in (0..30).map(|i| ((i * 5) % n, (i * 13 + 2) % n)) {
-            let expect = dij.distance(s, t);
-            let got = labels.distance(s, t);
-            match (expect, got) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-6),
-                (None, None) => {}
-                _ => panic!("reachability mismatch {s}->{t}"),
-            }
-        }
-        assert!(labels.mean_label_size() >= 1.0);
-    }
-}

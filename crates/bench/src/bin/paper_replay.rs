@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use kinetic_core::{KineticConfig, PlannerKind};
 use rideshare_bench::store::{LabelSource, StoreReport};
-use rideshare_bench::{Experiment, Scale};
+use rideshare_bench::{parse_num, Experiment, Scale};
 use rideshare_sim::checkpoint::digest_trips;
 use rideshare_sim::{RequestTrace, SimConfig, Simulation};
 use rideshare_workload::TripEvent;
@@ -68,17 +68,7 @@ struct Args {
     max_evaluated_fraction: Option<f64>,
 }
 
-/// Parses a numeric flag value, exiting loudly on malformed input — a
-/// silently ignored `--max-trips` typo would replay the full 432k-trip
-/// stream instead of the truncated CI gate.
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value {value:?} for {flag}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scale: Scale::Paper,
         seed: 42,
@@ -100,22 +90,20 @@ fn parse_args() -> Args {
     while i < argv.len() {
         match argv[i].as_str() {
             "--scale" if i + 1 < argv.len() => {
-                args.scale = Scale::parse(&argv[i + 1]).unwrap_or_else(|| {
-                    eprintln!("unknown scale {:?}", argv[i + 1]);
-                    std::process::exit(2);
-                });
+                args.scale = Scale::parse(&argv[i + 1])
+                    .ok_or_else(|| format!("unknown scale {:?}", argv[i + 1]))?;
                 i += 1;
             }
             "--seed" if i + 1 < argv.len() => {
-                args.seed = parse_num("--seed", &argv[i + 1]);
+                args.seed = parse_num("--seed", &argv[i + 1])?;
                 i += 1;
             }
             "--max-trips" if i + 1 < argv.len() => {
-                args.max_trips = Some(parse_num("--max-trips", &argv[i + 1]));
+                args.max_trips = Some(parse_num("--max-trips", &argv[i + 1])?);
                 i += 1;
             }
             "--fleet" if i + 1 < argv.len() => {
-                args.fleet = Some(parse_num("--fleet", &argv[i + 1]));
+                args.fleet = Some(parse_num("--fleet", &argv[i + 1])?);
                 i += 1;
             }
             "--out" if i + 1 < argv.len() => {
@@ -128,20 +116,20 @@ fn parse_args() -> Args {
             }
             "--checkpoint-every" if i + 1 < argv.len() => {
                 args.checkpoint_every =
-                    parse_num::<usize>("--checkpoint-every", &argv[i + 1]).max(1);
+                    parse_num::<usize>("--checkpoint-every", &argv[i + 1])?.max(1);
                 i += 1;
             }
             "--batch-window" if i + 1 < argv.len() => {
-                args.batch_window = parse_num::<f64>("--batch-window", &argv[i + 1]).max(0.0);
+                args.batch_window = parse_num::<f64>("--batch-window", &argv[i + 1])?.max(0.0);
                 i += 1;
             }
             "--min-trips-per-sec" if i + 1 < argv.len() => {
-                args.min_trips_per_sec = Some(parse_num("--min-trips-per-sec", &argv[i + 1]));
+                args.min_trips_per_sec = Some(parse_num("--min-trips-per-sec", &argv[i + 1])?);
                 i += 1;
             }
             "--max-evaluated-fraction" if i + 1 < argv.len() => {
                 args.max_evaluated_fraction =
-                    Some(parse_num("--max-evaluated-fraction", &argv[i + 1]));
+                    Some(parse_num("--max-evaluated-fraction", &argv[i + 1])?);
                 i += 1;
             }
             "--fresh" => args.fresh = true,
@@ -149,19 +137,18 @@ fn parse_args() -> Args {
             "--verify-resume" => args.verify_resume = true,
             "--verify-pruning" => args.verify_pruning = true,
             other => {
-                eprintln!(
+                return Err(format!(
                     "unknown argument {other:?} (expected --scale smoke|quick|paper, --seed N, \
                      --max-trips N, --fleet N, --out PATH, --checkpoint PATH, \
                      --checkpoint-every N, --batch-window SECONDS, --min-trips-per-sec X, \
                      --max-evaluated-fraction X, --fresh, --require-reloaded, \
                      --verify-resume, --verify-pruning)"
-                );
-                std::process::exit(2);
+                ))
             }
         }
         i += 1;
     }
-    args
+    Ok(args)
 }
 
 /// One metrics window, derived from the simulation's cumulative state (so
@@ -481,7 +468,10 @@ fn batch_end(trips: &[TripEvent], start: usize, batch_window: f64) -> usize {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let started = Instant::now();
     eprintln!(
         "paper_replay: generating {:?}-scale workload (seed {})...",

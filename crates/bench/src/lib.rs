@@ -380,6 +380,15 @@ pub mod mip_fixture {
     }
 }
 
+/// Parses a numeric flag value, naming the flag and the value when it does
+/// not parse — a typo must stop a harness, not silently run it on a
+/// default (a mistyped `--max-trips` would replay the full 432k-trip day).
+pub fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid value {value:?} for {flag}"))
+}
+
 /// Minimal command-line options shared by every harness binary.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
@@ -392,32 +401,45 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--panel`, `--scale` and `--seed` from `std::env::args`.
+    /// Parses `--panel`, `--scale` and `--seed` from `std::env::args`;
+    /// prints what was wrong and exits 2 on anything else, on a value that
+    /// does not parse and on a flag without its value.
     pub fn parse() -> Self {
-        let mut panel = "all".to_string();
-        let mut scale = Scale::Quick;
-        let mut seed = 42u64;
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--panel" if i + 1 < args.len() => {
-                    panel = args[i + 1].clone();
-                    i += 1;
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`HarnessArgs::parse`] over `args` (the program name excluded),
+    /// returning the error instead of exiting.
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut parsed = HarnessArgs {
+            panel: "all".to_string(),
+            scale: Scale::Quick,
+            seed: 42,
+        };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--panel" => parsed.panel = value()?,
+                "--scale" => {
+                    let v = value()?;
+                    parsed.scale = Scale::parse(&v).ok_or_else(|| {
+                        format!("unknown scale {v:?} (expected smoke, quick or paper)")
+                    })?;
                 }
-                "--scale" if i + 1 < args.len() => {
-                    scale = Scale::parse(&args[i + 1]).unwrap_or(Scale::Quick);
-                    i += 1;
+                "--seed" => parsed.seed = parse_num("--seed", &value()?)?,
+                other => {
+                    return Err(format!(
+                        "unknown argument {other:?} (expected --panel P, \
+                         --scale smoke|quick|paper, --seed N)"
+                    ))
                 }
-                "--seed" if i + 1 < args.len() => {
-                    seed = args[i + 1].parse().unwrap_or(42);
-                    i += 1;
-                }
-                _ => {}
             }
-            i += 1;
         }
-        HarnessArgs { panel, scale, seed }
+        Ok(parsed)
     }
 
     /// True when the given panel should run.
@@ -503,6 +525,34 @@ mod tests {
             vec![1_000, 2_000, 5_000, 10_000, 20_000]
         );
         assert!(Scale::Smoke.trips() < Scale::Quick.trips());
+    }
+
+    #[test]
+    fn harness_args_reject_what_they_do_not_understand() {
+        let parse = |line: &str| HarnessArgs::parse_from(line.split_whitespace().map(String::from));
+        let args = parse("--scale smoke --seed 7 --panel b").unwrap();
+        assert_eq!(
+            (args.panel.as_str(), args.scale, args.seed),
+            ("b", Scale::Smoke, 7)
+        );
+        let args = parse("").unwrap();
+        assert_eq!(
+            (args.panel.as_str(), args.scale, args.seed),
+            ("all", Scale::Quick, 42)
+        );
+        for bad in [
+            "--seed x",
+            "--scale papr",
+            "--sacle smoke",
+            "--scale smoke --seed",
+            "--seed -1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+        assert_eq!(
+            parse_num::<u64>("--seed", "x"),
+            Err("invalid value \"x\" for --seed".to_string())
+        );
     }
 
     #[test]

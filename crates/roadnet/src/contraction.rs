@@ -3,14 +3,14 @@
 //! Pruned landmark labeling (see [`crate::hub_label`]) is exact for *any*
 //! vertex ordering, but its cost is exquisitely sensitive to ordering
 //! quality: every label entry is one pruned-Dijkstra visit, and a good
-//! ordering lets early hubs prune almost everything. The degree and
-//! sampled-betweenness heuristics the oracle shipped with stop working past
-//! a few thousand vertices — on grid-like networks they pick hubs that
-//! cover overlapping regions and label sizes (and therefore build time)
-//! grow superlinearly.
+//! ordering lets early hubs prune almost everything. Degree and
+//! sampled-betweenness orderings stop working past a few thousand vertices:
+//! on grid-like networks they pick hubs that cover overlapping regions, and
+//! label sizes (and therefore build time) grow superlinearly.
 //!
-//! This module computes the ordering the CH literature uses instead: nodes
-//! are "contracted" one at a time, cheapest first, where the cost of
+//! This module computes the ordering the CH literature uses, the only one
+//! the hub-label build runs: nodes are "contracted" one at a time,
+//! cheapest first, where the cost of
 //! contracting a node combines the *edge difference* (shortcuts that would
 //! have to be added to preserve distances, minus edges removed) with the
 //! number of already-contracted neighbours (spreading contraction evenly
@@ -33,32 +33,19 @@ use std::collections::BinaryHeap;
 use crate::graph::RoadNetwork;
 use crate::types::{HeapEntry, NodeId, Weight, INFINITY};
 
-/// Tuning knobs for the lazy contraction ordering.
-///
-/// The defaults are chosen for road-like planar networks and trade a
-/// little ordering quality for near-linear construction; all three caps
-/// bound the witness searches that decide whether a shortcut is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContractionConfig {
-    /// Maximum nodes one witness search may settle before giving up;
-    /// unreached targets are conservatively assumed to need a shortcut.
-    /// One search runs per *source* neighbour (not per pair), covering all
-    /// of that source's targets at once. This cap applies when a node is
-    /// actually contracted (shortcuts are committed).
-    pub witness_settle_limit: usize,
-    /// Maximum hops a witness path may take (road-network witnesses are
-    /// short; deep searches are almost never worth their cost).
-    pub witness_hop_limit: usize,
-}
+/// Maximum nodes one witness search may settle before giving up; unreached
+/// targets are conservatively assumed to need a shortcut. One search runs
+/// per *source* neighbour (not per pair), covering all of that source's
+/// targets at once, and only when a node is actually contracted. Like
+/// [`WITNESS_HOP_LIMIT`], chosen for road-like planar networks: a little
+/// ordering quality traded for near-linear construction. Changing either
+/// changes the labels, while persisted label files are keyed by network
+/// alone; the pinned-labels test in `hub_label` fails first.
+const WITNESS_SETTLE_LIMIT: usize = 256;
 
-impl Default for ContractionConfig {
-    fn default() -> Self {
-        ContractionConfig {
-            witness_settle_limit: 256,
-            witness_hop_limit: 16,
-        }
-    }
-}
+/// Maximum hops a witness path may take (road-network witnesses are short;
+/// deep searches are almost never worth their cost).
+const WITNESS_HOP_LIMIT: u32 = 16;
 
 /// The result of contracting a road network: a total order over its
 /// vertices by increasing importance of contraction, exposed both ways.
@@ -75,14 +62,9 @@ pub struct ContractionOrder {
 }
 
 impl ContractionOrder {
-    /// Computes the ordering with default tuning.
+    /// Computes the ordering.
     pub fn compute(graph: &RoadNetwork) -> Self {
-        Self::compute_with(graph, ContractionConfig::default())
-    }
-
-    /// Computes the ordering with explicit tuning knobs.
-    pub fn compute_with(graph: &RoadNetwork, config: ContractionConfig) -> Self {
-        Contractor::new(graph, config).run()
+        Contractor::new(graph).run()
     }
 
     /// Vertices from most to least important (`order[0]` = top hub).
@@ -106,7 +88,6 @@ impl ContractionOrder {
 /// Live overlay-graph state during contraction.
 struct Contractor<'g> {
     graph: &'g RoadNetwork,
-    config: ContractionConfig,
     /// Overlay adjacency between *live* (not yet contracted) nodes; parallel
     /// edges are collapsed to their minimum weight on insertion.
     adj: Vec<Vec<(NodeId, Weight)>>,
@@ -129,7 +110,7 @@ struct Contractor<'g> {
 type QueueKey = (i64, NodeId);
 
 impl<'g> Contractor<'g> {
-    fn new(graph: &'g RoadNetwork, config: ContractionConfig) -> Self {
+    fn new(graph: &'g RoadNetwork) -> Self {
         let n = graph.node_count();
         let mut adj: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
         for u in 0..n as NodeId {
@@ -139,7 +120,6 @@ impl<'g> Contractor<'g> {
         }
         Contractor {
             graph,
-            config,
             adj,
             contracted: vec![false; n],
             deleted_neighbors: vec![0; n],
@@ -333,7 +313,7 @@ impl<'g> Contractor<'g> {
                 }
                 self.dist[b as usize] = INFINITY;
             }
-            if !hard.is_empty() && self.config.witness_settle_limit > 0 {
+            if !hard.is_empty() {
                 // `is_target` is still set exactly for the hard targets.
                 let limit = wa
                     + hard
@@ -351,14 +331,6 @@ impl<'g> Contractor<'g> {
                     }
                 }
                 self.reset_scratch();
-            } else {
-                for &(b, wb) in &hard {
-                    self.is_target[b as usize] = false;
-                    let via = wa + wb;
-                    upsert_min(&mut self.adj[a as usize], b, via);
-                    upsert_min(&mut self.adj[b as usize], a, via);
-                    self.shortcuts += 1;
-                }
             }
             // Committed shortcuts from earlier sources must be visible to
             // later sources' searches (they are: upsert_min writes into
@@ -391,11 +363,11 @@ impl<'g> Contractor<'g> {
                 }
             }
             settled += 1;
-            if settled > self.config.witness_settle_limit {
+            if settled > WITNESS_SETTLE_LIMIT {
                 break;
             }
             let hop = self.hops[u as usize];
-            if hop as usize >= self.config.witness_hop_limit {
+            if hop >= WITNESS_HOP_LIMIT {
                 continue;
             }
             let adj = &self.adj;

@@ -5,15 +5,13 @@
 //! large road networks, where each vertex records a set of intermediate
 //! vertices (and their distance to them) for the shortest path computation".
 //!
-//! We implement pruned landmark labeling over a configurable vertex
-//! ordering. The default ordering is the contraction-hierarchy-style rank
-//! from [`crate::contraction`], which finds small separators and keeps both
-//! label sizes and build time near-linear on road-like networks; the older
-//! degree and sampled-betweenness heuristics remain available as baselines.
-//! Construction runs pruned Dijkstras over the ordering in *rank batches*:
-//! each batch of consecutive roots is searched in parallel on a
-//! [`workpool::WorkPool`] against the frozen labels of all earlier batches,
-//! then merged sequentially in rank order with the exact sequential pruning
+//! We implement pruned landmark labeling over the contraction-hierarchy
+//! style vertex ordering from [`crate::contraction`], which finds small
+//! separators and keeps both label sizes and build time near-linear on
+//! road-like networks. Construction runs pruned Dijkstras over the ordering
+//! in *rank batches*: each batch of consecutive roots is searched in
+//! parallel on a [`workpool::WorkPool`] against the frozen labels of all
+//! earlier batches, then merged sequentially in rank order with the exact sequential pruning
 //! test re-applied — so the resulting labels are bit-identical to a
 //! sequential build at any worker count (property-tested).
 //!
@@ -61,29 +59,6 @@ use crate::types::{HeapEntry, NodeId, Weight, INFINITY};
 /// accumulated along alternative shortest paths.
 const PRUNE_EPS: f64 = 1e-9;
 
-/// Strategy used to order vertices before label construction. Higher-ranked
-/// vertices become hubs for more of the network, so putting "important"
-/// vertices first keeps labels small.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HubOrdering {
-    /// Descending degree, ties broken by node id. Cheap, but label sizes
-    /// blow up past a few thousand vertices.
-    Degree,
-    /// Descending estimated betweenness computed from a sample of shortest
-    /// path trees, falling back to degree for untouched vertices. The
-    /// pre-contraction default, kept as the baseline the benchmarks
-    /// compare against.
-    SampledBetweenness {
-        /// Number of sampled sources used for the estimate.
-        samples: usize,
-    },
-    /// Contraction-hierarchy-style importance order (edge difference +
-    /// deleted neighbours, lazy updates) from [`crate::contraction`]. The
-    /// default: near-linear build cost and the smallest labels on
-    /// road-like networks.
-    Contraction,
-}
-
 /// One entry of a vertex label: a hub, the exact distance to it and the
 /// first step of a shortest path towards it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,31 +87,25 @@ pub struct HubLabels {
 }
 
 impl HubLabels {
-    /// Builds labels with the default ([`HubOrdering::Contraction`])
-    /// ordering and a work pool sized to the machine.
+    /// Builds labels, fanning the construction out over a work pool sized
+    /// to the machine.
     pub fn build(graph: &RoadNetwork) -> Self {
-        Self::build_with(graph, HubOrdering::Contraction)
-    }
-
-    /// Builds labels with an explicit ordering strategy, fanning the
-    /// construction out over a work pool sized to the machine.
-    pub fn build_with(graph: &RoadNetwork, ordering: HubOrdering) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::build_with_pool(graph, ordering, &WorkPool::new(workers))
+        Self::build_with_pool(graph, &WorkPool::new(workers))
     }
 
     /// Reference single-threaded build (batch size 1, no merge filter).
     /// [`HubLabels::build_with_pool`] at any worker count produces labels
     /// bit-identical to this; tests and the CI bench gate rely on that.
-    pub fn build_sequential(graph: &RoadNetwork, ordering: HubOrdering) -> Self {
-        Self::build_with_pool(graph, ordering, &WorkPool::new(1))
+    pub fn build_sequential(graph: &RoadNetwork) -> Self {
+        Self::build_with_pool(graph, &WorkPool::new(1))
     }
 
-    /// Builds labels with an explicit ordering strategy and work pool.
+    /// Builds labels on an explicit work pool.
     ///
-    /// Construction walks the ordering in batches of consecutive ranks
-    /// (batch size scales with the pool's worker count; one worker means
-    /// batch size 1, i.e. the plain sequential algorithm). Workers run
+    /// Construction walks the [`ContractionOrder`] in batches of consecutive
+    /// ranks (batch size scales with the pool's worker count; one worker
+    /// means batch size 1, i.e. the plain sequential algorithm). Workers run
     /// pruned Dijkstras against the frozen labels of earlier batches;
     /// because in-batch roots cannot see each other's labels, workers may
     /// produce entries the sequential algorithm would have pruned, so the
@@ -144,8 +113,15 @@ impl HubLabels {
     /// order before committing each entry. The committed label set is
     /// therefore identical to the sequential build's regardless of worker
     /// count or batch boundaries.
-    pub fn build_with_pool(graph: &RoadNetwork, ordering: HubOrdering, pool: &WorkPool) -> Self {
-        let order = vertex_order(graph, ordering);
+    pub fn build_with_pool(graph: &RoadNetwork, pool: &WorkPool) -> Self {
+        let order = ContractionOrder::compute(graph).order().to_vec();
+        Self::build_in_order(graph, order, pool)
+    }
+
+    /// Builds labels over an arbitrary vertex order (`order[rank]` is the
+    /// vertex of that rank). Exact for any permutation; only label size
+    /// depends on the order.
+    fn build_in_order(graph: &RoadNetwork, order: Vec<NodeId>, pool: &WorkPool) -> Self {
         let n = graph.node_count();
         let batch_size = if pool.workers() == 1 {
             1
@@ -691,53 +667,6 @@ fn claim_slots(slots: &mut [Slot], s: NodeId, t: NodeId) -> usize {
     }
 }
 
-/// Computes the construction ordering for a given strategy.
-fn vertex_order(graph: &RoadNetwork, ordering: HubOrdering) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut score = vec![0.0f64; n];
-    match ordering {
-        HubOrdering::Contraction => {
-            return ContractionOrder::compute(graph).order().to_vec();
-        }
-        HubOrdering::Degree => {
-            for (v, s) in score.iter_mut().enumerate() {
-                *s = graph.degree(v as NodeId) as f64;
-            }
-        }
-        HubOrdering::SampledBetweenness { samples } => {
-            // Count how often each vertex appears on sampled shortest-path
-            // trees; vertices on many shortest paths make good hubs.
-            let crate_engine = crate::dijkstra::DijkstraEngine::new(graph);
-            let samples = samples.max(1).min(n);
-            let stride = (n / samples).max(1);
-            for s in (0..n).step_by(stride) {
-                let tree = crate_engine.search(s as NodeId);
-                for v in 0..n {
-                    let mut cur = v;
-                    let mut hops = 0usize;
-                    while tree.parent[cur] != u32::MAX && hops < n {
-                        cur = tree.parent[cur] as usize;
-                        score[cur] += 1.0;
-                        hops += 1;
-                    }
-                }
-            }
-            for (v, s) in score.iter_mut().enumerate() {
-                // Degree as a tie-break refinement.
-                *s += graph.degree(v as NodeId) as f64 * 1e-3;
-            }
-        }
-    }
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.sort_by(|&a, &b| {
-        score[b as usize]
-            .partial_cmp(&score[a as usize])
-            .unwrap()
-            .then(a.cmp(&b))
-    });
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,13 +744,11 @@ mod tests {
         };
         let g = cfg.generate();
         let dij = DijkstraEngine::new(&g);
-        for ordering in [HubOrdering::Contraction, HubOrdering::Degree] {
-            let hl = HubLabels::build_with(&g, ordering);
-            for s in 0..g.node_count() as NodeId {
-                let tree = dij.search(s);
-                for t in 0..g.node_count() as NodeId {
-                    assert_eq!(hl.path(s, t), tree.path_to(t), "{s}->{t} ({ordering:?})");
-                }
+        let hl = HubLabels::build(&g);
+        for s in 0..g.node_count() as NodeId {
+            let tree = dij.search(s);
+            for t in 0..g.node_count() as NodeId {
+                assert_eq!(hl.path(s, t), tree.path_to(t), "{s}->{t}");
             }
         }
     }
@@ -927,6 +854,8 @@ mod tests {
         }
     }
 
+    /// Pruned labeling is exact under any vertex order, not only the
+    /// contraction order: descending degree (ties by id) and plain id order.
     #[test]
     fn exact_with_legacy_orderings() {
         let cfg = GeneratorConfig {
@@ -940,11 +869,11 @@ mod tests {
         let g = cfg.generate();
         let dij = DijkstraEngine::new(&g);
         let n = g.node_count() as NodeId;
-        for ordering in [
-            HubOrdering::Degree,
-            HubOrdering::SampledBetweenness { samples: 8 },
-        ] {
-            let hl = HubLabels::build_with(&g, ordering);
+        let by_id: Vec<NodeId> = (0..n).collect();
+        let mut by_degree = by_id.clone();
+        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        for order in [by_degree, by_id] {
+            let hl = HubLabels::build_in_order(&g, order, &WorkPool::new(2));
             for (s, t) in (0..40).map(|i| ((i * 7) % n, (i * 31 + 3) % n)) {
                 let expect = dij.distance(s, t);
                 let got = hl.distance(s, t);
@@ -996,22 +925,52 @@ mod tests {
         assert!(hl.total_label_entries() < n * n / 2);
     }
 
-    #[test]
-    fn contraction_ordering_beats_betweenness_on_label_size() {
+    /// FNV-1a over every entry's hub rank, next hop and distance bits, in
+    /// arena order.
+    fn entry_digest(hl: &HubLabels) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for e in &hl.entries {
+            let bytes = e.hub_rank.to_le_bytes().into_iter();
+            let bytes = bytes.chain(e.parent.to_le_bytes());
+            for b in bytes.chain(e.dist.to_bits().to_le_bytes()) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// The 16x16, seed 4, 5 % dropout grid both tests below build on.
+    fn pinned_grid_labels() -> HubLabels {
         let cfg = GeneratorConfig {
             kind: NetworkKind::Grid { rows: 16, cols: 16 },
             seed: 4,
             edge_dropout: 0.05,
             ..GeneratorConfig::default()
         };
-        let g = cfg.generate();
-        let ch = HubLabels::build_with(&g, HubOrdering::Contraction);
-        let bt = HubLabels::build_with(&g, HubOrdering::SampledBetweenness { samples: 16 });
+        HubLabels::build(&cfg.generate())
+    }
+
+    /// The labels of one fixed grid, pinned as data. Label files are keyed
+    /// by network fingerprint alone (`rideshare_bench::store`), so a change
+    /// to the ordering or the pruning that moved any entry would leave
+    /// cached files disagreeing with fresh builds: it must fail here.
+    #[test]
+    fn labels_of_a_fixed_grid_are_pinned() {
+        let hl = pinned_grid_labels();
+        assert_eq!(hl.total_label_entries(), 5_447);
+        assert_eq!(entry_digest(&hl), 0xe642_4127_6afc_026f);
+    }
+
+    /// The bound is the mean label the sampled-betweenness ordering
+    /// (16 samples) built on the same grid, pinned as data.
+    #[test]
+    fn contraction_ordering_beats_betweenness_on_label_size() {
+        const SAMPLED_BETWEENNESS_MEAN_LABEL: f64 = 25.968_75;
+        let hl = pinned_grid_labels();
         assert!(
-            ch.mean_label_size() <= bt.mean_label_size(),
-            "contraction ordering should not lose on label size: {} vs {}",
-            ch.mean_label_size(),
-            bt.mean_label_size()
+            hl.mean_label_size() <= SAMPLED_BETWEENNESS_MEAN_LABEL,
+            "mean label {} exceeds the betweenness ordering's {SAMPLED_BETWEENNESS_MEAN_LABEL}",
+            hl.mean_label_size()
         );
     }
 
@@ -1036,16 +995,13 @@ mod tests {
                 ..GeneratorConfig::default()
             };
             let g = cfg.generate();
-            for ordering in [HubOrdering::Contraction, HubOrdering::Degree] {
-                let reference = HubLabels::build_sequential(&g, ordering);
-                for workers in [2usize, 3, 8] {
-                    let parallel =
-                        HubLabels::build_with_pool(&g, ordering, &WorkPool::new(workers));
-                    assert_eq!(
-                        parallel, reference,
-                        "labels diverged at {workers} workers ({kind:?})"
-                    );
-                }
+            let reference = HubLabels::build_sequential(&g);
+            for workers in [2usize, 3, 8] {
+                let parallel = HubLabels::build_with_pool(&g, &WorkPool::new(workers));
+                assert_eq!(
+                    parallel, reference,
+                    "labels diverged at {workers} workers ({kind:?})"
+                );
             }
         }
     }

@@ -2,11 +2,12 @@
 //!
 //! This crate provides the substrate that every other crate in the workspace
 //! builds on: a compact in-memory representation of a weighted, undirected
-//! road network together with several exact shortest-path engines, an exact
-//! hub-labeling distance oracle, the two LRU caches described in the paper
-//! (a large distance cache and a small path cache sharing one key scheme),
-//! synthetic network generators, and a small text format for loading and
-//! saving networks.
+//! road network together with two exact shortest-path engines — Dijkstra,
+//! the reference every other answer is checked against, and a hub-labeling
+//! oracle over a contraction ordering, which is what the system queries —
+//! the two LRU caches described in the paper (a large distance cache and a
+//! small path cache sharing one key scheme), synthetic network generators,
+//! and a small text format for loading and saving networks.
 //!
 //! The paper ("Large Scale Real-time Ridesharing with Service Guarantee on
 //! Road Networks", Huang et al., VLDB 2014) evaluates on the Shanghai road
@@ -32,8 +33,6 @@
 //! assert_eq!(engine.distance(a, d), Some(200.0));
 //! ```
 
-pub mod astar;
-pub mod bidirectional;
 pub mod cache;
 pub mod contraction;
 pub mod dijkstra;
@@ -42,24 +41,20 @@ pub mod generators;
 pub mod graph;
 pub mod hub_label;
 pub mod io;
-pub mod landmarks;
 pub mod locator;
 pub mod oracle;
 pub mod partition;
 pub mod sharded;
 pub mod types;
 
-pub use astar::AStarEngine;
-pub use bidirectional::BidirectionalEngine;
 pub use cache::{LruCache, SharedPathCaches};
-pub use contraction::{ContractionConfig, ContractionOrder};
+pub use contraction::ContractionOrder;
 pub use dijkstra::DijkstraEngine;
 pub use error::RoadNetError;
 pub use generators::{GeneratorConfig, NetworkKind};
 pub use graph::{GraphBuilder, RoadNetwork};
-pub use hub_label::{HubLabels, HubOrdering, LabelEntry};
+pub use hub_label::{HubLabels, LabelEntry};
 pub use io::{parse_network, write_network};
-pub use landmarks::{AltEngine, LandmarkStrategy};
 pub use locator::NodeLocator;
 pub use oracle::{
     CachedOracle, DistanceOracle, MatrixOracle, OracleBackend, OracleStats, ShortestPathEngine,

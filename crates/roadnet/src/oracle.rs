@@ -28,8 +28,8 @@ use crate::types::{NodeId, Weight, INFINITY};
 
 /// Point-to-point shortest path computation.
 ///
-/// Implemented by every engine in this crate (Dijkstra, A*, bidirectional,
-/// ALT, hub labels).
+/// Implemented by both engines in this crate: [`crate::DijkstraEngine`], the
+/// reference, and [`HubLabels`], the oracle.
 pub trait ShortestPathEngine {
     /// Exact shortest-path distance, or `None` when `t` is unreachable.
     fn distance(&self, s: NodeId, t: NodeId) -> Option<Weight>;

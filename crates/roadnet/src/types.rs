@@ -43,10 +43,10 @@ impl Point {
 
     /// Euclidean distance to `other` in meters.
     ///
-    /// Used as the admissible heuristic for A* (straight-line distance never
-    /// exceeds road distance when edge weights are at least the Euclidean
-    /// length of the segment, which all generators in this workspace
-    /// guarantee).
+    /// A lower bound on road distance (the dispatcher's screening uses it):
+    /// straight-line distance never exceeds road distance when edge weights
+    /// are at least the Euclidean length of the segment, which all
+    /// generators in this workspace guarantee.
     pub fn distance(&self, other: &Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;

@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 use roadnet::{
     CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, GraphBuilder, HubLabels,
-    HubOrdering, NetworkKind, NodeId, Point, RoadNetwork, ShardedOracle, ShortestPathEngine,
-    INFINITY,
+    NetworkKind, NodeId, Point, RoadNetwork, ShardedOracle, ShortestPathEngine, INFINITY,
 };
 use workpool::WorkPool;
 
@@ -127,7 +126,7 @@ proptest! {
     /// Dijkstra, on grids and ring-radial networks alike.
     #[test]
     fn contraction_labels_match_dijkstra((g, seed) in network_strategy()) {
-        let hl = HubLabels::build_with(&g, HubOrdering::Contraction);
+        let hl = HubLabels::build(&g);
         let dij = DijkstraEngine::new(&g);
         for (s, t) in sampled_pairs(g.node_count(), seed) {
             let expect = dij.distance(s, t);
@@ -148,7 +147,7 @@ proptest! {
     /// Dijkstra finds none, and the one-vertex path from a vertex to itself.
     #[test]
     fn unpacked_paths_match_dijkstra((g, seed) in network_strategy()) {
-        let hl = HubLabels::build_with(&g, HubOrdering::Contraction);
+        let hl = HubLabels::build(&g);
         let dij = DijkstraEngine::new(&g);
         for (s, t) in sampled_pairs(g.node_count(), seed) {
             let expect = dij.path(s, t).map(|(_, p)| p);
@@ -162,7 +161,7 @@ proptest! {
     /// summing to Dijkstra's distance.
     #[test]
     fn unpacked_paths_are_shortest_under_ties((g, seed) in tied_network_strategy()) {
-        let hl = HubLabels::build_with(&g, HubOrdering::Contraction);
+        let hl = HubLabels::build(&g);
         let dij = DijkstraEngine::new(&g);
         for (s, t) in sampled_pairs(g.node_count(), seed) {
             let expect = dij.distance(s, t).expect("generated networks are connected");
@@ -182,22 +181,14 @@ proptest! {
     }
 
     /// The rank-batched parallel build is bit-identical to the sequential
-    /// build at every worker count, for every ordering strategy. `HubLabels`
-    /// compares whole entries, so "identical" covers the next-hop pointers
-    /// as well as the hubs and distances.
+    /// build at every worker count. `HubLabels` compares whole entries, so
+    /// "identical" covers the next-hop pointers as well as the hubs and
+    /// distances.
     #[test]
     fn parallel_build_is_bit_identical((g, _seed) in network_strategy(), workers in 2usize..9) {
-        for ordering in [HubOrdering::Contraction, HubOrdering::Degree] {
-            let sequential = HubLabels::build_sequential(&g, ordering);
-            let parallel = HubLabels::build_with_pool(&g, ordering, &WorkPool::new(workers));
-            prop_assert_eq!(
-                &parallel,
-                &sequential,
-                "labels diverged at {} workers ({:?})",
-                workers,
-                ordering
-            );
-        }
+        let sequential = HubLabels::build_sequential(&g);
+        let parallel = HubLabels::build_with_pool(&g, &WorkPool::new(workers));
+        prop_assert_eq!(&parallel, &sequential, "labels diverged at {} workers", workers);
     }
 
     /// Ties do not make the parallel build's next-hop choice depend on the
@@ -205,10 +196,9 @@ proptest! {
     /// only a pruned neighbour ties for is itself pruned by the merge.
     #[test]
     fn parallel_build_is_bit_identical_under_ties((g, _seed) in tied_network_strategy()) {
-        let sequential = HubLabels::build_sequential(&g, HubOrdering::Contraction);
+        let sequential = HubLabels::build_sequential(&g);
         for workers in [2usize, 3, 8] {
-            let parallel =
-                HubLabels::build_with_pool(&g, HubOrdering::Contraction, &WorkPool::new(workers));
+            let parallel = HubLabels::build_with_pool(&g, &WorkPool::new(workers));
             prop_assert_eq!(&parallel, &sequential, "labels diverged at {} workers", workers);
         }
     }

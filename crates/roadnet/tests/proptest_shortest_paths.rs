@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use roadnet::{
-    AStarEngine, AltEngine, BidirectionalEngine, CachedOracle, DijkstraEngine, DistanceOracle,
-    GeneratorConfig, HubLabels, LruCache, NetworkKind, NodeId, ShortestPathEngine,
+    CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, LruCache,
+    NetworkKind, NodeId, ShortestPathEngine,
 };
 
 fn network_strategy() -> impl Strategy<Value = (roadnet::RoadNetwork, u64)> {
@@ -22,25 +22,19 @@ fn network_strategy() -> impl Strategy<Value = (roadnet::RoadNetwork, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every engine agrees with Dijkstra on distances, and hub labels are
-    /// exact.
+    /// Hub labels agree with Dijkstra, the reference, on distances.
     #[test]
     fn engines_agree_on_distances((g, seed) in network_strategy()) {
         let n = g.node_count() as NodeId;
         let dij = DijkstraEngine::new(&g);
-        let ast = AStarEngine::new(&g);
-        let bi = BidirectionalEngine::new(&g);
         let hl = HubLabels::build(&g);
         for i in 0..6u64 {
             let s = ((seed.wrapping_mul(31).wrapping_add(i * 7)) % n as u64) as NodeId;
             let t = ((seed.wrapping_mul(17).wrapping_add(i * 13)) % n as u64) as NodeId;
-            let d0 = dij.distance(s, t);
-            for d in [ast.distance(s, t), bi.distance(s, t), hl.distance(s, t)] {
-                match (d0, d) {
-                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-6),
-                    (None, None) => {}
-                    other => prop_assert!(false, "reachability mismatch: {other:?}"),
-                }
+            match (dij.distance(s, t), hl.distance(s, t)) {
+                (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-6),
+                (None, None) => {}
+                other => prop_assert!(false, "reachability mismatch: {other:?}"),
             }
         }
     }
@@ -67,18 +61,15 @@ proptest! {
     }
 
     /// A reported path is a real walk in the graph whose edge weights sum to
-    /// the reported distance — for every [`ShortestPathEngine`] in the
-    /// crate, hub labels included.
+    /// the reported distance — for both [`ShortestPathEngine`]s in the
+    /// crate.
     #[test]
     fn paths_are_consistent((g, seed) in network_strategy()) {
         let n = g.node_count() as u64;
         let s = ((seed * 11) % n) as NodeId;
         let t = ((seed * 29 + 5) % n) as NodeId;
-        let engines: [(&str, Box<dyn ShortestPathEngine + '_>); 5] = [
+        let engines: [(&str, Box<dyn ShortestPathEngine + '_>); 2] = [
             ("dijkstra", Box::new(DijkstraEngine::new(&g))),
-            ("astar", Box::new(AStarEngine::new(&g))),
-            ("bidirectional", Box::new(BidirectionalEngine::new(&g))),
-            ("alt", Box::new(AltEngine::new(&g, 4))),
             ("hub labels", Box::new(HubLabels::build(&g))),
         ];
         for (name, engine) in &engines {
