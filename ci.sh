@@ -38,8 +38,9 @@ run cargo bench --no-run
 # own that no step above compiles: a changed signature it calls would
 # break it unnoticed. Run its unit tests, then every workload at smoke
 # size; the exit code carries the output checks (wait/detour limits rider
-# by rider, books balance, pass-to-pass digests, workers 2 == 1, serve ==
-# offline replay).
+# by rider, books balance, pass-to-pass digests, workers 2 == 1 — one
+# engine compared with itself until the benchmark drops the check —
+# serve == offline replay).
 run cargo test --offline --manifest-path benchmark/Cargo.toml
 run cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload all --seed 1 --smoke
 # bench-smoke: hub-label builds must match Dijkstra ground truth — in

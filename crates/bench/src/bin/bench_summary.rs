@@ -1,5 +1,5 @@
-//! CI bench gate: hub-label construction, the distance-cache sizing sweep
-//! and the MIP solver comparison, emitting machine-readable artifacts.
+//! CI bench gate: hub-label construction and the MIP solver comparison,
+//! emitting machine-readable artifacts.
 //!
 //! ```text
 //! cargo run --release -p rideshare-bench --bin bench_summary -- \
@@ -13,10 +13,10 @@
 //!   through the oracle — endpoints that never repeat, and runs that share
 //!   one as a dispatcher's do), and the cost of a path unpacked from the
 //!   labels beside the point-to-point Dijkstra it replaced, on 20×20,
-//!   40×40 and 80×80 grids plus the ring-radial city preset; the label
-//!   persistence round-trip; and the LRU cache sizing sweep (hit rate vs
-//!   capacity at three shard counts). Pass `--paper-build` to additionally run the ≥100k-vertex
-//!   paper-scale build (minutes) and record it as the headline entry.
+//!   40×40 and 80×80 grids plus the ring-radial city preset; and the label
+//!   persistence round-trip. Pass `--paper-build` to additionally run the
+//!   ≥100k-vertex paper-scale build (minutes) and record it as the
+//!   headline entry.
 //! * `BENCH_mip.json` — MIP-matcher solve time versus trips on board
 //!   (1/2/3/4) for the sparse revised-simplex solver and the frozen dense
 //!   tableau baseline ([`rideshare_bench::baseline::dense_mip`]), with
@@ -53,7 +53,7 @@ use rideshare_mip::{SolveError, SolveOptions};
 use rideshare_workload::CityConfig;
 use roadnet::{
     CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, NetworkKind, NodeId,
-    RoadNetwork, ShardedOracle, ShortestPathEngine,
+    RoadNetwork, ShortestPathEngine,
 };
 use workpool::WorkPool;
 
@@ -285,65 +285,6 @@ fn grid_network(side: usize, seed: u64) -> RoadNetwork {
     .generate()
 }
 
-/// One cache-sweep measurement: hit rate of a sharded oracle replaying a
-/// locality-heavy query stream at a given capacity and shard count.
-struct CachePoint {
-    shards: usize,
-    capacity: usize,
-    hit_rate: f64,
-}
-
-/// Replays a deterministic query stream with dispatch-like locality (a hot
-/// working set of vehicle↔rider pairs plus a uniform tail) against sharded
-/// LRU capacities — data for the ROADMAP "cache admission policy" question.
-fn cache_sweep(graph: &RoadNetwork, seed: u64) -> Vec<CachePoint> {
-    eprintln!("cache sweep: hit rate vs capacity at 1/4/16 shards...");
-    let n = graph.node_count() as u64;
-    // Deterministic stream: 75% of queries from a 256-pair hot set,
-    // the rest uniform — roughly the locality dispatch exhibits.
-    let queries: Vec<(NodeId, NodeId)> = {
-        let mut state = seed ^ 0xC0FF_EE00_D15E_A5E5;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let hot: Vec<(NodeId, NodeId)> = (0..256)
-            .map(|_| ((next() % n) as NodeId, (next() % n) as NodeId))
-            .collect();
-        (0..30_000)
-            .map(|_| {
-                if next() % 4 != 0 {
-                    hot[(next() % 256) as usize]
-                } else {
-                    ((next() % n) as NodeId, (next() % n) as NodeId)
-                }
-            })
-            .collect()
-    };
-    // Build the labels once; every sweep point shares them through
-    // `with_labels` (the sweep varies cache geometry, not the oracle).
-    let labels = HubLabels::build(graph);
-    let mut out = Vec::new();
-    for &shards in &[1usize, 4, 16] {
-        for &capacity in &[1_000usize, 10_000, 100_000] {
-            let oracle = ShardedOracle::with_labels(graph, labels.clone(), shards, capacity, 16);
-            for &(s, t) in &queries {
-                let _ = oracle.dist(s, t);
-            }
-            let stats = oracle.stats();
-            out.push(CachePoint {
-                shards,
-                capacity,
-                hit_rate: stats.distance_hit_rate(),
-            });
-        }
-    }
-    out
-}
-
 /// One trips-on-board measurement point of the MIP solver comparison.
 struct MipPoint {
     trips: usize,
@@ -566,7 +507,6 @@ fn main() {
             true,
         ));
     }
-    let cache_points = cache_sweep(&grid40, seed);
 
     for p in &points {
         eprintln!(
@@ -631,17 +571,6 @@ fn main() {
                 q.bytes, q.save_ms, q.load_ms, q.roundtrip_identical
             )),
             if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    hl_json.push_str("  ],\n");
-    hl_json.push_str("  \"cache_sweep\": [\n");
-    for (i, c) in cache_points.iter().enumerate() {
-        hl_json.push_str(&format!(
-            "    {{\"shards\": {}, \"capacity\": {}, \"hit_rate\": {:.4}}}{}\n",
-            c.shards,
-            c.capacity,
-            c.hit_rate,
-            if i + 1 == cache_points.len() { "" } else { "," }
         ));
     }
     hl_json.push_str("  ],\n");

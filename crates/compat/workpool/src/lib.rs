@@ -2,17 +2,13 @@
 //!
 //! The build environment has no network access, so the workspace cannot
 //! depend on `rayon`; this crate provides the small slice of functionality
-//! the hub-label build and the simulator's vehicle movement need — split a
-//! slice into contiguous chunks and run one closure per chunk on scoped OS
-//! threads (`std::thread::scope`), returning the per-chunk results in
-//! chunk order.
+//! the hub-label build needs — split a slice into contiguous chunks and run
+//! one closure per chunk on scoped OS threads (`std::thread::scope`),
+//! returning the per-chunk results in chunk order.
 //!
 //! Threads are spawned per call rather than kept in a persistent pool.
 //! That costs a few tens of microseconds per spawn, which is negligible
-//! against a multi-millisecond fan-out (a batch of pruned Dijkstras, a
-//! few thousand vehicles advanced one window); callers that fan out tiny
-//! batches should use [`WorkPool::run_inline_below`] to gate parallelism
-//! by batch size.
+//! against a multi-millisecond fan-out (a batch of pruned Dijkstras).
 //!
 //! Determinism contract: [`WorkPool::map_chunks`] always returns results
 //! ordered by chunk index and always produces the same chunk boundaries
@@ -22,10 +18,6 @@
 
 use std::ops::Range;
 use std::thread;
-
-/// One mutable chunk pair handed to a [`WorkPool::zip_chunks_mut`] worker:
-/// chunk index, the item range it covers, and the two slices.
-type ZipChunk<'a, A, B> = (usize, Range<usize>, &'a mut [A], &'a mut [B]);
 
 /// Splits `len` items into at most `chunks` contiguous, non-empty ranges
 /// whose sizes differ by at most one (earlier ranges get the remainder).
@@ -51,14 +43,13 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
 
 /// A fixed-width scoped work pool.
 ///
-/// `WorkPool` is a configuration object (worker count plus an inline-run
-/// threshold); the threads themselves live only for the duration of each
+/// `WorkPool` is a configuration object (a worker count); the threads
+/// themselves live only for the duration of each
 /// [`WorkPool::map_chunks`] call, so the pool is trivially `Send + Sync`
 /// and needs no shutdown protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkPool {
     workers: usize,
-    run_inline_below: usize,
 }
 
 impl WorkPool {
@@ -68,16 +59,7 @@ impl WorkPool {
     pub fn new(workers: usize) -> Self {
         WorkPool {
             workers: workers.max(1),
-            run_inline_below: 0,
         }
-    }
-
-    /// Sets the minimum number of items below which [`WorkPool::map_chunks`]
-    /// skips thread spawning and runs inline. Results are identical either
-    /// way; this only avoids paying spawn latency on tiny batches.
-    pub fn run_inline_below(mut self, min_items: usize) -> Self {
-        self.run_inline_below = min_items;
-        self
     }
 
     /// Configured number of workers.
@@ -90,7 +72,7 @@ impl WorkPool {
     /// each, one chunk per thread, returning results in chunk order.
     ///
     /// The first chunk runs on the calling thread, so a one-worker pool
-    /// (or a batch below the inline threshold) never spawns.
+    /// never spawns.
     pub fn map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -101,16 +83,8 @@ impl WorkPool {
         if ranges.is_empty() {
             return Vec::new();
         }
-        if ranges.len() == 1 || items.len() < self.run_inline_below {
-            // Inline path: same chunking, same order, no threads. Note the
-            // inline threshold can leave multiple ranges here; iterate them
-            // all so chunk indices (and thus any index-dependent work in
-            // `f`) match the threaded path exactly.
-            return ranges
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| f(i, r.clone(), &items[r]))
-                .collect();
+        if ranges.len() == 1 {
+            return vec![f(0, 0..items.len(), items)];
         }
         thread::scope(|scope| {
             let mut handles = Vec::with_capacity(ranges.len() - 1);
@@ -122,80 +96,6 @@ impl WorkPool {
             let first = ranges[0].clone();
             let mut out = Vec::with_capacity(ranges.len());
             out.push(f(0, first.clone(), &items[first]));
-            for h in handles {
-                match h.join() {
-                    Ok(r) => out.push(r),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            out
-        })
-    }
-    /// Splits two equal-length slices into the same contiguous chunks and
-    /// applies `f(chunk_index, chunk_range, &mut a[chunk_range], &mut
-    /// b[chunk_range])` to each corresponding pair, one chunk per thread,
-    /// returning results in chunk order.
-    ///
-    /// This is the mutable counterpart of [`WorkPool::map_chunks`] for the
-    /// common "structure-of-arrays" layout where one logical record is
-    /// split across two parallel vectors (e.g. a fleet's vehicles and their
-    /// motion states). Chunk boundaries follow [`chunk_ranges`], so the
-    /// same determinism contract applies: a deterministic per-chunk closure
-    /// composes into a deterministic parallel map regardless of scheduling.
-    ///
-    /// # Panics
-    /// Panics when the slices have different lengths.
-    pub fn zip_chunks_mut<A, B, R, F>(&self, a: &mut [A], b: &mut [B], f: F) -> Vec<R>
-    where
-        A: Send,
-        B: Send,
-        R: Send,
-        F: Fn(usize, Range<usize>, &mut [A], &mut [B]) -> R + Sync,
-    {
-        assert_eq!(
-            a.len(),
-            b.len(),
-            "zip_chunks_mut requires equal-length slices"
-        );
-        let ranges = chunk_ranges(a.len(), self.workers);
-        if ranges.is_empty() {
-            return Vec::new();
-        }
-        if ranges.len() == 1 || a.len() < self.run_inline_below {
-            let mut out = Vec::with_capacity(ranges.len());
-            let (mut rest_a, mut rest_b) = (a, b);
-            for (i, r) in ranges.iter().enumerate() {
-                let (chunk_a, next_a) = rest_a.split_at_mut(r.len());
-                let (chunk_b, next_b) = rest_b.split_at_mut(r.len());
-                out.push(f(i, r.clone(), chunk_a, chunk_b));
-                rest_a = next_a;
-                rest_b = next_b;
-            }
-            return out;
-        }
-        // Carve both slices into disjoint mutable chunks up front, then
-        // hand one pair to each scoped thread (first chunk runs on the
-        // calling thread, mirroring map_chunks).
-        let mut chunks: Vec<ZipChunk<'_, A, B>> = Vec::with_capacity(ranges.len());
-        let (mut rest_a, mut rest_b) = (a, b);
-        for (i, r) in ranges.iter().enumerate() {
-            let (chunk_a, next_a) = rest_a.split_at_mut(r.len());
-            let (chunk_b, next_b) = rest_b.split_at_mut(r.len());
-            chunks.push((i, r.clone(), chunk_a, chunk_b));
-            rest_a = next_a;
-            rest_b = next_b;
-        }
-        thread::scope(|scope| {
-            let mut iter = chunks.into_iter();
-            let first = iter.next().expect("at least one chunk");
-            let mut handles = Vec::new();
-            for (i, r, ca, cb) in iter {
-                let f = &f;
-                handles.push(scope.spawn(move || f(i, r, ca, cb)));
-            }
-            let mut out = Vec::with_capacity(handles.len() + 1);
-            let (i, r, ca, cb) = first;
-            out.push(f(i, r, ca, cb));
             for h in handles {
                 match h.join() {
                     Ok(r) => out.push(r),
@@ -259,16 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_threshold_matches_threaded_results() {
-        let items: Vec<u64> = (0..64).collect();
-        let threaded = WorkPool::new(4).map_chunks(&items, |i, r, c| (i, r.start, c.len()));
-        let inline = WorkPool::new(4)
-            .run_inline_below(1_000)
-            .map_chunks(&items, |i, r, c| (i, r.start, c.len()));
-        assert_eq!(threaded, inline);
-    }
-
-    #[test]
     fn empty_input_yields_no_chunks() {
         let pool = WorkPool::new(4);
         let out: Vec<usize> = pool.map_chunks::<u64, _, _>(&[], |_, _, c| c.len());
@@ -279,62 +169,6 @@ mod tests {
     #[test]
     fn worker_count_is_clamped() {
         assert_eq!(WorkPool::new(0).workers(), 1);
-    }
-
-    #[test]
-    fn zip_chunks_mut_mutates_both_slices_in_place() {
-        for workers in [1usize, 2, 3, 8] {
-            let mut a: Vec<u64> = (0..100).collect();
-            let mut b: Vec<u64> = (0..100).map(|x| x * 10).collect();
-            let pool = WorkPool::new(workers);
-            let sums = pool.zip_chunks_mut(&mut a, &mut b, |_, range, ca, cb| {
-                for (x, y) in ca.iter_mut().zip(cb.iter_mut()) {
-                    *x += 1;
-                    *y += *x;
-                }
-                let _ = range;
-                ca.iter().sum::<u64>()
-            });
-            assert_eq!(a, (1..=100).collect::<Vec<u64>>());
-            assert_eq!(
-                b,
-                (0..100).map(|x| x * 10 + x + 1).collect::<Vec<u64>>(),
-                "workers = {workers}"
-            );
-            assert_eq!(sums.iter().sum::<u64>(), (1..=100).sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn zip_chunks_mut_matches_inline_results() {
-        let make = || {
-            (
-                (0..64u64).collect::<Vec<_>>(),
-                (0..64u64).collect::<Vec<_>>(),
-            )
-        };
-        let run = |pool: WorkPool| {
-            let (mut a, mut b) = make();
-            pool.zip_chunks_mut(&mut a, &mut b, |i, r, ca, cb| {
-                (i, r.start, ca.len(), cb.len())
-            })
-        };
-        let threaded = run(WorkPool::new(4));
-        let inline = run(WorkPool::new(4).run_inline_below(1_000));
-        assert_eq!(threaded, inline);
-    }
-
-    #[test]
-    fn zip_chunks_mut_empty_input() {
-        let pool = WorkPool::new(4);
-        let out: Vec<()> = pool.zip_chunks_mut::<u64, u64, _, _>(&mut [], &mut [], |_, _, _, _| ());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn zip_chunks_mut_rejects_mismatched_lengths() {
-        WorkPool::new(2).zip_chunks_mut(&mut [1u8, 2], &mut [1u8], |_, _, _, _| ());
     }
 
     #[test]

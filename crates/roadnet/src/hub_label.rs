@@ -35,7 +35,7 @@
 //! a minimum. [`HubLabels::distance`] merges them and keeps no state. When
 //! one side is shared by hundreds of queries in a row — a new request's
 //! pickup, against every vehicle that might serve it — it is cheaper to
-//! index that side once and probe it: the oracles' miss path keeps the
+//! index that side once and probe it: the oracle's miss path keeps the
 //! labels of its last few query endpoints spread into dense arrays by hub
 //! rank (the crate-private `Spread`, as the build does for its pruning
 //! test) and scans the other label against one. Both compute the same sums
@@ -601,7 +601,8 @@ impl Slot {
     /// labels never change once built and a [`Spread`] only ever sees one
     /// `HubLabels`, so those *are* the ranks written. A panic part-way (a
     /// rank past the array, in labels this module did not validate)
-    /// poisons the lock the scratch sits behind and it is never read again.
+    /// unwinds out of the oracle that owns the scratch, which is not
+    /// `RefUnwindSafe` and so is not queried again.
     fn respread(&mut self, labels: &HubLabels, v: NodeId) {
         if let Some(old) = self.vertex.replace(v) {
             unspread_label(&mut self.by_rank, labels.label(old));

@@ -13,7 +13,9 @@
 //! Road Networks", Huang et al., VLDB 2014) evaluates on the Shanghai road
 //! network with 122,319 vertices and 188,426 edges and implements a
 //! hub-labeling distance oracle plus two LRU caches keyed by
-//! `id(s) * |V| + id(e)`. This crate reproduces those components.
+//! `id(s) * |V| + id(e)`. This crate reproduces those components;
+//! [`CachedOracle`] puts the caches in front of the labels and is the one
+//! oracle the simulator queries, from one thread.
 //!
 //! # Quick example
 //!

@@ -2,13 +2,13 @@
 //! exactness of distances and unpacked paths against Dijkstra on random
 //! generator networks (jittered, and zero-jitter where ties are
 //! everywhere), bit-identity of the rank-batched parallel build and of the
-//! oracles' distance miss path with the label merge, and persistence
+//! oracle's distance miss path with the label merge, and persistence
 //! round-trips.
 
 use proptest::prelude::*;
 use roadnet::{
     CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, GraphBuilder, HubLabels,
-    NetworkKind, NodeId, Point, RoadNetwork, ShardedOracle, ShortestPathEngine, INFINITY,
+    NetworkKind, NodeId, Point, RoadNetwork, ShortestPathEngine, INFINITY,
 };
 use workpool::WorkPool;
 
@@ -102,7 +102,8 @@ proptest! {
     /// of the pair, low id first, bit for bit: through zero-capacity caches
     /// (every call a miss, answered from labels kept spread by earlier
     /// queries), through warm caches (one entry per unordered pair) and
-    /// through the sharded oracle, under unique and under tied distances.
+    /// through caches small enough to evict all the time, under unique and
+    /// under tied distances.
     #[test]
     fn oracle_distances_equal_the_label_merge_bit_for_bit(
         (g, _seed) in prop_oneof![network_strategy(), tied_network_strategy()],
@@ -112,12 +113,12 @@ proptest! {
         let hl = HubLabels::build(&g);
         let cold = CachedOracle::with_labels(&g, hl.clone(), 0, 0);
         let warm = CachedOracle::with_labels(&g, hl.clone(), 64, 4);
-        let sharded = ShardedOracle::with_labels(&g, hl.clone(), 4, 64, 4);
+        let evicting = CachedOracle::with_labels(&g, hl.clone(), 16, 1);
         for (s, t) in query_sequence(&steps, g.node_count()) {
             let merged = hl.distance(s.min(t), s.max(t)).unwrap_or(INFINITY).to_bits();
             prop_assert_eq!(cold.dist(s, t).to_bits(), merged, "cold ({}, {})", s, t);
             prop_assert_eq!(warm.dist(s, t).to_bits(), merged, "warm ({}, {})", s, t);
-            prop_assert_eq!(sharded.dist(s, t).to_bits(), merged, "sharded ({}, {})", s, t);
+            prop_assert_eq!(evicting.dist(s, t).to_bits(), merged, "evicting ({}, {})", s, t);
         }
         prop_assert_eq!(cold.stats().distance_cache_hits, 0);
     }

@@ -28,9 +28,8 @@
 //! 0       magic  b"RSCK"
 //! 4       format version (u32, currently 1)
 //! 8       network fingerprint (u64)
-//! 16      SimConfig digest (u64) — excludes the worker count, which is
-//!         proven not to affect results, so a sequential checkpoint can
-//!         resume on a parallel engine and vice versa
+//! 16      SimConfig digest (u64) — excludes the unread `workers` field,
+//!         so a checkpoint resumes whatever value it holds
 //! 24      trip-stream digest (u64)
 //! 32      next trip index (u64), clock (f64), then the state sections:
 //!         vehicles, motions, dispatcher stats, metrics, records, trace
@@ -59,9 +58,9 @@ const MAGIC: &[u8; 4] = b"RSCK";
 const VERSION: u32 = 1;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation
-/// *results*. `workers` is excluded: vehicle movement is bit-identical at
-/// any worker count (property-tested), so a checkpoint may legitimately
-/// resume under different parallelism.
+/// *results*. `workers` is excluded: no code reads it, and it never was
+/// part of the digest, so a checkpoint written with any value resumes
+/// under any other — the serve loop's recovery binding relies on that.
 pub fn digest_config(config: &SimConfig) -> u64 {
     let mut buf = Vec::with_capacity(96);
     bin::put_u64(&mut buf, config.vehicles as u64);
@@ -86,8 +85,7 @@ pub fn digest_config(config: &SimConfig) -> u64 {
     // window width is result-determining — but only appended when set, so
     // per-request checkpoints written before the knob existed keep their
     // digest. `dispatcher.use_pruning` is deliberately absent: pruned and
-    // exhaustive evaluation produce bit-identical results (property-tested),
-    // exactly like the worker count.
+    // exhaustive evaluation produce bit-identical results (property-tested).
     if config.batch_window_seconds != 0.0 {
         bin::put_f64(&mut buf, config.batch_window_seconds);
     }
@@ -258,7 +256,7 @@ impl Simulation<'_> {
         Ok(())
     }
 
-    /// Restores a sequential simulation from checkpoint bytes, verifying
+    /// Restores a simulation from checkpoint bytes, verifying
     /// the (network, config, trip stream) binding. Returns the simulation
     /// and the index of the next trip to submit.
     ///
@@ -294,24 +292,7 @@ impl Simulation<'_> {
         trips: &[TripEvent],
         bytes: &[u8],
     ) -> Result<(Simulation<'a>, usize), RoadNetError> {
-        let sim = Simulation::build(graph, oracle, None, config);
-        restore(sim, trips, bytes)
-    }
-
-    /// Restores a simulation whose vehicle movement fans out across
-    /// [`SimConfig::workers`] threads (the counterpart of
-    /// [`Simulation::with_parallel`]). A checkpoint written by either
-    /// engine restores into either: results are bit-identical at any
-    /// worker count.
-    pub fn resume_parallel<'a>(
-        graph: &'a RoadNetwork,
-        oracle: &'a (dyn DistanceOracle + Sync),
-        config: SimConfig,
-        trips: &[TripEvent],
-        bytes: &[u8],
-    ) -> Result<(Simulation<'a>, usize), RoadNetError> {
-        let sim = Simulation::build(graph, oracle, Some(oracle), config);
-        restore(sim, trips, bytes)
+        restore(Simulation::new(graph, oracle, config), trips, bytes)
     }
 
     /// Convenience wrapper: reads `path` and delegates to
@@ -651,15 +632,18 @@ mod tests {
 
     #[test]
     fn sequential_checkpoint_resumes_on_the_parallel_engine() {
+        // `benchmark/` still asks for a parallel engine by setting
+        // `workers`; no code reads it, so a checkpoint written at one
+        // worker resumes under four and finishes the straight-through run.
         let w = workload(40, 3);
         let digest = digest_trips(&w.trips);
-        let seq_oracle = CachedOracle::without_labels(&w.network);
-        let mut straight = Simulation::new(&w.network, &seq_oracle, config());
+        let oracle = CachedOracle::without_labels(&w.network);
+        let mut straight = Simulation::new(&w.network, &oracle, config());
         run_tail(&mut straight, &w.trips, 0);
         let expect = observables(&straight);
 
         let cut = 15;
-        let mut first = Simulation::new(&w.network, &seq_oracle, config());
+        let mut first = Simulation::new(&w.network, &oracle, config());
         for trip in &w.trips[..cut] {
             let t_m = first.config().seconds_to_meters(trip.time_seconds);
             first.advance_all(t_m);
@@ -667,15 +651,12 @@ mod tests {
         }
         let bytes = first.checkpoint_bytes(cut, digest);
 
-        let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
         let par_config = SimConfig {
             workers: 4,
             ..config()
         };
         let (mut resumed, next) =
-            Simulation::resume_parallel(&w.network, &par_oracle, par_config, &w.trips, &bytes)
-                .unwrap();
-        resumed.force_movement_threads();
+            Simulation::resume(&w.network, &oracle, par_config, &w.trips, &bytes).unwrap();
         run_tail(&mut resumed, &w.trips, next);
         let got = observables(&resumed);
         assert_eq!(got.0, expect.0);
@@ -755,20 +736,12 @@ mod tests {
             Simulation::resume(&w.network, &oracle, different, &w.trips, &bytes),
             Err(RoadNetError::Persist(msg)) if msg.contains("configuration")
         ));
-        // The worker count is deliberately NOT part of the binding.
+        // The unread worker count is deliberately NOT part of the binding.
         let more_workers = SimConfig {
             workers: 3,
             ..config()
         };
-        let sync_oracle = roadnet::ShardedOracle::without_labels(&w.network);
-        assert!(Simulation::resume_parallel(
-            &w.network,
-            &sync_oracle,
-            more_workers,
-            &w.trips,
-            &bytes
-        )
-        .is_ok());
+        assert!(Simulation::resume(&w.network, &oracle, more_workers, &w.trips, &bytes).is_ok());
         // Different trip stream.
         assert!(matches!(
             Simulation::resume(&w.network, &oracle, config(), &other.trips, &bytes),

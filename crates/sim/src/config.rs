@@ -32,18 +32,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Dispatcher behaviour (spatial filtering on/off, radius slack).
     pub dispatcher: DispatcherConfig,
-    /// Worker threads for vehicle movement — the only thing this knob
-    /// does. With `workers > 1`, [`Simulation::advance_all`] splits the
-    /// fleet into that many contiguous chunks and advances them on scoped
-    /// threads (fleets under 256 vehicles stay on the calling thread);
-    /// dispatch always runs on the simulation thread. Values above `1`
-    /// require the parallel entry point ([`Simulation::with_parallel`])
-    /// because the movement threads share the oracle, which must be `Sync`
-    /// (the sequential constructor panics otherwise rather than silently
-    /// ignoring the knob). Results are bit-identical for every value.
-    ///
-    /// [`Simulation::advance_all`]: crate::Simulation::advance_all
-    /// [`Simulation::with_parallel`]: crate::Simulation::with_parallel
+    /// Unread. Exists only because the frozen `benchmark/` crate still
+    /// writes it; the engine is single-threaded and every value runs the
+    /// same. Not part of the checkpoint config digest.
     pub workers: usize,
     /// Width of a dispatch tick in seconds. Requests whose submission
     /// times fall into the same window (`floor(t / window)`) are submitted
@@ -52,10 +43,10 @@ pub struct SimConfig {
     /// candidate sets, and the requests are then dispatched one by one in
     /// submission order. `0.0` (the default) dispatches every request
     /// individually the moment it arrives. Each request keeps its own
-    /// submission time, so for a fixed window width runs are deterministic
-    /// and bit-identical across worker counts; different window widths are
-    /// different experiments (vehicles advance once per window rather than
-    /// per request) and checkpoints record the width in the config digest.
+    /// submission time, so for a fixed window width runs are deterministic;
+    /// different window widths are different experiments (vehicles advance
+    /// once per window rather than per request) and checkpoints record the
+    /// width in the config digest.
     pub batch_window_seconds: f64,
 }
 

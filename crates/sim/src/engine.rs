@@ -8,7 +8,6 @@ use rand::{Rng, SeedableRng};
 use rideshare_workload::TripEvent;
 use roadnet::{DistanceOracle, NodeId, RoadNetwork};
 use spatial::{GridIndex, Position};
-use workpool::WorkPool;
 
 use crate::config::SimConfig;
 use crate::metrics::{MetricsCollector, SimReport};
@@ -28,10 +27,11 @@ pub(crate) struct Motion {
     pub(crate) at: NodeId,
     /// Clock at which `at` was reached.
     pub(crate) at_clock_m: f64,
-    /// Private RNG driving this vehicle's cruising decisions. Per-vehicle
-    /// streams (rather than one engine-wide RNG) are what make fleet
-    /// movement independent across vehicles, so the parallel advance can
-    /// be bit-identical to the sequential one at any worker count.
+    /// Private RNG driving this vehicle's cruising decisions. A stream per
+    /// vehicle (rather than one engine-wide RNG) makes each trajectory a
+    /// function of the vehicle alone, not of how many other vehicles moved
+    /// before it: the trajectories every pinned digest holds, and what
+    /// would let a vehicle be advanced lazily, on its own schedule.
     pub(crate) rng: StdRng,
 }
 
@@ -47,31 +47,6 @@ impl Motion {
     }
 }
 
-/// A committed stop served while advancing one vehicle, buffered during the
-/// (possibly parallel) movement phase and applied to the metrics, records
-/// and trace sequentially in vehicle order afterwards.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ServedStop {
-    pub(crate) trip: TripId,
-    pub(crate) kind: StopKind,
-    pub(crate) clock_m: f64,
-    /// Riders on board after a pickup (unused for dropoffs).
-    pub(crate) onboard_after: usize,
-}
-
-/// Everything one vehicle's advance produced besides its own mutated state.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AdvanceOutcome {
-    /// Road distance driven within the window.
-    pub(crate) distance_m: f64,
-    /// Last vertex reached, when the vehicle moved (drives the spatial
-    /// index update; intermediate positions are unobservable between
-    /// `advance_all` calls).
-    pub(crate) moved_to: Option<NodeId>,
-    /// Stops served, in service order.
-    pub(crate) stops: Vec<ServedStop>,
-}
-
 /// Bookkeeping for every submitted request, used for service-quality
 /// metrics and guarantee checking.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,28 +58,15 @@ pub(crate) struct TripRecord {
     pub(crate) picked_up_m: Option<f64>,
 }
 
-/// Fleets smaller than this advance inline on the calling thread even when
-/// [`SimConfig::workers`] asks for more: spawning a scoped worker costs
-/// tens of microseconds, more than moving a handful of vehicles one window
-/// forward. Results are identical either way.
-const MIN_PARALLEL_MOVES: usize = 256;
-
 /// A single simulation run over a road network.
 pub struct Simulation<'a> {
     pub(crate) graph: &'a RoadNetwork,
     pub(crate) oracle: &'a dyn DistanceOracle,
-    /// The same oracle seen as `Sync`, `Some` when constructed through
-    /// [`Simulation::with_parallel`]: what the movement threads of
-    /// [`Simulation::advance_all`] query. Dispatch never reads it.
-    pub(crate) par_oracle: Option<&'a (dyn DistanceOracle + Sync)>,
     pub(crate) config: SimConfig,
     pub(crate) vehicles: Vec<Vehicle>,
     pub(crate) motions: Vec<Motion>,
     pub(crate) index: GridIndex,
     pub(crate) dispatcher: Dispatcher,
-    /// Fans vehicle movement out across threads when constructed through
-    /// [`Simulation::with_parallel`] with more than one worker.
-    pub(crate) pool: WorkPool,
     pub(crate) clock_m: f64,
     pub(crate) collector: MetricsCollector,
     pub(crate) records: BTreeMap<TripId, TripRecord>,
@@ -116,47 +78,9 @@ pub struct Simulation<'a> {
 }
 
 impl<'a> Simulation<'a> {
-    /// Creates a single-threaded simulation: vehicles are placed on
-    /// uniformly random vertices (as in the paper) and registered in the
-    /// spatial index. Use [`Simulation::with_parallel`] (which needs a
-    /// `Sync` oracle) to fan vehicle movement out across threads.
-    ///
-    /// # Panics
-    /// Panics when [`SimConfig::workers`] is greater than 1 — the knob
-    /// would be silently inert through this entry point.
+    /// Creates a simulation: vehicles are placed on uniformly random
+    /// vertices (as in the paper) and registered in the spatial index.
     pub fn new(graph: &'a RoadNetwork, oracle: &'a dyn DistanceOracle, config: SimConfig) -> Self {
-        Self::build(graph, oracle, None, config)
-    }
-
-    /// Creates a simulation whose [`Simulation::advance_all`] moves the
-    /// fleet on [`SimConfig::workers`] threads. Requires a thread-safe
-    /// oracle (e.g. `roadnet::ShardedOracle`). Dispatch is the same
-    /// single-threaded [`Dispatcher`] loop as under [`Simulation::new`];
-    /// assignments and every report counter are bit-identical to it.
-    pub fn with_parallel(
-        graph: &'a RoadNetwork,
-        oracle: &'a (dyn DistanceOracle + Sync),
-        config: SimConfig,
-    ) -> Self {
-        Self::build(graph, oracle, Some(oracle), config)
-    }
-
-    pub(crate) fn build(
-        graph: &'a RoadNetwork,
-        oracle: &'a dyn DistanceOracle,
-        par_oracle: Option<&'a (dyn DistanceOracle + Sync)>,
-        config: SimConfig,
-    ) -> Self {
-        // Catch the misconfiguration where `workers > 1` is set but the
-        // sequential entry point was used: the knob would be silently inert
-        // (this must fire in release builds too — that is exactly where
-        // mis-measured "parallel" runs would otherwise go unnoticed).
-        assert!(
-            par_oracle.is_some() || config.workers <= 1,
-            "SimConfig::workers = {} has no effect through Simulation::new; \
-             use Simulation::with_parallel with a Sync oracle",
-            config.workers
-        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut vehicles = Vec::with_capacity(config.vehicles);
         let mut motions = Vec::with_capacity(config.vehicles);
@@ -178,19 +102,27 @@ impl<'a> Simulation<'a> {
         Simulation {
             graph,
             oracle,
-            par_oracle,
             config,
             vehicles,
             motions,
             index,
             dispatcher: Dispatcher::new(config.dispatcher),
-            pool: WorkPool::new(config.workers).run_inline_below(MIN_PARALLEL_MOVES),
             clock_m: 0.0,
             collector: MetricsCollector::default(),
             records: BTreeMap::new(),
             trace: TraceLog::new(),
             regions: None,
         }
+    }
+
+    /// [`Simulation::new`]. Exists only for the frozen `benchmark/` crate,
+    /// which still calls it by this name.
+    pub fn with_parallel(
+        graph: &'a RoadNetwork,
+        oracle: &'a (dyn DistanceOracle + Sync),
+        config: SimConfig,
+    ) -> Self {
+        Self::new(graph, oracle, config)
     }
 
     /// Per-request lifecycle traces collected so far (submission,
@@ -207,13 +139,6 @@ impl<'a> Simulation<'a> {
     /// Access to the fleet (e.g. for inspecting kinetic trees in tests).
     pub fn vehicles(&self) -> &[Vehicle] {
         &self.vehicles
-    }
-
-    /// Zeroes the movement pool's inline threshold, so a test-sized fleet
-    /// really advances on [`SimConfig::workers`] threads.
-    #[cfg(test)]
-    pub(crate) fn force_movement_threads(&mut self) {
-        self.pool = self.pool.run_inline_below(0);
     }
 
     /// Runs the full workload and returns the report. Requests are submitted
@@ -425,52 +350,19 @@ impl<'a> Simulation<'a> {
         outcomes
     }
 
-    /// Advances the whole fleet to absolute clock `until_m`.
-    ///
-    /// Vehicle movement is independent across vehicles (each owns its
-    /// motion state and cruising RNG stream), so the movement phase fans
-    /// out over the work pool when the simulation was built with
-    /// [`Simulation::with_parallel`] and more than one worker. Everything
-    /// observable — metrics, records, the trace, the spatial index — is
-    /// applied sequentially in vehicle-id order afterwards, which makes
-    /// the result bit-identical to the sequential engine at any worker
-    /// count (see `parallel_advance_matches_sequential`).
+    /// Advances the whole fleet to absolute clock `until_m`, one vehicle at
+    /// a time in ascending id. Each vehicle's effects — served stops,
+    /// spatial index, fleet distance — are applied as it moves; that order
+    /// fixes the f64 accumulation order of every metric.
     pub fn advance_all(&mut self, until_m: f64) {
         let until_m = until_m.max(self.clock_m);
-        let graph = self.graph;
-        let cruise = self.config.cruise_when_idle;
-        let outcomes: Vec<AdvanceOutcome> = match (self.par_oracle, self.config.workers > 1) {
-            (Some(oracle), true) => self
-                .pool
-                .zip_chunks_mut(
-                    &mut self.vehicles,
-                    &mut self.motions,
-                    |_chunk, _range, vehicles, motions| {
-                        vehicles
-                            .iter_mut()
-                            .zip(motions.iter_mut())
-                            .map(|(v, m)| advance_one(v, m, graph, oracle, cruise, until_m))
-                            .collect::<Vec<_>>()
-                    },
-                )
-                .into_iter()
-                .flatten()
-                .collect(),
-            _ => {
-                let oracle = self.oracle;
-                self.vehicles
-                    .iter_mut()
-                    .zip(self.motions.iter_mut())
-                    .map(|(v, m)| advance_one(v, m, graph, oracle, cruise, until_m))
-                    .collect()
-            }
-        };
-        for (i, outcome) in outcomes.iter().enumerate() {
-            self.apply_outcome(i as u32, outcome);
-        }
-        if let Some(ledger) = &mut self.regions {
-            for (i, outcome) in outcomes.iter().enumerate() {
-                if let Some(node) = outcome.moved_to {
+        for i in 0..self.vehicles.len() {
+            let (distance_m, moved_to) = self.advance_one(i, until_m);
+            self.collector.fleet_distance_m += distance_m;
+            if let Some(node) = moved_to {
+                let p = self.graph.point(node);
+                self.index.update(i as u32, Position::new(p.x, p.y));
+                if let Some(ledger) = &mut self.regions {
                     ledger.moved(i as u32, node);
                 }
             }
@@ -478,46 +370,100 @@ impl<'a> Simulation<'a> {
         self.clock_m = until_m;
     }
 
-    /// Applies one vehicle's buffered movement effects: spatial index,
-    /// fleet distance, and every served stop in order. Called in ascending
-    /// vehicle-id order, which fixes the f64 accumulation order at any
-    /// worker count.
-    fn apply_outcome(&mut self, vehicle_id: u32, outcome: &AdvanceOutcome) {
-        if let Some(node) = outcome.moved_to {
-            let p = self.graph.point(node);
-            self.index.update(vehicle_id, Position::new(p.x, p.y));
-        }
-        self.collector.fleet_distance_m += outcome.distance_m;
-        for stop in &outcome.stops {
-            self.apply_served_stop(vehicle_id, stop);
+    /// Advances vehicle `i` to `until_m`, serving every committed stop it
+    /// reaches on the way. Returns the road distance driven and the last
+    /// vertex reached, if it moved (intermediate positions are
+    /// unobservable between `advance_all` calls).
+    fn advance_one(&mut self, i: usize, until_m: f64) -> (f64, Option<NodeId>) {
+        let mut distance_m = 0.0;
+        let mut moved_to = None;
+        loop {
+            if self.motions[i].path.is_empty() && !self.start_next_leg(i, until_m) {
+                return (distance_m, moved_to);
+            }
+            let motion = &mut self.motions[i];
+            if motion.next_arrival_m > until_m {
+                return (distance_m, moved_to);
+            }
+            let (node, leg) = motion.path.pop_front().expect("leg exists");
+            let arrival = motion.next_arrival_m;
+            motion.at = node;
+            motion.at_clock_m = arrival;
+            distance_m += leg;
+            moved_to = Some(node);
+            if let Some(&(_, next_leg)) = motion.path.front() {
+                motion.next_arrival_m = arrival + next_leg;
+            } else if self.vehicles[i].next_stop().is_some_and(|s| s.node == node) {
+                // End of the planned drive at a committed stop.
+                self.serve_stop(i, arrival);
+            } else {
+                // End of a cruising hop (or of a drive re-planned away).
+                self.vehicles[i].set_position(node, arrival, self.oracle);
+            }
         }
     }
 
-    fn apply_served_stop(&mut self, vehicle_id: u32, stop: &ServedStop) {
+    /// Plans the next drive for vehicle `i`, whose path is empty. Returns
+    /// false when the vehicle stays parked (nothing to do and cruising
+    /// disabled).
+    fn start_next_leg(&mut self, i: usize, until_m: f64) -> bool {
+        // Serve any stop located at the current vertex immediately.
+        while let Some(stop) = self.vehicles[i].next_stop() {
+            if stop.node != self.motions[i].at {
+                break;
+            }
+            self.serve_stop(i, self.motions[i].at_clock_m);
+        }
+        let motion = &mut self.motions[i];
+        if let Some(stop) = self.vehicles[i].next_stop() {
+            return plan_path_to(motion, stop.node, self.oracle);
+        }
+        // Cruise: follow a random incident road segment, as in the paper.
+        if !self.config.cruise_when_idle || motion.at_clock_m > until_m {
+            return false;
+        }
+        let neighbors: Vec<(NodeId, f64)> = self.graph.neighbors(motion.at).collect();
+        if neighbors.is_empty() {
+            return false;
+        }
+        let (next, w) = neighbors[motion.rng.gen::<u64>() as usize % neighbors.len()];
+        let start_clock = motion.at_clock_m.max(0.0);
+        motion.path.push_back((next, w));
+        motion.next_arrival_m = start_clock + w;
+        true
+    }
+
+    /// Serves vehicle `i`'s next committed stop at `clock_m` and books it:
+    /// the trip record, the service-quality metrics and the trace.
+    fn serve_stop(&mut self, i: usize, clock_m: f64) {
+        let vehicle = &mut self.vehicles[i];
+        // Riders on board after a pickup (unused for a drop-off).
+        let onboard_after = vehicle.onboard_count() + 1;
+        let stop = vehicle.arrive_at_next_stop(clock_m, self.oracle);
         let config = &self.config;
         match stop.kind {
             StopKind::Pickup => {
                 if let Some(rec) = self.records.get_mut(&stop.trip) {
-                    rec.picked_up_m = Some(stop.clock_m);
-                    let waited_m = stop.clock_m - rec.submitted_m;
+                    rec.picked_up_m = Some(clock_m);
+                    let waited_m = clock_m - rec.submitted_m;
                     if waited_m > rec.max_wait_m + 1e-6 {
                         self.collector.record_wait_violation();
                     }
                     let waited_s = config.meters_to_seconds(waited_m);
                     self.collector.record_pickup(
-                        vehicle_id,
-                        stop.onboard_after,
+                        i as u32,
+                        onboard_after,
                         waited_s,
-                        config.meters_to_seconds(stop.clock_m),
+                        config.meters_to_seconds(clock_m),
                     );
                 }
                 self.trace
-                    .record_pickup(stop.trip, config.meters_to_seconds(stop.clock_m));
+                    .record_pickup(stop.trip, config.meters_to_seconds(clock_m));
             }
             StopKind::Dropoff => {
                 if let Some(rec) = self.records.get(&stop.trip) {
                     if let Some(picked) = rec.picked_up_m {
-                        let ride = stop.clock_m - picked;
+                        let ride = clock_m - picked;
                         let ratio = if rec.direct_m > 0.0 {
                             ride / rec.direct_m
                         } else {
@@ -527,7 +473,7 @@ impl<'a> Simulation<'a> {
                         self.collector.record_delivery(ratio, violated);
                         self.trace.record_delivery(
                             stop.trip,
-                            config.meters_to_seconds(stop.clock_m),
+                            config.meters_to_seconds(clock_m),
                             ride,
                         );
                     }
@@ -662,100 +608,6 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Advances one vehicle to `until_m`, mutating only that vehicle's state
-/// and buffering every externally visible effect into the returned
-/// [`AdvanceOutcome`]. This is the unit of work the parallel movement
-/// phase fans out; it must not touch any shared engine state.
-pub(crate) fn advance_one(
-    vehicle: &mut Vehicle,
-    motion: &mut Motion,
-    graph: &RoadNetwork,
-    oracle: &dyn DistanceOracle,
-    cruise_when_idle: bool,
-    until_m: f64,
-) -> AdvanceOutcome {
-    let mut outcome = AdvanceOutcome::default();
-    loop {
-        if motion.path.is_empty()
-            && !start_next_leg(
-                vehicle,
-                motion,
-                graph,
-                oracle,
-                cruise_when_idle,
-                until_m,
-                &mut outcome,
-            )
-        {
-            return outcome;
-        }
-        if motion.next_arrival_m > until_m {
-            return outcome;
-        }
-        let (node, leg) = motion.path.pop_front().expect("leg exists");
-        let arrival = motion.next_arrival_m;
-        motion.at = node;
-        motion.at_clock_m = arrival;
-        outcome.distance_m += leg;
-        outcome.moved_to = Some(node);
-        if let Some(&(_, next_leg)) = motion.path.front() {
-            motion.next_arrival_m = arrival + next_leg;
-        } else {
-            // End of the planned drive: either we reached a committed
-            // stop or a cruising hop finished.
-            let reached_stop = vehicle.next_stop().is_some_and(|s| s.node == node);
-            if reached_stop {
-                serve_stop(vehicle, arrival, oracle, &mut outcome);
-            } else {
-                vehicle.set_position(node, arrival, oracle);
-            }
-        }
-    }
-}
-
-/// Plans the next drive for a vehicle whose path is empty. Returns false
-/// when the vehicle stays parked (nothing to do and cruising disabled).
-#[allow(clippy::too_many_arguments)]
-fn start_next_leg(
-    vehicle: &mut Vehicle,
-    motion: &mut Motion,
-    graph: &RoadNetwork,
-    oracle: &dyn DistanceOracle,
-    cruise_when_idle: bool,
-    until_m: f64,
-    outcome: &mut AdvanceOutcome,
-) -> bool {
-    // Serve any stop located at the current vertex immediately.
-    while let Some(stop) = vehicle.next_stop() {
-        if stop.node == motion.at {
-            let clock = motion.at_clock_m;
-            serve_stop(vehicle, clock, oracle, outcome);
-        } else {
-            break;
-        }
-    }
-    if let Some(stop) = vehicle.next_stop() {
-        return plan_path_to(motion, stop.node, oracle);
-    }
-    if !cruise_when_idle {
-        return false;
-    }
-    // Cruise: follow a random incident road segment, as in the paper.
-    if motion.at_clock_m > until_m {
-        return false;
-    }
-    let at = motion.at;
-    let neighbors: Vec<(NodeId, f64)> = graph.neighbors(at).collect();
-    if neighbors.is_empty() {
-        return false;
-    }
-    let (next, w) = neighbors[motion.rng.gen::<u64>() as usize % neighbors.len()];
-    let start_clock = motion.at_clock_m.max(0.0);
-    motion.path.push_back((next, w));
-    motion.next_arrival_m = start_clock + w;
-    true
-}
-
 /// Routes a vehicle towards `target`, filling its motion path. Returns
 /// false when already there or the target is unreachable.
 fn plan_path_to(motion: &mut Motion, target: NodeId, oracle: &dyn DistanceOracle) -> bool {
@@ -783,24 +635,6 @@ fn plan_path_to(motion: &mut Motion, target: NodeId, oracle: &dyn DistanceOracle
     motion.next_arrival_m = start_clock + legs.front().unwrap().1;
     motion.path = legs;
     true
-}
-
-/// Serves the vehicle's next committed stop at `clock_m`, buffering the
-/// metric/record/trace side effects for the apply phase.
-fn serve_stop(
-    vehicle: &mut Vehicle,
-    clock_m: f64,
-    oracle: &dyn DistanceOracle,
-    outcome: &mut AdvanceOutcome,
-) {
-    let onboard_before = vehicle.onboard_count();
-    let stop = vehicle.arrive_at_next_stop(clock_m, oracle);
-    outcome.stops.push(ServedStop {
-        trip: stop.trip,
-        kind: stop.kind,
-        clock_m,
-        onboard_after: onboard_before + 1,
-    });
 }
 
 #[cfg(test)]
@@ -884,136 +718,139 @@ mod tests {
         assert!((a.fleet_distance_km - b.fleet_distance_km).abs() < 1e-6);
     }
 
+    /// FNV-1a over every trace row, field by field, floats by their bits.
+    fn trace_digest(trace: &TraceLog) -> u64 {
+        use roadnet::io::bin;
+        let mut buf = Vec::new();
+        let opt = |buf: &mut Vec<u8>, v: Option<f64>| bin::put_f64(buf, v.unwrap_or(f64::NAN));
+        for r in trace.iter() {
+            bin::put_u64(&mut buf, r.trip);
+            bin::put_f64(&mut buf, r.submitted_s);
+            bin::put_u32(&mut buf, r.vehicle.unwrap_or(u32::MAX));
+            opt(&mut buf, r.assignment_cost_m);
+            bin::put_u64(&mut buf, r.candidates as u64);
+            opt(&mut buf, r.picked_up_s);
+            opt(&mut buf, r.delivered_s);
+            bin::put_f64(&mut buf, r.direct_m);
+            opt(&mut buf, r.ride_m);
+        }
+        bin::fnv1a(&buf)
+    }
+
+    #[test]
+    fn movement_heavy_and_batched_runs_are_pinned() {
+        // Literals recorded from the engine before its movement loop
+        // became apply-as-you-move (when effects were buffered per vehicle
+        // and applied in id order afterwards): any change to movement
+        // order, cruising streams or f64 accumulation order fails here.
+        let cruising = SimConfig {
+            vehicles: 30,
+            seed: 7,
+            cruise_when_idle: true,
+            ..SimConfig::default()
+        };
+        let batched = SimConfig {
+            vehicles: 12,
+            seed: 21,
+            batch_window_seconds: 120.0,
+            ..SimConfig::default()
+        };
+        let runs = [
+            (
+                small_workload(25, 11),
+                cruising,
+                [
+                    0x40a6_96e1_3f29_828c,
+                    0x403b_4df8_40af_9f74,
+                    0x8985_bc7a_a932_413a,
+                ],
+            ),
+            (
+                small_workload(60, 13),
+                batched,
+                [
+                    0x4093_6333_9e4c_1e54,
+                    0x4053_0ede_bb33_6eaa,
+                    0xc999_e632_e3f0_73d5,
+                ],
+            ),
+        ];
+        for (w, config, expect) in runs {
+            let oracle = CachedOracle::without_labels(&w.network);
+            let mut sim = Simulation::new(&w.network, &oracle, config);
+            let report = sim.run(&w.trips);
+            assert_eq!(report.assigned, report.requests, "{config:?}");
+            let got = [
+                report.fleet_distance_km.to_bits(),
+                report.mean_wait_seconds.to_bits(),
+                trace_digest(sim.trace()),
+            ];
+            assert_eq!(got, expect, "{config:?}");
+        }
+    }
+
+    /// The contract `benchmark/` relies on when it builds the engine with
+    /// [`Simulation::with_parallel`] and a worker count: the one sequential
+    /// engine runs, so every worker count reproduces [`Simulation::new`]'s
+    /// report, trace and fleet bit for bit.
+    fn with_parallel_matches_sequential(w: &Workload, base: SimConfig, workers: &[usize]) {
+        let oracle = roadnet::MatrixOracle::new(&w.network);
+        let observe = |sim: &mut Simulation<'_>| {
+            let r = sim.run(&w.trips);
+            let report = [
+                r.requests,
+                r.assigned,
+                r.rejected,
+                r.completed,
+                r.guarantee_violations,
+                r.fleet_distance_km.to_bits(),
+                r.mean_wait_seconds.to_bits(),
+                r.mean_detour_ratio.to_bits(),
+            ];
+            let trace: Vec<_> = sim.trace().iter().copied().collect();
+            let fleet: Vec<_> = sim.vehicles().iter().map(|v| v.location()).collect();
+            (report, trace, fleet)
+        };
+        let expect = observe(&mut Simulation::new(&w.network, &oracle, base));
+        assert_eq!(expect.0[0], w.trips.len() as u64);
+        for &workers in workers {
+            let config = SimConfig { workers, ..base };
+            let got = observe(&mut Simulation::with_parallel(&w.network, &oracle, config));
+            assert_eq!(got, expect, "workers = {workers}");
+        }
+    }
+
     #[test]
     fn parallel_workers_match_sequential_bit_for_bit() {
-        let w = small_workload(50, 8);
-        let seq_oracle = CachedOracle::without_labels(&w.network);
         let base = SimConfig {
             vehicles: 12,
             seed: 42,
             ..SimConfig::default()
         };
-        let mut seq = Simulation::new(&w.network, &seq_oracle, base);
-        let seq_report = seq.run(&w.trips);
-        let seq_assignments: Vec<_> = seq
-            .trace()
-            .iter()
-            .map(|t| (t.trip, t.vehicle, t.was_assigned()))
-            .collect();
-
-        for workers in [1usize, 4] {
-            let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
-            let config = SimConfig { workers, ..base };
-            let mut par = Simulation::with_parallel(&w.network, &par_oracle, config);
-            par.force_movement_threads();
-            let report = par.run(&w.trips);
-            assert_eq!(report.requests, seq_report.requests, "workers = {workers}");
-            assert_eq!(report.assigned, seq_report.assigned, "workers = {workers}");
-            assert_eq!(report.rejected, seq_report.rejected, "workers = {workers}");
-            assert_eq!(
-                report.completed, seq_report.completed,
-                "workers = {workers}"
-            );
-            assert!((report.fleet_distance_km - seq_report.fleet_distance_km).abs() < 1e-9);
-            let assignments: Vec<_> = par
-                .trace()
-                .iter()
-                .map(|t| (t.trip, t.vehicle, t.was_assigned()))
-                .collect();
-            assert_eq!(assignments, seq_assignments, "workers = {workers}");
-        }
+        with_parallel_matches_sequential(&small_workload(50, 8), base, &[1, 4]);
     }
 
     #[test]
     fn parallel_advance_matches_sequential() {
-        // Movement-heavy scenario: cruising enabled, many vehicles, few
-        // requests — most simulated time is advance_all, so this pins the
-        // parallel movement phase (not just dispatch) to the sequential
-        // engine's behaviour.
-        let w = small_workload(25, 11);
-        let seq_oracle = CachedOracle::without_labels(&w.network);
+        // Movement-heavy: cruising enabled, many vehicles, few requests.
         let base = SimConfig {
             vehicles: 30,
             seed: 7,
             cruise_when_idle: true,
             ..SimConfig::default()
         };
-        let mut seq = Simulation::new(&w.network, &seq_oracle, base);
-        let seq_report = seq.run(&w.trips);
-        let seq_locations: Vec<_> = seq.vehicles().iter().map(|v| v.location()).collect();
-
-        for workers in [2usize, 4, 8] {
-            let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
-            let config = SimConfig { workers, ..base };
-            let mut par = Simulation::with_parallel(&w.network, &par_oracle, config);
-            par.force_movement_threads();
-            let report = par.run(&w.trips);
-            let locations: Vec<_> = par.vehicles().iter().map(|v| v.location()).collect();
-            assert_eq!(locations, seq_locations, "workers = {workers}");
-            assert_eq!(report.assigned, seq_report.assigned, "workers = {workers}");
-            assert_eq!(
-                report.completed, seq_report.completed,
-                "workers = {workers}"
-            );
-            assert_eq!(
-                report.guarantee_violations, seq_report.guarantee_violations,
-                "workers = {workers}"
-            );
-            assert!(
-                (report.fleet_distance_km - seq_report.fleet_distance_km).abs() == 0.0,
-                "fleet distance must be bit-identical (workers = {workers}): {} vs {}",
-                report.fleet_distance_km,
-                seq_report.fleet_distance_km
-            );
-            assert!((report.mean_wait_seconds - seq_report.mean_wait_seconds).abs() == 0.0);
-            assert!((report.mean_detour_ratio - seq_report.mean_detour_ratio).abs() == 0.0);
-        }
+        with_parallel_matches_sequential(&small_workload(25, 11), base, &[2, 4, 8]);
     }
 
     #[test]
     fn batched_ticks_match_sequential_at_any_worker_count() {
-        // A fixed batch window is one experiment: moving the fleet on one
-        // thread or several between windows must not change any
-        // assignment, trace row or counter.
-        let w = small_workload(60, 13);
         let base = SimConfig {
             vehicles: 12,
             seed: 21,
             batch_window_seconds: 120.0,
             ..SimConfig::default()
         };
-        let seq_oracle = CachedOracle::without_labels(&w.network);
-        let mut seq = Simulation::new(&w.network, &seq_oracle, base);
-        let seq_report = seq.run(&w.trips);
-        assert_eq!(seq_report.requests, 60);
-        let seq_assignments: Vec<_> = seq
-            .trace()
-            .iter()
-            .map(|t| (t.trip, t.vehicle, t.was_assigned()))
-            .collect();
-
-        for workers in [1usize, 4] {
-            let par_oracle = roadnet::ShardedOracle::without_labels(&w.network);
-            let config = SimConfig { workers, ..base };
-            let mut par = Simulation::with_parallel(&w.network, &par_oracle, config);
-            par.force_movement_threads();
-            let report = par.run(&w.trips);
-            assert_eq!(report.requests, seq_report.requests, "workers = {workers}");
-            assert_eq!(report.assigned, seq_report.assigned, "workers = {workers}");
-            assert_eq!(report.rejected, seq_report.rejected, "workers = {workers}");
-            assert_eq!(
-                report.completed, seq_report.completed,
-                "workers = {workers}"
-            );
-            assert_eq!(report.guarantee_violations, 0, "workers = {workers}");
-            assert!((report.fleet_distance_km - seq_report.fleet_distance_km).abs() == 0.0);
-            let assignments: Vec<_> = par
-                .trace()
-                .iter()
-                .map(|t| (t.trip, t.vehicle, t.was_assigned()))
-                .collect();
-            assert_eq!(assignments, seq_assignments, "workers = {workers}");
-        }
+        with_parallel_matches_sequential(&small_workload(60, 13), base, &[1, 4]);
     }
 
     #[test]

@@ -124,8 +124,7 @@ impl<'a> ShardedSimulation<'a> {
     /// [`Simulation::new`] with region accounting over `partition`.
     ///
     /// # Panics
-    /// Panics when `partition` was grown on a network of another size, or
-    /// as [`Simulation::new`] does.
+    /// Panics when `partition` was grown on a network of another size.
     pub fn new(
         graph: &'a RoadNetwork,
         oracle: &'a dyn DistanceOracle,
@@ -135,18 +134,15 @@ impl<'a> ShardedSimulation<'a> {
         Self::with_ledger(Simulation::new(graph, oracle, config), partition)
     }
 
-    /// [`Simulation::with_parallel`] with region accounting over
-    /// `partition`.
-    ///
-    /// # Panics
-    /// Panics when `partition` was grown on a network of another size.
+    /// [`ShardedSimulation::new`]. Exists only for the frozen `benchmark/`
+    /// crate, which still calls it by this name.
     pub fn with_parallel(
         graph: &'a RoadNetwork,
         oracle: &'a (dyn DistanceOracle + Sync),
         partition: PartitionSpec,
         config: SimConfig,
     ) -> Self {
-        Self::with_ledger(Simulation::with_parallel(graph, oracle, config), partition)
+        Self::new(graph, oracle, partition, config)
     }
 
     fn with_ledger(mut sim: Simulation<'a>, partition: PartitionSpec) -> Self {
