@@ -4,9 +4,10 @@
 //! the waiting-time radius `w` of the pickup can possibly serve it (any
 //! farther server would already violate the waiting-time constraint on the
 //! empty road). The dispatcher therefore asks the grid-based spatial index
-//! for the vehicles inside that radius, evaluates the request against each
-//! candidate, and assigns it to the vehicle offering the smallest augmented
-//! trip cost — exactly the paper's simulation loop.
+//! once for the vehicles inside that radius ([`Dispatcher::candidates`]),
+//! evaluates the request against each candidate, and assigns it to the
+//! vehicle offering the smallest augmented trip cost
+//! ([`Dispatcher::assign_among`]) — exactly the paper's simulation loop.
 //!
 //! The dispatcher also measures the two quantities the paper reports:
 //! *average customer response time* (ACRT — wall-clock time to find the best
@@ -14,7 +15,7 @@
 //! time of a single vehicle evaluation, bucketed by how many active requests
 //! that vehicle already has).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use roadnet::{DistanceOracle, Point, RoadNetwork};
@@ -179,7 +180,9 @@ pub struct DispatchStats {
     pub rejected: u64,
     /// Total candidates evaluated over all requests.
     pub candidates: u64,
-    /// Total wall-clock nanoseconds spent answering requests (ACRT total).
+    /// Total wall-clock nanoseconds spent answering requests (ACRT total):
+    /// the candidate query ([`Dispatcher::candidates`]) plus screening,
+    /// evaluation and selection ([`Dispatcher::assign_among`]).
     pub response_nanos: u128,
     /// Per-vehicle evaluation time bucketed by the vehicle's number of
     /// active requests at evaluation time: bucket -> (evaluations, nanos).
@@ -247,31 +250,6 @@ impl DispatchStats {
             self.evaluated() as f64 / self.requests as f64
         }
     }
-}
-
-/// Candidate vehicle ids for a request under `config`, written into `out`:
-/// every vehicle when spatial filtering is off, otherwise the grid-index
-/// hits within the waiting-time radius of the pickup vertex. Both forms
-/// yield ids in ascending order ([`GridIndex::query_radius_into`] sorts),
-/// which is what makes keep-the-incumbent iteration implement the
-/// lowest-id tie-break. `out` is a caller-owned buffer because the dispatch
-/// hot path runs once per submitted trip and reuses one scratch vector.
-fn filter_candidates_into(
-    config: &DispatcherConfig,
-    request: &TripRequest,
-    graph: &RoadNetwork,
-    index: &mut GridIndex,
-    fleet_size: usize,
-    out: &mut Vec<u32>,
-) {
-    if !config.use_spatial_filter {
-        out.clear();
-        out.extend(0..fleet_size as u32);
-        return;
-    }
-    let p = graph.point(request.source);
-    let radius = request.constraints.max_wait * config.radius_factor;
-    index.query_radius_into(Position::new(p.x, p.y), radius, out);
 }
 
 /// Safety margin (meters) the candidate screen adds on top of the schedule
@@ -360,45 +338,42 @@ fn screen_candidate(
     }
 }
 
-/// The fleet slice one [`Dispatcher::assign`] call was handed, with
-/// candidate vehicle ids resolved to its slots. Built once per request.
-///
-/// An engine's whole fleet is *canonical* — vehicle `i` sits in slot `i` —
-/// and needs no table at all. [`Dispatcher::assign`] is public and takes
-/// any slice, though (a caller dispatching over part of a fleet, say); a
-/// slice that is not canonical gets an id → slot map in which the first
-/// slot carrying an id wins, the answer a linear
-/// `position(|v| v.id() == vid)` scan would give.
-struct Fleet<'a> {
-    vehicles: &'a [Vehicle],
-    /// First slot carrying each id; `None` for a canonical slice, where
-    /// `slot == id` for every id below `vehicles.len()`.
-    slot_of: Option<HashMap<u32, usize>>,
+/// Vehicle `vid` of `vehicles`. A vehicle's id is its slot, so this is
+/// slot `vid` — unless there is no such slot, or the slot carries another
+/// id, and then there is no vehicle `vid` to evaluate.
+fn vehicle(vehicles: &[Vehicle], vid: u32) -> Option<&Vehicle> {
+    vehicles.get(vid as usize).filter(|v| v.id() == vid)
 }
 
-impl<'a> Fleet<'a> {
-    fn new(vehicles: &'a [Vehicle]) -> Self {
-        let canonical = vehicles
-            .iter()
-            .enumerate()
-            .all(|(slot, v)| v.id() as usize == slot);
-        let slot_of = (!canonical).then(|| {
-            let mut map = HashMap::with_capacity(vehicles.len());
-            for (slot, v) in vehicles.iter().enumerate() {
-                map.entry(v.id()).or_insert(slot);
-            }
-            map
-        });
-        Fleet { vehicles, slot_of }
-    }
-
-    /// Slot of vehicle `vid`, `None` when the slice does not carry it.
-    fn slot(&self, vid: u32) -> Option<usize> {
-        match &self.slot_of {
-            None => ((vid as usize) < self.vehicles.len()).then_some(vid as usize),
-            Some(map) => map.get(&vid).copied(),
+/// Screens `request`'s candidates (see [`screen_candidate`]) and returns
+/// the survivors as `(key, vehicle id)` in ascending order, with the number
+/// the screen pruned. `key` maps a survivor and its admissible lower bound
+/// to its sort key — a bound or a Euclidean length, so >= +0.0 and never
+/// NaN, where `total_cmp` is the numeric order.
+fn rank_survivors(
+    request: &TripRequest,
+    candidates: &[u32],
+    vehicles: &[Vehicle],
+    graph: &RoadNetwork,
+    oracle: &dyn DistanceOracle,
+    key: impl Fn(&Vehicle, Cost) -> Cost,
+) -> (Vec<(Cost, u32)>, u64) {
+    let pickup = graph.point(request.source);
+    let deadline = request.pickup_deadline();
+    let direct = oracle.dist(request.source, request.destination);
+    let mut ranked = Vec::with_capacity(candidates.len());
+    let mut by_slack = 0u64;
+    for &vid in candidates {
+        let Some(v) = vehicle(vehicles, vid) else {
+            continue;
+        };
+        match screen_candidate(v, graph, pickup, deadline, direct) {
+            Screen::Pruned => by_slack += 1,
+            Screen::Keep { lb } => ranked.push((key(v, lb), vid)),
         }
     }
+    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    (ranked, by_slack)
 }
 
 /// Fleet-level matcher.
@@ -408,9 +383,6 @@ pub struct Dispatcher {
     stats: DispatchStats,
     /// Current effort level (the serve path's degradation ladder).
     effort: DispatchEffort,
-    /// Candidate-id scratch buffer reused across requests (dispatch runs
-    /// once per submitted trip; this avoids an allocation each time).
-    scratch: Vec<u32>,
 }
 
 impl Dispatcher {
@@ -420,7 +392,6 @@ impl Dispatcher {
             config,
             stats: DispatchStats::default(),
             effort: DispatchEffort::Full,
-            scratch: Vec::new(),
         }
     }
 
@@ -434,7 +405,7 @@ impl Dispatcher {
         self.effort
     }
 
-    /// Sets the effort level for subsequent [`Dispatcher::assign`] calls.
+    /// Sets the effort level for subsequent dispatches.
     pub fn set_effort(&mut self, effort: DispatchEffort) {
         self.effort = effort;
     }
@@ -451,23 +422,56 @@ impl Dispatcher {
         self.stats = stats;
     }
 
-    /// Candidate vehicle ids for a request: those whose indexed position is
-    /// within the waiting-time radius of the pickup vertex.
+    /// Candidate vehicle ids for a request, ascending: every vehicle of a
+    /// `fleet_size`-vehicle fleet when spatial filtering is off, otherwise
+    /// those whose indexed position is within the waiting-time radius of
+    /// the pickup vertex ([`GridIndex::query_radius`] sorts). Ascending ids
+    /// are what make keep-the-incumbent iteration implement the lowest-id
+    /// tie-break.
+    ///
+    /// This is a request's one grid query; hand its result to
+    /// [`Dispatcher::assign_among`]. Looking the candidates up is part of
+    /// answering the request, so the time it takes is added to
+    /// [`DispatchStats::response_nanos`].
     pub fn candidates(
-        &self,
+        &mut self,
         request: &TripRequest,
         graph: &RoadNetwork,
         index: &mut GridIndex,
         fleet_size: usize,
     ) -> Vec<u32> {
-        let mut out = Vec::new();
-        filter_candidates_into(&self.config, request, graph, index, fleet_size, &mut out);
-        out
+        let timer = Instant::now();
+        let ids = if self.config.use_spatial_filter {
+            let p = graph.point(request.source);
+            let radius = request.constraints.max_wait * self.config.radius_factor;
+            index.query_radius(Position::new(p.x, p.y), radius)
+        } else {
+            (0..fleet_size as u32).collect()
+        };
+        self.stats.response_nanos += timer.elapsed().as_nanos();
+        ids
     }
 
-    /// Processes one request: filters candidates, evaluates them, assigns
-    /// the request to the cheapest feasible vehicle (committing it) and
-    /// records timing statistics.
+    /// Processes one request start to finish: [`Dispatcher::candidates`],
+    /// then [`Dispatcher::assign_among`] over them.
+    pub fn assign(
+        &mut self,
+        request: &TripRequest,
+        vehicles: &mut [Vehicle],
+        graph: &RoadNetwork,
+        index: &mut GridIndex,
+        oracle: &dyn DistanceOracle,
+    ) -> AssignmentOutcome {
+        let candidates = self.candidates(request, graph, index, vehicles.len());
+        self.assign_among(request, &candidates, vehicles, graph, index, oracle)
+    }
+
+    /// Evaluates `request` against the vehicles named by `candidates` (the
+    /// ascending ids [`Dispatcher::candidates`] returns), assigns it to the
+    /// cheapest feasible one (committing it) and records statistics. A
+    /// vehicle's id is its slot in `vehicles`; an id with no slot, or whose
+    /// slot carries another id, is skipped, though it still counts as a
+    /// candidate.
     ///
     /// With [`DispatcherConfig::use_pruning`] (the default) candidates are
     /// screened with `screen_candidate` and evaluated best-first by
@@ -480,96 +484,94 @@ impl Dispatcher {
     /// dispatched by calling this once per request in submission order:
     /// each call commits its winner before the next request is screened, so
     /// request `i` sees every commit made for requests `0..i`.
-    pub fn assign(
+    pub fn assign_among(
         &mut self,
         request: &TripRequest,
+        candidates: &[u32],
         vehicles: &mut [Vehicle],
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
     ) -> AssignmentOutcome {
-        let request_timer = Instant::now();
-        let mut candidate_ids = std::mem::take(&mut self.scratch);
-        filter_candidates_into(
-            &self.config,
-            request,
-            graph,
-            index,
-            vehicles.len(),
-            &mut candidate_ids,
-        );
-        let fleet = Fleet::new(vehicles);
+        let timer = Instant::now();
         let best = match self.effort {
             DispatchEffort::Full if !self.config.use_pruning => {
-                self.evaluate_exhaustive(request, &candidate_ids, &fleet, index, oracle)
+                self.evaluate_exhaustive(request, candidates, vehicles, index, oracle)
             }
             DispatchEffort::Full | DispatchEffort::SlackPruned => {
-                self.evaluate_pruned(request, &candidate_ids, &fleet, graph, index, oracle)
+                self.evaluate_pruned(request, candidates, vehicles, graph, index, oracle)
             }
             DispatchEffort::Greedy => {
-                self.evaluate_greedy(request, &candidate_ids, &fleet, graph, index, oracle)
+                self.evaluate_greedy(request, candidates, vehicles, graph, index, oracle)
             }
         };
         self.stats.requests += 1;
-        self.stats.candidates += candidate_ids.len() as u64;
-        self.stats.response_nanos += request_timer.elapsed().as_nanos();
-        let n_candidates = candidate_ids.len();
-        self.scratch = candidate_ids;
+        self.stats.candidates += candidates.len() as u64;
+        self.stats.response_nanos += timer.elapsed().as_nanos();
         match best {
-            Some((slot, proposal)) => {
+            Some((vehicle, proposal)) => {
                 let cost = proposal.cost;
-                let vehicle = vehicles[slot].id();
-                vehicles[slot].commit(proposal);
+                vehicles[vehicle as usize].commit(proposal);
                 self.stats.assigned += 1;
                 AssignmentOutcome::Assigned {
                     vehicle,
                     cost,
-                    candidates: n_candidates,
+                    candidates: candidates.len(),
                 }
             }
             None => {
                 self.stats.rejected += 1;
                 AssignmentOutcome::Rejected {
-                    candidates: n_candidates,
+                    candidates: candidates.len(),
                 }
             }
         }
+    }
+
+    /// Evaluates `request` on `vehicle`, booking the wall-clock time in the
+    /// ART bucket of the vehicle's active-request count.
+    fn evaluate(
+        &mut self,
+        vehicle: &Vehicle,
+        request: &TripRequest,
+        oracle: &dyn DistanceOracle,
+    ) -> Option<Proposal> {
+        let active = vehicle.active_trip_count();
+        let timer = Instant::now();
+        let proposal = vehicle.evaluate(request, oracle);
+        let nanos = timer.elapsed().as_nanos();
+        let bucket = self.stats.art_buckets.entry(active).or_insert((0, 0));
+        bucket.0 += 1;
+        bucket.1 += nanos;
+        proposal
     }
 
     /// Exhaustive evaluation in ascending-id order (pruning disabled).
     fn evaluate_exhaustive(
         &mut self,
         request: &TripRequest,
-        candidate_ids: &[u32],
-        fleet: &Fleet<'_>,
+        candidates: &[u32],
+        vehicles: &[Vehicle],
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
-    ) -> Option<(usize, Proposal)> {
-        let vehicles = fleet.vehicles;
-        let mut best: Option<(usize, Proposal)> = None;
+    ) -> Option<(u32, Proposal)> {
+        let mut best: Option<(u32, Proposal)> = None;
         let mut evaluated = 0u64;
-        for &vid in candidate_ids {
-            let Some(slot) = fleet.slot(vid) else {
+        for &vid in candidates {
+            let Some(v) = vehicle(vehicles, vid) else {
                 continue;
             };
-            let active = vehicles[slot].active_trip_count();
-            let eval_timer = Instant::now();
-            let proposal = vehicles[slot].evaluate(request, oracle);
-            let nanos = eval_timer.elapsed().as_nanos();
-            let bucket = self.stats.art_buckets.entry(active).or_insert((0, 0));
-            bucket.0 += 1;
-            bucket.1 += nanos;
             evaluated += 1;
-            if let Some(p) = proposal {
+            if let Some(p) = self.evaluate(v, request, oracle) {
                 // Strictly-better cost wins; on an exact tie the lowest
                 // vehicle id wins (candidate ids arrive in ascending order,
                 // so keeping the incumbent implements that).
                 if best.as_ref().is_none_or(|(_, b)| p.cost < b.cost) {
-                    best = Some((slot, p));
+                    best = Some((vid, p));
                 }
             }
         }
-        index.record_pruning(candidate_ids.len() as u64, 0, 0, evaluated);
+        index.record_pruning(candidates.len() as u64, 0, 0, evaluated);
         best
     }
 
@@ -581,37 +583,19 @@ impl Dispatcher {
     fn evaluate_pruned(
         &mut self,
         request: &TripRequest,
-        candidate_ids: &[u32],
-        fleet: &Fleet<'_>,
+        candidates: &[u32],
+        vehicles: &[Vehicle],
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
-    ) -> Option<(usize, Proposal)> {
-        let vehicles = fleet.vehicles;
-        let pickup = graph.point(request.source);
-        let deadline = request.pickup_deadline();
-        let direct = oracle.dist(request.source, request.destination);
-        let mut ranked: Vec<(Cost, u32, u32)> = Vec::with_capacity(candidate_ids.len());
-        let mut by_slack = 0u64;
-        for &vid in candidate_ids {
-            let Some(slot) = fleet.slot(vid) else {
-                continue;
-            };
-            match screen_candidate(&vehicles[slot], graph, pickup, deadline, direct) {
-                Screen::Pruned => by_slack += 1,
-                Screen::Keep { lb } => ranked.push((lb, vid, slot as u32)),
-            }
-        }
-        ranked.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("lower bounds are never NaN")
-                .then(a.1.cmp(&b.1))
-        });
-        let mut best: Option<(usize, u32, Proposal)> = None;
+    ) -> Option<(u32, Proposal)> {
+        let (ranked, by_slack) =
+            rank_survivors(request, candidates, vehicles, graph, oracle, |_, lb| lb);
+        let mut best: Option<(u32, Proposal)> = None;
         let mut evaluated = 0u64;
         let mut by_bound = 0u64;
-        for (i, &(lb, vid, slot)) in ranked.iter().enumerate() {
-            if let Some((_, best_vid, b)) = &best {
+        for (i, &(lb, vid)) in ranked.iter().enumerate() {
+            if let Some((best_vid, b)) = &best {
                 // Remaining candidates are sorted by (lb, vid), so once the
                 // bound meets the incumbent nothing later can win the
                 // (cost, id) lexicographic comparison either.
@@ -620,29 +604,19 @@ impl Dispatcher {
                     break;
                 }
             }
-            let slot = slot as usize;
-            let active = vehicles[slot].active_trip_count();
-            let eval_timer = Instant::now();
-            let proposal = vehicles[slot].evaluate(request, oracle);
-            let nanos = eval_timer.elapsed().as_nanos();
-            let bucket = self.stats.art_buckets.entry(active).or_insert((0, 0));
-            bucket.0 += 1;
-            bucket.1 += nanos;
             evaluated += 1;
-            if let Some(p) = proposal {
+            if let Some(p) = self.evaluate(&vehicles[vid as usize], request, oracle) {
                 let better = match &best {
                     None => true,
-                    Some((_, best_vid, b)) => {
-                        p.cost < b.cost || (p.cost == b.cost && vid < *best_vid)
-                    }
+                    Some((best_vid, b)) => p.cost < b.cost || (p.cost == b.cost && vid < *best_vid),
                 };
                 if better {
-                    best = Some((slot, vid, p));
+                    best = Some((vid, p));
                 }
             }
         }
-        index.record_pruning(candidate_ids.len() as u64, by_slack, by_bound, evaluated);
-        best.map(|(slot, _, p)| (slot, p))
+        index.record_pruning(candidates.len() as u64, by_slack, by_bound, evaluated);
+        best
     }
 
     /// Nearest-feasible evaluation ([`DispatchEffort::Greedy`]): screen the
@@ -655,55 +629,29 @@ impl Dispatcher {
     fn evaluate_greedy(
         &mut self,
         request: &TripRequest,
-        candidate_ids: &[u32],
-        fleet: &Fleet<'_>,
+        candidates: &[u32],
+        vehicles: &[Vehicle],
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
-    ) -> Option<(usize, Proposal)> {
-        let vehicles = fleet.vehicles;
+    ) -> Option<(u32, Proposal)> {
         let pickup = graph.point(request.source);
-        let deadline = request.pickup_deadline();
-        let direct = oracle.dist(request.source, request.destination);
-        let mut ranked: Vec<(Cost, u32, u32)> = Vec::with_capacity(candidate_ids.len());
-        let mut by_slack = 0u64;
-        for &vid in candidate_ids {
-            let Some(slot) = fleet.slot(vid) else {
-                continue;
-            };
-            match screen_candidate(&vehicles[slot], graph, pickup, deadline, direct) {
-                Screen::Pruned => by_slack += 1,
-                Screen::Keep { .. } => {
-                    let to_pickup = graph.point(vehicles[slot].location()).distance(&pickup);
-                    ranked.push((to_pickup, vid, slot as u32));
-                }
-            }
-        }
-        ranked.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("distances are never NaN")
-                .then(a.1.cmp(&b.1))
-        });
+        let (ranked, by_slack) =
+            rank_survivors(request, candidates, vehicles, graph, oracle, |v, _| {
+                graph.point(v.location()).distance(&pickup)
+            });
         let mut evaluated = 0u64;
         let mut skipped = 0u64;
-        let mut found: Option<(usize, Proposal)> = None;
-        for (i, &(_, _, slot)) in ranked.iter().enumerate() {
-            let slot = slot as usize;
-            let active = vehicles[slot].active_trip_count();
-            let eval_timer = Instant::now();
-            let proposal = vehicles[slot].evaluate(request, oracle);
-            let nanos = eval_timer.elapsed().as_nanos();
-            let bucket = self.stats.art_buckets.entry(active).or_insert((0, 0));
-            bucket.0 += 1;
-            bucket.1 += nanos;
+        let mut found: Option<(u32, Proposal)> = None;
+        for (i, &(_, vid)) in ranked.iter().enumerate() {
             evaluated += 1;
-            if let Some(p) = proposal {
+            if let Some(p) = self.evaluate(&vehicles[vid as usize], request, oracle) {
                 skipped = (ranked.len() - i - 1) as u64;
-                found = Some((slot, p));
+                found = Some((vid, p));
                 break;
             }
         }
-        index.record_pruning(candidate_ids.len() as u64, by_slack, skipped, evaluated);
+        index.record_pruning(candidates.len() as u64, by_slack, skipped, evaluated);
         found
     }
 }
@@ -956,105 +904,111 @@ mod tests {
         }
     }
 
-    fn fleet_with_ids(ids: &[u32]) -> Vec<Vehicle> {
-        ids.iter()
-            .map(|&id| Vehicle::new(id, 0, 4, PlannerKind::Kinetic(KineticConfig::basic()), 0.0))
-            .collect()
+    /// The parts of a dispatcher's statistics that are functions of fleet
+    /// state: everything but the wall-clock nanoseconds.
+    fn counts(stats: &DispatchStats) -> (u64, u64, u64, u64, Vec<(usize, u64)>) {
+        let art = stats
+            .art_buckets
+            .iter()
+            .map(|(&k, &(n, _))| (k, n))
+            .collect();
+        (
+            stats.requests,
+            stats.assigned,
+            stats.rejected,
+            stats.candidates,
+            art,
+        )
+    }
+
+    fn configs() -> [DispatcherConfig; 2] {
+        let no_prune = DispatcherConfig {
+            use_pruning: false,
+            ..DispatcherConfig::default()
+        };
+        [DispatcherConfig::default(), no_prune]
     }
 
     #[test]
-    fn resolver_takes_the_canonical_fast_path_and_bounds_it() {
-        let vehicles = fleet_with_ids(&[0, 1, 2, 3]);
-        let slots = Fleet::new(&vehicles);
-        assert!(slots.slot_of.is_none(), "canonical slices need no table");
-        assert_eq!(slots.slot(0), Some(0));
-        assert_eq!(slots.slot(3), Some(3));
-        assert_eq!(
-            slots.slot(4),
-            None,
-            "an id >= fleet length resolves to nothing"
-        );
-        assert_eq!(slots.slot(u32::MAX), None);
-        let empty = Fleet::new(&[]);
-        assert_eq!(empty.slot(0), None);
-    }
-
-    #[test]
-    fn resolver_maps_shifted_ids_to_their_slots() {
-        // Part of a fleet: ids ascending but not starting at zero.
-        let vehicles = fleet_with_ids(&[10, 11, 14, 17]);
-        let slots = Fleet::new(&vehicles);
-        assert!(slots.slot_of.is_some());
-        assert_eq!(slots.slot(10), Some(0));
-        assert_eq!(slots.slot(14), Some(2));
-        assert_eq!(slots.slot(17), Some(3));
-        assert_eq!(slots.slot(0), None, "slot numbers are not ids here");
-        assert_eq!(slots.slot(12), None);
-    }
-
-    #[test]
-    fn resolver_gives_a_duplicated_id_to_its_first_slot() {
-        let vehicles = fleet_with_ids(&[0, 1, 1, 3]);
-        let slots = Fleet::new(&vehicles);
-        assert_eq!(
-            slots.slot(1),
-            Some(1),
-            "first slot wins, as a linear scan would"
-        );
-        assert_eq!(slots.slot(3), Some(3));
-        assert_eq!(slots.slot(2), None, "slot 2 carries id 1, not id 2");
-    }
-
-    #[test]
-    fn dispatch_resolves_a_non_canonical_fleet_like_a_canonical_one() {
-        // The same three cars, once with ids 0..3 and once renumbered
-        // 100..103 (index entries renumbered to match): the winner is the
-        // same car at the same cost.
-        let positions = [0u32, 35, 63];
+    fn assign_is_candidates_then_assign_among_at_every_rung() {
+        let positions = [0u32, 9, 18, 27, 35, 36, 45, 54, 63];
         let planner = PlannerKind::Kinetic(KineticConfig::slack());
-        let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
-        let (graph, mut canonical, mut index) = setup(planner, &positions);
-        let oracle = CachedOracle::without_labels(&graph);
-        let expect = Dispatcher::new(DispatcherConfig::default()).assign(
-            &req,
-            &mut canonical,
-            &graph,
-            &mut index,
-            &oracle,
-        );
-        let mut shifted = Vec::new();
-        let mut shifted_index = GridIndex::new(1_000.0);
-        for (i, &node) in positions.iter().enumerate() {
-            let id = 100 + i as u32;
-            shifted.push(Vehicle::new(id, node, 4, planner, 0.0));
-            let p = graph.point(node);
-            shifted_index.insert(id, Position::new(p.x, p.y));
-        }
-        let got = Dispatcher::new(DispatcherConfig::default()).assign(
-            &req,
-            &mut shifted,
-            &graph,
-            &mut shifted_index,
-            &oracle,
-        );
-        match (expect, got) {
-            (
-                AssignmentOutcome::Assigned {
-                    vehicle: 1,
-                    cost: a,
-                    candidates: ca,
-                },
-                AssignmentOutcome::Assigned {
-                    vehicle: 101,
-                    cost: b,
-                    candidates: cb,
-                },
-            ) => {
-                assert_eq!(a, b);
-                assert_eq!(ca, cb);
+        let requests: Vec<TripRequest> = [(36, 60), (35, 2), (7, 56), (27, 30), (63, 0), (56, 7)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d))| {
+                // Every third request starts at a corner no vehicle can
+                // reach within its tight waiting budget: a rejection.
+                let wait = if i % 3 == 2 { 400.0 } else { 3_000.0 };
+                TripRequest::new(i as u64 + 1, s, d, 0.0, Constraints::new(wait, 0.3))
+            })
+            .collect();
+        for config in configs() {
+            for effort in DispatchEffort::ALL {
+                let (graph, mut fleet_a, mut index_a) = setup(planner, &positions);
+                let (_, mut fleet_b, mut index_b) = setup(planner, &positions);
+                let oracle = CachedOracle::without_labels(&graph);
+                let mut whole = Dispatcher::new(config);
+                let mut split = Dispatcher::new(config);
+                whole.set_effort(effort);
+                split.set_effort(effort);
+                for r in &requests {
+                    let a = whole.assign(r, &mut fleet_a, &graph, &mut index_a, &oracle);
+                    let ids = split.candidates(r, &graph, &mut index_b, fleet_b.len());
+                    let b =
+                        split.assign_among(r, &ids, &mut fleet_b, &graph, &mut index_b, &oracle);
+                    assert_eq!(a, b, "{config:?} {effort:?} request {}", r.id);
+                }
+                assert_eq!(whole.stats().rejected, 2, "{config:?} {effort:?}");
+                assert_eq!(counts(whole.stats()), counts(split.stats()));
+                assert_eq!(index_a.stats(), index_b.stats(), "{config:?} {effort:?}");
+                assert_eq!(index_b.stats().queries, requests.len() as u64);
+                for (a, b) in fleet_a.iter().zip(&fleet_b) {
+                    assert_eq!(a.route(), b.route(), "{config:?} {effort:?}");
+                }
             }
-            other => panic!("expected vehicle 1 / 101 to win: {other:?}"),
         }
-        assert_eq!(shifted[1].active_trip_count(), 1);
+    }
+
+    #[test]
+    fn an_id_whose_slot_does_not_carry_it_is_skipped() {
+        // Slot 1 sits next to the pickup but carries id 5; ids 9 and
+        // u32::MAX have no slot at all. Only id 2 names its own slot.
+        let planner = PlannerKind::Kinetic(KineticConfig::slack());
+        let (graph, mut vehicles, mut index) = setup(planner, &[0, 35, 63]);
+        vehicles[1] = Vehicle::new(5, 35, 4, planner, 0.0);
+        let oracle = CachedOracle::without_labels(&graph);
+        let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
+        for config in configs() {
+            for effort in DispatchEffort::ALL {
+                let mut fleet = vehicles.clone();
+                let mut dispatcher = Dispatcher::new(config);
+                dispatcher.set_effort(effort);
+                index.reset_stats();
+                let ids = [1, 2, 9, u32::MAX];
+                let out =
+                    dispatcher.assign_among(&req, &ids, &mut fleet, &graph, &mut index, &oracle);
+                assert!(
+                    matches!(
+                        out,
+                        AssignmentOutcome::Assigned {
+                            vehicle: 2,
+                            candidates: 4,
+                            ..
+                        }
+                    ),
+                    "{config:?} {effort:?}: {out:?}"
+                );
+                assert_eq!(fleet[1].active_trip_count(), 0, "slot 1 is not vehicle 1");
+                assert_eq!(fleet[2].active_trip_count(), 1);
+                let none =
+                    dispatcher.assign_among(&req, &[1, 9], &mut fleet, &graph, &mut index, &oracle);
+                assert_eq!(none, AssignmentOutcome::Rejected { candidates: 2 });
+                assert_eq!(dispatcher.stats().evaluated(), 1, "{config:?} {effort:?}");
+                assert_eq!(dispatcher.stats().candidates, 6);
+                let grid = index.stats();
+                assert_eq!((grid.candidates_in_radius, grid.evaluated), (6, 1));
+            }
+        }
     }
 }

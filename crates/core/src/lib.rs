@@ -30,8 +30,9 @@
 //! candidate filtering, an O(1) slack screen, best-first evaluation by
 //! admissible lower bound with an early exit, minimum-cost assignment with
 //! cost ties broken to the lowest vehicle id. It is the only dispatcher —
-//! per-request submission, batched windows and every serve tick feed their
-//! requests through [`dispatch::Dispatcher::assign`] one at a time, in
+//! per-request submission, batched windows and every serve tick ask
+//! [`dispatch::Dispatcher::candidates`] once per request and feed the ids
+//! to [`dispatch::Dispatcher::assign_among`] one request at a time, in
 //! order, on the calling thread.
 //!
 //! All quantities are measured in meters. With the paper's constant speed of

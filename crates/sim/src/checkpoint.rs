@@ -554,14 +554,18 @@ mod tests {
         }
     }
 
-    /// Submits `trips[from..]`, advancing the clock as [`Simulation::run`]
-    /// does, then drains.
-    fn run_tail(sim: &mut Simulation<'_>, trips: &[TripEvent], from: usize) {
-        for trip in &trips[from..] {
-            let t_m = sim.config().seconds_to_meters(trip.time_seconds);
-            sim.advance_all(t_m);
+    /// Submits each of `trips` at its own time, advancing the fleet to it
+    /// first as [`Simulation::run`] does.
+    fn replay(sim: &mut Simulation<'_>, trips: &[TripEvent]) {
+        for trip in trips {
+            sim.advance_all(sim.config().seconds_to_meters(trip.time_seconds));
             sim.submit(trip);
         }
+    }
+
+    /// Submits `trips[from..]` as [`replay`] does, then drains.
+    fn run_tail(sim: &mut Simulation<'_>, trips: &[TripEvent], from: usize) {
+        replay(sim, &trips[from..]);
         sim.drain();
     }
 
@@ -612,11 +616,7 @@ mod tests {
 
         for cut in [1usize, 17, 30, 59] {
             let mut first = Simulation::new(&w.network, &oracle, config());
-            for trip in &w.trips[..cut] {
-                let t_m = first.config().seconds_to_meters(trip.time_seconds);
-                first.advance_all(t_m);
-                first.submit(trip);
-            }
+            replay(&mut first, &w.trips[..cut]);
             let bytes = first.checkpoint_bytes(cut, digest);
             drop(first);
             let (mut resumed, next) =
@@ -644,11 +644,7 @@ mod tests {
 
         let cut = 15;
         let mut first = Simulation::new(&w.network, &oracle, config());
-        for trip in &w.trips[..cut] {
-            let t_m = first.config().seconds_to_meters(trip.time_seconds);
-            first.advance_all(t_m);
-            first.submit(trip);
-        }
+        replay(&mut first, &w.trips[..cut]);
         let bytes = first.checkpoint_bytes(cut, digest);
 
         let par_config = SimConfig {
@@ -670,11 +666,7 @@ mod tests {
         let digest = digest_trips(&w.trips);
         let oracle = CachedOracle::without_labels(&w.network);
         let mut sim = Simulation::new(&w.network, &oracle, config());
-        for trip in &w.trips[..10] {
-            let t_m = sim.config().seconds_to_meters(trip.time_seconds);
-            sim.advance_all(t_m);
-            sim.submit(trip);
-        }
+        replay(&mut sim, &w.trips[..10]);
         let bytes = sim.checkpoint_bytes(10, digest);
         for len in 0..bytes.len() {
             match Simulation::resume(&w.network, &oracle, config(), &w.trips, &bytes[..len]) {
@@ -693,11 +685,7 @@ mod tests {
         let digest = digest_trips(&w.trips);
         let oracle = CachedOracle::without_labels(&w.network);
         let mut sim = Simulation::new(&w.network, &oracle, config());
-        for trip in &w.trips[..8] {
-            let t_m = sim.config().seconds_to_meters(trip.time_seconds);
-            sim.advance_all(t_m);
-            sim.submit(trip);
-        }
+        replay(&mut sim, &w.trips[..8]);
         let bytes = sim.checkpoint_bytes(8, digest);
         for pos in [5usize, 40, bytes.len() / 2, bytes.len() - 9] {
             let mut corrupt = bytes.clone();
@@ -755,11 +743,7 @@ mod tests {
         let digest = digest_trips(&w.trips);
         let oracle = CachedOracle::without_labels(&w.network);
         let mut sim = Simulation::new(&w.network, &oracle, config());
-        for trip in &w.trips[..5] {
-            let t_m = sim.config().seconds_to_meters(trip.time_seconds);
-            sim.advance_all(t_m);
-            sim.submit(trip);
-        }
+        replay(&mut sim, &w.trips[..5]);
         let dir = std::env::temp_dir().join("rideshare_checkpoint_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("replay.ckpt");

@@ -141,47 +141,37 @@ impl<'a> Simulation<'a> {
         &self.vehicles
     }
 
-    /// Runs the full workload and returns the report. Requests are submitted
-    /// at their timestamps; after the last request the simulation keeps
-    /// running until every committed stop has been served (bounded by a
-    /// four-hour drain horizon).
+    /// Runs the full workload and returns the report. Each request is
+    /// dispatched at its own time, with the fleet advanced to it first;
+    /// after the last request the simulation keeps running until every
+    /// committed stop has been served (bounded by a four-hour drain
+    /// horizon).
     pub fn run(&mut self, trips: &[TripEvent]) -> SimReport {
         let limit = self.config.max_requests.unwrap_or(usize::MAX);
         let trips = &trips[..trips.len().min(limit)];
+        // Group consecutive trips landing in the same dispatch window — one
+        // trip per window when windows are off. Trips are sorted by time, so
+        // each window is one contiguous slice; the fleet advances once to
+        // the window's last request.
         let window = self.config.batch_window_seconds;
-        if window <= 0.0 {
-            for trip in trips {
-                let t_m = self.config.seconds_to_meters(trip.time_seconds);
-                self.advance_all(t_m);
-                self.submit(trip);
-            }
-        } else {
-            // Group consecutive trips landing in the same dispatch window.
-            // Trips are sorted by time, so each window is one contiguous
-            // slice; the fleet advances once to the window's last request.
-            let mut start = 0;
-            while start < trips.len() {
-                let bucket = (trips[start].time_seconds / window).floor();
-                let mut end = start + 1;
-                while end < trips.len() && (trips[end].time_seconds / window).floor() == bucket {
-                    end += 1;
-                }
-                let batch = &trips[start..end];
-                let t_m = self
-                    .config
-                    .seconds_to_meters(batch[batch.len() - 1].time_seconds);
-                self.advance_all(t_m);
-                self.submit_batch(batch);
-                start = end;
-            }
+        let same_window = |a: &TripEvent, b: &TripEvent| {
+            window > 0.0 && (a.time_seconds / window).floor() == (b.time_seconds / window).floor()
+        };
+        for batch in trips.chunk_by(same_window) {
+            let t_m = self
+                .config
+                .seconds_to_meters(batch[batch.len() - 1].time_seconds);
+            self.advance_all(t_m);
+            self.submit_batch(batch);
         }
         self.drain();
         self.report()
     }
 
-    /// Submits a single request at the current simulation clock. Exposed so
-    /// integration tests and custom harnesses can drive the simulation
-    /// step by step.
+    /// Submits a single request at its own time; advance the fleet to it
+    /// first. A window of one: `submit_batch(std::slice::from_ref(trip))`.
+    /// Exposed so integration tests and custom harnesses can drive the
+    /// simulation step by step.
     ///
     /// ```
     /// use rideshare_sim::{SimConfig, Simulation};
@@ -200,114 +190,44 @@ impl<'a> Simulation<'a> {
     /// assert_eq!(sim.dispatch_stats().requests, 1);
     /// ```
     pub fn submit(&mut self, trip: &TripEvent) -> AssignmentOutcome {
-        let request = TripRequest::new(
-            trip.id,
-            trip.source,
-            trip.destination,
-            self.clock_m,
-            self.config.constraints,
-        );
-        let direct = self.oracle.dist(trip.source, trip.destination);
-        self.records.insert(
-            trip.id,
-            TripRecord {
-                submitted_m: self.clock_m,
-                direct_m: direct,
-                max_wait_m: self.config.constraints.max_wait,
-                max_ride_m: self.config.constraints.max_ride(direct),
-                picked_up_m: None,
-            },
-        );
-        // Sync candidate vehicles to their effective positions (the next
-        // vertex they will reach) before evaluation.
-        let candidates =
-            self.dispatcher
-                .candidates(&request, self.graph, &mut self.index, self.vehicles.len());
-        for &vid in &candidates {
-            let i = vid as usize;
-            let (node, clock) = self.effective_position(i);
-            self.vehicles[i].set_position(node, clock, self.oracle);
-        }
-        let outcome = self.dispatcher.assign(
-            &request,
-            &mut self.vehicles,
-            self.graph,
-            &mut self.index,
-            self.oracle,
-        );
-        self.trace.push(RequestTrace::submitted(
-            trip.id,
-            self.config.meters_to_seconds(self.clock_m),
-            direct,
-            candidates.len(),
-        ));
-        if let AssignmentOutcome::Assigned { vehicle, cost, .. } = outcome {
-            self.trace.record_assignment(trip.id, vehicle, cost);
-            self.replan_after_assignment(vehicle as usize);
-        }
-        if let Some(ledger) = &mut self.regions {
-            ledger.request(trip.source, &candidates);
-            if let AssignmentOutcome::Assigned { vehicle, .. } = outcome {
-                ledger.assigned(trip.source, vehicle);
-            }
-        }
-        outcome
+        self.submit_batch(std::slice::from_ref(trip))[0]
     }
 
-    /// Submits one dispatch window's worth of requests. Requests go
-    /// through [`Dispatcher::assign`] one at a time in slice order
+    /// Submits one dispatch window's worth of requests, each at its own
+    /// time; advance the fleet to the last of them first (see
+    /// [`Simulation::run`]). Each request asks the grid once for its
+    /// candidates ([`Dispatcher::candidates`]); the union of those sets is
+    /// synced to the vehicles' effective positions once; then the requests
+    /// go through [`Dispatcher::assign_among`] one at a time in slice order
     /// (ascending submission time), each seeing the commits of those before
-    /// it, and each keeps its **own** submission time for deadlines,
-    /// records and the trace — only vehicle movement is quantized to the
-    /// window (the caller advances the fleet to the window's last request
-    /// before submitting, see [`Simulation::run`]). Candidate-vehicle
-    /// positions are synced once over the union of the batch's candidate
-    /// sets, which is what amortizes the per-request setup cost.
+    /// it. Each keeps its **own** submission time for deadlines, records
+    /// and the trace — only vehicle movement is quantized to the window.
     pub fn submit_batch(&mut self, trips: &[TripEvent]) -> Vec<AssignmentOutcome> {
-        if trips.is_empty() {
-            return Vec::new();
-        }
         let mut requests = Vec::with_capacity(trips.len());
-        let mut directs = Vec::with_capacity(trips.len());
-        let mut candidate_counts = Vec::with_capacity(trips.len());
-        let mut to_sync: Vec<u32> = Vec::new();
         for trip in trips {
-            let t_m = self.config.seconds_to_meters(trip.time_seconds);
             let request = TripRequest::new(
                 trip.id,
                 trip.source,
                 trip.destination,
-                t_m,
+                self.config.seconds_to_meters(trip.time_seconds),
                 self.config.constraints,
             );
             let direct = self.oracle.dist(trip.source, trip.destination);
-            self.records.insert(
-                trip.id,
-                TripRecord {
-                    submitted_m: t_m,
-                    direct_m: direct,
-                    max_wait_m: self.config.constraints.max_wait,
-                    max_ride_m: self.config.constraints.max_ride(direct),
-                    picked_up_m: None,
-                },
-            );
             let candidates = self.dispatcher.candidates(
                 &request,
                 self.graph,
                 &mut self.index,
                 self.vehicles.len(),
             );
-            if let Some(ledger) = &mut self.regions {
-                ledger.request(trip.source, &candidates);
-            }
-            candidate_counts.push(candidates.len());
-            to_sync.extend(candidates);
-            requests.push(request);
-            directs.push(direct);
+            requests.push((request, direct, candidates));
         }
         // Sync each candidate vehicle once, even when it appears in several
         // requests' candidate sets (`set_position` is idempotent at a fixed
         // clock, and dispatch commits never move a vehicle).
+        let mut to_sync: Vec<u32> = requests
+            .iter()
+            .flat_map(|(_, _, candidates)| candidates.iter().copied())
+            .collect();
         to_sync.sort_unstable();
         to_sync.dedup();
         for vid in to_sync {
@@ -315,37 +235,43 @@ impl<'a> Simulation<'a> {
             let (node, clock) = self.effective_position(i);
             self.vehicles[i].set_position(node, clock, self.oracle);
         }
-        let outcomes: Vec<AssignmentOutcome> = requests
-            .iter()
-            .map(|request| {
-                self.dispatcher.assign(
-                    request,
-                    &mut self.vehicles,
-                    self.graph,
-                    &mut self.index,
-                    self.oracle,
-                )
-            })
-            .collect();
-        for (((trip, outcome), direct), n_candidates) in trips
-            .iter()
-            .zip(&outcomes)
-            .zip(&directs)
-            .zip(&candidate_counts)
-        {
+        let mut outcomes = Vec::with_capacity(trips.len());
+        for (trip, (request, direct, candidates)) in trips.iter().zip(&requests) {
+            let outcome = self.dispatcher.assign_among(
+                request,
+                candidates,
+                &mut self.vehicles,
+                self.graph,
+                &mut self.index,
+                self.oracle,
+            );
+            self.records.insert(
+                trip.id,
+                TripRecord {
+                    submitted_m: request.submitted_at,
+                    direct_m: *direct,
+                    max_wait_m: self.config.constraints.max_wait,
+                    max_ride_m: self.config.constraints.max_ride(*direct),
+                    picked_up_m: None,
+                },
+            );
             self.trace.push(RequestTrace::submitted(
                 trip.id,
                 trip.time_seconds,
                 *direct,
-                *n_candidates,
+                candidates.len(),
             ));
-            if let AssignmentOutcome::Assigned { vehicle, cost, .. } = *outcome {
+            if let Some(ledger) = &mut self.regions {
+                ledger.request(trip.source, candidates);
+            }
+            if let AssignmentOutcome::Assigned { vehicle, cost, .. } = outcome {
                 self.trace.record_assignment(trip.id, vehicle, cost);
                 self.replan_after_assignment(vehicle as usize);
                 if let Some(ledger) = &mut self.regions {
                     ledger.assigned(trip.source, vehicle);
                 }
             }
+            outcomes.push(outcome);
         }
         outcomes
     }
@@ -762,7 +688,7 @@ mod tests {
                 [
                     0x40a6_96e1_3f29_828c,
                     0x403b_4df8_40af_9f74,
-                    0x8985_bc7a_a932_413a,
+                    0x5ac0_00b2_8048_0dc5,
                 ],
             ),
             (
@@ -786,6 +712,27 @@ mod tests {
                 trace_digest(sim.trace()),
             ];
             assert_eq!(got, expect, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn the_grid_is_asked_once_per_request() {
+        let w = small_workload(40, 6);
+        let oracle = CachedOracle::without_labels(&w.network);
+        for batch_window_seconds in [0.0, 120.0] {
+            let config = SimConfig {
+                vehicles: 12,
+                batch_window_seconds,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(&w.network, &oracle, config);
+            let report = sim.run(&w.trips);
+            assert_eq!(report.requests, 40);
+            assert_eq!(
+                sim.index.stats().queries,
+                report.requests,
+                "window {batch_window_seconds} s"
+            );
         }
     }
 

@@ -24,14 +24,13 @@ fn planner_strategy() -> impl Strategy<Value = PlannerKind> {
     ]
 }
 
-/// Runs `trips[from..]` the way [`Simulation::run`] would, then drains.
-fn run_tail(sim: &mut Simulation<'_>, trips: &[TripEvent], from: usize) {
-    for trip in &trips[from..] {
-        let t_m = sim.config().seconds_to_meters(trip.time_seconds);
-        sim.advance_all(t_m);
+/// Submits each of `trips` at its own time, advancing the fleet to it
+/// first as [`Simulation::run`] does.
+fn replay(sim: &mut Simulation<'_>, trips: &[TripEvent]) {
+    for trip in trips {
+        sim.advance_all(sim.config().seconds_to_meters(trip.time_seconds));
         sim.submit(trip);
     }
-    sim.drain();
 }
 
 /// Everything deterministic a finished run exposes, with float fields
@@ -95,17 +94,14 @@ proptest! {
         let oracle = CachedOracle::without_labels(&w.network);
 
         let mut straight = Simulation::new(&w.network, &oracle, config);
-        run_tail(&mut straight, &w.trips, 0);
+        replay(&mut straight, &w.trips);
+        straight.drain();
         let expect = observables(&straight);
 
         // Snapshot after an arbitrary number of submitted requests.
         let cut = (cut_permille * trips) / 1_000;
         let mut interrupted = Simulation::new(&w.network, &oracle, config);
-        for trip in &w.trips[..cut] {
-            let t_m = interrupted.config().seconds_to_meters(trip.time_seconds);
-            interrupted.advance_all(t_m);
-            interrupted.submit(trip);
-        }
+        replay(&mut interrupted, &w.trips[..cut]);
         let bytes = interrupted.checkpoint_bytes(cut, digest);
         drop(interrupted);
 
@@ -113,7 +109,8 @@ proptest! {
             Simulation::resume(&w.network, &oracle, config, &w.trips, &bytes)
                 .expect("checkpoint must restore");
         prop_assert_eq!(next, cut);
-        run_tail(&mut resumed, &w.trips, next);
+        replay(&mut resumed, &w.trips[next..]);
+        resumed.drain();
         let got = observables(&resumed);
         prop_assert_eq!(&got.0, &expect.0, "report diverged (cut {})", cut);
         prop_assert_eq!(&got.1, &expect.1, "traces diverged (cut {})", cut);

@@ -204,8 +204,8 @@ impl GridIndex {
 
     /// Buffer-reusing form of [`GridIndex::query_radius`]: clears `out` and
     /// fills it with the ids of all objects within `radius` of `center`,
-    /// sorted by id. The dispatch hot path calls this once per request, so
-    /// reusing one buffer avoids an allocation per submitted trip.
+    /// sorted by id, so that a caller running many queries can reuse one
+    /// buffer instead of allocating per query.
     pub fn query_radius_into(&mut self, center: Position, radius: f64, out: &mut Vec<u32>) {
         self.stats.queries += 1;
         out.clear();
