@@ -1,7 +1,10 @@
 //! Micro-benchmarks of the kinetic tree: insertion cost as the number of
 //! active trips grows, ablation of slack-time filtering and hotspot
 //! clustering, and the cost of advancing/re-rooting the tree as the vehicle
-//! moves — the per-call view behind Fig. 7/9.
+//! moves — the per-call view behind Fig. 7/9. Each insertion is timed twice:
+//! `build` (`try_insert`, the augmented tree a commit adopts) and `probe`
+//! (`probe_insert`, the same cost without the tree, which is what the
+//! dispatcher pays per candidate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kinetic_core::{KineticConfig, KineticTree, WaitingTrip};
@@ -68,8 +71,11 @@ fn bench_insertion_by_size(c: &mut Criterion) {
     for active in [0usize, 2, 4, 6] {
         let tree = tree_with(&oracle, KineticConfig::slack(), active, 5);
         let new_trip = trip(&oracle, 999, 77, 0.6);
-        group.bench_with_input(BenchmarkId::from_parameter(active), &active, |b, _| {
+        group.bench_with_input(BenchmarkId::new("build", active), &active, |b, _| {
             b.iter(|| tree.try_insert(new_trip, &oracle).is_ok())
+        });
+        group.bench_with_input(BenchmarkId::new("probe", active), &active, |b, _| {
+            b.iter(|| tree.probe_insert(new_trip, &oracle).is_ok())
         });
     }
     group.finish();
@@ -86,8 +92,11 @@ fn bench_variants(c: &mut Criterion) {
     for (name, config) in variants {
         let tree = tree_with(&oracle, config, 5, 11);
         let new_trip = trip(&oracle, 998, 33, 0.6);
-        group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
+        group.bench_with_input(BenchmarkId::new("build", name), name, |b, _| {
             b.iter(|| tree.try_insert(new_trip, &oracle).is_ok())
+        });
+        group.bench_with_input(BenchmarkId::new("probe", name), name, |b, _| {
+            b.iter(|| tree.probe_insert(new_trip, &oracle).is_ok())
         });
     }
     group.finish();

@@ -468,7 +468,9 @@ impl Dispatcher {
 
     /// Evaluates `request` against the vehicles named by `candidates` (the
     /// ascending ids [`Dispatcher::candidates`] returns), assigns it to the
-    /// cheapest feasible one (committing it) and records statistics. A
+    /// cheapest feasible one (committing it) and records statistics. An
+    /// evaluation prices a candidate ([`Vehicle::evaluate`]); only the
+    /// winner's commit builds an augmented kinetic tree. A
     /// vehicle's id is its slot in `vehicles`; an id with no slot, or whose
     /// slot carries another id, is skipped, though it still counts as a
     /// candidate.
@@ -505,13 +507,19 @@ impl Dispatcher {
                 self.evaluate_greedy(request, candidates, vehicles, graph, index, oracle)
             }
         };
+        // The winner's commit builds its kinetic tree; a build that
+        // disagreed with the probe that priced it would leave the vehicle
+        // untouched and the request rejected.
+        let winner = best.and_then(|(vehicle, proposal)| {
+            let cost = proposal.cost;
+            let committed = vehicles[vehicle as usize].commit(proposal, oracle).ok();
+            committed.map(|()| (vehicle, cost))
+        });
         self.stats.requests += 1;
         self.stats.candidates += candidates.len() as u64;
         self.stats.response_nanos += timer.elapsed().as_nanos();
-        match best {
-            Some((vehicle, proposal)) => {
-                let cost = proposal.cost;
-                vehicles[vehicle as usize].commit(proposal);
+        match winner {
+            Some((vehicle, cost)) => {
                 self.stats.assigned += 1;
                 AssignmentOutcome::Assigned {
                     vehicle,

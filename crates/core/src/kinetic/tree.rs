@@ -120,6 +120,47 @@ struct TreeNode {
 }
 
 impl TreeNode {
+    /// The node for `stop`, reached by `leg` from where `walker` stands
+    /// (its parent), with `children` below it.
+    fn new(
+        walker: &ScheduleWalker<'_>,
+        stop: Stop,
+        leg: Cost,
+        group: Vec<NodeId>,
+        children: Vec<TreeNode>,
+    ) -> TreeNode {
+        let own_slack = walker.stop_slack(stop, leg).unwrap_or(Cost::NEG_INFINITY);
+        // Δ over root-referenced constraints (Theorem 1). A drop-off of a
+        // trip that is *not* already on board is referenced to its pickup,
+        // which lies inside the tree, so a detour above the subtree does not
+        // necessarily affect it; such nodes contribute +∞ to the bottleneck.
+        let root_referenced = match stop.kind {
+            StopKind::Pickup => true,
+            StopKind::Dropoff => walker.problem().onboard_trip(stop.trip).is_some(),
+        };
+        let own_root_slack = if root_referenced {
+            own_slack
+        } else {
+            Cost::INFINITY
+        };
+        let child_best = children
+            .iter()
+            .map(|c| c.slack_root)
+            .fold(Cost::NEG_INFINITY, f64::max);
+        let slack_root = if children.is_empty() {
+            own_root_slack
+        } else {
+            own_root_slack.min(child_best)
+        };
+        TreeNode {
+            stop,
+            leg,
+            slack_root,
+            group,
+            children,
+        }
+    }
+
     fn count(&self) -> usize {
         1 + self.children.iter().map(TreeNode::count).sum::<usize>()
     }
@@ -148,25 +189,92 @@ impl TreeNode {
             .map(|c| c.leg + c.best_completion_cost())
             .fold(Cost::INFINITY, Cost::min)
     }
+}
 
-    /// Minimum remaining distance from this node to any leaf of its subtree,
-    /// plus the stop sequence achieving it.
-    fn best_completion(&self) -> (Cost, Vec<Stop>) {
-        if self.children.is_empty() {
-            return (0.0, Vec::new());
+/// The first of `nodes` with the strictly lowest finite `leg + completion`,
+/// with that total: the step [`KineticTree::best_route`] descends by.
+fn best_of(nodes: &[TreeNode]) -> Option<(&TreeNode, Cost)> {
+    let mut best = None;
+    let mut best_total = Cost::INFINITY;
+    for node in nodes {
+        let total = node.leg + node.best_completion_cost();
+        if total < best_total {
+            best_total = total;
+            best = Some(node);
         }
-        let mut best_cost = Cost::INFINITY;
-        let mut best_path = Vec::new();
-        for child in &self.children {
-            let (c, mut path) = child.best_completion();
-            let total = child.leg + c;
-            if total < best_cost {
-                best_cost = total;
-                path.insert(0, child.stop);
-                best_path = path;
-            }
+    }
+    best.map(|node| (node, best_total))
+}
+
+/// Whether `node` is within θ of every vertex of a hotspot `group`.
+fn joins_hotspot(group: &[NodeId], node: NodeId, theta: f64, oracle: &dyn DistanceOracle) -> bool {
+    group.iter().all(|&g| oracle.dist(g, node) <= theta)
+}
+
+/// What one level of the augmentation recursion ([`KineticTree::extend`])
+/// yields for the nodes it keeps: the nodes themselves when the tree is
+/// built ([`KineticTree::try_insert`]), or only the cheapest completion
+/// below them when a candidate is priced ([`KineticTree::probe_insert`]).
+/// Both run the one recursion, so a probe visits exactly the nodes a
+/// build would, in the same order, against the same budget.
+trait Level: Default {
+    /// Whether no node was kept.
+    fn is_empty(&self) -> bool;
+
+    /// Keeps the node for `stop`, reached by `leg` from where `walker`
+    /// stands, with `below` under it; `group` yields its hotspot group.
+    fn keep(
+        &mut self,
+        walker: &ScheduleWalker<'_>,
+        stop: Stop,
+        leg: Cost,
+        group: impl FnOnce() -> Vec<NodeId>,
+        below: Self,
+    );
+}
+
+impl Level for Vec<TreeNode> {
+    fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    fn keep(
+        &mut self,
+        walker: &ScheduleWalker<'_>,
+        stop: Stop,
+        leg: Cost,
+        group: impl FnOnce() -> Vec<NodeId>,
+        below: Self,
+    ) {
+        self.push(TreeNode::new(walker, stop, leg, group(), below));
+    }
+}
+
+/// The probe's level: the cheapest `leg + completion` over the kept nodes,
+/// `None` when none was kept. A kept node with nothing below it completes
+/// the route (completion 0), and sums associate bottom-up exactly as
+/// [`TreeNode::best_completion_cost`] adds them over a built tree, so the
+/// two agree bit for bit.
+#[derive(Default)]
+struct Cheapest(Option<Cost>);
+
+impl Level for Cheapest {
+    fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    fn keep(
+        &mut self,
+        _walker: &ScheduleWalker<'_>,
+        _stop: Stop,
+        leg: Cost,
+        _group: impl FnOnce() -> Vec<NodeId>,
+        below: Self,
+    ) {
+        let total = leg + below.0.unwrap_or(0.0);
+        if self.0.is_none_or(|best| total < best) {
+            self.0 = Some(total);
         }
-        (best_cost, best_path)
     }
 }
 
@@ -236,71 +344,100 @@ impl KineticTree {
 
     /// Attempts to insert a new trip, returning the augmented tree and the
     /// cost of its best route. The current tree is left untouched (the
-    /// dispatcher evaluates many vehicles and only the winner adopts its
-    /// augmented tree).
+    /// dispatcher prices many vehicles with [`KineticTree::probe_insert`]
+    /// and only the winner builds and adopts its augmented tree).
     pub fn try_insert(
         &self,
         trip: WaitingTrip,
         oracle: &dyn DistanceOracle,
     ) -> Result<(KineticTree, Cost), TreeInsertError> {
-        let mut new_problem = self.problem.clone();
-        new_problem.waiting.push(trip);
+        let problem = self.augmented(trip);
+        let children: Vec<TreeNode> = self.insert(&problem, trip, oracle)?;
+        let node_count = children.iter().map(TreeNode::count).sum();
+        let tree = KineticTree {
+            config: self.config,
+            problem,
+            children,
+            node_count,
+        };
+        let cost = tree.best_cost();
+        if !cost.is_finite() {
+            return Err(TreeInsertError::Infeasible);
+        }
+        Ok((tree, cost))
+    }
+
+    /// The cost [`KineticTree::try_insert`] would return, bit for bit, and
+    /// the same [`TreeInsertError`] for the same inputs — without building
+    /// the tree. It runs the same recursion against the same node budget
+    /// but keeps only each level's cheapest completion: no node, group,
+    /// walker clone or stop sequence is allocated per visited node.
+    pub fn probe_insert(
+        &self,
+        trip: WaitingTrip,
+        oracle: &dyn DistanceOracle,
+    ) -> Result<Cost, TreeInsertError> {
+        let problem = self.augmented(trip);
+        let Cheapest(cost) = self.insert(&problem, trip, oracle)?;
+        cost.filter(|c| c.is_finite())
+            .ok_or(TreeInsertError::Infeasible)
+    }
+
+    /// The tree's problem with `trip` waiting.
+    fn augmented(&self, trip: WaitingTrip) -> SchedulingProblem {
+        let mut problem = self.problem.clone();
+        problem.waiting.push(trip);
+        problem
+    }
+
+    /// Interleaves `trip`'s pickup and drop-off into every recorded
+    /// schedule, walking `problem` (the augmented one); `Infeasible` when
+    /// no schedule survives.
+    fn insert<L: Level>(
+        &self,
+        problem: &SchedulingProblem,
+        trip: WaitingTrip,
+        oracle: &dyn DistanceOracle,
+    ) -> Result<L, TreeInsertError> {
         let to_insert = [
             Stop::pickup(trip.trip, trip.pickup),
             Stop::dropoff(trip.trip, trip.dropoff),
         ];
         let mut budget = self.config.max_nodes as i64;
-        let walker = ScheduleWalker::new(&new_problem);
-        let children = self.extend(
+        let mut walker = ScheduleWalker::new(problem);
+        let level: L = self.extend(
             &self.children,
-            &walker,
+            &mut walker,
             0.0,
             false,
             &to_insert,
             &mut budget,
             oracle,
         )?;
-        if children.is_empty() {
+        if level.is_empty() {
             return Err(TreeInsertError::Infeasible);
         }
-        let node_count = children.iter().map(TreeNode::count).sum();
-        let tree = KineticTree {
-            config: self.config,
-            problem: new_problem,
-            children,
-            node_count,
-        };
-        let cost = tree
-            .best_route()
-            .map(|(c, _)| c)
-            .ok_or(TreeInsertError::Infeasible)?;
-        Ok((tree, cost))
+        Ok(level)
     }
 
     /// The cheapest complete schedule materialised by the tree, as
     /// `(total distance, stop sequence)`. `None` only when the tree should
     /// contain stops but has none (which cannot happen through the public
-    /// API); an empty problem yields `Some((0.0, []))`.
+    /// API); an empty problem yields `Some((0.0, []))`. Descends from the
+    /// root to the first child with the strictly lowest `leg +
+    /// completion` at every level, pushing stops in route order.
     pub fn best_route(&self) -> Option<(Cost, Schedule)> {
         if self.problem.num_stops() == 0 {
             return Some((0.0, Vec::new()));
         }
-        let mut best_cost = Cost::INFINITY;
-        let mut best_path = Vec::new();
-        for child in &self.children {
-            let (c, mut path) = child.best_completion();
-            let total = child.leg + c;
-            if total < best_cost {
-                best_cost = total;
-                path.insert(0, child.stop);
-                best_path = path;
-            }
+        let (mut node, cost) = best_of(&self.children)?;
+        let mut route = Vec::with_capacity(self.problem.num_stops());
+        route.push(node.stop);
+        while let Some((next, _)) = best_of(&node.children) {
+            route.push(next.stop);
+            node = next;
         }
-        if best_cost.is_finite() {
-            Some((best_cost, best_path))
-        } else {
-            None
-        }
+        Some((cost, route))
     }
 
     /// The root's branches as `(stop vertex, leg distance from the vehicle's
@@ -422,37 +559,37 @@ impl KineticTree {
     /// variant prunes on it. `fresh_location` is true when the walker's
     /// current location is a newly inserted stop rather than the old parent,
     /// in which case the cached child legs are stale and must be re-derived
-    /// from the oracle.
+    /// from the oracle. `walker` is advanced into each branch and rewound
+    /// out of it, so it stands at the same prefix on return.
+    ///
+    /// Every decision reads only the old tree, never what `L` keeps, so the
+    /// build (`Vec<TreeNode>`) and the probe (`Cheapest`) visit the same
+    /// nodes.
     #[allow(clippy::too_many_arguments)]
-    fn extend(
+    fn extend<L: Level>(
         &self,
         old_children: &[TreeNode],
-        walker: &ScheduleWalker<'_>,
+        walker: &mut ScheduleWalker<'_>,
         detour: Cost,
         fresh_location: bool,
         remaining: &[Stop],
         budget: &mut i64,
         oracle: &dyn DistanceOracle,
-    ) -> Result<Vec<TreeNode>, TreeInsertError> {
-        let mut out: Vec<TreeNode> = Vec::new();
+    ) -> Result<L, TreeInsertError> {
+        let mut out = L::default();
 
         // Hotspot clustering: if the next new stop is within θ of one of the
         // old alternatives (and of everything already merged into it), pin
         // it right here and do not try it anywhere deeper in this subtree.
-        let mut pinned = false;
-        if let (Some(theta), Some(&next_new)) = (self.config.hotspot_theta, remaining.first()) {
-            let compatible = old_children.iter().any(|c| {
-                c.group
-                    .iter()
-                    .all(|&g| oracle.dist(g, next_new.node) <= theta)
-            });
-            if compatible {
-                pinned = true;
-            }
-        }
+        let hotspot = match (self.config.hotspot_theta, remaining.first()) {
+            (Some(theta), Some(next_new)) => old_children
+                .iter()
+                .find(|c| joins_hotspot(&c.group, next_new.node, theta, oracle)),
+            _ => None,
+        };
 
         // Option A: keep an old alternative as the next stop.
-        if !pinned {
+        if hotspot.is_none() {
             for child in old_children {
                 let leg = if fresh_location {
                     // The node immediately below an insertion point gets a
@@ -469,84 +606,61 @@ impl KineticTree {
                     // detour already inserted above it.
                     continue;
                 }
-                let mut next_walker = walker.clone();
-                let own_slack = next_walker
-                    .stop_slack(child.stop, leg)
-                    .unwrap_or(Cost::NEG_INFINITY);
-                if next_walker.advance_with_distance(child.stop, leg).is_err() {
+                let mark = walker.mark();
+                if walker.advance_with_distance(child.stop, leg).is_err() {
                     continue;
                 }
                 *budget -= 1;
                 if *budget < 0 {
                     return Err(TreeInsertError::Overflow);
                 }
-                let new_children = self.extend(
+                let below: L = self.extend(
                     &child.children,
-                    &next_walker,
+                    walker,
                     child_detour,
                     false,
                     remaining,
                     budget,
                     oracle,
                 )?;
+                walker.rewind(mark);
                 let is_complete_leaf = child.children.is_empty() && remaining.is_empty();
-                if new_children.is_empty() && !is_complete_leaf {
+                if below.is_empty() && !is_complete_leaf {
                     continue;
                 }
-                out.push(self.make_node(
-                    child.stop,
-                    leg,
-                    own_slack,
-                    child.group.clone(),
-                    new_children,
-                ));
+                out.keep(walker, child.stop, leg, || child.group.clone(), below);
             }
         }
 
         // Option B: serve the next new stop now.
         if let Some(&new_stop) = remaining.first() {
             let leg = oracle.dist(walker.location, new_stop.node);
-            if leg.is_finite() {
-                let mut next_walker = walker.clone();
-                let own_slack = next_walker
-                    .stop_slack(new_stop, leg)
-                    .unwrap_or(Cost::NEG_INFINITY);
-                if next_walker.advance_with_distance(new_stop, leg).is_ok() {
-                    *budget -= 1;
-                    if *budget < 0 {
-                        return Err(TreeInsertError::Overflow);
-                    }
-                    let new_children = self.extend(
-                        old_children,
-                        &next_walker,
-                        detour + leg,
-                        true,
-                        &remaining[1..],
-                        budget,
-                        oracle,
-                    )?;
-                    let is_complete_leaf = old_children.is_empty() && remaining.len() == 1;
-                    if !new_children.is_empty() || is_complete_leaf {
-                        let group = if pinned {
-                            // Joining a hotspot: the group is the union of
-                            // the compatible child's group and this stop.
-                            let mut g = old_children
-                                .iter()
-                                .find(|c| {
-                                    c.group.iter().all(|&gn| {
-                                        oracle.dist(gn, new_stop.node)
-                                            <= self.config.hotspot_theta.unwrap_or(0.0)
-                                    })
-                                })
-                                .map(|c| c.group.clone())
-                                .unwrap_or_default();
-                            g.push(new_stop.node);
-                            g
-                        } else {
-                            vec![new_stop.node]
-                        };
-                        out.push(self.make_node(new_stop, leg, own_slack, group, new_children));
-                    }
+            let mark = walker.mark();
+            if leg.is_finite() && walker.advance_with_distance(new_stop, leg).is_ok() {
+                *budget -= 1;
+                if *budget < 0 {
+                    return Err(TreeInsertError::Overflow);
+                }
+                let below: L = self.extend(
+                    old_children,
+                    walker,
+                    detour + leg,
+                    true,
+                    &remaining[1..],
+                    budget,
+                    oracle,
+                )?;
+                walker.rewind(mark);
+                let is_complete_leaf = old_children.is_empty() && remaining.len() == 1;
+                if !below.is_empty() || is_complete_leaf {
+                    // Joining a hotspot: the group is the union of the
+                    // compatible child's group and this stop.
+                    let group = || {
+                        let mut g = hotspot.map(|c| c.group.clone()).unwrap_or_default();
+                        g.push(new_stop.node);
+                        g
+                    };
+                    out.keep(walker, new_stop, leg, group, below);
                 }
             }
         }
@@ -586,45 +700,6 @@ impl KineticTree {
             children,
             node_count,
         })
-    }
-
-    fn make_node(
-        &self,
-        stop: Stop,
-        leg: Cost,
-        own_slack: Cost,
-        group: Vec<NodeId>,
-        children: Vec<TreeNode>,
-    ) -> TreeNode {
-        // Δ over root-referenced constraints (Theorem 1). A drop-off of a
-        // trip that is *not* already on board is referenced to its pickup,
-        // which lies inside the tree, so a detour above the subtree does not
-        // necessarily affect it; such nodes contribute +∞ to the bottleneck.
-        let root_referenced = match stop.kind {
-            StopKind::Pickup => true,
-            StopKind::Dropoff => self.problem.onboard_trip(stop.trip).is_some(),
-        };
-        let own_root_slack = if root_referenced {
-            own_slack
-        } else {
-            Cost::INFINITY
-        };
-        let child_best = children
-            .iter()
-            .map(|c| c.slack_root)
-            .fold(Cost::NEG_INFINITY, f64::max);
-        let slack_root = if children.is_empty() {
-            own_root_slack
-        } else {
-            own_root_slack.min(child_best)
-        };
-        TreeNode {
-            stop,
-            leg,
-            slack_root,
-            group,
-            children,
-        }
     }
 }
 

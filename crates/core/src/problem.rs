@@ -284,6 +284,29 @@ impl<'p> ScheduleWalker<'p> {
         self.picked_at.len() + self.dropped.len()
     }
 
+    /// The current prefix, for [`ScheduleWalker::rewind`]. A walk only ever
+    /// grows its two lists, so their lengths and the three scalars pin it.
+    pub(crate) fn mark(&self) -> WalkMark {
+        WalkMark {
+            location: self.location,
+            cum_dist: self.cum_dist,
+            onboard_count: self.onboard_count,
+            picked: self.picked_at.len(),
+            dropped: self.dropped.len(),
+        }
+    }
+
+    /// Undoes every [`ScheduleWalker::advance_with_distance`] since `mark`
+    /// was taken, restoring the prefix bit for bit — what lets one walker
+    /// serve a whole depth-first search instead of a clone per step.
+    pub(crate) fn rewind(&mut self, mark: WalkMark) {
+        self.location = mark.location;
+        self.cum_dist = mark.cum_dist;
+        self.onboard_count = mark.onboard_count;
+        self.picked_at.truncate(mark.picked);
+        self.dropped.truncate(mark.dropped);
+    }
+
     /// Appends `stop` to the walked prefix, checking every constraint that
     /// becomes decidable at this stop. The distance to the stop is obtained
     /// from `oracle`.
@@ -301,6 +324,8 @@ impl<'p> ScheduleWalker<'p> {
 
     /// Appends `stop` when the leg distance from the current location is
     /// already known (the kinetic tree caches leg distances in its nodes).
+    /// Every check runs before anything is written, so a failed step
+    /// leaves the walker as it was.
     pub fn advance_with_distance(&mut self, stop: Stop, leg: Cost) -> Result<(), ValidationError> {
         let new_dist = self.cum_dist + leg;
         let arrival_clock = self.problem.now + new_dist;
@@ -398,6 +423,16 @@ impl<'p> ScheduleWalker<'p> {
             }
         }
     }
+}
+
+/// A walker's prefix as [`ScheduleWalker::mark`] saw it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalkMark {
+    location: NodeId,
+    cum_dist: Cost,
+    onboard_count: usize,
+    picked: usize,
+    dropped: usize,
 }
 
 #[cfg(test)]
@@ -602,6 +637,27 @@ mod tests {
         assert!(w.picked_up(1));
         let slack = w.stop_slack(Stop::dropoff(1, 5), 300.0).unwrap();
         assert!((slack - 60.0).abs() < 1e-9); // max_ride 360 - ride 300
+    }
+
+    #[test]
+    fn rewind_restores_the_marked_prefix() {
+        let oracle = line_oracle();
+        let p = simple_problem();
+        let mut w = ScheduleWalker::new(&p);
+        let start = w.mark();
+        w.advance(Stop::pickup(1, 2), &oracle).unwrap();
+        let picked = w.mark();
+        w.advance(Stop::dropoff(1, 5), &oracle).unwrap();
+        // A failing step writes nothing: the trip is already dropped.
+        assert!(w.advance_with_distance(Stop::dropoff(1, 5), 0.0).is_err());
+        assert_eq!((w.location, w.cum_dist, w.stops_taken()), (5, 500.0, 2));
+        w.rewind(picked);
+        assert_eq!((w.location, w.cum_dist, w.onboard_count), (2, 200.0, 1));
+        w.advance(Stop::dropoff(1, 5), &oracle).unwrap();
+        w.rewind(start);
+        assert_eq!((w.location, w.cum_dist, w.onboard_count), (0, 0.0, 0));
+        assert_eq!(w.stops_taken(), 0);
+        assert!(!w.picked_up(1));
     }
 
     #[test]

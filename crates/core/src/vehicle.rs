@@ -41,17 +41,18 @@ impl PlannerKind {
     }
 }
 
-/// Result of evaluating a request against one vehicle.
+/// Result of evaluating a request against one vehicle: a price, and what
+/// [`Vehicle::commit`] needs to make it the vehicle's plan.
 #[derive(Debug, Clone)]
 pub struct Proposal {
     /// Total distance of the augmented unfinished schedule.
     pub cost: Cost,
-    /// The best stop ordering found.
-    pub schedule: Schedule,
     /// The trip bookkeeping entry to adopt on commit.
     pub trip: WaitingTrip,
-    /// The augmented kinetic tree to adopt on commit (kinetic planner only).
-    kinetic: Option<KineticTree>,
+    /// The solver's stop ordering. `None` for the kinetic planner, which
+    /// only priced the insertion: its tree, and the ordering read off it,
+    /// are built at commit.
+    schedule: Option<Schedule>,
 }
 
 /// Coarse activity state of a vehicle.
@@ -214,55 +215,70 @@ impl Vehicle {
     }
 
     /// Evaluates whether this vehicle can serve `request`, returning the
-    /// cheapest augmented schedule if so. The vehicle's own state is not
-    /// modified; call [`Vehicle::commit`] with the returned proposal to
-    /// accept the request.
+    /// cost of the cheapest augmented schedule if so. The vehicle's own
+    /// state is not modified; call [`Vehicle::commit`] with the returned
+    /// proposal to accept the request.
+    ///
+    /// The kinetic planner prices the insertion with
+    /// [`KineticTree::probe_insert`] and builds nothing; a solver solves
+    /// the augmented problem once and keeps the schedule for the commit.
+    /// `None` when the request is infeasible for this vehicle (or overflows
+    /// the tree's node budget).
     pub fn evaluate(&self, request: &TripRequest, oracle: &dyn DistanceOracle) -> Option<Proposal> {
         let trip = self.make_waiting_trip(request, oracle)?;
-        match self.planner {
-            PlannerKind::Kinetic(_) => {
-                let tree = self
-                    .tree
-                    .as_ref()
-                    .expect("kinetic planner always has a tree");
-                match tree.try_insert(trip, oracle) {
-                    Ok((new_tree, cost)) => {
-                        let schedule = new_tree.best_route().map(|(_, s)| s).unwrap_or_default();
-                        Some(Proposal {
-                            cost,
-                            schedule,
-                            trip,
-                            kinetic: Some(new_tree),
-                        })
-                    }
-                    Err(TreeInsertError::Infeasible) | Err(TreeInsertError::Overflow) => None,
-                }
+        match (self.planner, &self.tree) {
+            (PlannerKind::Kinetic(_), Some(tree)) => {
+                let cost = tree.probe_insert(trip, oracle).ok()?;
+                Some(Proposal {
+                    cost,
+                    trip,
+                    schedule: None,
+                })
             }
-            PlannerKind::Solver(kind) => {
+            (PlannerKind::Solver(kind), _) => {
                 let mut problem = self.problem();
                 problem.waiting.push(trip);
                 let solver = kind.build();
                 match solver.solve(&problem, oracle) {
                     SolverOutcome::Feasible { cost, schedule } => Some(Proposal {
                         cost,
-                        schedule,
                         trip,
-                        kinetic: None,
+                        schedule: Some(schedule),
                     }),
                     SolverOutcome::Infeasible | SolverOutcome::Exhausted => None,
                 }
             }
+            // `new` and `decode` give every kinetic vehicle a tree.
+            (PlannerKind::Kinetic(_), None) => None,
         }
     }
 
-    /// Accepts a request previously evaluated with [`Vehicle::evaluate`].
-    pub fn commit(&mut self, proposal: Proposal) {
+    /// Accepts a request previously evaluated with [`Vehicle::evaluate`]
+    /// on this vehicle, in the state it was evaluated in.
+    ///
+    /// A kinetic vehicle builds its augmented tree here — the one build of
+    /// the insertion the proposal priced — and reads its route off it. The
+    /// build reaches the same verdict as the probe; if it ever did not, the
+    /// error is returned and the vehicle is left as it was.
+    pub fn commit(
+        &mut self,
+        proposal: Proposal,
+        oracle: &dyn DistanceOracle,
+    ) -> Result<(), TreeInsertError> {
+        let route = match (proposal.schedule, &self.tree) {
+            (Some(schedule), _) => schedule,
+            (None, Some(tree)) => {
+                let (tree, _) = tree.try_insert(proposal.trip, oracle)?;
+                let route = tree.best_route().map(|(_, s)| s).unwrap_or_default();
+                self.tree = Some(tree);
+                route
+            }
+            (None, None) => return Err(TreeInsertError::Infeasible),
+        };
         self.waiting.push(proposal.trip);
-        self.route = proposal.schedule;
-        if let Some(tree) = proposal.kinetic {
-            self.tree = Some(tree);
-        }
+        self.route = route;
         self.counters.assigned += 1;
+        Ok(())
     }
 
     /// Records arrival at the next committed stop at absolute clock `clock`.
@@ -496,7 +512,7 @@ mod tests {
             let req = request(1, 7, 30, 0.0);
             let p = v.evaluate(&req, &oracle).unwrap();
             let cost = p.cost;
-            v.commit(p);
+            v.commit(p, &oracle).unwrap();
             assert_eq!(v.status(), VehicleStatus::Serving);
             assert_eq!(v.active_trip_count(), 1);
             assert_eq!(v.onboard_count(), 0);
@@ -530,18 +546,14 @@ mod tests {
             let mut v = Vehicle::new(0, 0, 1, planner, 0.0);
             let r1 = request(1, 7, 30, 0.0);
             let p = v.evaluate(&r1, &oracle).unwrap();
-            v.commit(p);
+            v.commit(p, &oracle).unwrap();
             // Second passenger whose trip would have to overlap with trip 1
             // can still be accepted if served sequentially; verify that the
             // resulting schedule never has 2 passengers on board.
             let r2 = request(2, 8, 31, 0.0);
             if let Some(p) = v.evaluate(&r2, &oracle) {
-                let problem = {
-                    let mut prob = v.problem();
-                    prob.waiting.push(p.trip);
-                    prob
-                };
-                assert!(problem.is_valid(&p.schedule, &oracle));
+                v.commit(p, &oracle).unwrap();
+                assert!(v.problem().is_valid(v.route(), &oracle));
             }
         }
     }
@@ -574,7 +586,7 @@ mod tests {
             let mut v = Vehicle::new(0, 0, 4, planner, 0.0);
             let r1 = request(1, 7, 30, 0.0);
             let p = v.evaluate(&r1, &oracle).unwrap();
-            v.commit(p);
+            v.commit(p, &oracle).unwrap();
             assert!(v.cancel_waiting(1, &oracle));
             assert!(!v.cancel_waiting(1, &oracle));
             assert_eq!(v.active_trip_count(), 0);
@@ -588,11 +600,11 @@ mod tests {
         for planner in planners() {
             let mut v = Vehicle::new(9, 0, 4, planner, 0.0);
             let p = v.evaluate(&request(1, 7, 30, 0.0), &oracle).unwrap();
-            v.commit(p);
+            v.commit(p, &oracle).unwrap();
             let leg = oracle.dist(0, 7);
             v.arrive_at_next_stop(leg, &oracle); // pickup: one on board
             if let Some(p) = v.evaluate(&request(2, 8, 31, leg), &oracle) {
-                v.commit(p);
+                v.commit(p, &oracle).unwrap();
             }
 
             let mut bytes = Vec::new();

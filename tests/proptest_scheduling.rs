@@ -141,7 +141,7 @@ proptest! {
         for (i, &(s, e)) in pairs.iter().enumerate() {
             let request = TripRequest::new(i as u64, s, e, 0.0, constraints);
             if let Some(proposal) = vehicle.evaluate(&request, &oracle) {
-                vehicle.commit(proposal);
+                vehicle.commit(proposal, &oracle).expect("a priced insertion builds");
             }
         }
         let problem = vehicle.problem();
