@@ -47,7 +47,7 @@ impl ScheduleSolver for InsertionSolver {
         // of the drop-offs alone is feasible for nested deadlines, and gives
         // the insertion phase a sensible starting point otherwise.
         let mut onboard = problem.onboard.clone();
-        onboard.sort_by(|a, b| a.dropoff_deadline.partial_cmp(&b.dropoff_deadline).unwrap());
+        onboard.sort_by(|a, b| a.dropoff_deadline.total_cmp(&b.dropoff_deadline));
         let mut schedule: Schedule = onboard
             .iter()
             .map(|t| Stop::dropoff(t.trip, t.dropoff))
@@ -58,7 +58,7 @@ impl ScheduleSolver for InsertionSolver {
 
         // Insert waiting trips one at a time, tightest pickup deadline first.
         let mut waiting = problem.waiting.clone();
-        waiting.sort_by(|a, b| a.pickup_deadline.partial_cmp(&b.pickup_deadline).unwrap());
+        waiting.sort_by(|a, b| a.pickup_deadline.total_cmp(&b.pickup_deadline));
         for trip in &waiting {
             let pickup = Stop::pickup(trip.trip, trip.pickup);
             let dropoff = Stop::dropoff(trip.trip, trip.dropoff);
@@ -190,5 +190,22 @@ mod tests {
         let schedule = out.schedule().expect("feasible");
         assert_eq!(schedule[0].trip, 2, "tight deadline must come first");
         assert!(p.is_valid(schedule, &oracle));
+    }
+
+    #[test]
+    fn a_nan_deadline_does_not_panic_the_sort() {
+        let oracle = grid_oracle(3);
+        let mut p = SchedulingProblem::new(0, 0.0, 4);
+        for (trip, pickup_deadline) in [(1, f64::NAN), (2, 50_000.0)] {
+            p.waiting.push(WaitingTrip {
+                trip,
+                pickup: 7,
+                dropoff: 18,
+                pickup_deadline,
+                max_ride: 50_000.0,
+            });
+        }
+        // No schedule can meet a NaN deadline; solving must still return.
+        let _ = InsertionSolver.solve(&p, &oracle);
     }
 }

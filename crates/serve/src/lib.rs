@@ -11,9 +11,10 @@
 //! * [`server`] — the [`ServeLoop`]: a bounded ingress queue, SLO-gated
 //!   admission (backpressure + stale shedding) and fixed dispatch ticks
 //!   driven by a virtual clock that charges the dispatcher's compute cost;
-//! * [`sink`] — the [`NonBlockingSink`]: serving-grade observability
-//!   (latency histograms, queue-depth and shed gauges) aggregated on a
-//!   worker thread behind a channel so the hot loop never blocks on IO;
+//! * [`sink`] — [`SinkOutput`]: serving-grade observability (latency
+//!   histograms, queue-depth and shed gauges, an optional CSV event
+//!   trace), folded inline into the loop state, one O(1) update per
+//!   event;
 //! * [`recovery`] — crash safety: a write-ahead dispatch journal plus
 //!   periodic checkpoints ([`ServeLoop::run_recoverable`]), and
 //!   [`resume_serve`] to pick a killed run back up with accounting
@@ -45,4 +46,4 @@ pub mod sink;
 pub use arrival::{PoissonArrivals, TraceArrivals};
 pub use recovery::{resume_serve, RecoveryConfig};
 pub use server::{ServeConfig, ServeLoop, ServeReport, ServiceModel, SloConfig};
-pub use sink::{MetricEvent, NonBlockingSink, ShedReason, SinkOutput};
+pub use sink::{MetricEvent, ShedReason, SinkOutput};

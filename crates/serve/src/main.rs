@@ -41,9 +41,9 @@ OPTIONS:
   --trips <n>             demand-pool size [default: 5000]
   --seed <n>              workload + arrival seed [default: 42]
   --out <path>            write the JSON report here instead of stdout
-  --events <path>         stream the per-event CSV trace here (written by
-                          the sink's worker thread, never the serve loop;
-                          ignored in recoverable mode)
+  --events <path>         write the per-event CSV trace here, one buffered
+                          line per metric event (ignored in recoverable
+                          mode)
   --fault-plan <spec>     seeded fault injection, e.g.
                           seed=7,spike=0.1:2.5,sink=0.05,torn=0.5,kill=120
   --recover-dir <path>    run crash-safe: write-ahead journal + checkpoints
@@ -214,7 +214,7 @@ fn main() -> ExitCode {
     };
     let mut serve = ServeLoop::new(sim, cfg);
 
-    let writer: Option<Box<dyn Write + Send>> = match &args.events {
+    let writer: Option<Box<dyn Write>> = match &args.events {
         Some(path) => match std::fs::File::create(path) {
             Ok(f) => Some(Box::new(std::io::BufWriter::new(f))),
             Err(e) => {

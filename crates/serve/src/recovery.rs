@@ -13,16 +13,16 @@
 //!   misparsed.
 //! - **`serve.ckpt`** — a full image of the loop written every
 //!   [`RecoveryConfig::checkpoint_every_ticks`] ticks: the loop-state
-//!   counters, the ingress queue, the admitted-trip table,
-//!   a metrics-sink snapshot and an embedded simulation checkpoint
+//!   counters and metrics, the ingress queue, the admitted-trip table and
+//!   an embedded simulation checkpoint
 //!   (vehicles, routes, RNG streams — see `rideshare_sim::checkpoint`).
 //!   Writes go to a temp file and rename into place, so the previous
 //!   checkpoint survives a crash — or an injected torn write — mid-dump.
 //!
 //! Recovery loads the newest intact checkpoint (a corrupt one falls back
 //! to a fresh start with a warning; a checkpoint *bound to different
-//! configuration* is an error), restores the simulation, re-seeds the
-//! sink from the snapshot, skips exactly `offered` arrivals — every
+//! configuration* is an error), restores the simulation and the loop
+//! state (metrics included), skips exactly `offered` arrivals — every
 //! arrival ever pulled was counted as offered, including queue-full
 //! bounces, so this cursor cannot double-shed — and re-runs the loop.
 //! Work between the checkpoint and the crash is *re-executed*, and under
@@ -36,7 +36,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as IoWrite};
 use std::path::{Path, PathBuf};
 
-use kinetic_core::codec::{put_bool, read_bool, read_len};
+use kinetic_core::codec::read_len;
 use kinetic_core::{DispatchEffort, FaultPlan};
 use rideshare_sim::{digest_config, digest_trips, SimConfig, Simulation};
 use rideshare_workload::TripEvent;
@@ -44,13 +44,15 @@ use roadnet::io::bin::{self, Reader};
 use roadnet::{DistanceOracle, RoadNetError, RoadNetwork};
 
 use crate::server::{LoopState, ServeConfig, ServeLoop, ServeReport, ServiceModel};
-use crate::sink::{NonBlockingSink, SinkOutput};
+use crate::sink::SinkOutput;
 
 /// Journal file magic: **R**ide**S**hare **W**rite-ahead **J**ournal.
 const JOURNAL_MAGIC: &[u8; 4] = b"RSWJ";
 /// Checkpoint file magic: **R**ide**S**hare ser**V**e **C**heckpoint.
 const CKPT_MAGIC: &[u8; 4] = b"RSVC";
-const VERSION: u32 = 1;
+/// Shared by the journal and the checkpoint. Version 2 moved the metrics
+/// into the loop state.
+const VERSION: u32 = 2;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
 /// Upper bound on a single journal entry body (sanity check on `len`).
@@ -358,7 +360,6 @@ impl RecoveryDriver {
         &mut self,
         sim: &Simulation<'_>,
         state: &mut LoopState,
-        sink: &NonBlockingSink,
     ) -> Result<(), RoadNetError> {
         if self.checkpoint_every == 0 || !state.ticks.is_multiple_of(self.checkpoint_every) {
             return Ok(());
@@ -369,13 +370,13 @@ impl RecoveryDriver {
             // Simulate a crash mid-dump: half the image lands in the temp
             // file and the rename never happens. The previous checkpoint
             // stays intact — exactly what the atomic protocol guarantees.
-            let bytes = encode_checkpoint(sim, state, sink.snapshot());
+            let bytes = encode_checkpoint(sim, state);
             let tmp = self.checkpoint_path.with_extension("ckpt.tmp");
             let (torn_half, _) = bytes.split_at(bytes.len() / 2);
             std::fs::write(&tmp, torn_half)?;
             return Ok(());
         }
-        let bytes = encode_checkpoint(sim, state, sink.snapshot());
+        let bytes = encode_checkpoint(sim, state);
         let tmp = self.checkpoint_path.with_extension("ckpt.tmp");
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, &self.checkpoint_path)?;
@@ -404,7 +405,7 @@ fn put_state(out: &mut Vec<u8>, state: &LoopState) {
     bin::put_u64(out, state.fault_oracle_spikes);
     bin::put_u64(out, state.fault_torn_checkpoints);
     bin::put_u64(out, state.sink_dropped_events);
-    bin::put_u64(out, state.sink_errors);
+    state.metrics.encode(out);
     bin::put_u64(out, state.journal_entries);
     put_trips(out, state.admitted_trips.as_slice());
     let queued: Vec<TripEvent> = state.queue.iter().copied().collect();
@@ -433,30 +434,19 @@ fn read_state(r: &mut Reader<'_>) -> Result<LoopState, RoadNetError> {
     state.fault_oracle_spikes = r.u64("state fault_oracle_spikes")?;
     state.fault_torn_checkpoints = r.u64("state fault_torn_checkpoints")?;
     state.sink_dropped_events = r.u64("state sink_dropped_events")?;
-    state.sink_errors = r.u64("state sink_errors")?;
+    state.metrics = SinkOutput::decode(r)?;
     state.journal_entries = r.u64("state journal_entries")?;
     state.admitted_trips = read_trips(r, "state admitted trips")?;
     state.queue = read_trips(r, "state queue")?.into_iter().collect();
     Ok(state)
 }
 
-fn encode_checkpoint(
-    sim: &Simulation<'_>,
-    state: &LoopState,
-    sink_snapshot: Option<SinkOutput>,
-) -> Vec<u8> {
+fn encode_checkpoint(sim: &Simulation<'_>, state: &LoopState) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(CKPT_MAGIC);
     bin::put_u32(&mut out, VERSION);
     bin::put_u64(&mut out, digest_config(sim.config()));
     put_state(&mut out, state);
-    match &sink_snapshot {
-        Some(s) => {
-            put_bool(&mut out, true);
-            s.encode(&mut out);
-        }
-        None => put_bool(&mut out, false),
-    }
     let sim_bytes = sim.checkpoint_bytes(
         state.admitted_trips.len(),
         digest_trips(&state.admitted_trips),
@@ -472,7 +462,6 @@ fn encode_checkpoint(
 /// embedded simulation image is handed to [`Simulation::resume`].
 struct LoadedCheckpoint {
     state: LoopState,
-    sink: Option<SinkOutput>,
     sim_bytes: Vec<u8>,
 }
 
@@ -518,18 +507,9 @@ fn load_checkpoint(path: &Path, sim_digest: u64) -> Result<Option<LoadedCheckpoi
         )));
     }
     let state = read_state(&mut r)?;
-    let sink = if read_bool(&mut r, "sink snapshot flag")? {
-        Some(SinkOutput::decode(&mut r)?)
-    } else {
-        None
-    };
     let n = read_len(&mut r, 1, "embedded sim checkpoint")?;
     let sim_bytes = r.bytes(n, "embedded sim checkpoint")?.to_vec();
-    Ok(Some(LoadedCheckpoint {
-        state,
-        sink,
-        sim_bytes,
-    }))
+    Ok(Some(LoadedCheckpoint { state, sim_bytes }))
 }
 
 impl<'a> ServeLoop<'a> {
@@ -560,24 +540,22 @@ impl<'a> ServeLoop<'a> {
             verified: 0,
             verify_tail: false,
         };
-        let sink = NonBlockingSink::new(None);
         let mut arrivals = arrivals.peekable();
         let mut state = LoopState::new();
-        let done = self.run_inner(&mut arrivals, &sink, &mut state, Some(&mut driver), true)?;
+        let done = self.run_inner(&mut arrivals, None, &mut state, Some(&mut driver), true)?;
         if !done {
-            // Killed: the "process" dies here. The sink worker is dropped
-            // unjoined, exactly as a real crash would leave it.
+            // Killed: the "process" dies here.
             return Ok(None);
         }
-        Ok(Some(self.finish_report(state, sink, false)))
+        Ok(Some(self.finish_report(state, false)))
     }
 }
 
 /// Recovers a killed serve run from `rc.dir` and drives it to completion.
 ///
 /// Rebuilds the simulation from the newest intact checkpoint (or fresh if
-/// none survived), re-seeds the metrics sink from the checkpoint's
-/// snapshot, fast-forwards the arrival stream past everything already
+/// none survived) together with the loop state and its metrics,
+/// fast-forwards the arrival stream past everything already
 /// offered, and re-runs the loop with kills disabled. Under a
 /// [`ServiceModel::Fixed`] model the re-executed dispatches are verified
 /// against the dead process's journal tail, so the returned report is
@@ -600,7 +578,7 @@ pub fn resume_serve<'a>(
     let journal = load_journal(&rc.journal_path(), sim_digest, serve_digest)?;
     let ckpt = load_checkpoint(&rc.checkpoint_path(), sim_digest)?;
 
-    let (mut state, sink_seed, sim) = match ckpt {
+    let (mut state, sim) = match ckpt {
         Some(l) => {
             let (sim, next) = Simulation::resume(
                 graph,
@@ -616,13 +594,9 @@ pub fn resume_serve<'a>(
                     l.state.admitted_trips.len()
                 )));
             }
-            (l.state, l.sink, sim)
+            (l.state, sim)
         }
-        None => (
-            LoopState::new(),
-            None,
-            Simulation::new(graph, oracle, sim_config),
-        ),
+        None => (LoopState::new(), Simulation::new(graph, oracle, sim_config)),
     };
 
     // The journal tail past the checkpoint is what the dead process did
@@ -679,13 +653,8 @@ pub fn resume_serve<'a>(
         arrivals.next();
     }
 
-    let sink = match sink_seed {
-        Some(s) => NonBlockingSink::with_state(s, None),
-        None => NonBlockingSink::new(None),
-    };
-
     let mut serve = ServeLoop::new(sim, cfg);
-    let done = serve.run_inner(&mut arrivals, &sink, &mut state, Some(&mut driver), false)?;
+    let done = serve.run_inner(&mut arrivals, None, &mut state, Some(&mut driver), false)?;
     debug_assert!(done, "kills are disabled during recovery");
     if driver.verify_tail && driver.verified < driver.expected_tail.len() {
         return Err(RoadNetError::Persist(format!(
@@ -695,5 +664,46 @@ pub fn resume_serve<'a>(
             driver.expected_tail.len()
         )));
     }
-    Ok(serve.finish_report(state, sink, true))
+    Ok(serve.finish_report(state, true))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arrival::PoissonArrivals;
+    use rideshare_workload::{CityConfig, DemandConfig, Workload};
+    use roadnet::CachedOracle;
+
+    #[test]
+    fn a_version_1_directory_is_refused_with_a_typed_error() {
+        let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 5);
+        let oracle = CachedOracle::without_labels(&w.network);
+        let sim_config = SimConfig::default();
+        let cfg = ServeConfig::default();
+        let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
+        let rc = RecoveryConfig {
+            dir: std::env::temp_dir().join(format!("serve_v1_dir_{}", std::process::id())),
+            checkpoint_every_ticks: 4,
+        };
+        let mut serve = ServeLoop::new(Simulation::new(&w.network, &oracle, sim_config), cfg);
+        serve.run_recoverable(arrivals(), &rc).unwrap();
+        // Stamp both files as version 1; the checkpoint is re-signed so
+        // only its version is stale.
+        for (path, signed) in [(rc.journal_path(), false), (rc.checkpoint_path(), true)] {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+            if let (true, Some((payload, trailer))) = (signed, bytes.split_last_chunk_mut::<8>()) {
+                *trailer = bin::fnv1a(payload).to_le_bytes();
+            }
+            std::fs::write(&path, bytes).unwrap();
+        }
+
+        let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
+            .expect_err("a version-1 directory must not resume");
+        assert!(
+            matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-2")),
+            "{err:?}"
+        );
+        std::fs::remove_dir_all(&rc.dir).ok();
+    }
 }

@@ -51,7 +51,7 @@ use rideshare_workload::TripEvent;
 use roadnet::RoadNetError;
 
 use crate::recovery::RecoveryDriver;
-use crate::sink::{MetricEvent, NonBlockingSink, ShedReason};
+use crate::sink::{MetricEvent, ShedReason, SinkOutput};
 
 /// Admission-control budgets for the serve loop.
 #[derive(Debug, Clone, Copy)]
@@ -143,11 +143,11 @@ impl Default for ServeConfig {
 /// Mutable per-run state of the serve loop, split out so the crash-safe
 /// entry point ([`crate::recovery`]) can checkpoint and restore it.
 ///
-/// Everything here is either exact accounting (u64 counters), the ingress
-/// queue, or deterministic virtual-clock state. With a
-/// [`ServiceModel::Fixed`] model the whole struct is a pure function of
-/// the admitted arrival stream, which is what makes kill/recover
-/// equivalence provable.
+/// Everything here is either exact accounting (u64 counters and the
+/// metrics aggregates), the ingress queue, or deterministic virtual-clock
+/// state. With a [`ServiceModel::Fixed`] model the whole struct is a pure
+/// function of the admitted arrival stream, which is what makes
+/// kill/recover equivalence provable.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LoopState {
     /// Bounded ingress queue contents.
@@ -192,10 +192,10 @@ pub(crate) struct LoopState {
     pub(crate) fault_torn_checkpoints: u64,
     /// Metric events dropped by injected sink saturation.
     pub(crate) sink_dropped_events: u64,
-    /// Metric events the sink channel refused (worker gone).
-    pub(crate) sink_errors: u64,
     /// Write-ahead journal entries appended.
     pub(crate) journal_entries: u64,
+    /// Every metric event the sink did not drop, folded in.
+    pub(crate) metrics: SinkOutput,
 }
 
 impl LoopState {
@@ -221,20 +221,20 @@ impl LoopState {
             fault_oracle_spikes: 0,
             fault_torn_checkpoints: 0,
             sink_dropped_events: 0,
-            sink_errors: 0,
             journal_entries: 0,
+            metrics: SinkOutput::default(),
         }
     }
-}
 
-/// Records `event` unless the fault plan saturated the sink this tick;
-/// both the injected drop and a real channel failure are counted so the
-/// end-of-run cross-check knows how lossy the metrics view is.
-fn emit(sink: &NonBlockingSink, event: MetricEvent, saturated: bool, state: &mut LoopState) {
-    if saturated {
-        state.sink_dropped_events += 1;
-    } else if !sink.record(event) {
-        state.sink_errors += 1;
+    /// Folds `event` into the run's metrics unless the fault plan saturated
+    /// the sink this tick; an injected drop is counted so the end-of-run
+    /// cross-check knows how lossy the metrics view is.
+    fn emit(&mut self, event: MetricEvent, saturated: bool, trace: Option<&mut (dyn Write + '_)>) {
+        if saturated {
+            self.sink_dropped_events += 1;
+        } else {
+            self.metrics.record(event, trace);
+        }
     }
 }
 
@@ -298,27 +298,32 @@ impl<'a> ServeLoop<'a> {
         self.run_with_writer(arrivals, None)
     }
 
-    /// Serves the arrival stream, optionally streaming a per-event CSV
-    /// trace through the non-blocking sink's worker thread.
+    /// Serves the arrival stream, optionally writing a per-event CSV trace
+    /// (see [`SinkOutput::record`]) into `writer`. A failed final flush
+    /// counts as one more [`ServeReport::io_errors`].
     pub fn run_with_writer(
         &mut self,
         arrivals: impl Iterator<Item = TripEvent>,
-        writer: Option<Box<dyn Write + Send>>,
+        mut writer: Option<Box<dyn Write>>,
     ) -> ServeReport {
-        let sink = NonBlockingSink::new(writer);
         let mut arrivals = arrivals.peekable();
         let mut state = LoopState::new();
+        let trace = writer.as_deref_mut();
         let done = self
-            .run_inner(&mut arrivals, &sink, &mut state, None, false)
+            .run_inner(&mut arrivals, trace, &mut state, None, false)
             // lint:allow(P1, reason = "without a driver run_inner performs no IO, so Err is unconstructible; swallowing it would hide a logic error")
             .expect("serve loop without a recovery driver performs no recovery IO");
         debug_assert!(done, "kills are disabled without a recovery driver");
-        self.finish_report(state, sink, false)
+        if writer.is_some_and(|mut w| w.flush().is_err()) {
+            state.metrics.io_errors += 1;
+        }
+        self.finish_report(state, false)
     }
 
     /// One pass of the serve loop over `arrivals`, mutating `state` in
     /// place. Returns `Ok(false)` if an injected kill fired (the caller
-    /// owns recovery), `Ok(true)` when the stream drained. `driver`
+    /// owns recovery), `Ok(true)` when the stream drained. `trace`
+    /// receives the per-event CSV lines, if given. `driver`
     /// threads the write-ahead journal and checkpoint hooks through the
     /// tick; `kill_enabled` is set only by the recoverable entry point.
     ///
@@ -329,7 +334,7 @@ impl<'a> ServeLoop<'a> {
     pub(crate) fn run_inner<I: Iterator<Item = TripEvent>>(
         &mut self,
         arrivals: &mut Peekable<I>,
-        sink: &NonBlockingSink,
+        mut trace: Option<&mut (dyn Write + '_)>,
         state: &mut LoopState,
         mut driver: Option<&mut RecoveryDriver>,
         kill_enabled: bool,
@@ -354,25 +359,23 @@ impl<'a> ServeLoop<'a> {
                 state.offered += 1;
                 if state.queue.len() >= slo.queue_capacity {
                     state.shed_queue_full += 1;
-                    emit(
-                        sink,
+                    state.emit(
                         MetricEvent::Shed {
                             reason: ShedReason::QueueFull,
                         },
                         saturated,
-                        state,
+                        trace.as_deref_mut(),
                     );
                 } else {
                     state.queue.push_back(trip);
                 }
             }
-            emit(
-                sink,
+            state.emit(
                 MetricEvent::QueueDepth {
                     depth: state.queue.len(),
                 },
                 saturated,
-                state,
+                trace.as_deref_mut(),
             );
 
             // The dispatcher is a single (virtual) server: while it is
@@ -392,13 +395,12 @@ impl<'a> ServeLoop<'a> {
                 {
                     state.queue.pop_front();
                     state.shed_stale += 1;
-                    emit(
-                        sink,
+                    state.emit(
                         MetricEvent::Shed {
                             reason: ShedReason::Stale,
                         },
                         saturated,
-                        state,
+                        trace.as_deref_mut(),
                     );
                 }
                 if !state.queue.is_empty() {
@@ -430,14 +432,13 @@ impl<'a> ServeLoop<'a> {
                         cost_s += extra;
                         state.fault_oracle_spikes += 1;
                     }
-                    emit(
-                        sink,
+                    state.emit(
                         MetricEvent::TickCompute {
                             seconds: cost_s,
                             batch: batch.len(),
                         },
                         saturated,
-                        state,
+                        trace.as_deref_mut(),
                     );
                     state.dispatch_ticks += 1;
                     // lint:allow(P1, reason = "fixed [u64; 3] indexed by DispatchEffort::index(), which is 0..=2 by definition")
@@ -450,14 +451,13 @@ impl<'a> ServeLoop<'a> {
                         } else {
                             state.rejected += 1;
                         }
-                        emit(
-                            sink,
+                        state.emit(
                             MetricEvent::Latency {
                                 seconds: state.server_free - trip.time_seconds,
                                 assigned: outcome.is_assigned(),
                             },
                             saturated,
-                            state,
+                            trace.as_deref_mut(),
                         );
                     }
                     if track_admitted {
@@ -493,7 +493,7 @@ impl<'a> ServeLoop<'a> {
             }
 
             if let Some(d) = driver.as_deref_mut() {
-                d.after_tick(&self.sim, state, sink)?;
+                d.after_tick(&self.sim, state)?;
             }
 
             if arrivals.peek().is_none() && state.queue.is_empty() {
@@ -502,20 +502,15 @@ impl<'a> ServeLoop<'a> {
         }
     }
 
-    /// Drains committed trips, joins the sink and cross-checks the two
-    /// accounting views before assembling the report. The loop counters
-    /// are always exact; the sink view is exact only when nothing was
-    /// dropped (no saturation fault, no channel failure, worker alive).
-    pub(crate) fn finish_report(
-        &mut self,
-        state: LoopState,
-        sink: NonBlockingSink,
-        recovered: bool,
-    ) -> ServeReport {
+    /// Drains committed trips and cross-checks the two accounting views
+    /// before assembling the report. The loop counters are always exact;
+    /// the metrics view is exact when no saturation fault dropped an event.
+    pub(crate) fn finish_report(&mut self, state: LoopState, recovered: bool) -> ServeReport {
         // Let committed trips play out so guarantee accounting is final.
         self.sim.drain();
         let sim_report = self.sim.report();
-        let out = sink.finish();
+        let out = &state.metrics;
+        let [dispatch_full, dispatch_slack_pruned, dispatch_greedy] = state.dispatches_by_level;
 
         // The loop counters are exact by construction, always.
         assert_eq!(
@@ -523,10 +518,8 @@ impl<'a> ServeLoop<'a> {
             state.admitted + state.shed_queue_full + state.shed_stale
         );
         assert_eq!(state.admitted, state.assigned + state.rejected);
-        let sink_lossless =
-            state.sink_dropped_events == 0 && state.sink_errors == 0 && !out.worker_lost;
-        if sink_lossless {
-            // Lossless channel: the two views must agree to the request.
+        if state.sink_dropped_events == 0 {
+            // Nothing dropped: the two views must agree to the request.
             assert_eq!(out.latency.count(), state.admitted);
             assert_eq!(
                 out.shed_queue_full + out.shed_stale,
@@ -563,16 +556,12 @@ impl<'a> ServeLoop<'a> {
             io_errors: out.io_errors,
             degraded_ticks: state.degraded_ticks,
             level_transitions: state.level_transitions,
-            // lint:allow(P1, reason = "fixed [u64; 3] indexed by DispatchEffort::index(), which is 0..=2 by definition")
-            dispatch_full: state.dispatches_by_level[DispatchEffort::Full.index()],
-            // lint:allow(P1, reason = "fixed [u64; 3] indexed by DispatchEffort::index(), which is 0..=2 by definition")
-            dispatch_slack_pruned: state.dispatches_by_level[DispatchEffort::SlackPruned.index()],
-            // lint:allow(P1, reason = "fixed [u64; 3] indexed by DispatchEffort::index(), which is 0..=2 by definition")
-            dispatch_greedy: state.dispatches_by_level[DispatchEffort::Greedy.index()],
+            dispatch_full,
+            dispatch_slack_pruned,
+            dispatch_greedy,
             fault_oracle_spikes: state.fault_oracle_spikes,
             fault_torn_checkpoints: state.fault_torn_checkpoints,
             sink_dropped_events: state.sink_dropped_events,
-            sink_errors: state.sink_errors,
             journal_entries: state.journal_entries,
             recovered,
         }
@@ -638,8 +627,6 @@ pub struct ServeReport {
     pub fault_torn_checkpoints: u64,
     /// Metric events dropped by injected sink saturation.
     pub sink_dropped_events: u64,
-    /// Metric events the sink channel refused (worker gone).
-    pub sink_errors: u64,
     /// Write-ahead journal entries appended (0 without a recovery dir).
     pub journal_entries: u64,
     /// Whether this run resumed from a checkpoint + journal replay.
@@ -779,7 +766,6 @@ impl ServeReport {
             "sink_dropped_events",
             self.sink_dropped_events.to_string(),
         );
-        field(&mut s, "sink_errors", self.sink_errors.to_string());
         field(&mut s, "journal_entries", self.journal_entries.to_string());
         field(&mut s, "recovered", self.recovered.to_string());
         field(
@@ -963,6 +949,70 @@ mod tests {
         assert_eq!(report.admitted, report.assigned + report.rejected);
         // The sink saw nothing, so its summaries are empty.
         assert_eq!(report.latency.count, 0);
+    }
+
+    /// An in-memory trace the test reads back after the loop owned it.
+    #[derive(Clone, Default)]
+    struct SharedTrace(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+    impl Write for SharedTrace {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An overloaded run (it sheds both ways) with its event trace.
+    fn traced_run(fault: FaultPlan) -> (ServeReport, String) {
+        let w = small_workload();
+        let oracle = CachedOracle::without_labels(&w.network);
+        let cfg = ServeConfig {
+            slo: SloConfig {
+                queue_capacity: 16,
+                max_queue_wait_seconds: 5.0,
+                ..SloConfig::default()
+            },
+            model: ServiceModel::Fixed {
+                tick_overhead_s: 0.1,
+                per_request_s: 0.5,
+            },
+            fault,
+            ..ServeConfig::default()
+        };
+        let trace = SharedTrace::default();
+        let mut serve = ServeLoop::new(sim(&w, &oracle), cfg);
+        let report = serve.run_with_writer(
+            PoissonArrivals::new(&w.trips, 20.0, 30.0, 5),
+            Some(Box::new(trace.clone())),
+        );
+        let text = String::from_utf8(trace.0.take()).unwrap();
+        (report, text)
+    }
+
+    #[test]
+    fn event_trace_has_one_line_per_counted_event() {
+        let (report, text) = traced_run(FaultPlan::none());
+        let lines = |prefix: &str| text.lines().filter(|l| l.starts_with(prefix)).count() as u64;
+        assert!(report.admitted > 0 && report.shed() > 0, "{report:?}");
+        assert_eq!(lines("latency,"), report.admitted);
+        assert_eq!(lines("tick,"), report.dispatch_ticks);
+        assert_eq!(lines("queue_depth,"), report.ticks);
+        assert_eq!(lines("shed,"), report.shed());
+        assert_eq!(text.lines().count() as u64, report.trace_lines);
+        assert_eq!(report.io_errors, 0);
+
+        // A saturated sink writes nothing and counts every event it drops.
+        let (blind, text) = traced_run(FaultPlan {
+            seed: 3,
+            sink_saturation_rate: 1.0,
+            ..FaultPlan::none()
+        });
+        assert!(text.is_empty());
+        assert_eq!(blind.trace_lines, 0);
+        assert_eq!(blind.sink_dropped_events, report.trace_lines);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! 1. **Exact accounting** — every offered request is either admitted or
 //!    shed (with a reason), admitted splits into assigned + rejected, and
-//!    the non-blocking sink's histograms agree with the loop counters to
+//!    the metrics sink's histograms agree with the loop counters to
 //!    the last request, even under bursty arrivals that slam the bounded
 //!    queue.
 //! 2. **Bit-identical dispatch** — serving only changes *which* requests
@@ -76,7 +76,7 @@ proptest! {
     /// Accounting stays exact under arbitrary bursty load against
     /// arbitrary (tight) admission budgets. The serve loop also
     /// self-checks the sink aggregates against its own counters, so a
-    /// lossy channel or a double-counted shed would panic here.
+    /// dropped event or a double-counted shed would panic here.
     #[test]
     fn shed_admitted_accounting_is_exact_under_bursts(
         bursts in prop::collection::vec((0.0f64..20.0, 0u8..30), 1..20),

@@ -321,14 +321,13 @@ fn restore<'a>(
     bytes: &[u8],
 ) -> Result<(Simulation<'a>, usize), RoadNetError> {
     let (graph, config) = (sim.graph, sim.config);
-    if bytes.len() < 8 {
+    let Some((body, trailer)) = bytes.split_last_chunk::<8>() else {
         return Err(RoadNetError::Persist(format!(
             "checkpoint is only {} bytes; not even a checksum fits",
             bytes.len()
         )));
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
+    };
+    let stored = u64::from_le_bytes(*trailer);
     let computed = bin::fnv1a(body);
     if stored != computed {
         return Err(RoadNetError::Persist(format!(

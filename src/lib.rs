@@ -22,7 +22,7 @@
 //!   road networks and taxi demand streams;
 //! * [`serve`] (crate `rideshare-serve`) — the online dispatch service
 //!   mode: open-loop arrivals, a bounded ingress queue with SLO-gated
-//!   admission, and non-blocking serving metrics.
+//!   admission, and exact serving metrics folded inline.
 //!
 //! # Quickstart
 //!
