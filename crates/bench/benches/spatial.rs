@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the moving-object grid index: update cost (with and
-//! without cell crossings) and radius-query cost at several cell sizes —
+//! without cell crossings) and radius-query cost at several cell sizes, and
+//! the nearest-first cell listing the dispatcher reads candidates from —
 //! the ablation DESIGN.md calls out for the index the paper chose over
 //! heavier moving-object structures.
 
@@ -60,14 +61,15 @@ fn bench_radius_queries(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_knn(c: &mut Criterion) {
-    c.bench_function("grid_knn_10", |b| {
-        let idx = populated_index(2_000.0, 17_000);
+fn bench_cells_by_distance(c: &mut Criterion) {
+    c.bench_function("grid_cells_by_distance_2000", |b| {
+        let mut idx = populated_index(2_000.0, 17_000);
+        let mut cells = Vec::new();
         let mut step = 0u64;
         b.iter(|| {
             let x = (step % 50) as f64 * 1_000.0;
             step += 1;
-            idx.nearest(Position::new(x, 20_000.0), 10).len()
+            idx.cells_by_distance(Position::new(x, 25_000.0), 8_400.0, &mut cells)
         })
     });
 }
@@ -78,6 +80,6 @@ criterion_group! {
         .sample_size(15)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1500));
-    targets = bench_updates, bench_radius_queries, bench_knn
+    targets = bench_updates, bench_radius_queries, bench_cells_by_distance
 }
 criterion_main!(benches);

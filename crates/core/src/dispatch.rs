@@ -4,10 +4,17 @@
 //! the waiting-time radius `w` of the pickup can possibly serve it (any
 //! farther server would already violate the waiting-time constraint on the
 //! empty road). The dispatcher therefore asks the grid-based spatial index
-//! once for the vehicles inside that radius ([`Dispatcher::candidates`]),
-//! evaluates the request against each candidate, and assigns it to the
-//! vehicle offering the smallest augmented trip cost
-//! ([`Dispatcher::assign_among`]) — exactly the paper's simulation loop.
+//! for the vehicles inside that radius, evaluates the request against them,
+//! and assigns it to the vehicle offering the smallest augmented trip cost
+//! ([`Dispatcher::assign_synced`]) — exactly the paper's simulation loop.
+//!
+//! The grid hands the radius over cell by cell, nearest cell first
+//! ([`GridIndex::cells_by_distance`]). A vehicle is synced, screened and
+//! ranked only when its cell is read, and cells are read only while one of
+//! them could still hold the next vehicle in best-first order, so a request
+//! touches the few dozen vehicles it can use rather than every vehicle in
+//! its radius. The order of evaluation — and so every decision — is the
+//! one a global sort of the whole radius would give.
 //!
 //! The dispatcher also measures the two quantities the paper reports:
 //! *average customer response time* (ACRT — wall-clock time to find the best
@@ -15,11 +22,12 @@
 //! time of a single vehicle evaluation, bucketed by how many active requests
 //! that vehicle already has).
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Instant;
 
 use roadnet::{DistanceOracle, Point, RoadNetwork};
-use spatial::{GridIndex, Position};
+use spatial::{Cell, GridIndex, Position};
 
 use crate::request::TripRequest;
 use crate::types::Cost;
@@ -152,12 +160,12 @@ pub enum AssignmentOutcome {
         vehicle: u32,
         /// Cost of the winning augmented schedule.
         cost: Cost,
-        /// Number of candidate vehicles evaluated.
+        /// Number of candidate vehicles in the request's radius.
         candidates: usize,
     },
     /// No candidate vehicle could serve the request within its constraints.
     Rejected {
-        /// Number of candidate vehicles evaluated.
+        /// Number of candidate vehicles in the request's radius.
         candidates: usize,
     },
 }
@@ -166,6 +174,14 @@ impl AssignmentOutcome {
     /// True when the request was assigned.
     pub fn is_assigned(&self) -> bool {
         matches!(self, AssignmentOutcome::Assigned { .. })
+    }
+
+    /// Number of candidate vehicles in the request's radius.
+    pub fn candidates(&self) -> usize {
+        match *self {
+            AssignmentOutcome::Assigned { candidates, .. }
+            | AssignmentOutcome::Rejected { candidates } => candidates,
+        }
     }
 }
 
@@ -178,11 +194,13 @@ pub struct DispatchStats {
     pub assigned: u64,
     /// Requests rejected (no feasible vehicle).
     pub rejected: u64,
-    /// Total candidates evaluated over all requests.
+    /// Total candidates — vehicles within the request's radius — over all
+    /// requests.
     pub candidates: u64,
     /// Total wall-clock nanoseconds spent answering requests (ACRT total):
-    /// the candidate query ([`Dispatcher::candidates`]) plus screening,
-    /// evaluation and selection ([`Dispatcher::assign_among`]).
+    /// the whole of [`Dispatcher::assign_synced`] — the grid query, syncing
+    /// each vehicle it reads to its current position, screening,
+    /// evaluation, selection and the winner's commit.
     pub response_nanos: u128,
     /// Per-vehicle evaluation time bucketed by the vehicle's number of
     /// active requests at evaluation time: bucket -> (evaluations, nanos).
@@ -270,6 +288,8 @@ enum Screen {
     Keep {
         /// Admissible lower bound (meters) on the augmented schedule cost.
         lb: Cost,
+        /// Straight-line distance (meters) from the vehicle to the pickup.
+        reach: Cost,
     },
 }
 
@@ -335,45 +355,150 @@ fn screen_candidate(
     }
     Screen::Keep {
         lb: base.max(to_pickup + direct),
+        reach: to_pickup,
     }
 }
 
 /// Vehicle `vid` of `vehicles`. A vehicle's id is its slot, so this is
 /// slot `vid` — unless there is no such slot, or the slot carries another
 /// id, and then there is no vehicle `vid` to evaluate.
-fn vehicle(vehicles: &[Vehicle], vid: u32) -> Option<&Vehicle> {
-    vehicles.get(vid as usize).filter(|v| v.id() == vid)
+fn vehicle(vehicles: &mut [Vehicle], vid: u32) -> Option<&mut Vehicle> {
+    vehicles.get_mut(vid as usize).filter(|v| v.id() == vid)
 }
 
-/// Screens `request`'s candidates (see [`screen_candidate`]) and returns
-/// the survivors as `(key, vehicle id)` in ascending order, with the number
-/// the screen pruned. `key` maps a survivor and its admissible lower bound
-/// to its sort key — a bound or a Euclidean length, so >= +0.0 and never
-/// NaN, where `total_cmp` is the numeric order.
-fn rank_survivors(
-    request: &TripRequest,
-    candidates: &[u32],
-    vehicles: &[Vehicle],
-    graph: &RoadNetwork,
-    oracle: &dyn DistanceOracle,
-    key: impl Fn(&Vehicle, Cost) -> Cost,
-) -> (Vec<(Cost, u32)>, u64) {
-    let pickup = graph.point(request.source);
-    let deadline = request.pickup_deadline();
-    let direct = oracle.dist(request.source, request.destination);
-    let mut ranked = Vec::with_capacity(candidates.len());
-    let mut by_slack = 0u64;
-    for &vid in candidates {
-        let Some(v) = vehicle(vehicles, vid) else {
-            continue;
-        };
-        match screen_candidate(v, graph, pickup, deadline, direct) {
-            Screen::Pruned => by_slack += 1,
-            Screen::Keep { lb } => ranked.push((key(v, lb), vid)),
+/// How far the grid's positions may lag the vehicles', and how to catch a
+/// vehicle up before the dispatcher reads it.
+///
+/// An engine indexes each vehicle at the last vertex it reached, but
+/// screens and prices it at the vertex it is driving to, one road segment
+/// on; it brings a vehicle to that vertex only when a request reads it.
+pub struct LazySync<'s> {
+    /// Upper bound (meters) on the straight-line distance between a
+    /// vehicle's indexed position and its [`Vehicle::location`] once
+    /// `sync` has run. The nearest-first stop rule subtracts it from every
+    /// cell's distance, so an understated lag can skip a better vehicle.
+    pub lag: f64,
+    /// Called on a vehicle before it is screened or evaluated, possibly
+    /// more than once per request or per batch, so it must be idempotent
+    /// at a fixed clock.
+    pub sync: &'s mut dyn FnMut(&mut Vehicle),
+}
+
+/// A screened survivor waiting to be evaluated: its sort key and id,
+/// ordered by `(key, id)`. A key is a bound or a Euclidean length, so
+/// `>= +0.0` and never NaN, where `total_cmp` is the numeric order.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    key: Cost,
+    vid: u32,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key
+            .total_cmp(&other.key)
+            .then(self.vid.cmp(&other.vid))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// One request's candidates, read nearest cell first. Reading a cell syncs
+/// and screens each of its in-radius vehicles (see [`screen_candidate`])
+/// and pushes the survivors onto a min-heap on `(key, id)`: the key is the
+/// admissible lower bound, or for [`DispatchEffort::Greedy`] the
+/// straight-line distance to the pickup.
+///
+/// A vehicle in a cell at distance `near` from the pickup sits at least
+/// `near - lag` from it once synced, so its key is at least
+/// [`Frontier::floor`]`(near)`. While the next cell's floor is at most the
+/// heap's minimum, that cell is read; once it is above, the minimum is the
+/// smallest `(key, id)` of the whole radius — the element a global sort
+/// would put next. `<=`, not `<`, because an unread vehicle could tie the
+/// minimum's key with a lower id.
+struct Frontier {
+    pickup: Point,
+    centre: Position,
+    radius: f64,
+    deadline: Cost,
+    direct: Cost,
+    greedy: bool,
+    lag: f64,
+    cells: Vec<(f64, Cell)>,
+    next: usize,
+    ranked: BinaryHeap<Reverse<Ranked>>,
+    by_slack: u64,
+}
+
+impl Frontier {
+    /// The least key a vehicle indexed `near` meters from the pickup can
+    /// have: `PRUNE_EPS` absorbs the rounding of the distances involved.
+    fn floor(&self, near: f64) -> Cost {
+        let offset = if self.greedy { 0.0 } else { self.direct };
+        near - self.lag - PRUNE_EPS + offset
+    }
+
+    /// Reads cells until the heap's minimum is the radius-wide minimum, or
+    /// until no unread vehicle can reach `limit` — an incumbent's cost,
+    /// which every unread vehicle then loses to.
+    fn read_until(
+        &mut self,
+        limit: Cost,
+        index: &GridIndex,
+        vehicles: &mut [Vehicle],
+        graph: &RoadNetwork,
+        sync: &mut dyn FnMut(&mut Vehicle),
+    ) {
+        while let Some(&(near, cell)) = self.cells.get(self.next) {
+            let least = self
+                .ranked
+                .peek()
+                .map_or(limit, |Reverse(r)| r.key.min(limit));
+            if self.floor(near) > least {
+                return;
+            }
+            self.next += 1;
+            for &(vid, pos) in index.cell(cell) {
+                if pos.within(self.centre, self.radius) {
+                    self.admit(vid, vehicles, graph, sync);
+                }
+            }
         }
     }
-    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    (ranked, by_slack)
+
+    /// Syncs, screens and ranks vehicle `vid`; an id with no vehicle is
+    /// skipped.
+    fn admit(
+        &mut self,
+        vid: u32,
+        vehicles: &mut [Vehicle],
+        graph: &RoadNetwork,
+        sync: &mut dyn FnMut(&mut Vehicle),
+    ) {
+        let Some(v) = vehicle(vehicles, vid) else {
+            return;
+        };
+        sync(v);
+        match screen_candidate(v, graph, self.pickup, self.deadline, self.direct) {
+            Screen::Pruned => self.by_slack += 1,
+            Screen::Keep { lb, reach } => {
+                let key = if self.greedy { reach } else { lb };
+                self.ranked.push(Reverse(Ranked { key, vid }));
+            }
+        }
+    }
 }
 
 /// Fleet-level matcher.
@@ -422,38 +547,36 @@ impl Dispatcher {
         self.stats = stats;
     }
 
-    /// Candidate vehicle ids for a request, ascending: every vehicle of a
-    /// `fleet_size`-vehicle fleet when spatial filtering is off, otherwise
-    /// those whose indexed position is within the waiting-time radius of
-    /// the pickup vertex ([`GridIndex::query_radius`] sorts). Ascending ids
-    /// are what make keep-the-incumbent iteration implement the lowest-id
-    /// tie-break.
+    /// Every candidate vehicle id for a request, ascending: every vehicle
+    /// of a `fleet_size`-vehicle fleet when spatial filtering is off,
+    /// otherwise those whose indexed position is within the waiting-time
+    /// radius of the pickup vertex ([`GridIndex::query_radius`] sorts).
     ///
-    /// This is a request's one grid query; hand its result to
-    /// [`Dispatcher::assign_among`]. Looking the candidates up is part of
-    /// answering the request, so the time it takes is added to
-    /// [`DispatchStats::response_nanos`].
+    /// The exhaustive rung reads these; the others read the same radius
+    /// nearest cell first. Neither timed nor counted as a dispatch, so an
+    /// observer that needs the whole id list can ask for it.
     pub fn candidates(
-        &mut self,
+        &self,
         request: &TripRequest,
         graph: &RoadNetwork,
         index: &mut GridIndex,
         fleet_size: usize,
     ) -> Vec<u32> {
-        let timer = Instant::now();
-        let ids = if self.config.use_spatial_filter {
+        if self.config.use_spatial_filter {
             let p = graph.point(request.source);
-            let radius = request.constraints.max_wait * self.config.radius_factor;
-            index.query_radius(Position::new(p.x, p.y), radius)
+            index.query_radius(Position::new(p.x, p.y), self.radius(request))
         } else {
             (0..fleet_size as u32).collect()
-        };
-        self.stats.response_nanos += timer.elapsed().as_nanos();
-        ids
+        }
     }
 
-    /// Processes one request start to finish: [`Dispatcher::candidates`],
-    /// then [`Dispatcher::assign_among`] over them.
+    /// The spatial filter's radius for `request`.
+    fn radius(&self, request: &TripRequest) -> f64 {
+        request.constraints.max_wait * self.config.radius_factor
+    }
+
+    /// [`Dispatcher::assign_synced`] over a fleet the grid indexes exactly
+    /// where it stands: no lag, nothing to sync.
     pub fn assign(
         &mut self,
         request: &TripRequest,
@@ -462,50 +585,55 @@ impl Dispatcher {
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
     ) -> AssignmentOutcome {
-        let candidates = self.candidates(request, graph, index, vehicles.len());
-        self.assign_among(request, &candidates, vehicles, graph, index, oracle)
+        let lazy = LazySync {
+            lag: 0.0,
+            sync: &mut |_| {},
+        };
+        self.assign_synced(request, vehicles, graph, index, oracle, lazy)
     }
 
-    /// Evaluates `request` against the vehicles named by `candidates` (the
-    /// ascending ids [`Dispatcher::candidates`] returns), assigns it to the
-    /// cheapest feasible one (committing it) and records statistics. An
-    /// evaluation prices a candidate ([`Vehicle::evaluate`]); only the
-    /// winner's commit builds an augmented kinetic tree. A
-    /// vehicle's id is its slot in `vehicles`; an id with no slot, or whose
-    /// slot carries another id, is skipped, though it still counts as a
-    /// candidate.
+    /// Processes one request start to finish: evaluates it against the
+    /// vehicles within its waiting-time radius, assigns it to the cheapest
+    /// feasible one (committing it) and records statistics. An evaluation
+    /// prices a candidate ([`Vehicle::evaluate`]); only the winner's commit
+    /// builds an augmented kinetic tree. A vehicle's id is its slot in
+    /// `vehicles`; an indexed id with no slot, or whose slot carries
+    /// another id, is skipped, though it still counts as a candidate.
+    /// `lazy.sync` runs on every vehicle before it is screened or
+    /// evaluated.
     ///
     /// With [`DispatcherConfig::use_pruning`] (the default) candidates are
+    /// read nearest cell first (see [`GridIndex::cells_by_distance`]),
     /// screened with `screen_candidate` and evaluated best-first by
-    /// admissible lower bound with an early exit; otherwise every candidate
-    /// is evaluated in ascending-id order. The chosen assignment is
-    /// identical either way.
+    /// admissible lower bound, stopping once the next bound — of a ranked
+    /// vehicle or of an unread cell — loses to the incumbent. Otherwise
+    /// every candidate is evaluated in ascending-id order. The chosen
+    /// assignment is identical either way, and so is the reported
+    /// candidate count: the grid counts the whole radius without reading
+    /// it.
     ///
     /// Cost ties break to the lowest vehicle id, so the assignment is a
     /// pure function of fleet state. A batch of concurrent requests is
     /// dispatched by calling this once per request in submission order:
     /// each call commits its winner before the next request is screened, so
     /// request `i` sees every commit made for requests `0..i`.
-    pub fn assign_among(
+    pub fn assign_synced(
         &mut self,
         request: &TripRequest,
-        candidates: &[u32],
         vehicles: &mut [Vehicle],
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
+        lazy: LazySync<'_>,
     ) -> AssignmentOutcome {
         let timer = Instant::now();
-        let best = match self.effort {
+        let (candidates, best) = match self.effort {
             DispatchEffort::Full if !self.config.use_pruning => {
-                self.evaluate_exhaustive(request, candidates, vehicles, index, oracle)
+                let ids = self.candidates(request, graph, index, vehicles.len());
+                let best = self.evaluate_exhaustive(request, &ids, vehicles, index, oracle, lazy);
+                (ids.len(), best)
             }
-            DispatchEffort::Full | DispatchEffort::SlackPruned => {
-                self.evaluate_pruned(request, candidates, vehicles, graph, index, oracle)
-            }
-            DispatchEffort::Greedy => {
-                self.evaluate_greedy(request, candidates, vehicles, graph, index, oracle)
-            }
+            _ => self.evaluate_nearest_first(request, vehicles, graph, index, oracle, lazy),
         };
         // The winner's commit builds its kinetic tree; a build that
         // disagreed with the probe that priced it would leave the vehicle
@@ -516,7 +644,7 @@ impl Dispatcher {
             committed.map(|()| (vehicle, cost))
         });
         self.stats.requests += 1;
-        self.stats.candidates += candidates.len() as u64;
+        self.stats.candidates += candidates as u64;
         self.stats.response_nanos += timer.elapsed().as_nanos();
         match winner {
             Some((vehicle, cost)) => {
@@ -524,14 +652,12 @@ impl Dispatcher {
                 AssignmentOutcome::Assigned {
                     vehicle,
                     cost,
-                    candidates: candidates.len(),
+                    candidates,
                 }
             }
             None => {
                 self.stats.rejected += 1;
-                AssignmentOutcome::Rejected {
-                    candidates: candidates.len(),
-                }
+                AssignmentOutcome::Rejected { candidates }
             }
         }
     }
@@ -559,9 +685,10 @@ impl Dispatcher {
         &mut self,
         request: &TripRequest,
         candidates: &[u32],
-        vehicles: &[Vehicle],
+        vehicles: &mut [Vehicle],
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
+        lazy: LazySync<'_>,
     ) -> Option<(u32, Proposal)> {
         let mut best: Option<(u32, Proposal)> = None;
         let mut evaluated = 0u64;
@@ -569,6 +696,7 @@ impl Dispatcher {
             let Some(v) = vehicle(vehicles, vid) else {
                 continue;
             };
+            (lazy.sync)(v);
             evaluated += 1;
             if let Some(p) = self.evaluate(v, request, oracle) {
                 // Strictly-better cost wins; on an exact tie the lowest
@@ -583,84 +711,89 @@ impl Dispatcher {
         best
     }
 
-    /// Slack-screened, best-first evaluation with early exit. Returns the
-    /// same winner as [`Dispatcher::evaluate_exhaustive`] — see
-    /// [`screen_candidate`] for the soundness argument; the early exit only
-    /// skips candidates whose lower bound already loses to the incumbent
-    /// under the `(cost, vehicle id)` lexicographic order.
-    fn evaluate_pruned(
+    /// Best-first evaluation over the candidates as a [`Frontier`] yields
+    /// them; returns the radius's candidate count and the winner.
+    ///
+    /// [`DispatchEffort::Full`] and [`DispatchEffort::SlackPruned`] keep
+    /// the cheapest feasible insertion and stop once the next key loses to
+    /// the incumbent under the `(cost, vehicle id)` lexicographic order.
+    /// This returns the same winner as
+    /// [`Dispatcher::evaluate_exhaustive`]: see [`screen_candidate`] for
+    /// why the screen is sound, and the keys are admissible lower bounds.
+    ///
+    /// [`DispatchEffort::Greedy`] takes the **first** feasible insertion in
+    /// ascending straight-line distance to the pickup (ties to the lowest
+    /// vehicle id). The schedule walker still enforces every guarantee, so
+    /// a greedy assignment is feasible — just not necessarily cheapest —
+    /// and deterministic: the visit order and the stop-at-first rule are
+    /// pure functions of fleet state.
+    fn evaluate_nearest_first(
         &mut self,
         request: &TripRequest,
-        candidates: &[u32],
-        vehicles: &[Vehicle],
+        vehicles: &mut [Vehicle],
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
-    ) -> Option<(u32, Proposal)> {
-        let (ranked, by_slack) =
-            rank_survivors(request, candidates, vehicles, graph, oracle, |_, lb| lb);
+        lazy: LazySync<'_>,
+    ) -> (usize, Option<(u32, Proposal)>) {
+        let pickup = graph.point(request.source);
+        let mut frontier = Frontier {
+            pickup,
+            centre: Position::new(pickup.x, pickup.y),
+            radius: self.radius(request),
+            deadline: request.pickup_deadline(),
+            direct: oracle.dist(request.source, request.destination),
+            greedy: self.effort == DispatchEffort::Greedy,
+            lag: lazy.lag,
+            cells: Vec::new(),
+            next: 0,
+            ranked: BinaryHeap::new(),
+            by_slack: 0,
+        };
+        let in_radius = if self.config.use_spatial_filter {
+            index.cells_by_distance(frontier.centre, frontier.radius, &mut frontier.cells)
+        } else {
+            for vid in 0..vehicles.len() as u32 {
+                frontier.admit(vid, vehicles, graph, lazy.sync);
+            }
+            vehicles.len()
+        };
         let mut best: Option<(u32, Proposal)> = None;
-        let mut evaluated = 0u64;
-        let mut by_bound = 0u64;
-        for (i, &(lb, vid)) in ranked.iter().enumerate() {
+        let (mut evaluated, mut by_bound) = (0u64, 0u64);
+        loop {
+            let incumbent = best.as_ref().map_or(Cost::INFINITY, |(_, b)| b.cost);
+            frontier.read_until(incumbent, index, vehicles, graph, lazy.sync);
+            let Some(Reverse(Ranked { key, vid })) = frontier.ranked.pop() else {
+                break;
+            };
             if let Some((best_vid, b)) = &best {
-                // Remaining candidates are sorted by (lb, vid), so once the
-                // bound meets the incumbent nothing later can win the
+                // Every remaining candidate comes after (key, vid), so once
+                // the key meets the incumbent nothing later can win the
                 // (cost, id) lexicographic comparison either.
-                if lb > b.cost || (lb == b.cost && vid > *best_vid) {
-                    by_bound = (ranked.len() - i) as u64;
+                if key > b.cost || (key == b.cost && vid > *best_vid) {
+                    by_bound = frontier.ranked.len() as u64 + 1;
                     break;
                 }
             }
             evaluated += 1;
-            if let Some(p) = self.evaluate(&vehicles[vid as usize], request, oracle) {
-                let better = match &best {
-                    None => true,
-                    Some((best_vid, b)) => p.cost < b.cost || (p.cost == b.cost && vid < *best_vid),
-                };
-                if better {
-                    best = Some((vid, p));
-                }
-            }
-        }
-        index.record_pruning(candidates.len() as u64, by_slack, by_bound, evaluated);
-        best
-    }
-
-    /// Nearest-feasible evaluation ([`DispatchEffort::Greedy`]): screen the
-    /// candidates, visit survivors in ascending straight-line distance to
-    /// the pickup (ties to the lowest vehicle id) and return the **first**
-    /// feasible insertion. The schedule walker still enforces every
-    /// guarantee, so a greedy assignment is feasible — just not necessarily
-    /// cheapest. Deterministic: the visit order and the stop-at-first rule
-    /// are pure functions of fleet state.
-    fn evaluate_greedy(
-        &mut self,
-        request: &TripRequest,
-        candidates: &[u32],
-        vehicles: &[Vehicle],
-        graph: &RoadNetwork,
-        index: &mut GridIndex,
-        oracle: &dyn DistanceOracle,
-    ) -> Option<(u32, Proposal)> {
-        let pickup = graph.point(request.source);
-        let (ranked, by_slack) =
-            rank_survivors(request, candidates, vehicles, graph, oracle, |v, _| {
-                graph.point(v.location()).distance(&pickup)
-            });
-        let mut evaluated = 0u64;
-        let mut skipped = 0u64;
-        let mut found: Option<(u32, Proposal)> = None;
-        for (i, &(_, vid)) in ranked.iter().enumerate() {
-            evaluated += 1;
-            if let Some(p) = self.evaluate(&vehicles[vid as usize], request, oracle) {
-                skipped = (ranked.len() - i - 1) as u64;
-                found = Some((vid, p));
+            let Some(p) = self.evaluate(&vehicles[vid as usize], request, oracle) else {
+                continue;
+            };
+            if frontier.greedy {
+                by_bound = frontier.ranked.len() as u64;
+                best = Some((vid, p));
                 break;
             }
+            let better = match &best {
+                None => true,
+                Some((best_vid, b)) => p.cost < b.cost || (p.cost == b.cost && vid < *best_vid),
+            };
+            if better {
+                best = Some((vid, p));
+            }
         }
-        index.record_pruning(candidates.len() as u64, by_slack, skipped, evaluated);
-        found
+        index.record_pruning(in_radius as u64, frontier.by_slack, by_bound, evaluated);
+        (in_radius, best)
     }
 }
 
@@ -937,65 +1070,302 @@ mod tests {
         [DispatcherConfig::default(), no_prune]
     }
 
-    #[test]
-    fn assign_is_candidates_then_assign_among_at_every_rung() {
-        let positions = [0u32, 9, 18, 27, 35, 36, 45, 54, 63];
-        let planner = PlannerKind::Kinetic(KineticConfig::slack());
-        let requests: Vec<TripRequest> = [(36, 60), (35, 2), (7, 56), (27, 30), (63, 0), (56, 7)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(s, d))| {
-                // Every third request starts at a corner no vehicle can
-                // reach within its tight waiting budget: a rejection.
-                let wait = if i % 3 == 2 { 400.0 } else { 3_000.0 };
-                TripRequest::new(i as u64 + 1, s, d, 0.0, Constraints::new(wait, 0.3))
-            })
-            .collect();
-        for config in configs() {
-            for effort in DispatchEffort::ALL {
-                let (graph, mut fleet_a, mut index_a) = setup(planner, &positions);
-                let (_, mut fleet_b, mut index_b) = setup(planner, &positions);
-                let oracle = CachedOracle::without_labels(&graph);
-                let mut whole = Dispatcher::new(config);
-                let mut split = Dispatcher::new(config);
-                whole.set_effort(effort);
-                split.set_effort(effort);
-                for r in &requests {
-                    let a = whole.assign(r, &mut fleet_a, &graph, &mut index_a, &oracle);
-                    let ids = split.candidates(r, &graph, &mut index_b, fleet_b.len());
-                    let b =
-                        split.assign_among(r, &ids, &mut fleet_b, &graph, &mut index_b, &oracle);
-                    assert_eq!(a, b, "{config:?} {effort:?} request {}", r.id);
+    /// The grid's side of the dispatcher's counters: everything the
+    /// enumeration order cannot change.
+    fn grid_counts(index: &GridIndex) -> (u64, u64, u64, u64) {
+        let s = index.stats();
+        (
+            s.queries,
+            s.candidates_returned,
+            s.candidates_in_radius,
+            s.evaluated,
+        )
+    }
+
+    /// The enumeration nearest-cell-first replaced, kept as the reference:
+    /// query the whole radius, screen every candidate, sort the survivors
+    /// by `(key, id)`, and evaluate them in that order until the next key
+    /// loses to the incumbent (or, greedy, until one is feasible).
+    fn global_sort(
+        dispatcher: &mut Dispatcher,
+        request: &TripRequest,
+        vehicles: &mut [Vehicle],
+        graph: &RoadNetwork,
+        index: &mut GridIndex,
+        oracle: &dyn DistanceOracle,
+    ) -> AssignmentOutcome {
+        if dispatcher.effort == DispatchEffort::Full && !dispatcher.config.use_pruning {
+            return dispatcher.assign(request, vehicles, graph, index, oracle);
+        }
+        let greedy = dispatcher.effort == DispatchEffort::Greedy;
+        let candidates = dispatcher.candidates(request, graph, index, vehicles.len());
+        let pickup = graph.point(request.source);
+        let direct = oracle.dist(request.source, request.destination);
+        let mut ranked = Vec::new();
+        let mut by_slack = 0;
+        for &vid in &candidates {
+            let Some(v) = vehicle(vehicles, vid) else {
+                continue;
+            };
+            match screen_candidate(v, graph, pickup, request.pickup_deadline(), direct) {
+                Screen::Pruned => by_slack += 1,
+                Screen::Keep { lb, reach } => ranked.push((if greedy { reach } else { lb }, vid)),
+            }
+        }
+        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut best: Option<(u32, Proposal)> = None;
+        let (mut evaluated, mut by_bound) = (0, 0);
+        for (i, &(key, vid)) in ranked.iter().enumerate() {
+            if let Some((best_vid, b)) = &best {
+                if greedy || key > b.cost || (key == b.cost && vid > *best_vid) {
+                    by_bound = ranked.len() - i;
+                    break;
                 }
-                assert_eq!(whole.stats().rejected, 2, "{config:?} {effort:?}");
-                assert_eq!(counts(whole.stats()), counts(split.stats()));
-                assert_eq!(index_a.stats(), index_b.stats(), "{config:?} {effort:?}");
-                assert_eq!(index_b.stats().queries, requests.len() as u64);
-                for (a, b) in fleet_a.iter().zip(&fleet_b) {
-                    assert_eq!(a.route(), b.route(), "{config:?} {effort:?}");
+            }
+            evaluated += 1;
+            if let Some(p) = dispatcher.evaluate(&vehicles[vid as usize], request, oracle) {
+                let better = best.as_ref().is_none_or(|(best_vid, b)| {
+                    p.cost < b.cost || (p.cost == b.cost && vid < *best_vid)
+                });
+                if better {
+                    best = Some((vid, p));
+                }
+            }
+        }
+        index.record_pruning(
+            candidates.len() as u64,
+            by_slack,
+            by_bound as u64,
+            evaluated,
+        );
+        let winner = best.and_then(|(vid, p)| {
+            let cost = p.cost;
+            vehicles[vid as usize]
+                .commit(p, oracle)
+                .ok()
+                .map(|()| (vid, cost))
+        });
+        let stats = &mut dispatcher.stats;
+        stats.requests += 1;
+        stats.candidates += candidates.len() as u64;
+        let candidates = candidates.len();
+        match winner {
+            Some((vehicle, cost)) => {
+                stats.assigned += 1;
+                AssignmentOutcome::Assigned {
+                    vehicle,
+                    cost,
+                    candidates,
+                }
+            }
+            None => {
+                stats.rejected += 1;
+                AssignmentOutcome::Rejected { candidates }
+            }
+        }
+    }
+
+    fn planner(index: usize) -> PlannerKind {
+        match index {
+            0 => PlannerKind::Kinetic(KineticConfig::basic()),
+            1 => PlannerKind::Kinetic(KineticConfig::slack()),
+            2 => PlannerKind::Kinetic(KineticConfig::hotspot(4_000.0)),
+            _ => PlannerKind::Solver(crate::algorithms::SolverKind::BranchBound),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Nearest-cell-first against the global sort it replaced, at every
+        /// rung: the same outcomes, candidate counts, `DispatchStats` counts
+        /// and ART bucket counts, the same grid counts bar the screen and
+        /// early-exit tallies (which only shrink), and the same fleet. Each
+        /// vehicle is indexed where it stands or at a neighbouring vertex,
+        /// as an engine indexes a vehicle that is one segment into a drive,
+        /// and the dispatcher is told the network's longest segment.
+        #[test]
+        fn nearest_cell_first_matches_the_global_sort_at_every_rung(
+            planner_index in 0usize..4,
+            fleet in proptest::collection::vec((0u32..64, 0usize..4), 1..24),
+            pairs in proptest::collection::vec((0u32..64, 0u32..64), 1..10),
+            cell in 250.0f64..3_000.0,
+            wait_m in 1_000.0f64..10_000.0,
+            detour in 0.2f64..0.6,
+        ) {
+            let graph = GeneratorConfig {
+                kind: NetworkKind::Grid { rows: 8, cols: 8 },
+                seed: 5,
+                ..GeneratorConfig::default()
+            }
+            .generate();
+            let oracle = CachedOracle::without_labels(&graph);
+            let lag = graph.longest_segment();
+            let requests: Vec<TripRequest> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, d))| {
+                    let d = if d == s { (d + 1) % 64 } else { d };
+                    TripRequest::new(i as u64 + 1, s, d, 0.0, Constraints::new(wait_m, detour))
+                })
+                .collect();
+            let build = || {
+                let mut vehicles = Vec::new();
+                let mut index = GridIndex::new(cell);
+                for (i, &(node, shift)) in fleet.iter().enumerate() {
+                    vehicles.push(Vehicle::new(i as u32, node, 4, planner(planner_index), 0.0));
+                    let neighbours: Vec<u32> = graph.neighbors(node).map(|(v, _)| v).collect();
+                    let at = match shift {
+                        0 => node,
+                        k => neighbours[k % neighbours.len()],
+                    };
+                    let p = graph.point(at);
+                    index.insert(i as u32, Position::new(p.x, p.y));
+                }
+                (vehicles, index)
+            };
+            for config in configs() {
+                for effort in DispatchEffort::ALL {
+                    let (mut fleet_a, mut index_a) = build();
+                    let (mut fleet_b, mut index_b) = build();
+                    let mut lazy = Dispatcher::new(config);
+                    let mut reference = Dispatcher::new(config);
+                    lazy.set_effort(effort);
+                    reference.set_effort(effort);
+                    for r in &requests {
+                        let sync = LazySync { lag, sync: &mut |_| {} };
+                        let a = lazy.assign_synced(r, &mut fleet_a, &graph, &mut index_a, &oracle, sync);
+                        let b = global_sort(&mut reference, r, &mut fleet_b, &graph, &mut index_b, &oracle);
+                        proptest::prop_assert_eq!(a, b, "{:?} {:?} request {}", config, effort, r.id);
+                    }
+                    proptest::prop_assert_eq!(counts(lazy.stats()), counts(reference.stats()));
+                    proptest::prop_assert_eq!(grid_counts(&index_a), grid_counts(&index_b));
+                    let (a, b) = (index_a.stats(), index_b.stats());
+                    proptest::prop_assert!(
+                        a.pruned_by_slack + a.pruned_by_bound <= b.pruned_by_slack + b.pruned_by_bound
+                    );
+                    for (a, b) in fleet_a.iter().zip(&fleet_b) {
+                        proptest::prop_assert_eq!(a.route(), b.route());
+                    }
                 }
             }
         }
     }
 
+    /// A fleet for the lag tests: vehicle 0 stands at the pickup but is
+    /// indexed 5 km away; vehicle 1 stands and is indexed two blocks off.
+    /// Returns the fleet, the index, the pickup request and how far
+    /// vehicle 0's indexed position is from where it stands.
+    fn lagging_fleet() -> (RoadNetwork, Vec<Vehicle>, GridIndex, TripRequest, f64) {
+        let planner = PlannerKind::Kinetic(KineticConfig::slack());
+        let (graph, vehicles, mut index) = setup(planner, &[36, 34]);
+        let pickup = graph.point(36);
+        let indexed = Position::new(pickup.x + 4_000.0, pickup.y + 3_000.0);
+        index.update(0, indexed);
+        let d = indexed.distance(&Position::new(pickup.x, pickup.y));
+        let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
+        (graph, vehicles, index, req, d)
+    }
+
+    #[test]
+    fn a_lagging_index_still_yields_the_nearest_vehicle_first() {
+        for effort in [DispatchEffort::Full, DispatchEffort::Greedy] {
+            let (graph, mut vehicles, mut index, req, d) = lagging_fleet();
+            let oracle = CachedOracle::without_labels(&graph);
+            let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
+            dispatcher.set_effort(effort);
+            let mut synced = Vec::new();
+            let lazy = LazySync {
+                lag: d,
+                sync: &mut |v: &mut Vehicle| synced.push(v.id()),
+            };
+            let out =
+                dispatcher.assign_synced(&req, &mut vehicles, &graph, &mut index, &oracle, lazy);
+            assert!(
+                matches!(
+                    out,
+                    AssignmentOutcome::Assigned {
+                        vehicle: 0,
+                        candidates: 2,
+                        ..
+                    }
+                ),
+                "{effort:?}: vehicle 0 stands at the pickup: {out:?}"
+            );
+            synced.sort_unstable();
+            assert_eq!(
+                synced,
+                vec![0, 1],
+                "{effort:?}: both read, each synced once"
+            );
+            assert_eq!(dispatcher.stats().evaluated(), 1, "{effort:?}");
+        }
+    }
+
+    #[test]
+    fn a_vehicle_whose_key_equals_its_cells_floor_still_comes_first_on_id() {
+        // Both vehicles stand at node 35, so their greedy keys tie; vehicle
+        // 1 is indexed where it stands, vehicle 0 in a cell whose floor the
+        // lag sets to exactly that key. Only reading that cell before
+        // popping vehicle 1 lets the lower id come first.
+        let planner = PlannerKind::Kinetic(KineticConfig::slack());
+        let (graph, mut vehicles, mut index) = setup(planner, &[35, 35]);
+        let far = graph.point(7);
+        index.update(0, Position::new(far.x, far.y));
+        let pickup = graph.point(36);
+        let key = graph.point(35).distance(&pickup);
+        let mut cells = Vec::new();
+        index
+            .clone()
+            .cells_by_distance(Position::new(pickup.x, pickup.y), 8_400.0, &mut cells);
+        let near = cells[1].0;
+        let floor = |lag: f64| near - lag - PRUNE_EPS + 0.0;
+        let mut lag = near - PRUNE_EPS - key;
+        for _ in 0..64 {
+            if floor(lag) == key {
+                break;
+            }
+            let step = if floor(lag) > key { 1 } else { -1 };
+            lag = f64::from_bits((lag.to_bits() as i64 + step) as u64);
+        }
+        assert_eq!(floor(lag), key, "the lag puts the cell's floor on the key");
+        let oracle = CachedOracle::without_labels(&graph);
+        let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
+        dispatcher.set_effort(DispatchEffort::Greedy);
+        let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
+        let lazy = LazySync {
+            lag,
+            sync: &mut |_| {},
+        };
+        let out = dispatcher.assign_synced(&req, &mut vehicles, &graph, &mut index, &oracle, lazy);
+        assert!(
+            matches!(out, AssignmentOutcome::Assigned { vehicle: 0, .. }),
+            "a key tie goes to the lower id: {out:?}"
+        );
+    }
+
     #[test]
     fn an_id_whose_slot_does_not_carry_it_is_skipped() {
         // Slot 1 sits next to the pickup but carries id 5; ids 9 and
-        // u32::MAX have no slot at all. Only id 2 names its own slot.
+        // u32::MAX are indexed beside it with no slot at all. Only id 2
+        // names its own slot.
         let planner = PlannerKind::Kinetic(KineticConfig::slack());
         let (graph, mut vehicles, mut index) = setup(planner, &[0, 35, 63]);
         vehicles[1] = Vehicle::new(5, 35, 4, planner, 0.0);
+        index.remove(0);
+        let p = graph.point(35);
+        for id in [9, u32::MAX] {
+            index.insert(id, Position::new(p.x, p.y));
+        }
         let oracle = CachedOracle::without_labels(&graph);
         let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
         for config in configs() {
             for effort in DispatchEffort::ALL {
                 let mut fleet = vehicles.clone();
+                let mut index = index.clone();
                 let mut dispatcher = Dispatcher::new(config);
                 dispatcher.set_effort(effort);
-                index.reset_stats();
-                let ids = [1, 2, 9, u32::MAX];
-                let out =
-                    dispatcher.assign_among(&req, &ids, &mut fleet, &graph, &mut index, &oracle);
+                let out = dispatcher.assign(&req, &mut fleet, &graph, &mut index, &oracle);
                 assert!(
                     matches!(
                         out,
@@ -1009,13 +1379,13 @@ mod tests {
                 );
                 assert_eq!(fleet[1].active_trip_count(), 0, "slot 1 is not vehicle 1");
                 assert_eq!(fleet[2].active_trip_count(), 1);
-                let none =
-                    dispatcher.assign_among(&req, &[1, 9], &mut fleet, &graph, &mut index, &oracle);
-                assert_eq!(none, AssignmentOutcome::Rejected { candidates: 2 });
+                index.remove(2);
+                let none = dispatcher.assign(&req, &mut fleet, &graph, &mut index, &oracle);
+                assert_eq!(none, AssignmentOutcome::Rejected { candidates: 3 });
                 assert_eq!(dispatcher.stats().evaluated(), 1, "{config:?} {effort:?}");
-                assert_eq!(dispatcher.stats().candidates, 6);
+                assert_eq!(dispatcher.stats().candidates, 7);
                 let grid = index.stats();
-                assert_eq!((grid.candidates_in_radius, grid.evaluated), (6, 1));
+                assert_eq!((grid.candidates_in_radius, grid.evaluated), (7, 1));
             }
         }
     }

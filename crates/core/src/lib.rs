@@ -27,13 +27,13 @@
 //!
 //! [`Vehicle`] packages a server's state with a pluggable planner and
 //! [`dispatch::Dispatcher`] runs the fleet-level matching loop: grid-index
-//! candidate filtering, an O(1) slack screen, best-first evaluation by
-//! admissible lower bound with an early exit, minimum-cost assignment with
-//! cost ties broken to the lowest vehicle id. It is the only dispatcher —
-//! per-request submission, batched windows and every serve tick ask
-//! [`dispatch::Dispatcher::candidates`] once per request and feed the ids
-//! to [`dispatch::Dispatcher::assign_among`] one request at a time, in
-//! order, on the calling thread.
+//! candidate filtering read nearest cell first, an O(1) slack screen,
+//! best-first evaluation by admissible lower bound with an early exit,
+//! minimum-cost assignment with cost ties broken to the lowest vehicle id.
+//! It is the only dispatcher — per-request submission, batched windows and
+//! every serve tick hand each request to
+//! [`dispatch::Dispatcher::assign_synced`] one at a time, in order, on the
+//! calling thread.
 //!
 //! All quantities are measured in meters. With the paper's constant speed of
 //! 14 m/s, meters and seconds are interchangeable; the simulation crate
@@ -55,7 +55,7 @@ pub use algorithms::{
     SolverKind, SolverOutcome,
 };
 pub use dispatch::{
-    AssignmentOutcome, DispatchEffort, DispatchStats, Dispatcher, DispatcherConfig,
+    AssignmentOutcome, DispatchEffort, DispatchStats, Dispatcher, DispatcherConfig, LazySync,
 };
 pub use fault::FaultPlan;
 pub use kinetic::{KineticConfig, KineticTree, TreeInsertError, TreeStats};

@@ -198,6 +198,15 @@ impl RoadNetwork {
         self.edge_list.iter().copied()
     }
 
+    /// The longest straight-line distance between the two ends of a road
+    /// segment (0 without segments): how far apart two adjacent vertices
+    /// can lie.
+    pub fn longest_segment(&self) -> f64 {
+        self.edges()
+            .map(|(u, v, _)| self.point(u).distance(&self.point(v)))
+            .fold(0.0, f64::max)
+    }
+
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         0..self.points.len() as NodeId
@@ -368,6 +377,14 @@ mod tests {
         b.add_edge(0, 1, 5.0);
         assert_eq!(b.node_count(), 2);
         assert_eq!(b.edge_count(), 1);
+    }
+
+    #[test]
+    fn longest_segment_is_the_widest_straight_line_edge() {
+        assert!(approx_eq(triangle().longest_segment(), 2f64.sqrt()));
+        let mut lone = GraphBuilder::new();
+        lone.add_node(Point::new(3.0, 4.0));
+        assert_eq!(lone.build().longest_segment(), 0.0);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use kinetic_core::{AssignmentOutcome, Dispatcher, StopKind, TripId, TripRequest, Vehicle};
+use kinetic_core::{
+    AssignmentOutcome, Dispatcher, LazySync, StopKind, TripId, TripRequest, Vehicle,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rideshare_workload::TripEvent;
@@ -45,6 +47,16 @@ impl Motion {
             rng,
         }
     }
+
+    /// The vertex the vehicle should be evaluated at and the clock it gets
+    /// there, with the fleet at `clock_m`: the next vertex of an in-flight
+    /// drive, or the parked position.
+    fn effective_position(&self, clock_m: f64) -> (NodeId, f64) {
+        match self.path.front() {
+            Some(&(node, _)) => (node, self.next_arrival_m),
+            None => (self.at, clock_m.max(self.at_clock_m)),
+        }
+    }
 }
 
 /// Bookkeeping for every submitted request, used for service-quality
@@ -65,7 +77,16 @@ pub struct Simulation<'a> {
     pub(crate) config: SimConfig,
     pub(crate) vehicles: Vec<Vehicle>,
     pub(crate) motions: Vec<Motion>,
+    /// Each vehicle indexed at the last vertex it reached.
     pub(crate) index: GridIndex,
+    /// The longest straight-line road segment: how far a vehicle's
+    /// effective position can be from the vertex the index holds for it.
+    index_lag: f64,
+    /// The batch in which each vehicle was last synced to its effective
+    /// position; `batches` numbers the batches submitted so far. Derived
+    /// state, not checkpointed: a resumed run starts from zero.
+    synced_in: Vec<u64>,
+    batches: u64,
     pub(crate) dispatcher: Dispatcher,
     pub(crate) clock_m: f64,
     pub(crate) collector: MetricsCollector,
@@ -106,6 +127,9 @@ impl<'a> Simulation<'a> {
             vehicles,
             motions,
             index,
+            index_lag: graph.longest_segment(),
+            synced_in: Vec::new(),
+            batches: 0,
             dispatcher: Dispatcher::new(config.dispatcher),
             clock_m: 0.0,
             collector: MetricsCollector::default(),
@@ -195,15 +219,19 @@ impl<'a> Simulation<'a> {
 
     /// Submits one dispatch window's worth of requests, each at its own
     /// time; advance the fleet to the last of them first (see
-    /// [`Simulation::run`]). Each request asks the grid once for its
-    /// candidates ([`Dispatcher::candidates`]); the union of those sets is
-    /// synced to the vehicles' effective positions once; then the requests
-    /// go through [`Dispatcher::assign_among`] one at a time in slice order
+    /// [`Simulation::run`]). The requests go through
+    /// [`Dispatcher::assign_synced`] one at a time in slice order
     /// (ascending submission time), each seeing the commits of those before
-    /// it. Each keeps its **own** submission time for deadlines, records
-    /// and the trace — only vehicle movement is quantized to the window.
+    /// it. The dispatcher reads each request's radius nearest cell first
+    /// and syncs a vehicle to its effective position only when it reads
+    /// it — at most once per batch, since dispatch commits never move a
+    /// vehicle. Each request keeps its **own** submission time for
+    /// deadlines, records and the trace — only vehicle movement is
+    /// quantized to the window.
     pub fn submit_batch(&mut self, trips: &[TripEvent]) -> Vec<AssignmentOutcome> {
-        let mut requests = Vec::with_capacity(trips.len());
+        self.batches += 1;
+        self.synced_in.resize(self.vehicles.len(), 0);
+        let mut outcomes = Vec::with_capacity(trips.len());
         for trip in trips {
             let request = TripRequest::new(
                 trip.id,
@@ -213,56 +241,52 @@ impl<'a> Simulation<'a> {
                 self.config.constraints,
             );
             let direct = self.oracle.dist(trip.source, trip.destination);
-            let candidates = self.dispatcher.candidates(
+            let (batch, clock_m, oracle) = (self.batches, self.clock_m, self.oracle);
+            let (motions, synced_in) = (&self.motions, &mut self.synced_in);
+            let mut sync = |v: &mut Vehicle| {
+                let i = v.id() as usize;
+                if synced_in[i] != batch {
+                    synced_in[i] = batch;
+                    let (node, clock) = motions[i].effective_position(clock_m);
+                    v.set_position(node, clock, oracle);
+                }
+            };
+            let lazy = LazySync {
+                lag: self.index_lag,
+                sync: &mut sync,
+            };
+            let outcome = self.dispatcher.assign_synced(
                 &request,
-                self.graph,
-                &mut self.index,
-                self.vehicles.len(),
-            );
-            requests.push((request, direct, candidates));
-        }
-        // Sync each candidate vehicle once, even when it appears in several
-        // requests' candidate sets (`set_position` is idempotent at a fixed
-        // clock, and dispatch commits never move a vehicle).
-        let mut to_sync: Vec<u32> = requests
-            .iter()
-            .flat_map(|(_, _, candidates)| candidates.iter().copied())
-            .collect();
-        to_sync.sort_unstable();
-        to_sync.dedup();
-        for vid in to_sync {
-            let i = vid as usize;
-            let (node, clock) = self.effective_position(i);
-            self.vehicles[i].set_position(node, clock, self.oracle);
-        }
-        let mut outcomes = Vec::with_capacity(trips.len());
-        for (trip, (request, direct, candidates)) in trips.iter().zip(&requests) {
-            let outcome = self.dispatcher.assign_among(
-                request,
-                candidates,
                 &mut self.vehicles,
                 self.graph,
                 &mut self.index,
                 self.oracle,
+                lazy,
             );
             self.records.insert(
                 trip.id,
                 TripRecord {
                     submitted_m: request.submitted_at,
-                    direct_m: *direct,
+                    direct_m: direct,
                     max_wait_m: self.config.constraints.max_wait,
-                    max_ride_m: self.config.constraints.max_ride(*direct),
+                    max_ride_m: self.config.constraints.max_ride(direct),
                     picked_up_m: None,
                 },
             );
             self.trace.push(RequestTrace::submitted(
                 trip.id,
                 trip.time_seconds,
-                *direct,
-                candidates.len(),
+                direct,
+                outcome.candidates(),
             ));
             if let Some(ledger) = &mut self.regions {
-                ledger.request(trip.source, candidates);
+                let ids = self.dispatcher.candidates(
+                    &request,
+                    self.graph,
+                    &mut self.index,
+                    self.vehicles.len(),
+                );
+                ledger.request(trip.source, &ids);
             }
             if let AssignmentOutcome::Assigned { vehicle, cost, .. } = outcome {
                 self.trace.record_assignment(trip.id, vehicle, cost);
@@ -311,7 +335,9 @@ impl<'a> Simulation<'a> {
             if motion.next_arrival_m > until_m {
                 return (distance_m, moved_to);
             }
-            let (node, leg) = motion.path.pop_front().expect("leg exists");
+            let Some((node, leg)) = motion.path.pop_front() else {
+                return (distance_m, moved_to);
+            };
             let arrival = motion.next_arrival_m;
             motion.at = node;
             motion.at_clock_m = arrival;
@@ -456,16 +482,6 @@ impl<'a> Simulation<'a> {
         &self.collector.pickup_clock_seconds
     }
 
-    /// The vertex vehicle `i` should be evaluated at and the clock it gets
-    /// there: the next vertex of an in-flight drive, or the parked position.
-    fn effective_position(&self, i: usize) -> (NodeId, f64) {
-        let m = &self.motions[i];
-        match m.path.front() {
-            Some(&(node, _)) => (node, m.next_arrival_m),
-            None => (m.at, self.clock_m.max(m.at_clock_m)),
-        }
-    }
-
     /// Reconciles vehicle `i`'s motion state with a freshly committed
     /// schedule.
     fn replan_after_assignment(&mut self, i: usize) {
@@ -555,10 +571,10 @@ fn plan_path_to(motion: &mut Motion, target: NodeId, oracle: &dyn DistanceOracle
         legs.push_back((node, leg));
         prev = node;
     }
-    if legs.is_empty() {
+    let Some(&(_, first)) = legs.front() else {
         return false;
-    }
-    motion.next_arrival_m = start_clock + legs.front().unwrap().1;
+    };
+    motion.next_arrival_m = start_clock + first;
     motion.path = legs;
     true
 }
@@ -734,6 +750,47 @@ mod tests {
                 "window {batch_window_seconds} s"
             );
         }
+    }
+
+    #[test]
+    fn pruned_dispatch_matches_exhaustive_while_vehicles_are_in_flight() {
+        // A cruising fleet is mostly part-way along a segment: the grid
+        // holds the vertex each vehicle left, the dispatcher screens the
+        // one it is heading to. Reading nearest cell first must still find
+        // exhaustive evaluation's winner for every request.
+        let w = small_workload(200, 12);
+        let oracle = CachedOracle::without_labels(&w.network);
+        let run = |use_pruning| {
+            let config = SimConfig {
+                vehicles: 60,
+                seed: 5,
+                cruise_when_idle: true,
+                batch_window_seconds: 30.0,
+                dispatcher: kinetic_core::DispatcherConfig {
+                    use_pruning,
+                    ..kinetic_core::DispatcherConfig::default()
+                },
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(&w.network, &oracle, config);
+            sim.run(&w.trips);
+            let rows: Vec<_> = sim
+                .trace()
+                .iter()
+                .map(|r| {
+                    (
+                        r.trip,
+                        r.vehicle,
+                        r.assignment_cost_m.map(f64::to_bits),
+                        r.candidates,
+                    )
+                })
+                .collect();
+            rows
+        };
+        let pruned = run(true);
+        assert_eq!(pruned.len(), 200);
+        assert_eq!(pruned, run(false));
     }
 
     /// The contract `benchmark/` relies on when it builds the engine with

@@ -27,10 +27,17 @@ impl Position {
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
     }
+
+    /// True when this position lies within Euclidean distance `radius` of
+    /// `center` (a negative radius reads as zero): the one membership test
+    /// every radius query of [`GridIndex`] applies.
+    pub fn within(&self, center: Position, radius: f64) -> bool {
+        self.distance(&center) <= radius.max(0.0)
+    }
 }
 
 /// Integer cell coordinates (may be negative: the grid is unbounded).
-type Cell = (i64, i64);
+pub type Cell = (i64, i64);
 
 /// Counters describing index maintenance work, reported by the ablation
 /// benchmarks on grid cell size.
@@ -41,9 +48,10 @@ pub struct GridStats {
     /// Updates that moved the object into a different cell (the only ones
     /// that mutate the bucket structure).
     pub cell_crossings: u64,
-    /// Radius queries answered.
+    /// Radius queries answered ([`GridIndex::query_radius`] and
+    /// [`GridIndex::cells_by_distance`]).
     pub queries: u64,
-    /// Total candidate objects returned across all radius queries.
+    /// Total objects inside the radius across all queries.
     pub candidates_returned: u64,
     /// Candidates handed to the dispatcher's screening stage (the size of
     /// the candidate set before any pruning).
@@ -51,8 +59,10 @@ pub struct GridStats {
     /// Candidates rejected by the O(1) slack/deadline screen (no feasible
     /// insertion can exist, so no schedule evaluation is performed).
     pub pruned_by_slack: u64,
-    /// Candidates skipped by the best-first early exit (their admissible
-    /// lower bound already met or exceeded the incumbent assignment).
+    /// Screened candidates skipped by the best-first early exit (their
+    /// admissible lower bound already met or exceeded the incumbent
+    /// assignment). Candidates the early exit left unscreened are in
+    /// neither this nor `pruned_by_slack`.
     pub pruned_by_bound: u64,
     /// Candidates that underwent a full schedule evaluation.
     pub evaluated: u64,
@@ -60,17 +70,19 @@ pub struct GridStats {
 
 /// Uniform-grid spatial index over moving objects identified by `u32` ids.
 ///
-/// Objects are hashed into square cells of side `cell_size`. A radius query
-/// visits every cell intersecting the circle and filters candidates by exact
-/// Euclidean distance, so results are exact (no false positives or
-/// negatives) while the per-update cost stays constant.
+/// Objects are hashed into square cells of side `cell_size`; each cell's
+/// bucket holds its objects' ids with their exact positions inline. A
+/// radius query visits every cell intersecting the circle and filters
+/// candidates by exact Euclidean distance ([`Position::within`]), so
+/// results are exact (no false positives or negatives) while the
+/// per-update cost stays constant.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell_size: f64,
-    /// Object id -> exact position.
-    positions: HashMap<u32, Position>,
-    /// Cell -> ids of objects currently inside it.
-    buckets: HashMap<Cell, Vec<u32>>,
+    /// Object id -> its cell and its slot in that cell's bucket.
+    slots: HashMap<u32, (Cell, usize)>,
+    /// Cell -> the objects currently inside it, with their exact positions.
+    buckets: HashMap<Cell, Vec<(u32, Position)>>,
     stats: GridStats,
 }
 
@@ -86,7 +98,7 @@ impl GridIndex {
         assert!(cell_size > 0.0, "cell size must be positive");
         GridIndex {
             cell_size,
-            positions: HashMap::new(),
+            slots: HashMap::new(),
             buckets: HashMap::new(),
             stats: GridStats::default(),
         }
@@ -99,12 +111,12 @@ impl GridIndex {
 
     /// Number of objects currently indexed.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.slots.len()
     }
 
     /// True when no objects are indexed.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.slots.is_empty()
     }
 
     /// Maintenance counters.
@@ -126,18 +138,8 @@ impl GridIndex {
 
     /// Inserts a new object or repositions an existing one.
     pub fn insert(&mut self, id: u32, pos: Position) {
-        match self.positions.insert(id, pos) {
-            None => {
-                self.buckets.entry(self.cell_of(pos)).or_default().push(id);
-            }
-            Some(old) => {
-                let old_cell = self.cell_of(old);
-                let new_cell = self.cell_of(pos);
-                if old_cell != new_cell {
-                    self.remove_from_bucket(old_cell, id);
-                    self.buckets.entry(new_cell).or_default().push(id);
-                }
-            }
+        if self.relocate(id, pos).is_none() {
+            self.put(id, pos, self.cell_of(pos));
         }
     }
 
@@ -146,7 +148,8 @@ impl GridIndex {
     /// This is the hot path during simulation: the bucket structure is only
     /// touched when the object crosses a cell boundary, mirroring the
     /// paper's "the index is updated when a vehicle moves across boundaries
-    /// of the index bounding box".
+    /// of the index bounding box"; within a cell only the inline position
+    /// is rewritten.
     ///
     /// Returns `true` if the object crossed a cell boundary.
     ///
@@ -154,44 +157,60 @@ impl GridIndex {
     /// Panics if the object was never inserted.
     pub fn update(&mut self, id: u32, pos: Position) -> bool {
         self.stats.updates += 1;
-        let old = *self
-            .positions
-            .get(&id)
+        let crossed = self
+            .relocate(id, pos)
             .expect("update called for an object that was never inserted");
-        let old_cell = self.cell_of(old);
-        let new_cell = self.cell_of(pos);
-        self.positions.insert(id, pos);
-        if old_cell != new_cell {
-            self.stats.cell_crossings += 1;
-            self.remove_from_bucket(old_cell, id);
-            self.buckets.entry(new_cell).or_default().push(id);
-            true
-        } else {
-            false
-        }
+        self.stats.cell_crossings += crossed as u64;
+        crossed
     }
 
     /// Removes an object; returns its last position if it was present.
     pub fn remove(&mut self, id: u32) -> Option<Position> {
-        let pos = self.positions.remove(&id)?;
-        self.remove_from_bucket(self.cell_of(pos), id);
-        Some(pos)
+        let (cell, slot) = self.slots.remove(&id)?;
+        self.take(cell, slot)
     }
 
     /// Exact current position of an object.
     pub fn position(&self, id: u32) -> Option<Position> {
-        self.positions.get(&id).copied()
+        let &(cell, slot) = self.slots.get(&id)?;
+        self.cell(cell).get(slot).map(|&(_, p)| p)
     }
 
-    fn remove_from_bucket(&mut self, cell: Cell, id: u32) {
-        if let Some(bucket) = self.buckets.get_mut(&cell) {
-            if let Some(i) = bucket.iter().position(|&x| x == id) {
-                bucket.swap_remove(i);
+    /// Moves an indexed object to `pos`: `Some(crossed a cell boundary)`,
+    /// or `None` when `id` is not indexed.
+    fn relocate(&mut self, id: u32, pos: Position) -> Option<bool> {
+        let &(cell, slot) = self.slots.get(&id)?;
+        let new_cell = self.cell_of(pos);
+        if new_cell == cell {
+            if let Some(entry) = self.buckets.get_mut(&cell).and_then(|b| b.get_mut(slot)) {
+                entry.1 = pos;
             }
-            if bucket.is_empty() {
-                self.buckets.remove(&cell);
-            }
+            return Some(false);
         }
+        self.take(cell, slot);
+        self.put(id, pos, new_cell);
+        Some(true)
+    }
+
+    /// Appends `id` to `cell`'s bucket and records its slot.
+    fn put(&mut self, id: u32, pos: Position, cell: Cell) {
+        let bucket = self.buckets.entry(cell).or_default();
+        self.slots.insert(id, (cell, bucket.len()));
+        bucket.push((id, pos));
+    }
+
+    /// Removes slot `slot` of `cell`'s bucket, re-slotting the entry that
+    /// takes its place; returns the removed entry's position.
+    fn take(&mut self, cell: Cell, slot: usize) -> Option<Position> {
+        let bucket = self.buckets.get_mut(&cell)?;
+        let (_, pos) = bucket.swap_remove(slot);
+        if let Some(&(moved, _)) = bucket.get(slot) {
+            self.slots.insert(moved, (cell, slot));
+        }
+        if bucket.is_empty() {
+            self.buckets.remove(&cell);
+        }
+        Some(pos)
     }
 
     /// Ids of all objects within Euclidean distance `radius` of `center`,
@@ -209,22 +228,99 @@ impl GridIndex {
     pub fn query_radius_into(&mut self, center: Position, radius: f64, out: &mut Vec<u32>) {
         self.stats.queries += 1;
         out.clear();
-        let r = radius.max(0.0);
-        let min_cell = self.cell_of(Position::new(center.x - r, center.y - r));
-        let max_cell = self.cell_of(Position::new(center.x + r, center.y + r));
+        let (min_cell, max_cell) = self.cell_box(center, radius);
         for cx in min_cell.0..=max_cell.0 {
             for cy in min_cell.1..=max_cell.1 {
-                if let Some(bucket) = self.buckets.get(&(cx, cy)) {
-                    for &id in bucket {
-                        if self.positions[&id].distance(&center) <= r {
-                            out.push(id);
-                        }
-                    }
-                }
+                let inside = self
+                    .cell((cx, cy))
+                    .iter()
+                    .filter(|(_, p)| p.within(center, radius));
+                out.extend(inside.map(|&(id, _)| id));
             }
         }
         out.sort_unstable();
         self.stats.candidates_returned += out.len() as u64;
+    }
+
+    /// The cells a radius query visits: the bounding box of the disc.
+    fn cell_box(&self, center: Position, radius: f64) -> (Cell, Cell) {
+        let r = radius.max(0.0);
+        (
+            self.cell_of(Position::new(center.x - r, center.y - r)),
+            self.cell_of(Position::new(center.x + r, center.y + r)),
+        )
+    }
+
+    /// The same radius query as [`GridIndex::query_radius`], answered cell
+    /// by cell for a caller that wants the objects nearest-first: returns
+    /// the exact number of objects within `radius` of `center` (equal to
+    /// `query_radius(center, radius).len()`) and fills `out` with every
+    /// non-empty cell meeting the disc as `(near, cell)`, ascending by
+    /// `(near, cell)`. `near` is a lower bound on the distance from
+    /// `center` to any object in the cell, so the caller can stop reading
+    /// cells once `near` passes what it is looking for. The in-radius
+    /// objects of the listed cells ([`GridIndex::cell`] filtered by
+    /// [`Position::within`]) are exactly the query's.
+    ///
+    /// A cell lying wholly inside the disc is counted by its length,
+    /// without reading its positions. Counts as one query in the stats.
+    pub fn cells_by_distance(
+        &mut self,
+        center: Position,
+        radius: f64,
+        out: &mut Vec<(f64, Cell)>,
+    ) -> usize {
+        self.stats.queries += 1;
+        out.clear();
+        let r = radius.max(0.0);
+        let (min_cell, max_cell) = self.cell_box(center, radius);
+        let mut count = 0;
+        for cx in min_cell.0..=max_cell.0 {
+            for cy in min_cell.1..=max_cell.1 {
+                let bucket = self.cell((cx, cy));
+                if bucket.is_empty() {
+                    continue;
+                }
+                let (near, far) = self.cell_span((cx, cy), center);
+                if near > r {
+                    continue;
+                }
+                count += if far <= r {
+                    bucket.len()
+                } else {
+                    bucket
+                        .iter()
+                        .filter(|(_, p)| p.within(center, radius))
+                        .count()
+                };
+                out.push((near, (cx, cy)));
+            }
+        }
+        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        self.stats.candidates_returned += count as u64;
+        count
+    }
+
+    /// Bounds on the distance from `center` to any object of `cell`:
+    /// `(near, far)`, widened by a rounding margin so that they also hold
+    /// for the computed distances of objects whose coordinates round onto
+    /// the cell's border.
+    fn cell_span(&self, (cx, cy): Cell, center: Position) -> (f64, f64) {
+        let s = self.cell_size;
+        let (x0, y0) = (cx as f64 * s, cy as f64 * s);
+        let (x1, y1) = (x0 + s, y0 + s);
+        let gap = |c: f64, lo: f64, hi: f64| (lo - c).max(c - hi).max(0.0);
+        let reach = |c: f64, lo: f64, hi: f64| (c - lo).max(hi - c);
+        let near = gap(center.x, x0, x1).hypot(gap(center.y, y0, y1));
+        let far = reach(center.x, x0, x1).hypot(reach(center.y, y0, y1));
+        let margin = 1e-9 * (center.x.abs() + center.y.abs() + x0.abs() + y0.abs() + 2.0 * s);
+        ((near - margin).max(0.0), far + margin)
+    }
+
+    /// The objects in `cell` with their exact positions, in no particular
+    /// order; empty for a cell that holds none.
+    pub fn cell(&self, cell: Cell) -> &[(u32, Position)] {
+        self.buckets.get(&cell).map_or(&[], Vec::as_slice)
     }
 
     /// Folds one request's candidate-screening counts into the statistics.
@@ -238,61 +334,9 @@ impl GridIndex {
         self.stats.evaluated += evaluated;
     }
 
-    /// The `k` objects nearest to `center` as `(id, distance)`, closest
-    /// first. Returns fewer than `k` entries when the index holds fewer
-    /// objects.
-    pub fn nearest(&self, center: Position, k: usize) -> Vec<(u32, f64)> {
-        if k == 0 || self.positions.is_empty() {
-            return Vec::new();
-        }
-        // Expand the search ring by ring of cells until k candidates are
-        // found whose distance is certified smaller than anything outside
-        // the explored square.
-        let center_cell = self.cell_of(center);
-        let mut found: Vec<(u32, f64)> = Vec::new();
-        let mut ring: i64 = 0;
-        // Upper bound on rings: enough to cover every bucket.
-        let max_ring = 2 + self
-            .buckets
-            .keys()
-            .map(|&(cx, cy)| (cx - center_cell.0).abs().max((cy - center_cell.1).abs()))
-            .max()
-            .unwrap_or(0);
-        loop {
-            // Collect the cells on the boundary of the current ring.
-            for cx in (center_cell.0 - ring)..=(center_cell.0 + ring) {
-                for cy in (center_cell.1 - ring)..=(center_cell.1 + ring) {
-                    let on_boundary =
-                        (cx - center_cell.0).abs() == ring || (cy - center_cell.1).abs() == ring;
-                    if !on_boundary {
-                        continue;
-                    }
-                    if let Some(bucket) = self.buckets.get(&(cx, cy)) {
-                        for &id in bucket {
-                            found.push((id, self.positions[&id].distance(&center)));
-                        }
-                    }
-                }
-            }
-            found.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-            // Anything outside the explored square is at least `ring *
-            // cell_size` away from the center (conservatively).
-            let safe_radius = ring as f64 * self.cell_size;
-            if found.len() >= k && found[k - 1].1 <= safe_radius {
-                found.truncate(k);
-                return found;
-            }
-            if ring >= max_ring {
-                found.truncate(k);
-                return found;
-            }
-            ring += 1;
-        }
-    }
-
     /// Iterates over all `(id, position)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Position)> + '_ {
-        self.positions.iter().map(|(&id, &p)| (id, p))
+        self.buckets.values().flatten().copied()
     }
 }
 
@@ -401,48 +445,81 @@ mod tests {
         );
     }
 
-    #[test]
-    fn nearest_returns_k_closest() {
-        let mut idx = GridIndex::new(100.0);
-        idx.insert(1, Position::new(0.0, 0.0));
-        idx.insert(2, Position::new(50.0, 0.0));
-        idx.insert(3, Position::new(500.0, 0.0));
-        idx.insert(4, Position::new(5_000.0, 0.0));
-        let got = idx.nearest(Position::new(10.0, 0.0), 2);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, 1);
-        assert_eq!(got[1].0, 2);
-        assert!(got[0].1 < got[1].1);
-        // Asking for more than available returns everything.
-        assert_eq!(idx.nearest(Position::new(0.0, 0.0), 10).len(), 4);
-        assert!(idx.nearest(Position::new(0.0, 0.0), 0).is_empty());
+    /// `cells_by_distance`'s count, and its cells' in-radius members.
+    fn by_cells(idx: &mut GridIndex, center: Position, r: f64) -> (usize, Vec<u32>) {
+        let mut cells = Vec::new();
+        let count = idx.cells_by_distance(center, r, &mut cells);
+        let mut ids: Vec<u32> = cells
+            .iter()
+            .flat_map(|&(_, cell)| idx.cell(cell))
+            .filter(|(_, p)| p.within(center, r))
+            .map(|&(id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        (count, ids)
     }
 
     #[test]
-    fn nearest_matches_brute_force_ranking() {
-        let mut objects = Vec::new();
-        let mut state: u64 = 98765;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) * 8_000.0
-        };
-        let mut idx = GridIndex::new(400.0);
-        for id in 0..200u32 {
-            let p = Position::new(next(), next());
-            objects.push((id, p));
-            idx.insert(id, p);
+    fn an_in_cell_update_moves_the_position_the_count_sees() {
+        let mut idx = GridIndex::new(100.0);
+        idx.insert(1, Position::new(10.0, 10.0));
+        assert!(!idx.update(1, Position::new(90.0, 90.0)));
+        assert_eq!(idx.position(1), Some(Position::new(90.0, 90.0)));
+        assert_eq!(
+            by_cells(&mut idx, Position::new(95.0, 95.0), 10.0),
+            (1, vec![1])
+        );
+        assert_eq!(
+            by_cells(&mut idx, Position::new(10.0, 10.0), 5.0),
+            (0, vec![])
+        );
+        assert_eq!(idx.stats().queries, 2);
+        assert_eq!(idx.stats().candidates_returned, 1);
+    }
+
+    #[test]
+    fn removing_from_a_bucket_re_slots_the_entry_that_takes_its_place() {
+        let mut idx = GridIndex::new(100.0);
+        for id in 1..=3 {
+            idx.insert(id, Position::new(id as f64 * 10.0, 0.0));
         }
-        let center = Position::new(4_000.0, 4_000.0);
-        let got = idx.nearest(center, 5);
-        let mut want: Vec<(u32, f64)> = objects
-            .iter()
-            .map(|&(id, p)| (id, p.distance(&center)))
-            .collect();
-        want.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        want.truncate(5);
-        let got_ids: Vec<u32> = got.iter().map(|&(id, _)| id).collect();
-        let want_ids: Vec<u32> = want.iter().map(|&(id, _)| id).collect();
-        assert_eq!(got_ids, want_ids);
+        // Slot 0 goes; object 3 moves into it and must still be updatable.
+        assert_eq!(idx.remove(1), Some(Position::new(10.0, 0.0)));
+        assert!(!idx.update(3, Position::new(50.0, 50.0)));
+        assert_eq!(idx.position(3), Some(Position::new(50.0, 50.0)));
+        assert_eq!(idx.position(2), Some(Position::new(20.0, 0.0)));
+        assert_eq!(idx.query_radius(Position::new(50.0, 50.0), 1.0), vec![3]);
+        assert!(idx.update(2, Position::new(250.0, 0.0)));
+        assert_eq!(idx.cell((0, 0)), &[(3, Position::new(50.0, 50.0))]);
+        assert_eq!(idx.cell((2, 0)), &[(2, Position::new(250.0, 0.0))]);
+        assert!(idx.cell((7, 7)).is_empty());
+        let mut all: Vec<(u32, Position)> = idx.iter().collect();
+        all.sort_by_key(|&(id, _)| id);
+        assert_eq!(all.len(), idx.len());
+        assert_eq!(all[0], (2, Position::new(250.0, 0.0)));
+    }
+
+    #[test]
+    fn cells_come_nearest_first_and_whole_cells_are_counted() {
+        let mut idx = GridIndex::new(100.0);
+        // Cell (0, 0) lies wholly inside a 1 km disc around (50, 50); cell
+        // (5, 0) straddles a 520 m one; cell (30, 30) is outside both.
+        idx.insert(1, Position::new(10.0, 10.0));
+        idx.insert(2, Position::new(90.0, 90.0));
+        idx.insert(3, Position::new(540.0, 50.0));
+        idx.insert(4, Position::new(590.0, 50.0));
+        idx.insert(5, Position::new(3_050.0, 3_050.0));
+        let center = Position::new(50.0, 50.0);
+        let mut cells = Vec::new();
+        assert_eq!(idx.cells_by_distance(center, 1_000.0, &mut cells), 4);
+        assert_eq!(
+            cells.iter().map(|&(_, c)| c).collect::<Vec<_>>(),
+            vec![(0, 0), (5, 0)]
+        );
+        assert_eq!(cells[0].0, 0.0, "the centre's own cell is at distance 0");
+        assert!((cells[1].0 - 450.0).abs() < 1e-6);
+        assert_eq!(by_cells(&mut idx, center, 520.0), (3, vec![1, 2, 3]));
+        assert_eq!(idx.query_radius(center, 520.0), vec![1, 2, 3]);
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! [`GridIndex`] maps object ids to cells of a uniform grid; updates are
 //! O(1) and only touch the structure when the object crosses a cell
 //! boundary (the index keeps a counter of how often that happens, which the
-//! ablation benchmarks report).
+//! ablation benchmarks report). A radius query comes either as the ids in
+//! the disc ([`GridIndex::query_radius`]) or as their exact count plus the
+//! cells meeting the disc, nearest first
+//! ([`GridIndex::cells_by_distance`]), for a caller that reads candidates
+//! in distance order and stops early.
 //!
 //! ```
 //! use spatial::{GridIndex, Position};
@@ -25,4 +29,4 @@
 
 pub mod grid;
 
-pub use grid::{GridIndex, GridStats, Position};
+pub use grid::{Cell, GridIndex, GridStats, Position};

@@ -66,29 +66,84 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// `nearest(k)` returns the k objects with the smallest distances.
+    /// `cells_by_distance` is `query_radius` answered cell by cell: the
+    /// same count, the same members once the listed cells are filtered by
+    /// `Position::within`, and cells nearest-first with `near` a true lower
+    /// bound — over random layouts with negative coordinates, objects and
+    /// centres on cell borders and corners, and radii of zero, under a
+    /// metre, and city-sized.
     #[test]
-    fn knn_matches_brute_force(
-        points in prop::collection::vec((-3_000.0f64..3_000.0, -3_000.0f64..3_000.0), 1..60),
-        cell in 100.0f64..2_000.0,
-        k in 1usize..10,
+    fn cells_by_distance_is_the_radius_query_nearest_first(
+        points in prop::collection::vec((coord(), coord()), 0..80),
+        moves in prop::collection::vec((0usize..80, coord(), coord()), 0..20),
+        cell in 50.0f64..3_000.0,
+        centre in (coord(), coord()),
+        radius_kind in 0u32..3,
+        radius_draw in 0.0f64..1.0,
     ) {
         let mut idx = GridIndex::new(cell);
-        for (i, &(x, y)) in points.iter().enumerate() {
-            idx.insert(i as u32, Position::new(x, y));
+        let at = |(x, y): (Coord, Coord)| Position::new(x.meters(cell), y.meters(cell));
+        for (i, &p) in points.iter().enumerate() {
+            idx.insert(i as u32, at(p));
         }
-        let centre = Position::new(0.0, 0.0);
-        let got = idx.nearest(centre, k);
-        let mut want: Vec<(u32, f64)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (i as u32, Position::new(x, y).distance(&centre)))
-            .collect();
-        want.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        want.truncate(k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g.1 - w.1).abs() < 1e-9, "distance ranking differs");
+        for &(i, x, y) in &moves {
+            if i < points.len() {
+                idx.update(i as u32, at((x, y)));
+            }
+        }
+        let centre = at(centre);
+        let radius = match radius_kind {
+            0 => 0.0,
+            1 => radius_draw,
+            _ => radius_draw * 20_000.0,
+        };
+        let want = idx.query_radius(centre, radius);
+        let mut cells = Vec::new();
+        let count = idx.cells_by_distance(centre, radius, &mut cells);
+        prop_assert_eq!(count, want.len());
+        let mut got = Vec::new();
+        for pair in cells.windows(2) {
+            prop_assert!(pair[0].0 <= pair[1].0, "cells out of order: {:?}", pair);
+        }
+        for &(near, c) in &cells {
+            prop_assert!(!idx.cell(c).is_empty(), "empty cell {:?} listed", c);
+            prop_assert!(near <= radius.max(0.0), "cell {:?} at {} misses the disc", c, near);
+            for &(id, p) in idx.cell(c) {
+                prop_assert!(p.distance(&centre) >= near, "{} in {:?} nearer than {}", id, c, near);
+                if p.within(centre, radius) {
+                    got.push(id);
+                }
+            }
+        }
+        got.sort_unstable();
+        prop_assert_eq!(got, want);
+        let stats = idx.stats();
+        prop_assert_eq!((stats.queries, stats.candidates_returned), (2, 2 * count as u64));
+    }
+}
+
+/// One coordinate: anywhere in a 10 km square around the origin, exactly on
+/// a cell border, or a hair either side of one.
+#[derive(Debug, Clone, Copy)]
+enum Coord {
+    Free(f64),
+    Border(i64, f64),
+}
+
+impl Coord {
+    fn meters(self, cell: f64) -> f64 {
+        match self {
+            Coord::Free(x) => x,
+            Coord::Border(k, nudge) => k as f64 * cell + nudge,
         }
     }
+}
+
+fn coord() -> impl Strategy<Value = Coord> {
+    prop_oneof![
+        (-5_000.0f64..5_000.0).prop_map(Coord::Free),
+        (-6i64..6).prop_map(|k| Coord::Border(k, 0.0)),
+        (-6i64..6, 0u32..2)
+            .prop_map(|(k, side)| Coord::Border(k, if side == 0 { -1e-9 } else { 1e-9 })),
+    ]
 }
