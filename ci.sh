@@ -84,8 +84,8 @@ run cargo run --release -p rideshare-bench --bin paper_replay -- --scale quick -
 # BENCH_serve.json artifact (CI uploads it).
 run cargo run --release -p rideshare-bench --bin serve_sweep -- --smoke --out target/BENCH_serve_ci.json
 # Chaos gate: deterministic fault injection over the same serve stack —
-# seeded oracle spikes, sink saturation and torn checkpoint writes across
-# a calm/faulted/overload rung ladder, a kill-at-tick-25 crash recovered
+# seeded oracle spikes and torn checkpoint writes across a
+# calm/faulted/overload rung ladder, a kill-at-tick-25 crash recovered
 # from checkpoint + journal, and an injected label-store IO fault. Fails
 # on any accounting drift, any guarantee violation under faults, a ladder
 # that never degrades under overload (or degrades when calm), a recovered

@@ -1,11 +1,11 @@
 //! Micro-benchmarks of the stateless matchers (brute force, branch and
-//! bound, MIP, cheapest insertion) on scheduling problems of growing size —
+//! bound, MIP) on scheduling problems of growing size —
 //! the per-call view behind Fig. 6(a)/8.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kinetic_core::{
-    BranchBoundSolver, BruteForceSolver, InsertionSolver, MipScheduleSolver, ScheduleSolver,
-    SchedulingProblem, WaitingTrip,
+    BranchBoundSolver, BruteForceSolver, MipScheduleSolver, ScheduleSolver, SchedulingProblem,
+    WaitingTrip,
 };
 use roadnet::{DistanceOracle, GeneratorConfig, MatrixOracle, NetworkKind};
 
@@ -53,7 +53,6 @@ fn bench_matchers(c: &mut Criterion) {
     let solvers: Vec<(&str, Box<dyn ScheduleSolver>)> = vec![
         ("brute_force", Box::new(BruteForceSolver::default())),
         ("branch_bound", Box::new(BranchBoundSolver::default())),
-        ("insertion", Box::new(InsertionSolver)),
         ("mip", Box::new(MipScheduleSolver::default())),
     ];
     for trips in [1usize, 2, 3, 4] {

@@ -9,12 +9,10 @@
 
 mod branch_bound;
 mod brute_force;
-mod insertion;
 mod mip;
 
 pub use branch_bound::BranchBoundSolver;
 pub use brute_force::BruteForceSolver;
-pub use insertion::InsertionSolver;
 pub use mip::{model_size as mip_model_size, MipBuild, MipFormulation, MipScheduleSolver};
 
 use roadnet::DistanceOracle;
@@ -25,8 +23,7 @@ use crate::types::Cost;
 /// Result of solving one scheduling problem.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverOutcome {
-    /// A minimum-cost valid schedule was found (for the heuristic
-    /// [`InsertionSolver`], the best schedule it could construct).
+    /// A minimum-cost valid schedule was found.
     Feasible {
         /// Total distance of the schedule from the vehicle's location.
         cost: Cost,
@@ -83,8 +80,6 @@ pub enum SolverKind {
     BranchBound,
     /// Mixed-integer programming formulation (Sec. III-A).
     Mip,
-    /// Cheapest-insertion heuristic (related-work baseline; not optimal).
-    Insertion,
 }
 
 impl SolverKind {
@@ -94,7 +89,6 @@ impl SolverKind {
             SolverKind::BruteForce => Box::new(BruteForceSolver::default()),
             SolverKind::BranchBound => Box::new(BranchBoundSolver::default()),
             SolverKind::Mip => Box::new(MipScheduleSolver::default()),
-            SolverKind::Insertion => Box::new(InsertionSolver),
         }
     }
 
@@ -114,7 +108,6 @@ impl std::fmt::Display for SolverKind {
             SolverKind::BruteForce => "brute-force",
             SolverKind::BranchBound => "branch-and-bound",
             SolverKind::Mip => "mip",
-            SolverKind::Insertion => "insertion",
         };
         write!(f, "{s}")
     }
@@ -129,7 +122,6 @@ mod tests {
         assert_eq!(SolverKind::BruteForce.build().name(), "brute-force");
         assert_eq!(SolverKind::BranchBound.build().name(), "branch-and-bound");
         assert_eq!(SolverKind::Mip.build().name(), "mip");
-        assert_eq!(SolverKind::Insertion.build().name(), "insertion");
         assert_eq!(SolverKind::Mip.to_string(), "mip");
         assert_eq!(SolverKind::exact().len(), 3);
     }

@@ -36,10 +36,6 @@ use crate::vehicle::{Proposal, Vehicle};
 /// Dispatcher configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DispatcherConfig {
-    /// Use the grid index to pre-filter candidates (`true` in the paper);
-    /// `false` evaluates every vehicle, which is only sensible for tiny
-    /// fleets or ablation studies.
-    pub use_spatial_filter: bool,
     /// Multiplier applied to the waiting-time radius when querying the grid
     /// index. Values above 1.0 compensate for the difference between the
     /// Euclidean filter distance and the road-network distance actually
@@ -70,7 +66,6 @@ pub struct DispatcherConfig {
 impl Default for DispatcherConfig {
     fn default() -> Self {
         DispatcherConfig {
-            use_spatial_filter: true,
             radius_factor: 1.0,
             use_pruning: true,
         }
@@ -470,32 +465,23 @@ impl Frontier {
                 return;
             }
             self.next += 1;
+            // Sync, screen and rank every vehicle of the cell inside the
+            // radius; an id with no vehicle is skipped.
             for &(vid, pos) in index.cell(cell) {
-                if pos.within(self.centre, self.radius) {
-                    self.admit(vid, vehicles, graph, sync);
+                if !pos.within(self.centre, self.radius) {
+                    continue;
                 }
-            }
-        }
-    }
-
-    /// Syncs, screens and ranks vehicle `vid`; an id with no vehicle is
-    /// skipped.
-    fn admit(
-        &mut self,
-        vid: u32,
-        vehicles: &mut [Vehicle],
-        graph: &RoadNetwork,
-        sync: &mut dyn FnMut(&mut Vehicle),
-    ) {
-        let Some(v) = vehicle(vehicles, vid) else {
-            return;
-        };
-        sync(v);
-        match screen_candidate(v, graph, self.pickup, self.deadline, self.direct) {
-            Screen::Pruned => self.by_slack += 1,
-            Screen::Keep { lb, reach } => {
-                let key = if self.greedy { reach } else { lb };
-                self.ranked.push(Reverse(Ranked { key, vid }));
+                let Some(v) = vehicle(vehicles, vid) else {
+                    continue;
+                };
+                sync(v);
+                match screen_candidate(v, graph, self.pickup, self.deadline, self.direct) {
+                    Screen::Pruned => self.by_slack += 1,
+                    Screen::Keep { lb, reach } => {
+                        let key = if self.greedy { reach } else { lb };
+                        self.ranked.push(Reverse(Ranked { key, vid }));
+                    }
+                }
             }
         }
     }
@@ -547,10 +533,9 @@ impl Dispatcher {
         self.stats = stats;
     }
 
-    /// Every candidate vehicle id for a request, ascending: every vehicle
-    /// of a `fleet_size`-vehicle fleet when spatial filtering is off,
-    /// otherwise those whose indexed position is within the waiting-time
-    /// radius of the pickup vertex ([`GridIndex::query_radius`] sorts).
+    /// Every candidate vehicle id for a request, ascending: those whose
+    /// indexed position is within the waiting-time radius of the pickup
+    /// vertex ([`GridIndex::query_radius`] sorts).
     ///
     /// The exhaustive rung reads these; the others read the same radius
     /// nearest cell first. Neither timed nor counted as a dispatch, so an
@@ -560,14 +545,9 @@ impl Dispatcher {
         request: &TripRequest,
         graph: &RoadNetwork,
         index: &mut GridIndex,
-        fleet_size: usize,
     ) -> Vec<u32> {
-        if self.config.use_spatial_filter {
-            let p = graph.point(request.source);
-            index.query_radius(Position::new(p.x, p.y), self.radius(request))
-        } else {
-            (0..fleet_size as u32).collect()
-        }
+        let p = graph.point(request.source);
+        index.query_radius(Position::new(p.x, p.y), self.radius(request))
     }
 
     /// The spatial filter's radius for `request`.
@@ -629,7 +609,7 @@ impl Dispatcher {
         let timer = Instant::now();
         let (candidates, best) = match self.effort {
             DispatchEffort::Full if !self.config.use_pruning => {
-                let ids = self.candidates(request, graph, index, vehicles.len());
+                let ids = self.candidates(request, graph, index);
                 let best = self.evaluate_exhaustive(request, &ids, vehicles, index, oracle, lazy);
                 (ids.len(), best)
             }
@@ -750,14 +730,8 @@ impl Dispatcher {
             ranked: BinaryHeap::new(),
             by_slack: 0,
         };
-        let in_radius = if self.config.use_spatial_filter {
-            index.cells_by_distance(frontier.centre, frontier.radius, &mut frontier.cells)
-        } else {
-            for vid in 0..vehicles.len() as u32 {
-                frontier.admit(vid, vehicles, graph, lazy.sync);
-            }
-            vehicles.len()
-        };
+        let in_radius =
+            index.cells_by_distance(frontier.centre, frontier.radius, &mut frontier.cells);
         let mut best: Option<(u32, Proposal)> = None;
         let (mut evaluated, mut by_bound) = (0u64, 0u64);
         loop {
@@ -878,11 +852,14 @@ mod tests {
             &[0, 7, 56, 63],
         );
         let oracle = CachedOracle::without_labels(&graph);
+        // A radius as long as the map's diagonal admits every vehicle.
+        let (min, max) = graph.bounding_box();
+        let max_wait = 8_400.0;
         let mut dispatcher = Dispatcher::new(DispatcherConfig {
-            use_spatial_filter: false,
+            radius_factor: min.distance(&max) / max_wait,
             ..DispatcherConfig::default()
         });
-        let req = TripRequest::new(1, 27, 36, 0.0, Constraints::new(8_400.0, 0.3));
+        let req = TripRequest::new(1, 27, 36, 0.0, Constraints::new(max_wait, 0.3));
         let out = dispatcher.assign(&req, &mut vehicles, &graph, &mut index, &oracle);
         match out {
             AssignmentOutcome::Assigned { candidates, .. } => assert_eq!(candidates, 4),
@@ -1032,16 +1009,11 @@ mod tests {
         let oracle = CachedOracle::without_labels(&graph);
         let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
         for effort in DispatchEffort::ALL {
-            for use_spatial_filter in [true, false] {
-                let mut dispatcher = Dispatcher::new(DispatcherConfig {
-                    use_spatial_filter,
-                    ..DispatcherConfig::default()
-                });
-                dispatcher.set_effort(effort);
-                let out = dispatcher.assign(&req, &mut vehicles, &graph, &mut index, &oracle);
-                assert_eq!(out, AssignmentOutcome::Rejected { candidates: 0 });
-                assert_eq!(dispatcher.stats().rejected, 1);
-            }
+            let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
+            dispatcher.set_effort(effort);
+            let out = dispatcher.assign(&req, &mut vehicles, &graph, &mut index, &oracle);
+            assert_eq!(out, AssignmentOutcome::Rejected { candidates: 0 });
+            assert_eq!(dispatcher.stats().rejected, 1);
         }
     }
 
@@ -1098,7 +1070,7 @@ mod tests {
             return dispatcher.assign(request, vehicles, graph, index, oracle);
         }
         let greedy = dispatcher.effort == DispatchEffort::Greedy;
-        let candidates = dispatcher.candidates(request, graph, index, vehicles.len());
+        let candidates = dispatcher.candidates(request, graph, index);
         let pickup = graph.point(request.source);
         let direct = oracle.dist(request.source, request.destination);
         let mut ranked = Vec::new();

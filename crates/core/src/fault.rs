@@ -10,28 +10,27 @@
 //! the schedule is identical no matter how often, in which order, or from
 //! which resumed process the plan is consulted.
 //!
-//! The plan covers the four failure classes the serve path injects —
+//! The plan covers the three failure classes the serve path injects —
 //! oracle latency spikes (charged to dispatch-tick compute), label-store
-//! IO errors (forcing the rebuild/Dijkstra fallback), torn checkpoint
-//! writes (a crash between temp-file write and rename) and metrics-sink
-//! channel saturation (events dropped on the floor) — plus the process
+//! IO errors (forcing the rebuild/Dijkstra fallback) and torn checkpoint
+//! writes (a crash between temp-file write and rename) — plus the process
 //! kill itself (`kill_at_tick`), which the recoverable serve loop turns
 //! into an abrupt return with no drain and no cleanup.
 
 /// The independent decision streams of a [`FaultPlan`]. Each domain hashes
 /// with a distinct constant so, e.g., an oracle spike at tick 17 says
-/// nothing about sink saturation at tick 17.
+/// nothing about a torn write at index 17. The constants are part of every
+/// schedule: changing one moves that domain's faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Domain {
     OracleSpike = 1,
-    SinkSaturation = 2,
     TornCheckpoint = 3,
 }
 
 /// A seeded, stateless schedule of injectable faults.
 ///
-/// All probabilities are per-consultation (per dispatch tick for spikes and
-/// saturation, per checkpoint write for torn writes) and decided by hashing
+/// All probabilities are per-consultation (per dispatch tick for spikes,
+/// per checkpoint write for torn writes) and decided by hashing
 /// `(seed, domain, index)` — see the module docs for why statelessness
 /// matters. The zero plan ([`FaultPlan::none`], also `Default`) injects
 /// nothing and is what every non-chaos caller uses.
@@ -55,10 +54,6 @@ pub struct FaultPlan {
     pub oracle_spike_rate: f64,
     /// Extra compute seconds one spike charges to the tick.
     pub oracle_spike_seconds: f64,
-    /// Probability per tick that the metrics-sink channel is saturated
-    /// (every event the loop would record that tick is dropped and
-    /// counted, never sent).
-    pub sink_saturation_rate: f64,
     /// Probability per checkpoint write of a torn write: the temp file is
     /// written partially and never renamed, as if the process died mid-save.
     pub torn_checkpoint_rate: f64,
@@ -96,7 +91,6 @@ impl FaultPlan {
             seed: 0,
             oracle_spike_rate: 0.0,
             oracle_spike_seconds: 0.0,
-            sink_saturation_rate: 0.0,
             torn_checkpoint_rate: 0.0,
             store_io_errors: false,
             kill_at_tick: None,
@@ -106,7 +100,6 @@ impl FaultPlan {
     /// True when no fault can ever fire under this plan.
     pub fn is_none(&self) -> bool {
         self.oracle_spike_rate <= 0.0
-            && self.sink_saturation_rate <= 0.0
             && self.torn_checkpoint_rate <= 0.0
             && !self.store_io_errors
             && self.kill_at_tick.is_none()
@@ -139,11 +132,6 @@ impl FaultPlan {
             .then_some(self.oracle_spike_seconds)
     }
 
-    /// Whether the metrics-sink channel is saturated at this tick.
-    pub fn sink_saturated(&self, tick: u64) -> bool {
-        self.fires(Domain::SinkSaturation, tick, self.sink_saturation_rate)
-    }
-
     /// Whether the `write_index`-th checkpoint write tears mid-save.
     pub fn torn_checkpoint(&self, write_index: u64) -> bool {
         self.fires(
@@ -159,16 +147,17 @@ impl FaultPlan {
     }
 
     /// Parses the CLI spec: comma-separated `key=value` clauses, e.g.
-    /// `seed=7,spike=0.1:2.5,sink=0.05,torn=0.5,store,kill=120`.
+    /// `seed=7,spike=0.1:2.5,torn=0.5,store,kill=120`.
     ///
     /// * `seed=<n>` — plan seed;
     /// * `spike=<rate>[:<seconds>]` — oracle spikes (default 2.0 s each);
-    /// * `sink=<rate>` — sink saturation;
     /// * `torn=<rate>` — torn checkpoint writes;
     /// * `store` — fail label-store loads;
     /// * `kill=<tick>` — kill the process at that tick.
     ///
-    /// The empty string parses to [`FaultPlan::none`].
+    /// A rate must lie in `[0, 1]` and spike seconds must be finite and
+    /// non-negative; anything else is an error naming the clause. The
+    /// empty string parses to [`FaultPlan::none`].
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none();
         for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
@@ -181,6 +170,10 @@ impl FaultPlan {
                 v.parse()
                     .map_err(|_| format!("fault clause {key:?}: bad number {v:?}"))
             };
+            let rate = |v: &str| match num(v)? {
+                r if (0.0..=1.0).contains(&r) => Ok(r),
+                _ => Err(format!("fault clause {key:?}: rate {v:?} is not in [0, 1]")),
+            };
             match key {
                 "seed" => {
                     plan.seed = need(key, value)?
@@ -189,15 +182,19 @@ impl FaultPlan {
                 }
                 "spike" => {
                     let v = need(key, value)?;
-                    let (rate, secs) = match v.split_once(':') {
-                        Some((r, s)) => (num(r)?, num(s)?),
-                        None => (num(v)?, 2.0),
+                    let (r, secs) = match v.split_once(':') {
+                        Some((r, s)) => (rate(r)?, num(s)?),
+                        None => (rate(v)?, 2.0),
                     };
-                    plan.oracle_spike_rate = rate;
+                    if !(secs.is_finite() && secs >= 0.0) {
+                        return Err(format!(
+                            "fault clause {key:?}: spike seconds {secs} must be finite and >= 0"
+                        ));
+                    }
+                    plan.oracle_spike_rate = r;
                     plan.oracle_spike_seconds = secs;
                 }
-                "sink" => plan.sink_saturation_rate = num(need(key, value)?)?,
-                "torn" => plan.torn_checkpoint_rate = num(need(key, value)?)?,
+                "torn" => plan.torn_checkpoint_rate = rate(need(key, value)?)?,
                 "store" => plan.store_io_errors = true,
                 "kill" => {
                     plan.kill_at_tick = Some(
@@ -223,7 +220,6 @@ mod tests {
         assert!(plan.is_none());
         for t in 0..1000 {
             assert!(plan.oracle_spike(t).is_none());
-            assert!(!plan.sink_saturated(t));
             assert!(!plan.torn_checkpoint(t));
             assert!(!plan.killed_at(t));
         }
@@ -233,15 +229,14 @@ mod tests {
     fn decisions_are_stateless_and_seed_dependent() {
         let a = FaultPlan {
             oracle_spike_rate: 0.3,
-            sink_saturation_rate: 0.3,
             torn_checkpoint_rate: 0.3,
             ..FaultPlan::none()
         }
         .with_seed(1);
         let b = a.with_seed(2);
         // Same plan, any consultation order: identical decisions.
-        let forward: Vec<bool> = (0..500).map(|t| a.sink_saturated(t)).collect();
-        let backward: Vec<bool> = (0..500).rev().map(|t| a.sink_saturated(t)).collect();
+        let forward: Vec<bool> = (0..500).map(|t| a.torn_checkpoint(t)).collect();
+        let backward: Vec<bool> = (0..500).rev().map(|t| a.torn_checkpoint(t)).collect();
         assert_eq!(
             forward,
             backward.into_iter().rev().collect::<Vec<_>>(),
@@ -249,8 +244,8 @@ mod tests {
         );
         // Different seeds give different schedules.
         assert_ne!(
-            (0..500).map(|t| a.sink_saturated(t)).collect::<Vec<_>>(),
-            (0..500).map(|t| b.sink_saturated(t)).collect::<Vec<_>>()
+            (0..500).map(|t| a.torn_checkpoint(t)).collect::<Vec<_>>(),
+            (0..500).map(|t| b.torn_checkpoint(t)).collect::<Vec<_>>()
         );
         // Domains are independent streams.
         assert_ne!(
@@ -289,12 +284,11 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_documented_spec() {
-        let plan = FaultPlan::parse("seed=7,spike=0.1:2.5,sink=0.05,torn=0.5,store,kill=120")
-            .expect("valid spec");
+        let plan =
+            FaultPlan::parse("seed=7,spike=0.1:2.5,torn=0.5,store,kill=120").expect("valid spec");
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.oracle_spike_rate, 0.1);
         assert_eq!(plan.oracle_spike_seconds, 2.5);
-        assert_eq!(plan.sink_saturation_rate, 0.05);
         assert_eq!(plan.torn_checkpoint_rate, 0.5);
         assert!(plan.store_io_errors);
         assert_eq!(plan.kill_at_tick, Some(120));
@@ -306,7 +300,33 @@ mod tests {
             "spike seconds default"
         );
         assert!(FaultPlan::parse("bogus=1").is_err());
+        assert_eq!(
+            FaultPlan::parse("sink=0.1").unwrap_err(),
+            "unknown fault clause \"sink\""
+        );
         assert!(FaultPlan::parse("spike=x").is_err());
         assert!(FaultPlan::parse("store=").is_err() || FaultPlan::parse("store").is_ok());
+    }
+
+    #[test]
+    fn parse_refuses_out_of_range_numbers_naming_the_clause() {
+        for spec in [
+            "spike=nan",
+            "spike=1.5:2",
+            "spike=0.5:-3",
+            "spike=0.5:inf",
+            "torn=-1",
+            "torn=2",
+        ] {
+            let key = spec.split('=').next().unwrap_or_default();
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(
+                err.starts_with(&format!("fault clause {key:?}")),
+                "{spec}: {err}"
+            );
+        }
+        for edge in ["torn=0", "torn=1", "spike=1:0"] {
+            assert!(FaultPlan::parse(edge).is_ok(), "{edge}");
+        }
     }
 }

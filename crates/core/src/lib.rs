@@ -51,8 +51,8 @@ pub mod types;
 pub mod vehicle;
 
 pub use algorithms::{
-    BranchBoundSolver, BruteForceSolver, InsertionSolver, MipScheduleSolver, ScheduleSolver,
-    SolverKind, SolverOutcome,
+    BranchBoundSolver, BruteForceSolver, MipScheduleSolver, ScheduleSolver, SolverKind,
+    SolverOutcome,
 };
 pub use dispatch::{
     AssignmentOutcome, DispatchEffort, DispatchStats, Dispatcher, DispatcherConfig, LazySync,

@@ -35,7 +35,6 @@ impl PlannerKind {
             PlannerKind::Solver(SolverKind::BruteForce) => "brute-force",
             PlannerKind::Solver(SolverKind::BranchBound) => "branch-and-bound",
             PlannerKind::Solver(SolverKind::Mip) => "mip",
-            PlannerKind::Solver(SolverKind::Insertion) => "insertion",
             PlannerKind::Kinetic(cfg) => cfg.variant_name(),
         }
     }
@@ -420,12 +419,13 @@ impl Vehicle {
     }
 }
 
+/// Tag 3 is retired and decodes as unknown; the kinetic tree keeps tag 4
+/// so vehicles encoded by older builds still decode.
 fn encode_planner(out: &mut Vec<u8>, planner: PlannerKind) {
     let tag: u8 = match planner {
         PlannerKind::Solver(SolverKind::BruteForce) => 0,
         PlannerKind::Solver(SolverKind::BranchBound) => 1,
         PlannerKind::Solver(SolverKind::Mip) => 2,
-        PlannerKind::Solver(SolverKind::Insertion) => 3,
         PlannerKind::Kinetic(_) => 4,
     };
     out.push(tag);
@@ -442,7 +442,6 @@ fn decode_planner(r: &mut Reader<'_>) -> Result<PlannerKind, RoadNetError> {
         0 => PlannerKind::Solver(SolverKind::BruteForce),
         1 => PlannerKind::Solver(SolverKind::BranchBound),
         2 => PlannerKind::Solver(SolverKind::Mip),
-        3 => PlannerKind::Solver(SolverKind::Insertion),
         4 => PlannerKind::Kinetic(KineticConfig {
             use_slack: codec::read_bool(r, "planner use_slack")?,
             hotspot_theta: codec::read_opt_f64(r, "planner hotspot theta")?,
@@ -628,6 +627,13 @@ mod tests {
                 assert!(Vehicle::decode(&mut r).is_err(), "truncation at {len}");
             }
         }
+
+        // A retired planner tag is refused by name, not misread.
+        let mut r = Reader::new(&[3]);
+        assert!(matches!(
+            decode_planner(&mut r),
+            Err(RoadNetError::Persist(msg)) if msg == "unknown planner tag 3"
+        ));
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! compute or queue pressure it steps the planner down a
 //! [`kinetic_core::DispatchEffort`] level (full → slack-pruned → greedy)
 //! with hysteresis on recovery, and every injected fault from a seeded
-//! [`kinetic_core::FaultPlan`] — oracle spikes, sink saturation, torn
-//! checkpoint writes, kills — is deterministic and counted on the
-//! [`ServeReport`].
+//! [`kinetic_core::FaultPlan`] — oracle spikes, torn checkpoint writes,
+//! kills — is deterministic and counted on the [`ServeReport`].
 //!
 //! The serve loop drives the identical [`rideshare_sim::Simulation`] batch
 //! API the offline replay uses, so its assignments are bit-identical to a

@@ -45,7 +45,7 @@ OPTIONS:
                           line per metric event (ignored in recoverable
                           mode)
   --fault-plan <spec>     seeded fault injection, e.g.
-                          seed=7,spike=0.1:2.5,sink=0.05,torn=0.5,kill=120
+                          seed=7,spike=0.1:2.5,torn=0.5,kill=120
   --recover-dir <path>    run crash-safe: write-ahead journal + checkpoints
                           in this directory (enables kill=N in the plan)
   --checkpoint-every <n>  ticks between checkpoints [default: 64]
@@ -130,6 +130,24 @@ impl Args {
                 "--enforce-slo" => args.enforce_slo = true,
                 "-h" | "--help" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
+            }
+        }
+        // The tick and the arrival rates must be positive, or virtual time
+        // never advances; every budget must at least be a finite number.
+        let checks = [
+            ("--tick", Some(args.tick), false),
+            ("--rate", Some(args.rate), false),
+            ("--trace-speedup", args.trace_speedup, false),
+            ("--duration", Some(args.duration), true),
+            ("--slo-p99", Some(args.slo_p99), true),
+            ("--max-queue-wait", Some(args.max_queue_wait), true),
+            ("--fixed-cost", args.fixed_cost, true),
+        ];
+        for (flag, value, zero_ok) in checks {
+            let Some(v) = value else { continue };
+            if !v.is_finite() || v < 0.0 || (v == 0.0 && !zero_ok) {
+                let bound = if zero_ok { ">= 0" } else { "> 0" };
+                return Err(format!("{flag} must be a finite number {bound}, got {v}"));
             }
         }
         Ok(args)

@@ -51,8 +51,9 @@ const JOURNAL_MAGIC: &[u8; 4] = b"RSWJ";
 /// Checkpoint file magic: **R**ide**S**hare ser**V**e **C**heckpoint.
 const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// Shared by the journal and the checkpoint. Version 2 moved the metrics
-/// into the loop state.
-const VERSION: u32 = 2;
+/// into the loop state; version 3 dropped the sink-saturation rate and
+/// its dropped-event counter.
+const VERSION: u32 = 3;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
 /// Upper bound on a single journal entry body (sanity check on `len`).
@@ -121,7 +122,6 @@ pub(crate) fn digest_serve(cfg: &ServeConfig) -> u64 {
     bin::put_u64(&mut buf, f.seed);
     bin::put_f64(&mut buf, f.oracle_spike_rate);
     bin::put_f64(&mut buf, f.oracle_spike_seconds);
-    bin::put_f64(&mut buf, f.sink_saturation_rate);
     bin::put_f64(&mut buf, f.torn_checkpoint_rate);
     bin::put_u64(&mut buf, f.store_io_errors as u64);
     bin::fnv1a(&buf)
@@ -404,7 +404,6 @@ fn put_state(out: &mut Vec<u8>, state: &LoopState) {
     }
     bin::put_u64(out, state.fault_oracle_spikes);
     bin::put_u64(out, state.fault_torn_checkpoints);
-    bin::put_u64(out, state.sink_dropped_events);
     state.metrics.encode(out);
     bin::put_u64(out, state.journal_entries);
     put_trips(out, state.admitted_trips.as_slice());
@@ -433,7 +432,6 @@ fn read_state(r: &mut Reader<'_>) -> Result<LoopState, RoadNetError> {
     }
     state.fault_oracle_spikes = r.u64("state fault_oracle_spikes")?;
     state.fault_torn_checkpoints = r.u64("state fault_torn_checkpoints")?;
-    state.sink_dropped_events = r.u64("state sink_dropped_events")?;
     state.metrics = SinkOutput::decode(r)?;
     state.journal_entries = r.u64("state journal_entries")?;
     state.admitted_trips = read_trips(r, "state admitted trips")?;
@@ -681,29 +679,33 @@ mod tests {
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
-        let rc = RecoveryConfig {
-            dir: std::env::temp_dir().join(format!("serve_v1_dir_{}", std::process::id())),
-            checkpoint_every_ticks: 4,
-        };
-        let mut serve = ServeLoop::new(Simulation::new(&w.network, &oracle, sim_config), cfg);
-        serve.run_recoverable(arrivals(), &rc).unwrap();
-        // Stamp both files as version 1; the checkpoint is re-signed so
-        // only its version is stale.
-        for (path, signed) in [(rc.journal_path(), false), (rc.checkpoint_path(), true)] {
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-            if let (true, Some((payload, trailer))) = (signed, bytes.split_last_chunk_mut::<8>()) {
-                *trailer = bin::fnv1a(payload).to_le_bytes();
+        for old in [1u32, 2] {
+            let rc = RecoveryConfig {
+                dir: std::env::temp_dir().join(format!("serve_v{old}_dir_{}", std::process::id())),
+                checkpoint_every_ticks: 4,
+            };
+            let mut serve = ServeLoop::new(Simulation::new(&w.network, &oracle, sim_config), cfg);
+            serve.run_recoverable(arrivals(), &rc).unwrap();
+            // Stamp both files with the old version; the checkpoint is
+            // re-signed so only its version is stale.
+            for (path, signed) in [(rc.journal_path(), false), (rc.checkpoint_path(), true)] {
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes[4..8].copy_from_slice(&old.to_le_bytes());
+                if let (true, Some((payload, trailer))) =
+                    (signed, bytes.split_last_chunk_mut::<8>())
+                {
+                    *trailer = bin::fnv1a(payload).to_le_bytes();
+                }
+                std::fs::write(&path, bytes).unwrap();
             }
-            std::fs::write(&path, bytes).unwrap();
-        }
 
-        let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
-            .expect_err("a version-1 directory must not resume");
-        assert!(
-            matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-2")),
-            "{err:?}"
-        );
-        std::fs::remove_dir_all(&rc.dir).ok();
+            let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
+                .expect_err("an older directory must not resume");
+            assert!(
+                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-3")),
+                "version {old}: {err:?}"
+            );
+            std::fs::remove_dir_all(&rc.dir).ok();
+        }
     }
 }

@@ -30,10 +30,10 @@
 //!
 //! [`ServeConfig::fault`] carries a seeded [`FaultPlan`]. The loop consults
 //! it at fixed points — oracle latency spikes inflate the tick's compute
-//! cost, sink saturation drops metric events (counted, never silently) —
-//! so chaos runs are bit-reproducible from the seed alone. Kill/recover
-//! faults are honoured only by the crash-safe entry point in
-//! [`crate::recovery`]; plain [`ServeLoop::run`] ignores `kill_at_tick`.
+//! cost, torn writes break checkpoints — so chaos runs are
+//! bit-reproducible from the seed alone. Kill/recover faults are honoured
+//! only by the crash-safe entry point in [`crate::recovery`]; plain
+//! [`ServeLoop::run`] ignores `kill_at_tick`.
 //!
 //! Because every dispatch is a recorded `(advance_to, batch)` pair replayed
 //! through the public batch API, serve-mode assignments are bit-identical
@@ -190,11 +190,9 @@ pub(crate) struct LoopState {
     pub(crate) fault_oracle_spikes: u64,
     /// Injected torn checkpoint writes taken.
     pub(crate) fault_torn_checkpoints: u64,
-    /// Metric events dropped by injected sink saturation.
-    pub(crate) sink_dropped_events: u64,
     /// Write-ahead journal entries appended.
     pub(crate) journal_entries: u64,
-    /// Every metric event the sink did not drop, folded in.
+    /// Every metric event of the run, folded in.
     pub(crate) metrics: SinkOutput,
 }
 
@@ -220,20 +218,8 @@ impl LoopState {
             dispatches_by_level: [0; 3],
             fault_oracle_spikes: 0,
             fault_torn_checkpoints: 0,
-            sink_dropped_events: 0,
             journal_entries: 0,
             metrics: SinkOutput::default(),
-        }
-    }
-
-    /// Folds `event` into the run's metrics unless the fault plan saturated
-    /// the sink this tick; an injected drop is counted so the end-of-run
-    /// cross-check knows how lossy the metrics view is.
-    fn emit(&mut self, event: MetricEvent, saturated: bool, trace: Option<&mut (dyn Write + '_)>) {
-        if saturated {
-            self.sink_dropped_events += 1;
-        } else {
-            self.metrics.record(event, trace);
         }
     }
 }
@@ -290,10 +276,9 @@ impl<'a> ServeLoop<'a> {
 
     /// Serves the arrival stream to completion without an event trace.
     ///
-    /// Oracle-spike and sink-saturation faults in [`ServeConfig::fault`]
-    /// fire here too, but `kill_at_tick` is ignored — only
-    /// [`Self::run_recoverable`] honours kills, because only it can
-    /// recover from them.
+    /// Oracle-spike faults in [`ServeConfig::fault`] fire here too, but
+    /// `kill_at_tick` is ignored — only [`Self::run_recoverable`] honours
+    /// kills, because only it can recover from them.
     pub fn run(&mut self, arrivals: impl Iterator<Item = TripEvent>) -> ServeReport {
         self.run_with_writer(arrivals, None)
     }
@@ -350,7 +335,6 @@ impl<'a> ServeLoop<'a> {
             if kill_enabled && fault.killed_at(state.ticks) {
                 return Ok(false);
             }
-            let saturated = fault.sink_saturated(state.ticks);
 
             // Ingest every arrival inside this tick's window. The queue is
             // the backpressure boundary: a full queue bounces the arrival
@@ -359,22 +343,20 @@ impl<'a> ServeLoop<'a> {
                 state.offered += 1;
                 if state.queue.len() >= slo.queue_capacity {
                     state.shed_queue_full += 1;
-                    state.emit(
+                    state.metrics.record(
                         MetricEvent::Shed {
                             reason: ShedReason::QueueFull,
                         },
-                        saturated,
                         trace.as_deref_mut(),
                     );
                 } else {
                     state.queue.push_back(trip);
                 }
             }
-            state.emit(
+            state.metrics.record(
                 MetricEvent::QueueDepth {
                     depth: state.queue.len(),
                 },
-                saturated,
                 trace.as_deref_mut(),
             );
 
@@ -395,11 +377,10 @@ impl<'a> ServeLoop<'a> {
                 {
                     state.queue.pop_front();
                     state.shed_stale += 1;
-                    state.emit(
+                    state.metrics.record(
                         MetricEvent::Shed {
                             reason: ShedReason::Stale,
                         },
-                        saturated,
                         trace.as_deref_mut(),
                     );
                 }
@@ -432,12 +413,11 @@ impl<'a> ServeLoop<'a> {
                         cost_s += extra;
                         state.fault_oracle_spikes += 1;
                     }
-                    state.emit(
+                    state.metrics.record(
                         MetricEvent::TickCompute {
                             seconds: cost_s,
                             batch: batch.len(),
                         },
-                        saturated,
                         trace.as_deref_mut(),
                     );
                     state.dispatch_ticks += 1;
@@ -451,12 +431,11 @@ impl<'a> ServeLoop<'a> {
                         } else {
                             state.rejected += 1;
                         }
-                        state.emit(
+                        state.metrics.record(
                             MetricEvent::Latency {
                                 seconds: state.server_free - trip.time_seconds,
                                 assigned: outcome.is_assigned(),
                             },
-                            saturated,
                             trace.as_deref_mut(),
                         );
                     }
@@ -503,8 +482,8 @@ impl<'a> ServeLoop<'a> {
     }
 
     /// Drains committed trips and cross-checks the two accounting views
-    /// before assembling the report. The loop counters are always exact;
-    /// the metrics view is exact when no saturation fault dropped an event.
+    /// before assembling the report: the loop counters and the metrics
+    /// folded from the same events must agree to the request.
     pub(crate) fn finish_report(&mut self, state: LoopState, recovered: bool) -> ServeReport {
         // Let committed trips play out so guarantee accounting is final.
         self.sim.drain();
@@ -518,20 +497,11 @@ impl<'a> ServeLoop<'a> {
             state.admitted + state.shed_queue_full + state.shed_stale
         );
         assert_eq!(state.admitted, state.assigned + state.rejected);
-        if state.sink_dropped_events == 0 {
-            // Nothing dropped: the two views must agree to the request.
-            assert_eq!(out.latency.count(), state.admitted);
-            assert_eq!(
-                out.shed_queue_full + out.shed_stale,
-                state.shed_queue_full + state.shed_stale
-            );
-        } else {
-            // Lossy metrics can only under-count, never invent requests.
-            assert!(out.latency.count() <= state.admitted);
-            assert!(
-                out.shed_queue_full + out.shed_stale <= state.shed_queue_full + state.shed_stale
-            );
-        }
+        assert_eq!(out.latency.count(), state.admitted);
+        assert_eq!(
+            out.shed_queue_full + out.shed_stale,
+            state.shed_queue_full + state.shed_stale
+        );
 
         ServeReport {
             offered: state.offered,
@@ -561,7 +531,6 @@ impl<'a> ServeLoop<'a> {
             dispatch_greedy,
             fault_oracle_spikes: state.fault_oracle_spikes,
             fault_torn_checkpoints: state.fault_torn_checkpoints,
-            sink_dropped_events: state.sink_dropped_events,
             journal_entries: state.journal_entries,
             recovered,
         }
@@ -625,8 +594,6 @@ pub struct ServeReport {
     pub fault_oracle_spikes: u64,
     /// Injected torn checkpoint writes taken.
     pub fault_torn_checkpoints: u64,
-    /// Metric events dropped by injected sink saturation.
-    pub sink_dropped_events: u64,
     /// Write-ahead journal entries appended (0 without a recovery dir).
     pub journal_entries: u64,
     /// Whether this run resumed from a checkpoint + journal replay.
@@ -760,11 +727,6 @@ impl ServeReport {
             &mut s,
             "fault_torn_checkpoints",
             self.fault_torn_checkpoints.to_string(),
-        );
-        field(
-            &mut s,
-            "sink_dropped_events",
-            self.sink_dropped_events.to_string(),
         );
         field(&mut s, "journal_entries", self.journal_entries.to_string());
         field(&mut s, "recovered", self.recovered.to_string());
@@ -923,12 +885,13 @@ mod tests {
     fn fault_plan_spikes_and_saturation_are_counted_exactly() {
         let w = small_workload();
         let oracle = CachedOracle::without_labels(&w.network);
-        let fault = kinetic_core::FaultPlan {
+        // Every dispatch tick spikes for longer than the stale-shed budget,
+        // so the saturated dispatcher leaves requests to go stale.
+        let fault = FaultPlan {
             seed: 77,
             oracle_spike_rate: 1.0,
-            oracle_spike_seconds: 0.4,
-            sink_saturation_rate: 1.0,
-            ..kinetic_core::FaultPlan::none()
+            oracle_spike_seconds: 12.0,
+            ..FaultPlan::none()
         };
         let cfg = ServeConfig {
             model: ServiceModel::Fixed {
@@ -940,15 +903,19 @@ mod tests {
         };
         let mut serve = ServeLoop::new(sim(&w, &oracle), cfg);
         let report = serve.run(PoissonArrivals::new(&w.trips, 2.0, 60.0, 5));
-        // Rate 1.0 → every dispatch tick took a spike; every event dropped.
+        // Rate 1.0 → every dispatch tick took a spike.
         assert_eq!(report.fault_oracle_spikes, report.dispatch_ticks);
         assert!(report.dispatch_ticks > 0);
-        assert!(report.sink_dropped_events > 0);
-        // Loop-side accounting stays exact even with a blinded sink.
+        assert!(
+            report.shed_stale > 0,
+            "a saturated dispatcher sheds: {report:?}"
+        );
+        // Accounting stays exact under saturation, and the metrics saw
+        // every admitted request.
         assert_eq!(report.offered, report.admitted + report.shed());
         assert_eq!(report.admitted, report.assigned + report.rejected);
-        // The sink saw nothing, so its summaries are empty.
-        assert_eq!(report.latency.count, 0);
+        assert_eq!(report.latency.count, report.admitted);
+        assert_eq!(report.guarantee_violations, 0);
     }
 
     /// An in-memory trace the test reads back after the loop owned it.
@@ -965,8 +932,9 @@ mod tests {
         }
     }
 
-    /// An overloaded run (it sheds both ways) with its event trace.
-    fn traced_run(fault: FaultPlan) -> (ServeReport, String) {
+    #[test]
+    fn event_trace_has_one_line_per_counted_event() {
+        // An overloaded run: it sheds both ways.
         let w = small_workload();
         let oracle = CachedOracle::without_labels(&w.network);
         let cfg = ServeConfig {
@@ -979,7 +947,6 @@ mod tests {
                 tick_overhead_s: 0.1,
                 per_request_s: 0.5,
             },
-            fault,
             ..ServeConfig::default()
         };
         let trace = SharedTrace::default();
@@ -989,12 +956,6 @@ mod tests {
             Some(Box::new(trace.clone())),
         );
         let text = String::from_utf8(trace.0.take()).unwrap();
-        (report, text)
-    }
-
-    #[test]
-    fn event_trace_has_one_line_per_counted_event() {
-        let (report, text) = traced_run(FaultPlan::none());
         let lines = |prefix: &str| text.lines().filter(|l| l.starts_with(prefix)).count() as u64;
         assert!(report.admitted > 0 && report.shed() > 0, "{report:?}");
         assert_eq!(lines("latency,"), report.admitted);
@@ -1003,16 +964,6 @@ mod tests {
         assert_eq!(lines("shed,"), report.shed());
         assert_eq!(text.lines().count() as u64, report.trace_lines);
         assert_eq!(report.io_errors, 0);
-
-        // A saturated sink writes nothing and counts every event it drops.
-        let (blind, text) = traced_run(FaultPlan {
-            seed: 3,
-            sink_saturation_rate: 1.0,
-            ..FaultPlan::none()
-        });
-        assert!(text.is_empty());
-        assert_eq!(blind.trace_lines, 0);
-        assert_eq!(blind.sink_dropped_events, report.trace_lines);
     }
 
     #[test]

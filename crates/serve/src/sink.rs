@@ -3,9 +3,8 @@
 //! Every [`MetricEvent`] the serve loop emits goes straight into
 //! [`SinkOutput::record`]: one O(1) bucket increment in a
 //! [`LatencyHistogram`] or a gauge update, on the loop's own thread. The
-//! aggregates are exact, not sampled — the only way an event is lost is an
-//! injected sink-saturation fault, which the loop counts. With a trace
-//! writer attached, `record` also appends one CSV line per event; a write
+//! aggregates are exact, not sampled, and no event is ever dropped. With a
+//! trace writer attached, `record` also appends one CSV line per event; a write
 //! failure is counted in [`SinkOutput::io_errors`], never propagated, so a
 //! bad disk degrades the trace, never the aggregates or the dispatch.
 //!

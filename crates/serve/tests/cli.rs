@@ -1,0 +1,56 @@
+//! `rideshare-serve` refuses hostile numbers on its command line: each bad
+//! value exits non-zero, names its flag and writes no report.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// Serves a tiny city with `extra` flags appended, asking for the report
+/// at a fresh path; returns the process output and that path.
+fn serve(tag: &str, extra: &[&str]) -> (Output, PathBuf) {
+    let id = std::process::id();
+    let out = std::env::temp_dir().join(format!("serve_cli_{id}_{tag}.json"));
+    std::fs::remove_file(&out).ok();
+    let output = Command::new(env!("CARGO_BIN_EXE_rideshare-serve"))
+        .args(["--city", "small", "--fleet", "2", "--trips", "20"])
+        .args(["--duration", "5", "--fixed-cost", "0.001", "--out"])
+        .arg(&out)
+        .args(extra)
+        .output()
+        .expect("the binary runs");
+    (output, out)
+}
+
+#[test]
+fn hostile_numbers_are_refused_by_flag_name() {
+    let positive = ["--tick", "--rate", "--trace-speedup"];
+    let non_negative = [
+        "--duration",
+        "--slo-p99",
+        "--max-queue-wait",
+        "--fixed-cost",
+    ];
+    let cases = positive
+        .iter()
+        .flat_map(|f| ["0", "-1", "nan", "inf"].map(|v| (*f, v)))
+        .chain(
+            non_negative
+                .iter()
+                .flat_map(|f| ["-1", "nan", "inf", "-inf"].map(|v| (*f, v))),
+        );
+    for (i, (flag, value)) in cases.enumerate() {
+        let (output, report) = serve(&i.to_string(), &[flag, value]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{flag} {value} was accepted");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        assert!(!report.exists(), "{flag} {value} wrote a report");
+    }
+}
+
+#[test]
+fn a_valid_run_writes_its_report() {
+    let (output, report) = serve("ok", &["--tick", "0.5"]);
+    assert!(output.status.success());
+    let json = std::fs::read_to_string(&report).expect("report written");
+    assert!(json.contains("\"guarantee_violations\": 0"), "{json}");
+    std::fs::remove_file(&report).ok();
+}

@@ -1,9 +1,8 @@
 //! Property tests for the fault-injection layer: under an **arbitrary**
-//! seeded [`FaultPlan`] — random oracle-spike, sink-saturation and
-//! torn-checkpoint rates, with and without a mid-run kill — the serve
-//! loop's exact-accounting invariant must hold, guarantees must stay
-//! unviolated, and a killed run must recover to the bit-identical report
-//! an uninterrupted run produces.
+//! seeded [`FaultPlan`] — random oracle-spike and torn-checkpoint rates,
+//! with and without a mid-run kill — the serve loop's exact-accounting
+//! invariant must hold, guarantees must stay unviolated, and a killed run
+//! must recover to the bit-identical report an uninterrupted run produces.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,7 +80,6 @@ proptest! {
         fault_seed in 0u64..10_000,
         spike_rate in 0.0f64..1.0,
         spike_seconds in 0.0f64..2.0,
-        sink_rate in 0.0f64..1.0,
         torn_rate in 0.0f64..1.0,
         kill_fraction in 0.05f64..0.95,
         queue_capacity in 4usize..48,
@@ -96,7 +94,6 @@ proptest! {
             seed: fault_seed,
             oracle_spike_rate: spike_rate,
             oracle_spike_seconds: spike_seconds,
-            sink_saturation_rate: sink_rate,
             torn_checkpoint_rate: torn_rate,
             ..FaultPlan::none()
         };

@@ -190,7 +190,6 @@ fn kill_and_recover_matches_uninterrupted_run_at_many_kill_ticks() {
         seed: 11,
         oracle_spike_rate: 0.2,
         oracle_spike_seconds: 0.7,
-        sink_saturation_rate: 0.1,
         ..FaultPlan::none()
     };
     let every = 4;

@@ -26,7 +26,7 @@
 //! ```text
 //! offset  field
 //! 0       magic  b"RSCK"
-//! 4       format version (u32, currently 1)
+//! 4       format version (u32, currently 2)
 //! 8       network fingerprint (u64)
 //! 16      SimConfig digest (u64) — excludes the unread `workers` field,
 //!         so a checkpoint resumes whatever value it holds
@@ -55,7 +55,7 @@ use crate::trace::{RequestTrace, TraceLog};
 /// File magic: "RSCK" (ridesharing checkpoint).
 const MAGIC: &[u8; 4] = b"RSCK";
 /// Current checkpoint format version; bump on any layout change.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation
 /// *results*. `workers` is excluded: no code reads it, and it never was
@@ -79,7 +79,6 @@ pub fn digest_config(config: &SimConfig) -> u64 {
         None => bin::put_u64(&mut buf, u64::MAX),
     }
     bin::put_u64(&mut buf, config.seed);
-    codec::put_bool(&mut buf, config.dispatcher.use_spatial_filter);
     bin::put_f64(&mut buf, config.dispatcher.radius_factor);
     // Batched ticks change when vehicles move between requests, so the
     // window width is result-determining — but only appended when set, so
@@ -697,6 +696,24 @@ mod tests {
                 "corruption at byte {pos} went undetected"
             );
         }
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_is_refused_at_the_header() {
+        let w = workload(15, 2);
+        let digest = digest_trips(&w.trips);
+        let oracle = CachedOracle::without_labels(&w.network);
+        let sim = Simulation::new(&w.network, &oracle, config());
+        let mut bytes = sim.checkpoint_bytes(0, digest);
+        // Stamp version 1 and re-sign, so only the version is stale.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        if let Some((body, trailer)) = bytes.split_last_chunk_mut::<8>() {
+            *trailer = bin::fnv1a(body).to_le_bytes();
+        }
+        assert!(matches!(
+            Simulation::resume(&w.network, &oracle, config(), &w.trips, &bytes),
+            Err(RoadNetError::Persist(msg)) if msg.contains("unsupported checkpoint version 1")
+        ));
     }
 
     #[test]

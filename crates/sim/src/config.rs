@@ -30,7 +30,7 @@ pub struct SimConfig {
     pub max_requests: Option<usize>,
     /// Seed for vehicle placement and cruising decisions.
     pub seed: u64,
-    /// Dispatcher behaviour (spatial filtering on/off, radius slack).
+    /// Dispatcher behaviour (radius slack, slack pruning).
     pub dispatcher: DispatcherConfig,
     /// Unread. Exists only because the frozen `benchmark/` crate still
     /// writes it; the engine is single-threaded and every value runs the

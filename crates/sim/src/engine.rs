@@ -280,12 +280,9 @@ impl<'a> Simulation<'a> {
                 outcome.candidates(),
             ));
             if let Some(ledger) = &mut self.regions {
-                let ids = self.dispatcher.candidates(
-                    &request,
-                    self.graph,
-                    &mut self.index,
-                    self.vehicles.len(),
-                );
+                let ids = self
+                    .dispatcher
+                    .candidates(&request, self.graph, &mut self.index);
                 ledger.request(trip.source, &ids);
             }
             if let AssignmentOutcome::Assigned { vehicle, cost, .. } = outcome {

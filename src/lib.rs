@@ -60,9 +60,9 @@ pub use spatial;
 pub mod prelude {
     pub use kinetic_core::{
         AssignmentOutcome, BranchBoundSolver, BruteForceSolver, Constraints, Dispatcher,
-        DispatcherConfig, InsertionSolver, KineticConfig, KineticTree, MipScheduleSolver,
-        PlannerKind, ScheduleSolver, SchedulingProblem, SolverKind, SolverOutcome, Stop, StopKind,
-        TripRequest, Vehicle, WaitingTrip,
+        DispatcherConfig, KineticConfig, KineticTree, MipScheduleSolver, PlannerKind,
+        ScheduleSolver, SchedulingProblem, SolverKind, SolverOutcome, Stop, StopKind, TripRequest,
+        Vehicle, WaitingTrip,
     };
     pub use rideshare_serve::{
         PoissonArrivals, ServeConfig, ServeLoop, ServeReport, ServiceModel, SloConfig,

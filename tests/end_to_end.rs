@@ -41,7 +41,6 @@ fn guarantees_hold_for_every_planner() {
     let planners = [
         PlannerKind::Solver(SolverKind::BruteForce),
         PlannerKind::Solver(SolverKind::BranchBound),
-        PlannerKind::Solver(SolverKind::Insertion),
         PlannerKind::Kinetic(KineticConfig::basic()),
         PlannerKind::Kinetic(KineticConfig::slack()),
         PlannerKind::Kinetic(KineticConfig::hotspot(300.0)),
@@ -221,20 +220,21 @@ fn reports_are_deterministic_for_a_fixed_seed() {
 
 #[test]
 fn dispatcher_spatial_filter_matches_full_scan_outcomes() {
-    // With the spatial filter on, the dispatcher may only skip vehicles that
-    // could never satisfy the waiting constraint, so the number of accepted
-    // requests must be the same as with a full scan.
+    // The grid filter may only skip vehicles that could never satisfy the
+    // waiting constraint, so it must accept as many requests as a radius
+    // long enough to reach across the whole map.
     let w = workload(50, 7);
     let oracle = CachedOracle::without_labels(&w.network);
-    let run_with = |use_filter: bool| {
+    let vehicles = 10;
+    let run_with = |radius_factor: f64| {
         let config = SimConfig {
-            vehicles: 10,
+            vehicles,
             capacity: 4,
             planner: PlannerKind::Kinetic(KineticConfig::slack()),
             seed: 21,
             cruise_when_idle: false,
             dispatcher: DispatcherConfig {
-                use_spatial_filter: use_filter,
+                radius_factor,
                 ..DispatcherConfig::default()
             },
             ..SimConfig::default()
@@ -242,8 +242,13 @@ fn dispatcher_spatial_filter_matches_full_scan_outcomes() {
         let mut sim = Simulation::new(&w.network, &oracle, config);
         sim.run(&w.trips)
     };
-    let filtered = run_with(true);
-    let full = run_with(false);
+    let (min, max) = w.network.bounding_box();
+    let filtered = run_with(DispatcherConfig::default().radius_factor);
+    let full = run_with(min.distance(&max) / SimConfig::default().constraints.max_wait);
+    assert_eq!(
+        full.mean_candidates, vehicles as f64,
+        "every vehicle is a candidate"
+    );
     assert_eq!(filtered.assigned, full.assigned);
     assert!(filtered.mean_candidates <= full.mean_candidates);
 }

@@ -12,7 +12,6 @@ fn planners() -> Vec<(&'static str, PlannerKind)> {
         ("brute-force", PlannerKind::Solver(SolverKind::BruteForce)),
         ("branch-bound", PlannerKind::Solver(SolverKind::BranchBound)),
         ("mip", PlannerKind::Solver(SolverKind::Mip)),
-        ("insertion", PlannerKind::Solver(SolverKind::Insertion)),
         ("tree-basic", PlannerKind::Kinetic(KineticConfig::basic())),
         ("tree-slack", PlannerKind::Kinetic(KineticConfig::slack())),
         (

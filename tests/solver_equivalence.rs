@@ -2,8 +2,8 @@
 //!
 //! Brute force, branch and bound, the MIP formulation and the kinetic tree
 //! (basic and slack variants) must all report the same minimum cost on the
-//! same scheduling problem; the hotspot variant and the insertion heuristic
-//! must stay valid and never beat that optimum.
+//! same scheduling problem; the hotspot variant, a heuristic, must never
+//! beat that optimum.
 
 use ridesharing::prelude::*;
 use roadnet::MatrixOracle;
@@ -126,20 +126,12 @@ fn exact_solvers_and_kinetic_tree_agree() {
 fn heuristics_never_beat_the_optimum_and_stay_valid() {
     let oracle = grid_oracle(6, 6, 45);
     let bf = BruteForceSolver::default();
-    let heuristic = InsertionSolver;
     for seed in 0..20u64 {
         let p = random_problem(&oracle, seed, 3, 4, 1.0);
         let best = match bf.solve(&p, &oracle) {
             SolverOutcome::Feasible { cost, .. } => cost,
             _ => continue,
         };
-        if let SolverOutcome::Feasible { cost, schedule } = heuristic.solve(&p, &oracle) {
-            assert!(p.is_valid(&schedule, &oracle), "seed {seed}");
-            assert!(
-                cost >= best - 1e-6,
-                "seed {seed}: heuristic beat the optimum"
-            );
-        }
         if let Some(hotspot) = kinetic_best(&p, &oracle, KineticConfig::hotspot(300.0)) {
             assert!(
                 hotspot >= best - 1e-6,
