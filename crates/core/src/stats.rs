@@ -2,18 +2,16 @@
 //!
 //! [`LatencyHistogram`] is a fixed-size log-bucketed histogram: recording is
 //! O(1) with no allocation (one array increment), so it is safe to feed from
-//! a dispatch hot path, and two histograms merge bucket-wise so per-window
-//! or per-thread instances can be combined into run totals. Percentile
-//! queries return the **upper edge** of the bucket holding the requested
-//! rank (clamped to the observed maximum), so a reported p99 never
-//! understates the true p99 — the conservative direction for latency-SLO
-//! gating.
+//! a dispatch hot path. Percentile queries return the **upper edge** of the
+//! bucket holding the requested rank (clamped to the observed maximum), so
+//! a reported p99 never understates the true p99 — the conservative
+//! direction for latency-SLO gating.
 //!
 //! The bucket layout covers 100 µs to 10 000 s with a geometric progression
 //! (~7.5 % relative resolution per bucket); everything below the range lands
 //! in the first bucket and everything above in the last, with the exact
-//! observed minimum/maximum/sum tracked separately so `mean`, `min` and
-//! `max` stay exact regardless of bucketing.
+//! observed maximum and sum tracked separately so `mean` and `max` stay
+//! exact regardless of bucketing.
 
 use roadnet::io::bin::{self, Reader};
 use roadnet::RoadNetError;
@@ -49,7 +47,6 @@ pub struct LatencyHistogram {
     counts: Vec<u64>,
     count: u64,
     sum_s: f64,
-    min_s: f64,
     max_s: f64,
 }
 
@@ -66,7 +63,6 @@ impl LatencyHistogram {
             counts: vec![0; BUCKETS],
             count: 0,
             sum_s: 0.0,
-            min_s: f64::INFINITY,
             max_s: 0.0,
         }
     }
@@ -109,9 +105,6 @@ impl LatencyHistogram {
         self.counts[Self::bucket(s)] += 1;
         self.count += 1;
         self.sum_s += s;
-        if s < self.min_s {
-            self.min_s = s;
-        }
         if s > self.max_s {
             self.max_s = s;
         }
@@ -122,26 +115,12 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact mean of all observations, in seconds (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum_s / self.count as f64
-        }
-    }
-
-    /// Exact smallest observation, in seconds (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min_s
         }
     }
 
@@ -176,23 +155,10 @@ impl LatencyHistogram {
         self.max_s
     }
 
-    /// Merges another histogram into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_s += other.sum_s;
-        if other.count > 0 {
-            self.min_s = self.min_s.min(other.min_s);
-            self.max_s = self.max_s.max(other.max_s);
-        }
-    }
-
     /// Appends the histogram's full state to `out` in the
     /// [`crate::codec`] binary conventions (bucket counts length-prefixed,
-    /// `f64` accumulators as IEEE-754 bit patterns), so a metrics sink can
-    /// be snapshotted into a serve checkpoint and restored bit-identically.
+    /// `f64` accumulators as IEEE-754 bit patterns), so a serve checkpoint
+    /// can carry it and restore it bit-identically.
     pub fn encode(&self, out: &mut Vec<u8>) {
         bin::put_u64(out, self.counts.len() as u64);
         for &c in &self.counts {
@@ -200,7 +166,6 @@ impl LatencyHistogram {
         }
         bin::put_u64(out, self.count);
         bin::put_f64(out, self.sum_s);
-        bin::put_f64(out, self.min_s);
         bin::put_f64(out, self.max_s);
     }
 
@@ -222,7 +187,6 @@ impl LatencyHistogram {
             counts,
             count: r.u64("histogram count")?,
             sum_s: r.f64("histogram sum")?,
-            min_s: r.f64("histogram min")?,
             max_s: r.f64("histogram max")?,
         })
     }
@@ -267,10 +231,8 @@ mod tests {
     #[test]
     fn empty_histogram_is_all_zero() {
         let h = LatencyHistogram::new();
-        assert!(h.is_empty());
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.percentile(0.99), 0.0);
         assert_eq!(h.summary(), LatencySummary::default());
@@ -284,7 +246,6 @@ mod tests {
             assert_eq!(h.percentile(p), 0.25, "p = {p}");
         }
         assert_eq!(h.mean(), 0.25);
-        assert_eq!(h.min(), 0.25);
     }
 
     #[test]
@@ -312,38 +273,11 @@ mod tests {
         h.record(-3.0); // clamped to zero
         h.record(f64::NAN); // clamped to zero
         assert_eq!(h.count(), 4);
-        assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 50_000.0);
+        // The three low observations share the underflow bucket.
+        assert_eq!(h.percentile(0.75), BUCKET_MIN_S);
         // The overflow bucket still reports the exact max, not an edge.
         assert_eq!(h.percentile(1.0), 50_000.0);
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_into_one() {
-        let xs: Vec<f64> = (1..500).map(|i| i as f64 * 7e-3).collect();
-        let mut whole = LatencyHistogram::new();
-        let mut left = LatencyHistogram::new();
-        let mut right = LatencyHistogram::new();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.record(x);
-            if i % 2 == 0 {
-                left.record(x);
-            } else {
-                right.record(x);
-            }
-        }
-        left.merge(&right);
-        // Bucket counts and extrema merge exactly; the running sum is
-        // accumulated in a different order, so the means agree only up to
-        // float reassociation error.
-        assert_eq!(left.counts, whole.counts);
-        assert_eq!(left.count(), whole.count());
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        for p in [0.5, 0.9, 0.99, 0.999] {
-            assert_eq!(left.percentile(p), whole.percentile(p), "p = {p}");
-        }
     }
 
     #[test]
@@ -359,7 +293,7 @@ mod tests {
         let back = LatencyHistogram::decode(&mut r).expect("roundtrip");
         assert_eq!(r.remaining(), 0);
         assert_eq!(back, h);
-        // Empty histogram (min = +inf) round-trips too.
+        // The empty histogram round-trips too.
         let empty = LatencyHistogram::new();
         let mut buf = Vec::new();
         empty.encode(&mut buf);

@@ -10,11 +10,10 @@
 //!   [`TraceArrivals`]) whose rate is independent of the service rate;
 //! * [`server`] — the [`ServeLoop`]: a bounded ingress queue, SLO-gated
 //!   admission (backpressure + stale shedding) and fixed dispatch ticks
-//!   driven by a virtual clock that charges the dispatcher's compute cost;
-//! * [`sink`] — [`SinkOutput`]: serving-grade observability (latency
-//!   histograms, queue-depth and shed gauges, an optional CSV event
-//!   trace), folded inline into the loop state, one O(1) update per
-//!   event;
+//!   driven by a virtual clock that charges the dispatcher's compute cost,
+//!   and serving-grade observability kept in the loop state: latency
+//!   histograms, queue-depth and shed counts and an optional CSV event
+//!   trace, each observation counted once;
 //! * [`recovery`] — crash safety: a write-ahead dispatch journal plus
 //!   periodic checkpoints ([`ServeLoop::run_recoverable`]), and
 //!   [`resume_serve`] to pick a killed run back up with accounting
@@ -40,9 +39,7 @@
 pub mod arrival;
 pub mod recovery;
 pub mod server;
-pub mod sink;
 
 pub use arrival::{PoissonArrivals, TraceArrivals};
 pub use recovery::{resume_serve, RecoveryConfig};
 pub use server::{ServeConfig, ServeLoop, ServeReport, ServiceModel, SloConfig};
-pub use sink::{MetricEvent, ShedReason, SinkOutput};

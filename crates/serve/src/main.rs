@@ -46,11 +46,13 @@ OPTIONS:
                           mode)
   --fault-plan <spec>     seeded fault injection, e.g.
                           seed=7,spike=0.1:2.5,torn=0.5,kill=120
+                          (kill= and torn= need --recover-dir)
   --recover-dir <path>    run crash-safe: write-ahead journal + checkpoints
-                          in this directory (enables kill=N in the plan)
-  --checkpoint-every <n>  ticks between checkpoints [default: 64]
+                          in this directory
+  --checkpoint-every <n>  ticks between checkpoints [default: 64]; needs
+                          --recover-dir
   --recover               resume a killed run from --recover-dir instead of
-                          starting fresh
+                          starting fresh; needs --recover-dir
   --enforce-slo           exit non-zero when the run misses the SLO
   -h, --help              print this help
 ";
@@ -72,7 +74,7 @@ struct Args {
     events: Option<String>,
     fault: FaultPlan,
     recover_dir: Option<String>,
-    checkpoint_every: u64,
+    checkpoint_every: Option<u64>,
     recover: bool,
     enforce_slo: bool,
 }
@@ -96,7 +98,7 @@ impl Args {
             events: None,
             fault: FaultPlan::none(),
             recover_dir: None,
-            checkpoint_every: 64,
+            checkpoint_every: None,
             recover: false,
             enforce_slo: false,
         };
@@ -124,7 +126,7 @@ impl Args {
                 "--fault-plan" => args.fault = FaultPlan::parse(&value("--fault-plan")?)?,
                 "--recover-dir" => args.recover_dir = Some(value("--recover-dir")?),
                 "--checkpoint-every" => {
-                    args.checkpoint_every = parse(&value("--checkpoint-every")?)?
+                    args.checkpoint_every = Some(parse(&value("--checkpoint-every")?)?)
                 }
                 "--recover" => args.recover = true,
                 "--enforce-slo" => args.enforce_slo = true,
@@ -148,6 +150,25 @@ impl Args {
             if !v.is_finite() || v < 0.0 || (v == 0.0 && !zero_ok) {
                 let bound = if zero_ok { ">= 0" } else { "> 0" };
                 return Err(format!("{flag} must be a finite number {bound}, got {v}"));
+            }
+        }
+        // Crash safety lives in --recover-dir; without it these would be
+        // silently ignored. No label store is built here, so `store`
+        // would never fire at all.
+        if args.fault.store_io_errors {
+            return Err(
+                "fault clause store needs a label store, and none is built here".to_string(),
+            );
+        }
+        if args.recover_dir.is_none() {
+            let needs_dir = [
+                ("--recover", args.recover),
+                ("--checkpoint-every", args.checkpoint_every.is_some()),
+                ("fault clause kill=", args.fault.kill_at_tick.is_some()),
+                ("fault clause torn=", args.fault.torn_checkpoint_rate > 0.0),
+            ];
+            if let Some((what, _)) = needs_dir.iter().find(|(_, given)| *given) {
+                return Err(format!("{what} needs --recover-dir"));
             }
         }
         Ok(args)
@@ -268,10 +289,8 @@ fn main() -> ExitCode {
             if args.events.is_some() {
                 eprintln!("  note: --events is ignored in recoverable mode");
             }
-            let rc = RecoveryConfig {
-                dir: dir.into(),
-                checkpoint_every_ticks: args.checkpoint_every,
-            };
+            let mut rc = RecoveryConfig::new(dir);
+            rc.checkpoint_every_ticks = args.checkpoint_every.unwrap_or(rc.checkpoint_every_ticks);
             let outcome = if args.recover {
                 eprintln!("  recovering from {dir}...");
                 resume_serve(&workload.network, &oracle, sim_config, cfg, arrivals, &rc).map(Some)

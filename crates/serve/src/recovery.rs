@@ -13,8 +13,8 @@
 //!   misparsed.
 //! - **`serve.ckpt`** — a full image of the loop written every
 //!   [`RecoveryConfig::checkpoint_every_ticks`] ticks: the loop-state
-//!   counters and metrics, the ingress queue, the admitted-trip table and
-//!   an embedded simulation checkpoint
+//!   counters, gauges and latency histograms, the ingress queue, the
+//!   admitted-trip table and an embedded simulation checkpoint
 //!   (vehicles, routes, RNG streams — see `rideshare_sim::checkpoint`).
 //!   Writes go to a temp file and rename into place, so the previous
 //!   checkpoint survives a crash — or an injected torn write — mid-dump.
@@ -22,7 +22,7 @@
 //! Recovery loads the newest intact checkpoint (a corrupt one falls back
 //! to a fresh start with a warning; a checkpoint *bound to different
 //! configuration* is an error), restores the simulation and the loop
-//! state (metrics included), skips exactly `offered` arrivals — every
+//! state (histograms included), skips exactly `offered` arrivals — every
 //! arrival ever pulled was counted as offered, including queue-full
 //! bounces, so this cursor cannot double-shed — and re-runs the loop.
 //! Work between the checkpoint and the crash is *re-executed*, and under
@@ -37,14 +37,13 @@ use std::io::{Seek, SeekFrom, Write as IoWrite};
 use std::path::{Path, PathBuf};
 
 use kinetic_core::codec::read_len;
-use kinetic_core::{DispatchEffort, FaultPlan};
+use kinetic_core::{DispatchEffort, FaultPlan, LatencyHistogram};
 use rideshare_sim::{digest_config, digest_trips, SimConfig, Simulation};
 use rideshare_workload::TripEvent;
 use roadnet::io::bin::{self, Reader};
 use roadnet::{DistanceOracle, RoadNetError, RoadNetwork};
 
 use crate::server::{LoopState, ServeConfig, ServeLoop, ServeReport, ServiceModel};
-use crate::sink::SinkOutput;
 
 /// Journal file magic: **R**ide**S**hare **W**rite-ahead **J**ournal.
 const JOURNAL_MAGIC: &[u8; 4] = b"RSWJ";
@@ -52,8 +51,9 @@ const JOURNAL_MAGIC: &[u8; 4] = b"RSWJ";
 const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// Shared by the journal and the checkpoint. Version 2 moved the metrics
 /// into the loop state; version 3 dropped the sink-saturation rate and
-/// its dropped-event counter.
-const VERSION: u32 = 3;
+/// its dropped-event counter; version 4 dropped the metrics' copies of
+/// loop counters and each histogram's minimum.
+const VERSION: u32 = 4;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
 /// Upper bound on a single journal entry body (sanity check on `len`).
@@ -399,12 +399,18 @@ fn put_state(out: &mut Vec<u8>, state: &LoopState) {
     bin::put_u64(out, state.healthy_streak);
     bin::put_u64(out, state.degraded_ticks);
     bin::put_u64(out, state.level_transitions);
-    for &d in &state.dispatches_by_level {
-        bin::put_u64(out, d);
-    }
+    bin::put_u64(out, state.dispatch_full);
+    bin::put_u64(out, state.dispatch_slack_pruned);
+    bin::put_u64(out, state.dispatch_greedy);
     bin::put_u64(out, state.fault_oracle_spikes);
     bin::put_u64(out, state.fault_torn_checkpoints);
-    state.metrics.encode(out);
+    state.latency.encode(out);
+    state.assigned_latency.encode(out);
+    state.tick_compute.encode(out);
+    bin::put_u64(out, state.queue_depth_max as u64);
+    bin::put_u64(out, state.queue_depth_sum);
+    bin::put_u64(out, state.trace_lines);
+    bin::put_u64(out, state.io_errors);
     bin::put_u64(out, state.journal_entries);
     put_trips(out, state.admitted_trips.as_slice());
     let queued: Vec<TripEvent> = state.queue.iter().copied().collect();
@@ -427,12 +433,18 @@ fn read_state(r: &mut Reader<'_>) -> Result<LoopState, RoadNetError> {
     state.healthy_streak = r.u64("state healthy_streak")?;
     state.degraded_ticks = r.u64("state degraded_ticks")?;
     state.level_transitions = r.u64("state level_transitions")?;
-    for d in state.dispatches_by_level.iter_mut() {
-        *d = r.u64("state dispatches_by_level")?;
-    }
+    state.dispatch_full = r.u64("state dispatch_full")?;
+    state.dispatch_slack_pruned = r.u64("state dispatch_slack_pruned")?;
+    state.dispatch_greedy = r.u64("state dispatch_greedy")?;
     state.fault_oracle_spikes = r.u64("state fault_oracle_spikes")?;
     state.fault_torn_checkpoints = r.u64("state fault_torn_checkpoints")?;
-    state.metrics = SinkOutput::decode(r)?;
+    state.latency = LatencyHistogram::decode(r)?;
+    state.assigned_latency = LatencyHistogram::decode(r)?;
+    state.tick_compute = LatencyHistogram::decode(r)?;
+    state.queue_depth_max = r.u64("state queue_depth_max")? as usize;
+    state.queue_depth_sum = r.u64("state queue_depth_sum")?;
+    state.trace_lines = r.u64("state trace_lines")?;
+    state.io_errors = r.u64("state io_errors")?;
     state.journal_entries = r.u64("state journal_entries")?;
     state.admitted_trips = read_trips(r, "state admitted trips")?;
     state.queue = read_trips(r, "state queue")?.into_iter().collect();
@@ -552,7 +564,7 @@ impl<'a> ServeLoop<'a> {
 /// Recovers a killed serve run from `rc.dir` and drives it to completion.
 ///
 /// Rebuilds the simulation from the newest intact checkpoint (or fresh if
-/// none survived) together with the loop state and its metrics,
+/// none survived) together with the loop state and its histograms,
 /// fast-forwards the arrival stream past everything already
 /// offered, and re-runs the loop with kills disabled. Under a
 /// [`ServiceModel::Fixed`] model the re-executed dispatches are verified
@@ -679,7 +691,7 @@ mod tests {
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             let rc = RecoveryConfig {
                 dir: std::env::temp_dir().join(format!("serve_v{old}_dir_{}", std::process::id())),
                 checkpoint_every_ticks: 4,
@@ -702,7 +714,7 @@ mod tests {
             let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
                 .expect_err("an older directory must not resume");
             assert!(
-                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-3")),
+                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-4")),
                 "version {old}: {err:?}"
             );
             std::fs::remove_dir_all(&rc.dir).ok();

@@ -41,17 +41,17 @@
 //! stream — `tests/serve_equivalence.rs` proves it property-style.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::io::Write;
 use std::iter::Peekable;
 use std::time::Instant;
 
-use kinetic_core::{DispatchEffort, FaultPlan, LatencySummary};
+use kinetic_core::{DispatchEffort, FaultPlan, LatencyHistogram, LatencySummary};
 use rideshare_sim::Simulation;
 use rideshare_workload::TripEvent;
 use roadnet::RoadNetError;
 
 use crate::recovery::RecoveryDriver;
-use crate::sink::{MetricEvent, ShedReason, SinkOutput};
 
 /// Admission-control budgets for the serve loop.
 #[derive(Debug, Clone, Copy)]
@@ -62,11 +62,11 @@ pub struct SloConfig {
     /// deployment promises; [`ServeReport::meets_slo`] checks against it.
     pub p99_budget_seconds: f64,
     /// Bounded ingress queue size; arrivals beyond it are shed
-    /// ([`ShedReason::QueueFull`]).
+    /// ([`ServeReport::shed_queue_full`]).
     pub queue_capacity: usize,
     /// Requests queued longer than this before their dispatch tick are
-    /// dropped ([`ShedReason::Stale`]) — their match would arrive too late
-    /// to honour the paper's waiting-time guarantee anyway.
+    /// dropped ([`ServeReport::shed_stale`]) — their match would arrive
+    /// too late to honour the paper's waiting-time guarantee anyway.
     pub max_queue_wait_seconds: f64,
     /// A dispatch tick costing more than this (virtual seconds) is a
     /// stress signal: the planner steps down one [`DispatchEffort`] level.
@@ -143,11 +143,12 @@ impl Default for ServeConfig {
 /// Mutable per-run state of the serve loop, split out so the crash-safe
 /// entry point ([`crate::recovery`]) can checkpoint and restore it.
 ///
-/// Everything here is either exact accounting (u64 counters and the
-/// metrics aggregates), the ingress queue, or deterministic virtual-clock
-/// state. With a [`ServiceModel::Fixed`] model the whole struct is a pure
-/// function of the admitted arrival stream, which is what makes
-/// kill/recover equivalence provable.
+/// Everything here is either exact accounting (u64 counters, gauges and
+/// latency histograms — each observation is counted once, here), the
+/// ingress queue, or deterministic virtual-clock state. With a
+/// [`ServiceModel::Fixed`] model the whole struct is a pure function of
+/// the admitted arrival stream, which is what makes kill/recover
+/// equivalence provable.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LoopState {
     /// Bounded ingress queue contents.
@@ -184,16 +185,32 @@ pub(crate) struct LoopState {
     pub(crate) degraded_ticks: u64,
     /// Ladder transitions in either direction.
     pub(crate) level_transitions: u64,
-    /// Dispatch ticks per effort level, indexed by `DispatchEffort::index`.
-    pub(crate) dispatches_by_level: [u64; 3],
+    /// Dispatch ticks run at full effort.
+    pub(crate) dispatch_full: u64,
+    /// Dispatch ticks run slack-pruned.
+    pub(crate) dispatch_slack_pruned: u64,
+    /// Dispatch ticks run greedy.
+    pub(crate) dispatch_greedy: u64,
     /// Injected oracle latency spikes taken.
     pub(crate) fault_oracle_spikes: u64,
     /// Injected torn checkpoint writes taken.
     pub(crate) fault_torn_checkpoints: u64,
     /// Write-ahead journal entries appended.
     pub(crate) journal_entries: u64,
-    /// Every metric event of the run, folded in.
-    pub(crate) metrics: SinkOutput,
+    /// Admission-to-assignment latency of every dispatched request.
+    pub(crate) latency: LatencyHistogram,
+    /// Latency of assigned requests only.
+    pub(crate) assigned_latency: LatencyHistogram,
+    /// Per-tick dispatch compute cost.
+    pub(crate) tick_compute: LatencyHistogram,
+    /// Deepest queue sampled at a tick boundary.
+    pub(crate) queue_depth_max: usize,
+    /// Sum of the queue depths sampled, one per tick.
+    pub(crate) queue_depth_sum: u64,
+    /// Event-trace lines written (0 without a writer).
+    pub(crate) trace_lines: u64,
+    /// Event-trace write failures (the run continues regardless).
+    pub(crate) io_errors: u64,
 }
 
 impl LoopState {
@@ -215,11 +232,32 @@ impl LoopState {
             healthy_streak: 0,
             degraded_ticks: 0,
             level_transitions: 0,
-            dispatches_by_level: [0; 3],
+            dispatch_full: 0,
+            dispatch_slack_pruned: 0,
+            dispatch_greedy: 0,
             fault_oracle_spikes: 0,
             fault_torn_checkpoints: 0,
             journal_entries: 0,
-            metrics: SinkOutput::default(),
+            latency: LatencyHistogram::new(),
+            assigned_latency: LatencyHistogram::new(),
+            tick_compute: LatencyHistogram::new(),
+            queue_depth_max: 0,
+            queue_depth_sum: 0,
+            trace_lines: 0,
+            io_errors: 0,
+        }
+    }
+
+    /// Appends one line to the event trace, if there is one, counting it
+    /// in `trace_lines` or, when the write fails, in `io_errors`; a bad
+    /// disk degrades the trace, never the counts or the dispatch.
+    fn trace(&mut self, trace: Option<&mut (dyn Write + '_)>, line: fmt::Arguments<'_>) {
+        let Some(w) = trace else {
+            return;
+        };
+        match writeln!(w, "{line}") {
+            Ok(()) => self.trace_lines += 1,
+            Err(_) => self.io_errors += 1,
         }
     }
 }
@@ -284,8 +322,10 @@ impl<'a> ServeLoop<'a> {
     }
 
     /// Serves the arrival stream, optionally writing a per-event CSV trace
-    /// (see [`SinkOutput::record`]) into `writer`. A failed final flush
-    /// counts as one more [`ServeReport::io_errors`].
+    /// into `writer`: `shed,queue_full` / `queue_depth,<n>` / `shed,stale`
+    /// / `tick,<s>,<batch>` / `latency,<s>,<assigned>`, one line per
+    /// counted observation, in loop order. A failed write or final flush
+    /// counts in [`ServeReport::io_errors`].
     pub fn run_with_writer(
         &mut self,
         arrivals: impl Iterator<Item = TripEvent>,
@@ -300,7 +340,7 @@ impl<'a> ServeLoop<'a> {
             .expect("serve loop without a recovery driver performs no recovery IO");
         debug_assert!(done, "kills are disabled without a recovery driver");
         if writer.is_some_and(|mut w| w.flush().is_err()) {
-            state.metrics.io_errors += 1;
+            state.io_errors += 1;
         }
         self.finish_report(state, false)
     }
@@ -343,28 +383,20 @@ impl<'a> ServeLoop<'a> {
                 state.offered += 1;
                 if state.queue.len() >= slo.queue_capacity {
                     state.shed_queue_full += 1;
-                    state.metrics.record(
-                        MetricEvent::Shed {
-                            reason: ShedReason::QueueFull,
-                        },
-                        trace.as_deref_mut(),
-                    );
+                    state.trace(trace.as_deref_mut(), format_args!("shed,queue_full"));
                 } else {
                     state.queue.push_back(trip);
                 }
             }
-            state.metrics.record(
-                MetricEvent::QueueDepth {
-                    depth: state.queue.len(),
-                },
-                trace.as_deref_mut(),
-            );
+            let depth = state.queue.len();
+            state.queue_depth_max = state.queue_depth_max.max(depth);
+            state.queue_depth_sum += depth as u64;
+            state.trace(trace.as_deref_mut(), format_args!("queue_depth,{depth}"));
 
             // The dispatcher is a single (virtual) server: while it is
             // still busy with an earlier batch, this tick fires no
             // dispatch and the queue keeps building — that is exactly the
             // overload signal the sweep looks for.
-            let pre_depth = state.queue.len();
             let mut dispatched = false;
             let mut cost_s = 0.0_f64;
             if state.server_free <= state.tick_end && !state.queue.is_empty() {
@@ -377,12 +409,7 @@ impl<'a> ServeLoop<'a> {
                 {
                     state.queue.pop_front();
                     state.shed_stale += 1;
-                    state.metrics.record(
-                        MetricEvent::Shed {
-                            reason: ShedReason::Stale,
-                        },
-                        trace.as_deref_mut(),
-                    );
+                    state.trace(trace.as_deref_mut(), format_args!("shed,stale"));
                 }
                 if !state.queue.is_empty() {
                     let batch: Vec<TripEvent> = state.queue.drain(..).collect();
@@ -413,30 +440,32 @@ impl<'a> ServeLoop<'a> {
                         cost_s += extra;
                         state.fault_oracle_spikes += 1;
                     }
-                    state.metrics.record(
-                        MetricEvent::TickCompute {
-                            seconds: cost_s,
-                            batch: batch.len(),
-                        },
+                    state.tick_compute.record(cost_s);
+                    state.trace(
                         trace.as_deref_mut(),
+                        format_args!("tick,{cost_s:.6},{}", batch.len()),
                     );
                     state.dispatch_ticks += 1;
-                    // lint:allow(P1, reason = "fixed [u64; 3] indexed by DispatchEffort::index(), which is 0..=2 by definition")
-                    state.dispatches_by_level[state.level.index()] += 1;
+                    *match state.level {
+                        DispatchEffort::Full => &mut state.dispatch_full,
+                        DispatchEffort::SlackPruned => &mut state.dispatch_slack_pruned,
+                        DispatchEffort::Greedy => &mut state.dispatch_greedy,
+                    } += 1;
                     state.server_free = state.tick_end + cost_s;
                     for (trip, outcome) in batch.iter().zip(&outcomes) {
+                        let seconds = state.server_free - trip.time_seconds;
+                        let assigned = outcome.is_assigned();
                         state.admitted += 1;
-                        if outcome.is_assigned() {
+                        state.latency.record(seconds);
+                        if assigned {
                             state.assigned += 1;
+                            state.assigned_latency.record(seconds);
                         } else {
                             state.rejected += 1;
                         }
-                        state.metrics.record(
-                            MetricEvent::Latency {
-                                seconds: state.server_free - trip.time_seconds,
-                                assigned: outcome.is_assigned(),
-                            },
+                        state.trace(
                             trace.as_deref_mut(),
+                            format_args!("latency,{seconds:.6},{assigned}"),
                         );
                     }
                     if track_admitted {
@@ -453,7 +482,7 @@ impl<'a> ServeLoop<'a> {
             // Degradation ladder with hysteresis: any stress signal steps
             // down immediately; stepping back up needs a full streak of
             // calm ticks so the ladder cannot flap at the boundary.
-            let stress = pre_depth >= slo.degrade_queue_watermark
+            let stress = depth >= slo.degrade_queue_watermark
                 || (dispatched && cost_s > slo.degrade_compute_budget_seconds);
             if stress {
                 state.healthy_streak = 0;
@@ -481,15 +510,13 @@ impl<'a> ServeLoop<'a> {
         }
     }
 
-    /// Drains committed trips and cross-checks the two accounting views
-    /// before assembling the report: the loop counters and the metrics
-    /// folded from the same events must agree to the request.
+    /// Drains committed trips, checks that every offered request was
+    /// admitted or shed and every admitted one decided and timed, and
+    /// assembles the report.
     pub(crate) fn finish_report(&mut self, state: LoopState, recovered: bool) -> ServeReport {
         // Let committed trips play out so guarantee accounting is final.
         self.sim.drain();
         let sim_report = self.sim.report();
-        let out = &state.metrics;
-        let [dispatch_full, dispatch_slack_pruned, dispatch_greedy] = state.dispatches_by_level;
 
         // The loop counters are exact by construction, always.
         assert_eq!(
@@ -497,11 +524,7 @@ impl<'a> ServeLoop<'a> {
             state.admitted + state.shed_queue_full + state.shed_stale
         );
         assert_eq!(state.admitted, state.assigned + state.rejected);
-        assert_eq!(out.latency.count(), state.admitted);
-        assert_eq!(
-            out.shed_queue_full + out.shed_stale,
-            state.shed_queue_full + state.shed_stale
-        );
+        assert_eq!(state.latency.count(), state.admitted);
 
         ServeReport {
             offered: state.offered,
@@ -513,22 +536,23 @@ impl<'a> ServeLoop<'a> {
             ticks: state.ticks,
             dispatch_ticks: state.dispatch_ticks,
             horizon_seconds: state.tick_end,
-            latency: out.latency.summary(),
-            assigned_latency: out.assigned_latency.summary(),
-            tick_compute: out.tick_compute.summary(),
-            queue_depth_max: out.queue_depth_max,
-            queue_depth_mean: out.queue_depth_mean(),
+            latency: state.latency.summary(),
+            assigned_latency: state.assigned_latency.summary(),
+            tick_compute: state.tick_compute.summary(),
+            queue_depth_max: state.queue_depth_max,
+            // One depth sample per tick, and every run crosses a tick.
+            queue_depth_mean: state.queue_depth_sum as f64 / state.ticks as f64,
             guarantee_violations: sim_report.guarantee_violations,
             completed: sim_report.completed,
             mean_wait_seconds: sim_report.mean_wait_seconds,
             mean_detour_ratio: sim_report.mean_detour_ratio,
-            trace_lines: out.trace_lines,
-            io_errors: out.io_errors,
+            trace_lines: state.trace_lines,
+            io_errors: state.io_errors,
             degraded_ticks: state.degraded_ticks,
             level_transitions: state.level_transitions,
-            dispatch_full,
-            dispatch_slack_pruned,
-            dispatch_greedy,
+            dispatch_full: state.dispatch_full,
+            dispatch_slack_pruned: state.dispatch_slack_pruned,
+            dispatch_greedy: state.dispatch_greedy,
             fault_oracle_spikes: state.fault_oracle_spikes,
             fault_torn_checkpoints: state.fault_torn_checkpoints,
             journal_entries: state.journal_entries,
@@ -932,9 +956,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn event_trace_has_one_line_per_counted_event() {
-        // An overloaded run: it sheds both ways.
+    /// An overloaded run that sheds both ways, with its event trace.
+    fn overloaded_trace() -> (ServeReport, String) {
         let w = small_workload();
         let oracle = CachedOracle::without_labels(&w.network);
         let cfg = ServeConfig {
@@ -956,14 +979,86 @@ mod tests {
             Some(Box::new(trace.clone())),
         );
         let text = String::from_utf8(trace.0.take()).unwrap();
-        let lines = |prefix: &str| text.lines().filter(|l| l.starts_with(prefix)).count() as u64;
         assert!(report.admitted > 0 && report.shed() > 0, "{report:?}");
+        (report, text)
+    }
+
+    fn lines_with<'t>(text: &'t str, prefix: &'static str) -> impl Iterator<Item = &'t str> {
+        text.lines().filter(move |l| l.starts_with(prefix))
+    }
+
+    #[test]
+    fn event_trace_has_one_line_per_counted_event() {
+        let (report, text) = overloaded_trace();
+        let lines = |prefix| lines_with(&text, prefix).count() as u64;
         assert_eq!(lines("latency,"), report.admitted);
         assert_eq!(lines("tick,"), report.dispatch_ticks);
         assert_eq!(lines("queue_depth,"), report.ticks);
         assert_eq!(lines("shed,"), report.shed());
         assert_eq!(text.lines().count() as u64, report.trace_lines);
         assert_eq!(report.io_errors, 0);
+    }
+
+    #[test]
+    fn first_trace_line_of_each_kind_is_pinned() {
+        let (_, text) = overloaded_trace();
+        for (prefix, first) in [
+            ("latency,", "latency,8.565099,true"),
+            ("queue_depth,", "queue_depth,15"),
+            ("shed,", "shed,queue_full"),
+            ("tick,", "tick,7.600000,15"),
+        ] {
+            assert_eq!(lines_with(&text, prefix).next(), Some(first));
+        }
+    }
+
+    #[test]
+    fn queue_depth_gauges_are_exact_over_the_trace() {
+        let (report, text) = overloaded_trace();
+        // The depth gauges are the sampled lines' maximum and mean.
+        let depths: Vec<u64> = lines_with(&text, "queue_depth,")
+            .map(|l| l["queue_depth,".len()..].parse().unwrap())
+            .collect();
+        assert_eq!(depths.len() as u64, report.ticks);
+        assert_eq!(
+            report.queue_depth_max as u64,
+            depths.iter().copied().max().unwrap()
+        );
+        assert_eq!(
+            report.queue_depth_mean,
+            depths.iter().sum::<u64>() as f64 / depths.len() as f64
+        );
+    }
+
+    #[test]
+    fn io_errors_do_not_poison_the_counts() {
+        struct FailingWriter;
+        impl Write for FailingWriter {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk on fire"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("still on fire"))
+            }
+        }
+        let w = small_workload();
+        let oracle = CachedOracle::without_labels(&w.network);
+        let cfg = ServeConfig {
+            model: ServiceModel::Fixed {
+                tick_overhead_s: 0.01,
+                per_request_s: 0.001,
+            },
+            ..ServeConfig::default()
+        };
+        let mut serve = ServeLoop::new(sim(&w, &oracle), cfg);
+        let report = serve.run_with_writer(
+            PoissonArrivals::new(&w.trips, 2.0, 30.0, 5),
+            Some(Box::new(FailingWriter)),
+        );
+        assert!(report.io_errors > 0, "{report:?}");
+        assert_eq!(report.trace_lines, 0);
+        assert_eq!(report.latency.count, report.admitted);
+        assert_eq!(report.offered, report.admitted + report.shed());
     }
 
     #[test]

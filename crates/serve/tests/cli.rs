@@ -1,5 +1,6 @@
-//! `rideshare-serve` refuses hostile numbers on its command line: each bad
-//! value exits non-zero, names its flag and writes no report.
+//! `rideshare-serve` refuses hostile numbers on its command line, and the
+//! crash-safety flags and fault clauses that would be silently ignored: each
+//! exits non-zero, names its flag or clause and writes no report.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -29,20 +30,30 @@ fn hostile_numbers_are_refused_by_flag_name() {
         "--max-queue-wait",
         "--fixed-cost",
     ];
-    let cases = positive
+    // (what the refusal must start with, the flags that draw it)
+    let numbers = positive
         .iter()
-        .flat_map(|f| ["0", "-1", "nan", "inf"].map(|v| (*f, v)))
+        .flat_map(|f| ["0", "-1", "nan", "inf"].map(|v| (*f, vec![*f, v])))
         .chain(
             non_negative
                 .iter()
-                .flat_map(|f| ["-1", "nan", "inf", "-inf"].map(|v| (*f, v))),
+                .flat_map(|f| ["-1", "nan", "inf", "-inf"].map(|v| (*f, vec![*f, v]))),
         );
-    for (i, (flag, value)) in cases.enumerate() {
-        let (output, report) = serve(&i.to_string(), &[flag, value]);
+    // Flags and fault clauses this run (no --recover-dir, no label
+    // store) would otherwise ignore.
+    let ignored = [
+        ("--recover", vec!["--recover"]),
+        ("--checkpoint-every", vec!["--checkpoint-every", "8"]),
+        ("fault clause kill=", vec!["--fault-plan", "seed=1,kill=3"]),
+        ("fault clause torn=", vec!["--fault-plan", "torn=0.5"]),
+        ("fault clause store", vec!["--fault-plan", "store"]),
+    ];
+    for (i, (name, flags)) in numbers.chain(ignored).enumerate() {
+        let (output, report) = serve(&i.to_string(), &flags);
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{flag} {value} was accepted");
-        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
-        assert!(!report.exists(), "{flag} {value} wrote a report");
+        assert!(!output.status.success(), "{flags:?} was accepted");
+        assert!(stderr.starts_with(name), "{flags:?}: {stderr}");
+        assert!(!report.exists(), "{flags:?} wrote a report");
     }
 }
 

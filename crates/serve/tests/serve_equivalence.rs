@@ -5,9 +5,8 @@
 //!
 //! 1. **Exact accounting** — every offered request is either admitted or
 //!    shed (with a reason), admitted splits into assigned + rejected, and
-//!    the metrics sink's histograms agree with the loop counters to
-//!    the last request, even under bursty arrivals that slam the bounded
-//!    queue.
+//!    the latency histogram holds one sample per admitted request, even
+//!    under bursty arrivals that slam the bounded queue.
 //! 2. **Bit-identical dispatch** — serving only changes *which* requests
 //!    reach the dispatcher and *when*; replaying the recorded
 //!    `(advance_to, batch)` dispatches through the offline
@@ -74,9 +73,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Accounting stays exact under arbitrary bursty load against
-    /// arbitrary (tight) admission budgets. The serve loop also
-    /// self-checks the sink aggregates against its own counters, so a
-    /// dropped event or a double-counted shed would panic here.
+    /// arbitrary (tight) admission budgets. The serve loop also checks
+    /// its own counters at the end of the run, so a lost request or a
+    /// latency sample too many or too few would panic here.
     #[test]
     fn shed_admitted_accounting_is_exact_under_bursts(
         bursts in prop::collection::vec((0.0f64..20.0, 0u8..30), 1..20),
