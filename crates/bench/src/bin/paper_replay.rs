@@ -198,17 +198,11 @@ fn windows(sim: &Simulation<'_>, scale: Scale) -> Vec<Window> {
         }
     }
     let mut waits: Vec<Vec<f64>> = vec![Vec::new(); count];
-    let mut onboard: Vec<(usize, usize)> = vec![(0, 0); count]; // (sum, n)
-    for ((&clock_s, &wait), &on) in sim
-        .pickup_clock_samples()
-        .iter()
-        .zip(sim.wait_samples())
-        .zip(sim.pickup_onboard_samples())
-    {
-        let w = bucket(clock_s);
-        waits[w].push(wait);
-        onboard[w].0 += on;
-        onboard[w].1 += 1;
+    let mut onboard = vec![0usize; count];
+    for p in sim.pickups() {
+        let w = bucket(p.clock_s);
+        waits[w].push(p.waited_s);
+        onboard[w] += p.onboard;
     }
     (0..count)
         .map(|w| {
@@ -223,10 +217,10 @@ fn windows(sim: &Simulation<'_>, scale: Scale) -> Vec<Window> {
                 wait_p50_s: percentile(&ws, 0.50),
                 wait_p90_s: percentile(&ws, 0.90),
                 wait_p99_s: percentile(&ws, 0.99),
-                mean_onboard_after_pickup: if onboard[w].1 == 0 {
+                mean_onboard_after_pickup: if ws.is_empty() {
                     0.0
                 } else {
-                    onboard[w].0 as f64 / onboard[w].1 as f64
+                    onboard[w] as f64 / ws.len() as f64
                 },
                 delivered: delivered[w],
             }

@@ -5,7 +5,7 @@ use roadnet::{DistanceOracle, NodeId, RoadNetError};
 
 use crate::codec;
 use crate::problem::{OnboardTrip, Schedule, ScheduleWalker, SchedulingProblem, WaitingTrip};
-use crate::types::{Cost, Stop, StopKind, TripId};
+use crate::types::{Cost, Stop, StopKind};
 
 /// Behavioural switches of the kinetic tree (paper Sec. IV–V).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -517,32 +517,6 @@ impl KineticTree {
         Ok(leg)
     }
 
-    /// Removes a waiting trip that was assigned but whose pickup the
-    /// operator cancelled. Every branch is filtered; branches that only
-    /// served the cancelled trip collapse.
-    pub fn cancel_waiting(&mut self, trip: TripId) {
-        fn strip(nodes: Vec<TreeNode>, trip: TripId) -> Vec<TreeNode> {
-            let mut out = Vec::new();
-            for mut node in nodes {
-                if node.stop.trip == trip {
-                    // Splice the node out: its children move up one level.
-                    // Their legs become stale; they are recomputed lazily on
-                    // the next reroot/insert, so mark them by keeping the
-                    // parent leg (a safe overestimate is not available here,
-                    // so the caller is expected to reroot afterwards).
-                    out.extend(strip(node.children, trip));
-                } else {
-                    node.children = strip(std::mem::take(&mut node.children), trip);
-                    out.push(node);
-                }
-            }
-            out
-        }
-        self.problem.waiting.retain(|t| t.trip != trip);
-        self.children = strip(std::mem::take(&mut self.children), trip);
-        self.node_count = self.children.iter().map(TreeNode::count).sum();
-    }
-
     /// Recursive augmentation: interleave `remaining` new stops into the
     /// alternatives recorded by `old_children`.
     ///
@@ -754,6 +728,7 @@ fn decode_nodes(r: &mut Reader<'_>, depth: usize) -> Result<Vec<TreeNode>, RoadN
 mod tests {
     use super::*;
     use crate::algorithms::{BruteForceSolver, ScheduleSolver, SolverOutcome};
+    use crate::types::TripId;
     use roadnet::{GeneratorConfig, MatrixOracle, NetworkKind};
 
     fn grid_oracle(seed: u64) -> MatrixOracle {
@@ -976,22 +951,6 @@ mod tests {
         assert_ne!(cost0, cost1);
         assert_eq!(tree.problem().start, 1);
         assert_eq!(tree.problem().now, 100.0);
-    }
-
-    #[test]
-    fn cancel_waiting_removes_the_trip_everywhere() {
-        let oracle = grid_oracle(8);
-        let tree = KineticTree::new(0, 0.0, 6, KineticConfig::basic());
-        let t1 = make_trip(&oracle, 1, 5, 30, 0.0, 20_000.0, 1.0);
-        let (tree, _) = tree.try_insert(t1, &oracle).unwrap();
-        let t2 = make_trip(&oracle, 2, 6, 31, 0.0, 20_000.0, 1.0);
-        let (mut tree, _) = tree.try_insert(t2, &oracle).unwrap();
-        tree.cancel_waiting(1);
-        tree.reroot(0, 0.0, &oracle);
-        assert!(tree.problem().waiting_trip(1).is_none());
-        let (_, route) = tree.best_route().unwrap();
-        assert!(route.iter().all(|s| s.trip != 1));
-        assert_eq!(route.len(), 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::codec;
 use crate::kinetic::{KineticConfig, KineticTree, TreeInsertError};
 use crate::problem::{OnboardTrip, Schedule, SchedulingProblem, WaitingTrip};
 use crate::request::TripRequest;
-use crate::types::{Cost, Stop, StopKind, TripId};
+use crate::types::{Cost, Stop, StopKind};
 
 /// Which matching algorithm a vehicle uses to evaluate new requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,17 +63,6 @@ pub enum VehicleStatus {
     Serving,
 }
 
-/// Cumulative per-vehicle service counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VehicleCounters {
-    /// Requests committed to this vehicle.
-    pub assigned: u64,
-    /// Passengers picked up.
-    pub picked_up: u64,
-    /// Passengers delivered.
-    pub delivered: u64,
-}
-
 /// A server: position, passengers, committed route and planner.
 #[derive(Debug, Clone)]
 pub struct Vehicle {
@@ -86,7 +75,6 @@ pub struct Vehicle {
     waiting: Vec<WaitingTrip>,
     route: Schedule,
     tree: Option<KineticTree>,
-    counters: VehicleCounters,
 }
 
 impl Vehicle {
@@ -106,7 +94,6 @@ impl Vehicle {
             waiting: Vec::new(),
             route: Vec::new(),
             tree,
-            counters: VehicleCounters::default(),
         }
     }
 
@@ -162,11 +149,6 @@ impl Vehicle {
         } else {
             VehicleStatus::Serving
         }
-    }
-
-    /// Cumulative service counters.
-    pub fn counters(&self) -> VehicleCounters {
-        self.counters
     }
 
     /// The kinetic tree, when the kinetic planner is in use.
@@ -276,7 +258,6 @@ impl Vehicle {
         };
         self.waiting.push(proposal.trip);
         self.route = route;
-        self.counters.assigned += 1;
         Ok(())
     }
 
@@ -303,12 +284,10 @@ impl Vehicle {
                         dropoff: t.dropoff,
                         dropoff_deadline: clock + t.max_ride,
                     });
-                    self.counters.picked_up += 1;
                 }
             }
             StopKind::Dropoff => {
                 self.onboard.retain(|t| t.trip != stop.trip);
-                self.counters.delivered += 1;
             }
         }
         if let Some(tree) = &mut self.tree {
@@ -322,8 +301,8 @@ impl Vehicle {
     }
 
     /// Serialises the vehicle's complete algorithmic state — identity,
-    /// position, passengers, committed route, counters and (for the
-    /// kinetic planner) the tree — in the `roadnet::io::bin` conventions
+    /// position, passengers, committed route and (for the kinetic
+    /// planner) the tree — in the `roadnet::io::bin` conventions
     /// used by simulation checkpoints. [`Vehicle::decode`] restores it
     /// bit-identically.
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -351,9 +330,6 @@ impl Vehicle {
             }
             None => codec::put_bool(out, false),
         }
-        bin::put_u64(out, self.counters.assigned);
-        bin::put_u64(out, self.counters.picked_up);
-        bin::put_u64(out, self.counters.delivered);
     }
 
     /// Reads a vehicle written by [`Vehicle::encode`]. Malformed input is
@@ -386,11 +362,6 @@ impl Vehicle {
                 "vehicle planner and kinetic-tree presence disagree".to_string(),
             ));
         }
-        let counters = VehicleCounters {
-            assigned: r.u64("vehicle assigned counter")?,
-            picked_up: r.u64("vehicle picked-up counter")?,
-            delivered: r.u64("vehicle delivered counter")?,
-        };
         Ok(Vehicle {
             id,
             capacity,
@@ -401,21 +372,7 @@ impl Vehicle {
             waiting,
             route,
             tree,
-            counters,
         })
-    }
-
-    /// Drops an accepted-but-not-picked-up trip (dispatcher-side
-    /// cancellation). Returns true if the trip was present.
-    pub fn cancel_waiting(&mut self, trip: TripId, oracle: &dyn DistanceOracle) -> bool {
-        let had = self.waiting.iter().any(|t| t.trip == trip);
-        self.waiting.retain(|t| t.trip != trip);
-        self.route.retain(|s| s.trip != trip);
-        if let Some(tree) = &mut self.tree {
-            tree.cancel_waiting(trip);
-            tree.reroot(self.location, self.clock, oracle);
-        }
-        had
     }
 }
 
@@ -459,6 +416,7 @@ fn decode_planner(r: &mut Reader<'_>) -> Result<PlannerKind, RoadNetError> {
 mod tests {
     use super::*;
     use crate::request::Constraints;
+    use crate::types::TripId;
     use roadnet::{GeneratorConfig, MatrixOracle, NetworkKind};
 
     fn oracle() -> MatrixOracle {
@@ -524,7 +482,6 @@ mod tests {
             let s = v.arrive_at_next_stop(leg1, &oracle);
             assert_eq!(s.kind, StopKind::Pickup);
             assert_eq!(v.onboard_count(), 1);
-            assert_eq!(v.counters().picked_up, 1);
 
             // Drive to the drop-off.
             let leg2 = oracle.dist(7, 30);
@@ -532,7 +489,6 @@ mod tests {
             assert_eq!(s.kind, StopKind::Dropoff);
             assert_eq!(v.onboard_count(), 0);
             assert_eq!(v.active_trip_count(), 0);
-            assert_eq!(v.counters().delivered, 1);
             assert_eq!(v.status(), VehicleStatus::Cruising);
             assert!((cost - (leg1 + leg2)).abs() < 1e-6);
         }
@@ -579,21 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_waiting_removes_trip() {
-        let oracle = oracle();
-        for planner in planners() {
-            let mut v = Vehicle::new(0, 0, 4, planner, 0.0);
-            let r1 = request(1, 7, 30, 0.0);
-            let p = v.evaluate(&r1, &oracle).unwrap();
-            v.commit(p, &oracle).unwrap();
-            assert!(v.cancel_waiting(1, &oracle));
-            assert!(!v.cancel_waiting(1, &oracle));
-            assert_eq!(v.active_trip_count(), 0);
-            assert!(v.route().iter().all(|s| s.trip != 1));
-        }
-    }
-
-    #[test]
     fn encode_decode_roundtrips_every_planner() {
         let oracle = oracle();
         for planner in planners() {
@@ -617,7 +558,6 @@ mod tests {
             assert_eq!(back.id(), v.id());
             assert_eq!(back.location(), v.location());
             assert_eq!(back.route(), v.route());
-            assert_eq!(back.counters(), v.counters());
             assert_eq!(back.onboard_count(), v.onboard_count());
             assert_eq!(back.active_trip_count(), v.active_trip_count());
 

@@ -104,30 +104,28 @@ impl Args {
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
+            let mut value = || {
                 it.next()
-                    .ok_or_else(|| format!("{name} expects a value\n\n{USAGE}"))
+                    .ok_or_else(|| format!("{flag} expects a value\n\n{USAGE}"))
             };
             match flag.as_str() {
-                "--rate" => args.rate = parse(&value("--rate")?)?,
-                "--trace-speedup" => args.trace_speedup = Some(parse(&value("--trace-speedup")?)?),
-                "--duration" => args.duration = parse(&value("--duration")?)?,
-                "--tick" => args.tick = parse(&value("--tick")?)?,
-                "--queue-capacity" => args.queue_capacity = parse(&value("--queue-capacity")?)?,
-                "--max-queue-wait" => args.max_queue_wait = parse(&value("--max-queue-wait")?)?,
-                "--slo-p99" => args.slo_p99 = parse(&value("--slo-p99")?)?,
-                "--fixed-cost" => args.fixed_cost = Some(parse(&value("--fixed-cost")?)?),
-                "--city" => args.city = value("--city")?,
-                "--fleet" => args.fleet = parse(&value("--fleet")?)?,
-                "--trips" => args.trips = parse(&value("--trips")?)?,
-                "--seed" => args.seed = parse(&value("--seed")?)?,
-                "--out" => args.out = Some(value("--out")?),
-                "--events" => args.events = Some(value("--events")?),
-                "--fault-plan" => args.fault = FaultPlan::parse(&value("--fault-plan")?)?,
-                "--recover-dir" => args.recover_dir = Some(value("--recover-dir")?),
-                "--checkpoint-every" => {
-                    args.checkpoint_every = Some(parse(&value("--checkpoint-every")?)?)
-                }
+                "--rate" => args.rate = parse(&flag, &value()?)?,
+                "--trace-speedup" => args.trace_speedup = Some(parse(&flag, &value()?)?),
+                "--duration" => args.duration = parse(&flag, &value()?)?,
+                "--tick" => args.tick = parse(&flag, &value()?)?,
+                "--queue-capacity" => args.queue_capacity = parse(&flag, &value()?)?,
+                "--max-queue-wait" => args.max_queue_wait = parse(&flag, &value()?)?,
+                "--slo-p99" => args.slo_p99 = parse(&flag, &value()?)?,
+                "--fixed-cost" => args.fixed_cost = Some(parse(&flag, &value()?)?),
+                "--city" => args.city = value()?,
+                "--fleet" => args.fleet = parse(&flag, &value()?)?,
+                "--trips" => args.trips = parse(&flag, &value()?)?,
+                "--seed" => args.seed = parse(&flag, &value()?)?,
+                "--out" => args.out = Some(value()?),
+                "--events" => args.events = Some(value()?),
+                "--fault-plan" => args.fault = FaultPlan::parse(&value()?)?,
+                "--recover-dir" => args.recover_dir = Some(value()?),
+                "--checkpoint-every" => args.checkpoint_every = Some(parse(&flag, &value()?)?),
                 "--recover" => args.recover = true,
                 "--enforce-slo" => args.enforce_slo = true,
                 "-h" | "--help" => return Err(USAGE.to_string()),
@@ -175,9 +173,9 @@ impl Args {
     }
 }
 
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+fn parse<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
     s.parse()
-        .map_err(|_| format!("could not parse value {s:?}"))
+        .map_err(|_| format!("{flag}: could not parse value {s:?}"))
 }
 
 fn city(name: &str) -> Result<CityConfig, String> {

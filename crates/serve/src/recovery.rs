@@ -13,9 +13,11 @@
 //!   misparsed.
 //! - **`serve.ckpt`** — a full image of the loop written every
 //!   [`RecoveryConfig::checkpoint_every_ticks`] ticks: the loop-state
-//!   counters, gauges and latency histograms, the ingress queue, the
-//!   admitted-trip table and an embedded simulation checkpoint
-//!   (vehicles, routes, RNG streams — see `rideshare_sim::checkpoint`).
+//!   counters, gauges and latency histograms, the ingress queue and an
+//!   embedded simulation checkpoint (vehicles, routes, RNG streams, the
+//!   per-request trace — see `rideshare_sim::checkpoint`). The image is
+//!   bound to no trip stream of its own: on load, the simulation's
+//!   request count must equal the loop's `admitted` counter.
 //!   Writes go to a temp file and rename into place, so the previous
 //!   checkpoint survives a crash — or an injected torn write — mid-dump.
 //!
@@ -52,8 +54,9 @@ const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// Shared by the journal and the checkpoint. Version 2 moved the metrics
 /// into the loop state; version 3 dropped the sink-saturation rate and
 /// its dropped-event counter; version 4 dropped the metrics' copies of
-/// loop counters and each histogram's minimum.
-const VERSION: u32 = 4;
+/// loop counters and each histogram's minimum; version 5 dropped the
+/// admitted-trip list and embeds a version-3 simulation checkpoint.
+const VERSION: u32 = 5;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
 /// Upper bound on a single journal entry body (sanity check on `len`).
@@ -412,7 +415,6 @@ fn put_state(out: &mut Vec<u8>, state: &LoopState) {
     bin::put_u64(out, state.trace_lines);
     bin::put_u64(out, state.io_errors);
     bin::put_u64(out, state.journal_entries);
-    put_trips(out, state.admitted_trips.as_slice());
     let queued: Vec<TripEvent> = state.queue.iter().copied().collect();
     put_trips(out, &queued);
 }
@@ -446,7 +448,6 @@ fn read_state(r: &mut Reader<'_>) -> Result<LoopState, RoadNetError> {
     state.trace_lines = r.u64("state trace_lines")?;
     state.io_errors = r.u64("state io_errors")?;
     state.journal_entries = r.u64("state journal_entries")?;
-    state.admitted_trips = read_trips(r, "state admitted trips")?;
     state.queue = read_trips(r, "state queue")?.into_iter().collect();
     Ok(state)
 }
@@ -457,10 +458,7 @@ fn encode_checkpoint(sim: &Simulation<'_>, state: &LoopState) -> Vec<u8> {
     bin::put_u32(&mut out, VERSION);
     bin::put_u64(&mut out, digest_config(sim.config()));
     put_state(&mut out, state);
-    let sim_bytes = sim.checkpoint_bytes(
-        state.admitted_trips.len(),
-        digest_trips(&state.admitted_trips),
-    );
+    let sim_bytes = sim.checkpoint_bytes(0, digest_trips(&[]));
     bin::put_u64(&mut out, sim_bytes.len() as u64);
     out.extend_from_slice(&sim_bytes);
     let sum = bin::fnv1a(&out);
@@ -590,18 +588,15 @@ pub fn resume_serve<'a>(
 
     let (mut state, sim) = match ckpt {
         Some(l) => {
-            let (sim, next) = Simulation::resume(
-                graph,
-                oracle,
-                sim_config,
-                &l.state.admitted_trips,
-                &l.sim_bytes,
-            )?;
-            if next != l.state.admitted_trips.len() {
+            let (sim, _) = Simulation::resume(graph, oracle, sim_config, &[], &l.sim_bytes)?;
+            // Two independently kept counts of the dispatched requests:
+            // the engine's and the loop's.
+            let requests = sim.dispatch_stats().requests;
+            if requests != l.state.admitted {
                 return Err(RoadNetError::Persist(format!(
-                    "checkpoint trip cursor {next} disagrees with the \
-                     {} admitted trips recorded beside it",
-                    l.state.admitted_trips.len()
+                    "checkpoint simulation dispatched {requests} requests but \
+                     its loop state admitted {}",
+                    l.state.admitted
                 )));
             }
             (l.state, sim)
@@ -691,7 +686,7 @@ mod tests {
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
-        for old in [1u32, 2, 3] {
+        for old in [1u32, 2, 3, 4] {
             let rc = RecoveryConfig {
                 dir: std::env::temp_dir().join(format!("serve_v{old}_dir_{}", std::process::id())),
                 checkpoint_every_ticks: 4,
@@ -714,10 +709,42 @@ mod tests {
             let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
                 .expect_err("an older directory must not resume");
             assert!(
-                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-4")),
+                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-5")),
                 "version {old}: {err:?}"
             );
             std::fs::remove_dir_all(&rc.dir).ok();
         }
+    }
+
+    #[test]
+    fn a_checkpoint_whose_counts_disagree_is_refused_with_a_typed_error() {
+        let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 5);
+        let oracle = CachedOracle::without_labels(&w.network);
+        let sim_config = SimConfig::default();
+        let rc = RecoveryConfig::new(
+            std::env::temp_dir().join(format!("serve_counts_dir_{}", std::process::id())),
+        );
+        std::fs::create_dir_all(&rc.dir).unwrap();
+        // The loop admitted a request its simulation never dispatched.
+        let mut state = LoopState::new();
+        state.admitted = 1;
+        let sim = Simulation::new(&w.network, &oracle, sim_config);
+        std::fs::write(rc.checkpoint_path(), encode_checkpoint(&sim, &state)).unwrap();
+
+        let arrivals = PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
+        let err = resume_serve(
+            &w.network,
+            &oracle,
+            sim_config,
+            ServeConfig::default(),
+            arrivals,
+            &rc,
+        )
+        .expect_err("a checkpoint that disagrees with itself must not resume");
+        assert!(
+            matches!(&err, RoadNetError::Persist(msg) if msg.contains("admitted 1")),
+            "{err:?}"
+        );
+        std::fs::remove_dir_all(&rc.dir).ok();
     }
 }

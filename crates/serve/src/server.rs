@@ -153,10 +153,6 @@ impl Default for ServeConfig {
 pub(crate) struct LoopState {
     /// Bounded ingress queue contents.
     pub(crate) queue: VecDeque<TripEvent>,
-    /// Every admitted (dispatched) trip in dispatch order; only tracked
-    /// when a recovery driver is attached (the checkpoint needs it to
-    /// rebuild the simulation's trip table).
-    pub(crate) admitted_trips: Vec<TripEvent>,
     /// Virtual time the single-server dispatcher becomes free.
     pub(crate) server_free: f64,
     /// Virtual time of the current tick boundary.
@@ -217,7 +213,6 @@ impl LoopState {
     pub(crate) fn new() -> Self {
         LoopState {
             queue: VecDeque::new(),
-            admitted_trips: Vec::new(),
             server_free: 0.0,
             tick_end: 0.0,
             ticks: 0,
@@ -367,7 +362,6 @@ impl<'a> ServeLoop<'a> {
         let slo = self.cfg.slo;
         let fault = self.cfg.fault;
         let tick_s = slo.tick_seconds.max(1e-6);
-        let track_admitted = driver.is_some();
 
         loop {
             state.ticks += 1;
@@ -467,9 +461,6 @@ impl<'a> ServeLoop<'a> {
                             trace.as_deref_mut(),
                             format_args!("latency,{seconds:.6},{assigned}"),
                         );
-                    }
-                    if track_admitted {
-                        state.admitted_trips.extend_from_slice(&batch);
                     }
                     dispatched = true;
                 }

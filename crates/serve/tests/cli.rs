@@ -39,6 +39,18 @@ fn hostile_numbers_are_refused_by_flag_name() {
                 .iter()
                 .flat_map(|f| ["-1", "nan", "inf", "-inf"].map(|v| (*f, vec![*f, v]))),
         );
+    // Values that do not parse as the flag's type at all.
+    let unparseable = [
+        ("--fleet", vec!["--fleet", "-1"]),
+        ("--trips", vec!["--trips", "abc"]),
+        ("--seed", vec!["--seed", "-3"]),
+        ("--queue-capacity", vec!["--queue-capacity", "1.5"]),
+        ("--rate", vec!["--rate", "abc"]),
+        (
+            "--checkpoint-every",
+            vec!["--recover-dir", "unused", "--checkpoint-every", "x"],
+        ),
+    ];
     // Flags and fault clauses this run (no --recover-dir, no label
     // store) would otherwise ignore.
     let ignored = [
@@ -48,7 +60,7 @@ fn hostile_numbers_are_refused_by_flag_name() {
         ("fault clause torn=", vec!["--fault-plan", "torn=0.5"]),
         ("fault clause store", vec!["--fault-plan", "store"]),
     ];
-    for (i, (name, flags)) in numbers.chain(ignored).enumerate() {
+    for (i, (name, flags)) in numbers.chain(unparseable).chain(ignored).enumerate() {
         let (output, report) = serve(&i.to_string(), &flags);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(!output.status.success(), "{flags:?} was accepted");

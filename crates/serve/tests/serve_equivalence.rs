@@ -166,7 +166,7 @@ proptest! {
         prop_assert_eq!(a.guarantee_violations, b.guarantee_violations);
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.fleet_distance_km, b.fleet_distance_km);
-        prop_assert_eq!(serve.sim().wait_samples(), reference.wait_samples());
+        prop_assert_eq!(serve.sim().pickups(), reference.pickups());
 
         // And the serve report agrees with the engine's own counters.
         prop_assert_eq!(report.admitted, a.requests);

@@ -5,12 +5,12 @@
 //! used to mean starting over. This module snapshots a running
 //! [`Simulation`] — fleet (including every kinetic tree), motion state
 //! (including each vehicle's cruising-RNG stream), dispatcher statistics,
-//! service-quality metrics, per-trip records and the full trace — to a
-//! versioned, checksummed binary file, and restores it so that the resumed
-//! run is **bit-identical** to one that never stopped (property-tested in
-//! `tests/proptest_checkpoint.rs`; the only fields that can differ are the
-//! wall-clock latency *means*, since nanosecond timings are not a function
-//! of simulation state).
+//! service-quality metrics, the pickup clocks of the riders on board and
+//! the full trace — to a versioned, checksummed binary file, and restores
+//! it so that the resumed run is **bit-identical** to one that never
+//! stopped (property-tested in `tests/proptest_checkpoint.rs`; the only
+//! fields that can differ are the wall-clock latency *means*, since
+//! nanosecond timings are not a function of simulation state).
 //!
 //! The format follows the `roadnet::io::bin` conventions established by
 //! the hub-label store: little-endian scalars, length-prefixed
@@ -26,13 +26,15 @@
 //! ```text
 //! offset  field
 //! 0       magic  b"RSCK"
-//! 4       format version (u32, currently 2)
+//! 4       format version (u32, currently 3)
 //! 8       network fingerprint (u64)
 //! 16      SimConfig digest (u64) — excludes the unread `workers` field,
 //!         so a checkpoint resumes whatever value it holds
 //! 24      trip-stream digest (u64)
 //! 32      next trip index (u64), clock (f64), then the state sections:
-//!         vehicles, motions, dispatcher stats, metrics, records, trace
+//!         vehicles, motions, dispatcher stats, metrics (pickups, detour
+//!         sum, violations, deliveries, fleet distance), on-board pickup
+//!         clocks, trace
 //! end-8   FNV-1a checksum over every preceding byte
 //! ```
 
@@ -48,14 +50,17 @@ use roadnet::{DistanceOracle, RoadNetError, RoadNetwork};
 use spatial::{GridIndex, Position};
 
 use crate::config::SimConfig;
-use crate::engine::{Motion, Simulation, TripRecord};
-use crate::metrics::MetricsCollector;
+use crate::engine::{Motion, Simulation};
+use crate::metrics::{MetricsCollector, Pickup};
 use crate::trace::{RequestTrace, TraceLog};
 
 /// File magic: "RSCK" (ridesharing checkpoint).
 const MAGIC: &[u8; 4] = b"RSCK";
-/// Current checkpoint format version; bump on any layout change.
-const VERSION: u32 = 2;
+/// Current checkpoint format version; bump on any layout change. Version 3
+/// replaced the per-trip records with the on-board riders' pickup clocks
+/// and the index-aligned pickup vectors with one pickup list, and dropped
+/// each vehicle's service counters.
+const VERSION: u32 = 3;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation
 /// *results*. `workers` is excluded: no code reads it, and it never was
@@ -185,40 +190,24 @@ impl Simulation<'_> {
         put_stats(&mut out, self.dispatcher.stats());
 
         let c = &self.collector;
-        bin::put_u64(&mut out, c.wait_seconds.len() as u64);
-        for &w in &c.wait_seconds {
-            bin::put_f64(&mut out, w);
+        bin::put_u64(&mut out, c.pickups.len() as u64);
+        for p in &c.pickups {
+            bin::put_u32(&mut out, p.vehicle);
+            bin::put_f64(&mut out, p.clock_s);
+            bin::put_f64(&mut out, p.waited_s);
+            bin::put_u64(&mut out, p.onboard as u64);
         }
-        bin::put_u64(&mut out, c.detour_ratios.len() as u64);
-        for &d in &c.detour_ratios {
-            bin::put_f64(&mut out, d);
-        }
+        bin::put_f64(&mut out, c.detour_sum);
         bin::put_u64(&mut out, c.guarantee_violations);
         bin::put_u64(&mut out, c.completed);
-        bin::put_u64(&mut out, c.onboard_at_pickup.len() as u64);
-        for &n in &c.onboard_at_pickup {
-            bin::put_u64(&mut out, n as u64);
-        }
-        for &t in &c.pickup_clock_seconds {
-            bin::put_f64(&mut out, t);
-        }
-        bin::put_u64(&mut out, c.per_vehicle_max_onboard.len() as u64);
-        for (&vid, &max) in &c.per_vehicle_max_onboard {
-            bin::put_u32(&mut out, vid);
-            bin::put_u64(&mut out, max as u64);
-        }
         bin::put_f64(&mut out, c.fleet_distance_m);
 
-        // Records walk in trip order by construction: the record map is a
-        // `BTreeMap`, so identical states produce identical bytes.
-        bin::put_u64(&mut out, self.records.len() as u64);
-        for (&trip, rec) in &self.records {
+        // A `BTreeMap` walks in trip order, so identical states produce
+        // identical bytes.
+        bin::put_u64(&mut out, self.onboard_since.len() as u64);
+        for (&trip, &picked_m) in &self.onboard_since {
             bin::put_u64(&mut out, trip);
-            bin::put_f64(&mut out, rec.submitted_m);
-            bin::put_f64(&mut out, rec.direct_m);
-            bin::put_f64(&mut out, rec.max_wait_m);
-            bin::put_f64(&mut out, rec.max_ride_m);
-            codec::put_opt_f64(&mut out, rec.picked_up_m);
+            bin::put_f64(&mut out, picked_m);
         }
 
         bin::put_u64(&mut out, self.trace.len() as u64);
@@ -433,44 +422,26 @@ fn restore<'a>(
 
     let stats = read_stats(&mut r)?;
 
-    let waits = codec::read_len(&mut r, 8, "metrics wait count")?;
-    let wait_seconds = (0..waits)
-        .map(|_| r.f64("metrics wait"))
-        .collect::<Result<_, _>>()?;
-    let detours = codec::read_len(&mut r, 8, "metrics detour count")?;
-    let detour_ratios = (0..detours)
-        .map(|_| r.f64("metrics detour"))
-        .collect::<Result<_, _>>()?;
+    let pickup_count = codec::read_len(&mut r, 28, "metrics pickup count")?;
+    let mut pickups = Vec::with_capacity(pickup_count);
+    for _ in 0..pickup_count {
+        pickups.push(Pickup {
+            vehicle: r.u32("metrics pickup vehicle")?,
+            clock_s: r.f64("metrics pickup clock")?,
+            waited_s: r.f64("metrics pickup wait")?,
+            onboard: r.u64("metrics pickup onboard")? as usize,
+        });
+    }
+    let detour_sum = r.f64("metrics detour sum")?;
     let guarantee_violations = r.u64("metrics violations")?;
     let completed = r.u64("metrics completed")?;
-    let pickups = codec::read_len(&mut r, 16, "metrics pickup count")?;
-    let onboard_at_pickup = (0..pickups)
-        .map(|_| r.u64("metrics onboard").map(|v| v as usize))
-        .collect::<Result<_, _>>()?;
-    let pickup_clock_seconds = (0..pickups)
-        .map(|_| r.f64("metrics pickup clock"))
-        .collect::<Result<_, _>>()?;
-    let maxima = codec::read_len(&mut r, 12, "metrics per-vehicle count")?;
-    let mut per_vehicle_max_onboard = std::collections::BTreeMap::new();
-    for _ in 0..maxima {
-        let vid = r.u32("metrics vehicle id")?;
-        let max = r.u64("metrics vehicle max")? as usize;
-        per_vehicle_max_onboard.insert(vid, max);
-    }
     let fleet_distance_m = r.f64("metrics fleet distance")?;
 
-    let record_count = codec::read_len(&mut r, 41, "record count")?;
-    let mut records = BTreeMap::new();
-    for _ in 0..record_count {
-        let trip = r.u64("record trip")?;
-        let rec = TripRecord {
-            submitted_m: r.f64("record submitted")?,
-            direct_m: r.f64("record direct")?,
-            max_wait_m: r.f64("record max wait")?,
-            max_ride_m: r.f64("record max ride")?,
-            picked_up_m: codec::read_opt_f64(&mut r, "record pickup")?,
-        };
-        records.insert(trip, rec);
+    let onboard_count = codec::read_len(&mut r, 16, "on-board count")?;
+    let mut onboard_since = BTreeMap::new();
+    for _ in 0..onboard_count {
+        let trip = r.u64("on-board trip")?;
+        onboard_since.insert(trip, r.f64("on-board pickup clock")?);
     }
 
     let trace_count = codec::read_len(&mut r, 35, "trace count")?;
@@ -509,16 +480,13 @@ fn restore<'a>(
     sim.index = index;
     sim.dispatcher.set_stats(stats);
     sim.collector = MetricsCollector {
-        wait_seconds,
-        detour_ratios,
+        pickups,
+        detour_sum,
         guarantee_violations,
         completed,
-        onboard_at_pickup,
-        pickup_clock_seconds,
-        per_vehicle_max_onboard,
         fleet_distance_m,
     };
-    sim.records = records;
+    sim.onboard_since = onboard_since;
     sim.trace = trace;
     Ok((sim, next_trip))
 }
@@ -704,16 +672,17 @@ mod tests {
         let digest = digest_trips(&w.trips);
         let oracle = CachedOracle::without_labels(&w.network);
         let sim = Simulation::new(&w.network, &oracle, config());
-        let mut bytes = sim.checkpoint_bytes(0, digest);
-        // Stamp version 1 and re-sign, so only the version is stale.
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        if let Some((body, trailer)) = bytes.split_last_chunk_mut::<8>() {
-            *trailer = bin::fnv1a(body).to_le_bytes();
+        for old in [1u32, 2] {
+            // Stamp an old version and re-sign, so only the version is stale.
+            let mut bytes = sim.checkpoint_bytes(0, digest);
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            if let Some((body, trailer)) = bytes.split_last_chunk_mut::<8>() {
+                *trailer = bin::fnv1a(body).to_le_bytes();
+            }
+            let err = Simulation::resume(&w.network, &oracle, config(), &w.trips, &bytes);
+            let want = format!("unsupported checkpoint version {old}");
+            assert!(matches!(err, Err(RoadNetError::Persist(msg)) if msg.contains(&want)));
         }
-        assert!(matches!(
-            Simulation::resume(&w.network, &oracle, config(), &w.trips, &bytes),
-            Err(RoadNetError::Persist(msg)) if msg.contains("unsupported checkpoint version 1")
-        ));
     }
 
     #[test]

@@ -39,14 +39,14 @@ pub struct SimConfig {
     /// Width of a dispatch tick in seconds. Requests whose submission
     /// times fall into the same window (`floor(t / window)`) are submitted
     /// together: the fleet advances once, to the window's last request,
-    /// candidate positions are synced once over the union of the window's
-    /// candidate sets, and the requests are then dispatched one by one in
-    /// submission order. `0.0` (the default) dispatches every request
-    /// individually the moment it arrives. Each request keeps its own
-    /// submission time, so for a fixed window width runs are deterministic;
-    /// different window widths are different experiments (vehicles advance
-    /// once per window rather than per request) and checkpoints record the
-    /// width in the config digest.
+    /// and the requests are then dispatched one by one in submission
+    /// order; a vehicle is synced to its effective position when a request
+    /// first reads it, at most once per window. `0.0` (the default)
+    /// dispatches every request individually the moment it arrives. Each
+    /// request keeps its own submission time, so for a fixed window width
+    /// runs are deterministic; different window widths are different
+    /// experiments (vehicles advance once per window rather than per
+    /// request) and checkpoints record the width in the config digest.
     pub batch_window_seconds: f64,
 }
 

@@ -12,7 +12,7 @@ use roadnet::{DistanceOracle, NodeId, RoadNetwork};
 use spatial::{GridIndex, Position};
 
 use crate::config::SimConfig;
-use crate::metrics::{MetricsCollector, SimReport};
+use crate::metrics::{MetricsCollector, Pickup, SimReport};
 use crate::shard::RegionLedger;
 use crate::trace::{RequestTrace, TraceLog};
 
@@ -59,17 +59,6 @@ impl Motion {
     }
 }
 
-/// Bookkeeping for every submitted request, used for service-quality
-/// metrics and guarantee checking.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct TripRecord {
-    pub(crate) submitted_m: f64,
-    pub(crate) direct_m: f64,
-    pub(crate) max_wait_m: f64,
-    pub(crate) max_ride_m: f64,
-    pub(crate) picked_up_m: Option<f64>,
-}
-
 /// A single simulation run over a road network.
 pub struct Simulation<'a> {
     pub(crate) graph: &'a RoadNetwork,
@@ -90,7 +79,10 @@ pub struct Simulation<'a> {
     pub(crate) dispatcher: Dispatcher,
     pub(crate) clock_m: f64,
     pub(crate) collector: MetricsCollector,
-    pub(crate) records: BTreeMap<TripId, TripRecord>,
+    /// Pickup clock (meter-equivalents) of every rider now on board: what
+    /// a drop-off measures the ride from. Kept in meters because the trace
+    /// row's `picked_up_s` does not round-trip back to them exactly.
+    pub(crate) onboard_since: BTreeMap<TripId, f64>,
     pub(crate) trace: TraceLog,
     /// Region accounting, on when built through
     /// [`ShardedSimulation`](crate::ShardedSimulation). Counts only: no
@@ -133,7 +125,7 @@ impl<'a> Simulation<'a> {
             dispatcher: Dispatcher::new(config.dispatcher),
             clock_m: 0.0,
             collector: MetricsCollector::default(),
-            records: BTreeMap::new(),
+            onboard_since: BTreeMap::new(),
             trace: TraceLog::new(),
             regions: None,
         }
@@ -226,8 +218,8 @@ impl<'a> Simulation<'a> {
     /// and syncs a vehicle to its effective position only when it reads
     /// it — at most once per batch, since dispatch commits never move a
     /// vehicle. Each request keeps its **own** submission time for
-    /// deadlines, records and the trace — only vehicle movement is
-    /// quantized to the window.
+    /// deadlines and its trace row — only vehicle movement is quantized to
+    /// the window.
     pub fn submit_batch(&mut self, trips: &[TripEvent]) -> Vec<AssignmentOutcome> {
         self.batches += 1;
         self.synced_in.resize(self.vehicles.len(), 0);
@@ -262,16 +254,6 @@ impl<'a> Simulation<'a> {
                 &mut self.index,
                 self.oracle,
                 lazy,
-            );
-            self.records.insert(
-                trip.id,
-                TripRecord {
-                    submitted_m: request.submitted_at,
-                    direct_m: direct,
-                    max_wait_m: self.config.constraints.max_wait,
-                    max_ride_m: self.config.constraints.max_ride(direct),
-                    picked_up_m: None,
-                },
             );
             self.trace.push(RequestTrace::submitted(
                 trip.id,
@@ -382,51 +364,52 @@ impl<'a> Simulation<'a> {
         true
     }
 
-    /// Serves vehicle `i`'s next committed stop at `clock_m` and books it:
-    /// the trip record, the service-quality metrics and the trace.
+    /// Serves vehicle `i`'s next committed stop at `clock_m` and books it
+    /// against the rider's trace row: the guarantee check (Definition 1:
+    /// the wait within `max_wait`, the ride within `max_ride` of the
+    /// direct distance), the service-quality metrics and the trace.
     fn serve_stop(&mut self, i: usize, clock_m: f64) {
         let vehicle = &mut self.vehicles[i];
         // Riders on board after a pickup (unused for a drop-off).
         let onboard_after = vehicle.onboard_count() + 1;
         let stop = vehicle.arrive_at_next_stop(clock_m, self.oracle);
         let config = &self.config;
+        let Some(&row) = self.trace.get(stop.trip) else {
+            return;
+        };
+        let at_s = config.meters_to_seconds(clock_m);
         match stop.kind {
             StopKind::Pickup => {
-                if let Some(rec) = self.records.get_mut(&stop.trip) {
-                    rec.picked_up_m = Some(clock_m);
-                    let waited_m = clock_m - rec.submitted_m;
-                    if waited_m > rec.max_wait_m + 1e-6 {
-                        self.collector.record_wait_violation();
-                    }
-                    let waited_s = config.meters_to_seconds(waited_m);
-                    self.collector.record_pickup(
-                        i as u32,
-                        onboard_after,
-                        waited_s,
-                        config.meters_to_seconds(clock_m),
-                    );
+                self.onboard_since.insert(stop.trip, clock_m);
+                // `submit_batch` built the request's deadline from this
+                // same product, so the check is the dispatcher's own.
+                let waited_m = clock_m - config.seconds_to_meters(row.submitted_s);
+                if waited_m > config.constraints.max_wait + 1e-6 {
+                    self.collector.guarantee_violations += 1;
                 }
-                self.trace
-                    .record_pickup(stop.trip, config.meters_to_seconds(clock_m));
+                self.collector.pickups.push(Pickup {
+                    vehicle: i as u32,
+                    clock_s: at_s,
+                    waited_s: config.meters_to_seconds(waited_m),
+                    onboard: onboard_after,
+                });
+                self.trace.record_pickup(stop.trip, at_s);
             }
             StopKind::Dropoff => {
-                if let Some(rec) = self.records.get(&stop.trip) {
-                    if let Some(picked) = rec.picked_up_m {
-                        let ride = clock_m - picked;
-                        let ratio = if rec.direct_m > 0.0 {
-                            ride / rec.direct_m
-                        } else {
-                            1.0
-                        };
-                        let violated = ride > rec.max_ride_m + 1e-6;
-                        self.collector.record_delivery(ratio, violated);
-                        self.trace.record_delivery(
-                            stop.trip,
-                            config.meters_to_seconds(clock_m),
-                            ride,
-                        );
-                    }
+                let Some(picked_m) = self.onboard_since.remove(&stop.trip) else {
+                    return;
+                };
+                let ride = clock_m - picked_m;
+                if ride > config.constraints.max_ride(row.direct_m) + 1e-6 {
+                    self.collector.guarantee_violations += 1;
                 }
+                self.collector.completed += 1;
+                self.collector.detour_sum += if row.direct_m > 0.0 {
+                    ride / row.direct_m
+                } else {
+                    1.0
+                };
+                self.trace.record_delivery(stop.trip, at_s, ride);
             }
         }
     }
@@ -459,24 +442,12 @@ impl<'a> Simulation<'a> {
         self.dispatcher.set_effort(effort);
     }
 
-    /// Realised waiting times (seconds) of every pickup served so far, in
-    /// service order. Windowed harnesses slice the suffix added since their
-    /// last flush to compute per-window latency percentiles.
-    pub fn wait_samples(&self) -> &[f64] {
-        &self.collector.wait_seconds
-    }
-
-    /// Passengers on board immediately after each pickup served so far, in
-    /// service order (the occupancy signal of Sec. VI-B).
-    pub fn pickup_onboard_samples(&self) -> &[usize] {
-        &self.collector.onboard_at_pickup
-    }
-
-    /// Simulation clock (seconds) of each pickup, aligned index-for-index
-    /// with [`Simulation::wait_samples`] and
-    /// [`Simulation::pickup_onboard_samples`].
-    pub fn pickup_clock_samples(&self) -> &[f64] {
-        &self.collector.pickup_clock_seconds
+    /// Every pickup served so far, in service order: vehicle, clock,
+    /// realised wait and the passengers on board after it. Windowed
+    /// harnesses bucket these by clock to compute per-window wait
+    /// percentiles and occupancy.
+    pub fn pickups(&self) -> &[Pickup] {
+        &self.collector.pickups
     }
 
     /// Reconciles vehicle `i`'s motion state with a freshly committed
@@ -932,6 +903,53 @@ mod tests {
         // CSV export covers every request.
         let csv = trace.to_csv();
         assert_eq!(csv.trim_end().lines().count() as u64, report.requests + 1);
+    }
+
+    #[test]
+    fn a_late_pickup_and_a_long_ride_are_both_violations() {
+        // One parked vehicle takes one rider and is held back past the
+        // pickup deadline, then past the ride limit: both broken
+        // guarantees are counted, and both stops are still traced.
+        let w = small_workload(40, 3);
+        let oracle = CachedOracle::without_labels(&w.network);
+        let config = SimConfig {
+            vehicles: 1,
+            cruise_when_idle: false,
+            ..SimConfig::default()
+        };
+        let start = Simulation::new(&w.network, &oracle, config).motions[0].at;
+        let (mut sim, trip) = w
+            .trips
+            .iter()
+            .filter(|t| t.source != start && t.source != t.destination)
+            .find_map(|trip| {
+                let mut sim = Simulation::new(&w.network, &oracle, config);
+                sim.advance_all(config.seconds_to_meters(trip.time_seconds));
+                sim.submit(trip).is_assigned().then_some((sim, trip))
+            })
+            .expect("some rider is reachable");
+        // Depart for the pickup past its deadline; stop on arrival.
+        sim.motions[0].at_clock_m += config.constraints.max_wait + 1_000.0;
+        sim.advance_all(sim.clock_m);
+        let m = &sim.motions[0];
+        let at_pickup = m
+            .path
+            .iter()
+            .skip(1)
+            .fold(m.next_arrival_m, |t, &(_, l)| t + l);
+        sim.advance_all(at_pickup);
+        assert_eq!(sim.report().guarantee_violations, 1);
+        // Hold the drive to the drop-off back past the ride limit.
+        let direct_m = sim.trace().get(trip.id).unwrap().direct_m;
+        sim.motions[0].next_arrival_m += config.constraints.max_ride(direct_m) + 1_000.0;
+        sim.drain();
+        let (report, row) = (sim.report(), sim.trace().get(trip.id).unwrap());
+        assert!(
+            row.waited_s().unwrap() > 600.0 && row.was_delivered(),
+            "{row:?}"
+        );
+        assert!(row.ride_m.unwrap() > 1.2 * direct_m, "{row:?}");
+        assert_eq!((report.completed, report.guarantee_violations), (1, 2));
     }
 
     #[test]

@@ -43,6 +43,6 @@ pub mod trace;
 pub use checkpoint::{digest_config, digest_trips};
 pub use config::SimConfig;
 pub use engine::Simulation;
-pub use metrics::{OccupancyStats, SimReport};
+pub use metrics::{OccupancyStats, Pickup, SimReport};
 pub use shard::{ShardNetStats, ShardedSimulation};
 pub use trace::{RequestTrace, TraceLog};

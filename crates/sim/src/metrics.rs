@@ -1,7 +1,5 @@
 //! Simulation metrics and the final report.
 
-use std::collections::BTreeMap;
-
 /// Occupancy statistics over the fleet (Sec. VI-B of the paper reports, at
 /// unlimited capacity, a maximum of 17 simultaneous passengers, an average
 /// of 1.7 and an average of about 3.9 over the top-20% most loaded servers).
@@ -96,55 +94,39 @@ impl SimReport {
     }
 }
 
+/// One served pickup, in service order: the occupancy and waiting-time
+/// signal of Sec. VI-B. Windowed harnesses bucket these by `clock_s`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pickup {
+    /// Vehicle that picked the rider up.
+    pub vehicle: u32,
+    /// Simulation clock of the pickup, in seconds.
+    pub clock_s: f64,
+    /// Realised waiting time, in seconds.
+    pub waited_s: f64,
+    /// Passengers on board immediately after the pickup.
+    pub onboard: usize,
+}
+
 /// Incremental collector the engine feeds while the simulation runs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MetricsCollector {
-    pub wait_seconds: Vec<f64>,
-    pub detour_ratios: Vec<f64>,
+    pub pickups: Vec<Pickup>,
+    /// Sum of the detour ratios of every delivery, in delivery order.
+    pub detour_sum: f64,
     pub guarantee_violations: u64,
     pub completed: u64,
-    pub onboard_at_pickup: Vec<usize>,
-    /// Simulation clock (seconds) of each pickup, aligned index-for-index
-    /// with `wait_seconds` and `onboard_at_pickup` — what lets windowed
-    /// harnesses bucket those samples by simulated time.
-    pub pickup_clock_seconds: Vec<f64>,
-    pub per_vehicle_max_onboard: BTreeMap<u32, usize>,
     pub fleet_distance_m: f64,
 }
 
 impl MetricsCollector {
-    pub fn record_pickup(
-        &mut self,
-        vehicle: u32,
-        onboard_after: usize,
-        waited_seconds: f64,
-        clock_seconds: f64,
-    ) {
-        self.wait_seconds.push(waited_seconds);
-        self.onboard_at_pickup.push(onboard_after);
-        self.pickup_clock_seconds.push(clock_seconds);
-        let e = self.per_vehicle_max_onboard.entry(vehicle).or_insert(0);
-        if onboard_after > *e {
-            *e = onboard_after;
-        }
-    }
-
-    pub fn record_delivery(&mut self, detour_ratio: f64, violated: bool) {
-        self.completed += 1;
-        self.detour_ratios.push(detour_ratio);
-        if violated {
-            self.guarantee_violations += 1;
-        }
-    }
-
-    pub fn record_wait_violation(&mut self) {
-        self.guarantee_violations += 1;
-    }
-
     pub fn occupancy(&self, fleet_size: usize) -> OccupancyStats {
-        let mut maxima: Vec<usize> = self.per_vehicle_max_onboard.values().copied().collect();
         // Vehicles that never picked anyone up count as zero.
-        maxima.resize(fleet_size.max(maxima.len()), 0);
+        let mut maxima = vec![0usize; fleet_size];
+        for p in &self.pickups {
+            let max = &mut maxima[p.vehicle as usize];
+            *max = (*max).max(p.onboard);
+        }
         maxima.sort_unstable_by(|a, b| b.cmp(a));
         let fleet_max = maxima.first().copied().unwrap_or(0);
         let mean_of_max = if maxima.is_empty() {
@@ -154,11 +136,10 @@ impl MetricsCollector {
         };
         let top = (maxima.len() as f64 * 0.2).ceil().max(1.0) as usize;
         let top20_mean_of_max = maxima.iter().take(top).sum::<usize>() as f64 / top as f64;
-        let mean_at_pickup = if self.onboard_at_pickup.is_empty() {
+        let mean_at_pickup = if self.pickups.is_empty() {
             0.0
         } else {
-            self.onboard_at_pickup.iter().sum::<usize>() as f64
-                / self.onboard_at_pickup.len() as f64
+            self.pickups.iter().map(|p| p.onboard).sum::<usize>() as f64 / self.pickups.len() as f64
         };
         OccupancyStats {
             fleet_max,
@@ -169,19 +150,19 @@ impl MetricsCollector {
     }
 
     pub fn mean_wait_seconds(&self) -> f64 {
-        mean(&self.wait_seconds)
+        if self.pickups.is_empty() {
+            0.0
+        } else {
+            self.pickups.iter().map(|p| p.waited_s).sum::<f64>() / self.pickups.len() as f64
+        }
     }
 
     pub fn mean_detour_ratio(&self) -> f64 {
-        mean(&self.detour_ratios)
-    }
-}
-
-fn mean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
+        if self.completed == 0 {
+            0.0
+        } else {
+            self.detour_sum / self.completed as f64
+        }
     }
 }
 
@@ -191,12 +172,20 @@ mod tests {
 
     #[test]
     fn occupancy_statistics() {
-        let mut c = MetricsCollector::default();
-        c.record_pickup(0, 1, 30.0, 100.0);
-        c.record_pickup(0, 2, 60.0, 200.0);
-        c.record_pickup(1, 4, 90.0, 300.0);
-        c.record_pickup(2, 1, 10.0, 400.0);
-        assert_eq!(c.pickup_clock_seconds, vec![100.0, 200.0, 300.0, 400.0]);
+        let pickups = [(0, 1, 30.0), (0, 2, 60.0), (1, 4, 90.0), (2, 1, 10.0)];
+        let c = MetricsCollector {
+            pickups: pickups
+                .iter()
+                .enumerate()
+                .map(|(i, &(vehicle, onboard, waited_s))| Pickup {
+                    vehicle,
+                    clock_s: 100.0 * i as f64,
+                    waited_s,
+                    onboard,
+                })
+                .collect(),
+            ..MetricsCollector::default()
+        };
         let occ = c.occupancy(5);
         assert_eq!(occ.fleet_max, 4);
         // per-vehicle maxima: [4, 2, 1, 0, 0] -> mean 1.4, top-1 (20% of 5) = 4
@@ -208,12 +197,11 @@ mod tests {
 
     #[test]
     fn deliveries_and_violations() {
-        let mut c = MetricsCollector::default();
-        c.record_delivery(1.1, false);
-        c.record_delivery(1.3, true);
-        c.record_wait_violation();
-        assert_eq!(c.completed, 2);
-        assert_eq!(c.guarantee_violations, 2);
+        let c = MetricsCollector {
+            detour_sum: 1.1 + 1.3,
+            completed: 2,
+            ..MetricsCollector::default()
+        };
         assert!((c.mean_detour_ratio() - 1.2).abs() < 1e-9);
     }
 
