@@ -8,9 +8,10 @@
 //! simulation runner and plain-text table formatting.
 //!
 //! Absolute numbers will differ from the paper (different hardware,
-//! different — synthetic — workload); EXPERIMENTS.md records which *shapes*
-//! each harness is expected to reproduce (who wins, by roughly what factor,
-//! where the curves break off).
+//! different — synthetic — workload); PAPER.md § "The day-long replay
+//! (`paper_replay`) and Figures 6–9" records which *shapes* each harness is
+//! expected to reproduce (who wins, by roughly what factor, where the
+//! curves break off).
 
 pub mod baseline;
 pub mod store;

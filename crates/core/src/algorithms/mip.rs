@@ -287,12 +287,7 @@ impl MipFormulation {
             order.push(next);
             current = next;
         }
-        Some(
-            order
-                .iter()
-                .map(|&i| self.stop_of[i].expect("non-start nodes map to stops"))
-                .collect(),
-        )
+        order.iter().map(|&i| self.stop_of[i]).collect()
     }
 }
 

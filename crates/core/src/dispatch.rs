@@ -29,6 +29,7 @@ use std::time::Instant;
 use roadnet::{DistanceOracle, Point, RoadNetwork};
 use spatial::{Cell, GridIndex, Position};
 
+use crate::problem::WaitingTrip;
 use crate::request::TripRequest;
 use crate::types::Cost;
 use crate::vehicle::{Proposal, Vehicle};
@@ -427,7 +428,8 @@ struct Frontier {
     pickup: Point,
     centre: Position,
     radius: f64,
-    deadline: Cost,
+    /// The request as the trip every candidate is screened and priced for.
+    trip: WaitingTrip,
     direct: Cost,
     greedy: bool,
     lag: f64,
@@ -475,7 +477,8 @@ impl Frontier {
                     continue;
                 };
                 sync(v);
-                match screen_candidate(v, graph, self.pickup, self.deadline, self.direct) {
+                let deadline = self.trip.pickup_deadline;
+                match screen_candidate(v, graph, self.pickup, deadline, self.direct) {
                     Screen::Pruned => self.by_slack += 1,
                     Screen::Keep { lb, reach } => {
                         let key = if self.greedy { reach } else { lb };
@@ -574,9 +577,12 @@ impl Dispatcher {
 
     /// Processes one request start to finish: evaluates it against the
     /// vehicles within its waiting-time radius, assigns it to the cheapest
-    /// feasible one (committing it) and records statistics. An evaluation
-    /// prices a candidate ([`Vehicle::evaluate`]); only the winner's commit
-    /// builds an augmented kinetic tree. A vehicle's id is its slot in
+    /// feasible one (committing it) and records statistics. The request
+    /// becomes one [`WaitingTrip`], from one `d(source, destination)`
+    /// query, which each evaluation prices ([`Vehicle::evaluate`]); only
+    /// the winner's commit builds an augmented kinetic tree. A request
+    /// whose destination has no route from its source is rejected without
+    /// reading a vehicle. A vehicle's id is its slot in
     /// `vehicles`; an indexed id with no slot, or whose slot carries
     /// another id, is skipped, though it still counts as a candidate.
     /// `lazy.sync` runs on every vehicle before it is screened or
@@ -607,13 +613,33 @@ impl Dispatcher {
         lazy: LazySync<'_>,
     ) -> AssignmentOutcome {
         let timer = Instant::now();
+        let direct = oracle.dist(request.source, request.destination);
+        let trip = WaitingTrip::for_request(request, direct);
         let (candidates, best) = match self.effort {
+            // No vehicle can complete a trip that has no route.
+            _ if !direct.is_finite() => (self.candidates(request, graph, index).len(), None),
             DispatchEffort::Full if !self.config.use_pruning => {
                 let ids = self.candidates(request, graph, index);
-                let best = self.evaluate_exhaustive(request, &ids, vehicles, index, oracle, lazy);
+                let best = self.evaluate_exhaustive(trip, &ids, vehicles, index, oracle, lazy);
                 (ids.len(), best)
             }
-            _ => self.evaluate_nearest_first(request, vehicles, graph, index, oracle, lazy),
+            _ => {
+                let pickup = graph.point(request.source);
+                let frontier = Frontier {
+                    pickup,
+                    centre: Position::new(pickup.x, pickup.y),
+                    radius: self.radius(request),
+                    trip,
+                    direct,
+                    greedy: self.effort == DispatchEffort::Greedy,
+                    lag: lazy.lag,
+                    cells: Vec::new(),
+                    next: 0,
+                    ranked: BinaryHeap::new(),
+                    by_slack: 0,
+                };
+                self.evaluate_nearest_first(frontier, vehicles, graph, index, oracle, lazy.sync)
+            }
         };
         // The winner's commit builds its kinetic tree; a build that
         // disagreed with the probe that priced it would leave the vehicle
@@ -647,12 +673,12 @@ impl Dispatcher {
     fn evaluate(
         &mut self,
         vehicle: &Vehicle,
-        request: &TripRequest,
+        trip: WaitingTrip,
         oracle: &dyn DistanceOracle,
     ) -> Option<Proposal> {
         let active = vehicle.active_trip_count();
         let timer = Instant::now();
-        let proposal = vehicle.evaluate(request, oracle);
+        let proposal = vehicle.evaluate(trip, oracle);
         let nanos = timer.elapsed().as_nanos();
         let bucket = self.stats.art_buckets.entry(active).or_insert((0, 0));
         bucket.0 += 1;
@@ -663,7 +689,7 @@ impl Dispatcher {
     /// Exhaustive evaluation in ascending-id order (pruning disabled).
     fn evaluate_exhaustive(
         &mut self,
-        request: &TripRequest,
+        trip: WaitingTrip,
         candidates: &[u32],
         vehicles: &mut [Vehicle],
         index: &mut GridIndex,
@@ -678,7 +704,7 @@ impl Dispatcher {
             };
             (lazy.sync)(v);
             evaluated += 1;
-            if let Some(p) = self.evaluate(v, request, oracle) {
+            if let Some(p) = self.evaluate(v, trip, oracle) {
                 // Strictly-better cost wins; on an exact tie the lowest
                 // vehicle id wins (candidate ids arrive in ascending order,
                 // so keeping the incumbent implements that).
@@ -709,34 +735,20 @@ impl Dispatcher {
     /// pure functions of fleet state.
     fn evaluate_nearest_first(
         &mut self,
-        request: &TripRequest,
+        mut frontier: Frontier,
         vehicles: &mut [Vehicle],
         graph: &RoadNetwork,
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
-        lazy: LazySync<'_>,
+        sync: &mut dyn FnMut(&mut Vehicle),
     ) -> (usize, Option<(u32, Proposal)>) {
-        let pickup = graph.point(request.source);
-        let mut frontier = Frontier {
-            pickup,
-            centre: Position::new(pickup.x, pickup.y),
-            radius: self.radius(request),
-            deadline: request.pickup_deadline(),
-            direct: oracle.dist(request.source, request.destination),
-            greedy: self.effort == DispatchEffort::Greedy,
-            lag: lazy.lag,
-            cells: Vec::new(),
-            next: 0,
-            ranked: BinaryHeap::new(),
-            by_slack: 0,
-        };
         let in_radius =
             index.cells_by_distance(frontier.centre, frontier.radius, &mut frontier.cells);
         let mut best: Option<(u32, Proposal)> = None;
         let (mut evaluated, mut by_bound) = (0u64, 0u64);
         loop {
             let incumbent = best.as_ref().map_or(Cost::INFINITY, |(_, b)| b.cost);
-            frontier.read_until(incumbent, index, vehicles, graph, lazy.sync);
+            frontier.read_until(incumbent, index, vehicles, graph, sync);
             let Some(Reverse(Ranked { key, vid })) = frontier.ranked.pop() else {
                 break;
             };
@@ -750,7 +762,7 @@ impl Dispatcher {
                 }
             }
             evaluated += 1;
-            let Some(p) = self.evaluate(&vehicles[vid as usize], request, oracle) else {
+            let Some(p) = self.evaluate(&vehicles[vid as usize], frontier.trip, oracle) else {
                 continue;
             };
             if frontier.greedy {
@@ -843,6 +855,34 @@ mod tests {
         assert_eq!(dispatcher.stats().rejected, 1);
         // The spatial filter should have excluded the far vehicle entirely.
         assert_eq!(dispatcher.stats().candidates, 0);
+    }
+
+    #[test]
+    fn a_trip_with_no_route_is_rejected_with_its_candidates_counted() {
+        // Three vertices on a road and a fourth that no road reaches.
+        let mut b = roadnet::GraphBuilder::new();
+        for x in [0.0, 200.0, 400.0, 300.0] {
+            b.add_node(roadnet::Point::new(x, 0.0));
+        }
+        b.add_edge(0, 1, 200.0);
+        b.add_edge(1, 2, 200.0);
+        let graph = b.build();
+        let oracle = CachedOracle::without_labels(&graph);
+        let req = TripRequest::new(1, 1, 3, 0.0, Constraints::new(8_400.0, 0.3));
+        let planner = PlannerKind::Kinetic(KineticConfig::slack());
+        for config in configs() {
+            let mut vehicles = Vec::new();
+            let mut index = GridIndex::new(1_000.0);
+            for (i, node) in [0u32, 2].into_iter().enumerate() {
+                vehicles.push(Vehicle::new(i as u32, node, 4, planner, 0.0));
+                let p = graph.point(node);
+                index.insert(i as u32, Position::new(p.x, p.y));
+            }
+            let mut dispatcher = Dispatcher::new(config);
+            let out = dispatcher.assign(&req, &mut vehicles, &graph, &mut index, &oracle);
+            assert_eq!(out, AssignmentOutcome::Rejected { candidates: 2 });
+            assert!(vehicles.iter().all(|v| v.active_trip_count() == 0));
+        }
     }
 
     #[test]
@@ -1073,6 +1113,7 @@ mod tests {
         let candidates = dispatcher.candidates(request, graph, index);
         let pickup = graph.point(request.source);
         let direct = oracle.dist(request.source, request.destination);
+        let trip = WaitingTrip::for_request(request, direct);
         let mut ranked = Vec::new();
         let mut by_slack = 0;
         for &vid in &candidates {
@@ -1095,7 +1136,7 @@ mod tests {
                 }
             }
             evaluated += 1;
-            if let Some(p) = dispatcher.evaluate(&vehicles[vid as usize], request, oracle) {
+            if let Some(p) = dispatcher.evaluate(&vehicles[vid as usize], trip, oracle) {
                 let better = best.as_ref().is_none_or(|(best_vid, b)| {
                     p.cost < b.cost || (p.cost == b.cost && vid < *best_vid)
                 });

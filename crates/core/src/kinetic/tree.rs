@@ -4,7 +4,7 @@ use roadnet::io::bin::{self, Reader};
 use roadnet::{DistanceOracle, NodeId, RoadNetError};
 
 use crate::codec;
-use crate::problem::{OnboardTrip, Schedule, ScheduleWalker, SchedulingProblem, WaitingTrip};
+use crate::problem::{Schedule, ScheduleWalker, SchedulingProblem, WaitingTrip};
 use crate::types::{Cost, Stop, StopKind};
 
 /// Behavioural switches of the kinetic tree (paper Sec. IV–V).
@@ -487,31 +487,7 @@ impl KineticTree {
             .ok_or(TreeInsertError::Infeasible)?;
         let chosen = self.children.swap_remove(idx);
         let leg = chosen.leg;
-        self.problem.now += leg;
-        self.problem.start = stop.node;
-        match stop.kind {
-            StopKind::Pickup => {
-                if let Some(pos) = self
-                    .problem
-                    .waiting
-                    .iter()
-                    .position(|t| t.trip == stop.trip)
-                {
-                    let t = self.problem.waiting.remove(pos);
-                    self.problem.onboard.push(OnboardTrip {
-                        trip: t.trip,
-                        dropoff: t.dropoff,
-                        dropoff_deadline: self.problem.now + t.max_ride,
-                    });
-                }
-            }
-            StopKind::Dropoff => {
-                self.problem.onboard.retain(|t| t.trip != stop.trip);
-                // A drop-off of a never-picked-up trip cannot be reached
-                // through a valid tree, but keep the bookkeeping consistent.
-                self.problem.waiting.retain(|t| t.trip != stop.trip);
-            }
-        }
+        self.problem.serve(stop, self.problem.now + leg);
         self.children = chosen.children;
         self.node_count = self.children.iter().map(TreeNode::count).sum();
         Ok(leg)

@@ -63,4 +63,4 @@ pub use problem::{OnboardTrip, Schedule, SchedulingProblem, ValidationError, Wai
 pub use request::{Constraints, TripRequest};
 pub use stats::{LatencyHistogram, LatencySummary};
 pub use types::{Cost, Stop, StopKind, TripId};
-pub use vehicle::{PlannerKind, Proposal, Vehicle, VehicleStatus};
+pub use vehicle::{PlannerKind, Proposal, Vehicle};

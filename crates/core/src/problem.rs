@@ -17,6 +17,7 @@ use std::collections::HashMap;
 
 use roadnet::{DistanceOracle, NodeId};
 
+use crate::request::TripRequest;
 use crate::types::{Cost, Stop, StopKind, TripId};
 
 /// A passenger already on board: only the drop-off remains.
@@ -46,6 +47,20 @@ pub struct WaitingTrip {
     /// Maximum on-vehicle distance from pickup to drop-off,
     /// `(1 + ε) · d(pickup, dropoff)`.
     pub max_ride: Cost,
+}
+
+impl WaitingTrip {
+    /// `request` as a trip to schedule, given `direct`, the shortest-path
+    /// distance from its source to its destination.
+    pub fn for_request(request: &TripRequest, direct: Cost) -> Self {
+        WaitingTrip {
+            trip: request.id,
+            pickup: request.source,
+            dropoff: request.destination,
+            pickup_deadline: request.pickup_deadline(),
+            max_ride: request.max_ride(direct),
+        }
+    }
 }
 
 /// The augmented scheduling problem for one vehicle.
@@ -187,6 +202,32 @@ impl SchedulingProblem {
     /// Looks up an on-board trip by id.
     pub fn onboard_trip(&self, trip: TripId) -> Option<&OnboardTrip> {
         self.onboard.iter().find(|t| t.trip == trip)
+    }
+
+    /// Moves the vehicle to `stop`, reached at clock `now`, and books it:
+    /// a pickup moves its trip on board with the drop-off deadline fixed
+    /// at `now + max_ride`; a drop-off completes its trip.
+    pub fn serve(&mut self, stop: Stop, now: Cost) {
+        self.start = stop.node;
+        self.now = now;
+        match stop.kind {
+            StopKind::Pickup => {
+                if let Some(pos) = self.waiting.iter().position(|t| t.trip == stop.trip) {
+                    let t = self.waiting.remove(pos);
+                    self.onboard.push(OnboardTrip {
+                        trip: t.trip,
+                        dropoff: t.dropoff,
+                        dropoff_deadline: now + t.max_ride,
+                    });
+                }
+            }
+            StopKind::Dropoff => {
+                self.onboard.retain(|t| t.trip != stop.trip);
+                // A valid schedule never drops off a trip it has not
+                // picked up, but keep the bookkeeping consistent.
+                self.waiting.retain(|t| t.trip != stop.trip);
+            }
+        }
     }
 
     /// Validates a complete schedule and returns its total cost (distance

@@ -55,8 +55,9 @@ const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// into the loop state; version 3 dropped the sink-saturation rate and
 /// its dropped-event counter; version 4 dropped the metrics' copies of
 /// loop counters and each histogram's minimum; version 5 dropped the
-/// admitted-trip list and embeds a version-3 simulation checkpoint.
-const VERSION: u32 = 5;
+/// admitted-trip list; version 6 embeds a version-4 simulation
+/// checkpoint.
+const VERSION: u32 = 6;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
 /// Upper bound on a single journal entry body (sanity check on `len`).
@@ -686,7 +687,7 @@ mod tests {
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
-        for old in [1u32, 2, 3, 4] {
+        for old in [1u32, 2, 3, 4, 5] {
             let rc = RecoveryConfig {
                 dir: std::env::temp_dir().join(format!("serve_v{old}_dir_{}", std::process::id())),
                 checkpoint_every_ticks: 4,
@@ -709,7 +710,7 @@ mod tests {
             let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
                 .expect_err("an older directory must not resume");
             assert!(
-                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-5")),
+                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-6")),
                 "version {old}: {err:?}"
             );
             std::fs::remove_dir_all(&rc.dir).ok();

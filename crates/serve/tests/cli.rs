@@ -1,6 +1,7 @@
 //! `rideshare-serve` refuses hostile numbers on its command line, and the
 //! crash-safety flags and fault clauses that would be silently ignored: each
-//! exits non-zero, names its flag or clause and writes no report.
+//! exits non-zero, names its flag or clause and writes no report. A valid
+//! overloaded run keeps its pinned counts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -76,4 +77,35 @@ fn a_valid_run_writes_its_report() {
     let json = std::fs::read_to_string(&report).expect("report written");
     assert!(json.contains("\"guarantee_violations\": 0"), "{json}");
     std::fs::remove_file(&report).ok();
+}
+
+/// An overloaded run whose counts are pinned: a change to dispatch,
+/// admission, shedding or the event trace moves at least one of them.
+#[test]
+fn an_overloaded_run_keeps_its_pinned_counts() {
+    let id = std::process::id();
+    let events = std::env::temp_dir().join(format!("serve_cli_{id}_pinned.csv"));
+    let events = events.display().to_string();
+    let mut flags: Vec<&str> = "--fleet 20 --trips 400 --rate 8 --duration 60 --fixed-cost 0.1 \
+         --queue-capacity 16 --max-queue-wait 2 --events"
+        .split_whitespace()
+        .collect();
+    flags.push(&events);
+    let (output, report) = serve("pinned", &flags);
+    assert!(output.status.success(), "{output:?}");
+    let json = std::fs::read_to_string(&report).expect("report written");
+    for (field, value) in [
+        ("offered", 488),
+        ("admitted", 275),
+        ("shed_queue_full", 117),
+        ("shed_stale", 96),
+        ("guarantee_violations", 0),
+    ] {
+        let pinned = format!("\"{field}\": {value},");
+        assert!(json.contains(&pinned), "{pinned} missing from {json}");
+    }
+    let lines = std::fs::read_to_string(&events).expect("events written");
+    assert_eq!(lines.lines().count(), 572);
+    std::fs::remove_file(&report).ok();
+    std::fs::remove_file(&events).ok();
 }

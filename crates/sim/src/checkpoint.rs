@@ -26,7 +26,7 @@
 //! ```text
 //! offset  field
 //! 0       magic  b"RSCK"
-//! 4       format version (u32, currently 3)
+//! 4       format version (u32, currently 4)
 //! 8       network fingerprint (u64)
 //! 16      SimConfig digest (u64) — excludes the unread `workers` field,
 //!         so a checkpoint resumes whatever value it holds
@@ -59,8 +59,10 @@ const MAGIC: &[u8; 4] = b"RSCK";
 /// Current checkpoint format version; bump on any layout change. Version 3
 /// replaced the per-trip records with the on-board riders' pickup clocks
 /// and the index-aligned pickup vectors with one pickup list, and dropped
-/// each vehicle's service counters.
-const VERSION: u32 = 3;
+/// each vehicle's service counters. Version 4 writes each vehicle as its
+/// plan alone — the solver's problem or the kinetic tree — without the
+/// vehicle's copy of its position, clock and riders.
+const VERSION: u32 = 4;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation
 /// *results*. `workers` is excluded: no code reads it, and it never was
@@ -672,7 +674,7 @@ mod tests {
         let digest = digest_trips(&w.trips);
         let oracle = CachedOracle::without_labels(&w.network);
         let sim = Simulation::new(&w.network, &oracle, config());
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             // Stamp an old version and re-sign, so only the version is stale.
             let mut bytes = sim.checkpoint_bytes(0, digest);
             bytes[4..8].copy_from_slice(&old.to_le_bytes());

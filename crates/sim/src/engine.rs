@@ -372,7 +372,9 @@ impl<'a> Simulation<'a> {
         let vehicle = &mut self.vehicles[i];
         // Riders on board after a pickup (unused for a drop-off).
         let onboard_after = vehicle.onboard_count() + 1;
-        let stop = vehicle.arrive_at_next_stop(clock_m, self.oracle);
+        let Some(stop) = vehicle.arrive_at_next_stop(clock_m, self.oracle) else {
+            return;
+        };
         let config = &self.config;
         let Some(&row) = self.trace.get(stop.trip) else {
             return;

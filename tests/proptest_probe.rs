@@ -153,13 +153,7 @@ fn reference(
     let ids = index
         .clone()
         .query_radius(Position::new(p.x, p.y), request.constraints.max_wait);
-    let trip = WaitingTrip {
-        trip: request.id,
-        pickup: request.source,
-        dropoff: request.destination,
-        pickup_deadline: request.pickup_deadline(),
-        max_ride: request.max_ride(oracle.dist(request.source, request.destination)),
-    };
+    let trip = WaitingTrip::for_request(request, oracle.dist(request.source, request.destination));
     let mut best: Option<(u32, Cost, KineticTree, f64)> = None;
     let mut active = Vec::with_capacity(ids.len());
     for &vid in &ids {
@@ -170,7 +164,7 @@ fn reference(
             trip,
             oracle,
         );
-        let priced = v.evaluate(request, oracle).map(|p| p.cost.to_bits());
+        let priced = v.evaluate(trip, oracle).map(|p| p.cost.to_bits());
         assert_eq!(priced, built.as_ref().ok().map(|(c, _)| c.to_bits()));
         let Ok((cost, tree)) = built else {
             continue;

@@ -140,7 +140,8 @@ proptest! {
         );
         for (i, &(s, e)) in pairs.iter().enumerate() {
             let request = TripRequest::new(i as u64, s, e, 0.0, constraints);
-            if let Some(proposal) = vehicle.evaluate(&request, &oracle) {
+            let trip = WaitingTrip::for_request(&request, oracle.dist(s, e));
+            if let Some(proposal) = vehicle.evaluate(trip, &oracle) {
                 vehicle.commit(proposal, &oracle).expect("a priced insertion builds");
             }
         }
