@@ -395,14 +395,8 @@ fn drive(
     let window_s = args.scale.window_seconds();
     let mut next_flush_window = 1 + (sim.clock_seconds() / window_s) as usize;
     let start = next;
-    while next < trips.len() {
-        let end = batch_end(trips, next, sim.config().batch_window_seconds);
-        let batch = &trips[next..end];
-        let t_m = sim
-            .config()
-            .seconds_to_meters(batch[batch.len() - 1].time_seconds);
-        sim.advance_all(t_m);
-        sim.submit_batch(batch);
+    submit_windows(sim, &trips[start..], |sim, submitted| {
+        let end = start + submitted;
         // Checkpoints land on dispatch-tick boundaries: the batch that
         // crosses a `checkpoint_every` multiple triggers the write, so a
         // resumed run re-groups the remaining trips into exactly the
@@ -442,23 +436,32 @@ fn drive(
                 }
             }
         }
-    }
+    });
     next
 }
 
-/// End (exclusive) of the dispatch tick starting at `trips[start]`: all
-/// consecutive trips sharing its `floor(t / batch_window)` bucket, or just
-/// the single trip when batching is off.
-fn batch_end(trips: &[TripEvent], start: usize, batch_window: f64) -> usize {
-    if batch_window <= 0.0 {
-        return start + 1;
+/// Submits `trips` to `sim` one dispatch tick at a time — consecutive
+/// trips sharing a `floor(t / batch_window)` bucket, or one trip per tick
+/// when batching is off — advancing the fleet to each tick's last trip
+/// first, as [`Simulation::run`] does. After each tick, `after` gets the
+/// number of trips submitted so far.
+fn submit_windows<'a>(
+    sim: &mut Simulation<'a>,
+    trips: &[TripEvent],
+    mut after: impl FnMut(&mut Simulation<'a>, usize),
+) {
+    let window = sim.config().batch_window_seconds;
+    let bucket = |t: &TripEvent| (t.time_seconds / window).floor();
+    let mut submitted = 0;
+    for batch in trips.chunk_by(|a, b| window > 0.0 && bucket(a) == bucket(b)) {
+        let t_m = sim
+            .config()
+            .seconds_to_meters(batch[batch.len() - 1].time_seconds);
+        sim.advance_all(t_m);
+        sim.submit_batch(batch);
+        submitted += batch.len();
+        after(sim, submitted);
     }
-    let bucket = (trips[start].time_seconds / batch_window).floor();
-    let mut end = start + 1;
-    while end < trips.len() && (trips[end].time_seconds / batch_window).floor() == bucket {
-        end += 1;
-    }
-    end
 }
 
 fn main() {
@@ -736,21 +739,8 @@ fn verify_resume<'a>(
     args: &Args,
 ) -> Option<(Simulation<'a>, usize)> {
     eprintln!("verify-resume: straight-through reference run...");
-    let run_span = |sim: &mut Simulation<'_>, from: usize, to: usize| {
-        let mut next = from;
-        while next < to {
-            let end = batch_end(trips, next, sim.config().batch_window_seconds).min(to);
-            let batch = &trips[next..end];
-            let t_m = sim
-                .config()
-                .seconds_to_meters(batch[batch.len() - 1].time_seconds);
-            sim.advance_all(t_m);
-            sim.submit_batch(batch);
-            next = end;
-        }
-    };
     let run_tail = |sim: &mut Simulation<'_>, from: usize| {
-        run_span(sim, from, trips.len());
+        submit_windows(sim, &trips[from..], |_, _| {});
         sim.drain();
     };
     let mut straight = Simulation::new(&exp.workload.network, oracle, config);
@@ -773,7 +763,7 @@ fn verify_resume<'a>(
     }
     eprintln!("verify-resume: interrupting at request {cut}, then resuming...");
     let mut interrupted = Simulation::new(&exp.workload.network, oracle, config);
-    run_span(&mut interrupted, 0, cut);
+    submit_windows(&mut interrupted, &trips[..cut], |_, _| {});
     let ckpt = args
         .checkpoint
         .clone()
@@ -847,17 +837,7 @@ fn verify_pruning(
     eprintln!("verify-pruning: replaying a {prefix}-trip prefix pruned and exhaustively...");
     let run = |config: SimConfig| {
         let mut sim = Simulation::new(&exp.workload.network, oracle, config);
-        let mut next = 0usize;
-        while next < trips.len() {
-            let end = batch_end(trips, next, config.batch_window_seconds);
-            let batch = &trips[next..end];
-            let t_m = sim
-                .config()
-                .seconds_to_meters(batch[batch.len() - 1].time_seconds);
-            sim.advance_all(t_m);
-            sim.submit_batch(batch);
-            next = end;
-        }
+        submit_windows(&mut sim, trips, |_, _| {});
         sim.drain();
         observables(&sim)
     };

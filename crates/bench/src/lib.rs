@@ -142,17 +142,6 @@ impl Scale {
         }
     }
 
-    /// Path-cache capacity (entries) for this scale's oracle. Paths are
-    /// only queried when a vehicle starts driving a leg, so the cache is
-    /// kept an order of magnitude smaller than the distance cache.
-    pub fn path_cache_entries(&self) -> usize {
-        match self {
-            Scale::Smoke => 2_000,
-            Scale::Quick => 10_000,
-            Scale::Paper => 50_000,
-        }
-    }
-
     /// Length of one metrics window in seconds: the simulated span divided
     /// into 24 equal buckets, so every scale reports the same bucket count
     /// and the paper scale's windows are exactly the hours of its
@@ -262,21 +251,17 @@ impl Experiment {
         &self,
         scale: Scale,
     ) -> (CachedOracle<'_>, Option<store::StoreReport>) {
-        let (dcache, pcache) = (scale.distance_cache_entries(), scale.path_cache_entries());
+        let network = &self.workload.network;
+        let entries = scale.distance_cache_entries();
         match scale {
             Scale::Smoke => (
-                CachedOracle::with_options(
-                    &self.workload.network,
-                    OracleBackend::Dijkstra,
-                    dcache,
-                    pcache,
-                ),
+                CachedOracle::with_options(network, OracleBackend::Dijkstra, entries),
                 None,
             ),
             Scale::Quick | Scale::Paper => {
-                let (labels, report) = store::load_or_build(&self.workload.network);
+                let (labels, report) = store::load_or_build(network);
                 (
-                    CachedOracle::with_labels(&self.workload.network, labels, dcache, pcache),
+                    CachedOracle::with_labels(network, labels, entries, 0),
                     Some(report),
                 )
             }
@@ -571,19 +556,10 @@ mod tests {
         // The PR 3 sweep: hit rate saturates by 10k entries on the 40×40
         // dispatch stream. Smoke pins the saturation point; the larger
         // scales grow with their networks instead of sharing one
-        // hard-coded 2M/20k pair (the bug this test guards against).
+        // hard-coded 2M capacity (the bug this test guards against).
         assert_eq!(Scale::Smoke.distance_cache_entries(), 10_000);
         assert_eq!(Scale::Quick.distance_cache_entries(), 50_000);
         assert_eq!(Scale::Paper.distance_cache_entries(), 4_000_000);
-        assert_eq!(Scale::Smoke.path_cache_entries(), 2_000);
-        assert_eq!(Scale::Quick.path_cache_entries(), 10_000);
-        assert_eq!(Scale::Paper.path_cache_entries(), 50_000);
-        for scale in [Scale::Smoke, Scale::Quick, Scale::Paper] {
-            assert!(
-                scale.path_cache_entries() <= scale.distance_cache_entries() / 5,
-                "path cache should stay well below the distance cache"
-            );
-        }
     }
 
     #[test]

@@ -559,7 +559,8 @@ impl Dispatcher {
     }
 
     /// [`Dispatcher::assign_synced`] over a fleet the grid indexes exactly
-    /// where it stands: no lag, nothing to sync.
+    /// where it stands: no lag, nothing to sync. Asks `oracle` for the
+    /// request's `d(source, destination)`.
     pub fn assign(
         &mut self,
         request: &TripRequest,
@@ -568,20 +569,22 @@ impl Dispatcher {
         index: &mut GridIndex,
         oracle: &dyn DistanceOracle,
     ) -> AssignmentOutcome {
+        let direct = oracle.dist(request.source, request.destination);
         let lazy = LazySync {
             lag: 0.0,
             sync: &mut |_| {},
         };
-        self.assign_synced(request, vehicles, graph, index, oracle, lazy)
+        self.assign_synced(request, direct, vehicles, graph, index, oracle, lazy)
     }
 
     /// Processes one request start to finish: evaluates it against the
     /// vehicles within its waiting-time radius, assigns it to the cheapest
-    /// feasible one (committing it) and records statistics. The request
-    /// becomes one [`WaitingTrip`], from one `d(source, destination)`
-    /// query, which each evaluation prices ([`Vehicle::evaluate`]); only
-    /// the winner's commit builds an augmented kinetic tree. A request
-    /// whose destination has no route from its source is rejected without
+    /// feasible one (committing it) and records statistics. `direct` is
+    /// the request's `d(source, destination)`, asked of the oracle once by
+    /// the caller; with it the request becomes one [`WaitingTrip`], which
+    /// each evaluation prices ([`Vehicle::evaluate`]). Only the winner's
+    /// commit builds an augmented kinetic tree. A request whose
+    /// destination has no route from its source is rejected without
     /// reading a vehicle. A vehicle's id is its slot in
     /// `vehicles`; an indexed id with no slot, or whose slot carries
     /// another id, is skipped, though it still counts as a candidate.
@@ -603,9 +606,11 @@ impl Dispatcher {
     /// dispatched by calling this once per request in submission order:
     /// each call commits its winner before the next request is screened, so
     /// request `i` sees every commit made for requests `0..i`.
+    #[allow(clippy::too_many_arguments)]
     pub fn assign_synced(
         &mut self,
         request: &TripRequest,
+        direct: Cost,
         vehicles: &mut [Vehicle],
         graph: &RoadNetwork,
         index: &mut GridIndex,
@@ -613,7 +618,6 @@ impl Dispatcher {
         lazy: LazySync<'_>,
     ) -> AssignmentOutcome {
         let timer = Instant::now();
-        let direct = oracle.dist(request.source, request.destination);
         let trip = WaitingTrip::for_request(request, direct);
         let (candidates, best) = match self.effort {
             // No vehicle can complete a trip that has no route.
@@ -1247,7 +1251,8 @@ mod tests {
                     reference.set_effort(effort);
                     for r in &requests {
                         let sync = LazySync { lag, sync: &mut |_| {} };
-                        let a = lazy.assign_synced(r, &mut fleet_a, &graph, &mut index_a, &oracle, sync);
+                        let direct = oracle.dist(r.source, r.destination);
+                        let a = lazy.assign_synced(r, direct, &mut fleet_a, &graph, &mut index_a, &oracle, sync);
                         let b = global_sort(&mut reference, r, &mut fleet_b, &graph, &mut index_b, &oracle);
                         proptest::prop_assert_eq!(a, b, "{:?} {:?} request {}", config, effort, r.id);
                     }
@@ -1292,8 +1297,16 @@ mod tests {
                 lag: d,
                 sync: &mut |v: &mut Vehicle| synced.push(v.id()),
             };
-            let out =
-                dispatcher.assign_synced(&req, &mut vehicles, &graph, &mut index, &oracle, lazy);
+            let direct = oracle.dist(req.source, req.destination);
+            let out = dispatcher.assign_synced(
+                &req,
+                direct,
+                &mut vehicles,
+                &graph,
+                &mut index,
+                &oracle,
+                lazy,
+            );
             assert!(
                 matches!(
                     out,
@@ -1350,7 +1363,16 @@ mod tests {
             lag,
             sync: &mut |_| {},
         };
-        let out = dispatcher.assign_synced(&req, &mut vehicles, &graph, &mut index, &oracle, lazy);
+        let direct = oracle.dist(req.source, req.destination);
+        let out = dispatcher.assign_synced(
+            &req,
+            direct,
+            &mut vehicles,
+            &graph,
+            &mut index,
+            &oracle,
+            lazy,
+        );
         assert!(
             matches!(out, AssignmentOutcome::Assigned { vehicle: 0, .. }),
             "a key tie goes to the lower id: {out:?}"

@@ -1,4 +1,4 @@
-//! LRU caches for shortest-path distances and paths.
+//! The LRU cache in front of the distance oracle.
 //!
 //! The paper observes that "the shortest path algorithm is called very
 //! frequently and can be the bottleneck if not implemented efficiently. We
@@ -10,13 +10,11 @@
 //! as i = id(s) · |V| + id(e)."
 //!
 //! [`LruCache`] is a generic order-tracking map (hash map plus an intrusive
-//! doubly-linked list over slot indices); [`SharedPathCaches`] combines a
-//! large distance cache and a small path cache behind the paper's shared key
-//! scheme and keeps hit/miss statistics.
+//! doubly-linked list over slot indices). [`crate::CachedOracle`] keeps one,
+//! for distances only, and counts its hits and misses in its
+//! [`crate::OracleStats`].
 
 use std::collections::HashMap;
-
-use crate::types::{NodeId, Weight};
 
 /// A fixed-capacity least-recently-used cache.
 ///
@@ -30,8 +28,6 @@ pub struct LruCache<V> {
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -54,8 +50,6 @@ impl<V> LruCache<V> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -74,42 +68,14 @@ impl<V> LruCache<V> {
         self.capacity
     }
 
-    /// Number of lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Fraction of lookups that hit, or 0 when no lookups have been made.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Looks up `key`, marking the entry most-recently-used on a hit.
     pub fn get(&mut self, key: u64) -> Option<&V> {
-        match self.map.get(&key).copied() {
-            Some(slot) => {
-                self.hits += 1;
-                self.touch(slot);
-                Some(&self.slots[slot].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = *self.map.get(&key)?;
+        self.touch(slot);
+        Some(&self.slots[slot].value)
     }
 
-    /// Looks up `key` without updating recency or statistics.
+    /// Looks up `key` without updating recency.
     pub fn peek(&self, key: u64) -> Option<&V> {
         self.map.get(&key).map(|&slot| &self.slots[slot].value)
     }
@@ -148,18 +114,12 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// Removes every entry but keeps statistics.
+    /// Removes every entry.
     pub fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.head = NIL;
         self.tail = NIL;
-    }
-
-    /// Resets hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 
     fn touch(&mut self, slot: usize) {
@@ -210,92 +170,6 @@ impl<V> LruCache<V> {
     }
 }
 
-/// The paper's pair of caches: a large distance cache and a small path cache
-/// sharing the key scheme `id(s) * |V| + id(e)`.
-#[derive(Debug, Clone)]
-pub struct SharedPathCaches {
-    node_count: u64,
-    distances: LruCache<Weight>,
-    paths: LruCache<Vec<NodeId>>,
-}
-
-/// Default distance-cache capacity (the paper stores up to ten million).
-pub const DEFAULT_DISTANCE_CACHE: usize = 10_000_000;
-/// Default path-cache capacity (the paper stores up to ten thousand).
-pub const DEFAULT_PATH_CACHE: usize = 10_000;
-
-impl SharedPathCaches {
-    /// Creates caches for a network with `node_count` nodes using the
-    /// paper's default capacities.
-    pub fn new(node_count: usize) -> Self {
-        Self::with_capacity(node_count, DEFAULT_DISTANCE_CACHE, DEFAULT_PATH_CACHE)
-    }
-
-    /// Creates caches with explicit capacities (0 disables a cache).
-    pub fn with_capacity(node_count: usize, distance_cap: usize, path_cap: usize) -> Self {
-        SharedPathCaches {
-            node_count: node_count as u64,
-            distances: LruCache::new(distance_cap),
-            paths: LruCache::new(path_cap),
-        }
-    }
-
-    /// The shared pair key: `id(s) * |V| + id(e)`.
-    pub fn key(&self, s: NodeId, e: NodeId) -> u64 {
-        s as u64 * self.node_count + e as u64
-    }
-
-    /// Cached distance, if present.
-    pub fn get_distance(&mut self, s: NodeId, e: NodeId) -> Option<Weight> {
-        let k = self.key(s, e);
-        self.distances.get(k).copied()
-    }
-
-    /// Stores a distance.
-    pub fn put_distance(&mut self, s: NodeId, e: NodeId, d: Weight) {
-        let k = self.key(s, e);
-        self.distances.put(k, d);
-    }
-
-    /// Cached path, if present.
-    pub fn get_path(&mut self, s: NodeId, e: NodeId) -> Option<Vec<NodeId>> {
-        let k = self.key(s, e);
-        self.paths.get(k).cloned()
-    }
-
-    /// Stores a path.
-    pub fn put_path(&mut self, s: NodeId, e: NodeId, p: Vec<NodeId>) {
-        let k = self.key(s, e);
-        self.paths.put(k, p);
-    }
-
-    /// Hit rate of the distance cache.
-    pub fn distance_hit_rate(&self) -> f64 {
-        self.distances.hit_rate()
-    }
-
-    /// Hit rate of the path cache.
-    pub fn path_hit_rate(&self) -> f64 {
-        self.paths.hit_rate()
-    }
-
-    /// (hits, misses) of the distance cache.
-    pub fn distance_stats(&self) -> (u64, u64) {
-        (self.distances.hits(), self.distances.misses())
-    }
-
-    /// (hits, misses) of the path cache.
-    pub fn path_stats(&self) -> (u64, u64) {
-        (self.paths.hits(), self.paths.misses())
-    }
-
-    /// Clears both caches.
-    pub fn clear(&mut self) {
-        self.distances.clear();
-        self.paths.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,8 +182,6 @@ mod tests {
         assert_eq!(c.get(1), Some(&"a"));
         assert_eq!(c.get(3), None);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -349,40 +221,16 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_stats() {
+    fn clear_empties_the_cache() {
         let mut c = LruCache::new(2);
         c.put(1, 1);
-        let _ = c.get(1);
-        let _ = c.get(2);
+        c.put(2, 2);
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.hits(), 1);
-        c.reset_stats();
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert_eq!(c.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn shared_caches_key_scheme_matches_paper() {
-        let caches = SharedPathCaches::with_capacity(1000, 10, 10);
-        assert_eq!(caches.key(3, 7), 3 * 1000 + 7);
-        assert_ne!(caches.key(3, 7), caches.key(7, 3));
-    }
-
-    #[test]
-    fn shared_caches_roundtrip() {
-        let mut caches = SharedPathCaches::with_capacity(100, 10, 2);
-        assert_eq!(caches.get_distance(1, 2), None);
-        caches.put_distance(1, 2, 42.0);
-        assert_eq!(caches.get_distance(1, 2), Some(42.0));
-        caches.put_path(1, 2, vec![1, 5, 2]);
-        assert_eq!(caches.get_path(1, 2), Some(vec![1, 5, 2]));
-        assert!(caches.distance_hit_rate() > 0.0);
-        let (h, m) = caches.distance_stats();
-        assert_eq!((h, m), (1, 1));
-        caches.clear();
-        assert_eq!(caches.get_path(1, 2), None);
+        assert_eq!(c.get(1), None);
+        assert_eq!(c.keys_by_recency(), Vec::<u64>::new());
+        c.put(3, 3);
+        assert_eq!(c.get(3), Some(&3));
     }
 
     #[test]

@@ -207,11 +207,6 @@ impl RoadNetwork {
             .fold(0.0, f64::max)
     }
 
-    /// Iterates over all node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        0..self.points.len() as NodeId
-    }
-
     /// Returns the id of a specific edge occurrence in the undirected edge
     /// list, if `(u, v)` (in either orientation) was ever added.
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {

@@ -722,7 +722,7 @@ mod tests {
         let hl = HubLabels::build(&g);
         assert_eq!(hl.distance(0, 3), Some(3.0));
         assert!(hl.path(0, 3).is_none_or(|p| p == [0, 1, 2, 3]));
-        let oracle = CachedOracle::with_labels(&g, hl, 10, 10);
+        let oracle = CachedOracle::with_labels(&g, hl, 10, 0);
         assert_eq!(oracle.shortest_path(0, 3), Some(vec![0, 1, 2, 3]));
         assert_eq!(oracle.shortest_path(3, 1), Some(vec![3, 2, 1]));
     }
@@ -823,7 +823,7 @@ mod tests {
         for (s, t) in (0..n).map(|i| (i, (i * 7 + 1) % n)).filter(|(s, t)| s != t) {
             assert_eq!(stuck.path(s, t), None, "{s}->{t}");
         }
-        let oracle = CachedOracle::with_labels(&g, stuck, 100, 100);
+        let oracle = CachedOracle::with_labels(&g, stuck, 100, 0);
         let dij = DijkstraEngine::new(&g);
         assert_eq!(
             oracle.shortest_path(0, n - 1),

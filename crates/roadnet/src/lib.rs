@@ -5,16 +5,17 @@
 //! road network together with two exact shortest-path engines — Dijkstra,
 //! the reference every other answer is checked against, and a hub-labeling
 //! oracle over a contraction ordering, which is what the system queries —
-//! the two LRU caches described in the paper (a large distance cache and a
-//! small path cache sharing one key scheme), synthetic network generators,
-//! and a small text format for loading and saving networks.
+//! an LRU distance cache under the paper's key scheme, synthetic network
+//! generators, and a small text format for loading and saving networks.
 //!
 //! The paper ("Large Scale Real-time Ridesharing with Service Guarantee on
 //! Road Networks", Huang et al., VLDB 2014) evaluates on the Shanghai road
 //! network with 122,319 vertices and 188,426 edges and implements a
 //! hub-labeling distance oracle plus two LRU caches keyed by
-//! `id(s) * |V| + id(e)`. This crate reproduces those components;
-//! [`CachedOracle`] puts the caches in front of the labels and is the one
+//! `id(s) * |V| + id(e)`, one for distances and one for paths. This crate
+//! reproduces the labels and the distance cache (the path cache hit
+//! 0.7–3.4 % here, so paths are always unpacked from the labels);
+//! [`CachedOracle`] puts the cache in front of the labels and is the one
 //! oracle the simulator queries, from one thread.
 //!
 //! # Quick example
@@ -49,7 +50,7 @@ pub mod partition;
 pub mod sharded;
 pub mod types;
 
-pub use cache::{LruCache, SharedPathCaches};
+pub use cache::LruCache;
 pub use contraction::ContractionOrder;
 pub use dijkstra::DijkstraEngine;
 pub use error::RoadNetError;

@@ -5,18 +5,18 @@
 //! shortest distance between two vertices and, occasionally, the actual
 //! shortest path (for driving the vehicle). [`DistanceOracle`] is that
 //! interface. [`CachedOracle`] is the production implementation, and the
-//! only one the engine runs on: the paper's two LRU caches in front of hub
-//! labels, which answer both kinds of miss — a distance by scanning one
-//! endpoint's label against the other's, which stays spread by hub rank
-//! from the queries before (a request's misses share its pickup or
-//! drop-off), a path by unpacking the labels' next-hop pointers (plain
-//! Dijkstra does both when labels are disabled). Distances are cached once
-//! per unordered pair. [`MatrixOracle`] pre-computes all pairs and is used
-//! by tests and tiny scheduling instances.
+//! only one the engine runs on: hub labels behind one LRU distance cache.
+//! The labels answer a distance miss by scanning one endpoint's label
+//! against the other's, which stays spread by hub rank from the queries
+//! before (a request's misses share its pickup or drop-off), and every path
+//! query by unpacking their next-hop pointers (plain Dijkstra does both
+//! when labels are disabled). Distances are cached once per unordered
+//! pair; paths are not cached. [`MatrixOracle`] pre-computes all pairs and
+//! is used by tests and tiny scheduling instances.
 
 use std::cell::RefCell;
 
-use crate::cache::SharedPathCaches;
+use crate::cache::LruCache;
 use crate::dijkstra::{floyd_warshall, DijkstraEngine};
 use crate::graph::RoadNetwork;
 use crate::hub_label::{HubLabels, Spread};
@@ -75,17 +75,17 @@ pub trait DistanceOracle {
     }
 }
 
-/// Counters describing how a [`CachedOracle`] answered its queries.
+/// Counters describing how a [`CachedOracle`] answered its queries: the
+/// one place a query is counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OracleStats {
     /// Distance queries answered from the LRU distance cache.
     pub distance_cache_hits: u64,
     /// Distance queries that had to consult the underlying engine.
     pub distance_cache_misses: u64,
-    /// Path queries answered from the LRU path cache.
+    /// Always 0: paths are not cached. Kept only because the frozen
+    /// `benchmark/` crate reads it.
     pub path_cache_hits: u64,
-    /// Path queries that had to consult the underlying engine.
-    pub path_cache_misses: u64,
     /// Total distance queries issued.
     pub distance_queries: u64,
     /// Total path queries issued.
@@ -125,8 +125,8 @@ fn ordered(s: NodeId, t: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-/// Production oracle: hub labels (or Dijkstra) behind the paper's LRU
-/// caches. Sequential by design — caches, counters and the label scratch
+/// Production oracle: hub labels (or Dijkstra) behind one LRU distance
+/// cache. Sequential by design — the cache, counters and the label scratch
 /// sit behind `RefCell`, so a query takes no lock.
 pub struct CachedOracle<'g> {
     graph: &'g RoadNetwork,
@@ -135,38 +135,42 @@ pub struct CachedOracle<'g> {
     /// Labels of recent query endpoints, spread by hub rank: changes how
     /// fast a distance miss is found, never which distance.
     spread: RefCell<Spread>,
-    caches: RefCell<SharedPathCaches>,
+    /// Distances keyed by [`CachedOracle::key`].
+    distances: RefCell<LruCache<Weight>>,
     stats: RefCell<OracleStats>,
 }
 
 impl<'g> CachedOracle<'g> {
-    /// Builds an oracle with hub labels and default cache sizes.
+    /// Builds an oracle with hub labels and the default cache size.
     pub fn new(graph: &'g RoadNetwork) -> Self {
-        Self::with_options(graph, OracleBackend::HubLabels, 1_000_000, 10_000)
+        Self::with_options(graph, OracleBackend::HubLabels, 1_000_000)
     }
 
     /// Builds an oracle without hub labels (Dijkstra on every miss).
     pub fn without_labels(graph: &'g RoadNetwork) -> Self {
-        Self::with_options(graph, OracleBackend::Dijkstra, 1_000_000, 10_000)
+        Self::with_options(graph, OracleBackend::Dijkstra, 1_000_000)
     }
 
-    /// Builds an oracle with explicit backend and cache capacities.
+    /// Builds an oracle with an explicit backend and distance-cache
+    /// capacity (0 disables the cache).
     pub fn with_options(
         graph: &'g RoadNetwork,
         backend: OracleBackend,
         distance_cache: usize,
-        path_cache: usize,
     ) -> Self {
         let labels = match backend {
             OracleBackend::HubLabels => Some(HubLabels::build(graph)),
             OracleBackend::Dijkstra => None,
         };
-        Self::from_parts(graph, labels, distance_cache, path_cache)
+        Self::from_parts(graph, labels, distance_cache)
     }
 
     /// Builds an oracle around pre-built hub labels — typically loaded from
     /// disk with [`HubLabels::load`] so a paper-scale construction is paid
     /// once, not on every process start.
+    ///
+    /// `_path_cache` is ignored: paths are not cached. It is kept only
+    /// because the frozen `benchmark/` crate passes it.
     ///
     /// # Panics
     /// Panics when the labels cover a different number of vertices than
@@ -175,7 +179,7 @@ impl<'g> CachedOracle<'g> {
         graph: &'g RoadNetwork,
         labels: HubLabels,
         distance_cache: usize,
-        path_cache: usize,
+        _path_cache: usize,
     ) -> Self {
         assert_eq!(
             labels.node_count(),
@@ -184,23 +188,20 @@ impl<'g> CachedOracle<'g> {
             labels.node_count(),
             graph.node_count()
         );
-        Self::from_parts(graph, Some(labels), distance_cache, path_cache)
+        Self::from_parts(graph, Some(labels), distance_cache)
     }
 
     fn from_parts(
         graph: &'g RoadNetwork,
         labels: Option<HubLabels>,
         distance_cache: usize,
-        path_cache: usize,
     ) -> Self {
-        let caches =
-            SharedPathCaches::with_capacity(graph.node_count(), distance_cache, path_cache);
         CachedOracle {
             graph,
             labels,
             dijkstra: DijkstraEngine::new(graph),
             spread: RefCell::default(),
-            caches: RefCell::new(caches),
+            distances: RefCell::new(LruCache::new(distance_cache)),
             stats: RefCell::new(OracleStats::default()),
         }
     }
@@ -226,11 +227,18 @@ impl<'g> CachedOracle<'g> {
         *self.stats.borrow_mut() = OracleStats::default();
     }
 
-    /// Empties both LRU caches (hub labels are kept). Benchmark harnesses
-    /// call this between measurement points so that every algorithm starts
-    /// from the same cold-cache state.
+    /// Empties the distance cache (hub labels are kept). Benchmark
+    /// harnesses call this between measurement points so that every
+    /// algorithm starts from the same cold-cache state.
     pub fn clear_caches(&self) {
-        self.caches.borrow_mut().clear();
+        self.distances.borrow_mut().clear();
+    }
+
+    /// The paper's cache key `id(s) · |V| + id(e)`, taken over the pair
+    /// in [`ordered`] form so that both directions share one entry.
+    fn key(&self, s: NodeId, t: NodeId) -> u64 {
+        let (s, e) = ordered(s, t);
+        s as u64 * self.graph.node_count() as u64 + e as u64
     }
 
     /// Computes the exact distance of the pair `s < t`, always in the
@@ -254,22 +262,6 @@ impl<'g> CachedOracle<'g> {
             None => self.dijkstra.distance(s, t).unwrap_or(INFINITY),
         }
     }
-
-    /// Computes a shortest path from `s` to `t`: unpacked from the labels
-    /// when the backend has them, by Dijkstra otherwise — and whenever the
-    /// labels answer `None`, which leaves it to Dijkstra to say whether the
-    /// pair is really disconnected.
-    ///
-    /// Callers must NOT prime the distance cache from a path: summed along
-    /// the query direction its cost can disagree with the canonical
-    /// [`CachedOracle::compute_distance`] in the last ULP, which would make
-    /// `dist` depend on which queries ran before it.
-    fn compute_path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
-        self.labels
-            .as_ref()
-            .and_then(|hl| hl.path(s, t))
-            .or_else(|| self.dijkstra.path(s, t).map(|(_, p)| p))
-    }
 }
 
 impl DistanceOracle for CachedOracle<'_> {
@@ -280,35 +272,37 @@ impl DistanceOracle for CachedOracle<'_> {
         // The value is canonical per unordered pair, so one entry serves
         // both directions: a reverse lookup hits, and a pair takes one of
         // the cache's slots and one insertion, not two.
-        let (s, t) = ordered(s, t);
+        let key = self.key(s, t);
         let mut stats = self.stats.borrow_mut();
         stats.distance_queries += 1;
-        let mut caches = self.caches.borrow_mut();
-        if let Some(d) = caches.get_distance(s, t) {
+        let mut distances = self.distances.borrow_mut();
+        if let Some(&d) = distances.get(key) {
             stats.distance_cache_hits += 1;
             return d;
         }
         stats.distance_cache_misses += 1;
+        let (s, t) = ordered(s, t);
         let d = self.compute_distance(s, t);
-        caches.put_distance(s, t, d);
+        distances.put(key, d);
         d
     }
 
+    /// Unpacked from the labels when the backend has them, by Dijkstra
+    /// otherwise — and whenever the labels answer `None`, which leaves it
+    /// to Dijkstra to say whether the pair is really disconnected. Never
+    /// cached, and never used to fill the distance cache: summed along the
+    /// query direction a path's cost can disagree with the canonical
+    /// distance `dist` computes in the last ULP, which would make `dist`
+    /// depend on which queries ran before it.
     fn shortest_path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
         if s == t {
             return Some(vec![s]);
         }
-        let mut stats = self.stats.borrow_mut();
-        stats.path_queries += 1;
-        let mut caches = self.caches.borrow_mut();
-        if let Some(p) = caches.get_path(s, t) {
-            stats.path_cache_hits += 1;
-            return Some(p);
-        }
-        stats.path_cache_misses += 1;
-        let p = self.compute_path(s, t)?;
-        caches.put_path(s, t, p.clone());
-        Some(p)
+        self.stats.borrow_mut().path_queries += 1;
+        self.labels
+            .as_ref()
+            .and_then(|hl| hl.path(s, t))
+            .or_else(|| self.dijkstra.path(s, t).map(|(_, p)| p))
     }
 
     fn node_count(&self) -> usize {
@@ -412,11 +406,37 @@ mod tests {
     }
 
     #[test]
+    fn distance_key_is_the_papers_on_the_ordered_pair() {
+        let g = grid(5, 5, 0);
+        let oracle = CachedOracle::without_labels(&g);
+        let n = g.node_count() as u64;
+        assert_eq!(oracle.key(3, 7), 3 * n + 7);
+        assert_eq!(oracle.key(7, 3), oracle.key(3, 7));
+        assert_ne!(oracle.key(3, 8), oracle.key(3, 7));
+    }
+
+    /// Asks `oracle` for the path `s → t`, again, and reversed: a path is a
+    /// pure function of the pair (unique shortest paths), and every ask is
+    /// one counted path query.
+    fn path_three_ways(oracle: &CachedOracle<'_>, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
+        let asked = oracle.stats().path_queries;
+        let p = oracle.shortest_path(s, t);
+        assert_eq!(oracle.shortest_path(s, t), p, "repeated ({s}, {t})");
+        let back = oracle.shortest_path(t, s).map(|mut b| {
+            b.reverse();
+            b
+        });
+        assert_eq!(back, p, "reversed ({s}, {t})");
+        assert_eq!(oracle.stats().path_queries, asked + 3, "({s}, {t})");
+        p
+    }
+
+    #[test]
     fn cached_oracle_paths_are_valid() {
         let g = grid(5, 7, 2);
         let oracle = CachedOracle::without_labels(&g);
         let t = (g.node_count() - 1) as NodeId;
-        let p = oracle.shortest_path(0, t).unwrap();
+        let p = path_three_ways(&oracle, 0, t).unwrap();
         assert_eq!(p[0], 0);
         assert_eq!(*p.last().unwrap(), t);
         let mut acc = 0.0;
@@ -424,9 +444,6 @@ mod tests {
             acc += g.edge_weight(w[0], w[1]).unwrap();
         }
         assert!(approx_eq(acc, oracle.dist(0, t)));
-        // Second call comes from the path cache and must be identical.
-        assert_eq!(oracle.shortest_path(0, t).unwrap(), p);
-        assert_eq!(oracle.stats().path_cache_hits, 1);
     }
 
     #[test]
@@ -440,14 +457,7 @@ mod tests {
         for (s, t) in (0..40).map(|i| ((i * 5) % n, (i * 17 + 3) % n)) {
             let expect = twin.shortest_path(s, t);
             assert!(expect.is_some(), "grid is connected ({s}, {t})");
-            assert_eq!(cached.shortest_path(s, t), expect, "({s}, {t})");
-            if s == t {
-                continue; // answered before the caches are consulted
-            }
-            // A second call is a path-cache hit with the identical vector.
-            let hits = cached.stats().path_cache_hits;
-            assert_eq!(cached.shortest_path(s, t), expect, "({s}, {t})");
-            assert_eq!(cached.stats().path_cache_hits, hits + 1);
+            assert_eq!(path_three_ways(&cached, s, t), expect, "({s}, {t})");
         }
     }
 

@@ -4,7 +4,8 @@
 //! benchmark still builds a `ShardedOracle` and hands it around as
 //! `&(dyn DistanceOracle + Sync)`, so this module keeps that name as one
 //! `CachedOracle` behind a `Mutex`: `Sync`, and bit for bit the inner
-//! oracle's answers. There are no shards; the shard count is ignored.
+//! oracle's answers. There are no shards and no path cache; the shard
+//! count and the path-cache capacity are ignored.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -38,15 +39,16 @@ use crate::types::{NodeId, Weight};
 pub struct ShardedOracle<'g>(Mutex<CachedOracle<'g>>);
 
 impl<'g> ShardedOracle<'g> {
-    /// [`CachedOracle::with_labels`]; the shard count is ignored.
+    /// [`CachedOracle::with_labels`]; the shard count and the path-cache
+    /// capacity are ignored.
     pub fn with_labels(
         graph: &'g RoadNetwork,
         labels: HubLabels,
         _shards: usize,
         distance_cache: usize,
-        path_cache: usize,
+        _path_cache: usize,
     ) -> Self {
-        let oracle = CachedOracle::with_labels(graph, labels, distance_cache, path_cache);
+        let oracle = CachedOracle::with_labels(graph, labels, distance_cache, 0);
         ShardedOracle(Mutex::new(oracle))
     }
 
@@ -91,7 +93,9 @@ impl DistanceOracle for ShardedOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dijkstra::DijkstraEngine;
     use crate::generators::{GeneratorConfig, NetworkKind};
+    use crate::oracle::ShortestPathEngine;
 
     fn grid(rows: usize, cols: usize, seed: u64) -> RoadNetwork {
         GeneratorConfig {
@@ -102,16 +106,17 @@ mod tests {
         .generate()
     }
 
-    /// The benchmark's construction: labels, 16 (ignored) shards.
-    fn shim(g: &RoadNetwork, distance_cache: usize, path_cache: usize) -> ShardedOracle<'_> {
-        ShardedOracle::with_labels(g, HubLabels::build(g), 16, distance_cache, path_cache)
+    /// The benchmark's construction: labels, 16 (ignored) shards, a
+    /// (ignored) path-cache capacity.
+    fn shim(g: &RoadNetwork, distance_cache: usize) -> ShardedOracle<'_> {
+        ShardedOracle::with_labels(g, HubLabels::build(g), 16, distance_cache, 100)
     }
 
     #[test]
     fn sharded_oracle_is_sync() {
         fn assert_sync<T: Sync>(_: &T) {}
         let g = grid(3, 3, 0);
-        let o = shim(&g, 100, 10);
+        let o = shim(&g, 100);
         assert_sync(&o);
         // And usable as the trait object the benchmark passes around.
         let _dyn_oracle: &(dyn DistanceOracle + Sync) = &o;
@@ -122,7 +127,7 @@ mod tests {
         let g = grid(6, 6, 3);
         let labels = HubLabels::build(&g);
         let sharded = ShardedOracle::with_labels(&g, labels.clone(), 16, 1_000, 100);
-        let cached = CachedOracle::with_labels(&g, labels, 1_000, 100);
+        let cached = CachedOracle::with_labels(&g, labels, 1_000, 0);
         let n = g.node_count() as NodeId;
         for s in 0..n {
             for t in 0..n {
@@ -143,7 +148,7 @@ mod tests {
         // The shard count is ignored: every query lands in one set of
         // counters.
         let g = grid(5, 5, 2);
-        let o = shim(&g, 1_000, 100);
+        let o = shim(&g, 1_000);
         let n = g.node_count() as NodeId;
         for t in 1..n {
             let _ = o.dist(0, t);
@@ -163,7 +168,7 @@ mod tests {
     #[test]
     fn reverse_lookup_hits_the_pairs_one_entry() {
         let g = grid(5, 5, 4);
-        let o = shim(&g, 1_000, 100);
+        let o = shim(&g, 1_000);
         let _ = o.dist(3, 19);
         let _ = o.dist(19, 3);
         let stats = o.stats();
@@ -173,13 +178,19 @@ mod tests {
     #[test]
     fn paths_and_clear_work() {
         let g = grid(4, 6, 5);
-        let o = shim(&g, 1_000, 100);
+        let o = shim(&g, 1_000);
         let t = (g.node_count() - 1) as NodeId;
         let p = o.shortest_path(0, t).unwrap();
-        assert_eq!(p[0], 0);
-        assert_eq!(*p.last().unwrap(), t);
+        assert_eq!(p, DijkstraEngine::new(&g).path(0, t).unwrap().1);
+        assert!(p.windows(2).all(|w| g.edge_weight(w[0], w[1]).is_some()));
+        // Repeated and reversed: the same vertex sequence, one counted
+        // query each, and never a cache hit.
         assert_eq!(o.shortest_path(0, t).unwrap(), p);
-        assert_eq!(o.stats().path_cache_hits, 1);
+        let mut back = o.shortest_path(t, 0).unwrap();
+        back.reverse();
+        assert_eq!(back, p);
+        assert_eq!(o.stats().path_queries, 3);
+        assert_eq!(o.stats().path_cache_hits, 0);
         let _ = o.dist(0, t);
         o.clear_caches();
         let _ = o.dist(0, t);
@@ -191,7 +202,7 @@ mod tests {
     #[test]
     fn concurrent_path_unpacking_agrees_with_dijkstra() {
         let g = grid(12, 12, 8);
-        let o = shim(&g, 1_000, 100);
+        let o = shim(&g, 1_000);
         let reference = CachedOracle::without_labels(&g);
         let n = g.node_count() as NodeId;
         let pairs: Vec<(NodeId, NodeId)> =
@@ -201,8 +212,7 @@ mod tests {
             .map(|&(s, t)| reference.shortest_path(s, t))
             .collect();
         // Four threads walk the same pairs from different starting points,
-        // so every pair is unpacked by one thread and served from the path
-        // cache to the others.
+        // each unpacking every pair itself.
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4usize)
                 .map(|w| {
@@ -225,7 +235,7 @@ mod tests {
 
     #[test]
     fn concurrent_misses_agree_with_the_merge_bit_for_bit() {
-        // Zero-capacity caches: every call is a miss, answered by scanning
+        // A zero-capacity cache: every call is a miss, answered by scanning
         // against the one label scratch the threads take turns at, and
         // every answer must still be the merge's.
         let g = grid(10, 10, 11);
@@ -276,7 +286,7 @@ mod tests {
     #[test]
     fn concurrent_queries_agree_with_sequential() {
         let g = grid(8, 8, 7);
-        let o = shim(&g, 1_000, 100);
+        let o = shim(&g, 1_000);
         let n = g.node_count() as NodeId;
         let sequential = CachedOracle::new(&g);
         let results = std::thread::scope(|scope| {

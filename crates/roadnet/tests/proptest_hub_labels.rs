@@ -112,8 +112,8 @@ proptest! {
         let g = with_island(&g);
         let hl = HubLabels::build(&g);
         let cold = CachedOracle::with_labels(&g, hl.clone(), 0, 0);
-        let warm = CachedOracle::with_labels(&g, hl.clone(), 64, 4);
-        let evicting = CachedOracle::with_labels(&g, hl.clone(), 16, 1);
+        let warm = CachedOracle::with_labels(&g, hl.clone(), 64, 0);
+        let evicting = CachedOracle::with_labels(&g, hl.clone(), 16, 0);
         for (s, t) in query_sequence(&steps, g.node_count()) {
             let merged = hl.distance(s.min(t), s.max(t)).unwrap_or(INFINITY).to_bits();
             prop_assert_eq!(cold.dist(s, t).to_bits(), merged, "cold ({}, {})", s, t);

@@ -219,7 +219,8 @@ impl<'a> Simulation<'a> {
     /// it — at most once per batch, since dispatch commits never move a
     /// vehicle. Each request keeps its **own** submission time for
     /// deadlines and its trace row — only vehicle movement is quantized to
-    /// the window.
+    /// the window. A request's `d(source, destination)` is asked once,
+    /// here, for its trace row and the dispatcher both.
     pub fn submit_batch(&mut self, trips: &[TripEvent]) -> Vec<AssignmentOutcome> {
         self.batches += 1;
         self.synced_in.resize(self.vehicles.len(), 0);
@@ -249,6 +250,7 @@ impl<'a> Simulation<'a> {
             };
             let outcome = self.dispatcher.assign_synced(
                 &request,
+                direct,
                 &mut self.vehicles,
                 self.graph,
                 &mut self.index,
@@ -426,11 +428,6 @@ impl<'a> Simulation<'a> {
     /// metrics diff successive snapshots of these counters.
     pub fn dispatch_stats(&self) -> &kinetic_core::DispatchStats {
         self.dispatcher.stats()
-    }
-
-    /// Current planner effort level (the serve path's degradation ladder).
-    pub fn dispatch_effort(&self) -> kinetic_core::DispatchEffort {
-        self.dispatcher.effort()
     }
 
     /// Sets the planner effort level for subsequent dispatches. The serve
@@ -717,6 +714,59 @@ mod tests {
             assert_eq!(
                 sim.index.stats().queries,
                 report.requests,
+                "window {batch_window_seconds} s"
+            );
+        }
+    }
+
+    /// A [`CachedOracle`] that counts every `dist` call by its ordered
+    /// pair.
+    struct CountingOracle<'g> {
+        inner: CachedOracle<'g>,
+        calls: std::cell::RefCell<std::collections::HashMap<(NodeId, NodeId), u64>>,
+    }
+
+    impl DistanceOracle for CountingOracle<'_> {
+        fn dist(&self, s: NodeId, t: NodeId) -> f64 {
+            *self.calls.borrow_mut().entry((s, t)).or_default() += 1;
+            self.inner.dist(s, t)
+        }
+
+        fn shortest_path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
+            self.inner.shortest_path(s, t)
+        }
+
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+    }
+
+    #[test]
+    fn the_direct_distance_is_asked_once_per_request() {
+        // No fleet, so no probe prices the pair: every ask of
+        // `d(source, destination)` is the engine's or the dispatcher's,
+        // and the dispatcher must take the engine's answer.
+        let w = small_workload(40, 6);
+        for batch_window_seconds in [0.0, 120.0] {
+            let oracle = CountingOracle {
+                inner: CachedOracle::without_labels(&w.network),
+                calls: Default::default(),
+            };
+            let config = SimConfig {
+                vehicles: 0,
+                batch_window_seconds,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(&w.network, &oracle, config);
+            let report = sim.run(&w.trips);
+            assert_eq!(report.requests, 40);
+            let mut asked = std::collections::HashMap::<_, u64>::new();
+            for trip in &w.trips {
+                *asked.entry((trip.source, trip.destination)).or_default() += 1;
+            }
+            assert_eq!(
+                *oracle.calls.borrow(),
+                asked,
                 "window {batch_window_seconds} s"
             );
         }
