@@ -11,12 +11,13 @@
 //! * `BENCH_hublabel.json` — hub-label build time / mean label size /
 //!   distance-query latency (the stateless merge, and a distance miss
 //!   through the oracle — endpoints that never repeat, and runs that share
-//!   one as a dispatcher's do), and the cost of a path unpacked from the
-//!   labels beside the point-to-point Dijkstra it replaced, on 20×20,
-//!   40×40 and 80×80 grids plus the ring-radial city preset; and the label
-//!   persistence round-trip. Pass `--paper-build` to additionally run the
-//!   ≥100k-vertex paper-scale build (minutes) and record it as the
-//!   headline entry.
+//!   one as a dispatcher's do), the distance cache's own two costs (a
+//!   hit, and a miss that evicts from a full cache), and the cost of a
+//!   path unpacked from the labels beside the point-to-point Dijkstra it
+//!   replaced, on 20×20, 40×40 and 80×80 grids plus the ring-radial city
+//!   preset; and the label persistence round-trip. Pass `--paper-build`
+//!   to additionally run the ≥100k-vertex paper-scale build (minutes) and
+//!   record it as the headline entry.
 //! * `BENCH_mip.json` — MIP-matcher solve time versus trips on board
 //!   (1/2/3/4) for the sparse revised-simplex solver and the frozen dense
 //!   tableau baseline ([`rideshare_bench::baseline::dense_mip`]), with
@@ -40,9 +41,9 @@
 //!
 //! Absolute time thresholds are deliberately not enforced (shared runners
 //! are too noisy); the MIP speedup gate is a same-process ratio. The
-//! hub-label build, query, path and distance-miss timings are recorded
-//! without a gate; label size, which the build is judged by, is pinned as
-//! data by a `roadnet::hub_label` unit test.
+//! hub-label build, query, path, distance-miss and cache timings are
+//! recorded without a gate; label size, which the build is judged by, is
+//! pinned as data by a `roadnet::hub_label` unit test.
 
 use std::time::Instant;
 
@@ -68,6 +69,8 @@ struct HubLabelPoint {
     query_ns: f64,
     miss_ns: f64,
     miss_shared_endpoint_ns: f64,
+    hit_ns: f64,
+    full_cache_miss_ns: f64,
     path_ns: f64,
     dijkstra_path_ns: f64,
     exact: bool,
@@ -169,6 +172,20 @@ fn mean_query_ns(labels: &HubLabels, n: usize) -> f64 {
     ns
 }
 
+/// Mean nanoseconds per `oracle.dist` over `passes` runs of `queries`.
+fn mean_dist_ns(oracle: &CachedOracle<'_>, queries: &[(NodeId, NodeId)], passes: usize) -> f64 {
+    let mut acc = 0.0f64;
+    let timer = Instant::now();
+    for _ in 0..passes {
+        for &(s, t) in queries {
+            acc += oracle.dist(s, t);
+        }
+    }
+    let ns = timer.elapsed().as_nanos() as f64 / (passes * queries.len()) as f64;
+    std::hint::black_box(acc);
+    ns
+}
+
 /// Mean cost of a distance miss over `queries`, in nanoseconds, through
 /// `oracle` — zero-capacity caches over `labels`, so every call is a miss —
 /// and whether every answer equalled `HubLabels::distance` of the pair bit
@@ -188,17 +205,40 @@ fn mean_miss_ns(
             exact = false;
         }
     }
-    let mut acc = 0.0f64;
-    let timer = Instant::now();
-    let passes = 20;
-    for _ in 0..passes {
-        for &(s, t) in queries {
-            acc += oracle.dist(s, t);
-        }
-    }
-    let ns = timer.elapsed().as_nanos() as f64 / (passes * queries.len()) as f64;
-    std::hint::black_box(acc);
-    (ns, exact)
+    (mean_dist_ns(oracle, queries, 20), exact)
+}
+
+/// `count` distinct unordered pairs, low id first: `(k / n, k % n)` for `k`
+/// stepping through `0..n²` by a prime, keeping the low-id-first ones.
+fn fresh_pairs(n: usize, count: usize) -> Vec<(NodeId, NodeId)> {
+    let n = n as u64;
+    (0u64..)
+        .map(|i| i * 1_000_003 % (n * n))
+        .map(|k| ((k / n) as NodeId, (k % n) as NodeId))
+        .filter(|&(s, t)| s < t)
+        .take(count)
+        .collect()
+}
+
+/// Distance-cache capacity of `CachedOracle::new`, the one `hit_ns` is
+/// measured through.
+const DEFAULT_CACHE: usize = 1_000_000;
+/// Capacity of the oracle `full_cache_miss_ns` fills before it is timed.
+const FULL_CACHE: usize = 4_096;
+
+/// The cache's two costs, in nanoseconds: a hit (`queries` again through a
+/// warm default-size oracle) and a miss through a full cache (pairs that
+/// never repeat, after four times its capacity of others), which pays the
+/// lookup, the eviction and the insertion on top of the label scan.
+fn cache_ns(graph: &RoadNetwork, labels: &HubLabels, queries: &[(NodeId, NodeId)]) -> (f64, f64) {
+    let warm = CachedOracle::with_labels(graph, labels.clone(), DEFAULT_CACHE, 0);
+    mean_dist_ns(&warm, queries, 1);
+    let hit_ns = mean_dist_ns(&warm, queries, 20);
+    let full = CachedOracle::with_labels(graph, labels.clone(), FULL_CACHE, 0);
+    let fresh = fresh_pairs(graph.node_count(), 4 * FULL_CACHE + 8_192);
+    let (fill, timed) = fresh.split_at(4 * FULL_CACHE);
+    mean_dist_ns(&full, fill, 1);
+    (hit_ns, mean_dist_ns(&full, timed, 1))
 }
 
 /// Benchmarks one network preset: timed build, exactness, query latency,
@@ -249,6 +289,7 @@ fn hublabel_point(
     let (miss_ns, random_exact) = mean_miss_ns(&zero_cache, &labels, &pairs);
     let (miss_shared_endpoint_ns, shared_exact) =
         mean_miss_ns(&zero_cache, &labels, &shared_endpoint_runs(&pairs));
+    let (hit_ns, full_cache_miss_ns) = cache_ns(graph, &labels, &pairs);
     HubLabelPoint {
         name: name.to_string(),
         nodes: graph.node_count(),
@@ -259,6 +300,8 @@ fn hublabel_point(
         query_ns: mean_query_ns(&labels, graph.node_count()),
         miss_ns,
         miss_shared_endpoint_ns,
+        hit_ns,
+        full_cache_miss_ns,
         path_ns: mean_path_ns(graph.node_count(), |s, t| labels.path(s, t)),
         dijkstra_path_ns: mean_path_ns(graph.node_count(), |s, t| {
             dijkstra.path(s, t).map(|(_, p)| p)
@@ -512,6 +555,7 @@ fn main() {
         eprintln!(
             "{:<22} n={:<7} build {:>10.1} ms  mean label {:>6.1}  query {:>7.1} ns  \
              miss {:>7.1} ns (shared endpoint {:>6.1} ns)  \
+             hit {:>5.1} ns  full-cache miss {:>7.1} ns  \
              path {:>8.1} ns (dijkstra {:>10.1} ns)  exact {}  spread {}  paths {}  par-id {:?}",
             p.name,
             p.nodes,
@@ -520,6 +564,8 @@ fn main() {
             p.query_ns,
             p.miss_ns,
             p.miss_shared_endpoint_ns,
+            p.hit_ns,
+            p.full_cache_miss_ns,
             p.path_ns,
             p.dijkstra_path_ns,
             p.exact,
@@ -547,6 +593,7 @@ fn main() {
             "    {{\"name\": \"{}\", \"nodes\": {}, \"edges\": {}, \"build_ms\": {:.3}, \
              \"mean_label_size\": {:.3}, \"total_entries\": {}, \"query_ns\": {:.1}, \
              \"miss_ns\": {:.1}, \"miss_shared_endpoint_ns\": {:.1}, \
+             \"hit_ns\": {:.1}, \"full_cache_miss_ns\": {:.1}, \
              \"path_ns\": {:.1}, \"dijkstra_path_ns\": {:.1}, \
              \"exact\": {}, \"spread_exact\": {}, \"paths_exact\": {}, \
              \"parallel_identical\": {}, \"persist\": {}}}{}\n",
@@ -559,6 +606,8 @@ fn main() {
             p.query_ns,
             p.miss_ns,
             p.miss_shared_endpoint_ns,
+            p.hit_ns,
+            p.full_cache_miss_ns,
             p.path_ns,
             p.dijkstra_path_ns,
             p.exact,

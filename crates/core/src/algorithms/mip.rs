@@ -150,13 +150,13 @@ impl MipFormulation {
                 format!("B_{i}"),
             ));
         }
-        // L[i] for waiting dropoffs: on-vehicle distance with its bounds
+        // L[i] for waiting trip i's drop-off: on-vehicle distance with its bounds
         // d(s, e) <= L <= (1 + eps) d(s, e)  (constraint 9).
-        let mut l_vars = vec![None::<VarId>; total];
+        let mut l_vars = Vec::with_capacity(n);
         for (i, t) in problem.waiting.iter().enumerate() {
             let d_idx = 1 + k + n + i;
             let direct = dist[1 + k + i][d_idx];
-            l_vars[d_idx] = Some(model.add_var(
+            l_vars.push(model.add_var(
                 direct,
                 t.max_ride,
                 0.0,
@@ -214,10 +214,9 @@ impl MipFormulation {
             }
         }
         // (6) L_i = B_i - B_{i-n} for waiting dropoffs.
-        for i in 0..n {
+        for (i, &l) in l_vars.iter().enumerate() {
             let p_idx = 1 + k + i;
             let d_idx = 1 + k + n + i;
-            let l = l_vars[d_idx].expect("L variable exists for every waiting dropoff");
             model.add_constraint(
                 &[(l, 1.0), (b[d_idx], -1.0), (b[p_idx], 1.0)],
                 ConstraintOp::Eq,

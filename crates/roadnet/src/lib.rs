@@ -5,15 +5,17 @@
 //! road network together with two exact shortest-path engines — Dijkstra,
 //! the reference every other answer is checked against, and a hub-labeling
 //! oracle over a contraction ordering, which is what the system queries —
-//! an LRU distance cache under the paper's key scheme, synthetic network
-//! generators, and a small text format for loading and saving networks.
+//! a set-associative distance cache under the paper's key scheme,
+//! synthetic network generators, and a small text format for loading and
+//! saving networks.
 //!
 //! The paper ("Large Scale Real-time Ridesharing with Service Guarantee on
 //! Road Networks", Huang et al., VLDB 2014) evaluates on the Shanghai road
 //! network with 122,319 vertices and 188,426 edges and implements a
 //! hub-labeling distance oracle plus two LRU caches keyed by
 //! `id(s) * |V| + id(e)`, one for distances and one for paths. This crate
-//! reproduces the labels and the distance cache (the path cache hit
+//! reproduces the labels and the distance cache, as one 4-way
+//! set-associative array rather than a hash table (the path cache hit
 //! 0.7–3.4 % here, so paths are always unpacked from the labels);
 //! [`CachedOracle`] puts the cache in front of the labels and is the one
 //! oracle the simulator queries, from one thread.

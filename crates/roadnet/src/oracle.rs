@@ -5,7 +5,8 @@
 //! shortest distance between two vertices and, occasionally, the actual
 //! shortest path (for driving the vehicle). [`DistanceOracle`] is that
 //! interface. [`CachedOracle`] is the production implementation, and the
-//! only one the engine runs on: hub labels behind one LRU distance cache.
+//! only one the engine runs on: hub labels behind one distance cache, a
+//! 4-way set-associative [`LruCache`].
 //! The labels answer a distance miss by scanning one endpoint's label
 //! against the other's, which stays spread by hub rank from the queries
 //! before (a request's misses share its pickup or drop-off), and every path
@@ -79,7 +80,7 @@ pub trait DistanceOracle {
 /// one place a query is counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OracleStats {
-    /// Distance queries answered from the LRU distance cache.
+    /// Distance queries answered from the distance cache.
     pub distance_cache_hits: u64,
     /// Distance queries that had to consult the underlying engine.
     pub distance_cache_misses: u64,
@@ -125,9 +126,10 @@ fn ordered(s: NodeId, t: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-/// Production oracle: hub labels (or Dijkstra) behind one LRU distance
-/// cache. Sequential by design — the cache, counters and the label scratch
-/// sit behind `RefCell`, so a query takes no lock.
+/// Production oracle: hub labels (or Dijkstra) behind one distance cache
+/// ([`LruCache`], LRU within 4-way sets). Sequential by design — the
+/// cache, counters and the label scratch sit behind `RefCell`, so a query
+/// takes no lock.
 pub struct CachedOracle<'g> {
     graph: &'g RoadNetwork,
     labels: Option<HubLabels>,
@@ -403,6 +405,25 @@ mod tests {
         assert_eq!(stats.distance_queries, 3);
         assert_eq!(stats.distance_cache_misses, 1);
         assert_eq!(stats.distance_cache_hits, 2);
+    }
+
+    #[test]
+    fn a_cleared_oracle_replays_a_query_sequence_exactly() {
+        // The benchmark's per-pass reset: after `clear_caches` and
+        // `reset_stats` the same queries count and answer as the first time.
+        let g = grid(8, 8, 6);
+        let n = g.node_count() as NodeId;
+        let oracle = CachedOracle::with_options(&g, OracleBackend::HubLabels, 64);
+        let run = || {
+            let pairs = (0..400).map(|i| ((i * 7) % n, (i * 13 + 5) % n));
+            let answers: Vec<u64> = pairs.map(|(s, t)| oracle.dist(s, t).to_bits()).collect();
+            (answers, oracle.stats())
+        };
+        let first = run();
+        assert!(first.1.distance_cache_hits > 0 && first.1.distance_cache_misses > 0);
+        oracle.clear_caches();
+        oracle.reset_stats();
+        assert_eq!(run(), first);
     }
 
     #[test]

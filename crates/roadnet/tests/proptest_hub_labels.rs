@@ -102,7 +102,8 @@ proptest! {
     /// of the pair, low id first, bit for bit: through zero-capacity caches
     /// (every call a miss, answered from labels kept spread by earlier
     /// queries), through warm caches (one entry per unordered pair) and
-    /// through caches small enough to evict all the time, under unique and
+    /// through caches small enough to evict all the time, and through a
+    /// single four-way set that every pair conflicts in, under unique and
     /// under tied distances.
     #[test]
     fn oracle_distances_equal_the_label_merge_bit_for_bit(
@@ -114,11 +115,13 @@ proptest! {
         let cold = CachedOracle::with_labels(&g, hl.clone(), 0, 0);
         let warm = CachedOracle::with_labels(&g, hl.clone(), 64, 0);
         let evicting = CachedOracle::with_labels(&g, hl.clone(), 16, 0);
+        let one_set = CachedOracle::with_labels(&g, hl.clone(), 4, 0);
         for (s, t) in query_sequence(&steps, g.node_count()) {
             let merged = hl.distance(s.min(t), s.max(t)).unwrap_or(INFINITY).to_bits();
             prop_assert_eq!(cold.dist(s, t).to_bits(), merged, "cold ({}, {})", s, t);
             prop_assert_eq!(warm.dist(s, t).to_bits(), merged, "warm ({}, {})", s, t);
             prop_assert_eq!(evicting.dist(s, t).to_bits(), merged, "evicting ({}, {})", s, t);
+            prop_assert_eq!(one_set.dist(s, t).to_bits(), merged, "one set ({}, {})", s, t);
         }
         prop_assert_eq!(cold.stats().distance_cache_hits, 0);
     }

@@ -25,7 +25,7 @@ fn main() {
         workload.span_seconds() / 3_600.0,
     );
 
-    // 2. A distance oracle (Dijkstra + the paper's LRU caches).
+    // 2. A distance oracle (Dijkstra + the paper's distance cache).
     let oracle = CachedOracle::without_labels(&workload.network);
 
     // 3. Twenty taxis, capacity 4, 10 min / 20% service guarantee, matched

@@ -8,7 +8,7 @@
 //! The workspace reproduces Huang, Jin, Bastani and Wang's VLDB 2014 paper:
 //!
 //! * [`roadnet`] — road-network graph engine, shortest paths, hub labels,
-//!   the paper's LRU caches and synthetic network generators;
+//!   the paper's distance cache and synthetic network generators;
 //! * [`spatial`] — the grid-based moving-object index used to pre-filter
 //!   candidate vehicles;
 //! * [`mip`] (crate `rideshare-mip`) — a from-scratch simplex +
