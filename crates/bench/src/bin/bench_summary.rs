@@ -13,7 +13,8 @@
 //!   through the oracle — endpoints that never repeat, and runs that share
 //!   one as a dispatcher's do), the distance cache's own two costs (a
 //!   hit, and a miss that evicts from a full cache), and the cost of a
-//!   path unpacked from the labels beside the point-to-point Dijkstra it
+//!   path unpacked from the labels (with its mean hop count, so the cost
+//!   per hop can be read off) beside the point-to-point Dijkstra it
 //!   replaced, on 20×20, 40×40 and 80×80 grids plus the ring-radial city
 //!   preset; and the label persistence round-trip. Pass `--paper-build`
 //!   to additionally run the ≥100k-vertex paper-scale build (minutes) and
@@ -72,6 +73,8 @@ struct HubLabelPoint {
     hit_ns: f64,
     full_cache_miss_ns: f64,
     path_ns: f64,
+    /// Mean edges per unpacked path, so `path_ns` reads as a cost per hop.
+    path_hops_mean: f64,
     dijkstra_path_ns: f64,
     exact: bool,
     spread_exact: bool,
@@ -131,17 +134,22 @@ fn paths_exact_vs_dijkstra(graph: &RoadNetwork, labels: &HubLabels, pairs: usize
 }
 
 /// Mean latency of one path computation over sampled pairs, in
-/// nanoseconds; the same pairs whichever engine `path` calls.
-fn mean_path_ns(n: usize, path: impl Fn(NodeId, NodeId) -> Option<Vec<NodeId>>) -> f64 {
+/// nanoseconds, and the mean edge count of the paths found; the same pairs
+/// whichever engine `path` calls.
+fn mean_path_ns(n: usize, path: impl Fn(NodeId, NodeId) -> Option<Vec<NodeId>>) -> (f64, f64) {
     let pairs = query_pairs(n, 128);
-    let run = |acc: &mut usize| {
+    let run = |acc: &mut (usize, usize)| {
         for &(s, t) in &pairs {
-            *acc += path(s, t).map_or(0, |p| p.len());
+            if let Some(p) = path(s, t) {
+                acc.0 += p.len() - 1;
+                acc.1 += 1;
+            }
         }
     };
-    // Warm once, then time several passes.
-    let mut acc = 0usize;
+    // Warm once, counting hops, then time several passes.
+    let mut acc = (0usize, 0usize);
     run(&mut acc);
+    let hops_mean = acc.0 as f64 / acc.1.max(1) as f64;
     let timer = Instant::now();
     let passes = 3;
     for _ in 0..passes {
@@ -149,7 +157,7 @@ fn mean_path_ns(n: usize, path: impl Fn(NodeId, NodeId) -> Option<Vec<NodeId>>) 
     }
     let ns = timer.elapsed().as_nanos() as f64 / (passes * pairs.len()) as f64;
     std::hint::black_box(acc);
-    ns
+    (ns, hops_mean)
 }
 
 /// Mean query latency over sampled pairs, in nanoseconds.
@@ -290,6 +298,10 @@ fn hublabel_point(
     let (miss_shared_endpoint_ns, shared_exact) =
         mean_miss_ns(&zero_cache, &labels, &shared_endpoint_runs(&pairs));
     let (hit_ns, full_cache_miss_ns) = cache_ns(graph, &labels, &pairs);
+    let (path_ns, path_hops_mean) = mean_path_ns(graph.node_count(), |s, t| labels.path(s, t));
+    let (dijkstra_path_ns, _) = mean_path_ns(graph.node_count(), |s, t| {
+        dijkstra.path(s, t).map(|(_, p)| p)
+    });
     HubLabelPoint {
         name: name.to_string(),
         nodes: graph.node_count(),
@@ -302,10 +314,9 @@ fn hublabel_point(
         miss_shared_endpoint_ns,
         hit_ns,
         full_cache_miss_ns,
-        path_ns: mean_path_ns(graph.node_count(), |s, t| labels.path(s, t)),
-        dijkstra_path_ns: mean_path_ns(graph.node_count(), |s, t| {
-            dijkstra.path(s, t).map(|(_, p)| p)
-        }),
+        path_ns,
+        path_hops_mean,
+        dijkstra_path_ns,
         exact,
         spread_exact: random_exact && shared_exact,
         paths_exact,
@@ -556,7 +567,7 @@ fn main() {
             "{:<22} n={:<7} build {:>10.1} ms  mean label {:>6.1}  query {:>7.1} ns  \
              miss {:>7.1} ns (shared endpoint {:>6.1} ns)  \
              hit {:>5.1} ns  full-cache miss {:>7.1} ns  \
-             path {:>8.1} ns (dijkstra {:>10.1} ns)  exact {}  spread {}  paths {}  par-id {:?}",
+             path {:>8.1} ns / {:>5.1} hops (dijkstra {:>10.1} ns)  exact {}  spread {}  paths {}  par-id {:?}",
             p.name,
             p.nodes,
             p.build_ms,
@@ -567,6 +578,7 @@ fn main() {
             p.hit_ns,
             p.full_cache_miss_ns,
             p.path_ns,
+            p.path_hops_mean,
             p.dijkstra_path_ns,
             p.exact,
             p.spread_exact,
@@ -594,7 +606,7 @@ fn main() {
              \"mean_label_size\": {:.3}, \"total_entries\": {}, \"query_ns\": {:.1}, \
              \"miss_ns\": {:.1}, \"miss_shared_endpoint_ns\": {:.1}, \
              \"hit_ns\": {:.1}, \"full_cache_miss_ns\": {:.1}, \
-             \"path_ns\": {:.1}, \"dijkstra_path_ns\": {:.1}, \
+             \"path_ns\": {:.1}, \"path_hops_mean\": {:.2}, \"dijkstra_path_ns\": {:.1}, \
              \"exact\": {}, \"spread_exact\": {}, \"paths_exact\": {}, \
              \"parallel_identical\": {}, \"persist\": {}}}{}\n",
             json_escape_free(&p.name),
@@ -609,6 +621,7 @@ fn main() {
             p.hit_ns,
             p.full_cache_miss_ns,
             p.path_ns,
+            p.path_hops_mean,
             p.dijkstra_path_ns,
             p.exact,
             p.spread_exact,

@@ -115,12 +115,11 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
             }
             "--checkpoint-every" if i + 1 < argv.len() => {
-                args.checkpoint_every =
-                    parse_num::<usize>("--checkpoint-every", &argv[i + 1])?.max(1);
+                args.checkpoint_every = parse_num("--checkpoint-every", &argv[i + 1])?;
                 i += 1;
             }
             "--batch-window" if i + 1 < argv.len() => {
-                args.batch_window = parse_num::<f64>("--batch-window", &argv[i + 1])?.max(0.0);
+                args.batch_window = parse_num("--batch-window", &argv[i + 1])?;
                 i += 1;
             }
             "--min-trips-per-sec" if i + 1 < argv.len() => {
@@ -147,6 +146,22 @@ fn parse_args() -> Result<Args, String> {
             }
         }
         i += 1;
+    }
+    // Refused, not clamped: every comparison with NaN is false, so a NaN
+    // floor or cap would pass every run, and a clamped value is a run
+    // other than the one asked for.
+    let non_negative = [
+        ("--batch-window", Some(args.batch_window)),
+        ("--min-trips-per-sec", args.min_trips_per_sec),
+        ("--max-evaluated-fraction", args.max_evaluated_fraction),
+    ];
+    for (flag, value) in non_negative {
+        if let Some(v) = value.filter(|v| !v.is_finite() || *v < 0.0) {
+            return Err(format!("{flag} must be a finite number >= 0, got {v}"));
+        }
+    }
+    if args.checkpoint_every == 0 {
+        return Err("--checkpoint-every must be at least 1, got 0".to_string());
     }
     Ok(args)
 }

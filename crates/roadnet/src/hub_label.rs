@@ -28,8 +28,9 @@
 //! pointer — the labelled vertex's parent in the hub's pruned search tree,
 //! recorded by the Dijkstra that creates the entry — so
 //! [`HubLabels::path`] finds the best hub with one label merge and walks
-//! both endpoints to it, one binary search per hop, instead of running a
-//! point-to-point Dijkstra.
+//! both endpoints to it, instead of running a point-to-point Dijkstra. A
+//! walk binary searches the first vertex's label for the hub; every later
+//! hop finds it by scanning outward from where the previous vertex held it.
 //!
 //! A distance query is a join of two rank-sorted labels on hub rank under
 //! a minimum. [`HubLabels::distance`] merges them and keeps no state. When
@@ -233,9 +234,10 @@ impl HubLabels {
     ///
     /// One label merge finds the hub the shortest path runs through; each
     /// endpoint then walks to it along the next-hop pointers, looking the
-    /// hub up in every visited vertex's label. Where shortest paths are
-    /// unique this is Dijkstra's vertex sequence; under ties it is *a*
-    /// shortest path.
+    /// hub up in every visited vertex's label — by binary search at the
+    /// first vertex, then next to the previous vertex's index. Where
+    /// shortest paths are unique this is Dijkstra's vertex sequence; under
+    /// ties it is *a* shortest path.
     ///
     /// Also `None` — never a panic or an endless walk — when a chain is
     /// broken: a vertex on it lacks the hub's entry, or the distance to
@@ -250,13 +252,26 @@ impl HubLabels {
     /// inclusive, following next-hop pointers. The distance to the hub must
     /// strictly decrease at every hop, which bounds the walk by the vertex
     /// count on any input.
+    ///
+    /// Consecutive vertices on a walk hold the hub at nearly the same
+    /// position in their labels (on a large city the same index on most
+    /// hops, within a few on nearly all), so only the first hop binary
+    /// searches; every later one scans outward from the previous hop's
+    /// index ([`hub_index_near`]), which finds the same entry.
     fn walk_to_hub(&self, v: NodeId, hub_rank: u32, out: &mut Vec<NodeId>) -> Option<()> {
         let hub = self.hub_node(hub_rank);
         let mut cur = v;
         let mut remaining = INFINITY;
+        let mut at = None;
         out.push(cur);
         while cur != hub {
-            let entry = hub_entry(self.label(cur), hub_rank)?;
+            let label = self.label(cur);
+            let i = match at {
+                None => label.binary_search_by_key(&hub_rank, |e| e.hub_rank).ok(),
+                Some(hint) => hub_index_near(label, hub_rank, hint),
+            }?;
+            at = Some(i);
+            let entry = &label[i];
             if entry.dist >= remaining {
                 return None;
             }
@@ -519,6 +534,24 @@ fn hub_entry(label: &[LabelEntry], hub_rank: u32) -> Option<&LabelEntry> {
         .map(|i| &label[i])
 }
 
+/// The index of the entry for the hub at `hub_rank` in a rank-sorted label,
+/// found by scanning outward from `hint` (clamped into the label): exactly
+/// what a binary search returns, in as many steps as the entry lies from
+/// the hint. Ranks in a label are unique, so there is one entry to find.
+fn hub_index_near(label: &[LabelEntry], hub_rank: u32, hint: usize) -> Option<usize> {
+    let mut i = hint.min(label.len().checked_sub(1)?);
+    if label[i].hub_rank < hub_rank {
+        while label.get(i + 1).is_some_and(|e| e.hub_rank <= hub_rank) {
+            i += 1;
+        }
+    } else {
+        while i > 0 && label[i - 1].hub_rank >= hub_rank {
+            i -= 1;
+        }
+    }
+    (label[i].hub_rank == hub_rank).then_some(i)
+}
+
 /// Merge-intersects two rank-sorted labels, calling `on_common(rank, d)`
 /// in rank order for every hub both carry, `d` the combined distance
 /// through it. Inlined into each caller, so the distance query pays
@@ -733,6 +766,35 @@ mod tests {
         // and `dist`. The benchmark's `roadnet.label_mb` (and the resident
         // set it accounts for) is entries x this size, so it must not grow.
         assert_eq!(std::mem::size_of::<LabelEntry>(), 16);
+    }
+
+    #[test]
+    fn the_scan_from_a_hint_finds_what_the_binary_search_finds() {
+        let label = |ranks: &[u32]| -> Vec<LabelEntry> {
+            ranks
+                .iter()
+                .map(|&hub_rank| LabelEntry {
+                    hub_rank,
+                    parent: 0,
+                    dist: 0.0,
+                })
+                .collect()
+        };
+        for ranks in [&[][..], &[7], &[2, 5, 9, 14, 20]] {
+            let label = label(ranks);
+            // Every rank present, absent between two, below every one and
+            // above every one; every hint in range and past the end.
+            for hub_rank in 0..=22 {
+                let expect = label.binary_search_by_key(&hub_rank, |e| e.hub_rank).ok();
+                for hint in 0..label.len() + 2 {
+                    assert_eq!(
+                        hub_index_near(&label, hub_rank, hint),
+                        expect,
+                        "rank {hub_rank} from hint {hint} in {ranks:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

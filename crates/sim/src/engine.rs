@@ -355,11 +355,14 @@ impl<'a> Simulation<'a> {
         if !self.config.cruise_when_idle || motion.at_clock_m > until_m {
             return false;
         }
-        let neighbors: Vec<(NodeId, f64)> = self.graph.neighbors(motion.at).collect();
-        if neighbors.is_empty() {
+        let degree = self.graph.degree(motion.at);
+        if degree == 0 {
             return false;
         }
-        let (next, w) = neighbors[motion.rng.gen::<u64>() as usize % neighbors.len()];
+        let draw = motion.rng.gen::<u64>() as usize % degree;
+        let Some((next, w)) = self.graph.neighbors(motion.at).nth(draw) else {
+            return false;
+        };
         let start_clock = motion.at_clock_m.max(0.0);
         motion.path.push_back((next, w));
         motion.next_arrival_m = start_clock + w;
