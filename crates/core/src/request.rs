@@ -1,6 +1,6 @@
 //! Trip requests and the service-guarantee constraints attached to them.
 
-use roadnet::NodeId;
+use roadnet::{quantize, NodeId};
 
 use crate::types::{Cost, TripId};
 
@@ -21,10 +21,11 @@ pub struct Constraints {
 }
 
 impl Constraints {
-    /// Creates a constraint set.
+    /// Creates a constraint set; `max_wait` is rounded down onto the
+    /// [`Q`](roadnet::Q) grid, the conservative direction for a guarantee.
     pub fn new(max_wait: Cost, detour_factor: f64) -> Self {
         Constraints {
-            max_wait,
+            max_wait: quantize(max_wait, f64::floor),
             detour_factor,
         }
     }
@@ -44,9 +45,10 @@ impl Constraints {
     }
 
     /// Maximum on-vehicle distance for a trip whose shortest-path distance
-    /// is `direct`.
+    /// is `direct`: `(1 + ε) · direct`, rounded down onto the
+    /// [`Q`](roadnet::Q) grid so that every check reads one exact limit.
     pub fn max_ride(&self, direct: Cost) -> Cost {
-        (1.0 + self.detour_factor) * direct
+        quantize((1.0 + self.detour_factor) * direct, f64::floor)
     }
 }
 

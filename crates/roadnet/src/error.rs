@@ -9,6 +9,10 @@ pub enum RoadNetError {
     UnknownNode(u32),
     /// An edge has a non-finite or negative weight.
     InvalidWeight(f64),
+    /// The edge weights, rounded up onto the grid, sum to this many metres,
+    /// which is not below [`GRID_LIMIT`](crate::GRID_LIMIT): path sums would
+    /// stop being exact.
+    TotalWeightOutOfRange(f64),
     /// A self-loop (u, u) was added; road networks never need them and the
     /// shortest-path engines assume their absence.
     SelfLoop(u32),
@@ -33,6 +37,9 @@ impl fmt::Display for RoadNetError {
         match self {
             RoadNetError::UnknownNode(n) => write!(f, "unknown node id {n}"),
             RoadNetError::InvalidWeight(w) => write!(f, "invalid edge weight {w}"),
+            RoadNetError::TotalWeightOutOfRange(w) => {
+                write!(f, "total edge weight {w} m is not below 2^37 m")
+            }
             RoadNetError::SelfLoop(n) => write!(f, "self-loop at node {n}"),
             RoadNetError::EmptyNetwork => write!(f, "road network has no nodes"),
             RoadNetError::Parse { line, message } => {

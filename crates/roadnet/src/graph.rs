@@ -9,7 +9,7 @@
 //! other.
 
 use crate::error::RoadNetError;
-use crate::types::{EdgeId, NodeId, Point, Weight};
+use crate::types::{quantize, EdgeId, NodeId, Point, Weight, GRID_LIMIT};
 
 /// Incrementally assembles a road network before freezing it into CSR form.
 #[derive(Debug, Default, Clone)]
@@ -59,13 +59,18 @@ impl GraphBuilder {
         self.edges.push((u, v, weight));
     }
 
-    /// Validates all pending nodes/edges and freezes the network.
-    pub fn try_build(self) -> Result<RoadNetwork, RoadNetError> {
+    /// Validates all pending nodes/edges, rounds every weight up onto the
+    /// [`Q`](crate::Q) grid (so a weight still dominates its Euclidean
+    /// segment) and freezes the network. A network whose rounded total
+    /// weight is not below [`GRID_LIMIT`] is refused: past it, path sums
+    /// stop being exact.
+    pub fn try_build(mut self) -> Result<RoadNetwork, RoadNetError> {
         if self.points.is_empty() {
             return Err(RoadNetError::EmptyNetwork);
         }
         let n = self.points.len() as u32;
-        for &(u, v, w) in &self.edges {
+        for edge in &mut self.edges {
+            let (u, v, w) = *edge;
             if u >= n {
                 return Err(RoadNetError::UnknownNode(u));
             }
@@ -78,8 +83,14 @@ impl GraphBuilder {
             if !w.is_finite() || w < 0.0 {
                 return Err(RoadNetError::InvalidWeight(w));
             }
+            edge.2 = quantize(w, f64::ceil);
         }
-        Ok(RoadNetwork::from_parts(self.points, self.edges))
+        let network = RoadNetwork::from_parts(self.points, self.edges);
+        let total = network.total_weight();
+        if total >= GRID_LIMIT {
+            return Err(RoadNetError::TotalWeightOutOfRange(total));
+        }
+        Ok(network)
     }
 
     /// Validates and freezes the network, panicking on malformed input.

@@ -66,4 +66,4 @@ pub use oracle::{
 };
 pub use partition::PartitionSpec;
 pub use sharded::ShardedOracle;
-pub use types::{EdgeId, NodeId, Point, Weight, INFINITY};
+pub use types::{quantize, EdgeId, NodeId, Point, Weight, GRID_LIMIT, INFINITY, Q};

@@ -19,6 +19,25 @@ pub type EdgeId = u32;
 /// paper makes the same simplification).
 pub type Weight = f64;
 
+/// The grid every weight, clock and budget lies on: 2⁻¹⁶ m.
+///
+/// Multiples of `Q` below [`GRID_LIMIT`] add exactly in `f64`, in any
+/// order, so a label distance, a Dijkstra sum, a hop-by-hop sum and a
+/// schedule's leg sum are the same number and compare bit for bit. Edge
+/// weights are rounded up onto it, clocks to the nearest point and
+/// budgets down (see [`quantize`]).
+pub const Q: Weight = 1.0 / 65_536.0;
+
+/// 2³⁷ m: below it, a sum of multiples of [`Q`] is exact in `f64`. A
+/// network whose total edge weight is not below it is refused.
+pub const GRID_LIMIT: Weight = (1u64 << 37) as Weight;
+
+/// `x` put on the [`Q`] grid by `round` (`f64::ceil`, `f64::round` or
+/// `f64::floor`). Exact: scaling by a power of two loses nothing.
+pub fn quantize(x: f64, round: fn(f64) -> f64) -> f64 {
+    round(x / Q) * Q
+}
+
 /// Sentinel cost representing "unreachable".
 pub const INFINITY: Weight = f64::INFINITY;
 

@@ -672,18 +672,18 @@ mod tests {
                 small_workload(25, 11),
                 cruising,
                 [
-                    0x40a6_96e1_3f29_828c,
-                    0x403b_4df8_40af_9f74,
-                    0x5ac0_00b2_8048_0dc5,
+                    0x40a6_96e1_496b_020c,
+                    0x403b_4e00_c9df_d12f,
+                    0x6716_a003_b7f0_c0b1,
                 ],
             ),
             (
                 small_workload(60, 13),
                 batched,
                 [
-                    0x4093_6333_9e4c_1e54,
-                    0x4053_0ede_bb33_6eaa,
-                    0xc999_e632_e3f0_73d5,
+                    0x4093_6333_a73d_70a4,
+                    0x4053_0ee0_9702_7025,
+                    0x5199_1e42_2530_3d2d,
                 ],
             ),
         ];
