@@ -551,7 +551,7 @@ impl KineticTree {
                 // Extra distance this child (and everything below it) incurs
                 // compared to the old tree.
                 let child_detour = detour + leg - child.leg;
-                if self.config.use_slack && child_detour > child.slack_root + 1e-9 {
+                if self.config.use_slack && child_detour > child.slack_root {
                     // Theorem 1: no route through this child can absorb the
                     // detour already inserted above it.
                     continue;
@@ -864,6 +864,51 @@ mod tests {
     #[test]
     fn slack_tree_matches_brute_force() {
         assert_matches_brute_force(KineticConfig::slack(), true, 0..15);
+    }
+
+    #[test]
+    fn a_detour_equal_to_the_slack_is_kept_and_one_q_more_is_pruned() {
+        // A line of nodes 100 m apart; the vehicle stands at node 2.
+        let mut b = roadnet::GraphBuilder::new();
+        for i in 0..7 {
+            b.add_node(roadnet::Point::new(i as f64 * 100.0, 0.0));
+        }
+        for i in 0..6 {
+            b.add_edge(i, i + 1, 100.0);
+        }
+        let oracle = MatrixOracle::new(&b.build());
+        // Trip 2 must be served first (0 and 1 lie behind the vehicle), so
+        // trip 1's pickup at node 4 is reached at 600 instead of 200: a
+        // detour of 400 against its slack of `deadline - 200`.
+        let behind = WaitingTrip {
+            trip: 2,
+            pickup: 0,
+            dropoff: 1,
+            pickup_deadline: 200.0,
+            max_ride: 100.0,
+        };
+        for config in [KineticConfig::slack(), KineticConfig::basic()] {
+            for (deadline, feasible) in [(600.0, true), (600.0 - roadnet::Q, false)] {
+                let ahead = WaitingTrip {
+                    trip: 1,
+                    pickup: 4,
+                    dropoff: 6,
+                    pickup_deadline: deadline,
+                    max_ride: 10_000.0,
+                };
+                let (tree, _) = KineticTree::new(2, 0.0, 4, config)
+                    .try_insert(ahead, &oracle)
+                    .unwrap();
+                let got = tree.try_insert(behind, &oracle).map(|(_, cost)| cost);
+                let want = if feasible {
+                    Ok(800.0)
+                } else {
+                    Err(TreeInsertError::Infeasible)
+                };
+                assert_eq!(got, want, "{config:?}, deadline {deadline}");
+                assert_eq!(tree.probe_insert(behind, &oracle), want);
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl WaitingTrip {
             pickup: request.source,
             dropoff: request.destination,
             pickup_deadline: request.pickup_deadline(),
-            max_ride: request.max_ride(direct),
+            max_ride: request.constraints.max_ride(direct),
         }
     }
 }
@@ -379,7 +379,7 @@ impl<'p> ScheduleWalker<'p> {
                 if self.picked_up(stop.trip) || self.dropped.contains(&stop.trip) {
                     return Err(ValidationError::DuplicateStop(stop));
                 }
-                if arrival_clock > trip.pickup_deadline + 1e-6 {
+                if arrival_clock > trip.pickup_deadline {
                     return Err(ValidationError::WaitingTimeViolated {
                         trip: stop.trip,
                         arrival: arrival_clock,
@@ -400,7 +400,7 @@ impl<'p> ScheduleWalker<'p> {
                     return Err(ValidationError::DuplicateStop(stop));
                 }
                 if let Some(t) = self.problem.onboard_trip(stop.trip) {
-                    if arrival_clock > t.dropoff_deadline + 1e-6 {
+                    if arrival_clock > t.dropoff_deadline {
                         return Err(ValidationError::ServiceConstraintViolated {
                             trip: stop.trip,
                             ride: arrival_clock - self.problem.now,
@@ -417,7 +417,7 @@ impl<'p> ScheduleWalker<'p> {
                         .map(|&(_, d)| d)
                         .ok_or(ValidationError::DropoffBeforePickup(stop.trip))?;
                     let ride = new_dist - pickup_dist;
-                    if ride > t.max_ride + 1e-6 {
+                    if ride > t.max_ride {
                         return Err(ValidationError::ServiceConstraintViolated {
                             trip: stop.trip,
                             ride,
@@ -603,6 +603,44 @@ mod tests {
         // Loosening the deadline makes it valid.
         p.onboard[0].dropoff_deadline = 1_400.0;
         assert_eq!(p.validate(&schedule, &oracle).unwrap(), 400.0);
+    }
+
+    #[test]
+    fn each_walker_limit_holds_at_equality_and_breaks_one_q_past_it() {
+        use roadnet::Q;
+        let oracle = line_oracle();
+        let schedule = [Stop::pickup(1, 2), Stop::dropoff(1, 5)];
+        // Pickup: reached at 200, the deadline.
+        let mut p = simple_problem();
+        p.waiting[0].pickup_deadline = 200.0;
+        assert_eq!(p.validate(&schedule, &oracle), Ok(500.0));
+        p.waiting[0].pickup_deadline -= Q;
+        assert!(matches!(
+            p.validate(&schedule, &oracle),
+            Err(ValidationError::WaitingTimeViolated { trip: 1, .. })
+        ));
+        // A waiting trip's ride: 300, the limit.
+        let mut p = simple_problem();
+        p.waiting[0].max_ride = 300.0;
+        assert_eq!(p.validate(&schedule, &oracle), Ok(500.0));
+        p.waiting[0].max_ride -= Q;
+        assert!(matches!(
+            p.validate(&schedule, &oracle),
+            Err(ValidationError::ServiceConstraintViolated { trip: 1, .. })
+        ));
+        // An on-board drop-off: reached at 1_000 + 400, the deadline.
+        let mut p = SchedulingProblem::new(0, 1_000.0, 4);
+        p.onboard.push(OnboardTrip {
+            trip: 3,
+            dropoff: 4,
+            dropoff_deadline: 1_400.0,
+        });
+        assert_eq!(p.validate(&[Stop::dropoff(3, 4)], &oracle), Ok(400.0));
+        p.onboard[0].dropoff_deadline -= Q;
+        assert!(matches!(
+            p.validate(&[Stop::dropoff(3, 4)], &oracle),
+            Err(ValidationError::ServiceConstraintViolated { trip: 3, .. })
+        ));
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl<'g> Contractor<'g> {
             }
             for &(b, wb) in targets {
                 self.is_target[b as usize] = false;
-                if self.dist[b as usize] > wa + wb + 1e-9 {
+                if self.dist[b as usize] > wa + wb {
                     added += 1;
                 }
                 self.dist[b as usize] = INFINITY;
@@ -306,7 +306,7 @@ impl<'g> Contractor<'g> {
             }
             hard.clear();
             for &(b, wb) in targets {
-                if self.dist[b as usize] > wa + wb + 1e-9 {
+                if self.dist[b as usize] > wa + wb {
                     hard.push((b, wb));
                 } else {
                     self.is_target[b as usize] = false;
@@ -324,7 +324,7 @@ impl<'g> Contractor<'g> {
                 for &(b, wb) in &hard {
                     self.is_target[b as usize] = false;
                     let via = wa + wb;
-                    if self.dist[b as usize] > via + 1e-9 {
+                    if self.dist[b as usize] > via {
                         upsert_min(&mut self.adj[a as usize], b, via);
                         upsert_min(&mut self.adj[b as usize], a, via);
                         self.shortcuts += 1;
@@ -381,7 +381,7 @@ impl<'g> Contractor<'g> {
                     continue;
                 }
                 let nd = d + weight;
-                if nd <= limit + 1e-9 && nd < dist[w as usize] {
+                if nd <= limit && nd < dist[w as usize] {
                     if dist[w as usize] == INFINITY {
                         touched.push(w);
                     }

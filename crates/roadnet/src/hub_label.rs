@@ -56,10 +56,6 @@ use crate::graph::RoadNetwork;
 use crate::oracle::ShortestPathEngine;
 use crate::types::{HeapEntry, NodeId, Weight, INFINITY};
 
-/// Tolerance of the pruning test, absorbing floating-point summation error
-/// accumulated along alternative shortest paths.
-const PRUNE_EPS: f64 = 1e-9;
-
 /// One entry of a vertex label: a hub, the exact distance to it and the
 /// first step of a shortest path towards it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,7 +158,7 @@ impl HubLabels {
                 let is_first_in_batch = rank == start;
                 for Candidate { node, parent, dist } in candidates {
                     let keep = is_first_in_batch
-                        || query_labels(&labels[root], &labels[node as usize]) > dist + PRUNE_EPS;
+                        || query_labels(&labels[root], &labels[node as usize]) > dist;
                     if keep {
                         labels[node as usize].push(LabelEntry {
                             hub_rank: rank as u32,
@@ -450,11 +446,11 @@ fn unspread_label(by_rank: &mut [Weight], label: &[LabelEntry]) {
 }
 
 /// True when the labels certify a root-to-vertex distance of at most
-/// `d + PRUNE_EPS`, given the root's label spread into `root_dist_by_rank`.
+/// `d`, given the root's label spread into `root_dist_by_rank`.
 #[inline]
 fn certified(root_dist_by_rank: &[Weight], label_v: &[LabelEntry], d: Weight) -> bool {
     for e in label_v {
-        if root_dist_by_rank[e.hub_rank as usize] + e.dist <= d + PRUNE_EPS {
+        if root_dist_by_rank[e.hub_rank as usize] + e.dist <= d {
             return true;
         }
     }
@@ -708,7 +704,7 @@ mod tests {
     use crate::generators::{GeneratorConfig, NetworkKind};
     use crate::graph::GraphBuilder;
     use crate::oracle::{CachedOracle, DistanceOracle};
-    use crate::types::{approx_eq, Point};
+    use crate::types::Point;
 
     #[test]
     fn single_edge() {
@@ -909,7 +905,7 @@ mod tests {
                 let expect = tree.distance_to(t);
                 let got = hl.distance(s, t);
                 match (expect, got) {
-                    (Some(a), Some(b)) => assert!(approx_eq(a, b), "{s}->{t}: {a} vs {b}"),
+                    (Some(a), Some(b)) => assert_eq!(a, b, "{s}->{t}"),
                     (None, None) => {}
                     _ => panic!("reachability mismatch {s}->{t}"),
                 }
@@ -941,7 +937,7 @@ mod tests {
                 let expect = dij.distance(s, t);
                 let got = hl.distance(s, t);
                 match (expect, got) {
-                    (Some(a), Some(b)) => assert!(approx_eq(a, b)),
+                    (Some(a), Some(b)) => assert_eq!(a, b),
                     (None, None) => {}
                     _ => panic!("reachability mismatch {s}->{t}"),
                 }

@@ -56,8 +56,8 @@ const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// its dropped-event counter; version 4 dropped the metrics' copies of
 /// loop counters and each histogram's minimum; version 5 dropped the
 /// admitted-trip list; version 6 embeds a version-4 simulation
-/// checkpoint.
-const VERSION: u32 = 6;
+/// checkpoint, version 7 a version-5 one.
+const VERSION: u32 = 7;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
 /// Upper bound on a single journal entry body (sanity check on `len`).
@@ -687,7 +687,7 @@ mod tests {
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
-        for old in [1u32, 2, 3, 4, 5] {
+        for old in [1u32, 2, 3, 4, 5, 6] {
             let rc = RecoveryConfig {
                 dir: std::env::temp_dir().join(format!("serve_v{old}_dir_{}", std::process::id())),
                 checkpoint_every_ticks: 4,
@@ -710,7 +710,7 @@ mod tests {
             let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
                 .expect_err("an older directory must not resume");
             assert!(
-                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-6")),
+                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-7")),
                 "version {old}: {err:?}"
             );
             std::fs::remove_dir_all(&rc.dir).ok();

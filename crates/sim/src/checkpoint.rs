@@ -5,8 +5,7 @@
 //! used to mean starting over. This module snapshots a running
 //! [`Simulation`] — fleet (including every kinetic tree), motion state
 //! (including each vehicle's cruising-RNG stream), dispatcher statistics,
-//! service-quality metrics, the pickup clocks of the riders on board and
-//! the full trace — to a versioned, checksummed binary file, and restores
+//! service-quality metrics and the full trace — to a versioned, checksummed binary file, and restores
 //! it so that the resumed run is **bit-identical** to one that never
 //! stopped (property-tested in `tests/proptest_checkpoint.rs`; the only
 //! fields that can differ are the wall-clock latency *means*, since
@@ -26,19 +25,17 @@
 //! ```text
 //! offset  field
 //! 0       magic  b"RSCK"
-//! 4       format version (u32, currently 4)
+//! 4       format version (u32, currently 5)
 //! 8       network fingerprint (u64)
 //! 16      SimConfig digest (u64) — excludes the unread `workers` field,
 //!         so a checkpoint resumes whatever value it holds
 //! 24      trip-stream digest (u64)
 //! 32      next trip index (u64), clock (f64), then the state sections:
 //!         vehicles, motions, dispatcher stats, metrics (pickups, detour
-//!         sum, violations, deliveries, fleet distance), on-board pickup
-//!         clocks, trace
+//!         sum, violations, deliveries, fleet distance), trace
 //! end-8   FNV-1a checksum over every preceding byte
 //! ```
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use kinetic_core::codec;
@@ -61,8 +58,10 @@ const MAGIC: &[u8; 4] = b"RSCK";
 /// and the index-aligned pickup vectors with one pickup list, and dropped
 /// each vehicle's service counters. Version 4 writes each vehicle as its
 /// plan alone — the solver's problem or the kinetic tree — without the
-/// vehicle's copy of its position, clock and riders.
-const VERSION: u32 = 4;
+/// vehicle's copy of its position, clock and riders. Version 5 drops the
+/// on-board riders' pickup clocks: on the grid, a drop-off reads its
+/// rider's pickup clock back from the trace row exactly.
+const VERSION: u32 = 5;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation
 /// *results*. `workers` is excluded: no code reads it, and it never was
@@ -203,14 +202,6 @@ impl Simulation<'_> {
         bin::put_u64(&mut out, c.guarantee_violations);
         bin::put_u64(&mut out, c.completed);
         bin::put_f64(&mut out, c.fleet_distance_m);
-
-        // A `BTreeMap` walks in trip order, so identical states produce
-        // identical bytes.
-        bin::put_u64(&mut out, self.onboard_since.len() as u64);
-        for (&trip, &picked_m) in &self.onboard_since {
-            bin::put_u64(&mut out, trip);
-            bin::put_f64(&mut out, picked_m);
-        }
 
         bin::put_u64(&mut out, self.trace.len() as u64);
         for e in self.trace.iter() {
@@ -439,13 +430,6 @@ fn restore<'a>(
     let completed = r.u64("metrics completed")?;
     let fleet_distance_m = r.f64("metrics fleet distance")?;
 
-    let onboard_count = codec::read_len(&mut r, 16, "on-board count")?;
-    let mut onboard_since = BTreeMap::new();
-    for _ in 0..onboard_count {
-        let trip = r.u64("on-board trip")?;
-        onboard_since.insert(trip, r.f64("on-board pickup clock")?);
-    }
-
     let trace_count = codec::read_len(&mut r, 35, "trace count")?;
     let mut trace = TraceLog::new();
     for _ in 0..trace_count {
@@ -488,7 +472,6 @@ fn restore<'a>(
         completed,
         fleet_distance_m,
     };
-    sim.onboard_since = onboard_since;
     sim.trace = trace;
     Ok((sim, next_trip))
 }
@@ -674,7 +657,7 @@ mod tests {
         let digest = digest_trips(&w.trips);
         let oracle = CachedOracle::without_labels(&w.network);
         let sim = Simulation::new(&w.network, &oracle, config());
-        for old in [1u32, 2, 3] {
+        for old in [1u32, 2, 3, 4] {
             // Stamp an old version and re-sign, so only the version is stale.
             let mut bytes = sim.checkpoint_bytes(0, digest);
             bytes[4..8].copy_from_slice(&old.to_le_bytes());

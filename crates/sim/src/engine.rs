@@ -1,10 +1,8 @@
 //! The simulation engine: vehicle movement, request submission, dispatching.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use kinetic_core::{
-    AssignmentOutcome, Dispatcher, LazySync, StopKind, TripId, TripRequest, Vehicle,
-};
+use kinetic_core::{AssignmentOutcome, Dispatcher, LazySync, StopKind, TripRequest, Vehicle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rideshare_workload::TripEvent;
@@ -79,10 +77,6 @@ pub struct Simulation<'a> {
     pub(crate) dispatcher: Dispatcher,
     pub(crate) clock_m: f64,
     pub(crate) collector: MetricsCollector,
-    /// Pickup clock (meter-equivalents) of every rider now on board: what
-    /// a drop-off measures the ride from. Kept in meters because the trace
-    /// row's `picked_up_s` does not round-trip back to them exactly.
-    pub(crate) onboard_since: BTreeMap<TripId, f64>,
     pub(crate) trace: TraceLog,
     /// Region accounting, on when built through
     /// [`ShardedSimulation`](crate::ShardedSimulation). Counts only: no
@@ -125,7 +119,6 @@ impl<'a> Simulation<'a> {
             dispatcher: Dispatcher::new(config.dispatcher),
             clock_m: 0.0,
             collector: MetricsCollector::default(),
-            onboard_since: BTreeMap::new(),
             trace: TraceLog::new(),
             regions: None,
         }
@@ -387,11 +380,10 @@ impl<'a> Simulation<'a> {
         let at_s = config.meters_to_seconds(clock_m);
         match stop.kind {
             StopKind::Pickup => {
-                self.onboard_since.insert(stop.trip, clock_m);
                 // `submit_batch` built the request's deadline from this
                 // same product, so the check is the dispatcher's own.
                 let waited_m = clock_m - config.seconds_to_meters(row.submitted_s);
-                if waited_m > config.constraints.max_wait + 1e-6 {
+                if waited_m > config.constraints.max_wait {
                     self.collector.guarantee_violations += 1;
                 }
                 self.collector.pickups.push(Pickup {
@@ -403,11 +395,13 @@ impl<'a> Simulation<'a> {
                 self.trace.record_pickup(stop.trip, at_s);
             }
             StopKind::Dropoff => {
-                let Some(picked_m) = self.onboard_since.remove(&stop.trip) else {
+                // Exact: the round trip through seconds is off by ~1e-10
+                // m, and `seconds_to_meters` rounds it back onto the grid.
+                let Some(picked_s) = row.picked_up_s else {
                     return;
                 };
-                let ride = clock_m - picked_m;
-                if ride > config.constraints.max_ride(row.direct_m) + 1e-6 {
+                let ride = clock_m - config.seconds_to_meters(picked_s);
+                if ride > config.constraints.max_ride(row.direct_m) {
                     self.collector.guarantee_violations += 1;
                 }
                 self.collector.completed += 1;
@@ -554,7 +548,7 @@ mod tests {
     use super::*;
     use kinetic_core::{Constraints, KineticConfig, PlannerKind, SolverKind};
     use rideshare_workload::{CityConfig, DemandConfig, Workload};
-    use roadnet::CachedOracle;
+    use roadnet::{CachedOracle, Q};
 
     fn small_workload(trips: usize, seed: u64) -> Workload {
         Workload::generate(
@@ -1005,6 +999,105 @@ mod tests {
         );
         assert!(row.ride_m.unwrap() > 1.2 * direct_m, "{row:?}");
         assert_eq!((report.completed, report.guarantee_violations), (1, 2));
+    }
+
+    #[test]
+    fn each_guarantee_holds_at_its_limit_and_breaks_one_q_past_it() {
+        // One parked vehicle takes one rider; its drive is held back so
+        // that it reaches the pickup at the deadline plus `late_pickup`
+        // and the drop-off at the ride limit plus `long_ride`.
+        let w = small_workload(40, 3);
+        let oracle = CachedOracle::without_labels(&w.network);
+        let config = SimConfig {
+            vehicles: 1,
+            cruise_when_idle: false,
+            ..SimConfig::default()
+        };
+        let start = Simulation::new(&w.network, &oracle, config).motions[0].at;
+        // Holds vehicle 0's planned drive back to end at `target`.
+        let arrive_at = |sim: &mut Simulation, target: f64| {
+            sim.advance_all(sim.clock_m);
+            let m = &mut sim.motions[0];
+            let end = m
+                .path
+                .iter()
+                .skip(1)
+                .fold(m.next_arrival_m, |t, &(_, l)| t + l);
+            m.next_arrival_m += target - end;
+            sim.advance_all(target);
+        };
+        for (late_pickup, long_ride) in [(0.0, 0.0), (Q, 0.0), (0.0, Q)] {
+            let (mut sim, trip) = w
+                .trips
+                .iter()
+                .filter(|t| t.source != start && t.source != t.destination)
+                .find_map(|trip| {
+                    let mut sim = Simulation::new(&w.network, &oracle, config);
+                    sim.advance_all(config.seconds_to_meters(trip.time_seconds));
+                    sim.submit(trip).is_assigned().then_some((sim, trip))
+                })
+                .expect("some rider is reachable");
+            let deadline =
+                config.seconds_to_meters(trip.time_seconds) + config.constraints.max_wait;
+            arrive_at(&mut sim, deadline + late_pickup);
+            let row = *sim.trace().get(trip.id).unwrap();
+            assert_eq!(row.picked_up_s, Some(config.meters_to_seconds(sim.clock_m)));
+            let limit = config.constraints.max_ride(row.direct_m);
+            let picked_m = sim.clock_m;
+            arrive_at(&mut sim, picked_m + limit + long_ride);
+            let row = *sim.trace().get(trip.id).unwrap();
+            assert_eq!(row.ride_m, Some(limit + long_ride));
+            let broken = u64::from(late_pickup > 0.0) + u64::from(long_ride > 0.0);
+            assert_eq!(sim.report().guarantee_violations, broken);
+        }
+    }
+
+    #[test]
+    fn the_tree_picks_each_rider_up_at_the_simulators_clock() {
+        // A cruising, batched run, stepped 100 m at a time: every rider on
+        // board has the drop-off deadline its tree fixed at pickup, and
+        // that pickup clock is the one the simulator traced.
+        let w = small_workload(60, 13);
+        let oracle = CachedOracle::without_labels(&w.network);
+        let config = SimConfig {
+            vehicles: 12,
+            seed: 21,
+            batch_window_seconds: 120.0,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(&w.network, &oracle, config);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut step_to = |sim: &mut Simulation, until_m: f64| {
+            while sim.clock_m < until_m {
+                sim.advance_all((sim.clock_m + 100.0).min(until_m));
+                for t in sim.vehicles.iter().flat_map(|v| &v.problem().onboard) {
+                    let row = sim.trace().get(t.trip).unwrap();
+                    let picked_m = config.seconds_to_meters(row.picked_up_s.unwrap());
+                    let ride = config.constraints.max_ride(row.direct_m);
+                    assert_eq!(t.dropoff_deadline - ride, picked_m, "trip {}", t.trip);
+                    seen.insert(t.trip);
+                }
+            }
+        };
+        let window = |t: &TripEvent| (t.time_seconds / 120.0).floor();
+        for batch in w.trips.chunk_by(|a, b| window(a) == window(b)) {
+            let last = batch[batch.len() - 1].time_seconds;
+            step_to(&mut sim, config.seconds_to_meters(last));
+            sim.submit_batch(batch);
+        }
+        while sim.vehicles.iter().any(|v| v.next_stop().is_some()) {
+            let next = sim.clock_m + 100.0;
+            step_to(&mut sim, next);
+        }
+        // Every ride longer than a step was seen on board at a step's end.
+        let long_rides: Vec<_> = sim
+            .trace()
+            .iter()
+            .filter(|r| r.ride_m.is_some_and(|m| m > 100.0))
+            .map(|r| r.trip)
+            .collect();
+        assert!(long_rides.len() > 20);
+        assert!(long_rides.iter().all(|trip| seen.contains(trip)));
     }
 
     #[test]
