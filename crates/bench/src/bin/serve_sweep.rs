@@ -19,6 +19,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use rideshare_bench::parse_num;
 use rideshare_serve::{
     PoissonArrivals, ServeConfig, ServeLoop, ServeReport, ServiceModel, SloConfig,
 };
@@ -64,9 +65,14 @@ struct Args {
     out: String,
 }
 
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("could not parse value {s:?}"))
+/// `flag`'s value as a finite number above zero, refused rather than
+/// clamped: a NaN bound runs no rung (and passes the gates) or never ends
+/// one, and a start rate of zero or below never doubles past the cap.
+fn positive(flag: &str, raw: &str) -> Result<f64, String> {
+    match parse_num::<f64>(flag, raw)? {
+        v if v.is_finite() && v > 0.0 => Ok(v),
+        v => Err(format!("{flag} must be a finite number > 0, got {v}")),
+    }
 }
 
 impl Args {
@@ -93,20 +99,26 @@ impl Args {
             };
             match flag.as_str() {
                 "--smoke" => args.smoke = true,
-                "--duration" => args.duration = parse(&value("--duration")?)?,
-                "--start-rate" => args.start_rate = parse(&value("--start-rate")?)?,
-                "--max-rate" => args.max_rate = parse(&value("--max-rate")?)?,
-                "--tick" => args.tick = parse(&value("--tick")?)?,
-                "--slo-p99" => args.slo_p99 = parse(&value("--slo-p99")?)?,
-                "--queue-capacity" => args.queue_capacity = parse(&value("--queue-capacity")?)?,
-                "--max-queue-wait" => args.max_queue_wait = parse(&value("--max-queue-wait")?)?,
-                "--fleet" => args.fleet = parse(&value("--fleet")?)?,
-                "--trips" => args.trips = parse(&value("--trips")?)?,
-                "--seed" => args.seed = parse(&value("--seed")?)?,
+                "--duration" => args.duration = positive(&flag, &value(&flag)?)?,
+                "--start-rate" => args.start_rate = positive(&flag, &value(&flag)?)?,
+                "--max-rate" => args.max_rate = positive(&flag, &value(&flag)?)?,
+                "--tick" => args.tick = positive(&flag, &value(&flag)?)?,
+                "--slo-p99" => args.slo_p99 = positive(&flag, &value(&flag)?)?,
+                "--queue-capacity" => args.queue_capacity = parse_num(&flag, &value(&flag)?)?,
+                "--max-queue-wait" => args.max_queue_wait = positive(&flag, &value(&flag)?)?,
+                "--fleet" => args.fleet = parse_num(&flag, &value(&flag)?)?,
+                "--trips" => args.trips = parse_num(&flag, &value(&flag)?)?,
+                "--seed" => args.seed = parse_num(&flag, &value(&flag)?)?,
                 "--out" => args.out = value("--out")?,
                 "-h" | "--help" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
             }
+        }
+        if args.start_rate > args.max_rate {
+            return Err(format!(
+                "--start-rate {} is above --max-rate {}",
+                args.start_rate, args.max_rate
+            ));
         }
         if args.smoke {
             // The CI variant must finish in seconds and be deterministic.
@@ -219,7 +231,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let wall = Instant::now();

@@ -1,8 +1,9 @@
-//! `paper_replay` refuses numbers it would otherwise clamp, or that would
-//! make a gate pass on every run (a NaN floor or cap: every comparison
-//! with NaN is false): each exits non-zero with the flag named on stderr.
-//! Arguments are parsed before the workload or any labels are built, so
-//! every case returns at once.
+//! `paper_replay` and `serve_sweep` refuse numbers they would otherwise
+//! clamp, that would make a gate pass on every run (a NaN floor or cap:
+//! every comparison with NaN is false) or that would never end a run:
+//! each exits non-zero with the flag named on stderr. Arguments are
+//! parsed before the workload or any labels are built, so every case
+//! returns at once.
 
 use std::process::Command;
 
@@ -33,5 +34,40 @@ fn bad_numbers_are_refused_by_flag_name() {
             "{flag} {value}: the refusal does not name the flag: {stderr}"
         );
         assert!(!out.exists(), "{flag} {value} wrote a report");
+    }
+}
+
+#[test]
+fn serve_sweep_refuses_bad_numbers_by_flag_name() {
+    let out = std::env::temp_dir().join(format!("serve_sweep_cli_{}.json", std::process::id()));
+    let cases: [&[&str]; 13] = [
+        &["--start-rate", "0"],
+        &["--start-rate", "-1"],
+        &["--start-rate", "nan"],
+        &["--max-rate", "nan"],
+        &["--max-rate", "0"],
+        &["--duration", "nan"],
+        &["--duration", "inf"],
+        &["--tick", "0"],
+        &["--tick", "nan"],
+        &["--slo-p99", "-1"],
+        &["--max-queue-wait", "nan"],
+        &["--max-queue-wait", "0"],
+        &["--start-rate", "8", "--max-rate", "4"],
+    ];
+    for args in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_serve_sweep"))
+            .arg("--out")
+            .arg(&out)
+            .args(args)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?} was accepted");
+        assert!(
+            stderr.starts_with(args[0]),
+            "{args:?}: the refusal does not name the flag: {stderr}"
+        );
+        assert!(!out.exists(), "{args:?} wrote a report");
     }
 }

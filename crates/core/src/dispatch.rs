@@ -266,11 +266,11 @@ impl DispatchStats {
     }
 }
 
-/// Safety margin (meters) the candidate screen adds on top of the schedule
-/// walker's `1e-6` feasibility tolerance. A candidate is only pruned when
-/// its straight-line lower bound exceeds the relevant budget by more than
-/// this, so screening can never reject a vehicle whose evaluation would
-/// have succeeded.
+/// Safety margin (meters) of the candidate screen, whose straight-line
+/// bounds are Euclidean (irrational, not on the weights' grid) and so
+/// round. A candidate is only pruned when its lower bound exceeds the
+/// relevant budget by more than this, so screening can never reject a
+/// vehicle whose evaluation would have succeeded.
 const PRUNE_EPS: f64 = 1e-3;
 
 /// Outcome of the O(1) candidate screen.

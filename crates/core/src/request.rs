@@ -98,12 +98,6 @@ impl TripRequest {
     pub fn pickup_deadline(&self) -> Cost {
         self.submitted_at + self.constraints.max_wait
     }
-
-    /// Maximum allowed on-vehicle distance given the direct shortest-path
-    /// distance between source and destination.
-    pub fn max_ride(&self, direct: Cost) -> Cost {
-        self.constraints.max_ride(direct)
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +133,7 @@ mod tests {
     fn request_deadline_is_submission_plus_wait() {
         let r = TripRequest::new(7, 1, 2, 500.0, Constraints::new(1_000.0, 0.2));
         assert_eq!(r.pickup_deadline(), 1_500.0);
-        assert_eq!(r.max_ride(300.0), 360.0);
+        assert_eq!(r.constraints.max_ride(300.0), 360.0);
         assert_eq!(r.id, 7);
     }
 }

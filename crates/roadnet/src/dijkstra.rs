@@ -218,7 +218,7 @@ mod tests {
     use super::*;
     use crate::generators::{GeneratorConfig, NetworkKind};
     use crate::graph::GraphBuilder;
-    use crate::types::{approx_eq, Point};
+    use crate::types::Point;
 
     fn diamond() -> RoadNetwork {
         // 0 -1- 1 -1- 3,   0 -3- 2 -1- 3, plus 1-2 weight 10
@@ -248,10 +248,10 @@ mod tests {
         let g = diamond();
         let e = DijkstraEngine::new(&g);
         let (d, p) = e.path(0, 3).unwrap();
-        assert!(approx_eq(d, 2.0));
+        assert_eq!(d, 2.0);
         assert_eq!(p, vec![0, 1, 3]);
         let (d, p) = e.path(3, 0).unwrap();
-        assert!(approx_eq(d, 2.0));
+        assert_eq!(d, 2.0);
         assert_eq!(p, vec![3, 1, 0]);
     }
 
@@ -304,10 +304,7 @@ mod tests {
             for t in 0..g.node_count() as NodeId {
                 let a = tree.dist[t as usize];
                 let b = fw[s as usize][t as usize];
-                assert!(
-                    approx_eq(a, b) || (a == INFINITY && b == INFINITY),
-                    "mismatch {s}->{t}: {a} vs {b}"
-                );
+                assert_eq!(a, b, "mismatch {s}->{t}");
             }
         }
     }
@@ -326,6 +323,6 @@ mod tests {
         for w in p.windows(2) {
             acc += g.edge_weight(w[0], w[1]).expect("edge on path must exist");
         }
-        assert!(approx_eq(acc, d));
+        assert_eq!(acc, d);
     }
 }

@@ -10,8 +10,7 @@ pub enum RoadNetError {
     /// An edge has a non-finite or negative weight.
     InvalidWeight(f64),
     /// The edge weights, rounded up onto the grid, sum to this many metres,
-    /// which is not below [`GRID_LIMIT`](crate::GRID_LIMIT): path sums would
-    /// stop being exact.
+    /// not below [`GRID_LIMIT`](crate::GRID_LIMIT), where sums stop being exact.
     TotalWeightOutOfRange(f64),
     /// A self-loop (u, u) was added; road networks never need them and the
     /// shortest-path engines assume their absence.

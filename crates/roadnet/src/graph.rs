@@ -59,11 +59,9 @@ impl GraphBuilder {
         self.edges.push((u, v, weight));
     }
 
-    /// Validates all pending nodes/edges, rounds every weight up onto the
-    /// [`Q`](crate::Q) grid (so a weight still dominates its Euclidean
-    /// segment) and freezes the network. A network whose rounded total
-    /// weight is not below [`GRID_LIMIT`] is refused: past it, path sums
-    /// stop being exact.
+    /// Validates all pending nodes/edges, rounds each weight up onto the
+    /// [`Q`](crate::Q) grid (it still dominates its Euclidean segment) and
+    /// freezes the network; refuses a total weight of [`GRID_LIMIT`] or more.
     pub fn try_build(mut self) -> Result<RoadNetwork, RoadNetError> {
         if self.points.is_empty() {
             return Err(RoadNetError::EmptyNetwork);
@@ -362,7 +360,7 @@ impl RoadNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::approx_eq;
+    use crate::types::Q;
 
     fn triangle() -> RoadNetwork {
         let mut b = GraphBuilder::new();
@@ -387,7 +385,7 @@ mod tests {
 
     #[test]
     fn longest_segment_is_the_widest_straight_line_edge() {
-        assert!(approx_eq(triangle().longest_segment(), 2f64.sqrt()));
+        assert_eq!(triangle().longest_segment(), 2f64.sqrt());
         let mut lone = GraphBuilder::new();
         lone.add_node(Point::new(3.0, 4.0));
         assert_eq!(lone.build().longest_segment(), 0.0);
@@ -448,6 +446,43 @@ mod tests {
             b.try_build().unwrap_err(),
             RoadNetError::InvalidWeight(-1.0)
         );
+
+        // Finite weights the grid cannot keep exact: one that rounds up to
+        // infinity, and two that sum to 2^37 m. One `Q` less is accepted.
+        let pair = |weights: &[Weight]| {
+            let mut b = GraphBuilder::new();
+            b.add_node(Point::default());
+            b.add_node(Point::default());
+            for &w in weights {
+                b.add_edge(0, 1, w);
+            }
+            b.try_build()
+        };
+        assert_eq!(
+            pair(&[f64::MAX]).unwrap_err(),
+            RoadNetError::TotalWeightOutOfRange(f64::INFINITY)
+        );
+        let half = GRID_LIMIT / 2.0;
+        assert_eq!(
+            pair(&[half, half]).unwrap_err(),
+            RoadNetError::TotalWeightOutOfRange(GRID_LIMIT)
+        );
+        let g = pair(&[half, half - Q]).unwrap();
+        assert_eq!(g.total_weight(), GRID_LIMIT - Q);
+    }
+
+    #[test]
+    fn weights_are_rounded_up_onto_the_grid() {
+        let mut b = GraphBuilder::new();
+        for _ in 0..3 {
+            b.add_node(Point::default());
+        }
+        b.add_edge(0, 1, 0.1);
+        b.add_edge(1, 2, 2.0);
+        let g = b.build();
+        // 0.1 m lies between two grid points; 2 m is one.
+        assert_eq!(g.edge_weight(0, 1), Some(6_554.0 * Q));
+        assert_eq!(g.edge_weight(1, 2), Some(2.0));
     }
 
     #[test]
@@ -475,9 +510,8 @@ mod tests {
     fn bounding_box_and_total_weight() {
         let g = triangle();
         let (min, max) = g.bounding_box();
-        assert!(approx_eq(min.x, 0.0) && approx_eq(min.y, 0.0));
-        assert!(approx_eq(max.x, 1.0) && approx_eq(max.y, 1.0));
-        assert!(approx_eq(g.total_weight(), 7.0));
+        assert_eq!((min.x, min.y, max.x, max.y), (0.0, 0.0, 1.0, 1.0));
+        assert_eq!(g.total_weight(), 7.0);
     }
 
     #[test]

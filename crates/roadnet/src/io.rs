@@ -210,7 +210,6 @@ fn parse_u32(field: Option<&str>, line: usize, what: &str) -> Result<u32, RoadNe
 mod tests {
     use super::*;
     use crate::generators::{GeneratorConfig, NetworkKind};
-    use crate::types::approx_eq;
 
     #[test]
     fn parse_minimal_network() {
@@ -219,7 +218,7 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.edge_weight(1, 2), Some(100.5));
-        assert!(approx_eq(g.point(1).x, 100.0));
+        assert_eq!(g.point(1).x, 100.0);
     }
 
     #[test]
@@ -237,7 +236,7 @@ mod tests {
         for (a, b) in g.edges().zip(back.edges()) {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1, b.1);
-            assert!(approx_eq(a.2, b.2));
+            assert_eq!(a.2, b.2);
         }
     }
 
@@ -277,6 +276,17 @@ mod tests {
             parse_network(unknown),
             Err(RoadNetError::UnknownNode(7))
         ));
+        // Finite weights past the grid's exact range: refused, typed.
+        for huge in ["1e300", "1.7976931348623157e308", "137438953472"] {
+            let text = format!("v 0 0\nv 1 1\ne 0 1 {huge}\n");
+            assert!(
+                matches!(
+                    parse_network(&text),
+                    Err(RoadNetError::TotalWeightOutOfRange(_))
+                ),
+                "{huge}"
+            );
+        }
     }
 
     #[test]

@@ -244,14 +244,12 @@ impl<'g> CachedOracle<'g> {
     }
 
     /// Computes the exact distance of the pair `s < t`, always in the
-    /// low-id → high-id direction. The network is undirected, so the
-    /// distance is direction-independent mathematically — but a Dijkstra
-    /// run from `t` accumulates the same edge weights in a different order
-    /// than one from `s` and can differ in the last ULP. Canonicalising
-    /// makes the value a pure function of the pair, which is what lets one
-    /// cache entry serve both directions and keeps `dist` independent of
-    /// cache state (the contract checkpointed replays rely on: a resumed
-    /// run's cold caches must reproduce the warm-cache run bit for bit).
+    /// low-id → high-id direction. Edge weights lie on the
+    /// [`Q`](crate::Q) grid, so sums are exact and a run from `t` gives the
+    /// same bits as one from `s`; computing one direction is what lets one
+    /// cache entry serve both (the contract checkpointed replays rely on: a
+    /// resumed run's cold caches must reproduce the warm-cache run bit for
+    /// bit).
     ///
     /// With labels, the pair is answered by scanning one endpoint's label
     /// against the other's, kept spread by hub rank from earlier queries
@@ -292,10 +290,8 @@ impl DistanceOracle for CachedOracle<'_> {
     /// Unpacked from the labels when the backend has them, by Dijkstra
     /// otherwise — and whenever the labels answer `None`, which leaves it
     /// to Dijkstra to say whether the pair is really disconnected. Never
-    /// cached, and never used to fill the distance cache: summed along the
-    /// query direction a path's cost can disagree with the canonical
-    /// distance `dist` computes in the last ULP, which would make `dist`
-    /// depend on which queries ran before it.
+    /// cached. Its edge weights sum to `dist(s, t)` bit for bit: both are
+    /// exact sums on the [`Q`](crate::Q) grid.
     fn shortest_path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
         if s == t {
             return Some(vec![s]);
@@ -359,7 +355,6 @@ impl DistanceOracle for MatrixOracle {
 mod tests {
     use super::*;
     use crate::generators::{GeneratorConfig, NetworkKind};
-    use crate::types::approx_eq;
 
     fn grid(rows: usize, cols: usize, seed: u64) -> RoadNetwork {
         GeneratorConfig {
@@ -378,7 +373,7 @@ mod tests {
         let n = g.node_count() as NodeId;
         for (s, t) in (0..25).map(|i| ((i * 3) % n, (i * 11 + 1) % n)) {
             let expect = dij.distance(s, t).unwrap_or(INFINITY);
-            assert!(approx_eq(oracle.dist(s, t), expect));
+            assert_eq!(oracle.dist(s, t), expect);
         }
     }
 
@@ -464,7 +459,7 @@ mod tests {
         for w in p.windows(2) {
             acc += g.edge_weight(w[0], w[1]).unwrap();
         }
-        assert!(approx_eq(acc, oracle.dist(0, t)));
+        assert_eq!(acc, oracle.dist(0, t));
     }
 
     #[test]
@@ -536,7 +531,7 @@ mod tests {
         let n = g.node_count() as NodeId;
         for s in 0..n {
             for t in 0..n {
-                assert!(approx_eq(m.dist(s, t), c.dist(s, t)));
+                assert_eq!(m.dist(s, t), c.dist(s, t));
             }
         }
         assert_eq!(m.node_count(), g.node_count());

@@ -19,21 +19,16 @@ pub type EdgeId = u32;
 /// paper makes the same simplification).
 pub type Weight = f64;
 
-/// The grid every weight, clock and budget lies on: 2⁻¹⁶ m.
-///
-/// Multiples of `Q` below [`GRID_LIMIT`] add exactly in `f64`, in any
-/// order, so a label distance, a Dijkstra sum, a hop-by-hop sum and a
-/// schedule's leg sum are the same number and compare bit for bit. Edge
-/// weights are rounded up onto it, clocks to the nearest point and
-/// budgets down (see [`quantize`]).
+/// The grid every weight (rounded up), clock (to nearest) and budget
+/// (down) lies on: 2⁻¹⁶ m. Its multiples below [`GRID_LIMIT`] add exactly
+/// in `f64`, in any order, so every sum of them compares bit for bit.
 pub const Q: Weight = 1.0 / 65_536.0;
 
-/// 2³⁷ m: below it, a sum of multiples of [`Q`] is exact in `f64`. A
-/// network whose total edge weight is not below it is refused.
+/// 2³⁷ m, the bound below which sums of multiples of [`Q`] stay exact.
 pub const GRID_LIMIT: Weight = (1u64 << 37) as Weight;
 
 /// `x` put on the [`Q`] grid by `round` (`f64::ceil`, `f64::round` or
-/// `f64::floor`). Exact: scaling by a power of two loses nothing.
+/// `f64::floor`); scaling by a power of two is exact.
 pub fn quantize(x: f64, round: fn(f64) -> f64) -> f64 {
     round(x / Q) * Q
 }
@@ -158,12 +153,6 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Compares two costs with a small absolute tolerance, used by tests and by
-/// validation code that re-derives costs along different code paths.
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,15 +162,15 @@ mod tests {
     fn point_distance_is_euclidean() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
-        assert!(approx_eq(a.distance(&b), 5.0));
-        assert!(approx_eq(a.distance_sq(&b), 25.0));
+        assert_eq!(a.distance(&b), 5.0);
+        assert_eq!(a.distance_sq(&b), 25.0);
     }
 
     #[test]
     fn point_distance_is_symmetric() {
         let a = Point::new(-10.0, 2.5);
         let b = Point::new(7.0, 40.0);
-        assert!(approx_eq(a.distance(&b), b.distance(&a)));
+        assert_eq!(a.distance(&b), b.distance(&a));
     }
 
     #[test]
@@ -215,12 +204,6 @@ mod tests {
         heap.push(HeapEntry::new(1.0, 7));
         heap.push(HeapEntry::new(1.0, 3));
         assert_eq!(heap.pop().unwrap().node, 3);
-    }
-
-    #[test]
-    fn approx_eq_tolerates_rounding() {
-        assert!(approx_eq(1.0, 1.0 + 1e-9));
-        assert!(!approx_eq(1.0, 1.01));
     }
 
     #[test]

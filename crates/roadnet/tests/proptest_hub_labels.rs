@@ -184,6 +184,23 @@ proptest! {
         }
     }
 
+    /// On the 2⁻¹⁶ m grid sums are exact: the edge weights along an
+    /// unpacked path add up to the label distance bit for bit, in path
+    /// order, whatever the ties, and a distance reads the same both ways.
+    #[test]
+    fn path_weights_sum_to_the_label_distance_bit_for_bit(
+        (g, seed) in prop_oneof![network_strategy(), tied_network_strategy()],
+    ) {
+        let hl = HubLabels::build(&g);
+        for (s, t) in sampled_pairs(g.node_count(), seed) {
+            let d = hl.distance(s, t).expect("generated networks are connected");
+            let p = hl.path(s, t).expect("a path unpacks");
+            let sum = p.windows(2).fold(0.0, |acc, w| acc + g.edge_weight(w[0], w[1]).unwrap());
+            prop_assert_eq!(sum.to_bits(), d.to_bits(), "{}->{}: {} vs {}", s, t, sum, d);
+            prop_assert_eq!(hl.distance(t, s).map(f64::to_bits), Some(d.to_bits()));
+        }
+    }
+
     /// The rank-batched parallel build is bit-identical to the sequential
     /// build at every worker count. `HubLabels` compares whole entries, so
     /// "identical" covers the next-hop pointers as well as the hubs and
