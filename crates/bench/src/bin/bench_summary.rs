@@ -100,46 +100,34 @@ fn query_pairs(n: usize, count: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Compares hub-label distances against Dijkstra ground truth on sampled
-/// pairs, bit for bit (both are exact sums on the grid) — the CI exactness
-/// gate.
-fn exact_vs_dijkstra(graph: &RoadNetwork, labels: &HubLabels, pairs: usize) -> bool {
+/// The exactness gates over sampled pairs, against Dijkstra ground truth:
+/// the label distance equals Dijkstra's bit for bit, the pair unpacks
+/// straight from the labels to Dijkstra's vertex sequence (the presets'
+/// jittered weights make shortest paths unique), and the edge weights along
+/// it add up to the label distance bit for bit (grid sums are exact).
+fn exact_vs_dijkstra(graph: &RoadNetwork, labels: &HubLabels, pairs: usize) -> [bool; 3] {
     let dij = DijkstraEngine::new(graph);
+    let mut ok = [true; 3];
     for (s, t) in query_pairs(graph.node_count(), pairs) {
-        let expect = dij.distance(s, t);
-        let got = labels.distance(s, t);
-        if expect.map(f64::to_bits) != got.map(f64::to_bits) {
+        let (expect, got) = (dij.distance(s, t), labels.distance(s, t));
+        if ok[0] && expect.map(f64::to_bits) != got.map(f64::to_bits) {
             eprintln!("  EXACTNESS FAILURE at ({s}, {t}): dijkstra {expect:?} vs labels {got:?}");
-            return false;
+            ok[0] = false;
         }
-    }
-    true
-}
-
-/// The two path gates, over sampled pairs: every pair unpacks straight
-/// from the labels to Dijkstra's vertex sequence (the presets' jittered
-/// weights make shortest paths unique), and the edge weights along it add
-/// up to the label distance bit for bit (sums on the grid are exact).
-fn paths_exact_vs_dijkstra(graph: &RoadNetwork, labels: &HubLabels, pairs: usize) -> (bool, bool) {
-    let dij = DijkstraEngine::new(graph);
-    let mut weights_exact = true;
-    for (s, t) in query_pairs(graph.node_count(), pairs) {
-        let expect = dij.path(s, t).map(|(_, p)| p);
-        let got = labels.path(s, t);
-        if got.is_none() || got != expect {
-            eprintln!("  PATH FAILURE at ({s}, {t}): dijkstra {expect:?} vs labels {got:?}");
-            return (false, weights_exact);
+        let (expect, path) = (dij.path(s, t).map(|(_, p)| p), labels.path(s, t));
+        if ok[1] && (path.is_none() || path != expect) {
+            eprintln!("  PATH FAILURE at ({s}, {t}): dijkstra {expect:?} vs labels {path:?}");
+            ok[1] = false;
         }
-        let edges = got.iter().flat_map(|p| p.windows(2));
-        let sum = edges.fold(0.0, |acc, w| {
-            acc + graph.edge_weight(w[0], w[1]).unwrap_or(f64::NAN)
-        });
-        if labels.distance(s, t).map(f64::to_bits) != Some(sum.to_bits()) {
+        let weight = |w: &[NodeId]| graph.edge_weight(w[0], w[1]).unwrap_or(f64::NAN);
+        let edges = path.iter().flat_map(|p| p.windows(2));
+        let sum = edges.fold(0.0, |acc, w| acc + weight(w));
+        if ok[2] && path.is_some() && got.map(f64::to_bits) != Some(sum.to_bits()) {
             eprintln!("  PATH WEIGHT FAILURE at ({s}, {t}): the edges sum to {sum}");
-            weights_exact = false;
+            ok[2] = false;
         }
     }
-    (true, weights_exact)
+    ok
 }
 
 /// Latency of one path computation over sampled pairs, in nanoseconds (the
@@ -276,8 +264,7 @@ fn hublabel_point(
     let timer = Instant::now();
     let labels = HubLabels::build(graph);
     let build_ms = timer.elapsed().as_secs_f64() * 1e3;
-    let exact = exact_vs_dijkstra(graph, &labels, exact_pairs);
-    let (paths_exact, path_weight_exact) = paths_exact_vs_dijkstra(graph, &labels, exact_pairs);
+    let [exact, paths_exact, path_weight_exact] = exact_vs_dijkstra(graph, &labels, exact_pairs);
     let dijkstra = DijkstraEngine::new(graph);
     let parallel_identical = check_parallel.then(|| {
         HubLabels::build_with_pool(graph, &WorkPool::new(4)) == HubLabels::build_sequential(graph)

@@ -115,10 +115,7 @@ impl Args {
             }
         }
         if args.start_rate > args.max_rate {
-            return Err(format!(
-                "--start-rate {} is above --max-rate {}",
-                args.start_rate, args.max_rate
-            ));
+            return Err("--start-rate must not exceed --max-rate".to_string());
         }
         if args.smoke {
             // The CI variant must finish in seconds and be deterministic.

@@ -221,9 +221,9 @@ impl Vehicle {
     /// drop-off completes it. The kinetic tree advances to the stop, is
     /// re-rooted at `clock` and re-derives the committed route from its
     /// best remaining schedule; its drop-off deadline is the tree's own,
-    /// fixed at the pickup clock its legs sum to. The stateless planners
-    /// keep executing their committed order, with the deadline fixed at
-    /// `clock`.
+    /// fixed at the pickup clock its legs sum to (`clock`, on the grid,
+    /// when the vehicle drove its route). The stateless planners keep
+    /// executing their committed order, with the deadline fixed at `clock`.
     pub fn arrive_at_next_stop(
         &mut self,
         clock: Cost,

@@ -36,9 +36,7 @@ impl fmt::Display for RoadNetError {
         match self {
             RoadNetError::UnknownNode(n) => write!(f, "unknown node id {n}"),
             RoadNetError::InvalidWeight(w) => write!(f, "invalid edge weight {w}"),
-            RoadNetError::TotalWeightOutOfRange(w) => {
-                write!(f, "total edge weight {w} m is not below 2^37 m")
-            }
+            RoadNetError::TotalWeightOutOfRange(w) => write!(f, "weights sum to {w} m >= 2^37 m"),
             RoadNetError::SelfLoop(n) => write!(f, "self-loop at node {n}"),
             RoadNetError::EmptyNetwork => write!(f, "road network has no nodes"),
             RoadNetError::Parse { line, message } => {

@@ -84,11 +84,10 @@ impl GraphBuilder {
             edge.2 = quantize(w, f64::ceil);
         }
         let network = RoadNetwork::from_parts(self.points, self.edges);
-        let total = network.total_weight();
-        if total >= GRID_LIMIT {
-            return Err(RoadNetError::TotalWeightOutOfRange(total));
+        match network.total_weight() {
+            total if total >= GRID_LIMIT => Err(RoadNetError::TotalWeightOutOfRange(total)),
+            _ => Ok(network),
         }
-        Ok(network)
     }
 
     /// Validates and freezes the network, panicking on malformed input.

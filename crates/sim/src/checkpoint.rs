@@ -59,8 +59,7 @@ const MAGIC: &[u8; 4] = b"RSCK";
 /// each vehicle's service counters. Version 4 writes each vehicle as its
 /// plan alone — the solver's problem or the kinetic tree — without the
 /// vehicle's copy of its position, clock and riders. Version 5 drops the
-/// on-board riders' pickup clocks: on the grid, a drop-off reads its
-/// rider's pickup clock back from the trace row exactly.
+/// riders' pickup clocks: a drop-off reads them from the trace row.
 const VERSION: u32 = 5;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation

@@ -73,8 +73,7 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Converts a wall-clock duration in seconds to the meter-equivalent
     /// units used throughout the scheduling core, rounded to the nearest
-    /// point of the [`Q`](roadnet::Q) grid so every clock built from it
-    /// adds exactly. At 14 m/s that moves a time by at most 5.5e-7 s.
+    /// point of the [`Q`](roadnet::Q) grid (at most 5.5e-7 s at 14 m/s).
     pub fn seconds_to_meters(&self, seconds: f64) -> f64 {
         quantize(seconds * self.speed_mps, f64::round)
     }
