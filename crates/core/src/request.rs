@@ -21,8 +21,7 @@ pub struct Constraints {
 }
 
 impl Constraints {
-    /// Creates a constraint set; `max_wait` is rounded down onto the
-    /// [`Q`](roadnet::Q) grid, the conservative direction for a guarantee.
+    /// Creates a constraint set, `max_wait` floored onto the [`Q`](roadnet::Q) grid.
     pub fn new(max_wait: Cost, detour_factor: f64) -> Self {
         Constraints {
             max_wait: quantize(max_wait, f64::floor),

@@ -9,8 +9,7 @@ pub enum RoadNetError {
     UnknownNode(u32),
     /// An edge has a non-finite or negative weight.
     InvalidWeight(f64),
-    /// The edge weights, rounded up onto the grid, sum to this many metres,
-    /// not below [`GRID_LIMIT`](crate::GRID_LIMIT), where sums stop being exact.
+    /// The rounded edge weights sum to this, not below [`GRID_LIMIT`](crate::GRID_LIMIT).
     TotalWeightOutOfRange(f64),
     /// A self-loop (u, u) was added; road networks never need them and the
     /// shortest-path engines assume their absence.

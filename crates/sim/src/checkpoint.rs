@@ -5,11 +5,12 @@
 //! used to mean starting over. This module snapshots a running
 //! [`Simulation`] — fleet (including every kinetic tree), motion state
 //! (including each vehicle's cruising-RNG stream), dispatcher statistics,
-//! service-quality metrics and the full trace — to a versioned, checksummed binary file, and restores
-//! it so that the resumed run is **bit-identical** to one that never
-//! stopped (property-tested in `tests/proptest_checkpoint.rs`; the only
-//! fields that can differ are the wall-clock latency *means*, since
-//! nanosecond timings are not a function of simulation state).
+//! service-quality metrics and the full trace — to a versioned,
+//! checksummed binary file, and restores it so that the resumed run is
+//! **bit-identical** to one that never stopped (property-tested in
+//! `tests/proptest_checkpoint.rs`; the only fields that can differ are the
+//! wall-clock latency *means*, since nanosecond timings are not a function
+//! of simulation state).
 //!
 //! The format follows the `roadnet::io::bin` conventions established by
 //! the hub-label store: little-endian scalars, length-prefixed
