@@ -183,7 +183,7 @@ fn main() -> ExitCode {
         },
         args.seed,
     );
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
 
     // ---- Fault ladder: calm, faulted, overloaded -------------------------
     let fault_spec = "seed=7,spike=0.15:1.0,torn=0.5";

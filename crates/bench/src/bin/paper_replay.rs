@@ -255,7 +255,7 @@ fn write_json(
     config: &SimConfig,
     trips: usize,
     sim: &Simulation<'_>,
-    oracle_report: Option<&StoreReport>,
+    oracle: &StoreReport,
     run: &RunState,
     wall_s: f64,
     trips_per_second: f64,
@@ -281,23 +281,20 @@ fn write_json(
     ));
     json.push_str(&format!("  \"finished\": {finished},\n"));
     json.push_str(&format!("  \"wall_clock_s\": {wall_s:.1},\n"));
-    match oracle_report {
-        Some(r) => json.push_str(&format!(
-            "  \"oracle\": {{\"source\": \"{}\", \"fingerprint\": \"{:016x}\", \
-             \"build_ms\": {:.1}, \"load_ms\": {:.1}, \"bytes\": {}, \
-             \"roundtrip_verified\": {}}},\n",
-            match r.source {
-                LabelSource::Built => "built",
-                LabelSource::Reloaded => "reloaded",
-            },
-            r.fingerprint,
-            r.build_ms,
-            r.load_ms,
-            r.bytes,
-            r.roundtrip_verified,
-        )),
-        None => json.push_str("  \"oracle\": {\"source\": \"dijkstra\"},\n"),
-    }
+    json.push_str(&format!(
+        "  \"oracle\": {{\"source\": \"{}\", \"fingerprint\": \"{:016x}\", \
+         \"build_ms\": {:.1}, \"load_ms\": {:.1}, \"bytes\": {}, \
+         \"roundtrip_verified\": {}}},\n",
+        match oracle.source {
+            LabelSource::Built => "built",
+            LabelSource::Reloaded => "reloaded",
+        },
+        oracle.fingerprint,
+        oracle.build_ms,
+        oracle.load_ms,
+        oracle.bytes,
+        oracle.roundtrip_verified,
+    ));
     json.push_str(&format!(
         "  \"checkpoints\": {{\"written\": {}, \"every_requests\": {}, \"resumed_from_request\": {}}},\n",
         run.checkpoints_written,
@@ -403,14 +400,14 @@ fn drive(
     digest: u64,
     args: &Args,
     config: &SimConfig,
-    oracle_report: Option<&StoreReport>,
+    oracle_report: &StoreReport,
     run: &mut RunState,
     started: Instant,
 ) -> usize {
     let window_s = args.scale.window_seconds();
     let mut next_flush_window = 1 + (sim.clock_seconds() / window_s) as usize;
     let start = next;
-    submit_windows(sim, &trips[start..], |sim, submitted| {
+    sim.submit_windows(&trips[start..], |sim, submitted| {
         let end = start + submitted;
         // Checkpoints land on dispatch-tick boundaries: the batch that
         // crosses a `checkpoint_every` multiple triggers the write, so a
@@ -455,30 +452,6 @@ fn drive(
     next
 }
 
-/// Submits `trips` to `sim` one dispatch tick at a time — consecutive
-/// trips sharing a `floor(t / batch_window)` bucket, or one trip per tick
-/// when batching is off — advancing the fleet to each tick's last trip
-/// first, as [`Simulation::run`] does. After each tick, `after` gets the
-/// number of trips submitted so far.
-fn submit_windows<'a>(
-    sim: &mut Simulation<'a>,
-    trips: &[TripEvent],
-    mut after: impl FnMut(&mut Simulation<'a>, usize),
-) {
-    let window = sim.config().batch_window_seconds;
-    let bucket = |t: &TripEvent| (t.time_seconds / window).floor();
-    let mut submitted = 0;
-    for batch in trips.chunk_by(|a, b| window > 0.0 && bucket(a) == bucket(b)) {
-        let t_m = sim
-            .config()
-            .seconds_to_meters(batch[batch.len() - 1].time_seconds);
-        sim.advance_all(t_m);
-        sim.submit_batch(batch);
-        submitted += batch.len();
-        after(sim, submitted);
-    }
-}
-
 fn main() {
     let args = parse_args().unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -505,29 +478,22 @@ fn main() {
 
     let (oracle, oracle_report) = exp.oracle_with_report(args.scale);
     if args.require_reloaded {
-        match &oracle_report {
-            Some(r) if r.source == LabelSource::Reloaded => {
-                eprintln!("  oracle: reloaded from store in {:.0} ms ✓", r.load_ms)
-            }
-            Some(r) => {
-                eprintln!(
-                    "FAIL: --require-reloaded but the labels were {:?} (store path {})",
-                    r.source,
-                    r.path.display()
-                );
-                std::process::exit(1);
-            }
-            None => {
-                eprintln!("FAIL: --require-reloaded at a scale that does not use hub labels");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(r) = &oracle_report {
-        if !r.roundtrip_verified {
-            eprintln!("FAIL: label store round trip was not verified");
+        if oracle_report.source != LabelSource::Reloaded {
+            eprintln!(
+                "FAIL: --require-reloaded but the labels were {:?} (store path {})",
+                oracle_report.source,
+                oracle_report.path.display()
+            );
             std::process::exit(1);
         }
+        eprintln!(
+            "  oracle: reloaded from store in {:.0} ms ✓",
+            oracle_report.load_ms
+        );
+    }
+    if !oracle_report.roundtrip_verified {
+        eprintln!("FAIL: label store round trip was not verified");
+        std::process::exit(1);
     }
 
     let config = SimConfig {
@@ -582,7 +548,7 @@ fn main() {
             &args,
             &config,
             trips.len(),
-            oracle_report.as_ref(),
+            &oracle_report,
             &run,
             wall,
             (trips.len() - cut) as f64 / wall.max(1e-9),
@@ -625,7 +591,7 @@ fn main() {
         digest,
         &args,
         &config,
-        oracle_report.as_ref(),
+        &oracle_report,
         &mut run,
         started,
     );
@@ -641,7 +607,7 @@ fn main() {
         &args,
         &config,
         trips.len(),
-        oracle_report.as_ref(),
+        &oracle_report,
         &run,
         wall,
         (submitted - next) as f64 / wall.max(1e-9),
@@ -657,7 +623,7 @@ fn finish(
     args: &Args,
     config: &SimConfig,
     trips: usize,
-    oracle_report: Option<&StoreReport>,
+    oracle_report: &StoreReport,
     run: &RunState,
     wall_s: f64,
     trips_per_second: f64,
@@ -755,7 +721,7 @@ fn verify_resume<'a>(
 ) -> Option<(Simulation<'a>, usize)> {
     eprintln!("verify-resume: straight-through reference run...");
     let run_tail = |sim: &mut Simulation<'_>, from: usize| {
-        submit_windows(sim, &trips[from..], |_, _| {});
+        sim.submit_windows(&trips[from..], |_, _| {});
         sim.drain();
     };
     let mut straight = Simulation::new(&exp.workload.network, oracle, config);
@@ -766,19 +732,15 @@ fn verify_resume<'a>(
     // The interruption must land on a dispatch-tick boundary, like every
     // real checkpoint, so the resumed run re-forms the same batches.
     let mut cut = trips.len() / 2;
-    if config.batch_window_seconds > 0.0 {
-        while cut > 0 && cut < trips.len() {
-            let bucket = |i: usize| (trips[i].time_seconds / config.batch_window_seconds).floor();
-            if bucket(cut - 1) == bucket(cut) {
-                cut += 1;
-            } else {
-                break;
-            }
-        }
+    while cut > 0
+        && cut < trips.len()
+        && config.same_window(trips[cut - 1].time_seconds, trips[cut].time_seconds)
+    {
+        cut += 1;
     }
     eprintln!("verify-resume: interrupting at request {cut}, then resuming...");
     let mut interrupted = Simulation::new(&exp.workload.network, oracle, config);
-    submit_windows(&mut interrupted, &trips[..cut], |_, _| {});
+    interrupted.submit_windows(&trips[..cut], |_, _| {});
     let ckpt = args
         .checkpoint
         .clone()
@@ -852,7 +814,7 @@ fn verify_pruning(
     eprintln!("verify-pruning: replaying a {prefix}-trip prefix pruned and exhaustively...");
     let run = |config: SimConfig| {
         let mut sim = Simulation::new(&exp.workload.network, oracle, config);
-        submit_windows(&mut sim, trips, |_, _| {});
+        sim.submit_windows(trips, |_, _| {});
         sim.drain();
         observables(&sim)
     };

@@ -249,7 +249,7 @@ fn main() -> ExitCode {
         },
         args.seed,
     );
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
     let slo = SloConfig {
         tick_seconds: args.tick,
         p99_budget_seconds: args.slo_p99,

@@ -19,7 +19,7 @@ pub mod store;
 use kinetic_core::{Constraints, KineticConfig, PlannerKind, SolverKind};
 use rideshare_sim::{SimConfig, SimReport, Simulation};
 use rideshare_workload::{CityConfig, DemandConfig, Workload};
-use roadnet::{CachedOracle, NodeId, OracleBackend};
+use roadnet::{CachedOracle, NodeId};
 
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,39 +233,22 @@ impl Experiment {
         Experiment { workload, seed }
     }
 
-    /// Builds the distance oracle for this experiment's network. Hub labels
-    /// pay off for repeated queries but cost construction time, so the
-    /// smallest scale skips them; the label-using scales go through the
-    /// on-disk [`store`], so the construction cost is paid once per
-    /// network rather than once per harness binary (89 s vs a 2.5–6 s
-    /// reload at paper scale).
+    /// Builds the distance oracle for this experiment's network. The hub
+    /// labels go through the on-disk [`store`], so their construction is
+    /// paid once per network rather than once per harness binary (89 s vs
+    /// a 2.5–6 s reload at paper scale).
     pub fn oracle(&self, scale: Scale) -> CachedOracle<'_> {
         self.oracle_with_report(scale).0
     }
 
-    /// [`Experiment::oracle`] plus the label store's provenance report
-    /// (`None` at the label-less smoke scale). Harnesses that gate on the
-    /// reload path (e.g. `paper_replay --require-reloaded`) use the
-    /// report.
-    pub fn oracle_with_report(
-        &self,
-        scale: Scale,
-    ) -> (CachedOracle<'_>, Option<store::StoreReport>) {
+    /// [`Experiment::oracle`] plus the label store's provenance report.
+    /// Harnesses that gate on the reload path (e.g. `paper_replay
+    /// --require-reloaded`) use the report.
+    pub fn oracle_with_report(&self, scale: Scale) -> (CachedOracle<'_>, store::StoreReport) {
         let network = &self.workload.network;
-        let entries = scale.distance_cache_entries();
-        match scale {
-            Scale::Smoke => (
-                CachedOracle::with_options(network, OracleBackend::Dijkstra, entries),
-                None,
-            ),
-            Scale::Quick | Scale::Paper => {
-                let (labels, report) = store::load_or_build(network);
-                (
-                    CachedOracle::with_labels(network, labels, entries, 0),
-                    Some(report),
-                )
-            }
-        }
+        let (labels, report) = store::load_or_build(network);
+        let oracle = CachedOracle::with_labels(network, labels, scale.distance_cache_entries(), 0);
+        (oracle, report)
     }
 
     /// Runs one simulation point.
@@ -586,15 +569,17 @@ mod tests {
     #[test]
     fn smoke_experiment_runs_end_to_end() {
         let exp = Experiment::new(Scale::Smoke, 1);
-        let oracle = exp.oracle(Scale::Smoke);
-        let report = exp.run_point(
-            &oracle,
-            PlannerKind::Kinetic(KineticConfig::slack()),
-            Constraints::paper_default(),
-            10,
-            4,
-            30,
-        );
+        let report = store::in_temp_store("smoke_experiment", || {
+            let oracle = exp.oracle(Scale::Smoke);
+            exp.run_point(
+                &oracle,
+                PlannerKind::Kinetic(KineticConfig::slack()),
+                Constraints::paper_default(),
+                10,
+                4,
+                30,
+            )
+        });
         assert_eq!(report.requests, 30);
         assert_eq!(report.guarantee_violations, 0);
     }

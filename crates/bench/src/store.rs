@@ -201,15 +201,26 @@ pub fn load_or_build_with_fault(
     )
 }
 
+/// Runs `f` with the store in a fresh directory under the system temp
+/// dir, removed afterwards. The directory is a process-wide environment
+/// variable, so the tests that touch the store take turns here.
+#[cfg(test)]
+pub(crate) fn in_temp_store<R>(name: &str, f: impl FnOnce() -> R) -> R {
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::env::set_var(CACHE_DIR_ENV, &dir);
+    let out = f();
+    std::env::remove_var(CACHE_DIR_ENV);
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use roadnet::{GeneratorConfig, NetworkKind};
-    use std::sync::Mutex;
-
-    /// The store directory is configured through a process-wide environment
-    /// variable; serialise the tests that touch it.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     fn grid(rows: usize, cols: usize, seed: u64) -> roadnet::RoadNetwork {
         GeneratorConfig {
@@ -222,11 +233,10 @@ mod tests {
 
     #[test]
     fn build_then_reload_round_trip() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("label_store_test_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::env::set_var(CACHE_DIR_ENV, &dir);
+        in_temp_store("label_store_test", build_then_reload_round_trip_in_store);
+    }
 
+    fn build_then_reload_round_trip_in_store() {
         let g = grid(6, 6, 3);
         let (labels, report) = load_or_build(&g);
         assert_eq!(report.source, LabelSource::Built);
@@ -281,18 +291,17 @@ mod tests {
             report5.fallback_reason
         );
         assert_eq!(load_or_build(&g).1.source, LabelSource::Reloaded);
-
-        std::env::remove_var(CACHE_DIR_ENV);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncated_store_file_never_panics_at_any_prefix() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("label_store_trunc_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::env::set_var(CACHE_DIR_ENV, &dir);
+        in_temp_store(
+            "label_store_trunc",
+            truncated_store_file_never_panics_in_store,
+        );
+    }
 
+    fn truncated_store_file_never_panics_in_store() {
         let g = grid(5, 5, 9);
         let (labels, report) = load_or_build(&g);
         assert!(report.roundtrip_verified);
@@ -340,8 +349,5 @@ mod tests {
             "injected fault must be the surfaced reason: {:?}",
             rep.fallback_reason
         );
-
-        std::env::remove_var(CACHE_DIR_ENV);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -817,7 +817,7 @@ mod tests {
     fn nearest_feasible_vehicle_wins() {
         let (graph, mut vehicles, mut index) =
             setup(PlannerKind::Kinetic(KineticConfig::basic()), &[0, 35, 63]);
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
         // Request right next to vehicle 1 (node 35).
         let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
@@ -851,7 +851,7 @@ mod tests {
             PlannerKind::Solver(crate::algorithms::SolverKind::BruteForce),
             &[63],
         );
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
         let req = TripRequest::new(1, 0, 9, 0.0, Constraints::new(300.0, 0.2));
         let out = dispatcher.assign(&req, &mut vehicles, &graph, &mut index, &oracle);
@@ -871,7 +871,7 @@ mod tests {
         b.add_edge(0, 1, 200.0);
         b.add_edge(1, 2, 200.0);
         let graph = b.build();
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let req = TripRequest::new(1, 1, 3, 0.0, Constraints::new(8_400.0, 0.3));
         let planner = PlannerKind::Kinetic(KineticConfig::slack());
         for config in configs() {
@@ -895,7 +895,7 @@ mod tests {
             PlannerKind::Kinetic(KineticConfig::slack()),
             &[0, 7, 56, 63],
         );
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         // A radius as long as the map's diagonal admits every vehicle.
         let (min, max) = graph.bounding_box();
         let max_wait = 8_400.0;
@@ -938,7 +938,7 @@ mod tests {
         // is also the cheapest), and greedy stops after one evaluation.
         let (graph, mut vehicles, mut index) =
             setup(PlannerKind::Kinetic(KineticConfig::slack()), &[0, 36, 63]);
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
         dispatcher.set_effort(DispatchEffort::Greedy);
         assert_eq!(dispatcher.effort(), DispatchEffort::Greedy);
@@ -961,7 +961,7 @@ mod tests {
             setup(PlannerKind::Kinetic(KineticConfig::slack()), &[0, 36, 63]);
         let (_, mut fleet_b, mut index_b) =
             setup(PlannerKind::Kinetic(KineticConfig::slack()), &[0, 36, 63]);
-        let oracle2 = CachedOracle::without_labels(&graph2);
+        let oracle2 = CachedOracle::new(&graph2);
         let no_prune = DispatcherConfig {
             use_pruning: false,
             ..DispatcherConfig::default()
@@ -1004,7 +1004,7 @@ mod tests {
         let second = TripRequest::new(2, 36, 59, 0.0, Constraints::new(8_400.0, 0.3));
 
         let (graph, mut untouched, mut untouched_index) = setup(planner, &positions);
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let alone = Dispatcher::new(DispatcherConfig::default()).assign(
             &second,
             &mut untouched,
@@ -1050,7 +1050,7 @@ mod tests {
     fn empty_fleet_rejects_with_zero_candidates() {
         let (graph, mut vehicles, mut index) =
             setup(PlannerKind::Kinetic(KineticConfig::basic()), &[]);
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
         for effort in DispatchEffort::ALL {
             let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
@@ -1216,7 +1216,7 @@ mod tests {
                 ..GeneratorConfig::default()
             }
             .generate();
-            let oracle = CachedOracle::without_labels(&graph);
+            let oracle = CachedOracle::new(&graph);
             let lag = graph.longest_segment();
             let requests: Vec<TripRequest> = pairs
                 .iter()
@@ -1289,7 +1289,7 @@ mod tests {
     fn a_lagging_index_still_yields_the_nearest_vehicle_first() {
         for effort in [DispatchEffort::Full, DispatchEffort::Greedy] {
             let (graph, mut vehicles, mut index, req, d) = lagging_fleet();
-            let oracle = CachedOracle::without_labels(&graph);
+            let oracle = CachedOracle::new(&graph);
             let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
             dispatcher.set_effort(effort);
             let mut synced = Vec::new();
@@ -1355,7 +1355,7 @@ mod tests {
             lag = f64::from_bits((lag.to_bits() as i64 + step) as u64);
         }
         assert_eq!(floor(lag), key, "the lag puts the cell's floor on the key");
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let mut dispatcher = Dispatcher::new(DispatcherConfig::default());
         dispatcher.set_effort(DispatchEffort::Greedy);
         let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
@@ -1392,7 +1392,7 @@ mod tests {
         for id in [9, u32::MAX] {
             index.insert(id, Position::new(p.x, p.y));
         }
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let req = TripRequest::new(1, 36, 60, 0.0, Constraints::new(8_400.0, 0.3));
         for config in configs() {
             for effort in DispatchEffort::ALL {

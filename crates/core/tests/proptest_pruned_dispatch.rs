@@ -115,7 +115,7 @@ proptest! {
         let kind = planner(planner_index);
         let constraints = Constraints::new(wait_m, detour);
         let requests = build_requests(&graph, &trip_pairs, constraints);
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
 
         // Reference: exhaustive sequential evaluation, pruning off.
         let (mut ex_vehicles, mut ex_index) = fleet(&graph, &positions, kind);

@@ -61,9 +61,7 @@ pub use graph::{GraphBuilder, RoadNetwork};
 pub use hub_label::{HubLabels, LabelEntry};
 pub use io::{parse_network, write_network};
 pub use locator::NodeLocator;
-pub use oracle::{
-    CachedOracle, DistanceOracle, MatrixOracle, OracleBackend, OracleStats, ShortestPathEngine,
-};
+pub use oracle::{CachedOracle, DistanceOracle, MatrixOracle, OracleStats, ShortestPathEngine};
 pub use partition::PartitionSpec;
 pub use sharded::ShardedOracle;
 pub use types::{quantize, EdgeId, NodeId, Point, Weight, GRID_LIMIT, INFINITY, Q};

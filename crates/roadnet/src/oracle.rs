@@ -10,10 +10,11 @@
 //! The labels answer a distance miss by scanning one endpoint's label
 //! against the other's, which stays spread by hub rank from the queries
 //! before (a request's misses share its pickup or drop-off), and every path
-//! query by unpacking their next-hop pointers (plain Dijkstra does both
-//! when labels are disabled). Distances are cached once per unordered
-//! pair; paths are not cached. [`MatrixOracle`] pre-computes all pairs and
-//! is used by tests and tiny scheduling instances.
+//! query by unpacking their next-hop pointers. Dijkstra answers only radius
+//! searches and the paths the labels decline. Distances are cached once per
+//! unordered pair; paths are not cached. [`MatrixOracle`] pre-computes all
+//! pairs (Floyd–Warshall) and is the label-free reference of tests and tiny
+//! scheduling instances.
 
 use std::cell::RefCell;
 
@@ -21,7 +22,7 @@ use crate::cache::LruCache;
 use crate::dijkstra::{floyd_warshall, DijkstraEngine};
 use crate::graph::RoadNetwork;
 use crate::hub_label::{HubLabels, Spread};
-use crate::types::{NodeId, Weight, INFINITY};
+use crate::types::{NodeId, Weight};
 
 /// Point-to-point shortest path computation.
 ///
@@ -104,18 +105,6 @@ impl OracleStats {
     }
 }
 
-/// Which engine a [`CachedOracle`] uses on a cache miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OracleBackend {
-    /// Pruned-landmark hub labels for distances and for paths (unpacked
-    /// along the labels' next-hop pointers). Dijkstra only answers radius
-    /// searches, and the path queries the labels decline: disconnected
-    /// pairs and chains broken by a zero-weight edge.
-    HubLabels,
-    /// Plain Dijkstra for everything (no preprocessing cost; slower queries).
-    Dijkstra,
-}
-
 /// The unordered pair `{s, t}` as `(low id, high id)`: the direction every
 /// distance is computed in and the one key it is cached under.
 fn ordered(s: NodeId, t: NodeId) -> (NodeId, NodeId) {
@@ -126,13 +115,14 @@ fn ordered(s: NodeId, t: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-/// Production oracle: hub labels (or Dijkstra) behind one distance cache
-/// ([`LruCache`], LRU within 4-way sets). Sequential by design — the
-/// cache, counters and the label scratch sit behind `RefCell`, so a query
-/// takes no lock.
+/// Production oracle: hub labels behind one distance cache ([`LruCache`],
+/// LRU within 4-way sets). Sequential by design — the cache, counters and
+/// the label scratch sit behind `RefCell`, so a query takes no lock.
 pub struct CachedOracle<'g> {
     graph: &'g RoadNetwork,
-    labels: Option<HubLabels>,
+    labels: HubLabels,
+    /// Radius searches, and the paths the labels decline: disconnected
+    /// pairs and chains broken by a zero-weight edge.
     dijkstra: DijkstraEngine<'g>,
     /// Labels of recent query endpoints, spread by hub rank: changes how
     /// fast a distance miss is found, never which distance.
@@ -143,33 +133,16 @@ pub struct CachedOracle<'g> {
 }
 
 impl<'g> CachedOracle<'g> {
-    /// Builds an oracle with hub labels and the default cache size.
+    /// Builds the hub labels of `graph` and an oracle around them with the
+    /// default cache size.
     pub fn new(graph: &'g RoadNetwork) -> Self {
-        Self::with_options(graph, OracleBackend::HubLabels, 1_000_000)
-    }
-
-    /// Builds an oracle without hub labels (Dijkstra on every miss).
-    pub fn without_labels(graph: &'g RoadNetwork) -> Self {
-        Self::with_options(graph, OracleBackend::Dijkstra, 1_000_000)
-    }
-
-    /// Builds an oracle with an explicit backend and distance-cache
-    /// capacity (0 disables the cache).
-    pub fn with_options(
-        graph: &'g RoadNetwork,
-        backend: OracleBackend,
-        distance_cache: usize,
-    ) -> Self {
-        let labels = match backend {
-            OracleBackend::HubLabels => Some(HubLabels::build(graph)),
-            OracleBackend::Dijkstra => None,
-        };
-        Self::from_parts(graph, labels, distance_cache)
+        Self::with_labels(graph, HubLabels::build(graph), 1_000_000, 0)
     }
 
     /// Builds an oracle around pre-built hub labels — typically loaded from
     /// disk with [`HubLabels::load`] so a paper-scale construction is paid
-    /// once, not on every process start.
+    /// once, not on every process start. `distance_cache` is the distance
+    /// cache's capacity (0 disables it).
     ///
     /// `_path_cache` is ignored: paths are not cached. It is kept only
     /// because the frozen `benchmark/` crate passes it.
@@ -190,14 +163,6 @@ impl<'g> CachedOracle<'g> {
             labels.node_count(),
             graph.node_count()
         );
-        Self::from_parts(graph, Some(labels), distance_cache)
-    }
-
-    fn from_parts(
-        graph: &'g RoadNetwork,
-        labels: Option<HubLabels>,
-        distance_cache: usize,
-    ) -> Self {
         CachedOracle {
             graph,
             labels,
@@ -206,12 +171,6 @@ impl<'g> CachedOracle<'g> {
             distances: RefCell::new(LruCache::new(distance_cache)),
             stats: RefCell::new(OracleStats::default()),
         }
-    }
-
-    /// The hub labels backing this oracle, when the backend uses them
-    /// (e.g. to persist them with [`HubLabels::save`]).
-    pub fn labels(&self) -> Option<&HubLabels> {
-        self.labels.as_ref()
     }
 
     /// The underlying road network.
@@ -251,16 +210,13 @@ impl<'g> CachedOracle<'g> {
     /// resumed run's cold caches must reproduce the warm-cache run bit for
     /// bit).
     ///
-    /// With labels, the pair is answered by scanning one endpoint's label
-    /// against the other's, kept spread by hub rank from earlier queries
-    /// ([`Spread`]): a dispatcher's misses come in runs that share the new
-    /// request's pickup or drop-off. The scan returns the bits of
-    /// [`HubLabels::distance`], the merge of the two labels.
+    /// The pair is answered by scanning one endpoint's label against the
+    /// other's, kept spread by hub rank from earlier queries ([`Spread`]): a
+    /// dispatcher's misses come in runs that share the new request's pickup
+    /// or drop-off. The scan returns the bits of [`HubLabels::distance`],
+    /// the merge of the two labels.
     fn compute_distance(&self, s: NodeId, t: NodeId) -> Weight {
-        match &self.labels {
-            Some(hl) => self.spread.borrow_mut().distance(hl, s, t),
-            None => self.dijkstra.distance(s, t).unwrap_or(INFINITY),
-        }
+        self.spread.borrow_mut().distance(&self.labels, s, t)
     }
 }
 
@@ -287,19 +243,17 @@ impl DistanceOracle for CachedOracle<'_> {
         d
     }
 
-    /// Unpacked from the labels when the backend has them, by Dijkstra
-    /// otherwise — and whenever the labels answer `None`, which leaves it
-    /// to Dijkstra to say whether the pair is really disconnected. Never
-    /// cached. Its edge weights sum to `dist(s, t)` bit for bit: both are
-    /// exact sums on the [`Q`](crate::Q) grid.
+    /// Unpacked from the labels, or by Dijkstra whenever the labels answer
+    /// `None`, which leaves it to Dijkstra to say whether the pair is really
+    /// disconnected. Never cached. Its edge weights sum to `dist(s, t)` bit
+    /// for bit: both are exact sums on the [`Q`](crate::Q) grid.
     fn shortest_path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
         if s == t {
             return Some(vec![s]);
         }
         self.stats.borrow_mut().path_queries += 1;
         self.labels
-            .as_ref()
-            .and_then(|hl| hl.path(s, t))
+            .path(s, t)
             .or_else(|| self.dijkstra.path(s, t).map(|(_, p)| p))
     }
 
@@ -355,6 +309,7 @@ impl DistanceOracle for MatrixOracle {
 mod tests {
     use super::*;
     use crate::generators::{GeneratorConfig, NetworkKind};
+    use crate::types::INFINITY;
 
     fn grid(rows: usize, cols: usize, seed: u64) -> RoadNetwork {
         GeneratorConfig {
@@ -408,7 +363,7 @@ mod tests {
         // `reset_stats` the same queries count and answer as the first time.
         let g = grid(8, 8, 6);
         let n = g.node_count() as NodeId;
-        let oracle = CachedOracle::with_options(&g, OracleBackend::HubLabels, 64);
+        let oracle = CachedOracle::with_labels(&g, HubLabels::build(&g), 64, 0);
         let run = || {
             let pairs = (0..400).map(|i| ((i * 7) % n, (i * 13 + 5) % n));
             let answers: Vec<u64> = pairs.map(|(s, t)| oracle.dist(s, t).to_bits()).collect();
@@ -424,7 +379,7 @@ mod tests {
     #[test]
     fn distance_key_is_the_papers_on_the_ordered_pair() {
         let g = grid(5, 5, 0);
-        let oracle = CachedOracle::without_labels(&g);
+        let oracle = CachedOracle::new(&g);
         let n = g.node_count() as u64;
         assert_eq!(oracle.key(3, 7), 3 * n + 7);
         assert_eq!(oracle.key(7, 3), oracle.key(3, 7));
@@ -450,7 +405,7 @@ mod tests {
     #[test]
     fn cached_oracle_paths_are_valid() {
         let g = grid(5, 7, 2);
-        let oracle = CachedOracle::without_labels(&g);
+        let oracle = CachedOracle::new(&g);
         let t = (g.node_count() - 1) as NodeId;
         let p = path_three_ways(&oracle, 0, t).unwrap();
         assert_eq!(p[0], 0);
@@ -465,13 +420,13 @@ mod tests {
     #[test]
     fn label_backed_oracles_return_the_dijkstra_backed_paths() {
         // Jittered weights: shortest paths are unique, so unpacking the
-        // labels must reproduce the label-less twin's paths exactly.
+        // labels must reproduce Dijkstra's paths exactly.
         let g = grid(12, 12, 8);
         let n = g.node_count() as NodeId;
         let cached = CachedOracle::new(&g);
-        let twin = CachedOracle::without_labels(&g);
+        let dij = DijkstraEngine::new(&g);
         for (s, t) in (0..40).map(|i| ((i * 5) % n, (i * 17 + 3) % n)) {
-            let expect = twin.shortest_path(s, t);
+            let expect = dij.path(s, t).map(|(_, p)| p);
             assert!(expect.is_some(), "grid is connected ({s}, {t})");
             assert_eq!(path_three_ways(&cached, s, t), expect, "({s}, {t})");
         }
@@ -489,22 +444,24 @@ mod tests {
         let n = g.node_count() as NodeId;
         let pairs: Vec<(NodeId, NodeId)> =
             (0..60).map(|i| ((i * 5) % n, (i * 17 + 3) % n)).collect();
-        let reference = CachedOracle::without_labels(&g);
+        let reference = CachedOracle::new(&g);
+        let dij = DijkstraEngine::new(&g);
         for &(s, t) in &pairs {
-            // Symmetry must hold bitwise on a cold oracle.
-            assert_eq!(
-                reference.dist(s, t).to_bits(),
-                reference.dist(t, s).to_bits()
-            );
+            // Symmetry must hold bitwise on a cold oracle, and equal
+            // Dijkstra's sum from either end.
+            let d = reference.dist(s, t).to_bits();
+            assert_eq!(reference.dist(t, s).to_bits(), d);
+            assert_eq!(dij.distance(s, t).unwrap_or(INFINITY).to_bits(), d);
+            assert_eq!(dij.distance(t, s).unwrap_or(INFINITY).to_bits(), d);
         }
         // Differently warmed oracles (paths in either direction first,
         // reverse distances first) must agree bit for bit.
-        let warmed = CachedOracle::without_labels(&g);
+        let warmed = CachedOracle::new(&g);
         for &(s, t) in &pairs {
             let _ = warmed.shortest_path(s, t);
             let _ = warmed.dist(t, s);
         }
-        let reverse_paths = CachedOracle::without_labels(&g);
+        let reverse_paths = CachedOracle::new(&g);
         for &(s, t) in &pairs {
             let _ = reverse_paths.shortest_path(t, s);
         }

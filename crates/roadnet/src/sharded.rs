@@ -203,13 +203,13 @@ mod tests {
     fn concurrent_path_unpacking_agrees_with_dijkstra() {
         let g = grid(12, 12, 8);
         let o = shim(&g, 1_000);
-        let reference = CachedOracle::without_labels(&g);
+        let reference = DijkstraEngine::new(&g);
         let n = g.node_count() as NodeId;
         let pairs: Vec<(NodeId, NodeId)> =
             (0..48).map(|i| ((i * 5) % n, (i * 17 + 3) % n)).collect();
         let expect: Vec<_> = pairs
             .iter()
-            .map(|&(s, t)| reference.shortest_path(s, t))
+            .map(|&(s, t)| reference.path(s, t).map(|(_, p)| p))
             .collect();
         // Four threads walk the same pairs from different starting points,
         // each unpacking every pair itself.

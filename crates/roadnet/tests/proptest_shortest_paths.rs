@@ -43,7 +43,7 @@ proptest! {
     /// triangle inequality.
     #[test]
     fn metric_properties((g, seed) in network_strategy()) {
-        let oracle = CachedOracle::without_labels(&g);
+        let oracle = CachedOracle::new(&g);
         let n = g.node_count() as u64;
         let pick = |x: u64| ((seed.wrapping_mul(2654435761).wrapping_add(x * 97)) % n) as NodeId;
         for i in 0..5u64 {

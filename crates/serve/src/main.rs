@@ -151,11 +151,12 @@ impl Args {
             }
         }
         // Crash safety lives in --recover-dir; without it these would be
-        // silently ignored. No label store is built here, so `store`
-        // would never fire at all.
+        // silently ignored. The labels are built in-process, not through a
+        // label store, so `store` would never fire at all.
         if args.fault.store_io_errors {
             return Err(
-                "fault clause store needs a label store, and none is built here".to_string(),
+                "fault clause store needs a label store; the labels are built in-process"
+                    .to_string(),
             );
         }
         if args.recover_dir.is_none() {
@@ -222,7 +223,7 @@ fn main() -> ExitCode {
         workload.network.edge_count(),
         args.fleet
     );
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
     let sim_config = SimConfig {
         vehicles: args.fleet,
         seed: args.seed,

@@ -131,34 +131,18 @@ pub(crate) fn digest_serve(cfg: &ServeConfig) -> u64 {
     bin::fnv1a(&buf)
 }
 
-fn put_trip(out: &mut Vec<u8>, t: &TripEvent) {
-    bin::put_u64(out, t.id);
-    bin::put_u32(out, t.source);
-    bin::put_u32(out, t.destination);
-    bin::put_f64(out, t.time_seconds);
-}
-
-fn read_trip(r: &mut Reader<'_>) -> Result<TripEvent, RoadNetError> {
-    Ok(TripEvent {
-        id: r.u64("trip id")?,
-        source: r.u32("trip source")?,
-        destination: r.u32("trip destination")?,
-        time_seconds: r.f64("trip time")?,
-    })
-}
-
 fn put_trips(out: &mut Vec<u8>, trips: &[TripEvent]) {
     bin::put_u64(out, trips.len() as u64);
     for t in trips {
-        put_trip(out, t);
+        t.encode(out);
     }
 }
 
 fn read_trips(r: &mut Reader<'_>, what: &str) -> Result<Vec<TripEvent>, RoadNetError> {
-    let n = read_len(r, 24, what)?;
+    let n = read_len(r, TripEvent::ENCODED_BYTES, what)?;
     let mut trips = Vec::with_capacity(n);
     for _ in 0..n {
-        trips.push(read_trip(r)?);
+        trips.push(TripEvent::decode(r)?);
     }
     Ok(trips)
 }
@@ -683,7 +667,7 @@ mod tests {
     #[test]
     fn a_version_1_directory_is_refused_with_a_typed_error() {
         let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 5);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
@@ -720,7 +704,7 @@ mod tests {
     #[test]
     fn a_checkpoint_whose_counts_disagree_is_refused_with_a_typed_error() {
         let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 5);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let sim_config = SimConfig::default();
         let rc = RecoveryConfig::new(
             std::env::temp_dir().join(format!("serve_counts_dir_{}", std::process::id())),

@@ -266,7 +266,7 @@ impl LoopState {
 /// use roadnet::CachedOracle;
 ///
 /// let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 3);
-/// let oracle = CachedOracle::without_labels(&w.network);
+/// let oracle = CachedOracle::new(&w.network);
 /// let sim = Simulation::new(&w.network, &oracle, SimConfig { vehicles: 10, ..SimConfig::default() });
 /// let cfg = ServeConfig {
 ///     model: ServiceModel::Fixed { tick_overhead_s: 0.01, per_request_s: 0.001 },
@@ -808,7 +808,7 @@ mod tests {
     #[test]
     fn underload_sheds_nothing_and_latency_stays_near_tick() {
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let cfg = ServeConfig {
             model: ServiceModel::Fixed {
                 tick_overhead_s: 0.01,
@@ -834,7 +834,7 @@ mod tests {
     #[test]
     fn overload_sheds_and_reports_queue_growth() {
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let cfg = ServeConfig {
             slo: SloConfig {
                 queue_capacity: 16,
@@ -860,7 +860,7 @@ mod tests {
     #[test]
     fn ladder_degrades_under_stress_and_recovers_with_hysteresis() {
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let cfg = ServeConfig {
             slo: SloConfig {
                 // Tiny compute budget: every dispatch tick is a stress
@@ -899,7 +899,7 @@ mod tests {
     #[test]
     fn fault_plan_spikes_and_saturation_are_counted_exactly() {
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         // Every dispatch tick spikes for longer than the stale-shed budget,
         // so the saturated dispatcher leaves requests to go stale.
         let fault = FaultPlan {
@@ -950,7 +950,7 @@ mod tests {
     /// An overloaded run that sheds both ways, with its event trace.
     fn overloaded_trace() -> (ServeReport, String) {
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let cfg = ServeConfig {
             slo: SloConfig {
                 queue_capacity: 16,
@@ -1033,7 +1033,7 @@ mod tests {
             }
         }
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let cfg = ServeConfig {
             model: ServiceModel::Fixed {
                 tick_overhead_s: 0.01,
@@ -1055,7 +1055,7 @@ mod tests {
     #[test]
     fn recorded_batches_cover_exactly_the_admitted_stream() {
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let cfg = ServeConfig {
             model: ServiceModel::Fixed {
                 tick_overhead_s: 0.05,
@@ -1081,7 +1081,7 @@ mod tests {
     #[test]
     fn json_object_is_balanced_and_tagged() {
         let w = small_workload();
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let mut serve = ServeLoop::new(
             sim(&w, &oracle),
             ServeConfig {

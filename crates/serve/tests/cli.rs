@@ -52,8 +52,8 @@ fn hostile_numbers_are_refused_by_flag_name() {
             vec!["--recover-dir", "unused", "--checkpoint-every", "x"],
         ),
     ];
-    // Flags and fault clauses this run (no --recover-dir, no label
-    // store) would otherwise ignore.
+    // Flags and fault clauses this run (no --recover-dir, labels built
+    // in-process rather than through a label store) would otherwise ignore.
     let ignored = [
         ("--recover", vec!["--recover"]),
         ("--checkpoint-every", vec!["--checkpoint-every", "8"]),

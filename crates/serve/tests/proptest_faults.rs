@@ -89,7 +89,7 @@ proptest! {
         let w = workload();
         let arrivals = bursty_arrivals(&bursts);
         let offered = arrivals.len() as u64;
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let fault = FaultPlan {
             seed: fault_seed,
             oracle_spike_rate: spike_rate,

@@ -86,7 +86,7 @@ proptest! {
         let w = workload();
         let arrivals = bursty_arrivals(&bursts);
         let offered = arrivals.len() as u64;
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let sim = Simulation::new(&w.network, &oracle, sim_config(7));
         let mut serve = ServeLoop::new(sim, ServeConfig {
             slo: SloConfig {
@@ -126,7 +126,7 @@ proptest! {
     ) {
         let w = workload();
         let arrivals = bursty_arrivals(&bursts);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
 
         let serve_sim = Simulation::new(&w.network, &oracle, sim_config(seed));
         let mut serve = ServeLoop::new(serve_sim, ServeConfig {

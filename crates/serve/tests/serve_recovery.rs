@@ -95,7 +95,7 @@ fn serve_config(fault: FaultPlan) -> ServeConfig {
 /// bookkeeping match the recovered run field for field.
 fn reference_run(arrivals: &[TripEvent], fault: FaultPlan, every: u64) -> ServeReport {
     let w = workload();
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let sim = Simulation::new(&w.network, &oracle, sim_config(7));
     let mut serve = ServeLoop::new(
         sim,
@@ -126,7 +126,7 @@ fn kill_and_recover(
     corrupt_checkpoint: bool,
 ) -> ServeReport {
     let w = workload();
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let dir = scratch_dir("kill");
     let rc = RecoveryConfig {
         dir: dir.clone(),

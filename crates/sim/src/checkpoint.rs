@@ -100,13 +100,10 @@ pub fn digest_config(config: &SimConfig) -> u64 {
 /// Digest of a trip stream: a resumed run must replay exactly the requests
 /// the interrupted run would have seen.
 pub fn digest_trips(trips: &[TripEvent]) -> u64 {
-    let mut buf = Vec::with_capacity(24 * trips.len() + 8);
+    let mut buf = Vec::with_capacity(TripEvent::ENCODED_BYTES * trips.len() + 8);
     bin::put_u64(&mut buf, trips.len() as u64);
     for t in trips {
-        bin::put_u64(&mut buf, t.id);
-        bin::put_u32(&mut buf, t.source);
-        bin::put_u32(&mut buf, t.destination);
-        bin::put_f64(&mut buf, t.time_seconds);
+        t.encode(&mut buf);
     }
     bin::fnv1a(&buf)
 }
@@ -247,7 +244,7 @@ impl Simulation<'_> {
     /// use roadnet::CachedOracle;
     ///
     /// let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 2);
-    /// let oracle = CachedOracle::without_labels(&w.network);
+    /// let oracle = CachedOracle::new(&w.network);
     /// let config = SimConfig { vehicles: 10, ..SimConfig::default() };
     /// let digest = digest_trips(&w.trips);
     ///
@@ -559,7 +556,7 @@ mod tests {
     fn resume_matches_straight_through_run() {
         let w = workload(60, 9);
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
 
         let mut straight = Simulation::new(&w.network, &oracle, config());
         run_tail(&mut straight, &w.trips, 0);
@@ -588,7 +585,7 @@ mod tests {
         // worker resumes under four and finishes the straight-through run.
         let w = workload(40, 3);
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let mut straight = Simulation::new(&w.network, &oracle, config());
         run_tail(&mut straight, &w.trips, 0);
         let expect = observables(&straight);
@@ -615,7 +612,7 @@ mod tests {
     fn every_truncation_is_an_error_not_a_panic() {
         let w = workload(20, 7);
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let mut sim = Simulation::new(&w.network, &oracle, config());
         replay(&mut sim, &w.trips[..10]);
         let bytes = sim.checkpoint_bytes(10, digest);
@@ -634,7 +631,7 @@ mod tests {
     fn corruption_fails_the_checksum() {
         let w = workload(15, 2);
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let mut sim = Simulation::new(&w.network, &oracle, config());
         replay(&mut sim, &w.trips[..8]);
         let bytes = sim.checkpoint_bytes(8, digest);
@@ -655,7 +652,7 @@ mod tests {
     fn a_version_1_checkpoint_is_refused_at_the_header() {
         let w = workload(15, 2);
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let sim = Simulation::new(&w.network, &oracle, config());
         for old in [1u32, 2, 3, 4] {
             // Stamp an old version and re-sign, so only the version is stale.
@@ -674,13 +671,13 @@ mod tests {
     fn mismatched_inputs_are_refused() {
         let w = workload(15, 2);
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let sim = Simulation::new(&w.network, &oracle, config());
         let bytes = sim.checkpoint_bytes(0, digest);
 
         // Different network.
         let other = workload(15, 8);
-        let other_oracle = CachedOracle::without_labels(&other.network);
+        let other_oracle = CachedOracle::new(&other.network);
         assert!(matches!(
             Simulation::resume(&other.network, &other_oracle, config(), &w.trips, &bytes),
             Err(RoadNetError::Persist(msg)) if msg.contains("different road network")
@@ -711,7 +708,7 @@ mod tests {
     fn write_checkpoint_is_atomic_and_loadable() {
         let w = workload(12, 4);
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let mut sim = Simulation::new(&w.network, &oracle, config());
         replay(&mut sim, &w.trips[..5]);
         let dir = std::env::temp_dir().join("rideshare_checkpoint_test");

@@ -82,6 +82,14 @@ impl SimConfig {
     pub fn meters_to_seconds(&self, meters: f64) -> f64 {
         meters / self.speed_mps
     }
+
+    /// Whether submission times `a` and `b` (seconds) fall in one dispatch
+    /// window, `floor(t / batch_window_seconds)`. Never when windows are
+    /// off.
+    pub fn same_window(&self, a: f64, b: f64) -> bool {
+        let window = self.batch_window_seconds;
+        window > 0.0 && (a / window).floor() == (b / window).floor()
+    }
 }
 
 #[cfg(test)]

@@ -151,30 +151,34 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs the full workload and returns the report. Each request is
-    /// dispatched at its own time, with the fleet advanced to it first;
-    /// after the last request the simulation keeps running until every
-    /// committed stop has been served (bounded by a four-hour drain
-    /// horizon).
+    /// dispatched at its own time, with the fleet advanced to it first
+    /// ([`Simulation::submit_windows`]); after the last request the
+    /// simulation keeps running until every committed stop has been served
+    /// (bounded by a four-hour drain horizon).
     pub fn run(&mut self, trips: &[TripEvent]) -> SimReport {
         let limit = self.config.max_requests.unwrap_or(usize::MAX);
-        let trips = &trips[..trips.len().min(limit)];
-        // Group consecutive trips landing in the same dispatch window — one
-        // trip per window when windows are off. Trips are sorted by time, so
-        // each window is one contiguous slice; the fleet advances once to
-        // the window's last request.
-        let window = self.config.batch_window_seconds;
-        let same_window = |a: &TripEvent, b: &TripEvent| {
-            window > 0.0 && (a.time_seconds / window).floor() == (b.time_seconds / window).floor()
-        };
-        for batch in trips.chunk_by(same_window) {
-            let t_m = self
-                .config
-                .seconds_to_meters(batch[batch.len() - 1].time_seconds);
-            self.advance_all(t_m);
-            self.submit_batch(batch);
-        }
+        self.submit_windows(&trips[..trips.len().min(limit)], |_, _| {});
         self.drain();
         self.report()
+    }
+
+    /// Submits `trips` one dispatch tick at a time. Consecutive trips in
+    /// the same window ([`SimConfig::same_window`]) form one tick — one
+    /// trip per tick when windows are off. Trips are sorted by time, so
+    /// each tick is one contiguous slice; the fleet advances once to the
+    /// tick's last request, then [`Simulation::submit_batch`] takes the
+    /// slice. After each tick, `after` gets the number of trips submitted
+    /// so far.
+    pub fn submit_windows(&mut self, trips: &[TripEvent], mut after: impl FnMut(&mut Self, usize)) {
+        let config = self.config;
+        let mut submitted = 0;
+        for batch in trips.chunk_by(|a, b| config.same_window(a.time_seconds, b.time_seconds)) {
+            let t_m = config.seconds_to_meters(batch[batch.len() - 1].time_seconds);
+            self.advance_all(t_m);
+            self.submit_batch(batch);
+            submitted += batch.len();
+            after(self, submitted);
+        }
     }
 
     /// Submits a single request at its own time; advance the fleet to it
@@ -188,7 +192,7 @@ impl<'a> Simulation<'a> {
     /// use roadnet::CachedOracle;
     ///
     /// let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 1);
-    /// let oracle = CachedOracle::without_labels(&w.network);
+    /// let oracle = CachedOracle::new(&w.network);
     /// let config = SimConfig { vehicles: 10, ..SimConfig::default() };
     /// let mut sim = Simulation::new(&w.network, &oracle, config);
     /// // Advance the fleet to the request's timestamp, then dispatch it.
@@ -565,7 +569,7 @@ mod tests {
     #[test]
     fn kinetic_simulation_serves_requests_without_violations() {
         let w = small_workload(60, 1);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 15,
             planner: PlannerKind::Kinetic(KineticConfig::slack()),
@@ -590,7 +594,7 @@ mod tests {
     #[test]
     fn solver_planner_simulation_also_works() {
         let w = small_workload(30, 2);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 10,
             planner: PlannerKind::Solver(SolverKind::BranchBound),
@@ -605,7 +609,7 @@ mod tests {
     #[test]
     fn same_seed_gives_identical_reports() {
         let w = small_workload(40, 3);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 12,
             seed: 99,
@@ -682,7 +686,7 @@ mod tests {
             ),
         ];
         for (w, config, expect) in runs {
-            let oracle = CachedOracle::without_labels(&w.network);
+            let oracle = CachedOracle::new(&w.network);
             let mut sim = Simulation::new(&w.network, &oracle, config);
             let report = sim.run(&w.trips);
             assert_eq!(report.assigned, report.requests, "{config:?}");
@@ -698,7 +702,7 @@ mod tests {
     #[test]
     fn the_grid_is_asked_once_per_request() {
         let w = small_workload(40, 6);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         for batch_window_seconds in [0.0, 120.0] {
             let config = SimConfig {
                 vehicles: 12,
@@ -746,7 +750,7 @@ mod tests {
         let w = small_workload(40, 6);
         for batch_window_seconds in [0.0, 120.0] {
             let oracle = CountingOracle {
-                inner: CachedOracle::without_labels(&w.network),
+                inner: CachedOracle::new(&w.network),
                 calls: Default::default(),
             };
             let config = SimConfig {
@@ -776,7 +780,7 @@ mod tests {
         // one it is heading to. Reading nearest cell first must still find
         // exhaustive evaluation's winner for every request.
         let w = small_workload(200, 12);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let run = |use_pruning| {
             let config = SimConfig {
                 vehicles: 60,
@@ -877,7 +881,7 @@ mod tests {
     #[test]
     fn zero_vehicles_rejects_everything() {
         let w = small_workload(10, 4);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 0,
             ..SimConfig::default()
@@ -893,7 +897,7 @@ mod tests {
     #[test]
     fn max_requests_limits_the_run() {
         let w = small_workload(50, 5);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 5,
             max_requests: Some(7),
@@ -907,7 +911,7 @@ mod tests {
     #[test]
     fn tighter_constraints_serve_fewer_requests() {
         let w = small_workload(80, 6);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let run = |constraints: Constraints| {
             let config = SimConfig {
                 vehicles: 8,
@@ -929,7 +933,7 @@ mod tests {
     #[test]
     fn trace_log_records_full_lifecycles() {
         let w = small_workload(40, 9);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 15,
             ..SimConfig::default()
@@ -960,7 +964,7 @@ mod tests {
         // pickup deadline, then past the ride limit: both broken
         // guarantees are counted, and both stops are still traced.
         let w = small_workload(40, 3);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 1,
             cruise_when_idle: false,
@@ -1007,7 +1011,7 @@ mod tests {
         // that it reaches the pickup at the deadline plus `late_pickup`
         // and the drop-off at the ride limit plus `long_ride`.
         let w = small_workload(40, 3);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 1,
             cruise_when_idle: false,
@@ -1058,7 +1062,7 @@ mod tests {
         // board has the drop-off deadline its tree fixed at pickup, and
         // that pickup clock is the one the simulator traced.
         let w = small_workload(60, 13);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 12,
             seed: 21,
@@ -1101,9 +1105,44 @@ mod tests {
     }
 
     #[test]
+    fn label_and_matrix_oracles_drive_identical_runs() {
+        // The matrix oracle (Floyd–Warshall distances, Dijkstra paths) is
+        // the label-free reference: the same runs over the labels must give
+        // the same trace and report, bit for bit, wall-clock latencies
+        // aside.
+        let deterministic = |mut r: SimReport| {
+            r.acrt_ms = 0.0;
+            r.art_table.iter_mut().for_each(|e| e.2 = 0.0);
+            format!("{r:?}")
+        };
+        for seed in [3, 17, 29] {
+            let w = small_workload(80, seed);
+            let labels = CachedOracle::new(&w.network);
+            let matrix = roadnet::MatrixOracle::new(&w.network);
+            for batch_window_seconds in [0.0, 30.0] {
+                let config = SimConfig {
+                    vehicles: 15,
+                    seed,
+                    cruise_when_idle: true,
+                    batch_window_seconds,
+                    ..SimConfig::default()
+                };
+                let run = |oracle: &dyn DistanceOracle| {
+                    let mut sim = Simulation::new(&w.network, oracle, config);
+                    let report = sim.run(&w.trips);
+                    assert!(report.assigned > 0, "{config:?}");
+                    let trace = sim.trace();
+                    (trace.to_csv(), trace_digest(trace), deterministic(report))
+                };
+                assert_eq!(run(&labels), run(&matrix), "{config:?}");
+            }
+        }
+    }
+
+    #[test]
     fn parked_fleet_still_serves_nearby_requests() {
         let w = small_workload(20, 7);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 20,
             cruise_when_idle: false,

@@ -25,7 +25,7 @@
 //!     &DemandConfig { trips: 30, ..DemandConfig::default() },
 //!     1,
 //! );
-//! let oracle = CachedOracle::without_labels(&workload.network);
+//! let oracle = CachedOracle::new(&workload.network);
 //! let config = SimConfig { vehicles: 10, ..SimConfig::default() };
 //! let mut sim = Simulation::new(&workload.network, &oracle, config);
 //! let report = sim.run(&workload.trips);

@@ -104,7 +104,7 @@ impl RegionLedger {
 ///     &DemandConfig { trips: 20, ..DemandConfig::default() },
 ///     1,
 /// );
-/// let oracle = CachedOracle::without_labels(&w.network);
+/// let oracle = CachedOracle::new(&w.network);
 /// let config = SimConfig { vehicles: 8, ..SimConfig::default() };
 ///
 /// let mut single = Simulation::new(&w.network, &oracle, config);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn sharded_run_matches_single_shard_bit_for_bit() {
         let w = small_workload(60, 21);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 14,
             seed: 5,
@@ -289,7 +289,7 @@ mod tests {
         // on a small city must produce migrations, and dispatch must see
         // at least one boundary request.
         let w = small_workload(80, 3);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 16,
             seed: 11,
@@ -321,7 +321,7 @@ mod tests {
         // that had one (its `ShardNetStats` after the same runs), so the
         // ledger keeps counting what that engine moved.
         let net_of = |w: &Workload, config: SimConfig, k: usize| {
-            let oracle = CachedOracle::without_labels(&w.network);
+            let oracle = CachedOracle::new(&w.network);
             let partition = PartitionSpec::grow(&w.network, k);
             let mut sharded = ShardedSimulation::new(&w.network, &oracle, partition, config);
             sharded.run(&w.trips);
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn batched_windows_match_single_shard() {
         let w = small_workload(60, 13);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let config = SimConfig {
             vehicles: 12,
             seed: 21,
@@ -403,7 +403,7 @@ mod tests {
     #[should_panic(expected = "partition covers 4 vertices but the network has 100")]
     fn partition_of_another_network_is_refused() {
         let w = small_workload(1, 1);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
         let tiny = roadnet::GeneratorConfig {
             kind: roadnet::NetworkKind::Grid { rows: 2, cols: 2 },
             ..roadnet::GeneratorConfig::default()

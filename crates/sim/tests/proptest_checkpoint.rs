@@ -91,7 +91,7 @@ proptest! {
             ..SimConfig::default()
         };
         let digest = digest_trips(&w.trips);
-        let oracle = CachedOracle::without_labels(&w.network);
+        let oracle = CachedOracle::new(&w.network);
 
         let mut straight = Simulation::new(&w.network, &oracle, config);
         replay(&mut straight, &w.trips);

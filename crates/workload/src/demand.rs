@@ -3,7 +3,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use roadnet::{NodeId, NodeLocator, RoadNetwork};
+use roadnet::io::bin::{self, Reader};
+use roadnet::{NodeId, NodeLocator, RoadNetError, RoadNetwork};
 
 use crate::city::Hotspot;
 
@@ -19,6 +20,31 @@ pub struct TripEvent {
     pub destination: NodeId,
     /// Submission time in seconds from the start of the simulated day.
     pub time_seconds: f64,
+}
+
+impl TripEvent {
+    /// Length of one [`TripEvent::encode`] record in bytes.
+    pub const ENCODED_BYTES: usize = 24;
+
+    /// Appends the trip's little-endian record: id, source, destination,
+    /// then the submission time's bits. Serve journals store trips in it
+    /// and checkpoint stream digests hash it, so it must never change.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        bin::put_u64(out, self.id);
+        bin::put_u32(out, self.source);
+        bin::put_u32(out, self.destination);
+        bin::put_f64(out, self.time_seconds);
+    }
+
+    /// Reads one [`TripEvent::encode`] record.
+    pub fn decode(r: &mut Reader<'_>) -> Result<TripEvent, RoadNetError> {
+        Ok(TripEvent {
+            id: r.u64("trip id")?,
+            source: r.u32("trip source")?,
+            destination: r.u32("trip destination")?,
+            time_seconds: r.f64("trip time")?,
+        })
+    }
 }
 
 /// Hourly demand profile over a 24-hour day.
@@ -182,6 +208,26 @@ mod tests {
 
     fn setup() -> (RoadNetwork, Vec<Hotspot>) {
         CityConfig::small().build(3)
+    }
+
+    #[test]
+    fn a_trip_record_is_its_pinned_24_bytes_and_decodes_back() {
+        let trip = TripEvent {
+            id: 0x0102_0304_0506_0708,
+            source: 9,
+            destination: 0x0a0b_0c0d,
+            time_seconds: 1.5,
+        };
+        let mut bytes = Vec::new();
+        trip.encode(&mut bytes);
+        let mut expect = vec![8, 7, 6, 5, 4, 3, 2, 1, 9, 0, 0, 0, 0x0d, 0x0c, 0x0b, 0x0a];
+        expect.extend_from_slice(&1.5f64.to_le_bytes());
+        assert_eq!(bytes, expect);
+        assert_eq!(bytes.len(), TripEvent::ENCODED_BYTES);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(TripEvent::decode(&mut r).unwrap(), trip);
+        assert_eq!(r.remaining(), 0);
+        assert!(TripEvent::decode(&mut Reader::new(&bytes[..23])).is_err());
     }
 
     #[test]

@@ -98,28 +98,34 @@ pub fn trips_from_csv(text: &str, network: &RoadNetwork) -> Result<Vec<TripEvent
             continue;
         }
         let cols: Vec<&str> = line.split(',').map(str::trim).collect();
-        let field = |i: usize| -> Result<f64, TripCsvError> {
-            cols.get(i)
-                .ok_or_else(|| TripCsvError::BadLine {
-                    line: line_no,
-                    message: format!("missing field {i}"),
-                })?
-                .parse()
-                .map_err(|_| TripCsvError::BadLine {
-                    line: line_no,
-                    message: format!("invalid number in field {i}"),
-                })
+        let bad = |message: String| TripCsvError::BadLine {
+            line: line_no,
+            message,
         };
-        let time_seconds = field(0)?;
-        if !time_seconds.is_finite() || time_seconds < 0.0 {
-            return Err(TripCsvError::BadLine {
-                line: line_no,
-                message: "submission time must be a non-negative number".into(),
-            });
+        let text = |i: usize| {
+            cols.get(i)
+                .copied()
+                .ok_or_else(|| bad(format!("missing field {}", header_cols[i])))
+        };
+        // A finite number, so a NaN or infinite coordinate cannot snap to
+        // an arbitrary vertex.
+        let number = |i: usize| match text(i)?.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(bad(format!("{}: not a finite number", header_cols[i]))),
+        };
+        // A whole, non-negative id: `-1`, `nan` and `1.5` name no vertex.
+        let vertex = |i: usize| {
+            text(i)?
+                .parse::<u64>()
+                .map_err(|_| bad(format!("{}: not a vertex id", header_cols[i])))
+        };
+        let time_seconds = number(0)?;
+        if time_seconds < 0.0 {
+            return Err(bad("submission time must be a non-negative number".into()));
         }
         let (source, destination) = if vertex_layout {
-            let s = field(1)? as u64;
-            let e = field(2)? as u64;
+            let s = vertex(1)?;
+            let e = vertex(2)?;
             for v in [s, e] {
                 if v >= n {
                     return Err(TripCsvError::UnknownVertex {
@@ -133,8 +139,8 @@ pub fn trips_from_csv(text: &str, network: &RoadNetwork) -> Result<Vec<TripEvent
             let locator = locator
                 .as_ref()
                 .expect("locator built for coordinate layout");
-            let s = locator.nearest(Point::new(field(1)?, field(2)?));
-            let e = locator.nearest(Point::new(field(3)?, field(4)?));
+            let s = locator.nearest(Point::new(number(1)?, number(2)?));
+            let e = locator.nearest(Point::new(number(3)?, number(4)?));
             (s, e)
         };
         if source == destination {
@@ -268,6 +274,32 @@ mod tests {
         // Errors implement Display.
         let e = TripCsvError::BadHeader("h".into());
         assert!(e.to_string().contains("header"));
+    }
+
+    #[test]
+    fn hostile_numbers_are_refused_naming_the_field() {
+        let network = network();
+        let cases = [
+            ("time_s,source,destination\n5.0,-1,2\n", "source"),
+            ("time_s,source,destination\n5.0,nan,2\n", "source"),
+            ("time_s,source,destination\n5.0,1.5,2\n", "source"),
+            ("time_s,source,destination\n5.0,1,-1\n", "destination"),
+            ("time_s,source,destination\n5.0,1,nan\n", "destination"),
+            ("time_s,source,destination\n5.0,1,2.5\n", "destination"),
+            ("time_s,sx,sy,ex,ey\n5.0,nan,0,100,100\n", "sx"),
+            ("time_s,sx,sy,ex,ey\n5.0,0,inf,100,100\n", "sy"),
+            ("time_s,sx,sy,ex,ey\n5.0,0,0,-inf,100\n", "ex"),
+            ("time_s,sx,sy,ex,ey\n5.0,0,0,100,NaN\n", "ey"),
+            ("time_s,sx,sy,ex,ey\nnan,0,0,100,100\n", "time_s"),
+        ];
+        for (csv, field) in cases {
+            match trips_from_csv(csv, &network) {
+                Err(TripCsvError::BadLine { line: 2, message }) => {
+                    assert!(message.starts_with(field), "{csv:?}: {message}")
+                }
+                other => panic!("{csv:?} was not refused: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn run(workload: &Workload, oracle: &CachedOracle<'_>, name: &str, config: Kinet
 
 fn main() {
     let workload = surge_workload();
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
     println!(
         "airport surge: {} requests in 30 minutes, 8 vehicles, unlimited capacity\n",
         workload.trips.len()

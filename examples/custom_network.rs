@@ -32,7 +32,7 @@ fn main() {
         }
     }
     let network = b.build();
-    let oracle = CachedOracle::without_labels(&network);
+    let oracle = CachedOracle::new(&network);
 
     // Three taxis parked at depots, all using the kinetic tree.
     let planner = PlannerKind::Kinetic(KineticConfig::slack());

@@ -23,7 +23,7 @@ fn main() {
         },
         5,
     );
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
     let target = 0.95;
     println!(
         "{} requests over 4 h; searching for the smallest fleet with ≥ {:.0}% service\n",

@@ -25,7 +25,7 @@ fn main() {
         ..GeneratorConfig::default()
     }
     .generate();
-    let oracle = CachedOracle::without_labels(&network);
+    let oracle = CachedOracle::new(&network);
 
     // The vehicle sits at vertex 0 with one passenger on board (drop-off at
     // vertex 27) and one accepted trip still waiting at vertex 12. A new

@@ -26,7 +26,7 @@ fn main() {
     );
 
     // 2. A distance oracle (Dijkstra + the paper's distance cache).
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
 
     // 3. Twenty taxis, capacity 4, 10 min / 20% service guarantee, matched
     //    with the slack-time kinetic tree.

@@ -24,7 +24,7 @@ fn main() {
         },
         11,
     );
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
     println!(
         "morning rush: {} requests over 3 h, 12 taxis of capacity 4\n",
         workload.trips.len()

@@ -35,7 +35,7 @@
 //!     &DemandConfig { trips: 50, ..DemandConfig::default() },
 //!     7,
 //! );
-//! let oracle = CachedOracle::without_labels(&workload.network);
+//! let oracle = CachedOracle::new(&workload.network);
 //!
 //! // A fleet of 10 taxis matched with the kinetic tree (slack-time variant).
 //! let config = SimConfig {

@@ -37,7 +37,7 @@ fn run(
 #[test]
 fn guarantees_hold_for_every_planner() {
     let w = workload(80, 1);
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let planners = [
         PlannerKind::Solver(SolverKind::BruteForce),
         PlannerKind::Solver(SolverKind::BranchBound),
@@ -66,7 +66,7 @@ fn exact_planners_accept_the_same_requests() {
     // the same minimum-cost augmented schedule, so dispatch decisions — and
     // therefore the number of assigned requests — must coincide.
     let w = workload(60, 2);
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let a = run(
         &w,
         &oracle,
@@ -99,7 +99,7 @@ fn exact_planners_accept_the_same_requests() {
 #[test]
 fn kinetic_variants_serve_comparable_demand() {
     let w = workload(100, 3);
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let basic = run(
         &w,
         &oracle,
@@ -140,7 +140,7 @@ fn kinetic_variants_serve_comparable_demand() {
 #[test]
 fn more_vehicles_never_serve_less_demand() {
     let w = workload(120, 4);
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let small = run(
         &w,
         &oracle,
@@ -168,7 +168,7 @@ fn more_vehicles_never_serve_less_demand() {
 #[test]
 fn unlimited_capacity_increases_sharing() {
     let w = workload(150, 5);
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let cap2 = run(
         &w,
         &oracle,
@@ -194,7 +194,7 @@ fn unlimited_capacity_increases_sharing() {
 #[test]
 fn reports_are_deterministic_for_a_fixed_seed() {
     let w = workload(70, 6);
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let a = run(
         &w,
         &oracle,
@@ -224,7 +224,7 @@ fn dispatcher_spatial_filter_matches_full_scan_outcomes() {
     // waiting constraint, so it must accept as many requests as a radius
     // long enough to reach across the whole map.
     let w = workload(50, 7);
-    let oracle = CachedOracle::without_labels(&w.network);
+    let oracle = CachedOracle::new(&w.network);
     let vehicles = 10;
     let run_with = |radius_factor: f64| {
         let config = SimConfig {

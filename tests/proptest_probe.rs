@@ -213,7 +213,7 @@ proptest! {
     ) {
         let graph = grid(8, 8, 11);
         let n = graph.node_count() as u32;
-        let oracle = CachedOracle::without_labels(&graph);
+        let oracle = CachedOracle::new(&graph);
         let planner = PlannerKind::Kinetic(variant(variant_index, 4_000.0, budget_log2));
         let requests: Vec<TripRequest> = pairs
             .iter()

@@ -31,7 +31,7 @@ fn every_planner_serves_a_small_city_without_guarantee_violations() {
         },
         42,
     );
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
 
     for (name, planner) in planners() {
         oracle.clear_caches();
@@ -73,7 +73,7 @@ fn exact_planners_agree_on_assigned_trip_count() {
         },
         7,
     );
-    let oracle = CachedOracle::without_labels(&workload.network);
+    let oracle = CachedOracle::new(&workload.network);
 
     let assigned: Vec<u64> = [
         PlannerKind::Solver(SolverKind::BruteForce),
