@@ -69,7 +69,7 @@ run cargo run --release -p rideshare-bench --bin bench_summary -- --scale smoke 
 # committed BENCH_replay.json runs ~10x above this floor, so only a
 # real regression trips it) and the pruning win itself
 # (--max-evaluated-fraction 0.2, i.e. at least a 5x reduction; the
-# measured quick-scale fraction is ~0.004); the second proves a cold
+# measured quick-scale fraction is ~0.002); the second proves a cold
 # process reloads
 # the persisted labels instead of rebuilding. Local runs write under
 # target/ so they never clobber the committed paper-scale

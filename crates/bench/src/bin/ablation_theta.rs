@@ -12,7 +12,7 @@ use kinetic_core::{Constraints, KineticConfig, PlannerKind};
 use rideshare_bench::{fmt_ms, print_table, Experiment, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let scale = args.scale;
     println!(
         "# Ablation: hotspot threshold θ ({scale:?} scale, seed {})",

@@ -28,7 +28,7 @@ fn request_cap(algorithm: &str, scale: Scale) -> usize {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["a", "b", "c"]);
     let scale = args.scale;
     println!(
         "# Figure 6 — four-algorithm comparison ({scale:?} scale, seed {})",

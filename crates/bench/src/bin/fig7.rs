@@ -13,7 +13,7 @@ use rideshare_bench::{
 };
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["a", "b", "c"]);
     let scale = args.scale;
     println!(
         "# Figure 7 — tree algorithm comparison ({scale:?} scale, seed {})",

@@ -20,7 +20,7 @@ fn request_cap(algorithm: &str, scale: Scale) -> usize {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["a", "b"]);
     let scale = args.scale;
     println!(
         "# Figure 8 — ART at four requests ({scale:?} scale, seed {})",

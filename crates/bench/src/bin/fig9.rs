@@ -18,7 +18,7 @@ use rideshare_bench::{
 };
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["a", "b", "c"]);
     let scale = args.scale;
     println!(
         "# Figure 9 — tree algorithms at higher load ({scale:?} scale, seed {})",

@@ -9,7 +9,7 @@ use kinetic_core::{Constraints, KineticConfig, PlannerKind};
 use rideshare_bench::{print_table, Experiment, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let scale = args.scale;
     println!(
         "# Occupancy at unlimited capacity ({scale:?} scale, seed {})",

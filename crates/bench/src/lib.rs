@@ -361,7 +361,8 @@ pub fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Str
 /// Minimal command-line options shared by every harness binary.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
-    /// Which panel of the figure to reproduce (`a`, `b`, `c`, or `all`).
+    /// Which panel of the figure to reproduce: one the binary names, or
+    /// `all`.
     pub panel: String,
     /// Run scale.
     pub scale: Scale,
@@ -372,9 +373,11 @@ pub struct HarnessArgs {
 impl HarnessArgs {
     /// Parses `--panel`, `--scale` and `--seed` from `std::env::args`;
     /// prints what was wrong and exits 2 on anything else, on a value that
-    /// does not parse and on a flag without its value.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+    /// does not parse, on a flag without its value and on a panel that is
+    /// neither `all` nor one of `panels` (a binary without panels passes
+    /// none).
+    pub fn parse(panels: &[&str]) -> Self {
+        Self::parse_from(std::env::args().skip(1), panels).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2)
         })
@@ -382,7 +385,7 @@ impl HarnessArgs {
 
     /// [`HarnessArgs::parse`] over `args` (the program name excluded),
     /// returning the error instead of exiting.
-    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    fn parse_from(args: impl IntoIterator<Item = String>, panels: &[&str]) -> Result<Self, String> {
         let mut parsed = HarnessArgs {
             panel: "all".to_string(),
             scale: Scale::Quick,
@@ -392,7 +395,17 @@ impl HarnessArgs {
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--panel" => parsed.panel = value()?,
+                "--panel" => {
+                    let v = value()?;
+                    if v != "all" && !panels.contains(&v.as_str()) {
+                        let known: Vec<&str> = panels.iter().copied().chain(["all"]).collect();
+                        return Err(format!(
+                            "--panel {v:?}: unknown panel (expected {})",
+                            known.join(", ")
+                        ));
+                    }
+                    parsed.panel = v;
+                }
                 "--scale" => {
                     let v = value()?;
                     parsed.scale = Scale::parse(&v).ok_or_else(|| {
@@ -498,7 +511,9 @@ mod tests {
 
     #[test]
     fn harness_args_reject_what_they_do_not_understand() {
-        let parse = |line: &str| HarnessArgs::parse_from(line.split_whitespace().map(String::from));
+        let parse = |line: &str| {
+            HarnessArgs::parse_from(line.split_whitespace().map(String::from), &["a", "b"])
+        };
         let args = parse("--scale smoke --seed 7 --panel b").unwrap();
         assert_eq!(
             (args.panel.as_str(), args.scale, args.seed),
@@ -515,9 +530,17 @@ mod tests {
             "--sacle smoke",
             "--scale smoke --seed",
             "--seed -1",
+            "--panel c",
+            "--panel",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
+        assert_eq!(parse("--panel all").unwrap().panel, "all");
+        let none = HarnessArgs::parse_from(["--panel".into(), "a".into()], &[]);
+        assert_eq!(
+            none.unwrap_err(),
+            "--panel \"a\": unknown panel (expected all)"
+        );
         assert_eq!(
             parse_num::<u64>("--seed", "x"),
             Err("invalid value \"x\" for --seed".to_string())

@@ -1,9 +1,10 @@
 //! `paper_replay` and `serve_sweep` refuse numbers they would otherwise
 //! clamp, that would make a gate pass on every run (a NaN floor or cap:
 //! every comparison with NaN is false) or that would never end a run:
-//! each exits non-zero with the flag named on stderr. Arguments are
-//! parsed before the workload or any labels are built, so every case
-//! returns at once.
+//! each exits non-zero with the flag named on stderr. The figure
+//! binaries likewise refuse a `--panel` they do not draw, which would
+//! otherwise run nothing and exit 0. Arguments are parsed before the
+//! workload or any labels are built, so every case returns at once.
 
 use std::process::Command;
 
@@ -69,5 +70,34 @@ fn serve_sweep_refuses_bad_numbers_by_flag_name() {
             "{args:?}: the refusal does not name the flag: {stderr}"
         );
         assert!(!out.exists(), "{args:?} wrote a report");
+    }
+}
+
+#[test]
+fn figure_binaries_refuse_a_panel_they_do_not_draw() {
+    let cases = [
+        (env!("CARGO_BIN_EXE_fig6"), "x"),
+        (env!("CARGO_BIN_EXE_fig7"), "d"),
+        (env!("CARGO_BIN_EXE_fig8"), "c"),
+        (env!("CARGO_BIN_EXE_fig9"), "d"),
+        (env!("CARGO_BIN_EXE_occupancy"), "a"),
+        (env!("CARGO_BIN_EXE_ablation_theta"), "a"),
+    ];
+    for (binary, panel) in cases {
+        let output = Command::new(binary)
+            .args(["--scale", "smoke", "--panel", panel])
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{binary} --panel {panel} was accepted"
+        );
+        assert!(
+            stderr.starts_with("--panel"),
+            "{binary} --panel {panel}: the refusal does not name the flag: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{binary} --panel {panel} ran");
     }
 }

@@ -13,8 +13,10 @@
 //! ranked only when its cell is read, and cells are read only while one of
 //! them could still hold the next vehicle in best-first order, so a request
 //! touches the few dozen vehicles it can use rather than every vehicle in
-//! its radius. The order of evaluation — and so every decision — is the
-//! one a global sort of the whole radius would give.
+//! its radius. Only a vehicle that reaches the front of that order is
+//! screened again with its road distances, before it is evaluated. The
+//! order of evaluation — and so every decision — is the one a global sort
+//! of the whole radius would give.
 //!
 //! The dispatcher also measures the two quantities the paper reports:
 //! *average customer response time* (ACRT — wall-clock time to find the best
@@ -26,7 +28,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Instant;
 
-use roadnet::{DistanceOracle, Point, RoadNetwork};
+use roadnet::{DistanceOracle, NodeId, Point, RoadNetwork};
 use spatial::{Cell, GridIndex, Position};
 
 use crate::problem::WaitingTrip;
@@ -48,8 +50,9 @@ pub struct DispatcherConfig {
     ///
     /// When enabled, each candidate is first screened with O(1) straight-line
     /// lower bounds against the pickup deadline and the kinetic tree's cached
-    /// root slacks; survivors are evaluated cheapest-lower-bound-first with
-    /// an early exit once the bound meets the incumbent. Assignments are
+    /// root slacks; survivors are evaluated cheapest-lower-bound-first,
+    /// each screened again with road distances when it reaches the front,
+    /// with an early exit once the bound meets the incumbent. Assignments are
     /// **provably identical** to exhaustive evaluation — the screen only
     /// removes candidates whose evaluation must fail, and the early exit only
     /// skips candidates that cannot beat the incumbent under the
@@ -289,13 +292,15 @@ enum Screen {
     },
 }
 
-/// Screens one candidate vehicle against `request` using only straight-line
-/// geometry and the kinetic tree's cached per-branch bottleneck slacks —
-/// no schedule is constructed.
+/// Screens one candidate vehicle against `request` using the kinetic
+/// tree's cached per-branch bottleneck slacks and a distance `|a b|`
+/// between the pickup and a vertex: the straight line or, given `exact =
+/// Some((oracle, source))`, the road distance `oracle.dist` to the pickup
+/// vertex `source`. No schedule is constructed.
 ///
 /// Soundness (assignments stay bit-identical to exhaustive evaluation):
-/// road distances dominate straight-line distances on every generated
-/// network, so
+/// a road distance is a shortest path, and on every generated network it
+/// dominates the straight line, so
 /// * any augmented route reaches the pickup no earlier than
 ///   `clock + |vehicle pickup|` — later than the deadline means infeasible;
 /// * a route that serves the pickup before the schedule's first old stop
@@ -320,9 +325,13 @@ fn screen_candidate(
     pickup: Point,
     deadline: Cost,
     direct: Cost,
+    exact: Option<(&dyn DistanceOracle, NodeId)>,
 ) -> Screen {
-    let vp = graph.point(vehicle.location());
-    let to_pickup = vp.distance(&pickup);
+    let to = |node: NodeId| match exact {
+        Some((oracle, source)) => oracle.dist(node, source),
+        None => graph.point(node).distance(&pickup),
+    };
+    let to_pickup = to(vehicle.location());
     if vehicle.clock() + to_pickup > deadline + PRUNE_EPS {
         return Screen::Pruned;
     }
@@ -332,8 +341,7 @@ fn screen_candidate(
         let mut alive = false;
         for (node, leg, slack) in tree.root_branches() {
             has_branch = true;
-            let branch = graph.point(node);
-            let pickup_to_branch = pickup.distance(&branch);
+            let pickup_to_branch = to(node);
             if to_pickup + pickup_to_branch - leg <= slack + PRUNE_EPS
                 || vehicle.clock() + leg + pickup_to_branch <= deadline + PRUNE_EPS
             {
@@ -383,10 +391,13 @@ pub struct LazySync<'s> {
 /// A screened survivor waiting to be evaluated: its sort key and id,
 /// ordered by `(key, id)`. A key is a bound or a Euclidean length, so
 /// `>= +0.0` and never NaN, where `total_cmp` is the numeric order.
+/// `refined` — the key already holds the vehicle's road reach — is not
+/// part of the order.
 #[derive(Debug, Clone, Copy)]
 struct Ranked {
     key: Cost,
     vid: u32,
+    refined: bool,
 }
 
 impl Ord for Ranked {
@@ -478,11 +489,15 @@ impl Frontier {
                 };
                 sync(v);
                 let deadline = self.trip.pickup_deadline;
-                match screen_candidate(v, graph, self.pickup, deadline, self.direct) {
+                match screen_candidate(v, graph, self.pickup, deadline, self.direct, None) {
                     Screen::Pruned => self.by_slack += 1,
                     Screen::Keep { lb, reach } => {
                         let key = if self.greedy { reach } else { lb };
-                        self.ranked.push(Reverse(Ranked { key, vid }));
+                        self.ranked.push(Reverse(Ranked {
+                            key,
+                            vid,
+                            refined: false,
+                        }));
                     }
                 }
             }
@@ -717,7 +732,7 @@ impl Dispatcher {
                 }
             }
         }
-        index.record_pruning(candidates.len() as u64, 0, 0, evaluated);
+        index.record_pruning(candidates.len() as u64, 0, 0, 0, evaluated);
         best
     }
 
@@ -727,9 +742,15 @@ impl Dispatcher {
     /// [`DispatchEffort::Full`] and [`DispatchEffort::SlackPruned`] keep
     /// the cheapest feasible insertion and stop once the next key loses to
     /// the incumbent under the `(cost, vehicle id)` lexicographic order.
-    /// This returns the same winner as
-    /// [`Dispatcher::evaluate_exhaustive`]: see [`screen_candidate`] for
-    /// why the screen is sound, and the keys are admissible lower bounds.
+    /// A vehicle that reaches the top of the heap is screened again with
+    /// its road distances before it is evaluated (ranked enumeration pays
+    /// for the exact bound only on the candidate about to be probed):
+    /// pruned, it is counted as `pruned_by_reach`; kept, it goes back with
+    /// its key raised to the road bound less [`PRUNE_EPS`]. A key only
+    /// rises, so the frontier's cell floors stay below it. This returns
+    /// the same winner as [`Dispatcher::evaluate_exhaustive`]: see
+    /// [`screen_candidate`] for why both screens are sound, and every key
+    /// is an admissible lower bound.
     ///
     /// [`DispatchEffort::Greedy`] takes the **first** feasible insertion in
     /// ascending straight-line distance to the pickup (ties to the lowest
@@ -749,11 +770,11 @@ impl Dispatcher {
         let in_radius =
             index.cells_by_distance(frontier.centre, frontier.radius, &mut frontier.cells);
         let mut best: Option<(u32, Proposal)> = None;
-        let (mut evaluated, mut by_bound) = (0u64, 0u64);
+        let (mut evaluated, mut by_reach, mut by_bound) = (0u64, 0u64, 0u64);
         loop {
             let incumbent = best.as_ref().map_or(Cost::INFINITY, |(_, b)| b.cost);
             frontier.read_until(incumbent, index, vehicles, graph, sync);
-            let Some(Reverse(Ranked { key, vid })) = frontier.ranked.pop() else {
+            let Some(Reverse(Ranked { key, vid, refined })) = frontier.ranked.pop() else {
                 break;
             };
             if let Some((best_vid, b)) = &best {
@@ -764,6 +785,22 @@ impl Dispatcher {
                     by_bound = frontier.ranked.len() as u64 + 1;
                     break;
                 }
+            }
+            // Greedy keeps its straight-line order: a road key would
+            // change which feasible vehicle comes first.
+            if !refined && !frontier.greedy {
+                let exact = Some((oracle, frontier.trip.pickup));
+                let (pickup, deadline) = (frontier.pickup, frontier.trip.pickup_deadline);
+                let v = &vehicles[vid as usize];
+                match screen_candidate(v, graph, pickup, deadline, frontier.direct, exact) {
+                    Screen::Pruned => by_reach += 1,
+                    Screen::Keep { lb, .. } => frontier.ranked.push(Reverse(Ranked {
+                        key: key.max(lb - PRUNE_EPS),
+                        vid,
+                        refined: true,
+                    })),
+                }
+                continue;
             }
             evaluated += 1;
             let Some(p) = self.evaluate(&vehicles[vid as usize], frontier.trip, oracle) else {
@@ -782,7 +819,13 @@ impl Dispatcher {
                 best = Some((vid, p));
             }
         }
-        index.record_pruning(in_radius as u64, frontier.by_slack, by_bound, evaluated);
+        index.record_pruning(
+            in_radius as u64,
+            frontier.by_slack,
+            by_reach,
+            by_bound,
+            evaluated,
+        );
         (in_radius, best)
     }
 }
@@ -887,6 +930,54 @@ mod tests {
             assert_eq!(out, AssignmentOutcome::Rejected { candidates: 2 });
             assert!(vehicles.iter().all(|v| v.active_trip_count() == 0));
         }
+    }
+
+    #[test]
+    fn a_vehicle_near_in_a_straight_line_but_far_by_road_is_pruned_at_the_top_of_the_heap() {
+        // Two parallel roads 100 m apart, joined only at x = 0. Vehicle 0
+        // is on the upper road 100 m above the pickup, 4.1 km away by
+        // road; vehicle 1 is on the pickup's road 1 km from it.
+        let mut b = roadnet::GraphBuilder::new();
+        for (x, y) in [(0.0, 0.0), (1_000.0, 0.0), (2_000.0, 0.0), (3_000.0, 0.0)] {
+            b.add_node(roadnet::Point::new(x, y));
+        }
+        for (x, y) in [(0.0, 100.0), (1_000.0, 100.0), (2_000.0, 100.0)] {
+            b.add_node(roadnet::Point::new(x, y));
+        }
+        for (u, v, w) in [(0, 1, 1_000.0), (1, 2, 1_000.0), (2, 3, 1_000.0)] {
+            b.add_edge(u, v, w);
+        }
+        for (u, v, w) in [(0, 4, 100.0), (4, 5, 1_000.0), (5, 6, 1_000.0)] {
+            b.add_edge(u, v, w);
+        }
+        let graph = b.build();
+        let oracle = CachedOracle::new(&graph);
+        let req = TripRequest::new(1, 2, 3, 0.0, Constraints::new(1_500.0, 0.3));
+        let planner = PlannerKind::Kinetic(KineticConfig::slack());
+        let run = |config: DispatcherConfig| {
+            let mut vehicles = Vec::new();
+            let mut index = GridIndex::new(1_000.0);
+            for (i, node) in [6u32, 1].into_iter().enumerate() {
+                vehicles.push(Vehicle::new(i as u32, node, 4, planner, 0.0));
+                let p = graph.point(node);
+                index.insert(i as u32, Position::new(p.x, p.y));
+            }
+            let mut dispatcher = Dispatcher::new(config);
+            let out = dispatcher.assign(&req, &mut vehicles, &graph, &mut index, &oracle);
+            (out, dispatcher.stats().evaluated(), index.stats())
+        };
+        let [pruning, exhaustive] = configs();
+        let (out, evaluated, grid) = run(pruning);
+        assert_eq!(
+            (grid.pruned_by_slack, grid.pruned_by_reach, evaluated),
+            (0, 1, 1),
+            "vehicle 0 passes the straight-line screen and is pruned by road, unprobed"
+        );
+        assert!(matches!(
+            out,
+            AssignmentOutcome::Assigned { vehicle: 1, .. }
+        ));
+        assert_eq!(out, run(exhaustive).0);
     }
 
     #[test]
@@ -1088,20 +1179,24 @@ mod tests {
 
     /// The grid's side of the dispatcher's counters: everything the
     /// enumeration order cannot change.
-    fn grid_counts(index: &GridIndex) -> (u64, u64, u64, u64) {
+    fn grid_counts(index: &GridIndex) -> (u64, u64, u64, u64, u64) {
         let s = index.stats();
         (
             s.queries,
             s.candidates_returned,
             s.candidates_in_radius,
+            s.pruned_by_reach,
             s.evaluated,
         )
     }
 
     /// The enumeration nearest-cell-first replaced, kept as the reference:
-    /// query the whole radius, screen every candidate, sort the survivors
-    /// by `(key, id)`, and evaluate them in that order until the next key
-    /// loses to the incumbent (or, greedy, until one is feasible).
+    /// query the whole radius, screen every candidate, put the survivors
+    /// on a min-heap by `(key, id)`, and pop them in that order until the
+    /// next key loses to the incumbent (or, greedy, until one is
+    /// feasible). Below greedy, a vehicle popped for the first time is
+    /// screened again by road reach and pruned or pushed back with its
+    /// raised key, as the dispatcher does.
     fn global_sort(
         dispatcher: &mut Dispatcher,
         request: &TripRequest,
@@ -1118,26 +1213,44 @@ mod tests {
         let pickup = graph.point(request.source);
         let direct = oracle.dist(request.source, request.destination);
         let trip = WaitingTrip::for_request(request, direct);
-        let mut ranked = Vec::new();
+        let deadline = request.pickup_deadline();
+        let mut ranked = BinaryHeap::new();
         let mut by_slack = 0;
         for &vid in &candidates {
             let Some(v) = vehicle(vehicles, vid) else {
                 continue;
             };
-            match screen_candidate(v, graph, pickup, request.pickup_deadline(), direct) {
+            match screen_candidate(v, graph, pickup, deadline, direct, None) {
                 Screen::Pruned => by_slack += 1,
-                Screen::Keep { lb, reach } => ranked.push((if greedy { reach } else { lb }, vid)),
+                // Greedy keys are never refined.
+                Screen::Keep { lb, reach } => ranked.push(Reverse(Ranked {
+                    key: if greedy { reach } else { lb },
+                    vid,
+                    refined: greedy,
+                })),
             }
         }
-        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut best: Option<(u32, Proposal)> = None;
-        let (mut evaluated, mut by_bound) = (0, 0);
-        for (i, &(key, vid)) in ranked.iter().enumerate() {
+        let (mut evaluated, mut by_reach, mut by_bound) = (0, 0, 0);
+        while let Some(Reverse(Ranked { key, vid, refined })) = ranked.pop() {
             if let Some((best_vid, b)) = &best {
                 if greedy || key > b.cost || (key == b.cost && vid > *best_vid) {
-                    by_bound = ranked.len() - i;
+                    by_bound = ranked.len() + 1;
                     break;
                 }
+            }
+            if !refined {
+                let exact = Some((oracle, request.source));
+                let v = &vehicles[vid as usize];
+                match screen_candidate(v, graph, pickup, deadline, direct, exact) {
+                    Screen::Pruned => by_reach += 1,
+                    Screen::Keep { lb, .. } => ranked.push(Reverse(Ranked {
+                        key: key.max(lb - PRUNE_EPS),
+                        vid,
+                        refined: true,
+                    })),
+                }
+                continue;
             }
             evaluated += 1;
             if let Some(p) = dispatcher.evaluate(&vehicles[vid as usize], trip, oracle) {
@@ -1152,6 +1265,7 @@ mod tests {
         index.record_pruning(
             candidates.len() as u64,
             by_slack,
+            by_reach,
             by_bound as u64,
             evaluated,
         );
@@ -1196,11 +1310,12 @@ mod tests {
 
         /// Nearest-cell-first against the global sort it replaced, at every
         /// rung: the same outcomes, candidate counts, `DispatchStats` counts
-        /// and ART bucket counts, the same grid counts bar the screen and
-        /// early-exit tallies (which only shrink), and the same fleet. Each
-        /// vehicle is indexed where it stands or at a neighbouring vertex,
-        /// as an engine indexes a vehicle that is one segment into a drive,
-        /// and the dispatcher is told the network's longest segment.
+        /// and ART bucket counts, the same grid counts (road-reach prunes
+        /// included) bar the slack-screen and early-exit tallies (which
+        /// only shrink), and the same fleet. Each vehicle is indexed where
+        /// it stands or at a neighbouring vertex, as an engine indexes a
+        /// vehicle that is one segment into a drive, and the dispatcher is
+        /// told the network's longest segment.
         #[test]
         fn nearest_cell_first_matches_the_global_sort_at_every_rung(
             planner_index in 0usize..4,
@@ -1260,7 +1375,8 @@ mod tests {
                     proptest::prop_assert_eq!(grid_counts(&index_a), grid_counts(&index_b));
                     let (a, b) = (index_a.stats(), index_b.stats());
                     proptest::prop_assert!(
-                        a.pruned_by_slack + a.pruned_by_bound <= b.pruned_by_slack + b.pruned_by_bound
+                        a.pruned_by_slack + a.pruned_by_reach + a.pruned_by_bound
+                            <= b.pruned_by_slack + b.pruned_by_reach + b.pruned_by_bound
                     );
                     for (a, b) in fleet_a.iter().zip(&fleet_b) {
                         proptest::prop_assert_eq!(a.route(), b.route());

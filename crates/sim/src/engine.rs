@@ -778,15 +778,19 @@ mod tests {
         // A cruising fleet is mostly part-way along a segment: the grid
         // holds the vertex each vehicle left, the dispatcher screens the
         // one it is heading to. Reading nearest cell first must still find
-        // exhaustive evaluation's winner for every request.
+        // exhaustive evaluation's winner for every request. The paper's
+        // 10-minute wait covers the whole small city; a 71-second one
+        // makes the dispatcher prune vehicles by road reach once they top
+        // the heap, and that must not change a winner either.
         let w = small_workload(200, 12);
         let oracle = CachedOracle::new(&w.network);
-        let run = |use_pruning| {
+        let run = |use_pruning, constraints| {
             let config = SimConfig {
                 vehicles: 60,
                 seed: 5,
                 cruise_when_idle: true,
                 batch_window_seconds: 30.0,
+                constraints,
                 dispatcher: kinetic_core::DispatcherConfig {
                     use_pruning,
                     ..kinetic_core::DispatcherConfig::default()
@@ -807,11 +811,16 @@ mod tests {
                     )
                 })
                 .collect();
-            rows
+            (rows, sim.index.stats().pruned_by_reach)
         };
-        let pruned = run(true);
-        assert_eq!(pruned.len(), 200);
-        assert_eq!(pruned, run(false));
+        let mut by_reach = 0;
+        for constraints in [Constraints::paper_default(), Constraints::new(1_000.0, 0.2)] {
+            let (pruned, reach) = run(true, constraints);
+            assert_eq!(pruned.len(), 200);
+            assert_eq!(pruned, run(false, constraints).0, "{constraints:?}");
+            by_reach += reach;
+        }
+        assert!(by_reach > 0, "no vehicle was pruned by road reach");
     }
 
     /// The contract `benchmark/` relies on when it builds the engine with

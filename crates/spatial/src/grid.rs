@@ -59,10 +59,14 @@ pub struct GridStats {
     /// Candidates rejected by the O(1) slack/deadline screen (no feasible
     /// insertion can exist, so no schedule evaluation is performed).
     pub pruned_by_slack: u64,
+    /// Candidates that passed that screen but failed it again when they
+    /// reached the front of the best-first order and were screened with
+    /// their road distances instead of straight lines.
+    pub pruned_by_reach: u64,
     /// Screened candidates skipped by the best-first early exit (their
     /// admissible lower bound already met or exceeded the incumbent
     /// assignment). Candidates the early exit left unscreened are in
-    /// neither this nor `pruned_by_slack`.
+    /// none of the three pruning counts.
     pub pruned_by_bound: u64,
     /// Candidates that underwent a full schedule evaluation.
     pub evaluated: u64,
@@ -326,10 +330,19 @@ impl GridIndex {
     /// Folds one request's candidate-screening counts into the statistics.
     /// The dispatcher owns the pruning logic; the index owns the counters so
     /// that one `GridStats` snapshot describes the whole filter funnel
-    /// (radius query -> slack screen -> best-first early exit -> evaluation).
-    pub fn record_pruning(&mut self, in_radius: u64, by_slack: u64, by_bound: u64, evaluated: u64) {
+    /// (radius query -> slack screen -> road-reach screen and best-first
+    /// early exit -> evaluation).
+    pub fn record_pruning(
+        &mut self,
+        in_radius: u64,
+        by_slack: u64,
+        by_reach: u64,
+        by_bound: u64,
+        evaluated: u64,
+    ) {
         self.stats.candidates_in_radius += in_radius;
         self.stats.pruned_by_slack += by_slack;
+        self.stats.pruned_by_reach += by_reach;
         self.stats.pruned_by_bound += by_bound;
         self.stats.evaluated += evaluated;
     }
@@ -555,12 +568,13 @@ mod tests {
     #[test]
     fn pruning_counters_accumulate() {
         let mut idx = GridIndex::new(100.0);
-        idx.record_pruning(10, 4, 3, 3);
-        idx.record_pruning(5, 0, 2, 3);
+        idx.record_pruning(10, 4, 1, 2, 3);
+        idx.record_pruning(5, 0, 0, 2, 3);
         let s = idx.stats();
         assert_eq!(s.candidates_in_radius, 15);
         assert_eq!(s.pruned_by_slack, 4);
-        assert_eq!(s.pruned_by_bound, 5);
+        assert_eq!(s.pruned_by_reach, 1);
+        assert_eq!(s.pruned_by_bound, 4);
         assert_eq!(s.evaluated, 6);
         idx.reset_stats();
         assert_eq!(idx.stats(), GridStats::default());
