@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI for the workspace: formatting, lints, release build,
-# tests (unit, property, integration, doc) and bench compilation.
+# tests (unit, property, integration, doc), the benchmark crate and the
+# bench/replay/serve/chaos gates.
 # Mirrors .github/workflows/ci.yml so a green ./ci.sh means a green PR.
 set -euo pipefail
 
@@ -33,7 +34,6 @@ run cargo test --doc -q
 # crate, so -D warnings fails this step when a public item loses its
 # documentation.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-run cargo bench --no-run
 # The benchmark (BENCHMARK.json) lives in benchmark/, a workspace of its
 # own that no step above compiles: a changed signature it calls would
 # break it unnoticed. Run its unit tests, then every workload at smoke

@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use kinetic_core::FaultPlan;
-use rideshare_bench::store;
+use rideshare_bench::{parse_num, store};
 use rideshare_serve::{
     resume_serve, PoissonArrivals, RecoveryConfig, ServeConfig, ServeLoop, ServeReport,
     ServiceModel, SloConfig,
@@ -65,13 +65,9 @@ impl Args {
             };
             match flag.as_str() {
                 "--out" => args.out = value("--out")?,
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "could not parse --seed".to_string())?
-                }
+                "--seed" => args.seed = parse_num("--seed", &value("--seed")?)?,
                 "-h" | "--help" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
+                other => return Err(format!("{other}: unknown flag\n\n{USAGE}")),
             }
         }
         Ok(args)
@@ -167,7 +163,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let wall = Instant::now();

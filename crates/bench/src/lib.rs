@@ -19,7 +19,7 @@ pub mod store;
 use kinetic_core::{Constraints, KineticConfig, PlannerKind, SolverKind};
 use rideshare_sim::{SimConfig, SimReport, Simulation};
 use rideshare_workload::{CityConfig, DemandConfig, Workload};
-use roadnet::{CachedOracle, NodeId};
+use roadnet::CachedOracle;
 
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,8 +281,8 @@ impl Experiment {
     }
 }
 
-/// Deterministic MIP-matcher fixture shared by the `mip_solve` criterion
-/// bench and the `bench_summary` MIP section/CI gate.
+/// Deterministic MIP-matcher fixture shared by the `bench_summary` MIP
+/// section/CI gate and the sparse-vs-dense equivalence property test.
 ///
 /// Generates the same scheduling problems (per seed) every run, so the
 /// sparse production solver and the frozen dense baseline
@@ -349,13 +349,14 @@ pub mod mip_fixture {
     }
 }
 
-/// Parses a numeric flag value, naming the flag and the value when it does
-/// not parse — a typo must stop a harness, not silently run it on a
-/// default (a mistyped `--max-trips` would replay the full 432k-trip day).
+/// Parses a numeric flag value; the error starts with the flag and names
+/// the value when it does not parse — a typo must stop a harness, not
+/// silently run it on a default (a mistyped `--max-trips` would replay the
+/// full 432k-trip day).
 pub fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .parse()
-        .map_err(|_| format!("invalid value {value:?} for {flag}"))
+        .map_err(|_| format!("{flag}: invalid value {value:?}"))
 }
 
 /// Minimal command-line options shared by every harness binary.
@@ -428,22 +429,6 @@ impl HarnessArgs {
     pub fn wants(&self, panel: &str) -> bool {
         self.panel == "all" || self.panel == panel
     }
-}
-
-/// The shape of a dispatcher's distance misses, for the oracle
-/// micro-benchmarks: runs of 40 queries that share one endpoint (a new
-/// request's pickup or drop-off) on alternating sides, against vertices
-/// drawn from `pairs`.
-pub fn shared_endpoint_runs(pairs: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
-    pairs
-        .chunks(40)
-        .flat_map(|run| {
-            let shared = run[0].0;
-            run.iter().enumerate().filter_map(move |(i, &(_, x))| {
-                (x != shared).then_some(if i % 2 == 0 { (x, shared) } else { (shared, x) })
-            })
-        })
-        .collect()
 }
 
 /// Prints an aligned plain-text table: a header row followed by data rows.
@@ -543,7 +528,7 @@ mod tests {
         );
         assert_eq!(
             parse_num::<u64>("--seed", "x"),
-            Err("invalid value \"x\" for --seed".to_string())
+            Err("--seed: invalid value \"x\"".to_string())
         );
     }
 

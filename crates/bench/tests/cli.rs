@@ -1,7 +1,9 @@
 //! `paper_replay` and `serve_sweep` refuse numbers they would otherwise
 //! clamp, that would make a gate pass on every run (a NaN floor or cap:
 //! every comparison with NaN is false) or that would never end a run:
-//! each exits non-zero with the flag named on stderr. The figure
+//! each exits non-zero with the flag named on stderr. `chaos_smoke` does
+//! the same for an unknown flag and a `--seed` that is missing or not a
+//! count. The figure
 //! binaries likewise refuse a `--panel` they do not draw, which would
 //! otherwise run nothing and exit 0. Arguments are parsed before the
 //! workload or any labels are built, so every case returns at once.
@@ -38,29 +40,15 @@ fn bad_numbers_are_refused_by_flag_name() {
     }
 }
 
-#[test]
-fn serve_sweep_refuses_bad_numbers_by_flag_name() {
-    let out = std::env::temp_dir().join(format!("serve_sweep_cli_{}.json", std::process::id()));
-    let cases: [&[&str]; 13] = [
-        &["--start-rate", "0"],
-        &["--start-rate", "-1"],
-        &["--start-rate", "nan"],
-        &["--max-rate", "nan"],
-        &["--max-rate", "0"],
-        &["--duration", "nan"],
-        &["--duration", "inf"],
-        &["--tick", "0"],
-        &["--tick", "nan"],
-        &["--slo-p99", "-1"],
-        &["--max-queue-wait", "nan"],
-        &["--max-queue-wait", "0"],
-        &["--start-rate", "8", "--max-rate", "4"],
-    ];
+/// Runs `binary --out <path> <case>` for each case: every run must exit 2
+/// with the case's first argument at the start of stderr, and write nothing.
+fn refused_by_flag_name(binary: &str, name: &str, cases: &[&[&str]]) {
+    let out = std::env::temp_dir().join(format!("{name}_cli_{}.json", std::process::id()));
     for args in cases {
-        let output = Command::new(env!("CARGO_BIN_EXE_serve_sweep"))
+        let output = Command::new(binary)
             .arg("--out")
             .arg(&out)
-            .args(args)
+            .args(*args)
             .output()
             .expect("the binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -71,6 +59,43 @@ fn serve_sweep_refuses_bad_numbers_by_flag_name() {
         );
         assert!(!out.exists(), "{args:?} wrote a report");
     }
+}
+
+#[test]
+fn serve_sweep_refuses_bad_numbers_by_flag_name() {
+    refused_by_flag_name(
+        env!("CARGO_BIN_EXE_serve_sweep"),
+        "serve_sweep",
+        &[
+            &["--start-rate", "0"],
+            &["--start-rate", "-1"],
+            &["--start-rate", "nan"],
+            &["--max-rate", "nan"],
+            &["--max-rate", "0"],
+            &["--duration", "nan"],
+            &["--duration", "inf"],
+            &["--tick", "0"],
+            &["--tick", "nan"],
+            &["--slo-p99", "-1"],
+            &["--max-queue-wait", "nan"],
+            &["--max-queue-wait", "0"],
+            &["--start-rate", "8", "--max-rate", "4"],
+        ],
+    );
+}
+
+#[test]
+fn chaos_smoke_refuses_bad_arguments_by_flag_name() {
+    refused_by_flag_name(
+        env!("CARGO_BIN_EXE_chaos_smoke"),
+        "chaos_smoke",
+        &[
+            &["--bogus"],
+            &["--seed"],
+            &["--seed", "nan"],
+            &["--seed", "-1"],
+        ],
+    );
 }
 
 #[test]

@@ -54,11 +54,6 @@ impl SolverOutcome {
             _ => None,
         }
     }
-
-    /// True when a schedule was produced.
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, SolverOutcome::Feasible { .. })
-    }
 }
 
 /// A stateless matcher that solves one vehicle's scheduling problem from
@@ -134,8 +129,6 @@ mod tests {
         };
         assert_eq!(o.cost(), Some(5.0));
         assert!(o.schedule().is_some());
-        assert!(o.is_feasible());
         assert_eq!(SolverOutcome::Infeasible.cost(), None);
-        assert!(!SolverOutcome::Exhausted.is_feasible());
     }
 }
