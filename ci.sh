@@ -42,7 +42,12 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # engine compared with itself until the benchmark drops the check —
 # serve == offline replay).
 run cargo test --offline --manifest-path benchmark/Cargo.toml
-run cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload all --seed 1 --smoke
+mkdir -p target
+run bash -c 'set -o pipefail; cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload all --seed 1 --smoke | tee target/bench-smoke.txt'
+# The smoke run's four pass digests, pinned: a change that decides what
+# its parent decided leaves them equal. A PR that must move a digest edits
+# the literal in check-smoke-digests.sh and says why in CHANGES.md.
+run ./check-smoke-digests.sh target/bench-smoke.txt
 # bench-smoke: hub-label builds must match Dijkstra ground truth — in
 # distance, and in the vertex sequence of every path unpacked straight
 # from the labels (HubLabels::path, not the oracle that would fall back

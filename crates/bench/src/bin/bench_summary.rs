@@ -522,47 +522,35 @@ fn json_escape_free(s: &str) -> &str {
     s
 }
 
+/// Prints why the command line was refused and exits 2.
+fn refuse(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut scale = "smoke".to_string();
     let mut hublabel_out = "BENCH_hublabel.json".to_string();
     let mut mip_out = "BENCH_mip.json".to_string();
     let mut paper_build = false;
     let mut seed = 42u64;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].clone();
-                i += 1;
-            }
-            "--hublabel-out" if i + 1 < args.len() => {
-                hublabel_out = args[i + 1].clone();
-                i += 1;
-            }
-            "--mip-out" if i + 1 < args.len() => {
-                mip_out = args[i + 1].clone();
-                i += 1;
-            }
-            "--paper-build" => {
-                paper_build = true;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = parse_num("--seed", &args[i + 1]).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2)
-                });
-                i += 1;
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other:?} (expected --scale smoke|quick, \
-                     --hublabel-out PATH, --mip-out PATH, --paper-build, --seed N)"
-                );
-                std::process::exit(2);
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| refuse(format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--scale" => scale = value(),
+            "--hublabel-out" => hublabel_out = value(),
+            "--mip-out" => mip_out = value(),
+            "--paper-build" => paper_build = true,
+            "--seed" => seed = parse_num("--seed", &value()).unwrap_or_else(|e| refuse(e)),
+            other => refuse(format!(
+                "{other}: unknown flag (expected --scale smoke|quick, \
+                 --hublabel-out PATH, --mip-out PATH, --paper-build, --seed N)"
+            )),
         }
-        i += 1;
     }
 
     // MIP instances per trips-on-board point: smoke is sized for every CI
@@ -570,10 +558,9 @@ fn main() {
     let mip_instances = match scale.as_str() {
         "smoke" => 3,
         "quick" => 5,
-        other => {
-            eprintln!("unknown --scale {other:?} (expected smoke or quick)");
-            std::process::exit(2);
-        }
+        other => refuse(format!(
+            "--scale: unknown scale {other:?} (expected smoke or quick)"
+        )),
     };
     let threads = std::thread::available_parallelism().map_or(0, |n| n.get());
 

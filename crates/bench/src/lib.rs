@@ -410,13 +410,13 @@ impl HarnessArgs {
                 "--scale" => {
                     let v = value()?;
                     parsed.scale = Scale::parse(&v).ok_or_else(|| {
-                        format!("unknown scale {v:?} (expected smoke, quick or paper)")
+                        format!("--scale: unknown scale {v:?} (expected smoke, quick or paper)")
                     })?;
                 }
                 "--seed" => parsed.seed = parse_num("--seed", &value()?)?,
                 other => {
                     return Err(format!(
-                        "unknown argument {other:?} (expected --panel P, \
+                        "{other}: unknown flag (expected --panel P, \
                          --scale smoke|quick|paper, --seed N)"
                     ))
                 }

@@ -113,6 +113,13 @@ struct TreeNode {
     /// detour inserted above this node always affects (pickup deadlines and
     /// on-board drop-off deadlines). Used for sound subtree pruning.
     slack_root: Cost,
+    /// Minimum remaining distance from this node to any leaf of its
+    /// subtree: `0.0` for a leaf, else the least `leg + best_below` over
+    /// the children, folded in child order. Fixed when the node is built:
+    /// [`KineticTree::reroot`] changes only root legs, which no node's
+    /// value includes, and [`KineticTree::advance_to`] adopts a subtree
+    /// whole. Derived, so not serialised.
+    best_below: Cost,
     /// Road vertices forming this node's hotspot group (itself plus any
     /// stops that were pinned onto it by hotspot clustering).
     group: Vec<NodeId>,
@@ -156,6 +163,7 @@ impl TreeNode {
             stop,
             leg,
             slack_root,
+            best_below: cheapest_completion(&children),
             group,
             children,
         }
@@ -176,19 +184,18 @@ impl TreeNode {
     fn depth(&self) -> usize {
         1 + self.children.iter().map(TreeNode::depth).max().unwrap_or(0)
     }
+}
 
-    /// Minimum remaining distance from this node to any leaf of its
-    /// subtree, without materialising the stop sequence (the dispatcher's
-    /// candidate screen only needs the cost).
-    fn best_completion_cost(&self) -> Cost {
-        if self.children.is_empty() {
-            return 0.0;
-        }
-        self.children
-            .iter()
-            .map(|c| c.leg + c.best_completion_cost())
-            .fold(Cost::INFINITY, Cost::min)
+/// The cheapest completion below a node with `children`: `0.0` when there
+/// are none, else the least `leg + best_below` over them, in order.
+fn cheapest_completion(children: &[TreeNode]) -> Cost {
+    if children.is_empty() {
+        return 0.0;
     }
+    children
+        .iter()
+        .map(|c| c.leg + c.best_below)
+        .fold(Cost::INFINITY, Cost::min)
 }
 
 /// The first of `nodes` with the strictly lowest finite `leg + completion`,
@@ -197,7 +204,7 @@ fn best_of(nodes: &[TreeNode]) -> Option<(&TreeNode, Cost)> {
     let mut best = None;
     let mut best_total = Cost::INFINITY;
     for node in nodes {
-        let total = node.leg + node.best_completion_cost();
+        let total = node.leg + node.best_below;
         if total < best_total {
             best_total = total;
             best = Some(node);
@@ -253,8 +260,8 @@ impl Level for Vec<TreeNode> {
 /// The probe's level: the cheapest `leg + completion` over the kept nodes,
 /// `None` when none was kept. A kept node with nothing below it completes
 /// the route (completion 0), and sums associate bottom-up exactly as
-/// [`TreeNode::best_completion_cost`] adds them over a built tree, so the
-/// two agree bit for bit.
+/// [`TreeNode::best_below`] adds them over a built tree, so the two agree
+/// bit for bit.
 #[derive(Default)]
 struct Cheapest(Option<Cost>);
 
@@ -330,13 +337,22 @@ impl KineticTree {
     ///
     /// Called when the vehicle has moved along the road network without
     /// reaching its next scheduled stop (for example because a new request
-    /// is being evaluated mid-leg). Only the depth-1 legs change; deeper
-    /// legs and the stored slack values stay valid (moving the vehicle can
-    /// only shrink true slacks, so pruning on the stored values remains
-    /// sound).
+    /// is being evaluated mid-leg), and after a stop is served. Only the
+    /// depth-1 legs change, each to `dist(node, stop)`; deeper legs, the
+    /// cached completions below the root and the stored slack values stay
+    /// valid (moving the vehicle can only shrink true slacks, so pruning on
+    /// the stored values remains sound).
+    ///
+    /// Every root leg already is `dist(start, stop)`: an insert walks from
+    /// `start`, [`KineticTree::advance_to`] moves `start` to the reached
+    /// stop, and a re-root elsewhere recomputes them. So a re-root at the
+    /// vertex the tree stands on only moves the clock and asks nothing.
     pub fn reroot(&mut self, node: NodeId, now: Cost, oracle: &dyn DistanceOracle) {
-        self.problem.start = node;
         self.problem.now = now;
+        if node == self.problem.start {
+            return;
+        }
+        self.problem.start = node;
         for child in &mut self.children {
             child.leg = oracle.dist(node, child.stop.node);
         }
@@ -465,7 +481,7 @@ impl KineticTree {
         }
         self.children
             .iter()
-            .map(|c| c.leg + c.best_completion_cost())
+            .map(|c| c.leg + c.best_below)
             .fold(Cost::INFINITY, Cost::min)
     }
 
@@ -693,6 +709,7 @@ fn decode_nodes(r: &mut Reader<'_>, depth: usize) -> Result<Vec<TreeNode>, RoadN
             stop,
             leg,
             slack_root,
+            best_below: cheapest_completion(&children),
             group,
             children,
         });
@@ -972,6 +989,151 @@ mod tests {
         assert_ne!(cost0, cost1);
         assert_eq!(tree.problem().start, 1);
         assert_eq!(tree.problem().now, 100.0);
+    }
+
+    /// The cheapest completion below `nodes`' parent by full recursion,
+    /// reading no cached value.
+    fn completion_by_recursion(nodes: &[TreeNode]) -> Cost {
+        if nodes.is_empty() {
+            return 0.0;
+        }
+        nodes
+            .iter()
+            .map(|c| c.leg + completion_by_recursion(&c.children))
+            .fold(Cost::INFINITY, Cost::min)
+    }
+
+    /// `best_cost()` and `best_route()` recomputed without the cache, and
+    /// every node's cached completion, must match bit for bit.
+    fn assert_cache_matches_recursion(tree: &KineticTree, step: &str) {
+        fn check(nodes: &[TreeNode], step: &str) {
+            for node in nodes {
+                assert_eq!(
+                    node.best_below.to_bits(),
+                    completion_by_recursion(&node.children).to_bits(),
+                    "{step}: stale completion at {:?}",
+                    node.stop
+                );
+                check(&node.children, step);
+            }
+        }
+        check(&tree.children, step);
+        let total = |c: &TreeNode| c.leg + completion_by_recursion(&c.children);
+        let want_cost = if tree.problem.num_stops() == 0 {
+            0.0
+        } else {
+            tree.children
+                .iter()
+                .map(total)
+                .fold(Cost::INFINITY, Cost::min)
+        };
+        assert_eq!(tree.best_cost().to_bits(), want_cost.to_bits(), "{step}");
+        let mut route = Vec::new();
+        let mut level = tree.children.as_slice();
+        let mut route_cost = None;
+        while let Some(node) = level.iter().fold(None::<&TreeNode>, |best, c| match best {
+            Some(b) if total(b) <= total(c) => Some(b),
+            _ if total(c).is_finite() => Some(c),
+            _ => best,
+        }) {
+            route_cost.get_or_insert(total(node));
+            route.push(node.stop);
+            level = &node.children;
+        }
+        let want_route = match route_cost {
+            Some(cost) => Some((cost, route)),
+            None if tree.problem.num_stops() == 0 => Some((0.0, route)),
+            None => None,
+        };
+        let got = tree.best_route();
+        assert_eq!(
+            got.as_ref().map(|(c, r)| (c.to_bits(), r)),
+            want_route.as_ref().map(|(c, r)| (c.to_bits(), r)),
+            "{step}"
+        );
+    }
+
+    #[test]
+    fn cached_completions_equal_a_full_recursion_through_every_change() {
+        let oracle = grid_oracle(8);
+        for config in [KineticConfig::basic(), KineticConfig::hotspot(300.0)] {
+            let tree = KineticTree::new(0, 0.0, 6, config);
+            assert_cache_matches_recursion(&tree, "empty");
+            let t1 = make_trip(&oracle, 1, 5, 30, 0.0, 20_000.0, 1.0);
+            let (tree, _) = tree.try_insert(t1, &oracle).unwrap();
+            let t2 = make_trip(&oracle, 2, 6, 31, 0.0, 20_000.0, 1.0);
+            let (tree, _) = tree.try_insert(t2, &oracle).unwrap();
+            let t3 = make_trip(&oracle, 3, 12, 2, 0.0, 20_000.0, 1.0);
+            let (mut tree, _) = tree.try_insert(t3, &oracle).unwrap();
+            assert_cache_matches_recursion(&tree, "try_insert");
+            let (_, route) = tree.best_route().unwrap();
+            tree.advance_to(route[0]).unwrap();
+            assert_cache_matches_recursion(&tree, "advance_to");
+            let elsewhere = (tree.problem().start + 1) % oracle.node_count() as NodeId;
+            tree.reroot(elsewhere, 5_000.0, &oracle);
+            assert_cache_matches_recursion(&tree, "reroot elsewhere");
+            tree.reroot(elsewhere, 5_100.0, &oracle);
+            assert_cache_matches_recursion(&tree, "reroot in place");
+            let mut bytes = Vec::new();
+            tree.encode(&mut bytes);
+            let back = KineticTree::decode(&mut Reader::new(&bytes)).unwrap();
+            assert_cache_matches_recursion(&back, "decode");
+        }
+    }
+
+    /// A [`MatrixOracle`] that counts its `dist` calls.
+    struct CountingOracle {
+        inner: MatrixOracle,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl DistanceOracle for CountingOracle {
+        fn dist(&self, s: NodeId, t: NodeId) -> Cost {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.dist(s, t)
+        }
+
+        fn shortest_path(&self, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
+            self.inner.shortest_path(s, t)
+        }
+
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+    }
+
+    #[test]
+    fn a_reroot_in_place_moves_only_the_clock() {
+        let oracle = CountingOracle {
+            inner: grid_oracle(11),
+            calls: Default::default(),
+        };
+        let tree = KineticTree::new(4, 0.0, 6, KineticConfig::slack());
+        let t1 = make_trip(&oracle.inner, 1, 9, 27, 0.0, 20_000.0, 1.0);
+        let (tree, _) = tree.try_insert(t1, &oracle).unwrap();
+        let t2 = make_trip(&oracle.inner, 2, 14, 33, 0.0, 20_000.0, 1.0);
+        let (mut tree, _) = tree.try_insert(t2, &oracle).unwrap();
+        let (_, route) = tree.best_route().unwrap();
+        tree.advance_to(route[0]).unwrap();
+        let image = |tree: &KineticTree| {
+            let mut problem = tree.problem().clone();
+            problem.now = 0.0;
+            let mut nodes = Vec::new();
+            encode_nodes(&tree.children, &mut nodes);
+            (problem, nodes)
+        };
+        let before = image(&tree);
+        let at = tree.problem().start;
+        let now = tree.problem().now + 250.0;
+        oracle.calls.set(0);
+        tree.reroot(at, now, &oracle);
+        assert_eq!(oracle.calls.get(), 0, "a re-root in place asked the oracle");
+        assert_eq!(tree.problem().now, now);
+        assert_eq!(image(&tree), before);
+        // Every root leg is the distance from where the tree stands.
+        for (node, leg, _) in tree.root_branches() {
+            assert_eq!(leg.to_bits(), oracle.inner.dist(at, node).to_bits());
+        }
     }
 
     #[test]

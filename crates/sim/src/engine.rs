@@ -346,7 +346,7 @@ impl<'a> Simulation<'a> {
         }
         let motion = &mut self.motions[i];
         if let Some(stop) = self.vehicles[i].next_stop() {
-            return plan_path_to(motion, stop.node, self.oracle);
+            return plan_path_to(motion, stop.node, self.graph, self.oracle);
         }
         // Cruise: follow a random incident road segment, as in the paper.
         if !self.config.cruise_when_idle || motion.at_clock_m > until_m {
@@ -520,7 +520,17 @@ impl<'a> Simulation<'a> {
 
 /// Routes a vehicle towards `target`, filling its motion path. Returns
 /// false when already there or the target is unreachable.
-fn plan_path_to(motion: &mut Motion, target: NodeId, oracle: &dyn DistanceOracle) -> bool {
+///
+/// Each hop's length is read from the graph: consecutive vertices of a
+/// shortest path are joined by a shortest edge, and on the 2⁻¹⁶ m grid
+/// that edge's weight is the oracle's distance between them bit for bit.
+/// Only a path with a hop the graph lacks asks the oracle.
+fn plan_path_to(
+    motion: &mut Motion,
+    target: NodeId,
+    graph: &RoadNetwork,
+    oracle: &dyn DistanceOracle,
+) -> bool {
     let at = motion.at;
     if at == target {
         return false;
@@ -535,7 +545,9 @@ fn plan_path_to(motion: &mut Motion, target: NodeId, oracle: &dyn DistanceOracle
     let start_clock = motion.at_clock_m;
     let mut legs = VecDeque::with_capacity(path.len());
     for &node in path.iter().skip(1) {
-        let leg = oracle.dist(prev, node);
+        let leg = graph
+            .edge_weight(prev, node)
+            .unwrap_or_else(|| oracle.dist(prev, node));
         legs.push_back((node, leg));
         prev = node;
     }
@@ -770,6 +782,44 @@ mod tests {
                 asked,
                 "window {batch_window_seconds} s"
             );
+        }
+    }
+
+    #[test]
+    fn a_planned_drive_reads_its_hops_from_the_graph() {
+        let (network, _) = CityConfig::medium().build(3);
+        let oracle = CountingOracle {
+            inner: CachedOracle::new(&network),
+            calls: Default::default(),
+        };
+        let n = network.node_count() as u64;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as NodeId
+        };
+        let mut planned = 0;
+        while planned < 250 {
+            let (s, t) = (next(), next());
+            if s == t {
+                continue;
+            }
+            let mut motion = Motion::parked_at(s, StdRng::seed_from_u64(0));
+            assert!(plan_path_to(&mut motion, t, &network, &oracle));
+            assert!(oracle.calls.borrow().is_empty(), "{s} -> {t} asked dist");
+            let mut prev = s;
+            let mut total = 0.0;
+            for &(node, leg) in &motion.path {
+                let want = oracle.inner.dist(prev, node);
+                assert_eq!(leg.to_bits(), want.to_bits(), "hop {prev} -> {node}");
+                total += leg;
+                prev = node;
+            }
+            assert_eq!(prev, t);
+            assert_eq!(total.to_bits(), oracle.inner.dist(s, t).to_bits());
+            planned += 1;
         }
     }
 

@@ -1,6 +1,6 @@
 //! Uniform-grid moving-object index.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Planar position of a moving object in meters.
 ///
@@ -72,29 +72,66 @@ pub struct GridStats {
     pub evaluated: u64,
 }
 
+/// One bucket per cell: the objects in it, with their exact positions.
+type Bucket = Vec<(u32, Position)>;
+
+/// Consecutive cells along y at one x: `(x, first y, their buckets)`.
+type Run<'a> = (i64, i64, &'a [Bucket]);
+
+/// The most cells the flat box may span (24 MiB of empty buckets). A cell
+/// that would grow it past this is kept in a sorted side map instead, so
+/// far-flung coordinates cost a slower lookup, not memory.
+const MAX_BOX_CELLS: i64 = 1 << 20;
+
 /// Uniform-grid spatial index over moving objects identified by `u32` ids.
 ///
-/// Objects are hashed into square cells of side `cell_size`; each cell's
+/// Objects are binned into square cells of side `cell_size`; each cell's
 /// bucket holds its objects' ids with their exact positions inline. A
 /// radius query visits every cell intersecting the circle and filters
 /// candidates by exact Euclidean distance ([`Position::within`]), so
 /// results are exact (no false positives or negatives) while the
 /// per-update cost stays constant.
+///
+/// Nothing is hashed. Ids are meant to be dense slots (the simulator's
+/// fleet slots), so the id → slot map is a `Vec` indexed by id; an id far
+/// beyond the number of objects indexed goes to a sorted side map
+/// instead, so a stray id costs a logarithmic lookup, not memory. The
+/// buckets are one flat array over the bounding box of the cells used so
+/// far, which grows when an object lands outside it: one bucket per cell
+/// of that box, up to 2²⁰ cells; a cell past that goes to a sorted
+/// side map.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell_size: f64,
-    /// Object id -> its cell and its slot in that cell's bucket.
-    slots: HashMap<u32, (Cell, usize)>,
-    /// Cell -> the objects currently inside it, with their exact positions.
-    buckets: HashMap<Cell, Vec<(u32, Position)>>,
+    /// Object id -> its cell and its slot in that cell's bucket, for the
+    /// ids below its length; `None` for an id that is not indexed.
+    slots: Vec<Option<(Cell, usize)>>,
+    /// The same for indexed ids at or past `slots.len()`.
+    sparse_slots: BTreeMap<u32, (Cell, usize)>,
+    /// Number of objects indexed.
+    len: usize,
+    /// The cell at the low corner of the bounding box `buckets` covers.
+    origin: Cell,
+    /// Cells of that box along x and along y; `(0, 0)` before any insert.
+    extent: (i64, i64),
+    /// The objects in each cell of the box, with their exact positions:
+    /// one run of `extent.1` cells per x, ascending in x and then y, so
+    /// cell `(x, y)` is at `(x - origin.0) * extent.1 + (y - origin.1)`.
+    buckets: Vec<Bucket>,
+    /// The non-empty cells outside the box, which could not grow to
+    /// cover them. The box only grows, so it never covers them later.
+    far_buckets: BTreeMap<Cell, Bucket>,
     stats: GridStats,
 }
 
 impl GridIndex {
     /// Creates an index with square cells of side `cell_size` meters.
     ///
-    /// A good default is the typical query radius (the waiting-time budget
-    /// converted to meters): then a query touches at most nine cells.
+    /// A query reads every cell of its radius's bounding box, so a cell
+    /// the size of the radius makes a query touch at most nine cells;
+    /// smaller cells read more, emptier cells, which suits a caller that
+    /// reads cells nearest first and stops early (the simulator runs
+    /// 2 km cells under an 8.4 km radius, a 9 × 9 box).
     ///
     /// # Panics
     /// Panics if `cell_size` is not strictly positive.
@@ -102,8 +139,13 @@ impl GridIndex {
         assert!(cell_size > 0.0, "cell size must be positive");
         GridIndex {
             cell_size,
-            slots: HashMap::new(),
-            buckets: HashMap::new(),
+            slots: Vec::new(),
+            sparse_slots: BTreeMap::new(),
+            len: 0,
+            origin: (0, 0),
+            extent: (0, 0),
+            buckets: Vec::new(),
+            far_buckets: BTreeMap::new(),
             stats: GridStats::default(),
         }
     }
@@ -115,12 +157,12 @@ impl GridIndex {
 
     /// Number of objects currently indexed.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// True when no objects are indexed.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Maintenance counters.
@@ -141,10 +183,27 @@ impl GridIndex {
     }
 
     /// Inserts a new object or repositions an existing one.
+    ///
+    /// Ids are meant to be slots: small and dense, as the simulator's
+    /// fleet slots are. The id → slot table grows to cover an id up to
+    /// about twice the number of objects indexed; an id beyond that is
+    /// kept in a sorted side map.
     pub fn insert(&mut self, id: u32, pos: Position) {
-        if self.relocate(id, pos).is_none() {
-            self.put(id, pos, self.cell_of(pos));
+        if self.relocate(id, pos).is_some() {
+            return;
         }
+        let i = id as usize;
+        if i >= self.slots.len() && i <= 2 * self.len + 64 {
+            // Grow the table past `id`, taking over the side map's ids
+            // that it now covers.
+            self.slots.resize(i + 1, None);
+            let above = self.sparse_slots.split_off(&(id + 1));
+            for (moved, slot) in std::mem::replace(&mut self.sparse_slots, above) {
+                self.slots[moved as usize] = Some(slot);
+            }
+        }
+        self.len += 1;
+        self.put(id, pos, self.cell_of(pos));
     }
 
     /// Updates the position of an object that is already indexed.
@@ -170,23 +229,63 @@ impl GridIndex {
 
     /// Removes an object; returns its last position if it was present.
     pub fn remove(&mut self, id: u32) -> Option<Position> {
-        let (cell, slot) = self.slots.remove(&id)?;
+        let (cell, slot) = match self.slots.get_mut(id as usize) {
+            Some(entry) => entry.take(),
+            None => self.sparse_slots.remove(&id),
+        }?;
+        self.len -= 1;
         self.take(cell, slot)
     }
 
     /// Exact current position of an object.
     pub fn position(&self, id: u32) -> Option<Position> {
-        let &(cell, slot) = self.slots.get(&id)?;
+        let (cell, slot) = self.slot(id)?;
         self.cell(cell).get(slot).map(|&(_, p)| p)
+    }
+
+    /// Where `id` is indexed: its cell and its slot in that cell's bucket.
+    fn slot(&self, id: u32) -> Option<(Cell, usize)> {
+        match self.slots.get(id as usize) {
+            Some(&entry) => entry,
+            None => self.sparse_slots.get(&id).copied(),
+        }
+    }
+
+    /// Records that `id` is at `slot` of `cell`'s bucket.
+    fn set_slot(&mut self, id: u32, cell: Cell, slot: usize) {
+        match self.slots.get_mut(id as usize) {
+            Some(entry) => *entry = Some((cell, slot)),
+            None => {
+                self.sparse_slots.insert(id, (cell, slot));
+            }
+        }
+    }
+
+    /// The index of `cell`'s bucket, if the box covers it.
+    fn bucket_of(&self, (cx, cy): Cell) -> Option<usize> {
+        let (dx, dy) = (
+            cx.checked_sub(self.origin.0)?,
+            cy.checked_sub(self.origin.1)?,
+        );
+        let inside = (0..self.extent.0).contains(&dx) && (0..self.extent.1).contains(&dy);
+        inside.then(|| (dx * self.extent.1 + dy) as usize)
+    }
+
+    /// `cell`'s bucket, if it has one.
+    fn bucket_mut(&mut self, cell: Cell) -> Option<&mut Bucket> {
+        match self.bucket_of(cell) {
+            Some(b) => Some(&mut self.buckets[b]),
+            None => self.far_buckets.get_mut(&cell),
+        }
     }
 
     /// Moves an indexed object to `pos`: `Some(crossed a cell boundary)`,
     /// or `None` when `id` is not indexed.
     fn relocate(&mut self, id: u32, pos: Position) -> Option<bool> {
-        let &(cell, slot) = self.slots.get(&id)?;
+        let (cell, slot) = self.slot(id)?;
         let new_cell = self.cell_of(pos);
         if new_cell == cell {
-            if let Some(entry) = self.buckets.get_mut(&cell).and_then(|b| b.get_mut(slot)) {
+            if let Some(entry) = self.bucket_mut(cell).and_then(|b| b.get_mut(slot)) {
                 entry.1 = pos;
             }
             return Some(false);
@@ -196,23 +295,64 @@ impl GridIndex {
         Some(true)
     }
 
-    /// Appends `id` to `cell`'s bucket and records its slot.
+    /// Appends `id` to `cell`'s bucket, growing the box to cover `cell`
+    /// first where it may, and records its slot.
     fn put(&mut self, id: u32, pos: Position, cell: Cell) {
-        let bucket = self.buckets.entry(cell).or_default();
-        self.slots.insert(id, (cell, bucket.len()));
+        if self.bucket_of(cell).is_none() {
+            self.cover(cell);
+        }
+        let bucket = match self.bucket_of(cell) {
+            Some(b) => &mut self.buckets[b],
+            None => self.far_buckets.entry(cell).or_default(),
+        };
+        let slot = bucket.len();
         bucket.push((id, pos));
+        self.set_slot(id, cell, slot);
+    }
+
+    /// Grows the box to the smallest one holding both itself and `cell`,
+    /// moving every bucket to its place in the new layout; leaves it as it
+    /// is when that box would span more than [`MAX_BOX_CELLS`].
+    fn cover(&mut self, (cx, cy): Cell) -> Option<()> {
+        let (lo, hi) = if self.buckets.is_empty() {
+            ((cx, cy), (cx, cy))
+        } else {
+            let (x0, y0) = self.origin;
+            let (x1, y1) = (x0 + self.extent.0 - 1, y0 + self.extent.1 - 1);
+            ((x0.min(cx), y0.min(cy)), (x1.max(cx), y1.max(cy)))
+        };
+        let side = |lo: i64, hi: i64| hi.checked_sub(lo)?.checked_add(1);
+        let extent = (side(lo.0, hi.0)?, side(lo.1, hi.1)?);
+        let cells = extent
+            .0
+            .checked_mul(extent.1)
+            .filter(|&n| n <= MAX_BOX_CELLS)?;
+        let mut buckets = Vec::new();
+        buckets.resize_with(cells as usize, Vec::new);
+        let (old_origin, old_extent) = (self.origin, self.extent);
+        for (i, bucket) in std::mem::take(&mut self.buckets).into_iter().enumerate() {
+            let i = i as i64;
+            let x = old_origin.0 + i / old_extent.1 - lo.0;
+            let y = old_origin.1 + i % old_extent.1 - lo.1;
+            buckets[(x * extent.1 + y) as usize] = bucket;
+        }
+        self.origin = lo;
+        self.extent = extent;
+        self.buckets = buckets;
+        Some(())
     }
 
     /// Removes slot `slot` of `cell`'s bucket, re-slotting the entry that
     /// takes its place; returns the removed entry's position.
     fn take(&mut self, cell: Cell, slot: usize) -> Option<Position> {
-        let bucket = self.buckets.get_mut(&cell)?;
+        let bucket = self.bucket_mut(cell)?;
         let (_, pos) = bucket.swap_remove(slot);
-        if let Some(&(moved, _)) = bucket.get(slot) {
-            self.slots.insert(moved, (cell, slot));
+        let (moved, emptied) = (bucket.get(slot).map(|&(id, _)| id), bucket.is_empty());
+        if let Some(moved) = moved {
+            self.set_slot(moved, cell, slot);
         }
-        if bucket.is_empty() {
-            self.buckets.remove(&cell);
+        if emptied {
+            self.far_buckets.remove(&cell);
         }
         Some(pos)
     }
@@ -232,13 +372,9 @@ impl GridIndex {
     pub fn query_radius_into(&mut self, center: Position, radius: f64, out: &mut Vec<u32>) {
         self.stats.queries += 1;
         out.clear();
-        let (min_cell, max_cell) = self.cell_box(center, radius);
-        for cx in min_cell.0..=max_cell.0 {
-            for cy in min_cell.1..=max_cell.1 {
-                let inside = self
-                    .cell((cx, cy))
-                    .iter()
-                    .filter(|(_, p)| p.within(center, radius));
+        for (_, _, run) in self.box_runs(center, radius) {
+            for bucket in run {
+                let inside = bucket.iter().filter(|(_, p)| p.within(center, radius));
                 out.extend(inside.map(|&(id, _)| id));
             }
         }
@@ -246,13 +382,30 @@ impl GridIndex {
         self.stats.candidates_returned += out.len() as u64;
     }
 
-    /// The cells a radius query visits: the bounding box of the disc.
-    fn cell_box(&self, center: Position, radius: f64) -> (Cell, Cell) {
+    /// The cells a radius query visits: the bounding box of the disc,
+    /// clipped to the box of cells in use (nothing when the two do not
+    /// meet), as one run of consecutive buckets per x: `(x, first y, run)`;
+    /// then each side-map cell inside the disc's box as a run of one.
+    fn box_runs(&self, center: Position, radius: f64) -> impl Iterator<Item = Run<'_>> + '_ {
         let r = radius.max(0.0);
-        (
-            self.cell_of(Position::new(center.x - r, center.y - r)),
-            self.cell_of(Position::new(center.x + r, center.y + r)),
-        )
+        let lo = self.cell_of(Position::new(center.x - r, center.y - r));
+        let hi = self.cell_of(Position::new(center.x + r, center.y + r));
+        let ((x0, y0), (w, h)) = (self.origin, self.extent);
+        let ys = lo.1.max(y0)..=hi.1.min(y0 + h - 1);
+        let (y, len) = (*ys.start(), ys.count());
+        let xs = lo.0.max(x0)..=hi.0.min(x0 + w - 1);
+        let boxed = xs.filter(move |_| len > 0).map(move |x| {
+            let first = ((x - x0) * h + (y - y0)) as usize;
+            (x, y, &self.buckets[first..first + len])
+        });
+        // `floor` and the saturating cast keep `lo <= hi`, which `range`
+        // requires.
+        let far = self
+            .far_buckets
+            .range((lo.0, i64::MIN)..=(hi.0, i64::MAX))
+            .filter(move |((_, y), _)| (lo.1..=hi.1).contains(y))
+            .map(|(&(x, y), bucket)| (x, y, std::slice::from_ref(bucket)));
+        boxed.chain(far)
     }
 
     /// The same radius query as [`GridIndex::query_radius`], answered cell
@@ -277,15 +430,13 @@ impl GridIndex {
         self.stats.queries += 1;
         out.clear();
         let r = radius.max(0.0);
-        let (min_cell, max_cell) = self.cell_box(center, radius);
         let mut count = 0;
-        for cx in min_cell.0..=max_cell.0 {
-            for cy in min_cell.1..=max_cell.1 {
-                let bucket = self.cell((cx, cy));
+        for (x, first_y, run) in self.box_runs(center, radius) {
+            for (y, bucket) in (first_y..).zip(run) {
                 if bucket.is_empty() {
                     continue;
                 }
-                let (near, far) = self.cell_span((cx, cy), center);
+                let (near, far) = self.cell_span((x, y), center);
                 if near > r {
                     continue;
                 }
@@ -297,7 +448,7 @@ impl GridIndex {
                         .filter(|(_, p)| p.within(center, radius))
                         .count()
                 };
-                out.push((near, (cx, cy)));
+                out.push((near, (x, y)));
             }
         }
         out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -315,8 +466,9 @@ impl GridIndex {
         let (x1, y1) = (x0 + s, y0 + s);
         let gap = |c: f64, lo: f64, hi: f64| (lo - c).max(c - hi).max(0.0);
         let reach = |c: f64, lo: f64, hi: f64| (c - lo).max(hi - c);
-        let near = gap(center.x, x0, x1).hypot(gap(center.y, y0, y1));
-        let far = reach(center.x, x0, x1).hypot(reach(center.y, y0, y1));
+        let norm = |x: f64, y: f64| (x * x + y * y).sqrt();
+        let near = norm(gap(center.x, x0, x1), gap(center.y, y0, y1));
+        let far = norm(reach(center.x, x0, x1), reach(center.y, y0, y1));
         let margin = 1e-9 * (center.x.abs() + center.y.abs() + x0.abs() + y0.abs() + 2.0 * s);
         ((near - margin).max(0.0), far + margin)
     }
@@ -324,7 +476,10 @@ impl GridIndex {
     /// The objects in `cell` with their exact positions, in no particular
     /// order; empty for a cell that holds none.
     pub fn cell(&self, cell: Cell) -> &[(u32, Position)] {
-        self.buckets.get(&cell).map_or(&[], Vec::as_slice)
+        match self.bucket_of(cell) {
+            Some(b) => &self.buckets[b],
+            None => self.far_buckets.get(&cell).map_or(&[], Vec::as_slice),
+        }
     }
 
     /// Folds one request's candidate-screening counts into the statistics.
@@ -347,9 +502,15 @@ impl GridIndex {
         self.stats.evaluated += evaluated;
     }
 
-    /// Iterates over all `(id, position)` pairs in arbitrary order.
+    /// Iterates over all `(id, position)` pairs: the box's cells ascending
+    /// in x and then y, then the side map's the same way, and each cell's
+    /// objects in bucket order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Position)> + '_ {
-        self.buckets.values().flatten().copied()
+        self.buckets
+            .iter()
+            .chain(self.far_buckets.values())
+            .flatten()
+            .copied()
     }
 }
 
@@ -510,6 +671,90 @@ mod tests {
         all.sort_by_key(|&(id, _)| id);
         assert_eq!(all.len(), idx.len());
         assert_eq!(all[0], (2, Position::new(250.0, 0.0)));
+    }
+
+    #[test]
+    fn sparse_ids_and_a_cell_emptied_by_remove_and_refilled_by_update() {
+        let mut idx = GridIndex::new(100.0);
+        idx.insert(0, Position::new(10.0, 10.0));
+        idx.insert(1_000, Position::new(-250.0, 420.0));
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.position(1_000), Some(Position::new(-250.0, 420.0)));
+        assert_eq!(idx.position(500), None);
+        assert_eq!(idx.remove(500), None);
+        assert_eq!(idx.remove(7_000), None);
+        // Cell (0, 0) empties...
+        assert_eq!(idx.remove(0), Some(Position::new(10.0, 10.0)));
+        assert_eq!(idx.len(), 1);
+        assert!(idx.cell((0, 0)).is_empty());
+        assert!(idx
+            .query_radius(Position::new(50.0, 50.0), 100.0)
+            .is_empty());
+        // ...and an update from another cell refills it.
+        assert!(idx.update(1_000, Position::new(60.0, 70.0)));
+        assert_eq!(idx.cell((0, 0)), &[(1_000, Position::new(60.0, 70.0))]);
+        assert!(idx.cell((-3, 4)).is_empty());
+        // Re-inserting id 0 far away grows the box; nothing moves.
+        idx.insert(0, Position::new(900.0, -900.0));
+        assert_eq!(idx.len(), 2);
+        assert_eq!(
+            idx.query_radius(Position::new(50.0, 50.0), 100.0),
+            vec![1_000]
+        );
+        assert_eq!(idx.query_radius(Position::new(900.0, -900.0), 1.0), vec![0]);
+        // Iteration is in cell order: (0, 0) before (9, -9).
+        assert_eq!(
+            idx.iter().collect::<Vec<_>>(),
+            vec![
+                (1_000, Position::new(60.0, 70.0)),
+                (0, Position::new(900.0, -900.0))
+            ]
+        );
+        // The largest id costs no memory, and a table grown past a far id
+        // by many dense ones takes it over where it stands.
+        idx.insert(u32::MAX, Position::new(5.0, 5.0));
+        for id in (1..1_100).filter(|&id| id != 1_000) {
+            idx.insert(id, Position::new(500.0, 500.0));
+        }
+        assert_eq!(idx.len(), 1_101);
+        assert_eq!(idx.position(1_000), Some(Position::new(60.0, 70.0)));
+        assert!(!idx.update(1_000, Position::new(61.0, 71.0)));
+        assert_eq!(
+            idx.query_radius(Position::new(50.0, 50.0), 100.0),
+            vec![1_000, u32::MAX]
+        );
+        assert_eq!(idx.remove(u32::MAX), Some(Position::new(5.0, 5.0)));
+        assert_eq!(idx.remove(1_000), Some(Position::new(61.0, 71.0)));
+        assert_eq!(idx.remove(1_000), None);
+        assert_eq!(idx.len(), 1_099);
+    }
+
+    #[test]
+    fn far_flung_positions_go_to_the_side_map_and_stay_exact() {
+        // A 1 m grid over a 2,000 km span would need 4·10¹² buckets.
+        let mut idx = GridIndex::new(1.0);
+        idx.insert(0, Position::new(0.5, 0.5));
+        idx.insert(1, Position::new(2e6, 2e6));
+        idx.insert(2, Position::new(2e6 + 0.25, 2e6));
+        idx.insert(3, Position::new(f64::INFINITY, -1e300));
+        assert!(idx.buckets.len() as i64 <= MAX_BOX_CELLS);
+        assert_eq!(idx.len(), 4);
+        let far = Position::new(2e6 + 0.1, 2e6);
+        assert_eq!(idx.query_radius(far, 0.5), vec![1, 2]);
+        assert_eq!(by_cells(&mut idx, far, 0.5), (2, vec![1, 2]));
+        assert_eq!(idx.query_radius(Position::new(0.0, 0.0), 1.0), vec![0]);
+        // Within a far cell, across far cells, and back into the box.
+        assert!(!idx.update(2, Position::new(2e6 + 0.75, 2e6 + 0.5)));
+        assert!(idx.update(1, Position::new(2e6 + 5.0, 2e6)));
+        assert_eq!(idx.query_radius(far, 1.0), vec![2]);
+        assert!(idx.update(2, Position::new(0.25, 0.75)));
+        assert_eq!(idx.query_radius(Position::new(0.5, 0.5), 1.0), vec![0, 2]);
+        assert!(idx.cell((2_000_000, 2_000_000)).is_empty());
+        assert_eq!(idx.remove(1), Some(Position::new(2e6 + 5.0, 2e6)));
+        let mut all: Vec<u32> = idx.iter().map(|(id, _)| id).collect();
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 2, 3]);
+        assert_eq!(idx.far_buckets.len(), 1, "emptied far cells are dropped");
     }
 
     #[test]

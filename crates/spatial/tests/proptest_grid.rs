@@ -24,7 +24,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// After an arbitrary sequence of inserts/updates/removes, radius
-    /// queries return exactly the objects a brute-force scan finds.
+    /// queries return exactly the objects a brute-force scan finds: around
+    /// a centre among the objects, and around one outside every cell in
+    /// use, whose disc may or may not reach back in.
     #[test]
     fn index_matches_brute_force(
         ops in prop::collection::vec(op_strategy(), 1..120),
@@ -32,6 +34,7 @@ proptest! {
         qx in -5_000.0f64..5_000.0,
         qy in -5_000.0f64..5_000.0,
         radius in 0.0f64..6_000.0,
+        far in (8_001.0f64..12_000.0, -5_000.0f64..5_000.0, 0u32..4),
     ) {
         let mut idx = GridIndex::new(cell);
         let mut truth: std::collections::HashMap<u32, Position> = std::collections::HashMap::new();
@@ -55,15 +58,25 @@ proptest! {
             }
             prop_assert_eq!(idx.len(), truth.len());
         }
-        let centre = Position::new(qx, qy);
-        let got = idx.query_radius(centre, radius);
-        let mut want: Vec<u32> = truth
-            .iter()
-            .filter(|(_, p)| p.distance(&centre) <= radius)
-            .map(|(&id, _)| id)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        // Cells are under 3 km, so a centre 8 km past the objects' square
+        // lies in no cell they used.
+        let (off, along, side) = far;
+        let outside = match side {
+            0 => Position::new(off, along),
+            1 => Position::new(-off, along),
+            2 => Position::new(along, off),
+            _ => Position::new(along, -off),
+        };
+        for centre in [Position::new(qx, qy), outside] {
+            let got = idx.query_radius(centre, radius);
+            let mut want: Vec<u32> = truth
+                .iter()
+                .filter(|(_, p)| p.distance(&centre) <= radius)
+                .map(|(&id, _)| id)
+                .collect();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
+        }
     }
 
     /// `cells_by_distance` is `query_radius` answered cell by cell: the
