@@ -51,10 +51,9 @@ run ./check-smoke-digests.sh target/bench-smoke.txt
 # bench-smoke: hub-label builds must match Dijkstra ground truth — in
 # distance, and in the vertex sequence of every path unpacked straight
 # from the labels (HubLabels::path, not the oracle that would fall back
-# to Dijkstra) — be bit-identical across worker counts and round-trip
-# through the on-disk format; a distance miss through the oracle (one
-# label scanned against the other's, kept spread by hub rank) must equal
-# the label merge bit for bit; build time, the cost of a label unpack and
+# to Dijkstra) — and round-trip through the on-disk format; a distance
+# miss through the oracle (one label scanned against the other's, kept
+# spread by hub rank) must equal the label merge bit for bit; build time, the cost of a label unpack and
 # of the Dijkstra it replaced, and of a distance miss (endpoints that
 # never repeat, and runs sharing one) beside the merge, are recorded, not
 # gated (timing ratios sit on their threshold on small shared runners;

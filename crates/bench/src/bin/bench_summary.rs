@@ -16,11 +16,9 @@
 //!   path unpacked from the labels (with its mean hop count, so the cost
 //!   per hop can be read off) beside the point-to-point Dijkstra it
 //!   replaced, on 20×20, 40×40 and 80×80 grids plus the ring-radial city
-//!   preset; the sequential and four-worker builds' times where the
-//!   parallel-identity gate runs (20×20, 40×40); and the label
-//!   persistence round-trip. Pass `--paper-build` to additionally run the
-//!   ≥100k-vertex paper-scale build (minutes) and record it as the
-//!   headline entry.
+//!   preset; and the label persistence round-trip. Pass `--paper-build`
+//!   to additionally run the ≥100k-vertex paper-scale build (minutes) and
+//!   record it as the headline entry.
 //! * `BENCH_mip.json` — MIP-matcher solve time versus trips on board
 //!   (1/2/3/4) for the sparse revised-simplex solver and the frozen dense
 //!   tableau baseline ([`rideshare_bench::baseline::dense_mip`]), each
@@ -40,7 +38,6 @@
 //!   hide a broken chain behind their Dijkstra arm; this gate does not);
 //! * the edge weights along a sampled unpacked path do not sum to the
 //!   label distance bit for bit (on the 2⁻¹⁶ m grid such sums are exact);
-//! * a parallel label build is not bit-identical to the sequential build;
 //! * the persistence round-trip does not reproduce the labels;
 //! * the sparse MIP solver disagrees with the dense baseline on any
 //!   instance (objective mismatch or an invalid decoded schedule), or is
@@ -63,7 +60,6 @@ use roadnet::{
     CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, HubLabels, NetworkKind, NodeId,
     RoadNetwork, ShortestPathEngine,
 };
-use workpool::WorkPool;
 
 /// One benchmarked hub-label network preset.
 struct HubLabelPoint {
@@ -86,15 +82,7 @@ struct HubLabelPoint {
     spread_exact: bool,
     paths_exact: bool,
     path_weight_exact: bool,
-    parallel: Option<ParallelPoint>,
     persist: Option<PersistPoint>,
-}
-
-/// The parallel-identity gate's two builds, timed: the worker-count sweep.
-struct ParallelPoint {
-    identical: bool,
-    build_ms_sequential: f64,
-    build_ms_workers4: f64,
 }
 
 struct PersistPoint {
@@ -274,12 +262,11 @@ fn cache_ns(graph: &RoadNetwork, labels: &HubLabels, queries: &[(NodeId, NodeId)
 }
 
 /// Benchmarks one network preset: timed build, exactness, query latency,
-/// and (optionally) the parallel-identity and persistence gates.
+/// and (optionally) the persistence gate.
 fn hublabel_point(
     name: &str,
     graph: &RoadNetwork,
     exact_pairs: usize,
-    check_parallel: bool,
     check_persist: bool,
 ) -> HubLabelPoint {
     eprintln!(
@@ -292,20 +279,6 @@ fn hublabel_point(
     let build_ms = timer.elapsed().as_secs_f64() * 1e3;
     let [exact, paths_exact, path_weight_exact] = exact_vs_dijkstra(graph, &labels, exact_pairs);
     let dijkstra = DijkstraEngine::new(graph);
-    let parallel = check_parallel.then(|| {
-        let pool = WorkPool::new(4);
-        let timer = Instant::now();
-        let pooled = HubLabels::build_with_pool(graph, &pool);
-        let build_ms_workers4 = timer.elapsed().as_secs_f64() * 1e3;
-        let timer = Instant::now();
-        let sequential = HubLabels::build_sequential(graph);
-        let build_ms_sequential = timer.elapsed().as_secs_f64() * 1e3;
-        ParallelPoint {
-            identical: pooled == sequential,
-            build_ms_sequential,
-            build_ms_workers4,
-        }
-    });
     let persist = check_persist.then(|| {
         let path = std::env::temp_dir().join(format!("bench_hublabel_{name}.hlbl"));
         let timer = Instant::now();
@@ -355,7 +328,6 @@ fn hublabel_point(
         spread_exact: random_exact && shared_exact,
         paths_exact,
         path_weight_exact,
-        parallel,
         persist,
     }
 }
@@ -570,20 +542,18 @@ fn main() {
         "grid-20x20",
         &grid_network(20, seed),
         400,
-        true,
         false,
     ));
     let grid40 = grid_network(40, seed);
-    points.push(hublabel_point("grid-40x40", &grid40, 400, true, true));
+    points.push(hublabel_point("grid-40x40", &grid40, 400, true));
     points.push(hublabel_point(
         "grid-80x80",
         &grid_network(80, seed),
         120,
         false,
-        false,
     ));
     let (ring, _) = CityConfig::ring_city().build(seed);
-    points.push(hublabel_point("ring-city", &ring, 200, false, false));
+    points.push(hublabel_point("ring-city", &ring, 200, false));
     if paper_build {
         eprintln!("hublabel: building paper-scale network (this takes minutes)...");
         let timer = Instant::now();
@@ -594,13 +564,7 @@ fn main() {
             paper_net.edge_count(),
             timer.elapsed().as_secs_f64()
         );
-        points.push(hublabel_point(
-            "paper-shanghai-scale",
-            &paper_net,
-            12,
-            false,
-            true,
-        ));
+        points.push(hublabel_point("paper-shanghai-scale", &paper_net, 12, true));
     }
 
     for p in &points {
@@ -608,7 +572,7 @@ fn main() {
             "{:<22} n={:<7} build {:>10.1} ms  mean label {:>6.1}  query {:>7.1} ns  \
              miss {:>7.1} ns (shared endpoint {:>6.1} ns)  \
              hit {:>5.1} ns  full-cache miss {:>7.1} ns  \
-             path {:>8.1} ns / {:>5.1} hops (dijkstra {:>10.1} ns)  exact {}  spread {}  paths {}  par-id {:?}",
+             path {:>8.1} ns / {:>5.1} hops (dijkstra {:>10.1} ns)  exact {}  spread {}  paths {}",
             p.name,
             p.nodes,
             p.build_ms,
@@ -624,23 +588,19 @@ fn main() {
             p.exact,
             p.spread_exact,
             p.paths_exact,
-            p.parallel.as_ref().map(|q| q.identical)
         );
     }
     let exact_ok = points.iter().all(|p| p.exact);
     let spread_ok = points.iter().all(|p| p.spread_exact);
     let paths_ok = points.iter().all(|p| p.paths_exact);
     let path_weight_ok = points.iter().all(|p| p.path_weight_exact);
-    let parallel_ok = points
-        .iter()
-        .all(|p| p.parallel.as_ref().is_none_or(|q| q.identical));
     let persist_ok = points
         .iter()
         .all(|p| p.persist.as_ref().is_none_or(|q| q.roundtrip_identical));
 
     let mut hl_json = String::new();
     hl_json.push_str("{\n");
-    hl_json.push_str("  \"schema\": \"bench_hublabel/v1\",\n");
+    hl_json.push_str("  \"schema\": \"bench_hublabel/v2\",\n");
     hl_json.push_str(&format!("  \"seed\": {seed},\n"));
     hl_json.push_str(&format!("  \"hardware_threads\": {threads},\n"));
     hl_json.push_str("  \"networks\": [\n");
@@ -652,7 +612,7 @@ fn main() {
              \"hit_ns\": {:.1}, \"full_cache_miss_ns\": {:.1}, \
              \"path_ns\": {:.1}, \"path_hops_mean\": {:.2}, \"dijkstra_path_ns\": {:.1}, \
              \"exact\": {}, \"spread_exact\": {}, \"paths_exact\": {}, \
-             \"path_weight_exact\": {}, {}, \"persist\": {}}}{}\n",
+             \"path_weight_exact\": {}, \"persist\": {}}}{}\n",
             json_escape_free(&p.name),
             p.nodes,
             p.edges,
@@ -671,14 +631,6 @@ fn main() {
             p.spread_exact,
             p.paths_exact,
             p.path_weight_exact,
-            p.parallel.as_ref().map_or(
-                "\"parallel_identical\": null".to_string(),
-                |q| format!(
-                    "\"parallel_identical\": {}, \"build_ms_sequential\": {:.3}, \
-                     \"build_ms_workers4\": {:.3}",
-                    q.identical, q.build_ms_sequential, q.build_ms_workers4
-                )
-            ),
             p.persist.as_ref().map_or("null".to_string(), |q| format!(
                 "{{\"bytes\": {}, \"save_ms\": {:.3}, \"load_ms\": {:.3}, \"roundtrip_identical\": {}}}",
                 q.bytes, q.save_ms, q.load_ms, q.roundtrip_identical
@@ -690,7 +642,6 @@ fn main() {
     hl_json.push_str(&format!(
         "  \"gates\": {{\"exact\": {exact_ok}, \"spread_exact\": {spread_ok}, \
          \"paths_exact\": {paths_ok}, \"path_weight_exact\": {path_weight_ok}, \
-         \"parallel_identical\": {parallel_ok}, \
          \"persist_roundtrip\": {persist_ok}}}\n"
     ));
     hl_json.push_str("}\n");
@@ -767,10 +718,6 @@ fn main() {
     }
     if !path_weight_ok {
         eprintln!("FAIL: edge weights along an unpacked path did not sum to the label distance");
-        failed = true;
-    }
-    if !parallel_ok {
-        eprintln!("FAIL: parallel hub-label build is not bit-identical to sequential");
         failed = true;
     }
     if !persist_ok {

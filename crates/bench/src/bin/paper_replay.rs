@@ -85,51 +85,31 @@ fn parse_args() -> Result<Args, String> {
         min_trips_per_sec: None,
         max_evaluated_fraction: None,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" if i + 1 < argv.len() => {
-                args.scale = Scale::parse(&argv[i + 1])
-                    .ok_or_else(|| format!("unknown scale {:?}", argv[i + 1]))?;
-                i += 1;
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--scale" => {
+                let v = value()?;
+                args.scale = Scale::parse(&v).ok_or_else(|| {
+                    format!("--scale: unknown scale {v:?} (expected smoke, quick or paper)")
+                })?;
             }
-            "--seed" if i + 1 < argv.len() => {
-                args.seed = parse_num("--seed", &argv[i + 1])?;
-                i += 1;
+            "--seed" => args.seed = parse_num("--seed", &value()?)?,
+            "--max-trips" => args.max_trips = Some(parse_num("--max-trips", &value()?)?),
+            "--fleet" => args.fleet = Some(parse_num("--fleet", &value()?)?),
+            "--out" => args.out = value()?,
+            "--checkpoint" => args.checkpoint = Some(value()?),
+            "--checkpoint-every" => {
+                args.checkpoint_every = parse_num("--checkpoint-every", &value()?)?
             }
-            "--max-trips" if i + 1 < argv.len() => {
-                args.max_trips = Some(parse_num("--max-trips", &argv[i + 1])?);
-                i += 1;
+            "--batch-window" => args.batch_window = parse_num("--batch-window", &value()?)?,
+            "--min-trips-per-sec" => {
+                args.min_trips_per_sec = Some(parse_num("--min-trips-per-sec", &value()?)?)
             }
-            "--fleet" if i + 1 < argv.len() => {
-                args.fleet = Some(parse_num("--fleet", &argv[i + 1])?);
-                i += 1;
-            }
-            "--out" if i + 1 < argv.len() => {
-                args.out = argv[i + 1].clone();
-                i += 1;
-            }
-            "--checkpoint" if i + 1 < argv.len() => {
-                args.checkpoint = Some(argv[i + 1].clone());
-                i += 1;
-            }
-            "--checkpoint-every" if i + 1 < argv.len() => {
-                args.checkpoint_every = parse_num("--checkpoint-every", &argv[i + 1])?;
-                i += 1;
-            }
-            "--batch-window" if i + 1 < argv.len() => {
-                args.batch_window = parse_num("--batch-window", &argv[i + 1])?;
-                i += 1;
-            }
-            "--min-trips-per-sec" if i + 1 < argv.len() => {
-                args.min_trips_per_sec = Some(parse_num("--min-trips-per-sec", &argv[i + 1])?);
-                i += 1;
-            }
-            "--max-evaluated-fraction" if i + 1 < argv.len() => {
+            "--max-evaluated-fraction" => {
                 args.max_evaluated_fraction =
-                    Some(parse_num("--max-evaluated-fraction", &argv[i + 1])?);
-                i += 1;
+                    Some(parse_num("--max-evaluated-fraction", &value()?)?)
             }
             "--fresh" => args.fresh = true,
             "--require-reloaded" => args.require_reloaded = true,
@@ -137,7 +117,7 @@ fn parse_args() -> Result<Args, String> {
             "--verify-pruning" => args.verify_pruning = true,
             other => {
                 return Err(format!(
-                    "unknown argument {other:?} (expected --scale smoke|quick|paper, --seed N, \
+                    "{other}: unknown flag (expected --scale smoke|quick|paper, --seed N, \
                      --max-trips N, --fleet N, --out PATH, --checkpoint PATH, \
                      --checkpoint-every N, --batch-window SECONDS, --min-trips-per-sec X, \
                      --max-evaluated-fraction X, --fresh, --require-reloaded, \
@@ -145,7 +125,6 @@ fn parse_args() -> Result<Args, String> {
                 ))
             }
         }
-        i += 1;
     }
     // Refused, not clamped: every comparison with NaN is false, so a NaN
     // floor or cap would pass every run, and a clamped value is a run

@@ -111,7 +111,7 @@ impl Args {
                 "--seed" => args.seed = parse_num(&flag, &value(&flag)?)?,
                 "--out" => args.out = value("--out")?,
                 "-h" | "--help" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
+                other => return Err(format!("{other}: unknown flag\n\n{USAGE}")),
             }
         }
         if args.start_rate > args.max_rate {

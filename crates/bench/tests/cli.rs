@@ -1,10 +1,11 @@
 //! `paper_replay` and `serve_sweep` refuse numbers they would otherwise
 //! clamp, that would make a gate pass on every run (a NaN floor or cap:
 //! every comparison with NaN is false) or that would never end a run:
-//! each exits non-zero with the flag named on stderr. `chaos_smoke`,
-//! `bench_summary` and the figure binaries exit 2 the same way on an
-//! unknown flag, a flag without its value and a value that does not parse
-//! (a `--scale` or `--seed`), and the figure binaries also on a `--panel`
+//! each exits non-zero with the flag named on stderr. Every binary here
+//! exits 2 the same way on an unknown flag, and `paper_replay`,
+//! `chaos_smoke`, `bench_summary` and the figure binaries on a flag without
+//! its value and a value that does not parse (a `--scale` or `--seed`);
+//! the figure binaries also on a `--panel`
 //! they do not draw, which would otherwise run nothing and exit 0.
 //! Arguments are parsed before the workload or any labels are built, so
 //! every case returns at once.
@@ -84,7 +85,18 @@ fn serve_sweep_refuses_bad_numbers_by_flag_name() {
             &["--max-queue-wait", "nan"],
             &["--max-queue-wait", "0"],
             &["--start-rate", "8", "--max-rate", "4"],
+            &["--bogus"],
         ],
+    );
+}
+
+#[test]
+fn paper_replay_refuses_bad_arguments_by_flag_name() {
+    refused_by_flag_name(
+        env!("CARGO_BIN_EXE_paper_replay"),
+        Some("--out"),
+        "paper_replay",
+        &[&["--bogus"], &["--seed"], &["--scale", "huge"]],
     );
 }
 

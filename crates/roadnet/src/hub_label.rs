@@ -8,12 +8,9 @@
 //! We implement pruned landmark labeling over the contraction-hierarchy
 //! style vertex ordering from [`crate::contraction`], which finds small
 //! separators and keeps both label sizes and build time near-linear on
-//! road-like networks. Construction runs pruned Dijkstras over the ordering
-//! in *rank batches*: each batch of consecutive roots is searched in
-//! parallel on a [`workpool::WorkPool`] against the frozen labels of all
-//! earlier batches, then merged sequentially in rank order with the exact sequential pruning
-//! test re-applied — so the resulting labels are bit-identical to a
-//! sequential build at any worker count (property-tested).
+//! road-like networks. Construction runs one pruned Dijkstra per vertex in
+//! rank order, each pruning against the labels of every earlier rank and
+//! writing its entries straight into the labels it reaches.
 //!
 //! Finished labels live in a CSR-style arena: one contiguous
 //! [`LabelEntry`] slice plus per-vertex offsets. That removes per-vertex
@@ -46,9 +43,6 @@ pub mod persist;
 
 use std::collections::BinaryHeap;
 use std::path::Path;
-use std::sync::Mutex;
-
-use workpool::WorkPool;
 
 use crate::contraction::ContractionOrder;
 use crate::error::RoadNetError;
@@ -84,91 +78,22 @@ pub struct HubLabels {
 }
 
 impl HubLabels {
-    /// Builds labels, fanning the construction out over a work pool sized
-    /// to the machine.
+    /// Builds labels: one pruned Dijkstra per vertex, in
+    /// [`ContractionOrder`] order.
     pub fn build(graph: &RoadNetwork) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::build_with_pool(graph, &WorkPool::new(workers))
-    }
-
-    /// Reference single-threaded build (batch size 1, no merge filter).
-    /// [`HubLabels::build_with_pool`] at any worker count produces labels
-    /// bit-identical to this; tests and the CI bench gate rely on that.
-    pub fn build_sequential(graph: &RoadNetwork) -> Self {
-        Self::build_with_pool(graph, &WorkPool::new(1))
-    }
-
-    /// Builds labels on an explicit work pool.
-    ///
-    /// Construction walks the [`ContractionOrder`] in batches of consecutive
-    /// ranks (batch size scales with the pool's worker count; one worker
-    /// means batch size 1, i.e. the plain sequential algorithm). Workers run
-    /// pruned Dijkstras against the frozen labels of earlier batches;
-    /// because in-batch roots cannot see each other's labels, workers may
-    /// produce entries the sequential algorithm would have pruned, so the
-    /// sequential merge step re-applies the exact pruning test in rank
-    /// order before committing each entry. The committed label set is
-    /// therefore identical to the sequential build's regardless of worker
-    /// count or batch boundaries.
-    pub fn build_with_pool(graph: &RoadNetwork, pool: &WorkPool) -> Self {
         let order = ContractionOrder::compute(graph).order().to_vec();
-        Self::build_in_order(graph, order, pool)
+        Self::build_in_order(graph, order)
     }
 
     /// Builds labels over an arbitrary vertex order (`order[rank]` is the
     /// vertex of that rank). Exact for any permutation; only label size
     /// depends on the order.
-    fn build_in_order(graph: &RoadNetwork, order: Vec<NodeId>, pool: &WorkPool) -> Self {
+    fn build_in_order(graph: &RoadNetwork, order: Vec<NodeId>) -> Self {
         let n = graph.node_count();
-        let batch_size = if pool.workers() == 1 {
-            1
-        } else {
-            pool.workers() * 4
-        };
         let mut labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
-        // Per-worker-slot scratch, reused across batches; slots are indexed
-        // by chunk id, which map_chunks guarantees are unique per call, so
-        // the mutexes are never contended.
-        let scratch: Vec<Mutex<SearchScratch>> = (0..pool.workers())
-            .map(|_| Mutex::new(SearchScratch::new(n)))
-            .collect();
-
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch_size).min(n);
-            let roots = &order[start..end];
-            // Parallel phase: one pruned Dijkstra per root against the
-            // frozen labels (ranks < start).
-            let chunk_results: Vec<Vec<Vec<Candidate>>> =
-                pool.map_chunks(roots, |chunk_idx, _range, chunk| {
-                    let mut scratch = scratch[chunk_idx]
-                        .lock()
-                        .expect("scratch slot never poisoned");
-                    chunk
-                        .iter()
-                        .map(|&root| pruned_dijkstra(graph, &labels, root, &mut scratch))
-                        .collect()
-                });
-            // Merge phase: commit candidates in rank order, re-applying the
-            // pruning test against the labels committed so far. The first
-            // root of the batch saw a complete prune set already, so its
-            // candidates are committed unfiltered.
-            for (rank, candidates) in (start..).zip(chunk_results.into_iter().flatten()) {
-                let root = order[rank] as usize;
-                let is_first_in_batch = rank == start;
-                for Candidate { node, parent, dist } in candidates {
-                    let keep = is_first_in_batch
-                        || query_labels(&labels[root], &labels[node as usize]) > dist;
-                    if keep {
-                        labels[node as usize].push(LabelEntry {
-                            hub_rank: rank as u32,
-                            parent,
-                            dist,
-                        });
-                    }
-                }
-            }
-            start = end;
+        let mut scratch = SearchScratch::new(n);
+        for (rank, &root) in order.iter().enumerate() {
+            pruned_dijkstra(graph, &mut labels, rank as u32, root, &mut scratch);
         }
 
         // Labels are appended in increasing rank order by construction, so
@@ -180,9 +105,7 @@ impl HubLabels {
         // the same hub, nearer to it (no farther, across a zero-weight edge
         // — where the walk, which insists on progress, declines). It holds
         // because a pruned vertex relaxes nothing, so every labelled vertex
-        // was reached from a labelled one — and the merge filter drops a
-        // vertex along with its tree parent (what certifies the parent's
-        // distance certifies that of the child reached through it).
+        // was reached from a labelled one.
         debug_assert!(labels.iter().enumerate().all(|(v, label)| {
             label.iter().all(|e| {
                 if e.parent as usize == v {
@@ -317,7 +240,7 @@ impl HubLabels {
     /// # Examples
     ///
     /// Build once, persist, and reload for later runs — the round-trip is
-    /// bit-identical, which is what lets a paper-scale index (≈90 s to
+    /// bit-identical, which is what lets a paper-scale index (≈75 s to
     /// build) boot from disk in seconds instead:
     ///
     /// ```
@@ -391,25 +314,14 @@ impl ShortestPathEngine for HubLabels {
     }
 }
 
-/// One label entry a pruned Dijkstra proposes for `node`, with the hub
-/// implied by the search root.
-struct Candidate {
-    node: NodeId,
-    /// Predecessor of `node` in the search tree: its next hop to the root.
-    parent: NodeId,
-    dist: Weight,
-}
-
-/// Reusable pruned-Dijkstra scratch: tentative distances and tree parents
-/// plus a processed-once mark, reset via the touched list in O(search
-/// size) (parents need no reset: one is written whenever a distance
-/// is), and the root's label spread into a dense by-rank array so the
-/// pruning test is a linear scan of the visited vertex's label with O(1)
-/// lookups.
+/// Reusable pruned-Dijkstra scratch: tentative distances and tree parents,
+/// reset via the touched list in O(search size) (parents need no reset:
+/// one is written whenever a distance is), and the root's label spread
+/// into a dense by-rank array so the pruning test is a linear scan of the
+/// visited vertex's label with O(1) lookups.
 struct SearchScratch {
     dist: Vec<Weight>,
     parent: Vec<NodeId>,
-    done: Vec<bool>,
     touched: Vec<NodeId>,
     root_dist_by_rank: Vec<Weight>,
 }
@@ -419,7 +331,6 @@ impl SearchScratch {
         SearchScratch {
             dist: vec![INFINITY; n],
             parent: vec![0; n],
-            done: vec![false; n],
             touched: Vec::new(),
             root_dist_by_rank: vec![INFINITY; n],
         }
@@ -457,28 +368,28 @@ fn certified(root_dist_by_rank: &[Weight], label_v: &[LabelEntry], d: Weight) ->
     false
 }
 
-/// One pruned Dijkstra from `root`, pruning against the frozen `labels`.
-/// Returns the candidate label entries in visitation order. Matches the
-/// sequential algorithm exactly when `labels` holds every rank below the
-/// root's (the `done` mark reproduces the sequential dedup of
-/// equal-distance duplicates, which there falls out of the just-added
-/// label).
+/// One pruned Dijkstra from `root`, the vertex of `rank`, appending an
+/// entry for that hub to the label of every vertex it settles and does not
+/// prune. `labels` must hold every rank below `rank` and none above.
+///
+/// A vertex is settled once: distances only fall strictly and a pop never
+/// precedes a cheaper one, so every heap entry but the one a vertex is
+/// settled by is stale. Its own new entry is therefore never read by the
+/// pruning test, which sees exactly the labels of the earlier ranks.
 fn pruned_dijkstra(
     graph: &RoadNetwork,
-    labels: &[Vec<LabelEntry>],
+    labels: &mut [Vec<LabelEntry>],
+    rank: u32,
     root: NodeId,
     scratch: &mut SearchScratch,
-) -> Vec<Candidate> {
+) {
     let SearchScratch {
         dist,
         parent,
-        done,
         touched,
         root_dist_by_rank,
     } = scratch;
-    let root_label = &labels[root as usize];
-    spread_label(root_dist_by_rank, root_label);
-    let mut out = Vec::new();
+    spread_label(root_dist_by_rank, &labels[root as usize]);
     let mut heap = BinaryHeap::new();
     dist[root as usize] = 0.0;
     parent[root as usize] = root;
@@ -486,18 +397,17 @@ fn pruned_dijkstra(
     heap.push(HeapEntry::new(0.0, root));
     while let Some(HeapEntry { cost, node }) = heap.pop() {
         let d = cost.0;
-        if d > dist[node as usize] || done[node as usize] {
+        if d > dist[node as usize] {
             continue;
         }
-        done[node as usize] = true;
-        // Prune: if the frozen labels already certify a distance <= d
+        // Prune: if the earlier labels already certify a distance <= d
         // between root and node, this node (and everything reached through
         // it at larger cost) gains nothing from a new label.
         if certified(root_dist_by_rank, &labels[node as usize], d) {
             continue;
         }
-        out.push(Candidate {
-            node,
+        labels[node as usize].push(LabelEntry {
+            hub_rank: rank,
             parent: parent[node as usize],
             dist: d,
         });
@@ -515,11 +425,11 @@ fn pruned_dijkstra(
     }
     for &t in touched.iter() {
         dist[t as usize] = INFINITY;
-        done[t as usize] = false;
     }
     touched.clear();
-    unspread_label(root_dist_by_rank, root_label);
-    out
+    // The root's label now ends in its own entry, whose rank was never
+    // spread; clearing it is a no-op.
+    unspread_label(root_dist_by_rank, &labels[root as usize]);
 }
 
 /// The entry for the hub at `hub_rank` in a rank-sorted label.
@@ -932,7 +842,7 @@ mod tests {
         let mut by_degree = by_id.clone();
         by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
         for order in [by_degree, by_id] {
-            let hl = HubLabels::build_in_order(&g, order, &WorkPool::new(2));
+            let hl = HubLabels::build_in_order(&g, order);
             for (s, t) in (0..40).map(|i| ((i * 7) % n, (i * 31 + 3) % n)) {
                 let expect = dij.distance(s, t);
                 let got = hl.distance(s, t);
@@ -1031,38 +941,6 @@ mod tests {
             "mean label {} exceeds the betweenness ordering's {SAMPLED_BETWEENNESS_MEAN_LABEL}",
             hl.mean_label_size()
         );
-    }
-
-    /// `PartialEq` on `HubLabels` compares whole entries, so "identical"
-    /// here includes every next-hop pointer.
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        for (kind, seed) in [
-            (NetworkKind::Grid { rows: 9, cols: 11 }, 5u64),
-            (
-                NetworkKind::RingRadial {
-                    rings: 5,
-                    spokes: 11,
-                },
-                6,
-            ),
-        ] {
-            let cfg = GeneratorConfig {
-                kind,
-                seed,
-                edge_dropout: 0.07,
-                ..GeneratorConfig::default()
-            };
-            let g = cfg.generate();
-            let reference = HubLabels::build_sequential(&g);
-            for workers in [2usize, 3, 8] {
-                let parallel = HubLabels::build_with_pool(&g, &WorkPool::new(workers));
-                assert_eq!(
-                    parallel, reference,
-                    "labels diverged at {workers} workers ({kind:?})"
-                );
-            }
-        }
     }
 
     /// How many labels `claim_slots` orders spread over a query sequence,

@@ -1,16 +1,14 @@
 //! Property-based tests of the contraction-ordered hub-label pipeline:
 //! exactness of distances and unpacked paths against Dijkstra on random
 //! generator networks (jittered, and zero-jitter where ties are
-//! everywhere), bit-identity of the rank-batched parallel build and of the
-//! oracle's distance miss path with the label merge, and persistence
-//! round-trips.
+//! everywhere), bit-identity of the oracle's distance miss path with the
+//! label merge, and persistence round-trips.
 
 use proptest::prelude::*;
 use roadnet::{
     CachedOracle, DijkstraEngine, DistanceOracle, GeneratorConfig, GraphBuilder, HubLabels,
     NetworkKind, NodeId, Point, RoadNetwork, ShortestPathEngine, INFINITY,
 };
-use workpool::WorkPool;
 
 /// Random road-like networks across both generator topologies, with
 /// dropout and jitter so shortest paths are non-trivial (and unique).
@@ -198,29 +196,6 @@ proptest! {
             let sum = p.windows(2).fold(0.0, |acc, w| acc + g.edge_weight(w[0], w[1]).unwrap());
             prop_assert_eq!(sum.to_bits(), d.to_bits(), "{}->{}: {} vs {}", s, t, sum, d);
             prop_assert_eq!(hl.distance(t, s).map(f64::to_bits), Some(d.to_bits()));
-        }
-    }
-
-    /// The rank-batched parallel build is bit-identical to the sequential
-    /// build at every worker count. `HubLabels` compares whole entries, so
-    /// "identical" covers the next-hop pointers as well as the hubs and
-    /// distances.
-    #[test]
-    fn parallel_build_is_bit_identical((g, _seed) in network_strategy(), workers in 2usize..9) {
-        let sequential = HubLabels::build_sequential(&g);
-        let parallel = HubLabels::build_with_pool(&g, &WorkPool::new(workers));
-        prop_assert_eq!(&parallel, &sequential, "labels diverged at {} workers", workers);
-    }
-
-    /// Ties do not make the parallel build's next-hop choice depend on the
-    /// worker count: pops are ordered by (distance, vertex id), and a vertex
-    /// only a pruned neighbour ties for is itself pruned by the merge.
-    #[test]
-    fn parallel_build_is_bit_identical_under_ties((g, _seed) in tied_network_strategy()) {
-        let sequential = HubLabels::build_sequential(&g);
-        for workers in [2usize, 3, 8] {
-            let parallel = HubLabels::build_with_pool(&g, &WorkPool::new(workers));
-            prop_assert_eq!(&parallel, &sequential, "labels diverged at {} workers", workers);
         }
     }
 

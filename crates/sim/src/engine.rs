@@ -937,20 +937,30 @@ mod tests {
         with_parallel_matches_sequential(&small_workload(60, 13), base, &[1, 4]);
     }
 
+    /// No fleet, and a fleet with no seats, per request and in windows.
     #[test]
     fn zero_vehicles_rejects_everything() {
         let w = small_workload(10, 4);
         let oracle = CachedOracle::new(&w.network);
-        let config = SimConfig {
-            vehicles: 0,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(&w.network, &oracle, config);
-        let report = sim.run(&w.trips);
-        assert_eq!(report.requests, 10);
-        assert_eq!(report.assigned, 0);
-        assert_eq!(report.rejected, 10);
-        assert_eq!(report.service_rate(), 0.0);
+        for (vehicles, capacity) in [(0, 4), (6, 0)] {
+            for batch_window_seconds in [0.0, 120.0] {
+                let config = SimConfig {
+                    vehicles,
+                    capacity,
+                    batch_window_seconds,
+                    ..SimConfig::default()
+                };
+                let mut sim = Simulation::new(&w.network, &oracle, config);
+                let report = sim.run(&w.trips);
+                let case =
+                    format!("{vehicles} x {capacity} seats, window {batch_window_seconds} s");
+                assert_eq!(report.requests, 10, "{case}");
+                assert_eq!(report.assigned, 0, "{case}");
+                assert_eq!(report.rejected, 10, "{case}");
+                assert_eq!(report.guarantee_violations, 0, "{case}");
+                assert_eq!(report.service_rate(), 0.0, "{case}");
+            }
+        }
     }
 
     #[test]
