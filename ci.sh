@@ -14,16 +14,11 @@ run() {
 }
 
 run cargo fmt --all --check
+# Clippy is also the determinism and panic gate (clippy.toml, the critical
+# crate roots' #![deny] lines and reasoned #[expect]s; ARCHITECTURE.md,
+# "Determinism and panic policy"). tests/lint_policy.rs checks the wiring.
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
-# Static-analysis gate: rideshare-lint lexes every workspace .rs file and
-# enforces the determinism policy (no unordered hash iteration, wall
-# clock or ambient entropy in critical crates) and the serve panic
-# policy. Exits nonzero on any unwaived violation, on a waiver without a
-# reason, and on a waiver that no longer suppresses anything. Writes the
-# committed BENCH_lint.json inventory (CI uploads it as an artifact);
-# `cargo test` runs the same gate via crates/lint's workspace_gate test.
-run cargo run --release -p rideshare-lint -- --root . --out BENCH_lint.json
 run cargo test -q
 # Doc tests again, explicitly: `cargo test -q` runs them for the library
 # crates, but a dedicated invocation makes a doctest-only breakage obvious

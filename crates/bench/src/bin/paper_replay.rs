@@ -227,7 +227,10 @@ struct RunState {
     resumed_from: Option<usize>,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the artifact writer takes every piece of run state it records"
+)]
 fn write_json(
     path: &str,
     args: &Args,
@@ -371,7 +374,10 @@ fn observables(sim: &Simulation<'_>) -> (Vec<u64>, Vec<RequestTrace>, Vec<u32>) 
 
 /// Drives `sim` over `trips[next..]`, checkpointing and re-writing the
 /// JSON artifact along the way.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the replay loop borrows the engine, the stream and the checkpoint and artifact settings separately"
+)]
 fn drive(
     sim: &mut Simulation<'_>,
     trips: &[TripEvent],
@@ -596,7 +602,10 @@ fn main() {
 
 /// Final artifact write + gates shared by the normal and `--verify-resume`
 /// paths. Exits non-zero on a guarantee violation.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the final write and gates read every piece of run state"
+)]
 fn finish(
     sim: &Simulation<'_>,
     args: &Args,

@@ -655,7 +655,7 @@ mod tests {
             (0u32..1).prop_map(|_| "c"),
         ];
         let mut rng = TestRng::for_case("oneof", 2);
-        let seen: std::collections::HashSet<&str> =
+        let seen: std::collections::BTreeSet<&str> =
             (0..100).map(|_| Strategy::sample(&s, &mut rng)).collect();
         assert_eq!(seen.len(), 3);
     }

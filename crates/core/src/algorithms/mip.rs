@@ -77,7 +77,10 @@ impl MipFormulation {
     /// slack, unreachable pair) already rule every schedule out.
     // Index loops mirror the MTZ formulation's subscripts over the 2-D
     // successor matrix `y`; iterator chains would obscure the math.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index loops mirror the MTZ subscripts"
+    )]
     pub fn build(problem: &SchedulingProblem, oracle: &dyn DistanceOracle) -> MipBuild {
         let k = problem.onboard.len();
         let n = problem.waiting.len();

@@ -531,7 +531,10 @@ impl KineticTree {
     /// Every decision reads only the old tree, never what `L` keeps, so the
     /// build (`Vec<TreeNode>`) and the probe (`Cheapest`) visit the same
     /// nodes.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each recursive step threads the old subtree, the walker, the detour, the stops left, the budget and the oracle; a struct would only rename them"
+    )]
     fn extend<L: Level>(
         &self,
         old_children: &[TreeNode],

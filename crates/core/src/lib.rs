@@ -39,6 +39,12 @@
 //! 14 m/s, meters and seconds are interchangeable; the simulation crate
 //! performs that conversion at its boundary.
 
+// Determinism (clippy.toml lists the banned clock reads and hash types)
+// and no panicking shortcuts outside tests (clippy.toml's allow-*-in-tests).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod algorithms;
 pub mod codec;
 pub mod dispatch;

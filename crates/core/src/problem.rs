@@ -13,7 +13,7 @@
 //! [`SchedulingProblem::validate`] is the shared correctness oracle used in
 //! tests to prove they agree.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 use roadnet::{DistanceOracle, NodeId};
 
@@ -241,11 +241,9 @@ impl SchedulingProblem {
         // Walked in schedule order so the reported offender is always the
         // first one in the schedule, not whichever a hash walk yields.
         let required = self.required_stops();
-        let mut seen: HashMap<Stop, usize> = HashMap::with_capacity(schedule.len());
+        let mut seen = BTreeSet::new();
         for &stop in schedule {
-            let count = seen.entry(stop).or_insert(0);
-            *count += 1;
-            if *count > 1 {
+            if !seen.insert(stop) {
                 return Err(ValidationError::DuplicateStop(stop));
             }
             if !required.contains(&stop) {
@@ -253,7 +251,7 @@ impl SchedulingProblem {
             }
         }
         for &stop in &required {
-            if !seen.contains_key(&stop) {
+            if !seen.contains(&stop) {
                 return Err(ValidationError::MissingStop(stop));
             }
         }

@@ -15,7 +15,7 @@ pub type TripId = u64;
 pub type Cost = f64;
 
 /// Whether a scheduled stop picks a passenger up or drops one off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StopKind {
     /// Passenger boards the vehicle at this stop.
     Pickup,
@@ -25,7 +25,7 @@ pub enum StopKind {
 
 /// One stop of a trip schedule: a pickup or drop-off of a specific trip at a
 /// specific road-network vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Stop {
     /// The trip being served.
     pub trip: TripId,

@@ -118,7 +118,10 @@ pub(crate) struct Variable {
     pub ub: f64,
     pub obj: f64,
     pub kind: VarKind,
-    #[allow(dead_code)]
+    #[expect(
+        dead_code,
+        reason = "read only through the derived Debug, so a dumped model shows its variable names"
+    )]
     pub name: String,
 }
 
@@ -445,7 +448,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the i/j loops mirror the cost matrix subscripts"
+    )]
     fn assignment_problem_as_mip() {
         // 3x3 assignment, cost matrix; optimal = 1 + 2 + 1 = 4 picking (0,1),(1,2),(2,0)
         let cost = [[5.0, 1.0, 9.0], [8.0, 7.0, 2.0], [1.0, 4.0, 6.0]];

@@ -82,7 +82,10 @@
 // The factorisation and pricing loops index several same-length arrays by
 // row/column number, mirroring the linear-algebra subscripts; iterator
 // chains would obscure the math.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the linear-algebra subscripts over same-length arrays"
+)]
 
 use crate::model::{ConstraintOp, Model, Sense};
 

@@ -38,6 +38,9 @@
 //! assert_eq!(engine.distance(a, d), Some(200.0));
 //! ```
 
+// Determinism: clippy.toml lists the banned clock reads and hash types.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 pub mod cache;
 pub mod contraction;
 pub mod dijkstra;

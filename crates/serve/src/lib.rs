@@ -36,6 +36,13 @@
 //! capacity sweep in `rideshare-bench` (`serve_sweep`) walks an arrival-rate
 //! ladder over it and commits the knee point to `BENCH_serve.json`.
 
+// Determinism (clippy.toml lists the banned clock reads and hash types)
+// and no panic path outside tests: a panic here takes down a live service.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 pub mod arrival;
 pub mod recovery;
 pub mod server;

@@ -6,6 +6,12 @@
 //! `--trace-speedup`) through the SLO-gated [`ServeLoop`], printing the
 //! serve report as JSON to stdout or `--out`.
 
+// The same determinism and panic policy as the library (src/lib.rs).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::io::Write;
 use std::process::ExitCode;
 

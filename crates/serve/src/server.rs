@@ -329,9 +329,12 @@ impl<'a> ServeLoop<'a> {
         let mut arrivals = arrivals.peekable();
         let mut state = LoopState::new();
         let trace = writer.as_deref_mut();
+        #[expect(
+            clippy::expect_used,
+            reason = "without a driver run_inner performs no IO, so Err is unconstructible; swallowing it would hide a logic error"
+        )]
         let done = self
             .run_inner(&mut arrivals, trace, &mut state, None, false)
-            // lint:allow(P1, reason = "without a driver run_inner performs no IO, so Err is unconstructible; swallowing it would hide a logic error")
             .expect("serve loop without a recovery driver performs no recovery IO");
         debug_assert!(done, "kills are disabled without a recovery driver");
         if writer.is_some_and(|mut w| w.flush().is_err()) {
@@ -418,7 +421,10 @@ impl<'a> ServeLoop<'a> {
                         d.journal_dispatch(state, &batch)?;
                     }
                     self.sim.set_dispatch_effort(state.level);
-                    // lint:allow(D2, reason = "Measured service model times real dispatch compute; Fixed is the deterministic model and Measured is documented as not bit-identical")
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "Measured service model times real dispatch compute; Fixed is the deterministic model and Measured is documented as not bit-identical"
+                    )]
                     let wall = Instant::now();
                     let until_m = self.sim.config().seconds_to_meters(state.tick_end);
                     self.sim.advance_all(until_m);

@@ -736,7 +736,7 @@ mod tests {
     /// pair.
     struct CountingOracle<'g> {
         inner: CachedOracle<'g>,
-        calls: std::cell::RefCell<std::collections::HashMap<(NodeId, NodeId), u64>>,
+        calls: std::cell::RefCell<std::collections::BTreeMap<(NodeId, NodeId), u64>>,
     }
 
     impl DistanceOracle for CountingOracle<'_> {
@@ -773,7 +773,7 @@ mod tests {
             let mut sim = Simulation::new(&w.network, &oracle, config);
             let report = sim.run(&w.trips);
             assert_eq!(report.requests, 40);
-            let mut asked = std::collections::HashMap::<_, u64>::new();
+            let mut asked = std::collections::BTreeMap::<_, u64>::new();
             for trip in &w.trips {
                 *asked.entry((trip.source, trip.destination)).or_default() += 1;
             }

@@ -33,6 +33,12 @@
 //! assert_eq!(report.guarantee_violations, 0);
 //! ```
 
+// Determinism (clippy.toml lists the banned clock reads and hash types)
+// and no panicking shortcuts outside tests (clippy.toml's allow-*-in-tests).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod engine;

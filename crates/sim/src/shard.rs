@@ -158,6 +158,10 @@ impl<'a> ShardedSimulation<'a> {
     }
 
     /// The region-crossing counts so far.
+    #[expect(
+        clippy::expect_used,
+        reason = "both constructors switch the ledger on, so None is unconstructible"
+    )]
     pub fn net_stats(&self) -> ShardNetStats {
         self.0
             .regions

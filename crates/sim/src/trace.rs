@@ -78,9 +78,10 @@ impl RequestTrace {
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     entries: Vec<RequestTrace>,
-    /// Trip id -> position in `entries`, so per-event updates stay O(1) even
-    /// for day-long workloads with hundreds of thousands of requests.
-    index: std::collections::HashMap<TripId, usize>,
+    /// Trip id -> position in `entries`, so a per-event update is a
+    /// logarithmic lookup even for day-long workloads with hundreds of
+    /// thousands of requests. Only looked up, never iterated.
+    index: std::collections::BTreeMap<TripId, usize>,
 }
 
 impl TraceLog {

@@ -141,9 +141,7 @@ fn named_binaries_artifacts_and_sources_exist() {
         "BENCH_serve.json",
         "BENCH_replay.json",
         "BENCH_chaos.json",
-        "BENCH_lint.json",
-        "rideshare-lint",
-        "lint:allow",
+        "clippy.toml",
         "serve_sweep",
         "paper_replay",
         "chaos_smoke",
