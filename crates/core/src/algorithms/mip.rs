@@ -311,7 +311,6 @@ impl ScheduleSolver for MipScheduleSolver {
         };
         let options = SolveOptions {
             max_nodes: self.max_nodes,
-            ..SolveOptions::default()
         };
         let solution = match formulation.model.solve_with(&options) {
             Ok(s) => s,

@@ -16,29 +16,22 @@ use crate::simplex::{Basis, LpOutcome, SparseLp, SparseSimplex};
 /// Integrality tolerance: LP values within this distance of an integer are
 /// treated as integral.
 const INT_TOL: f64 = 1e-6;
+/// A node is pruned unless its bound beats the incumbent by more than
+/// this: the search proves optimality, up to numeric dust.
+const PRUNE_SLACK: f64 = 1e-9;
 
-/// Budget and behaviour knobs for the branch-and-bound search.
+/// Budget for the branch-and-bound search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
     /// Maximum number of branch-and-bound nodes to explore before giving up
     /// and returning the incumbent (status [`Status::Feasible`]) or
     /// [`SolveError::BudgetExhausted`].
     pub max_nodes: u64,
-    /// Relative optimality gap at which the search may stop early
-    /// (`0.0` requires a proof of optimality).
-    pub relative_gap: f64,
-    /// Stop as soon as any feasible integer solution is found. Used by
-    /// callers that only need feasibility checking.
-    pub first_feasible: bool,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        SolveOptions {
-            max_nodes: 200_000,
-            relative_gap: 0.0,
-            first_feasible: false,
-        }
+        SolveOptions { max_nodes: 200_000 }
     }
 }
 
@@ -92,7 +85,7 @@ pub(crate) fn solve_mip(model: &Model, options: &SolveOptions) -> Result<Solutio
         }
         // Prune on the parent bound before paying for an LP solve.
         if let Some((best, _)) = &incumbent {
-            if node.parent_bound >= *best - gap_slack(*best, options.relative_gap) {
+            if node.parent_bound >= *best - PRUNE_SLACK {
                 stats.nodes_pruned += 1;
                 continue;
             }
@@ -130,7 +123,7 @@ pub(crate) fn solve_mip(model: &Model, options: &SolveOptions) -> Result<Solutio
         };
         root_infeasible = false;
         if let Some((best, _)) = &incumbent {
-            if bound >= *best - gap_slack(*best, options.relative_gap) {
+            if bound >= *best - PRUNE_SLACK {
                 stats.nodes_pruned += 1;
                 continue;
             }
@@ -157,9 +150,6 @@ pub(crate) fn solve_mip(model: &Model, options: &SolveOptions) -> Result<Solutio
                 if better {
                     incumbent = Some((bound, vals));
                     stats.incumbents += 1;
-                    if options.first_feasible {
-                        break;
-                    }
                 }
             }
             Some((v, x)) => {
@@ -212,14 +202,6 @@ pub(crate) fn solve_mip(model: &Model, options: &SolveOptions) -> Result<Solutio
     }
 }
 
-fn gap_slack(best: f64, relative_gap: f64) -> f64 {
-    if relative_gap <= 0.0 {
-        1e-9
-    } else {
-        relative_gap * best.abs().max(1.0)
-    }
-}
-
 fn with_bound(
     bounds: &[(usize, f64, f64)],
     var: usize,
@@ -248,36 +230,6 @@ mod tests {
     fn options_default_values() {
         let o = SolveOptions::default();
         assert!(o.max_nodes > 1000);
-        assert_eq!(o.relative_gap, 0.0);
-        assert!(!o.first_feasible);
-    }
-
-    #[test]
-    fn first_feasible_stops_early() {
-        // Larger knapsack; first_feasible should report Feasible or Optimal
-        // quickly and within budget.
-        let mut m = Model::new(Sense::Maximize);
-        let values = [9.0, 7.0, 6.0, 5.0, 4.0, 3.0];
-        let weights = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
-        let vars: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| m.add_binary(v, format!("v{i}")))
-            .collect();
-        let terms: Vec<_> = vars
-            .iter()
-            .zip(weights.iter())
-            .map(|(&v, &w)| (v, w))
-            .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 10.0);
-        let s = m
-            .solve_with(&SolveOptions {
-                first_feasible: true,
-                ..SolveOptions::default()
-            })
-            .unwrap();
-        assert!(s.objective > 0.0);
-        assert!(s.stats.incumbents >= 1);
     }
 
     #[test]
@@ -289,33 +241,10 @@ mod tests {
         let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         m.add_constraint(&terms, ConstraintOp::Le, 6.5);
         // Tiny budget: either a feasible incumbent or BudgetExhausted, never a panic.
-        match m.solve_with(&SolveOptions {
-            max_nodes: 3,
-            ..SolveOptions::default()
-        }) {
+        match m.solve_with(&SolveOptions { max_nodes: 3 }) {
             Ok(s) => assert!(matches!(s.status, Status::Feasible | Status::Optimal)),
             Err(e) => assert_eq!(e, SolveError::BudgetExhausted),
         }
-    }
-
-    #[test]
-    fn optimality_gap_allows_early_stop() {
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8)
-            .map(|i| m.add_binary(5.0 + i as f64, format!("b{i}")))
-            .collect();
-        let terms: Vec<_> = vars.iter().map(|&v| (v, 2.0)).collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 7.0);
-        let tight = m.solve().unwrap();
-        let loose = m
-            .solve_with(&SolveOptions {
-                relative_gap: 0.5,
-                ..SolveOptions::default()
-            })
-            .unwrap();
-        // The loose solve is allowed to be worse but not by more than 50%+eps
-        assert!(loose.objective >= tight.objective * 0.5 - 1e-6);
-        assert!(loose.stats.nodes_explored <= tight.stats.nodes_explored);
     }
 
     #[test]

@@ -109,34 +109,6 @@ impl NodeLocator {
         }
         best.expect("non-empty network always has a nearest node").0
     }
-
-    /// Nearest vertex and its Euclidean distance from `p`.
-    pub fn nearest_with_distance(&self, p: Point) -> (NodeId, f64) {
-        let n = self.nearest(p);
-        (n, self.points[n as usize].distance(&p))
-    }
-
-    /// All vertices within Euclidean radius `radius` of `p`.
-    pub fn within_radius(&self, p: Point, radius: f64) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let r_cells = (radius / self.cell).ceil() as usize + 1;
-        let (r0, c0) = self.cell_of(p);
-        let r_lo = r0.saturating_sub(r_cells);
-        let r_hi = (r0 + r_cells).min(self.rows - 1);
-        let c_lo = c0.saturating_sub(r_cells);
-        let c_hi = (c0 + r_cells).min(self.cols - 1);
-        for r in r_lo..=r_hi {
-            for c in c_lo..=c_hi {
-                for &node in &self.buckets[r * self.cols + c] {
-                    if self.points[node as usize].distance(&p) <= radius {
-                        out.push(node);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -181,40 +153,6 @@ mod tests {
                 "probe {p}: got node {got}, brute force {want}"
             );
         }
-    }
-
-    #[test]
-    fn nearest_with_distance_is_consistent() {
-        let cfg = GeneratorConfig {
-            kind: NetworkKind::RingRadial {
-                rings: 4,
-                spokes: 12,
-            },
-            seed: 1,
-            ..GeneratorConfig::default()
-        };
-        let g = cfg.generate();
-        let loc = NodeLocator::new(&g);
-        let (n, d) = loc.nearest_with_distance(Point::new(10.0, 10.0));
-        assert!((g.point(n).distance(&Point::new(10.0, 10.0)) - d).abs() < 1e-9);
-    }
-
-    #[test]
-    fn within_radius_contains_exactly_in_range_nodes() {
-        let cfg = GeneratorConfig {
-            kind: NetworkKind::Grid { rows: 8, cols: 8 },
-            seed: 2,
-            ..GeneratorConfig::default()
-        };
-        let g = cfg.generate();
-        let loc = NodeLocator::new(&g);
-        let p = Point::new(500.0, 500.0);
-        let radius = 600.0;
-        let got = loc.within_radius(p, radius);
-        let want: Vec<NodeId> = (0..g.node_count() as NodeId)
-            .filter(|&n| g.point(n).distance(&p) <= radius)
-            .collect();
-        assert_eq!(got, want);
     }
 
     #[test]

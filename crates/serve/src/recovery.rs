@@ -12,10 +12,12 @@
 //!   so a torn tail from a crash mid-write is detected and dropped, never
 //!   misparsed.
 //! - **`serve.ckpt`** — a full image of the loop written every
-//!   [`RecoveryConfig::checkpoint_every_ticks`] ticks: the loop-state
-//!   counters, gauges and latency histograms, the ingress queue and an
-//!   embedded simulation checkpoint (vehicles, routes, RNG streams, the
-//!   per-request trace — see `rideshare_sim::checkpoint`). The image is
+//!   [`RecoveryConfig::checkpoint_every_ticks`] ticks (format version 8):
+//!   the clocks and effort ladder, the report's loop counters in the one
+//!   order `server.rs` declares them, the latency histograms, the ingress
+//!   queue and an embedded simulation checkpoint (vehicles, routes, RNG
+//!   streams, the per-request trace — see `rideshare_sim::checkpoint`).
+//!   The image is
 //!   bound to no trip stream of its own: on load, the simulation's
 //!   request count must equal the loop's `admitted` counter.
 //!   Writes go to a temp file and rename into place, so the previous
@@ -56,8 +58,9 @@ const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// its dropped-event counter; version 4 dropped the metrics' copies of
 /// loop counters and each histogram's minimum; version 5 dropped the
 /// admitted-trip list; version 6 embeds a version-4 simulation
-/// checkpoint, version 7 a version-5 one.
-const VERSION: u32 = 7;
+/// checkpoint, version 7 a version-5 one; version 8 writes the loop
+/// counters in `loop_counters!` order (`server.rs`).
+const VERSION: u32 = 8;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
 /// Upper bound on a single journal entry body (sanity check on `len`).
@@ -312,12 +315,12 @@ impl RecoveryDriver {
         batch: &[TripEvent],
     ) -> Result<(), RoadNetError> {
         let entry = JournalEntry {
-            tick: state.ticks,
+            tick: state.report.ticks,
             tick_end: state.tick_end,
             level: state.level,
-            offered: state.offered,
-            shed_queue_full: state.shed_queue_full,
-            shed_stale: state.shed_stale,
+            offered: state.report.offered,
+            shed_queue_full: state.report.shed_queue_full,
+            shed_stale: state.report.shed_stale,
             batch: batch.to_vec(),
         };
         if let Some(expected) = self.expected_tail.get(self.verified) {
@@ -336,7 +339,7 @@ impl RecoveryDriver {
         frame.extend_from_slice(&body);
         bin::put_u64(&mut frame, bin::fnv1a(&body));
         self.journal.write_all(&frame)?;
-        state.journal_entries += 1;
+        state.report.journal_entries += 1;
         Ok(())
     }
 
@@ -349,12 +352,12 @@ impl RecoveryDriver {
         sim: &Simulation<'_>,
         state: &mut LoopState,
     ) -> Result<(), RoadNetError> {
-        if self.checkpoint_every == 0 || !state.ticks.is_multiple_of(self.checkpoint_every) {
+        if self.checkpoint_every == 0 || !state.report.ticks.is_multiple_of(self.checkpoint_every) {
             return Ok(());
         }
-        let write_index = state.ticks / self.checkpoint_every;
+        let write_index = state.report.ticks / self.checkpoint_every;
         if self.fault.torn_checkpoint(write_index) {
-            state.fault_torn_checkpoints += 1;
+            state.report.fault_torn_checkpoints += 1;
             // Simulate a crash mid-dump: half the image lands in the temp
             // file and the rename never happens. The previous checkpoint
             // stays intact — exactly what the atomic protocol guarantees.
@@ -375,64 +378,40 @@ impl RecoveryDriver {
 fn put_state(out: &mut Vec<u8>, state: &LoopState) {
     bin::put_f64(out, state.server_free);
     bin::put_f64(out, state.tick_end);
-    bin::put_u64(out, state.ticks);
-    bin::put_u64(out, state.dispatch_ticks);
-    bin::put_u64(out, state.offered);
-    bin::put_u64(out, state.admitted);
-    bin::put_u64(out, state.assigned);
-    bin::put_u64(out, state.rejected);
-    bin::put_u64(out, state.shed_queue_full);
-    bin::put_u64(out, state.shed_stale);
     put_effort(out, state.level);
     bin::put_u64(out, state.healthy_streak);
-    bin::put_u64(out, state.degraded_ticks);
-    bin::put_u64(out, state.level_transitions);
-    bin::put_u64(out, state.dispatch_full);
-    bin::put_u64(out, state.dispatch_slack_pruned);
-    bin::put_u64(out, state.dispatch_greedy);
-    bin::put_u64(out, state.fault_oracle_spikes);
-    bin::put_u64(out, state.fault_torn_checkpoints);
-    state.latency.encode(out);
-    state.assigned_latency.encode(out);
-    state.tick_compute.encode(out);
-    bin::put_u64(out, state.queue_depth_max as u64);
     bin::put_u64(out, state.queue_depth_sum);
-    bin::put_u64(out, state.trace_lines);
-    bin::put_u64(out, state.io_errors);
-    bin::put_u64(out, state.journal_entries);
+    bin::put_u64(out, state.report.queue_depth_max as u64);
+    for n in state.report.counters() {
+        bin::put_u64(out, n);
+    }
+    for h in [&state.latency, &state.assigned_latency, &state.tick_compute] {
+        h.encode(out);
+    }
     let queued: Vec<TripEvent> = state.queue.iter().copied().collect();
     put_trips(out, &queued);
 }
 
 fn read_state(r: &mut Reader<'_>) -> Result<LoopState, RoadNetError> {
-    let mut state = LoopState::new();
-    state.server_free = r.f64("state server_free")?;
-    state.tick_end = r.f64("state tick_end")?;
-    state.ticks = r.u64("state ticks")?;
-    state.dispatch_ticks = r.u64("state dispatch_ticks")?;
-    state.offered = r.u64("state offered")?;
-    state.admitted = r.u64("state admitted")?;
-    state.assigned = r.u64("state assigned")?;
-    state.rejected = r.u64("state rejected")?;
-    state.shed_queue_full = r.u64("state shed_queue_full")?;
-    state.shed_stale = r.u64("state shed_stale")?;
-    state.level = read_effort(r)?;
-    state.healthy_streak = r.u64("state healthy_streak")?;
-    state.degraded_ticks = r.u64("state degraded_ticks")?;
-    state.level_transitions = r.u64("state level_transitions")?;
-    state.dispatch_full = r.u64("state dispatch_full")?;
-    state.dispatch_slack_pruned = r.u64("state dispatch_slack_pruned")?;
-    state.dispatch_greedy = r.u64("state dispatch_greedy")?;
-    state.fault_oracle_spikes = r.u64("state fault_oracle_spikes")?;
-    state.fault_torn_checkpoints = r.u64("state fault_torn_checkpoints")?;
-    state.latency = LatencyHistogram::decode(r)?;
-    state.assigned_latency = LatencyHistogram::decode(r)?;
-    state.tick_compute = LatencyHistogram::decode(r)?;
-    state.queue_depth_max = r.u64("state queue_depth_max")? as usize;
-    state.queue_depth_sum = r.u64("state queue_depth_sum")?;
-    state.trace_lines = r.u64("state trace_lines")?;
-    state.io_errors = r.u64("state io_errors")?;
-    state.journal_entries = r.u64("state journal_entries")?;
+    let mut state = LoopState {
+        server_free: r.f64("state server_free")?,
+        tick_end: r.f64("state tick_end")?,
+        level: read_effort(r)?,
+        healthy_streak: r.u64("state healthy_streak")?,
+        queue_depth_sum: r.u64("state queue_depth_sum")?,
+        ..LoopState::default()
+    };
+    state.report.queue_depth_max = r.u64("state queue_depth_max")? as usize;
+    for n in state.report.counters_mut() {
+        *n = r.u64("state counter")?;
+    }
+    for h in [
+        &mut state.latency,
+        &mut state.assigned_latency,
+        &mut state.tick_compute,
+    ] {
+        *h = LatencyHistogram::decode(r)?;
+    }
     state.queue = read_trips(r, "state queue")?.into_iter().collect();
     Ok(state)
 }
@@ -534,7 +513,7 @@ impl<'a> ServeLoop<'a> {
             verify_tail: false,
         };
         let mut arrivals = arrivals.peekable();
-        let mut state = LoopState::new();
+        let mut state = LoopState::default();
         let done = self.run_inner(&mut arrivals, None, &mut state, Some(&mut driver), true)?;
         if !done {
             // Killed: the "process" dies here.
@@ -577,21 +556,24 @@ pub fn resume_serve<'a>(
             // Two independently kept counts of the dispatched requests:
             // the engine's and the loop's.
             let requests = sim.dispatch_stats().requests;
-            if requests != l.state.admitted {
+            if requests != l.state.report.admitted {
                 return Err(RoadNetError::Persist(format!(
                     "checkpoint simulation dispatched {requests} requests but \
                      its loop state admitted {}",
-                    l.state.admitted
+                    l.state.report.admitted
                 )));
             }
             (l.state, sim)
         }
-        None => (LoopState::new(), Simulation::new(graph, oracle, sim_config)),
+        None => (
+            LoopState::default(),
+            Simulation::new(graph, oracle, sim_config),
+        ),
     };
 
     // The journal tail past the checkpoint is what the dead process did
     // after its last dump; re-execution must reproduce it.
-    let at = state.journal_entries as usize;
+    let at = state.report.journal_entries as usize;
     let Some(tail) = journal.entries.get(at..) else {
         return Err(RoadNetError::Persist(format!(
             "journal holds {} entries but the checkpoint expects at least {at}",
@@ -639,7 +621,7 @@ pub fn resume_serve<'a>(
     // without re-offering (and re-shedding) anything. Skipping only
     // admitted arrivals would double-count every queue-full bounce.
     let mut arrivals = arrivals.peekable();
-    for _ in 0..state.offered {
+    for _ in 0..state.report.offered {
         arrivals.next();
     }
 
@@ -671,7 +653,7 @@ mod tests {
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
-        for old in [1u32, 2, 3, 4, 5, 6] {
+        for old in [1u32, 2, 3, 4, 5, 6, 7] {
             let rc = RecoveryConfig {
                 dir: std::env::temp_dir().join(format!("serve_v{old}_dir_{}", std::process::id())),
                 checkpoint_every_ticks: 4,
@@ -694,11 +676,55 @@ mod tests {
             let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
                 .expect_err("an older directory must not resume");
             assert!(
-                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-7")),
+                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-8")),
                 "version {old}: {err:?}"
             );
             std::fs::remove_dir_all(&rc.dir).ok();
         }
+    }
+
+    #[test]
+    fn a_checkpoint_round_trips_every_loop_state_field() {
+        let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 5);
+        let oracle = CachedOracle::new(&w.network);
+        let sim = Simulation::new(&w.network, &oracle, SimConfig::default());
+        let mut state = LoopState {
+            queue: w.trips.iter().take(3).copied().collect(),
+            server_free: 12.5,
+            tick_end: 11.0,
+            level: DispatchEffort::Greedy,
+            healthy_streak: 2,
+            queue_depth_sum: 41,
+            ..LoopState::default()
+        };
+        for (i, h) in [
+            &mut state.latency,
+            &mut state.assigned_latency,
+            &mut state.tick_compute,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for k in 0..=i {
+                h.record(0.25 + (i * 10 + k) as f64);
+            }
+        }
+        state.report.queue_depth_max = 9;
+        for (n, value) in state.report.counters_mut().zip(100..) {
+            *n = value;
+        }
+        // The report's other fields come from finish_report, never from a
+        // checkpoint; they stay at their defaults here and there.
+        let dir = std::env::temp_dir().join(format!("serve_roundtrip_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.ckpt");
+        std::fs::write(&path, encode_checkpoint(&sim, &state)).unwrap();
+
+        let loaded = load_checkpoint(&path, digest_config(sim.config()))
+            .unwrap()
+            .expect("an intact checkpoint loads");
+        assert_eq!(loaded.state, state);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -711,8 +737,8 @@ mod tests {
         );
         std::fs::create_dir_all(&rc.dir).unwrap();
         // The loop admitted a request its simulation never dispatched.
-        let mut state = LoopState::new();
-        state.admitted = 1;
+        let mut state = LoopState::default();
+        state.report.admitted = 1;
         let sim = Simulation::new(&w.network, &oracle, sim_config);
         std::fs::write(rc.checkpoint_path(), encode_checkpoint(&sim, &state)).unwrap();
 

@@ -143,13 +143,13 @@ impl Default for ServeConfig {
 /// Mutable per-run state of the serve loop, split out so the crash-safe
 /// entry point ([`crate::recovery`]) can checkpoint and restore it.
 ///
-/// Everything here is either exact accounting (u64 counters, gauges and
-/// latency histograms — each observation is counted once, here), the
-/// ingress queue, or deterministic virtual-clock state. With a
-/// [`ServiceModel::Fixed`] model the whole struct is a pure function of
-/// the admitted arrival stream, which is what makes kill/recover
-/// equivalence provable.
-#[derive(Debug, Clone, PartialEq)]
+/// The loop's mechanics — the ingress queue, the virtual clocks, the
+/// effort ladder and the latency histograms — plus the run's counters,
+/// which each tick increments in place on `report` (each observation is
+/// counted once). With a [`ServiceModel::Fixed`] model the whole struct is
+/// a pure function of the admitted arrival stream, which is what makes
+/// kill/recover equivalence provable.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LoopState {
     /// Bounded ingress queue contents.
     pub(crate) queue: VecDeque<TripEvent>,
@@ -157,92 +157,24 @@ pub(crate) struct LoopState {
     pub(crate) server_free: f64,
     /// Virtual time of the current tick boundary.
     pub(crate) tick_end: f64,
-    /// Tick boundaries crossed.
-    pub(crate) ticks: u64,
-    /// Ticks that dispatched a batch.
-    pub(crate) dispatch_ticks: u64,
-    /// Requests offered by the arrival process.
-    pub(crate) offered: u64,
-    /// Requests that reached the dispatcher.
-    pub(crate) admitted: u64,
-    /// Admitted requests matched to a vehicle.
-    pub(crate) assigned: u64,
-    /// Admitted requests no vehicle could serve.
-    pub(crate) rejected: u64,
-    /// Arrivals bounced off the full queue.
-    pub(crate) shed_queue_full: u64,
-    /// Queued requests dropped as stale.
-    pub(crate) shed_stale: u64,
     /// Current planner effort level.
     pub(crate) level: DispatchEffort,
     /// Consecutive calm ticks since the last stress signal.
     pub(crate) healthy_streak: u64,
-    /// Ticks that ran below full effort.
-    pub(crate) degraded_ticks: u64,
-    /// Ladder transitions in either direction.
-    pub(crate) level_transitions: u64,
-    /// Dispatch ticks run at full effort.
-    pub(crate) dispatch_full: u64,
-    /// Dispatch ticks run slack-pruned.
-    pub(crate) dispatch_slack_pruned: u64,
-    /// Dispatch ticks run greedy.
-    pub(crate) dispatch_greedy: u64,
-    /// Injected oracle latency spikes taken.
-    pub(crate) fault_oracle_spikes: u64,
-    /// Injected torn checkpoint writes taken.
-    pub(crate) fault_torn_checkpoints: u64,
-    /// Write-ahead journal entries appended.
-    pub(crate) journal_entries: u64,
+    /// Sum of the queue depths sampled, one per tick.
+    pub(crate) queue_depth_sum: u64,
     /// Admission-to-assignment latency of every dispatched request.
     pub(crate) latency: LatencyHistogram,
     /// Latency of assigned requests only.
     pub(crate) assigned_latency: LatencyHistogram,
     /// Per-tick dispatch compute cost.
     pub(crate) tick_compute: LatencyHistogram,
-    /// Deepest queue sampled at a tick boundary.
-    pub(crate) queue_depth_max: usize,
-    /// Sum of the queue depths sampled, one per tick.
-    pub(crate) queue_depth_sum: u64,
-    /// Event-trace lines written (0 without a writer).
-    pub(crate) trace_lines: u64,
-    /// Event-trace write failures (the run continues regardless).
-    pub(crate) io_errors: u64,
+    /// The loop counters (`loop_counters!`) and the deepest queue so
+    /// far; [`ServeLoop::finish_report`] fills in the rest.
+    pub(crate) report: ServeReport,
 }
 
 impl LoopState {
-    pub(crate) fn new() -> Self {
-        LoopState {
-            queue: VecDeque::new(),
-            server_free: 0.0,
-            tick_end: 0.0,
-            ticks: 0,
-            dispatch_ticks: 0,
-            offered: 0,
-            admitted: 0,
-            assigned: 0,
-            rejected: 0,
-            shed_queue_full: 0,
-            shed_stale: 0,
-            level: DispatchEffort::Full,
-            healthy_streak: 0,
-            degraded_ticks: 0,
-            level_transitions: 0,
-            dispatch_full: 0,
-            dispatch_slack_pruned: 0,
-            dispatch_greedy: 0,
-            fault_oracle_spikes: 0,
-            fault_torn_checkpoints: 0,
-            journal_entries: 0,
-            latency: LatencyHistogram::new(),
-            assigned_latency: LatencyHistogram::new(),
-            tick_compute: LatencyHistogram::new(),
-            queue_depth_max: 0,
-            queue_depth_sum: 0,
-            trace_lines: 0,
-            io_errors: 0,
-        }
-    }
-
     /// Appends one line to the event trace, if there is one, counting it
     /// in `trace_lines` or, when the write fails, in `io_errors`; a bad
     /// disk degrades the trace, never the counts or the dispatch.
@@ -251,8 +183,8 @@ impl LoopState {
             return;
         };
         match writeln!(w, "{line}") {
-            Ok(()) => self.trace_lines += 1,
-            Err(_) => self.io_errors += 1,
+            Ok(()) => self.report.trace_lines += 1,
+            Err(_) => self.report.io_errors += 1,
         }
     }
 }
@@ -327,7 +259,7 @@ impl<'a> ServeLoop<'a> {
         mut writer: Option<Box<dyn Write>>,
     ) -> ServeReport {
         let mut arrivals = arrivals.peekable();
-        let mut state = LoopState::new();
+        let mut state = LoopState::default();
         let trace = writer.as_deref_mut();
         #[expect(
             clippy::expect_used,
@@ -338,7 +270,7 @@ impl<'a> ServeLoop<'a> {
             .expect("serve loop without a recovery driver performs no recovery IO");
         debug_assert!(done, "kills are disabled without a recovery driver");
         if writer.is_some_and(|mut w| w.flush().is_err()) {
-            state.io_errors += 1;
+            state.report.io_errors += 1;
         }
         self.finish_report(state, false)
     }
@@ -367,9 +299,9 @@ impl<'a> ServeLoop<'a> {
         let tick_s = slo.tick_seconds.max(1e-6);
 
         loop {
-            state.ticks += 1;
+            state.report.ticks += 1;
             state.tick_end += tick_s;
-            if kill_enabled && fault.killed_at(state.ticks) {
+            if kill_enabled && fault.killed_at(state.report.ticks) {
                 return Ok(false);
             }
 
@@ -377,16 +309,16 @@ impl<'a> ServeLoop<'a> {
             // the backpressure boundary: a full queue bounces the arrival
             // instead of letting the backlog grow without limit.
             while let Some(trip) = arrivals.next_if(|t| t.time_seconds < state.tick_end) {
-                state.offered += 1;
+                state.report.offered += 1;
                 if state.queue.len() >= slo.queue_capacity {
-                    state.shed_queue_full += 1;
+                    state.report.shed_queue_full += 1;
                     state.trace(trace.as_deref_mut(), format_args!("shed,queue_full"));
                 } else {
                     state.queue.push_back(trip);
                 }
             }
             let depth = state.queue.len();
-            state.queue_depth_max = state.queue_depth_max.max(depth);
+            state.report.queue_depth_max = state.report.queue_depth_max.max(depth);
             state.queue_depth_sum += depth as u64;
             state.trace(trace.as_deref_mut(), format_args!("queue_depth,{depth}"));
 
@@ -405,7 +337,7 @@ impl<'a> ServeLoop<'a> {
                     .is_some_and(|t| state.tick_end - t.time_seconds > slo.max_queue_wait_seconds)
                 {
                     state.queue.pop_front();
-                    state.shed_stale += 1;
+                    state.report.shed_stale += 1;
                     state.trace(trace.as_deref_mut(), format_args!("shed,stale"));
                 }
                 if !state.queue.is_empty() {
@@ -436,32 +368,32 @@ impl<'a> ServeLoop<'a> {
                             per_request_s,
                         } => tick_overhead_s + per_request_s * batch.len() as f64,
                     };
-                    if let Some(extra) = fault.oracle_spike(state.ticks) {
+                    if let Some(extra) = fault.oracle_spike(state.report.ticks) {
                         cost_s += extra;
-                        state.fault_oracle_spikes += 1;
+                        state.report.fault_oracle_spikes += 1;
                     }
                     state.tick_compute.record(cost_s);
                     state.trace(
                         trace.as_deref_mut(),
                         format_args!("tick,{cost_s:.6},{}", batch.len()),
                     );
-                    state.dispatch_ticks += 1;
+                    state.report.dispatch_ticks += 1;
                     *match state.level {
-                        DispatchEffort::Full => &mut state.dispatch_full,
-                        DispatchEffort::SlackPruned => &mut state.dispatch_slack_pruned,
-                        DispatchEffort::Greedy => &mut state.dispatch_greedy,
+                        DispatchEffort::Full => &mut state.report.dispatch_full,
+                        DispatchEffort::SlackPruned => &mut state.report.dispatch_slack_pruned,
+                        DispatchEffort::Greedy => &mut state.report.dispatch_greedy,
                     } += 1;
                     state.server_free = state.tick_end + cost_s;
                     for (trip, outcome) in batch.iter().zip(&outcomes) {
                         let seconds = state.server_free - trip.time_seconds;
                         let assigned = outcome.is_assigned();
-                        state.admitted += 1;
+                        state.report.admitted += 1;
                         state.latency.record(seconds);
                         if assigned {
-                            state.assigned += 1;
+                            state.report.assigned += 1;
                             state.assigned_latency.record(seconds);
                         } else {
-                            state.rejected += 1;
+                            state.report.rejected += 1;
                         }
                         state.trace(
                             trace.as_deref_mut(),
@@ -473,7 +405,7 @@ impl<'a> ServeLoop<'a> {
             }
 
             if state.level != DispatchEffort::Full {
-                state.degraded_ticks += 1;
+                state.report.degraded_ticks += 1;
             }
 
             // Degradation ladder with hysteresis: any stress signal steps
@@ -486,13 +418,13 @@ impl<'a> ServeLoop<'a> {
                 let next = state.level.degraded();
                 if next != state.level {
                     state.level = next;
-                    state.level_transitions += 1;
+                    state.report.level_transitions += 1;
                 }
             } else if state.level != DispatchEffort::Full {
                 state.healthy_streak += 1;
                 if state.healthy_streak >= slo.recover_healthy_ticks {
                     state.level = state.level.restored();
-                    state.level_transitions += 1;
+                    state.report.level_transitions += 1;
                     state.healthy_streak = 0;
                 }
             }
@@ -509,57 +441,38 @@ impl<'a> ServeLoop<'a> {
 
     /// Drains committed trips, checks that every offered request was
     /// admitted or shed and every admitted one decided and timed, and
-    /// assembles the report.
+    /// completes the loop's report with the latency summaries, the mean
+    /// queue depth and the simulation's own figures.
     pub(crate) fn finish_report(&mut self, state: LoopState, recovered: bool) -> ServeReport {
         // Let committed trips play out so guarantee accounting is final.
         self.sim.drain();
         let sim_report = self.sim.report();
 
         // The loop counters are exact by construction, always.
-        assert_eq!(
-            state.offered,
-            state.admitted + state.shed_queue_full + state.shed_stale
-        );
-        assert_eq!(state.admitted, state.assigned + state.rejected);
-        assert_eq!(state.latency.count(), state.admitted);
+        let counts = &state.report;
+        assert_eq!(counts.offered, counts.admitted + counts.shed());
+        assert_eq!(counts.admitted, counts.assigned + counts.rejected);
+        assert_eq!(state.latency.count(), counts.admitted);
 
         ServeReport {
-            offered: state.offered,
-            admitted: state.admitted,
-            assigned: state.assigned,
-            rejected: state.rejected,
-            shed_queue_full: state.shed_queue_full,
-            shed_stale: state.shed_stale,
-            ticks: state.ticks,
-            dispatch_ticks: state.dispatch_ticks,
             horizon_seconds: state.tick_end,
             latency: state.latency.summary(),
             assigned_latency: state.assigned_latency.summary(),
             tick_compute: state.tick_compute.summary(),
-            queue_depth_max: state.queue_depth_max,
             // One depth sample per tick, and every run crosses a tick.
-            queue_depth_mean: state.queue_depth_sum as f64 / state.ticks as f64,
+            queue_depth_mean: state.queue_depth_sum as f64 / counts.ticks as f64,
             guarantee_violations: sim_report.guarantee_violations,
             completed: sim_report.completed,
             mean_wait_seconds: sim_report.mean_wait_seconds,
             mean_detour_ratio: sim_report.mean_detour_ratio,
-            trace_lines: state.trace_lines,
-            io_errors: state.io_errors,
-            degraded_ticks: state.degraded_ticks,
-            level_transitions: state.level_transitions,
-            dispatch_full: state.dispatch_full,
-            dispatch_slack_pruned: state.dispatch_slack_pruned,
-            dispatch_greedy: state.dispatch_greedy,
-            fault_oracle_spikes: state.fault_oracle_spikes,
-            fault_torn_checkpoints: state.fault_torn_checkpoints,
-            journal_entries: state.journal_entries,
             recovered,
+            ..state.report
         }
     }
 }
 
 /// Everything one serve run measured.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Requests the arrival process offered.
     pub offered: u64,
@@ -621,6 +534,39 @@ pub struct ServeReport {
     pub recovered: bool,
 }
 
+/// Names each `u64` loop counter of [`ServeReport`] once, under its JSON
+/// key (the field name) and in serve-checkpoint order:
+/// [`ServeReport::json_object`] prints the ones before the `;`, the event
+/// trace's own counters after it are only checkpointed. A new counter is
+/// a field plus an entry here.
+macro_rules! loop_counters {
+    ($($printed:ident),+; $($unprinted:ident),+) => {
+        impl ServeReport {
+            /// The printed loop counters under their JSON keys.
+            fn printed_counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($printed), self.$printed)),+].into_iter()
+            }
+
+            /// Every loop counter, in checkpoint order.
+            pub(crate) fn counters(&self) -> impl Iterator<Item = u64> {
+                [$(self.$printed,)+ $(self.$unprinted),+].into_iter()
+            }
+
+            /// Every loop counter, in checkpoint order, to restore.
+            pub(crate) fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$(&mut self.$printed,)+ $(&mut self.$unprinted),+].into_iter()
+            }
+        }
+    };
+}
+
+loop_counters!(
+    offered, admitted, assigned, rejected, shed_queue_full, shed_stale, ticks, dispatch_ticks,
+    degraded_ticks, level_transitions, dispatch_full, dispatch_slack_pruned, dispatch_greedy,
+    fault_oracle_spikes, fault_torn_checkpoints, journal_entries;
+    trace_lines, io_errors
+);
+
 impl ServeReport {
     /// Total shed requests, both reasons.
     pub fn shed(&self) -> u64 {
@@ -669,115 +615,47 @@ impl ServeReport {
     /// Serialises the report as a JSON object (no trailing newline),
     /// optionally tagged with the offered arrival rate.
     pub fn json_object(&self, rate_per_second: Option<f64>, indent: &str) -> String {
-        let mut s = String::from("{\n");
-        let field = |s: &mut String, key: &str, value: String| {
-            s.push_str(indent);
-            s.push_str("  \"");
-            s.push_str(key);
-            s.push_str("\": ");
-            s.push_str(&value);
-            s.push_str(",\n");
+        let summary = |h: &LatencySummary| {
+            format!(
+                "{{\"count\": {}, \"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p90_s\": {:.6}, \"p99_s\": {:.6}, \"p999_s\": {:.6}, \"max_s\": {:.6}}}",
+                h.count, h.mean_s, h.p50_s, h.p90_s, h.p99_s, h.p999_s, h.max_s
+            )
         };
-        if let Some(rate) = rate_per_second {
-            field(&mut s, "rate_per_second", format!("{rate}"));
-        }
-        field(&mut s, "offered", self.offered.to_string());
-        field(&mut s, "admitted", self.admitted.to_string());
-        field(&mut s, "assigned", self.assigned.to_string());
-        field(&mut s, "rejected", self.rejected.to_string());
-        field(&mut s, "shed_queue_full", self.shed_queue_full.to_string());
-        field(&mut s, "shed_stale", self.shed_stale.to_string());
-        field(&mut s, "shed_rate", format!("{:.6}", self.shed_rate()));
-        field(&mut s, "ticks", self.ticks.to_string());
-        field(&mut s, "dispatch_ticks", self.dispatch_ticks.to_string());
-        field(
-            &mut s,
-            "horizon_seconds",
-            format!("{:.3}", self.horizon_seconds),
-        );
-        for (name, summary) in [
-            ("latency", &self.latency),
-            ("assigned_latency", &self.assigned_latency),
-            ("tick_compute", &self.tick_compute),
-        ] {
-            field(
-                &mut s,
-                name,
-                format!(
-                    "{{\"count\": {}, \"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p90_s\": {:.6}, \"p99_s\": {:.6}, \"p999_s\": {:.6}, \"max_s\": {:.6}}}",
-                    summary.count,
-                    summary.mean_s,
-                    summary.p50_s,
-                    summary.p90_s,
-                    summary.p99_s,
-                    summary.p999_s,
-                    summary.max_s
+        let fields: Vec<String> = rate_per_second
+            .map(|rate| ("rate_per_second", format!("{rate}")))
+            .into_iter()
+            .chain(self.printed_counters().map(|(key, n)| (key, n.to_string())))
+            .chain([
+                ("shed_rate", format!("{:.6}", self.shed_rate())),
+                ("horizon_seconds", format!("{:.3}", self.horizon_seconds)),
+                ("latency", summary(&self.latency)),
+                ("assigned_latency", summary(&self.assigned_latency)),
+                ("tick_compute", summary(&self.tick_compute)),
+                ("queue_depth_max", self.queue_depth_max.to_string()),
+                ("queue_depth_mean", format!("{:.3}", self.queue_depth_mean)),
+                (
+                    "degraded_fraction",
+                    format!("{:.6}", self.degraded_fraction()),
                 ),
-            );
-        }
-        field(&mut s, "queue_depth_max", self.queue_depth_max.to_string());
-        field(
-            &mut s,
-            "queue_depth_mean",
-            format!("{:.3}", self.queue_depth_mean),
-        );
-        field(&mut s, "degraded_ticks", self.degraded_ticks.to_string());
-        field(
-            &mut s,
-            "degraded_fraction",
-            format!("{:.6}", self.degraded_fraction()),
-        );
-        field(
-            &mut s,
-            "level_transitions",
-            self.level_transitions.to_string(),
-        );
-        field(&mut s, "dispatch_full", self.dispatch_full.to_string());
-        field(
-            &mut s,
-            "dispatch_slack_pruned",
-            self.dispatch_slack_pruned.to_string(),
-        );
-        field(&mut s, "dispatch_greedy", self.dispatch_greedy.to_string());
-        field(
-            &mut s,
-            "fault_oracle_spikes",
-            self.fault_oracle_spikes.to_string(),
-        );
-        field(
-            &mut s,
-            "fault_torn_checkpoints",
-            self.fault_torn_checkpoints.to_string(),
-        );
-        field(&mut s, "journal_entries", self.journal_entries.to_string());
-        field(&mut s, "recovered", self.recovered.to_string());
-        field(
-            &mut s,
-            "guarantee_violations",
-            self.guarantee_violations.to_string(),
-        );
-        field(&mut s, "completed", self.completed.to_string());
-        field(
-            &mut s,
-            "mean_wait_seconds",
-            format!("{:.3}", self.mean_wait_seconds),
-        );
-        field(
-            &mut s,
-            "mean_detour_ratio",
-            format!("{:.4}", self.mean_detour_ratio),
-        );
-        field(
-            &mut s,
-            "service_rate",
-            format!("{:.6}", self.service_rate()),
-        );
-        // Replace the trailing comma of the final field.
-        s.truncate(s.len() - 2);
-        s.push('\n');
-        s.push_str(indent);
-        s.push('}');
-        s
+                ("recovered", self.recovered.to_string()),
+                (
+                    "guarantee_violations",
+                    self.guarantee_violations.to_string(),
+                ),
+                ("completed", self.completed.to_string()),
+                (
+                    "mean_wait_seconds",
+                    format!("{:.3}", self.mean_wait_seconds),
+                ),
+                (
+                    "mean_detour_ratio",
+                    format!("{:.4}", self.mean_detour_ratio),
+                ),
+                ("service_rate", format!("{:.6}", self.service_rate())),
+            ])
+            .map(|(key, value)| format!("{indent}  \"{key}\": {value}"))
+            .collect();
+        format!("{{\n{}\n{indent}}}", fields.join(",\n"))
     }
 }
 
@@ -1110,5 +988,73 @@ mod tests {
             "braces balanced:\n{json}"
         );
         assert!(!json.contains(",\n  }"), "no trailing comma");
+    }
+
+    #[test]
+    fn json_object_prints_each_key_of_its_schema_exactly_once() {
+        let w = small_workload();
+        let oracle = CachedOracle::new(&w.network);
+        let cfg = ServeConfig {
+            model: ServiceModel::Fixed {
+                tick_overhead_s: 0.01,
+                per_request_s: 0.001,
+            },
+            ..ServeConfig::default()
+        };
+        let report =
+            ServeLoop::new(sim(&w, &oracle), cfg).run(PoissonArrivals::new(&w.trips, 2.0, 20.0, 1));
+        let json = report.json_object(Some(3.5), "  ");
+        // Top-level fields sit one to a line; the summaries nest inline.
+        let mut keys: Vec<&str> = json
+            .lines()
+            .filter_map(|l| l.strip_prefix("    \"")?.split_once("\": "))
+            .map(|(key, _)| key)
+            .collect();
+        // The CLI tests match these with a trailing comma.
+        for key in [
+            "offered",
+            "admitted",
+            "shed_queue_full",
+            "shed_stale",
+            "guarantee_violations",
+        ] {
+            assert_ne!(keys.last(), Some(&key), "{key} must not close the object");
+        }
+        keys.sort_unstable();
+        let mut schema = vec![
+            "rate_per_second",
+            "offered",
+            "admitted",
+            "assigned",
+            "rejected",
+            "shed_queue_full",
+            "shed_stale",
+            "shed_rate",
+            "ticks",
+            "dispatch_ticks",
+            "horizon_seconds",
+            "latency",
+            "assigned_latency",
+            "tick_compute",
+            "queue_depth_max",
+            "queue_depth_mean",
+            "degraded_ticks",
+            "degraded_fraction",
+            "level_transitions",
+            "dispatch_full",
+            "dispatch_slack_pruned",
+            "dispatch_greedy",
+            "fault_oracle_spikes",
+            "fault_torn_checkpoints",
+            "journal_entries",
+            "recovered",
+            "guarantee_violations",
+            "completed",
+            "mean_wait_seconds",
+            "mean_detour_ratio",
+            "service_rate",
+        ];
+        schema.sort_unstable();
+        assert_eq!(keys, schema, "{json}");
     }
 }

@@ -171,11 +171,6 @@ impl TraceLog {
         }
         out
     }
-
-    /// Writes the CSV to a file.
-    pub fn write_csv<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
 }
 
 #[cfg(test)]
@@ -219,18 +214,6 @@ mod tests {
         assert!(lines[1].starts_with("1,10.000,7,3200.000,5,110.000,100.000,300.000"));
         // Unassigned request leaves the optional fields empty.
         assert!(lines[2].starts_with("2,20.000,,,3,,,,"));
-    }
-
-    #[test]
-    fn csv_file_roundtrip() {
-        let log = sample_log();
-        let dir = std::env::temp_dir().join("rideshare_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.csv");
-        log.write_csv(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, log.to_csv());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
