@@ -31,7 +31,7 @@ use std::time::Instant;
 use roadnet::{DistanceOracle, NodeId, Point, RoadNetwork};
 use spatial::{Cell, GridIndex, Position};
 
-use crate::problem::WaitingTrip;
+use crate::problem::{ProbeScratch, WaitingTrip};
 use crate::request::TripRequest;
 use crate::types::Cost;
 use crate::vehicle::{Proposal, Vehicle};
@@ -512,6 +512,12 @@ pub struct Dispatcher {
     stats: DispatchStats,
     /// Current effort level (the serve path's degradation ladder).
     effort: DispatchEffort,
+    /// The buffers of every pricing walk ([`Vehicle::evaluate`]).
+    probe: ProbeScratch,
+    /// [`Frontier::cells`] and [`Frontier::ranked`] between requests:
+    /// each request clears them and the next reuses their capacity.
+    cells: Vec<(f64, Cell)>,
+    ranked: BinaryHeap<Reverse<Ranked>>,
 }
 
 impl Dispatcher {
@@ -521,6 +527,9 @@ impl Dispatcher {
             config,
             stats: DispatchStats::default(),
             effort: DispatchEffort::Full,
+            probe: ProbeScratch::default(),
+            cells: Vec::new(),
+            ranked: BinaryHeap::new(),
         }
     }
 
@@ -659,9 +668,9 @@ impl Dispatcher {
                     direct,
                     greedy: self.effort == DispatchEffort::Greedy,
                     lag: lazy.lag,
-                    cells: Vec::new(),
+                    cells: std::mem::take(&mut self.cells),
                     next: 0,
-                    ranked: BinaryHeap::new(),
+                    ranked: std::mem::take(&mut self.ranked),
                     by_slack: 0,
                 };
                 self.evaluate_nearest_first(frontier, vehicles, graph, index, oracle, lazy.sync)
@@ -708,7 +717,7 @@ impl Dispatcher {
             reason = "ART timer: the per-bucket evaluation nanos record real compute cost and are excluded from bit-identity"
         )]
         let timer = Instant::now();
-        let proposal = vehicle.evaluate(trip, oracle);
+        let proposal = vehicle.evaluate(trip, oracle, &mut self.probe);
         let nanos = timer.elapsed().as_nanos();
         let bucket = self.stats.art_buckets.entry(active).or_insert((0, 0));
         bucket.0 += 1;
@@ -837,6 +846,9 @@ impl Dispatcher {
             by_bound,
             evaluated,
         );
+        frontier.ranked.clear();
+        self.cells = frontier.cells;
+        self.ranked = frontier.ranked;
         (in_radius, best)
     }
 }

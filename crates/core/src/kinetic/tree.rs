@@ -4,7 +4,9 @@ use roadnet::io::bin::{self, Reader};
 use roadnet::{DistanceOracle, NodeId, RoadNetError};
 
 use crate::codec;
-use crate::problem::{Schedule, ScheduleWalker, SchedulingProblem, WaitingTrip};
+use crate::problem::{
+    ProbeScratch, Schedule, ScheduleWalker, SchedulingProblem, ValidationError, WaitingTrip,
+};
 use crate::types::{Cost, Stop, StopKind};
 
 /// Behavioural switches of the kinetic tree (paper Sec. IV–V).
@@ -18,10 +20,14 @@ pub struct KineticConfig {
     /// into that node's hotspot) is pinned immediately before it instead of
     /// being tried at every feasible position.
     pub hotspot_theta: Option<f64>,
-    /// Maximum number of tree nodes. Insertions that would exceed the budget
-    /// fail with [`TreeInsertError::Overflow`]; this models the paper's
-    /// 3 GB memory cap that makes the basic/slack variants break off at high
-    /// capacities (Fig. 9(c)).
+    /// Maximum number of tree nodes. An insertion whose recursion visits
+    /// more nodes than this fails with [`TreeInsertError::Overflow`]; this
+    /// models the paper's 3 GB memory cap that makes the basic/slack
+    /// variants break off at high capacities (Fig. 9(c)). The count is of
+    /// nodes visited, not kept: the recursion stops below a node where the
+    /// new trip is already late without visiting that subtree, so an
+    /// insertion may fit although the same tree walked without that cut
+    /// would not.
     pub max_nodes: usize,
 }
 
@@ -213,6 +219,17 @@ fn best_of(nodes: &[TreeNode]) -> Option<(&TreeNode, Cost)> {
     best.map(|node| (node, best_total))
 }
 
+/// Whether appending `stop` failed on `stop`'s own limit — its pickup
+/// deadline, or its ride or drop-off deadline — which only grows harder
+/// to meet further along the route.
+fn misses_own_limit(stop: Stop, step: Result<(), ValidationError>) -> bool {
+    matches!(
+        step,
+        Err(ValidationError::WaitingTimeViolated { trip, .. }
+            | ValidationError::ServiceConstraintViolated { trip, .. }) if trip == stop.trip
+    )
+}
+
 /// Whether `node` is within θ of every vertex of a hotspot `group`.
 fn joins_hotspot(group: &[NodeId], node: NodeId, theta: f64, oracle: &dyn DistanceOracle) -> bool {
     group.iter().all(|&g| oracle.dist(g, node) <= theta)
@@ -367,12 +384,11 @@ impl KineticTree {
         trip: WaitingTrip,
         oracle: &dyn DistanceOracle,
     ) -> Result<(KineticTree, Cost), TreeInsertError> {
-        let problem = self.augmented(trip);
-        let children: Vec<TreeNode> = self.insert(&problem, trip, oracle)?;
+        let children: Vec<TreeNode> = self.insert(trip, oracle, &mut ProbeScratch::default())?;
         let node_count = children.iter().map(TreeNode::count).sum();
         let tree = KineticTree {
             config: self.config,
-            problem,
+            problem: self.augmented(trip),
             children,
             node_count,
         };
@@ -387,14 +403,15 @@ impl KineticTree {
     /// the same [`TreeInsertError`] for the same inputs — without building
     /// the tree. It runs the same recursion against the same node budget
     /// but keeps only each level's cheapest completion: no node, group,
-    /// walker clone or stop sequence is allocated per visited node.
+    /// walker clone or stop sequence is allocated per visited node, and no
+    /// copy of the problem per probe; the walk's buffers are `scratch`'s.
     pub fn probe_insert(
         &self,
         trip: WaitingTrip,
         oracle: &dyn DistanceOracle,
+        scratch: &mut ProbeScratch,
     ) -> Result<Cost, TreeInsertError> {
-        let problem = self.augmented(trip);
-        let Cheapest(cost) = self.insert(&problem, trip, oracle)?;
+        let Cheapest(cost) = self.insert(trip, oracle, scratch)?;
         cost.filter(|c| c.is_finite())
             .ok_or(TreeInsertError::Infeasible)
     }
@@ -407,21 +424,22 @@ impl KineticTree {
     }
 
     /// Interleaves `trip`'s pickup and drop-off into every recorded
-    /// schedule, walking `problem` (the augmented one); `Infeasible` when
-    /// no schedule survives.
+    /// schedule, walking the tree's problem with `trip` waiting too (the
+    /// problem [`KineticTree::augmented`] makes, without the copy) on
+    /// `scratch`'s buffers; `Infeasible` when no schedule survives.
     fn insert<L: Level>(
         &self,
-        problem: &SchedulingProblem,
         trip: WaitingTrip,
         oracle: &dyn DistanceOracle,
+        scratch: &mut ProbeScratch,
     ) -> Result<L, TreeInsertError> {
         let to_insert = [
             Stop::pickup(trip.trip, trip.pickup),
             Stop::dropoff(trip.trip, trip.dropoff),
         ];
         let mut budget = self.config.max_nodes as i64;
-        let mut walker = ScheduleWalker::new(problem);
-        let level: L = self.extend(
+        let mut walker = ScheduleWalker::with_trip(&self.problem, trip, scratch);
+        let level = self.extend(
             &self.children,
             &mut walker,
             0.0,
@@ -429,7 +447,9 @@ impl KineticTree {
             &to_insert,
             &mut budget,
             oracle,
-        )?;
+        );
+        *scratch = walker.into_scratch();
+        let level: L = level?;
         if level.is_empty() {
             return Err(TreeInsertError::Infeasible);
         }
@@ -519,6 +539,10 @@ impl KineticTree {
     ///   "insert at every outgoing edge" because all old alternatives hang
     ///   below it).
     ///
+    /// Old children are tried first, then `remaining[0]`, whose leg is
+    /// asked before either for the late cut: when `remaining[0]` already
+    /// misses its own deadline or ride limit here, the level keeps nothing.
+    ///
     /// `detour` is the extra distance accumulated along the walked prefix
     /// relative to the same prefix of old stops in the old tree (i.e. how
     /// much later every old stop below will now be reached); the slack-time
@@ -547,11 +571,26 @@ impl KineticTree {
     ) -> Result<L, TreeInsertError> {
         let mut out = L::default();
 
+        // The late cut. A stop already past its own limit here is past it
+        // below every old child too: each leg is a shortest distance, so
+        // for any node `y` below here the triangle inequality gives
+        // `cum(y) + d(y, s) >= cum + d(here, s)`. Nothing below can be
+        // kept, so none of it is visited. A full vehicle proves no such
+        // thing, since seats free up further down.
+        let next_new = remaining
+            .first()
+            .map(|&stop| (stop, oracle.dist(walker.location, stop.node)));
+        if let Some((stop, leg)) = next_new {
+            if misses_own_limit(stop, walker.check(stop, leg)) {
+                return Ok(out);
+            }
+        }
+
         // Hotspot clustering: if the next new stop is within θ of one of the
         // old alternatives (and of everything already merged into it), pin
         // it right here and do not try it anywhere deeper in this subtree.
-        let hotspot = match (self.config.hotspot_theta, remaining.first()) {
-            (Some(theta), Some(next_new)) => old_children
+        let hotspot = match (self.config.hotspot_theta, next_new) {
+            (Some(theta), Some((next_new, _))) => old_children
                 .iter()
                 .find(|c| joins_hotspot(&c.group, next_new.node, theta, oracle)),
             _ => None,
@@ -602,8 +641,7 @@ impl KineticTree {
         }
 
         // Option B: serve the next new stop now.
-        if let Some(&new_stop) = remaining.first() {
-            let leg = oracle.dist(walker.location, new_stop.node);
+        if let Some((new_stop, leg)) = next_new {
             let mark = walker.mark();
             if leg.is_finite() && walker.advance_with_distance(new_stop, leg).is_ok() {
                 *budget -= 1;
@@ -926,7 +964,8 @@ mod tests {
                     Err(TreeInsertError::Infeasible)
                 };
                 assert_eq!(got, want, "{config:?}, deadline {deadline}");
-                assert_eq!(tree.probe_insert(behind, &oracle), want);
+                let probed = tree.probe_insert(behind, &oracle, &mut ProbeScratch::default());
+                assert_eq!(probed, want);
             }
         }
     }
@@ -1084,15 +1123,28 @@ mod tests {
         }
     }
 
-    /// A [`MatrixOracle`] that counts its `dist` calls.
+    /// A [`MatrixOracle`] that counts its `dist` calls and logs their
+    /// endpoints.
     struct CountingOracle {
         inner: MatrixOracle,
         calls: std::cell::Cell<u64>,
+        asked: std::cell::RefCell<Vec<(NodeId, NodeId)>>,
+    }
+
+    impl CountingOracle {
+        fn new(inner: MatrixOracle) -> Self {
+            CountingOracle {
+                inner,
+                calls: Default::default(),
+                asked: Default::default(),
+            }
+        }
     }
 
     impl DistanceOracle for CountingOracle {
         fn dist(&self, s: NodeId, t: NodeId) -> Cost {
             self.calls.set(self.calls.get() + 1);
+            self.asked.borrow_mut().push((s, t));
             self.inner.dist(s, t)
         }
 
@@ -1107,10 +1159,7 @@ mod tests {
 
     #[test]
     fn a_reroot_in_place_moves_only_the_clock() {
-        let oracle = CountingOracle {
-            inner: grid_oracle(11),
-            calls: Default::default(),
-        };
+        let oracle = CountingOracle::new(grid_oracle(11));
         let tree = KineticTree::new(4, 0.0, 6, KineticConfig::slack());
         let t1 = make_trip(&oracle.inner, 1, 9, 27, 0.0, 20_000.0, 1.0);
         let (tree, _) = tree.try_insert(t1, &oracle).unwrap();
@@ -1136,6 +1185,119 @@ mod tests {
         // Every root leg is the distance from where the tree stands.
         for (node, leg, _) in tree.root_branches() {
             assert_eq!(leg.to_bits(), oracle.inner.dist(at, node).to_bits());
+        }
+    }
+
+    /// Ten vertices on a line, 100 m apart.
+    fn line_oracle() -> MatrixOracle {
+        let mut b = roadnet::GraphBuilder::new();
+        for i in 0..10 {
+            b.add_node(roadnet::Point::new(i as f64 * 100.0, 0.0));
+        }
+        for i in 0..9 {
+            b.add_edge(i, i + 1, 100.0);
+        }
+        MatrixOracle::new(&b.build())
+    }
+
+    /// A vehicle at vertex 1 of [`line_oracle`] whose one valid schedule
+    /// is the chain 3, 5, 7, 9: trip 1 rides 3 to 5 and must be picked up
+    /// first, trip 2 rides 7 to 9, both without detour.
+    fn chain_tree(
+        oracle: &dyn DistanceOracle,
+        config: KineticConfig,
+        capacity: usize,
+    ) -> KineticTree {
+        let mut tree = KineticTree::new(1, 0.0, capacity, config);
+        for (trip, pickup, pickup_deadline) in [(2, 7, 600.0), (1, 3, 200.0)] {
+            let trip = WaitingTrip {
+                trip,
+                pickup,
+                dropoff: pickup + 2,
+                pickup_deadline,
+                max_ride: 200.0,
+            };
+            tree = tree.try_insert(trip, oracle).unwrap().0;
+        }
+        let want = TreeStats {
+            nodes: 4,
+            leaves: 1,
+            depth: 4,
+        };
+        assert_eq!(tree.stats(), want);
+        tree
+    }
+
+    /// Probes and builds `trip` into `tree`, asserting that both agree
+    /// with each other and with brute force, and returns the probe.
+    fn probe_build_and_brute_force(
+        tree: &KineticTree,
+        trip: WaitingTrip,
+        oracle: &dyn DistanceOracle,
+    ) -> Result<Cost, TreeInsertError> {
+        let probed = tree.probe_insert(trip, oracle, &mut ProbeScratch::default());
+        let built = tree.try_insert(trip, oracle).map(|(_, cost)| cost);
+        assert_eq!(probed, built);
+        let mut augmented = tree.problem().clone();
+        augmented.waiting.push(trip);
+        let best = BruteForceSolver::default().solve(&augmented, oracle);
+        assert_eq!(probed.ok(), best.cost());
+        probed
+    }
+
+    #[test]
+    fn a_new_stop_late_at_a_node_is_not_asked_for_below_it() {
+        let oracle = CountingOracle::new(line_oracle());
+        // Due at 2 by 100: on time from the vehicle at 1, late from the
+        // chain's first stop (3, reached at 200) on.
+        let late_pickup = WaitingTrip {
+            trip: 3,
+            pickup: 2,
+            dropoff: 4,
+            pickup_deadline: 100.0,
+            max_ride: 200.0,
+        };
+        // Picked up at 2 first, the rider may ride 200 to 4: on time from
+        // 3, late from 5 (a 400 m ride) on.
+        let late_dropoff = WaitingTrip {
+            pickup_deadline: 10_000.0,
+            ..late_pickup
+        };
+        for config in [KineticConfig::basic(), KineticConfig::slack()] {
+            let tree = chain_tree(&oracle, config, 4);
+            for (trip, stop, below) in
+                [(late_pickup, 2, &[5, 7, 9][..]), (late_dropoff, 4, &[7, 9])]
+            {
+                oracle.asked.borrow_mut().clear();
+                let probed = tree.probe_insert(trip, &oracle, &mut ProbeScratch::default());
+                let asked_below: Vec<_> = oracle
+                    .asked
+                    .take()
+                    .into_iter()
+                    .filter(|&(s, t)| t == stop && below.contains(&s))
+                    .collect();
+                assert_eq!(asked_below, [], "{config:?}: asked for {stop} from below");
+                assert_eq!(probed, Ok(800.0), "{config:?}");
+                assert_eq!(probe_build_and_brute_force(&tree, trip, &oracle), Ok(800.0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_vehicle_still_tries_the_new_pickup_below() {
+        let oracle = line_oracle();
+        // One seat: the rider from 6 to 7 cannot board while trip 1 rides
+        // (3 to 5), only once it has left.
+        let trip = WaitingTrip {
+            trip: 3,
+            pickup: 6,
+            dropoff: 7,
+            pickup_deadline: 10_000.0,
+            max_ride: 10_000.0,
+        };
+        for config in [KineticConfig::basic(), KineticConfig::slack()] {
+            let tree = chain_tree(&oracle, config, 1);
+            assert_eq!(probe_build_and_brute_force(&tree, trip, &oracle), Ok(800.0));
         }
     }
 

@@ -65,7 +65,9 @@ pub use dispatch::{
 };
 pub use fault::FaultPlan;
 pub use kinetic::{KineticConfig, KineticTree, TreeInsertError, TreeStats};
-pub use problem::{OnboardTrip, Schedule, SchedulingProblem, ValidationError, WaitingTrip};
+pub use problem::{
+    OnboardTrip, ProbeScratch, Schedule, SchedulingProblem, ValidationError, WaitingTrip,
+};
 pub use request::{Constraints, TripRequest};
 pub use stats::{LatencyHistogram, LatencySummary};
 pub use types::{Cost, Stop, StopKind, TripId};

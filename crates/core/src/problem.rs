@@ -269,6 +269,16 @@ impl SchedulingProblem {
     }
 }
 
+/// The buffers behind a [`ScheduleWalker`]'s prefix lists, kept between
+/// walks: a caller that prices many insertions (the dispatcher probing its
+/// candidates) lends the same pair to each walk instead of allocating one
+/// per walk. Holds nothing a walk reads: every walk starts by clearing it.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeScratch {
+    picked_at: Vec<(TripId, Cost)>,
+    dropped: Vec<TripId>,
+}
+
 /// Incremental validity checking while building a schedule stop by stop.
 ///
 /// All solvers share this walker so that the feasibility rules are written
@@ -277,6 +287,9 @@ impl SchedulingProblem {
 #[derive(Debug, Clone)]
 pub struct ScheduleWalker<'p> {
     problem: &'p SchedulingProblem,
+    /// A trip waiting besides `problem.waiting` (the new trip a kinetic
+    /// tree prices), looked up after them.
+    extra: Option<WaitingTrip>,
     /// Vertex of the last scheduled stop (or the start).
     pub location: NodeId,
     /// Distance travelled from the start through the scheduled prefix.
@@ -292,19 +305,60 @@ pub struct ScheduleWalker<'p> {
 impl<'p> ScheduleWalker<'p> {
     /// Starts a walk at the vehicle's current location.
     pub fn new(problem: &'p SchedulingProblem) -> Self {
+        Self::start(problem, None, ProbeScratch::default())
+    }
+
+    /// Starts a walk of `problem` with `trip` waiting too: step for step
+    /// the walk of a copy of `problem` with `trip` pushed onto `waiting`,
+    /// without the copy. `trip` is looked up after `problem.waiting`, so a
+    /// duplicate id resolves to the problem's own trip, as in the copy.
+    /// The prefix lists reuse `scratch`'s buffers;
+    /// [`ScheduleWalker::into_scratch`] hands them back.
+    pub(crate) fn with_trip(
+        problem: &'p SchedulingProblem,
+        trip: WaitingTrip,
+        scratch: &mut ProbeScratch,
+    ) -> Self {
+        Self::start(problem, Some(trip), std::mem::take(scratch))
+    }
+
+    fn start(
+        problem: &'p SchedulingProblem,
+        extra: Option<WaitingTrip>,
+        mut scratch: ProbeScratch,
+    ) -> Self {
+        scratch.picked_at.clear();
+        scratch.dropped.clear();
         ScheduleWalker {
             problem,
+            extra,
             location: problem.start,
             cum_dist: 0.0,
             onboard_count: problem.onboard.len(),
-            picked_at: Vec::new(),
-            dropped: Vec::new(),
+            picked_at: scratch.picked_at,
+            dropped: scratch.dropped,
         }
     }
 
-    /// The problem being walked.
+    /// Ends the walk, returning its buffers for the next one.
+    pub(crate) fn into_scratch(self) -> ProbeScratch {
+        ProbeScratch {
+            picked_at: self.picked_at,
+            dropped: self.dropped,
+        }
+    }
+
+    /// The problem being walked, without the new trip a kinetic tree's
+    /// insertion walk adds to it.
     pub fn problem(&self) -> &SchedulingProblem {
         self.problem
+    }
+
+    /// Looks up a waiting trip by id: the problem's, then the added one.
+    fn waiting_trip(&self, trip: TripId) -> Option<&WaitingTrip> {
+        self.problem
+            .waiting_trip(trip)
+            .or(self.extra.as_ref().filter(|t| t.trip == trip))
     }
 
     /// Absolute clock at the current position of the walk.
@@ -366,12 +420,31 @@ impl<'p> ScheduleWalker<'p> {
     /// Every check runs before anything is written, so a failed step
     /// leaves the walker as it was.
     pub fn advance_with_distance(&mut self, stop: Stop, leg: Cost) -> Result<(), ValidationError> {
+        self.check(stop, leg)?;
+        let new_dist = self.cum_dist + leg;
+        match stop.kind {
+            StopKind::Pickup => {
+                self.onboard_count += 1;
+                self.picked_at.push((stop.trip, new_dist));
+            }
+            StopKind::Dropoff => {
+                self.onboard_count = self.onboard_count.saturating_sub(1);
+                self.dropped.push(stop.trip);
+            }
+        }
+        self.location = stop.node;
+        self.cum_dist = new_dist;
+        Ok(())
+    }
+
+    /// What [`ScheduleWalker::advance_with_distance`] would return for
+    /// `stop` at `leg`, without appending it.
+    pub(crate) fn check(&self, stop: Stop, leg: Cost) -> Result<(), ValidationError> {
         let new_dist = self.cum_dist + leg;
         let arrival_clock = self.problem.now + new_dist;
         match stop.kind {
             StopKind::Pickup => {
                 let trip = self
-                    .problem
                     .waiting_trip(stop.trip)
                     .ok_or(ValidationError::UnknownStop(stop))?;
                 if self.picked_up(stop.trip) || self.dropped.contains(&stop.trip) {
@@ -390,8 +463,6 @@ impl<'p> ScheduleWalker<'p> {
                         capacity: self.problem.capacity,
                     });
                 }
-                self.onboard_count += 1;
-                self.picked_at.push((stop.trip, new_dist));
             }
             StopKind::Dropoff => {
                 if self.dropped.contains(&stop.trip) {
@@ -405,9 +476,7 @@ impl<'p> ScheduleWalker<'p> {
                             limit: t.dropoff_deadline - self.problem.now,
                         });
                     }
-                    self.onboard_count = self.onboard_count.saturating_sub(1);
-                    self.dropped.push(stop.trip);
-                } else if let Some(t) = self.problem.waiting_trip(stop.trip) {
+                } else if let Some(t) = self.waiting_trip(stop.trip) {
                     let pickup_dist = self
                         .picked_at
                         .iter()
@@ -422,15 +491,11 @@ impl<'p> ScheduleWalker<'p> {
                             limit: t.max_ride,
                         });
                     }
-                    self.onboard_count = self.onboard_count.saturating_sub(1);
-                    self.dropped.push(stop.trip);
                 } else {
                     return Err(ValidationError::UnknownStop(stop));
                 }
             }
         }
-        self.location = stop.node;
-        self.cum_dist = new_dist;
         Ok(())
     }
 
@@ -443,13 +508,13 @@ impl<'p> ScheduleWalker<'p> {
         let arrival_clock = self.problem.now + new_dist;
         match stop.kind {
             StopKind::Pickup => {
-                let trip = self.problem.waiting_trip(stop.trip)?;
+                let trip = self.waiting_trip(stop.trip)?;
                 Some(trip.pickup_deadline - arrival_clock)
             }
             StopKind::Dropoff => {
                 if let Some(t) = self.problem.onboard_trip(stop.trip) {
                     Some(t.dropoff_deadline - arrival_clock)
-                } else if let Some(t) = self.problem.waiting_trip(stop.trip) {
+                } else if let Some(t) = self.waiting_trip(stop.trip) {
                     let pickup_dist = self
                         .picked_at
                         .iter()
@@ -735,6 +800,69 @@ mod tests {
         assert_eq!((w.location, w.cum_dist, w.onboard_count), (0, 0.0, 0));
         assert_eq!(w.stops_taken(), 0);
         assert!(!w.picked_up(1));
+    }
+
+    #[test]
+    fn walking_a_problem_and_a_trip_is_walking_the_problem_with_the_trip_pushed() {
+        let oracle = line_oracle();
+        let mut p = SchedulingProblem::new(0, 0.0, 2);
+        p.onboard.push(OnboardTrip {
+            trip: 7,
+            dropoff: 3,
+            dropoff_deadline: 500.0,
+        });
+        p.waiting.push(WaitingTrip {
+            trip: 1,
+            pickup: 2,
+            dropoff: 5,
+            pickup_deadline: 500.0,
+            max_ride: 360.0,
+        });
+        let new = |trip| WaitingTrip {
+            trip,
+            pickup: 4,
+            dropoff: 1,
+            pickup_deadline: 600.0,
+            max_ride: 500.0,
+        };
+        // One buffer pair for every walk: each must start from empty.
+        let mut scratch = ProbeScratch::default();
+        // A fresh id, a waiting trip's id and an on-board trip's id.
+        for trip in [new(9), new(1), new(7)] {
+            let mut pushed = p.clone();
+            pushed.waiting.push(trip);
+            let stops = pushed.required_stops();
+            // Every sequence of four stops, repeats and bad orders included:
+            // a failed step writes nothing, so the walk goes on past it.
+            for code in 0..stops.len().pow(4) {
+                let sequence = (0..4).map(|i| stops[code / stops.len().pow(i) % stops.len()]);
+                let mut with_trip = ScheduleWalker::with_trip(&p, trip, &mut scratch);
+                let mut copied = ScheduleWalker::new(&pushed);
+                for stop in sequence {
+                    let step = with_trip.advance(stop, &oracle);
+                    assert_eq!(step, copied.advance(stop, &oracle), "{trip:?} at {stop:?}");
+                    let state = |w: &ScheduleWalker<'_>| {
+                        (
+                            w.location,
+                            w.cum_dist.to_bits(),
+                            w.onboard_count,
+                            w.stops_taken(),
+                        )
+                    };
+                    assert_eq!(state(&with_trip), state(&copied), "{trip:?} at {stop:?}");
+                    for &next in &stops {
+                        for leg in [0.0, 150.0] {
+                            assert_eq!(
+                                with_trip.stop_slack(next, leg),
+                                copied.stop_slack(next, leg),
+                                "{trip:?} at {stop:?}, slack of {next:?}"
+                            );
+                        }
+                    }
+                }
+                scratch = with_trip.into_scratch();
+            }
+        }
     }
 
     #[test]

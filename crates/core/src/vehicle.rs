@@ -14,7 +14,7 @@ use roadnet::{DistanceOracle, NodeId, RoadNetError};
 use crate::algorithms::{SolverKind, SolverOutcome};
 use crate::codec;
 use crate::kinetic::{KineticConfig, KineticTree, TreeInsertError};
-use crate::problem::{Schedule, SchedulingProblem, WaitingTrip};
+use crate::problem::{ProbeScratch, Schedule, SchedulingProblem, WaitingTrip};
 use crate::types::{Cost, Stop};
 
 /// Which matching algorithm a vehicle uses to evaluate new requests.
@@ -158,14 +158,19 @@ impl Vehicle {
     /// accept the trip.
     ///
     /// The kinetic planner prices the insertion with
-    /// [`KineticTree::probe_insert`] and builds nothing; a solver solves
-    /// the augmented problem once and keeps the schedule for the commit.
-    /// `None` when the trip is infeasible for this vehicle (or overflows
-    /// the tree's node budget).
-    pub fn evaluate(&self, trip: WaitingTrip, oracle: &dyn DistanceOracle) -> Option<Proposal> {
+    /// [`KineticTree::probe_insert`] on `scratch`'s buffers and builds
+    /// nothing; a solver solves the augmented problem once and keeps the
+    /// schedule for the commit. `None` when the trip is infeasible for this
+    /// vehicle (or overflows the tree's node budget).
+    pub fn evaluate(
+        &self,
+        trip: WaitingTrip,
+        oracle: &dyn DistanceOracle,
+        scratch: &mut ProbeScratch,
+    ) -> Option<Proposal> {
         match &self.plan {
             Plan::Kinetic(tree) => {
-                let cost = tree.probe_insert(trip, oracle).ok()?;
+                let cost = tree.probe_insert(trip, oracle, scratch).ok()?;
                 Some(Proposal {
                     cost,
                     trip,
@@ -340,11 +345,12 @@ mod tests {
     #[test]
     fn all_planners_agree_on_a_single_request() {
         let oracle = oracle();
+        let mut scratch = ProbeScratch::default();
         let t = trip(&oracle, 1, 7, 30, 0.0);
         let mut costs = Vec::new();
         for planner in planners() {
             let v = Vehicle::new(0, 0, 4, planner, 0.0);
-            let p = v.evaluate(t, &oracle).expect("feasible");
+            let p = v.evaluate(t, &oracle, &mut scratch).expect("feasible");
             costs.push(p.cost);
         }
         for c in &costs {
@@ -358,9 +364,12 @@ mod tests {
     #[test]
     fn commit_and_arrivals_update_bookkeeping() {
         let oracle = oracle();
+        let mut scratch = ProbeScratch::default();
         for planner in planners() {
             let mut v = Vehicle::new(3, 0, 4, planner, 0.0);
-            let p = v.evaluate(trip(&oracle, 1, 7, 30, 0.0), &oracle).unwrap();
+            let p = v
+                .evaluate(trip(&oracle, 1, 7, 30, 0.0), &oracle, &mut scratch)
+                .unwrap();
             let cost = p.cost;
             v.commit(p, &oracle).unwrap();
             assert_eq!(v.active_trip_count(), 1);
@@ -401,14 +410,17 @@ mod tests {
     #[test]
     fn capacity_is_respected_across_planners() {
         let oracle = oracle();
+        let mut scratch = ProbeScratch::default();
         for planner in planners() {
             let mut v = Vehicle::new(0, 0, 1, planner, 0.0);
-            let p = v.evaluate(trip(&oracle, 1, 7, 30, 0.0), &oracle).unwrap();
+            let p = v
+                .evaluate(trip(&oracle, 1, 7, 30, 0.0), &oracle, &mut scratch)
+                .unwrap();
             v.commit(p, &oracle).unwrap();
             // Second passenger whose trip would have to overlap with trip 1
             // can still be accepted if served sequentially; verify that the
             // resulting schedule never has 2 passengers on board.
-            if let Some(p) = v.evaluate(trip(&oracle, 2, 8, 31, 0.0), &oracle) {
+            if let Some(p) = v.evaluate(trip(&oracle, 2, 8, 31, 0.0), &oracle, &mut scratch) {
                 v.commit(p, &oracle).unwrap();
                 assert!(v.problem().is_valid(v.route(), &oracle));
             }
@@ -418,12 +430,16 @@ mod tests {
     #[test]
     fn infeasible_request_returns_none() {
         let oracle = oracle();
+        let mut scratch = ProbeScratch::default();
         let far = (oracle.node_count() - 1) as NodeId;
         let tight = TripRequest::new(1, far, 0, 0.0, Constraints::new(1.0, 0.1));
         let t = WaitingTrip::for_request(&tight, oracle.dist(far, 0));
         for planner in planners() {
             let v = Vehicle::new(0, 0, 4, planner, 0.0);
-            assert!(v.evaluate(t, &oracle).is_none(), "{planner:?}");
+            assert!(
+                v.evaluate(t, &oracle, &mut scratch).is_none(),
+                "{planner:?}"
+            );
         }
     }
 
@@ -441,13 +457,16 @@ mod tests {
     #[test]
     fn encode_decode_roundtrips_every_planner() {
         let oracle = oracle();
+        let mut scratch = ProbeScratch::default();
         for planner in planners() {
             let mut v = Vehicle::new(9, 0, 4, planner, 0.0);
-            let p = v.evaluate(trip(&oracle, 1, 7, 30, 0.0), &oracle).unwrap();
+            let p = v
+                .evaluate(trip(&oracle, 1, 7, 30, 0.0), &oracle, &mut scratch)
+                .unwrap();
             v.commit(p, &oracle).unwrap();
             let leg = oracle.dist(0, 7);
             v.arrive_at_next_stop(leg, &oracle); // pickup: one on board
-            if let Some(p) = v.evaluate(trip(&oracle, 2, 8, 31, leg), &oracle) {
+            if let Some(p) = v.evaluate(trip(&oracle, 2, 8, 31, leg), &oracle, &mut scratch) {
                 v.commit(p, &oracle).unwrap();
             }
 

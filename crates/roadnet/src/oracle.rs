@@ -50,6 +50,17 @@ pub trait ShortestPathEngine {
 /// implementation must return identical distances/paths for identical
 /// arguments regardless of cache state, so swapping oracle implementations
 /// never changes matching decisions.
+///
+/// # Metric contract
+///
+/// `dist` is a metric, and the scheduling layer prunes on that without a
+/// tolerance: it is the exact shortest-path distance (not an estimate),
+/// symmetric (`dist(s, t) == dist(t, s)`), and obeys the triangle
+/// inequality (`dist(s, t) <= dist(s, u) + dist(u, t)`) bit for bit. Edges
+/// are undirected and every weight lies on the [`crate::Q`] grid, so sums
+/// of weights are exact and both hold for the shortest-path distance.
+/// The dispatcher's road-distance screen and the kinetic tree's late cut
+/// (a new stop late at a node is late below it) are exact only under it.
 pub trait DistanceOracle {
     /// Shortest distance from `s` to `t`; `INFINITY` when unreachable.
     fn dist(&self, s: NodeId, t: NodeId) -> Weight;

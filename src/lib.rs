@@ -60,7 +60,7 @@ pub use spatial;
 pub mod prelude {
     pub use kinetic_core::{
         AssignmentOutcome, BranchBoundSolver, BruteForceSolver, Constraints, Dispatcher,
-        DispatcherConfig, KineticConfig, KineticTree, MipScheduleSolver, PlannerKind,
+        DispatcherConfig, KineticConfig, KineticTree, MipScheduleSolver, PlannerKind, ProbeScratch,
         ScheduleSolver, SchedulingProblem, SolverKind, SolverOutcome, Stop, StopKind, TripRequest,
         Vehicle, WaitingTrip,
     };

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use ridesharing::core::{Cost, DispatchEffort, TreeInsertError};
+use ridesharing::core::{Cost, DispatchEffort, ProbeScratch, TreeInsertError};
 use ridesharing::prelude::*;
 use roadnet::MatrixOracle;
 
@@ -51,7 +51,7 @@ fn probe_and_build(
     trip: WaitingTrip,
     oracle: &dyn DistanceOracle,
 ) -> Result<(Cost, KineticTree), TreeInsertError> {
-    let probed = tree.probe_insert(trip, oracle);
+    let probed = tree.probe_insert(trip, oracle, &mut ProbeScratch::default());
     let built = tree.try_insert(trip, oracle);
     match (&probed, &built) {
         (Ok(p), Ok((tree, cost))) => {
@@ -74,7 +74,9 @@ proptest! {
     /// every variant and node budgets from 1 to the default. On the exact
     /// variants the cost is the brute-force optimum of the augmented
     /// problem, and `Infeasible` means brute force finds nothing either
-    /// (checked up to four trips).
+    /// (checked up to four trips). Half the cases draw tight limits —
+    /// deadlines from `now` on, rides from the direct distance on — so a
+    /// new stop is often late below the root and the late cut fires.
     #[test]
     fn probe_insert_matches_try_insert(
         (rows, cols, seed) in (4usize..7, 4usize..7, 0u64..500),
@@ -83,13 +85,14 @@ proptest! {
         budget_log2 in 0u32..22,
         capacity in 1usize..5,
         start in 0u32..64,
-        trips in prop::collection::vec(((0u32..64, 0u32..64), 0.1f64..1.0, 0u32..3), 1..6),
+        trips in prop::collection::vec(((0u32..64, 0u32..64), 0.1f64..1.0, 0u32..3, 0.0f64..1.0), 1..6),
+        tight in 0u32..2,
     ) {
         let oracle = MatrixOracle::new(&grid(rows, cols, seed));
         let n = oracle.node_count() as u32;
         let config = variant(variant_index, theta, budget_log2);
         let mut tree = KineticTree::new(start % n, 0.0, capacity, config);
-        for (id, &(pair, looseness, advance)) in trips.iter().enumerate() {
+        for (id, &(pair, looseness, advance, slack)) in trips.iter().enumerate() {
             let (pickup, dropoff) = endpoints(n, pair);
             let trip = WaitingTrip {
                 trip: id as u64,
@@ -97,6 +100,15 @@ proptest! {
                 dropoff,
                 pickup_deadline: tree.problem().now + 2_000.0 + looseness * 8_000.0,
                 max_ride: oracle.dist(pickup, dropoff) * (1.0 + looseness),
+            };
+            let trip = if tight == 1 {
+                WaitingTrip {
+                    pickup_deadline: tree.problem().now + slack * 4_000.0,
+                    max_ride: oracle.dist(pickup, dropoff) * (1.0 + slack),
+                    ..trip
+                }
+            } else {
+                trip
             };
             let built = probe_and_build(&tree, trip, &oracle);
             // Brute force is exact but factorial: four trips at most.
@@ -164,7 +176,9 @@ fn reference(
             trip,
             oracle,
         );
-        let priced = v.evaluate(trip, oracle).map(|p| p.cost.to_bits());
+        let priced = v
+            .evaluate(trip, oracle, &mut ProbeScratch::default())
+            .map(|p| p.cost.to_bits());
         assert_eq!(priced, built.as_ref().ok().map(|(c, _)| c.to_bits()));
         let Ok((cost, tree)) = built else {
             continue;

@@ -141,7 +141,7 @@ proptest! {
         for (i, &(s, e)) in pairs.iter().enumerate() {
             let request = TripRequest::new(i as u64, s, e, 0.0, constraints);
             let trip = WaitingTrip::for_request(&request, oracle.dist(s, e));
-            if let Some(proposal) = vehicle.evaluate(trip, &oracle) {
+            if let Some(proposal) = vehicle.evaluate(trip, &oracle, &mut ProbeScratch::default()) {
                 vehicle.commit(proposal, &oracle).expect("a priced insertion builds");
             }
         }
