@@ -147,18 +147,12 @@ pub fn load_or_build_with_fault(
     let mut load_ms = 0.0;
     let mut bytes = 0u64;
     let mut roundtrip_verified = false;
-    // Write via a process-unique temp file + rename so a process killed
-    // mid-save (or two harness binaries racing on the same network) can
-    // never leave a torn file at the looked-up path — same pattern as the
-    // simulation checkpoint writer.
-    let tmp = path.with_extension(format!("hlbl.tmp.{}", std::process::id()));
+    // `save` replaces the file atomically, so a process killed mid-save
+    // (or two harness binaries racing on the same network) can never leave
+    // a torn file at the looked-up path.
     let saved = std::fs::create_dir_all(cache_dir())
         .map_err(roadnet::RoadNetError::from)
-        .and_then(|()| labels.save(graph, &tmp))
-        .and_then(|()| std::fs::rename(&tmp, &path).map_err(roadnet::RoadNetError::from));
-    if saved.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
+        .and_then(|()| labels.save(graph, &path));
     match saved {
         Ok(()) => {
             bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);

@@ -235,7 +235,8 @@ impl HubLabels {
     /// Writes the labeling to `path` in the versioned, checksummed binary
     /// format of [`persist`], stamped with the fingerprint of the network
     /// the labels were built from so [`HubLabels::load`] can refuse to
-    /// apply them to any other network.
+    /// apply them to any other network. The file is replaced atomically: a
+    /// process killed mid-save leaves the previous file, never a torn one.
     ///
     /// # Examples
     ///

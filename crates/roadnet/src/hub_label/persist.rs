@@ -18,11 +18,12 @@
 //! end-8   8           FNV-1a checksum over every preceding byte
 //! ```
 //!
-//! [`load`] validates everything it cannot afford to trust: the magic and
-//! version, that the embedded network fingerprint matches the network the
-//! labels are being loaded *for* (a labeling is only exact for the network
-//! it was built from — version 2 made the binding explicit), the exact
-//! file length implied by the header, the checksum, and the structural
+//! The magic, version and checksum are the [`bin`] envelope every
+//! persisted file shares. [`load`] validates everything it cannot afford
+//! to trust: the envelope, that the embedded network fingerprint matches
+//! the network the labels are being loaded *for* (a labeling is only exact
+//! for the network it was built from — version 2 made the binding
+//! explicit), the exact file length implied by the header, and the structural
 //! invariants queries rely on (offsets monotone and bounded, ranks in
 //! range and strictly increasing within each label, next hops in range,
 //! distances finite and non-negative, `rank_to_node` a permutation).
@@ -36,7 +37,7 @@
 use std::path::Path;
 
 use crate::error::RoadNetError;
-use crate::io::bin::{self, Reader};
+use crate::io::bin;
 
 use super::{HubLabels, LabelEntry};
 
@@ -53,26 +54,23 @@ const VERSION: u32 = 3;
 pub fn to_bytes(labels: &HubLabels, fingerprint: u64) -> Vec<u8> {
     let n = labels.rank_to_node.len();
     let e = labels.entries.len();
-    let mut out = Vec::with_capacity(32 + 4 * n + 8 * (n + 1) + 16 * e + 8);
-    out.extend_from_slice(MAGIC);
-    bin::put_u32(&mut out, VERSION);
-    bin::put_u64(&mut out, fingerprint);
-    bin::put_u64(&mut out, n as u64);
-    bin::put_u64(&mut out, e as u64);
-    for &node in &labels.rank_to_node {
-        bin::put_u32(&mut out, node);
-    }
-    for &off in &labels.label_offsets {
-        bin::put_u64(&mut out, off as u64);
-    }
-    for entry in &labels.entries {
-        bin::put_u32(&mut out, entry.hub_rank);
-        bin::put_u32(&mut out, entry.parent);
-        bin::put_f64(&mut out, entry.dist);
-    }
-    let checksum = bin::fnv1a(&out);
-    bin::put_u64(&mut out, checksum);
-    out
+    bin::seal(MAGIC, VERSION, |out| {
+        out.reserve(24 + 4 * n + 8 * (n + 1) + 16 * e + 8);
+        bin::put_u64(out, fingerprint);
+        bin::put_u64(out, n as u64);
+        bin::put_u64(out, e as u64);
+        for &node in &labels.rank_to_node {
+            bin::put_u32(out, node);
+        }
+        for &off in &labels.label_offsets {
+            bin::put_u64(out, off as u64);
+        }
+        for entry in &labels.entries {
+            bin::put_u32(out, entry.hub_rank);
+            bin::put_u32(out, entry.parent);
+            bin::put_f64(out, entry.dist);
+        }
+    })
 }
 
 /// Deserialises and validates a labeling from the binary format,
@@ -81,20 +79,7 @@ pub fn to_bytes(labels: &HubLabels, fingerprint: u64) -> Vec<u8> {
 /// was built from, so loading it against any other network would silently
 /// corrupt every distance.
 pub fn from_bytes(buf: &[u8], expected_fingerprint: u64) -> Result<HubLabels, RoadNetError> {
-    let mut r = Reader::new(buf);
-    let magic = r.bytes(4, "magic")?;
-    if magic != MAGIC {
-        return Err(RoadNetError::Persist(format!(
-            "bad magic {magic:?} (expected {MAGIC:?}); not a hub-label file"
-        )));
-    }
-    let version = r.u32("version")?;
-    if version != VERSION {
-        return Err(RoadNetError::Persist(format!(
-            "unsupported format version {version} (this build reads {VERSION}; \
-             version-2 and older files predate next-hop pointers and must be rebuilt)"
-        )));
-    }
+    let mut r = bin::open(buf, MAGIC, VERSION, "hub-label file")?;
     let fingerprint = r.u64("network fingerprint")?;
     if fingerprint != expected_fingerprint {
         return Err(RoadNetError::Persist(format!(
@@ -119,14 +104,6 @@ pub fn from_bytes(buf: &[u8], expected_fingerprint: u64) -> Result<HubLabels, Ro
         return Err(RoadNetError::Persist(format!(
             "file is {} bytes but the header ({n} nodes, {e} entries) implies {expected}",
             buf.len()
-        )));
-    }
-    let body = &buf[..buf.len() - 8];
-    let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("8 bytes"));
-    let computed = bin::fnv1a(body);
-    if stored != computed {
-        return Err(RoadNetError::Persist(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )));
     }
 
@@ -183,7 +160,7 @@ pub fn from_bytes(buf: &[u8], expected_fingerprint: u64) -> Result<HubLabels, Ro
             dist,
         });
     }
-    debug_assert_eq!(r.remaining(), 8, "only the checksum should remain");
+    debug_assert_eq!(r.remaining(), 0, "the header fixed the body's length");
     // Per-vertex labels must be strictly increasing in rank for the merge
     // intersection in queries to be correct.
     for v in 0..n {
@@ -207,11 +184,10 @@ fn too_big(n: usize, e: usize) -> RoadNetError {
     ))
 }
 
-/// Writes `labels` to `path` stamped with `fingerprint`, replacing any
-/// existing file.
+/// Writes `labels` to `path` stamped with `fingerprint`, atomically
+/// replacing any existing file ([`bin::write_atomic`]).
 pub fn save(labels: &HubLabels, fingerprint: u64, path: &Path) -> Result<(), RoadNetError> {
-    std::fs::write(path, to_bytes(labels, fingerprint))?;
-    Ok(())
+    bin::write_atomic(path, &to_bytes(labels, fingerprint))
 }
 
 /// Reads a labeling written by [`save`], verifying it was built for the

@@ -93,14 +93,32 @@ pub fn write_network_file<P: AsRef<Path>>(
     Ok(())
 }
 
-/// Little-endian binary primitives shared by the on-disk index formats
-/// (currently the hub-label arena in [`crate::hub_label::persist`]).
+/// Little-endian binary primitives and the one envelope every persisted
+/// file uses: hub labels, simulation and serve checkpoints, and the serve
+/// journal.
 ///
 /// Writers append to a `Vec<u8>`; [`bin::Reader`] is a bounds-checked
 /// cursor whose every read returns [`RoadNetError::Persist`] on truncation
 /// instead of panicking, so corrupted files surface as errors.
+///
+/// A whole-file image is [`bin::seal`]ed: a 4-byte magic, a `u32` format
+/// version, the format's body, then the FNV-1a checksum of every byte
+/// before it. [`bin::open`] checks the magic, the version and the
+/// checksum and hands back a [`bin::Reader`] on the body; what the body
+/// binds to (network, configuration, trip stream) and how it is validated
+/// stay with each format. An append-only file starts with the same
+/// [`bin::header`] and then holds [`bin::put_frame`] records
+/// (`[u32 len][body][u64 fnv1a(body)]`), each checked on its own by
+/// [`bin::read_frame`]. [`bin::write_atomic`] replaces a file through a
+/// process-unique sibling temp file and a rename, so a crash mid-write
+/// leaves the previous file intact.
 pub mod bin {
+    use std::path::{Path, PathBuf};
+
     use crate::error::RoadNetError;
+
+    /// Bytes of the magic and the version word that start every file.
+    pub const HEADER_LEN: usize = 8;
 
     /// Appends a `u32` in little-endian byte order.
     pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -125,6 +143,130 @@ pub mod bin {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         h
+    }
+
+    /// The start of a file: `magic`, then `version`.
+    pub fn header(magic: &[u8; 4], version: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN);
+        out.extend_from_slice(magic);
+        put_u32(&mut out, version);
+        out
+    }
+
+    /// A whole-file image: the [`header`], the body `write_body` appends,
+    /// then the FNV-1a checksum of every byte before it.
+    pub fn seal(magic: &[u8; 4], version: u32, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = header(magic, version);
+        write_body(&mut out);
+        let checksum = fnv1a(&out);
+        put_u64(&mut out, checksum);
+        out
+    }
+
+    /// Checks a [`header`]: the magic, then the version. `what` names the
+    /// file in the error.
+    pub fn read_header(
+        r: &mut Reader<'_>,
+        magic: &[u8; 4],
+        version: u32,
+        what: &str,
+    ) -> Result<(), RoadNetError> {
+        let found = r.bytes(4, &format!("{what} magic"))?;
+        if found != magic {
+            return Err(RoadNetError::Persist(format!(
+                "bad magic {found:?} (expected {magic:?}); not a {what}"
+            )));
+        }
+        let found = r.u32(&format!("{what} version"))?;
+        if found < version {
+            return Err(RoadNetError::Persist(format!(
+                "unsupported {what} version {found}: a version-{found} file predates \
+                 this build, which reads version-{version} only; write it again"
+            )));
+        }
+        if found > version {
+            return Err(RoadNetError::Persist(format!(
+                "unsupported {what} version {found}: written by a newer build; \
+                 this build reads version-{version} only"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Opens an image made by [`seal`]: checks the magic and the version
+    /// (so a file of another kind or age is named as such), then the
+    /// checksum, and returns a reader on the body, between the header and
+    /// the checksum. `what` names the file in every error.
+    pub fn open<'a>(
+        image: &'a [u8],
+        magic: &[u8; 4],
+        version: u32,
+        what: &str,
+    ) -> Result<Reader<'a>, RoadNetError> {
+        let mut r = Reader::new(image);
+        read_header(&mut r, magic, version, what)?;
+        let Some((body, trailer)) = image
+            .split_last_chunk::<8>()
+            .filter(|(body, _)| body.len() >= HEADER_LEN)
+        else {
+            return Err(RoadNetError::Persist(format!(
+                "truncated {what}: {} bytes hold no checksum after the header",
+                image.len()
+            )));
+        };
+        let stored = u64::from_le_bytes(*trailer);
+        let computed = fnv1a(body);
+        if stored != computed {
+            return Err(RoadNetError::Persist(format!(
+                "{what} checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            )));
+        }
+        Ok(Reader {
+            buf: body,
+            pos: HEADER_LEN,
+        })
+    }
+
+    /// Appends one record of an append-only file:
+    /// `[u32 len][body][u64 fnv1a(body)]`.
+    pub fn put_frame(out: &mut Vec<u8>, body: &[u8]) {
+        put_u32(out, body.len() as u32);
+        out.extend_from_slice(body);
+        put_u64(out, fnv1a(body));
+    }
+
+    /// Reads one record written by [`put_frame`] and returns its body. A
+    /// frame cut short or failing its checksum — the torn tail of a crash
+    /// mid-append — is an error.
+    pub fn read_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], RoadNetError> {
+        let len = r.u32("frame length")? as usize;
+        let body = r.bytes(len, "frame body")?;
+        let stored = r.u64("frame checksum")?;
+        if fnv1a(body) != stored {
+            return Err(RoadNetError::Persist("frame checksum mismatch".to_string()));
+        }
+        Ok(body)
+    }
+
+    /// The temp file [`write_atomic`] writes before renaming it over
+    /// `path`: a sibling named after `path` and this process, so two
+    /// processes replacing one file never share it.
+    pub fn temp_sibling(path: &Path) -> PathBuf {
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(".tmp.{}", std::process::id()));
+        path.with_file_name(name)
+    }
+
+    /// Replaces `path` with `bytes`: writes [`temp_sibling`], then renames
+    /// it into place, so an interruption leaves the previous file intact.
+    /// The temp file is removed when either step fails.
+    pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), RoadNetError> {
+        let tmp = temp_sibling(path);
+        let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+        if written.is_err() {
+            std::fs::remove_file(&tmp).ok();
+        }
+        Ok(written?)
     }
 
     /// Bounds-checked little-endian reader over a byte buffer.
@@ -287,6 +429,108 @@ mod tests {
                 "{huge}"
             );
         }
+    }
+
+    fn sealed() -> Vec<u8> {
+        bin::seal(b"TEST", 7, |out| {
+            bin::put_u64(out, 0x0123_4567_89ab_cdef);
+            bin::put_f64(out, 2.5);
+        })
+    }
+
+    fn open_sealed(image: &[u8]) -> Result<(u64, f64), RoadNetError> {
+        let mut r = bin::open(image, b"TEST", 7, "test file")?;
+        let out = (r.u64("word")?, r.f64("float")?);
+        assert_eq!(r.remaining(), 0);
+        Ok(out)
+    }
+
+    #[test]
+    fn a_sealed_image_opens_to_its_body() {
+        let image = sealed();
+        assert_eq!(&image[..4], b"TEST");
+        assert_eq!(image.len(), bin::HEADER_LEN + 16 + 8);
+        assert_eq!(open_sealed(&image), Ok((0x0123_4567_89ab_cdef, 2.5)));
+    }
+
+    #[test]
+    fn every_prefix_and_byte_flip_of_a_sealed_image_is_a_typed_error() {
+        let image = sealed();
+        for len in 0..image.len() {
+            assert!(
+                matches!(open_sealed(&image[..len]), Err(RoadNetError::Persist(_))),
+                "prefix of {len} bytes"
+            );
+        }
+        for pos in 0..image.len() {
+            let mut flipped = image.clone();
+            flipped[pos] ^= 0x01;
+            assert!(
+                matches!(open_sealed(&flipped), Err(RoadNetError::Persist(_))),
+                "flip at byte {pos}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_wrong_magic_or_version_is_named_before_the_checksum() {
+        let stamped = |magic: &[u8; 4], version: u32| bin::seal(magic, version, |_| {});
+        let err = |image: Vec<u8>| match bin::open(&image, b"TEST", 7, "test file") {
+            Err(RoadNetError::Persist(msg)) => msg,
+            other => panic!("{other:?}"),
+        };
+        assert!(err(stamped(b"NOPE", 7)).contains("not a test file"));
+        let old = err(stamped(b"TEST", 6));
+        assert!(old.contains("unsupported test file version 6"), "{old}");
+        assert!(old.contains("version-7"), "{old}");
+        assert!(err(stamped(b"TEST", 8)).contains("newer build"));
+        assert!(bin::open(&stamped(b"TEST", 7), b"TEST", 7, "test file").is_ok());
+    }
+
+    #[test]
+    fn every_prefix_and_byte_flip_of_a_frame_is_a_typed_error() {
+        let mut frame = Vec::new();
+        bin::put_frame(&mut frame, b"one journal entry");
+        assert_eq!(frame.len(), 4 + 17 + 8);
+        let read = |bytes: &[u8]| bin::read_frame(&mut bin::Reader::new(bytes)).map(<[u8]>::to_vec);
+        assert_eq!(read(&frame), Ok(b"one journal entry".to_vec()));
+        for len in 0..frame.len() {
+            assert!(
+                matches!(read(&frame[..len]), Err(RoadNetError::Persist(_))),
+                "prefix of {len} bytes"
+            );
+        }
+        for pos in 0..frame.len() {
+            let mut flipped = frame.clone();
+            flipped[pos] ^= 0x01;
+            assert!(
+                matches!(read(&flipped), Err(RoadNetError::Persist(_))),
+                "flip at byte {pos}"
+            );
+        }
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("roadnet_write_atomic_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("image.bin");
+        bin::write_atomic(&path, b"first").unwrap();
+        bin::write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert!(!bin::temp_sibling(&path).exists());
+        // A rename that fails (onto a non-empty directory) removes the temp
+        // file and leaves the target as it was.
+        let occupied = dir.join("occupied");
+        std::fs::create_dir_all(occupied.join("inner")).unwrap();
+        assert!(matches!(
+            bin::write_atomic(&occupied, b"x"),
+            Err(RoadNetError::Io(_))
+        ));
+        assert!(!bin::temp_sibling(&occupied).exists());
+        assert!(occupied.join("inner").is_dir());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -20,8 +20,14 @@
 //!   The image is
 //!   bound to no trip stream of its own: on load, the simulation's
 //!   request count must equal the loop's `admitted` counter.
-//!   Writes go to a temp file and rename into place, so the previous
-//!   checkpoint survives a crash — or an injected torn write — mid-dump.
+//!   Writes go to a temp file and rename into place
+//!   (`roadnet::io::bin::write_atomic`), so the previous checkpoint
+//!   survives a crash — or an injected torn write — mid-dump.
+//!
+//! Both files use the envelope every persisted file shares
+//! (`roadnet::io::bin`): a magic and version header, then for the
+//! checkpoint a trailing FNV-1a checksum and for the journal one checksum
+//! per frame.
 //!
 //! Recovery loads the newest intact checkpoint (a corrupt one falls back
 //! to a fresh start with a warning; a checkpoint *bound to different
@@ -62,9 +68,7 @@ const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// counters in `loop_counters!` order (`server.rs`).
 const VERSION: u32 = 8;
 /// Journal header: magic + version + sim-config digest + serve digest.
-const JOURNAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
-/// Upper bound on a single journal entry body (sanity check on `len`).
-const MAX_ENTRY_BYTES: usize = 64 << 20;
+const JOURNAL_HEADER_LEN: u64 = bin::HEADER_LEN as u64 + 8 + 8;
 
 /// Where and how often the serve loop persists its recovery state.
 #[derive(Debug, Clone)]
@@ -203,9 +207,7 @@ impl JournalEntry {
 }
 
 fn journal_header(sim_digest: u64, serve_digest: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(JOURNAL_HEADER_LEN as usize);
-    out.extend_from_slice(JOURNAL_MAGIC);
-    bin::put_u32(&mut out, VERSION);
+    let mut out = bin::header(JOURNAL_MAGIC, VERSION);
     bin::put_u64(&mut out, sim_digest);
     bin::put_u64(&mut out, serve_digest);
     out
@@ -239,14 +241,7 @@ fn load_journal(
         return Ok(empty);
     }
     let mut r = Reader::new(&bytes);
-    let magic = r.bytes(4, "journal magic")?;
-    let version = r.u32("journal version")?;
-    if magic != JOURNAL_MAGIC || version != VERSION {
-        return Err(RoadNetError::Persist(format!(
-            "{} is not a version-{VERSION} serve journal",
-            path.display()
-        )));
-    }
+    bin::read_header(&mut r, JOURNAL_MAGIC, VERSION, "serve journal")?;
     let got_sim = r.u64("journal sim digest")?;
     let got_serve = r.u64("journal serve digest")?;
     if got_sim != sim_digest || got_serve != serve_digest {
@@ -259,29 +254,14 @@ fn load_journal(
     }
     let mut entries = Vec::new();
     let mut end_offsets = Vec::new();
-    let mut offset = JOURNAL_HEADER_LEN;
-    // Frame: [u32 len][body][u64 fnv(body)]. Anything short or with a
-    // bad checksum is the torn tail of a crash — stop there.
-    while let Ok(len) = r.u32("entry length") {
-        let len = len as usize;
-        if len > MAX_ENTRY_BYTES || r.remaining() < len + 8 {
-            break;
-        }
-        let Ok(body) = r.bytes(len, "entry body") else {
-            break;
-        };
-        let Ok(sum) = r.u64("entry checksum") else {
-            break;
-        };
-        if bin::fnv1a(body) != sum {
-            break;
-        }
+    // A frame cut short or failing its checksum is the torn tail of a
+    // crash — stop there.
+    while let Ok(body) = bin::read_frame(&mut r) {
         let Ok(entry) = JournalEntry::decode(body) else {
             break;
         };
-        offset += 4 + len as u64 + 8;
         entries.push(entry);
-        end_offsets.push(offset);
+        end_offsets.push((bytes.len() - r.remaining()) as u64);
     }
     Ok(LoadedJournal {
         entries,
@@ -333,11 +313,8 @@ impl RecoveryDriver {
             }
             self.verified += 1;
         }
-        let body = entry.encode();
-        let mut frame = Vec::with_capacity(4 + body.len() + 8);
-        bin::put_u32(&mut frame, body.len() as u32);
-        frame.extend_from_slice(&body);
-        bin::put_u64(&mut frame, bin::fnv1a(&body));
+        let mut frame = Vec::new();
+        bin::put_frame(&mut frame, &entry.encode());
         self.journal.write_all(&frame)?;
         state.report.journal_entries += 1;
         Ok(())
@@ -362,16 +339,11 @@ impl RecoveryDriver {
             // file and the rename never happens. The previous checkpoint
             // stays intact — exactly what the atomic protocol guarantees.
             let bytes = encode_checkpoint(sim, state);
-            let tmp = self.checkpoint_path.with_extension("ckpt.tmp");
             let (torn_half, _) = bytes.split_at(bytes.len() / 2);
-            std::fs::write(&tmp, torn_half)?;
+            std::fs::write(bin::temp_sibling(&self.checkpoint_path), torn_half)?;
             return Ok(());
         }
-        let bytes = encode_checkpoint(sim, state);
-        let tmp = self.checkpoint_path.with_extension("ckpt.tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &self.checkpoint_path)?;
-        Ok(())
+        bin::write_atomic(&self.checkpoint_path, &encode_checkpoint(sim, state))
     }
 }
 
@@ -417,17 +389,13 @@ fn read_state(r: &mut Reader<'_>) -> Result<LoopState, RoadNetError> {
 }
 
 fn encode_checkpoint(sim: &Simulation<'_>, state: &LoopState) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(CKPT_MAGIC);
-    bin::put_u32(&mut out, VERSION);
-    bin::put_u64(&mut out, digest_config(sim.config()));
-    put_state(&mut out, state);
-    let sim_bytes = sim.checkpoint_bytes(0, digest_trips(&[]));
-    bin::put_u64(&mut out, sim_bytes.len() as u64);
-    out.extend_from_slice(&sim_bytes);
-    let sum = bin::fnv1a(&out);
-    bin::put_u64(&mut out, sum);
-    out
+    bin::seal(CKPT_MAGIC, VERSION, |out| {
+        bin::put_u64(out, digest_config(sim.config()));
+        put_state(out, state);
+        let sim_bytes = sim.checkpoint_bytes(0, digest_trips(&[]));
+        bin::put_u64(out, sim_bytes.len() as u64);
+        out.extend_from_slice(&sim_bytes);
+    })
 }
 
 /// A serve checkpoint decoded far enough to restart the loop; the
@@ -448,28 +416,16 @@ fn load_checkpoint(path: &Path, sim_digest: u64) -> Result<Option<LoadedCheckpoi
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let corrupt = |why: &str| {
-        eprintln!(
-            "warning: serve checkpoint {} is corrupt ({why}); starting fresh",
-            path.display()
-        );
+    let mut r = match bin::open(&bytes, CKPT_MAGIC, VERSION, "serve checkpoint") {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!(
+                "warning: serve checkpoint {} is unusable ({e}); starting fresh",
+                path.display()
+            );
+            return Ok(None);
+        }
     };
-    let Some((payload, trailer)) = bytes.split_last_chunk::<8>() else {
-        corrupt("shorter than its checksum");
-        return Ok(None);
-    };
-    let stored = u64::from_le_bytes(*trailer);
-    if bin::fnv1a(payload) != stored {
-        corrupt("checksum mismatch");
-        return Ok(None);
-    }
-    let mut r = Reader::new(payload);
-    let magic = r.bytes(4, "checkpoint magic")?;
-    let version = r.u32("checkpoint version")?;
-    if magic != CKPT_MAGIC || version != VERSION {
-        corrupt("wrong magic or version");
-        return Ok(None);
-    }
     let got_sim = r.u64("checkpoint sim digest")?;
     if got_sim != sim_digest {
         return Err(RoadNetError::Persist(format!(

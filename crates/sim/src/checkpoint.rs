@@ -12,9 +12,10 @@
 //! wall-clock latency *means*, since nanosecond timings are not a function
 //! of simulation state).
 //!
-//! The format follows the `roadnet::io::bin` conventions established by
-//! the hub-label store: little-endian scalars, length-prefixed
-//! collections, a magic/version header and a trailing FNV-1a checksum.
+//! The format follows the `roadnet::io::bin` conventions: little-endian
+//! scalars, length-prefixed collections, and the envelope every persisted
+//! file shares (a magic/version header and a trailing FNV-1a checksum,
+//! replaced on disk atomically).
 //! Like a persisted label file, a checkpoint is bound to its inputs: the
 //! header embeds the road network's fingerprint, a digest of the
 //! [`SimConfig`] and a digest of the trip stream, and
@@ -158,80 +159,81 @@ impl Simulation<'_> {
     /// `trips_digest` is [`digest_trips`] of the stream being replayed;
     /// compute it once per run, not per checkpoint.
     pub fn checkpoint_bytes(&self, next_trip: usize, trips_digest: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 << 16);
-        out.extend_from_slice(MAGIC);
-        bin::put_u32(&mut out, VERSION);
-        bin::put_u64(&mut out, self.graph.fingerprint());
-        bin::put_u64(&mut out, digest_config(&self.config));
-        bin::put_u64(&mut out, trips_digest);
-        bin::put_u64(&mut out, next_trip as u64);
-        bin::put_f64(&mut out, self.clock_m);
-
-        bin::put_u64(&mut out, self.vehicles.len() as u64);
-        for v in &self.vehicles {
-            v.encode(&mut out);
-        }
-        for m in &self.motions {
-            bin::put_u32(&mut out, m.at);
-            bin::put_f64(&mut out, m.at_clock_m);
-            bin::put_f64(&mut out, m.next_arrival_m);
-            for word in m.rng.state() {
-                bin::put_u64(&mut out, word);
-            }
-            bin::put_u64(&mut out, m.path.len() as u64);
-            for &(node, leg) in &m.path {
-                bin::put_u32(&mut out, node);
-                bin::put_f64(&mut out, leg);
-            }
-        }
-
-        put_stats(&mut out, self.dispatcher.stats());
-
-        let c = &self.collector;
-        bin::put_u64(&mut out, c.pickups.len() as u64);
-        for p in &c.pickups {
-            bin::put_u32(&mut out, p.vehicle);
-            bin::put_f64(&mut out, p.clock_s);
-            bin::put_f64(&mut out, p.waited_s);
-            bin::put_u64(&mut out, p.onboard as u64);
-        }
-        bin::put_f64(&mut out, c.detour_sum);
-        bin::put_u64(&mut out, c.guarantee_violations);
-        bin::put_u64(&mut out, c.completed);
-        bin::put_f64(&mut out, c.fleet_distance_m);
-
-        bin::put_u64(&mut out, self.trace.len() as u64);
-        for e in self.trace.iter() {
-            bin::put_u64(&mut out, e.trip);
-            bin::put_f64(&mut out, e.submitted_s);
-            codec::put_opt_u32(&mut out, e.vehicle);
-            codec::put_opt_f64(&mut out, e.assignment_cost_m);
-            bin::put_u64(&mut out, e.candidates as u64);
-            codec::put_opt_f64(&mut out, e.picked_up_s);
-            codec::put_opt_f64(&mut out, e.delivered_s);
-            bin::put_f64(&mut out, e.direct_m);
-            codec::put_opt_f64(&mut out, e.ride_m);
-        }
-
-        let checksum = bin::fnv1a(&out);
-        bin::put_u64(&mut out, checksum);
-        out
+        bin::seal(MAGIC, VERSION, |out| {
+            self.put_image(out, next_trip, trips_digest)
+        })
     }
 
-    /// Writes [`Simulation::checkpoint_bytes`] to `path` atomically (via a
-    /// sibling temp file + rename), so an interruption mid-write leaves the
-    /// previous checkpoint intact.
+    /// The checkpoint body: everything between the envelope's header and
+    /// its checksum.
+    fn put_image(&self, out: &mut Vec<u8>, next_trip: usize, trips_digest: u64) {
+        out.reserve(1 << 16);
+        bin::put_u64(out, self.graph.fingerprint());
+        bin::put_u64(out, digest_config(&self.config));
+        bin::put_u64(out, trips_digest);
+        bin::put_u64(out, next_trip as u64);
+        bin::put_f64(out, self.clock_m);
+
+        bin::put_u64(out, self.vehicles.len() as u64);
+        for v in &self.vehicles {
+            v.encode(out);
+        }
+        for m in &self.motions {
+            bin::put_u32(out, m.at);
+            bin::put_f64(out, m.at_clock_m);
+            bin::put_f64(out, m.next_arrival_m);
+            for word in m.rng.state() {
+                bin::put_u64(out, word);
+            }
+            bin::put_u64(out, m.path.len() as u64);
+            for &(node, leg) in &m.path {
+                bin::put_u32(out, node);
+                bin::put_f64(out, leg);
+            }
+        }
+
+        put_stats(out, self.dispatcher.stats());
+
+        let c = &self.collector;
+        bin::put_u64(out, c.pickups.len() as u64);
+        for p in &c.pickups {
+            bin::put_u32(out, p.vehicle);
+            bin::put_f64(out, p.clock_s);
+            bin::put_f64(out, p.waited_s);
+            bin::put_u64(out, p.onboard as u64);
+        }
+        bin::put_f64(out, c.detour_sum);
+        bin::put_u64(out, c.guarantee_violations);
+        bin::put_u64(out, c.completed);
+        bin::put_f64(out, c.fleet_distance_m);
+
+        bin::put_u64(out, self.trace.len() as u64);
+        for e in self.trace.iter() {
+            bin::put_u64(out, e.trip);
+            bin::put_f64(out, e.submitted_s);
+            codec::put_opt_u32(out, e.vehicle);
+            codec::put_opt_f64(out, e.assignment_cost_m);
+            bin::put_u64(out, e.candidates as u64);
+            codec::put_opt_f64(out, e.picked_up_s);
+            codec::put_opt_f64(out, e.delivered_s);
+            bin::put_f64(out, e.direct_m);
+            codec::put_opt_f64(out, e.ride_m);
+        }
+    }
+
+    /// Writes [`Simulation::checkpoint_bytes`] to `path` atomically
+    /// (`roadnet::io::bin::write_atomic`), so an interruption mid-write
+    /// leaves the previous checkpoint intact.
     pub fn write_checkpoint<P: AsRef<Path>>(
         &self,
         path: P,
         next_trip: usize,
         trips_digest: u64,
     ) -> Result<(), RoadNetError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("ckpt.tmp");
-        std::fs::write(&tmp, self.checkpoint_bytes(next_trip, trips_digest))?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        bin::write_atomic(
+            path.as_ref(),
+            &self.checkpoint_bytes(next_trip, trips_digest),
+        )
     }
 
     /// Restores a simulation from checkpoint bytes, verifying
@@ -290,8 +292,9 @@ impl Simulation<'_> {
 /// Decodes `bytes` into the freshly built `sim`, replacing every piece of
 /// run state. The builder placed vehicles and seeded RNG streams already;
 /// all of that is overwritten, so the restored simulation continues exactly
-/// where the snapshot was taken. The header binding (checksum, magic,
-/// version, network fingerprint, config digest, trips digest) is validated
+/// where the snapshot was taken. The envelope (magic, version, checksum)
+/// and the header binding (network fingerprint, config digest, trips
+/// digest) are validated
 /// and the whole image parsed before anything is committed.
 fn restore<'a>(
     mut sim: Simulation<'a>,
@@ -299,33 +302,7 @@ fn restore<'a>(
     bytes: &[u8],
 ) -> Result<(Simulation<'a>, usize), RoadNetError> {
     let (graph, config) = (sim.graph, sim.config);
-    let Some((body, trailer)) = bytes.split_last_chunk::<8>() else {
-        return Err(RoadNetError::Persist(format!(
-            "checkpoint is only {} bytes; not even a checksum fits",
-            bytes.len()
-        )));
-    };
-    let stored = u64::from_le_bytes(*trailer);
-    let computed = bin::fnv1a(body);
-    if stored != computed {
-        return Err(RoadNetError::Persist(format!(
-            "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-
-    let mut r = Reader::new(body);
-    let magic = r.bytes(4, "checkpoint magic")?;
-    if magic != MAGIC {
-        return Err(RoadNetError::Persist(format!(
-            "bad magic {magic:?} (expected {MAGIC:?}); not a simulation checkpoint"
-        )));
-    }
-    let version = r.u32("checkpoint version")?;
-    if version != VERSION {
-        return Err(RoadNetError::Persist(format!(
-            "unsupported checkpoint version {version} (this build reads {VERSION})"
-        )));
-    }
+    let mut r = bin::open(bytes, MAGIC, VERSION, "checkpoint")?;
     let fingerprint = r.u64("checkpoint network fingerprint")?;
     if fingerprint != graph.fingerprint() {
         return Err(RoadNetError::Persist(format!(
