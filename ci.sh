@@ -56,8 +56,9 @@ run ./check-smoke-digests.sh target/bench-smoke.txt
 # must agree with the frozen dense baseline and beat it >= 10x at 3 trips
 # on board.
 # BENCH_hublabel.json and BENCH_mip.json record the numbers (CI uploads
-# both artifacts).
-run cargo run --release -p rideshare-bench --bin bench_summary -- --scale smoke --hublabel-out BENCH_hublabel.json --mip-out BENCH_mip.json
+# both artifacts); like every gate below, the run writes them under
+# target/, so a green run leaves the committed artifacts alone.
+run cargo run --release -p rideshare-bench --bin bench_summary -- --scale smoke --hublabel-out target/BENCH_hublabel.json --mip-out target/BENCH_mip.json
 # Replay gate: the paper_replay harness at quick scale over a truncated
 # stream. The first invocation exercises the persisted-oracle store
 # (build -> save -> reload-verify), the interrupt-at-midpoint + resume
@@ -84,12 +85,11 @@ run cargo run --release -p rideshare-bench --bin paper_replay -- --scale quick -
 run cargo run --release -p rideshare-bench --bin serve_sweep -- --smoke --out target/BENCH_serve_ci.json
 # Chaos gate: deterministic fault injection over the same serve stack —
 # seeded oracle spikes and torn checkpoint writes across a
-# calm/faulted/overload rung ladder, a kill-at-tick-25 crash recovered
-# from checkpoint + journal, and an injected label-store IO fault. Fails
-# on any accounting drift, any guarantee violation under faults, a ladder
-# that never degrades under overload (or degrades when calm), a recovered
-# report that is not bit-identical to the uninterrupted run, or a store
-# fault that does not surface its fallback reason.
+# calm/faulted/overload rung ladder, and a kill-at-tick-25 crash
+# recovered from checkpoint + journal. Fails on any accounting drift, any
+# guarantee violation under faults, a ladder that never degrades under
+# overload (or degrades when calm), or a recovered report that is not
+# bit-identical to the uninterrupted run.
 run cargo run --release -p rideshare-bench --bin chaos_smoke -- --out target/BENCH_chaos_ci.json
 
 echo

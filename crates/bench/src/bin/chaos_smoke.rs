@@ -15,8 +15,6 @@
 //! 3. **Crash-safe recovery** — a run killed mid-day by the fault plan
 //!    resumes from (checkpoint + journal) to the bit-identical report of
 //!    an uninterrupted run.
-//! 4. **Store fallback** — an injected label-store IO fault degrades to a
-//!    rebuild with the reason surfaced, never a panic.
 //!
 //! Writes `BENCH_chaos.json` (schema `bench_chaos/v1`); exits non-zero on
 //! any gate failure.
@@ -24,10 +22,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use kinetic_core::FaultPlan;
-use rideshare_bench::{parse_num, store};
+use rideshare_bench::parse_num;
 use rideshare_serve::{
-    resume_serve, PoissonArrivals, RecoveryConfig, ServeConfig, ServeLoop, ServeReport,
+    resume_serve, FaultPlan, PoissonArrivals, RecoveryConfig, ServeConfig, ServeLoop, ServeReport,
     ServiceModel, SloConfig,
 };
 use rideshare_sim::{SimConfig, Simulation};
@@ -312,35 +309,6 @@ fn main() -> ExitCode {
          report bit-identical to uninterrupted run"
     );
 
-    // ---- Store fault fallback --------------------------------------------
-    std::env::set_var(
-        store::CACHE_DIR_ENV,
-        rec_base.join("label-cache").as_os_str(),
-    );
-    // Prime the cache, then prove the injected IO fault degrades to a
-    // rebuild with the reason surfaced.
-    let (_, primed) = store::load_or_build(&workload.network);
-    let (_, faulted_store) = store::load_or_build_with_fault(
-        &workload.network,
-        &FaultPlan {
-            store_io_errors: true,
-            ..FaultPlan::none()
-        },
-    );
-    std::env::remove_var(store::CACHE_DIR_ENV);
-    let store_reason = faulted_store.fallback_reason.clone().unwrap_or_default();
-    if faulted_store.source != store::LabelSource::Built || store_reason.is_empty() {
-        eprintln!(
-            "chaos_smoke: GATE FAILED: injected store fault did not surface a rebuild \
-             reason: {faulted_store:?}"
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "  store: primed ({:?}), injected IO fault fell back to rebuild ({store_reason})",
-        primed.source
-    );
-
     // ---- Artifact ---------------------------------------------------------
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"bench_chaos/v1\",\n");
@@ -370,11 +338,7 @@ fn main() -> ExitCode {
          \"recovered_matches_reference\": {recovery_matched}, \"report\": "
     ));
     s.push_str(&recovered.json_object(Some(4.0), "  "));
-    s.push_str("},\n");
-    s.push_str(&format!(
-        "  \"store_fault\": {{\"injected\": true, \"fallback_source\": \"built\", \
-         \"fallback_reason\": \"{store_reason}\"}}\n"
-    ));
+    s.push_str("}\n");
     s.push_str("}\n");
     if let Err(e) = std::fs::write(&args.out, &s) {
         eprintln!("chaos_smoke: cannot write {}: {e}", args.out);

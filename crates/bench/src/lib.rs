@@ -271,13 +271,13 @@ impl Experiment {
             capacity,
             constraints,
             planner,
-            max_requests: Some(max_requests),
             seed: self.seed,
             cruise_when_idle: false,
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(&self.workload.network, oracle, config);
-        sim.run(&self.workload.trips)
+        let trips = &self.workload.trips;
+        sim.run(&trips[..trips.len().min(max_requests)])
     }
 }
 

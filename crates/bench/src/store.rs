@@ -19,7 +19,6 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use kinetic_core::FaultPlan;
 use roadnet::{HubLabels, RoadNetwork};
 
 /// Environment variable overriding the store directory.
@@ -57,7 +56,8 @@ pub struct StoreReport {
     /// for [`LabelSource::Reloaded`] (verified at build time).
     pub roundtrip_verified: bool,
     /// Why a store file that *existed* was not used (corrupt, truncated,
-    /// injected IO fault, ...). `None` on a clean reload or a cold miss.
+    /// an older format version, ...). `None` on a clean reload or a cold
+    /// miss.
     /// Harness artifacts surface this so a silently-degraded cache shows
     /// up in CI instead of only on stderr.
     pub fallback_reason: Option<String>,
@@ -84,31 +84,12 @@ pub fn label_path(graph: &RoadNetwork) -> PathBuf {
 /// file) degrade to a plain rebuild — the harness still runs, just
 /// without the cache.
 pub fn load_or_build(graph: &RoadNetwork) -> (HubLabels, StoreReport) {
-    load_or_build_with_fault(graph, &FaultPlan::none())
-}
-
-/// [`load_or_build`] with an injectable fault plan: when
-/// [`FaultPlan::store_io_errors`] is set, every load of an existing store
-/// file fails as if the read had errored, forcing the rebuild path. The
-/// chaos harness uses this to prove the serve stack comes up (degraded to
-/// a fresh build) when the label cache is unreadable.
-pub fn load_or_build_with_fault(
-    graph: &RoadNetwork,
-    fault: &FaultPlan,
-) -> (HubLabels, StoreReport) {
     let path = label_path(graph);
     let fingerprint = graph.fingerprint();
     let mut fallback_reason = None;
     if path.is_file() {
         let timer = Instant::now();
-        let loaded = if fault.store_io_errors {
-            Err(roadnet::RoadNetError::Persist(
-                "injected store IO fault".to_string(),
-            ))
-        } else {
-            HubLabels::load(&path, graph)
-        };
-        match loaded {
+        match HubLabels::load(&path, graph) {
             Ok(labels) => {
                 let load_ms = timer.elapsed().as_secs_f64() * 1e3;
                 let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -324,24 +305,5 @@ mod tests {
             assert_eq!(rebuilt, labels);
             assert!(rep.fallback_reason.is_some(), "cut {cut} must surface why");
         }
-
-        // The injected store IO fault forces the rebuild path even with a
-        // pristine file on disk.
-        let (faulted, rep) = load_or_build_with_fault(
-            &g,
-            &kinetic_core::FaultPlan {
-                store_io_errors: true,
-                ..kinetic_core::FaultPlan::none()
-            },
-        );
-        assert_eq!(rep.source, LabelSource::Built);
-        assert_eq!(faulted, labels);
-        assert!(
-            rep.fallback_reason
-                .as_deref()
-                .is_some_and(|r| r.contains("injected")),
-            "injected fault must be the surfaced reason: {:?}",
-            rep.fallback_reason
-        );
     }
 }

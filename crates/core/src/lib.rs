@@ -48,11 +48,9 @@
 pub mod algorithms;
 pub mod codec;
 pub mod dispatch;
-pub mod fault;
 pub mod kinetic;
 pub mod problem;
 pub mod request;
-pub mod stats;
 pub mod types;
 pub mod vehicle;
 
@@ -63,12 +61,10 @@ pub use algorithms::{
 pub use dispatch::{
     AssignmentOutcome, DispatchEffort, DispatchStats, Dispatcher, DispatcherConfig, LazySync,
 };
-pub use fault::FaultPlan;
 pub use kinetic::{KineticConfig, KineticTree, TreeInsertError, TreeStats};
 pub use problem::{
     OnboardTrip, ProbeScratch, Schedule, SchedulingProblem, ValidationError, WaitingTrip,
 };
 pub use request::{Constraints, TripRequest};
-pub use stats::{LatencyHistogram, LatencySummary};
 pub use types::{Cost, Stop, StopKind, TripId};
 pub use vehicle::{PlannerKind, Proposal, Vehicle};

@@ -10,12 +10,11 @@
 //! the schedule is identical no matter how often, in which order, or from
 //! which resumed process the plan is consulted.
 //!
-//! The plan covers the three failure classes the serve path injects —
-//! oracle latency spikes (charged to dispatch-tick compute), label-store
-//! IO errors (forcing the rebuild/Dijkstra fallback) and torn checkpoint
-//! writes (a crash between temp-file write and rename) — plus the process
-//! kill itself (`kill_at_tick`), which the recoverable serve loop turns
-//! into an abrupt return with no drain and no cleanup.
+//! The plan covers the two failure classes the serve path injects —
+//! oracle latency spikes (charged to dispatch-tick compute) and torn
+//! checkpoint writes (a crash between temp-file write and rename) — plus
+//! the process kill itself (`kill_at_tick`), which the recoverable serve
+//! loop turns into an abrupt return with no drain and no cleanup.
 
 /// The independent decision streams of a [`FaultPlan`]. Each domain hashes
 /// with a distinct constant so, e.g., an oracle spike at tick 17 says
@@ -36,7 +35,7 @@ enum Domain {
 /// nothing and is what every non-chaos caller uses.
 ///
 /// ```
-/// use kinetic_core::fault::FaultPlan;
+/// use rideshare_serve::fault::FaultPlan;
 ///
 /// let plan = FaultPlan { oracle_spike_rate: 0.5, ..FaultPlan::none() }.with_seed(7);
 /// // Decisions are a pure function of the tick: any replay agrees.
@@ -57,9 +56,6 @@ pub struct FaultPlan {
     /// Probability per checkpoint write of a torn write: the temp file is
     /// written partially and never renamed, as if the process died mid-save.
     pub torn_checkpoint_rate: f64,
-    /// Fail every label-store load, forcing the rebuild (and the plain
-    /// Dijkstra fallback while labels are unavailable).
-    pub store_io_errors: bool,
     /// Kill the serve process at this tick: the recoverable loop returns
     /// without draining, flushing or checkpointing, exactly like a crash.
     pub kill_at_tick: Option<u64>,
@@ -92,7 +88,6 @@ impl FaultPlan {
             oracle_spike_rate: 0.0,
             oracle_spike_seconds: 0.0,
             torn_checkpoint_rate: 0.0,
-            store_io_errors: false,
             kill_at_tick: None,
         }
     }
@@ -101,7 +96,6 @@ impl FaultPlan {
     pub fn is_none(&self) -> bool {
         self.oracle_spike_rate <= 0.0
             && self.torn_checkpoint_rate <= 0.0
-            && !self.store_io_errors
             && self.kill_at_tick.is_none()
     }
 
@@ -147,12 +141,11 @@ impl FaultPlan {
     }
 
     /// Parses the CLI spec: comma-separated `key=value` clauses, e.g.
-    /// `seed=7,spike=0.1:2.5,torn=0.5,store,kill=120`.
+    /// `seed=7,spike=0.1:2.5,torn=0.5,kill=120`.
     ///
     /// * `seed=<n>` — plan seed;
     /// * `spike=<rate>[:<seconds>]` — oracle spikes (default 2.0 s each);
     /// * `torn=<rate>` — torn checkpoint writes;
-    /// * `store` — fail label-store loads;
     /// * `kill=<tick>` — kill the process at that tick.
     ///
     /// A rate must lie in `[0, 1]` and spike seconds must be finite and
@@ -195,7 +188,6 @@ impl FaultPlan {
                     plan.oracle_spike_seconds = secs;
                 }
                 "torn" => plan.torn_checkpoint_rate = rate(need(key, value)?)?,
-                "store" => plan.store_io_errors = true,
                 "kill" => {
                     plan.kill_at_tick = Some(
                         need(key, value)?
@@ -284,13 +276,11 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_documented_spec() {
-        let plan =
-            FaultPlan::parse("seed=7,spike=0.1:2.5,torn=0.5,store,kill=120").expect("valid spec");
+        let plan = FaultPlan::parse("seed=7,spike=0.1:2.5,torn=0.5,kill=120").expect("valid spec");
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.oracle_spike_rate, 0.1);
         assert_eq!(plan.oracle_spike_seconds, 2.5);
         assert_eq!(plan.torn_checkpoint_rate, 0.5);
-        assert!(plan.store_io_errors);
         assert_eq!(plan.kill_at_tick, Some(120));
 
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
@@ -305,7 +295,10 @@ mod tests {
             "unknown fault clause \"sink\""
         );
         assert!(FaultPlan::parse("spike=x").is_err());
-        assert!(FaultPlan::parse("store=").is_err() || FaultPlan::parse("store").is_ok());
+        assert_eq!(
+            FaultPlan::parse("store").unwrap_err(),
+            "unknown fault clause \"store\""
+        );
     }
 
     #[test]

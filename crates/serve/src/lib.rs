@@ -23,7 +23,7 @@
 //! compute or queue pressure it steps the planner down a
 //! [`kinetic_core::DispatchEffort`] level (full → slack-pruned → greedy)
 //! with hysteresis on recovery, and every injected fault from a seeded
-//! [`kinetic_core::FaultPlan`] — oracle spikes, torn checkpoint writes,
+//! [`FaultPlan`] — oracle spikes, torn checkpoint writes,
 //! kills — is deterministic and counted on the [`ServeReport`].
 //!
 //! The serve loop drives the identical [`rideshare_sim::Simulation`] batch
@@ -44,9 +44,13 @@
 #![deny(clippy::indexing_slicing)]
 
 pub mod arrival;
+pub mod fault;
 pub mod recovery;
 pub mod server;
+pub mod stats;
 
 pub use arrival::{PoissonArrivals, TraceArrivals};
+pub use fault::FaultPlan;
 pub use recovery::{resume_serve, RecoveryConfig};
 pub use server::{ServeConfig, ServeLoop, ServeReport, ServiceModel, SloConfig};
+pub use stats::{LatencyHistogram, LatencySummary};

@@ -15,10 +15,9 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use kinetic_core::FaultPlan;
 use rideshare_serve::{
-    resume_serve, PoissonArrivals, RecoveryConfig, ServeConfig, ServeLoop, ServiceModel, SloConfig,
-    TraceArrivals,
+    resume_serve, FaultPlan, PoissonArrivals, RecoveryConfig, ServeConfig, ServeLoop, ServiceModel,
+    SloConfig, TraceArrivals,
 };
 use rideshare_sim::{SimConfig, Simulation};
 use rideshare_workload::{CityConfig, DemandConfig, Workload};
@@ -157,14 +156,7 @@ impl Args {
             }
         }
         // Crash safety lives in --recover-dir; without it these would be
-        // silently ignored. The labels are built in-process, not through a
-        // label store, so `store` would never fire at all.
-        if args.fault.store_io_errors {
-            return Err(
-                "fault clause store needs a label store; the labels are built in-process"
-                    .to_string(),
-            );
-        }
+        // silently ignored.
         if args.recover_dir.is_none() {
             let needs_dir = [
                 ("--recover", args.recover),

@@ -6,13 +6,13 @@
 //! Two files live under [`RecoveryConfig::dir`]:
 //!
 //! - **`serve.journal`** — a write-ahead log. Every dispatch tick appends
-//!   one entry *before* the batch mutates fleet state: the tick number,
-//!   the admission counters at that point, the effort level and the full
-//!   batch. Entries are individually framed (`[u32 len][body][u64 fnv]`),
-//!   so a torn tail from a crash mid-write is detected and dropped, never
-//!   misparsed.
+//!   one entry *before* the batch mutates fleet state: every loop counter
+//!   at that point (the tick number and the admission counters among
+//!   them), the effort level and the full batch. Entries are individually
+//!   framed (`[u32 len][body][u64 fnv]`), so a torn tail from a crash
+//!   mid-write is detected and dropped, never misparsed.
 //! - **`serve.ckpt`** — a full image of the loop written every
-//!   [`RecoveryConfig::checkpoint_every_ticks`] ticks (format version 8):
+//!   [`RecoveryConfig::checkpoint_every_ticks`] ticks (format version 9):
 //!   the clocks and effort ladder, the report's loop counters in the one
 //!   order `server.rs` declares them, the latency histograms, the ingress
 //!   queue and an embedded simulation checkpoint (vehicles, routes, RNG
@@ -47,13 +47,15 @@ use std::io::{Seek, SeekFrom, Write as IoWrite};
 use std::path::{Path, PathBuf};
 
 use kinetic_core::codec::read_len;
-use kinetic_core::{DispatchEffort, FaultPlan, LatencyHistogram};
+use kinetic_core::DispatchEffort;
 use rideshare_sim::{digest_config, digest_trips, SimConfig, Simulation};
 use rideshare_workload::TripEvent;
 use roadnet::io::bin::{self, Reader};
 use roadnet::{DistanceOracle, RoadNetError, RoadNetwork};
 
+use crate::fault::FaultPlan;
 use crate::server::{LoopState, ServeConfig, ServeLoop, ServeReport, ServiceModel};
+use crate::stats::LatencyHistogram;
 
 /// Journal file magic: **R**ide**S**hare **W**rite-ahead **J**ournal.
 const JOURNAL_MAGIC: &[u8; 4] = b"RSWJ";
@@ -65,8 +67,10 @@ const CKPT_MAGIC: &[u8; 4] = b"RSVC";
 /// loop counters and each histogram's minimum; version 5 dropped the
 /// admitted-trip list; version 6 embeds a version-4 simulation
 /// checkpoint, version 7 a version-5 one; version 8 writes the loop
-/// counters in `loop_counters!` order (`server.rs`).
-const VERSION: u32 = 8;
+/// counters in `loop_counters!` order (`server.rs`); version 9 journals
+/// every loop counter, drops the two SLO constants and the store fault
+/// from the serve digest and embeds a version-6 simulation checkpoint.
+const VERSION: u32 = 9;
 /// Journal header: magic + version + sim-config digest + serve digest.
 const JOURNAL_HEADER_LEN: u64 = bin::HEADER_LEN as u64 + 8 + 8;
 
@@ -115,9 +119,7 @@ pub(crate) fn digest_serve(cfg: &ServeConfig) -> u64 {
     bin::put_u64(&mut buf, slo.queue_capacity as u64);
     bin::put_f64(&mut buf, slo.max_queue_wait_seconds);
     bin::put_f64(&mut buf, slo.degrade_compute_budget_seconds);
-    bin::put_u64(&mut buf, slo.degrade_queue_watermark as u64);
     bin::put_u64(&mut buf, slo.recover_healthy_ticks);
-    bin::put_f64(&mut buf, slo.max_degraded_fraction);
     match cfg.model {
         ServiceModel::Measured => bin::put_u32(&mut buf, 0),
         ServiceModel::Fixed {
@@ -134,7 +136,6 @@ pub(crate) fn digest_serve(cfg: &ServeConfig) -> u64 {
     bin::put_f64(&mut buf, f.oracle_spike_rate);
     bin::put_f64(&mut buf, f.oracle_spike_seconds);
     bin::put_f64(&mut buf, f.torn_checkpoint_rate);
-    bin::put_u64(&mut buf, f.store_io_errors as u64);
     bin::fnv1a(&buf)
 }
 
@@ -166,44 +167,20 @@ fn read_effort(r: &mut Reader<'_>) -> Result<DispatchEffort, RoadNetError> {
         .ok_or_else(|| RoadNetError::Persist(format!("effort level index {idx} out of range")))
 }
 
-/// One write-ahead journal entry: the admission state at the moment a
-/// batch was handed to the dispatcher, plus the batch itself.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct JournalEntry {
-    pub(crate) tick: u64,
-    pub(crate) tick_end: f64,
-    pub(crate) level: DispatchEffort,
-    pub(crate) offered: u64,
-    pub(crate) shed_queue_full: u64,
-    pub(crate) shed_stale: u64,
-    pub(crate) batch: Vec<TripEvent>,
-}
-
-impl JournalEntry {
-    fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        bin::put_u64(&mut body, self.tick);
-        bin::put_f64(&mut body, self.tick_end);
-        put_effort(&mut body, self.level);
-        bin::put_u64(&mut body, self.offered);
-        bin::put_u64(&mut body, self.shed_queue_full);
-        bin::put_u64(&mut body, self.shed_stale);
-        put_trips(&mut body, &self.batch);
-        body
+/// The body of one write-ahead journal entry: the loop state at the
+/// moment a batch is handed to the dispatcher — every loop counter in
+/// `loop_counters!` order (`server.rs`), the tick's end and the effort
+/// level — plus the batch itself. Recovery compares re-executed entries
+/// with the dead process's by these bytes.
+fn journal_entry(state: &LoopState, batch: &[TripEvent]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for n in state.report.counters() {
+        bin::put_u64(&mut body, n);
     }
-
-    fn decode(body: &[u8]) -> Result<JournalEntry, RoadNetError> {
-        let mut r = Reader::new(body);
-        Ok(JournalEntry {
-            tick: r.u64("journal tick")?,
-            tick_end: r.f64("journal tick_end")?,
-            level: read_effort(&mut r)?,
-            offered: r.u64("journal offered")?,
-            shed_queue_full: r.u64("journal shed_queue_full")?,
-            shed_stale: r.u64("journal shed_stale")?,
-            batch: read_trips(&mut r, "journal batch")?,
-        })
-    }
+    bin::put_f64(&mut body, state.tick_end);
+    put_effort(&mut body, state.level);
+    put_trips(&mut body, batch);
+    body
 }
 
 fn journal_header(sim_digest: u64, serve_digest: u64) -> Vec<u8> {
@@ -213,10 +190,10 @@ fn journal_header(sim_digest: u64, serve_digest: u64) -> Vec<u8> {
     out
 }
 
-/// Journal contents plus the byte offset past each entry, so resume can
-/// truncate precisely at the checkpoint's high-water mark.
+/// Journal entry bodies plus the byte offset past each entry, so resume
+/// can truncate precisely at the checkpoint's high-water mark.
 struct LoadedJournal {
-    entries: Vec<JournalEntry>,
+    entries: Vec<Vec<u8>>,
     end_offsets: Vec<u64>,
 }
 
@@ -257,10 +234,7 @@ fn load_journal(
     // A frame cut short or failing its checksum is the torn tail of a
     // crash — stop there.
     while let Ok(body) = bin::read_frame(&mut r) {
-        let Ok(entry) = JournalEntry::decode(body) else {
-            break;
-        };
-        entries.push(entry);
+        entries.push(body.to_vec());
         end_offsets.push((bytes.len() - r.remaining()) as u64);
     }
     Ok(LoadedJournal {
@@ -278,7 +252,7 @@ pub(crate) struct RecoveryDriver {
     fault: FaultPlan,
     /// Journal entries the dead process wrote past the checkpoint; the
     /// resumed run re-executes them and verifies each byte-for-byte.
-    expected_tail: Vec<JournalEntry>,
+    expected_tail: Vec<Vec<u8>>,
     verified: usize,
     /// Tail verification is only sound under a deterministic service
     /// model; with [`ServiceModel::Measured`] re-execution may batch
@@ -294,27 +268,19 @@ impl RecoveryDriver {
         state: &mut LoopState,
         batch: &[TripEvent],
     ) -> Result<(), RoadNetError> {
-        let entry = JournalEntry {
-            tick: state.report.ticks,
-            tick_end: state.tick_end,
-            level: state.level,
-            offered: state.report.offered,
-            shed_queue_full: state.report.shed_queue_full,
-            shed_stale: state.report.shed_stale,
-            batch: batch.to_vec(),
-        };
+        let entry = journal_entry(state, batch);
         if let Some(expected) = self.expected_tail.get(self.verified) {
             if self.verify_tail && *expected != entry {
                 return Err(RoadNetError::Persist(format!(
                     "journal divergence at entry {}: recovery re-executed tick {} \
                      differently from the pre-crash run",
-                    self.verified, entry.tick
+                    self.verified, state.report.ticks
                 )));
             }
             self.verified += 1;
         }
         let mut frame = Vec::new();
-        bin::put_frame(&mut frame, &entry.encode());
+        bin::put_frame(&mut frame, &entry);
         self.journal.write_all(&frame)?;
         state.report.journal_entries += 1;
         Ok(())
@@ -609,7 +575,7 @@ mod tests {
         let sim_config = SimConfig::default();
         let cfg = ServeConfig::default();
         let arrivals = || PoissonArrivals::new(&w.trips, 2.0, 30.0, 3);
-        for old in [1u32, 2, 3, 4, 5, 6, 7] {
+        for old in [1u32, 2, 3, 4, 5, 6, 7, 8] {
             let rc = RecoveryConfig {
                 dir: std::env::temp_dir().join(format!("serve_v{old}_dir_{}", std::process::id())),
                 checkpoint_every_ticks: 4,
@@ -632,7 +598,7 @@ mod tests {
             let err = resume_serve(&w.network, &oracle, sim_config, cfg, arrivals(), &rc)
                 .expect_err("an older directory must not resume");
             assert!(
-                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-8")),
+                matches!(&err, RoadNetError::Persist(msg) if msg.contains("version-9")),
                 "version {old}: {err:?}"
             );
             std::fs::remove_dir_all(&rc.dir).ok();
@@ -681,6 +647,44 @@ mod tests {
             .expect("an intact checkpoint loads");
         assert_eq!(loaded.state, state);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_real_checkpoint_starts_fresh() {
+        let w = Workload::generate(&CityConfig::small(), &DemandConfig::default(), 5);
+        let oracle = CachedOracle::new(&w.network);
+        let sim_config = SimConfig {
+            vehicles: 3,
+            ..SimConfig::default()
+        };
+        let cfg = ServeConfig {
+            model: ServiceModel::Fixed {
+                tick_overhead_s: 0.01,
+                per_request_s: 0.001,
+            },
+            ..ServeConfig::default()
+        };
+        let rc = RecoveryConfig {
+            dir: std::env::temp_dir().join(format!("serve_prefix_dir_{}", std::process::id())),
+            checkpoint_every_ticks: 4,
+        };
+        let mut serve = ServeLoop::new(Simulation::new(&w.network, &oracle, sim_config), cfg);
+        let arrivals = PoissonArrivals::new(&w.trips, 1.0, 20.0, 3);
+        let report = serve.run_recoverable(arrivals, &rc).unwrap().unwrap();
+        assert!(report.admitted > 0 && report.ticks >= 4);
+        let path = rc.checkpoint_path();
+        let full = std::fs::read(&path).unwrap();
+        let digest = digest_config(&sim_config);
+        assert!(load_checkpoint(&path, digest).unwrap().is_some());
+        for len in 0..full.len() {
+            std::fs::write(&path, &full[..len]).unwrap();
+            assert!(
+                matches!(load_checkpoint(&path, digest), Ok(None)),
+                "a prefix of {len} of {} bytes did not start fresh",
+                full.len()
+            );
+        }
+        std::fs::remove_dir_all(&rc.dir).ok();
     }
 
     #[test]

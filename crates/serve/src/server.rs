@@ -46,12 +46,23 @@ use std::io::Write;
 use std::iter::Peekable;
 use std::time::Instant;
 
-use kinetic_core::{DispatchEffort, FaultPlan, LatencyHistogram, LatencySummary};
+use kinetic_core::DispatchEffort;
 use rideshare_sim::Simulation;
 use rideshare_workload::TripEvent;
 use roadnet::RoadNetError;
 
+use crate::fault::FaultPlan;
 use crate::recovery::RecoveryDriver;
+use crate::stats::{LatencyHistogram, LatencySummary};
+
+/// Ingress queue depth at a tick boundary that counts as stress even
+/// before compute blows up: the planner steps down one [`DispatchEffort`]
+/// level.
+pub const DEGRADE_QUEUE_WATERMARK: usize = 2_048;
+
+/// Largest fraction of ticks allowed to run degraded before
+/// [`ServeReport::meets_slo`] fails the run anyway.
+pub const MAX_DEGRADED_FRACTION: f64 = 0.1;
 
 /// Admission-control budgets for the serve loop.
 #[derive(Debug, Clone, Copy)]
@@ -71,15 +82,9 @@ pub struct SloConfig {
     /// A dispatch tick costing more than this (virtual seconds) is a
     /// stress signal: the planner steps down one [`DispatchEffort`] level.
     pub degrade_compute_budget_seconds: f64,
-    /// Ingress queue depth at the tick boundary that counts as stress
-    /// even before compute blows up.
-    pub degrade_queue_watermark: usize,
     /// Consecutive calm ticks (no stress signal) before the planner steps
     /// back **up** one level — the hysteresis that stops ladder flapping.
     pub recover_healthy_ticks: u64,
-    /// Largest fraction of ticks allowed to run degraded before
-    /// [`ServeReport::meets_slo`] fails the run anyway.
-    pub max_degraded_fraction: f64,
 }
 
 impl Default for SloConfig {
@@ -90,9 +95,7 @@ impl Default for SloConfig {
             queue_capacity: 4_096,
             max_queue_wait_seconds: 10.0,
             degrade_compute_budget_seconds: 1.0,
-            degrade_queue_watermark: 2_048,
             recover_healthy_ticks: 3,
-            max_degraded_fraction: 0.1,
         }
     }
 }
@@ -411,7 +414,7 @@ impl<'a> ServeLoop<'a> {
             // Degradation ladder with hysteresis: any stress signal steps
             // down immediately; stepping back up needs a full streak of
             // calm ticks so the ladder cannot flap at the boundary.
-            let stress = depth >= slo.degrade_queue_watermark
+            let stress = depth >= DEGRADE_QUEUE_WATERMARK
                 || (dispatched && cost_s > slo.degrade_compute_budget_seconds);
             if stress {
                 state.healthy_streak = 0;
@@ -602,14 +605,14 @@ impl ServeReport {
 
     /// Whether the run held the serving objective: p99 latency within
     /// budget, shedding below 0.1 %, zero guarantee violations **and**
-    /// degraded service within [`SloConfig::max_degraded_fraction`] — a
+    /// degraded service within [`MAX_DEGRADED_FRACTION`] — a
     /// run that only survived by serving greedy matches most of the time
     /// did not really meet its promise.
     pub fn meets_slo(&self, slo: &SloConfig) -> bool {
         self.latency.p99_s <= slo.p99_budget_seconds
             && self.shed_rate() <= 1e-3
             && self.guarantee_violations == 0
-            && self.degraded_fraction() <= slo.max_degraded_fraction
+            && self.degraded_fraction() <= MAX_DEGRADED_FRACTION
     }
 
     /// Serialises the report as a JSON object (no trailing newline),

@@ -28,7 +28,7 @@ const GEOMETRIC: usize = BUCKETS - 2;
 /// A fixed-size log-bucketed latency histogram (see the module docs).
 ///
 /// ```
-/// use kinetic_core::stats::LatencyHistogram;
+/// use rideshare_serve::stats::LatencyHistogram;
 ///
 /// let mut h = LatencyHistogram::new();
 /// for i in 1..=1000 {
@@ -102,7 +102,13 @@ impl LatencyHistogram {
         } else {
             0.0
         };
-        self.counts[Self::bucket(s)] += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket() is below BUCKETS, and new() and decode() both hold exactly BUCKETS counts"
+        )]
+        {
+            self.counts[Self::bucket(s)] += 1;
+        }
         self.count += 1;
         self.sum_s += s;
         if s > self.max_s {
@@ -156,7 +162,7 @@ impl LatencyHistogram {
     }
 
     /// Appends the histogram's full state to `out` in the
-    /// [`crate::codec`] binary conventions (bucket counts length-prefixed,
+    /// [`kinetic_core::codec`] binary conventions (bucket counts length-prefixed,
     /// `f64` accumulators as IEEE-754 bit patterns), so a serve checkpoint
     /// can carry it and restore it bit-identically.
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -173,7 +179,7 @@ impl LatencyHistogram {
     /// panics on malformed input; a wrong bucket count (from a different
     /// build's layout, or corruption) is a [`RoadNetError::Persist`].
     pub fn decode(r: &mut Reader<'_>) -> Result<LatencyHistogram, RoadNetError> {
-        let n = crate::codec::read_len(r, 8, "histogram bucket count")?;
+        let n = kinetic_core::codec::read_len(r, 8, "histogram bucket count")?;
         if n != BUCKETS {
             return Err(RoadNetError::Persist(format!(
                 "histogram bucket count {n} != expected {BUCKETS}"

@@ -51,15 +51,18 @@ fn hostile_numbers_are_refused_by_flag_name() {
             "--checkpoint-every",
             vec!["--recover-dir", "unused", "--checkpoint-every", "x"],
         ),
+        (
+            "unknown fault clause \"store\"",
+            vec!["--fault-plan", "store"],
+        ),
     ];
-    // Flags and fault clauses this run (no --recover-dir, labels built
-    // in-process rather than through a label store) would otherwise ignore.
+    // Flags and fault clauses this run (no --recover-dir) would otherwise
+    // ignore.
     let ignored = [
         ("--recover", vec!["--recover"]),
         ("--checkpoint-every", vec!["--checkpoint-every", "8"]),
         ("fault clause kill=", vec!["--fault-plan", "seed=1,kill=3"]),
         ("fault clause torn=", vec!["--fault-plan", "torn=0.5"]),
-        ("fault clause store", vec!["--fault-plan", "store"]),
     ];
     for (i, (name, flags)) in numbers.chain(unparseable).chain(ignored).enumerate() {
         let (output, report) = serve(&i.to_string(), &flags);

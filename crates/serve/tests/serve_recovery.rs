@@ -10,9 +10,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use kinetic_core::FaultPlan;
 use rideshare_serve::{
-    resume_serve, RecoveryConfig, ServeConfig, ServeLoop, ServeReport, ServiceModel, SloConfig,
+    resume_serve, FaultPlan, RecoveryConfig, ServeConfig, ServeLoop, ServeReport, ServiceModel,
+    SloConfig,
 };
 use rideshare_sim::{SimConfig, Simulation};
 use rideshare_workload::{CityConfig, DemandConfig, TripEvent, Workload};

@@ -27,7 +27,7 @@
 //! ```text
 //! offset  field
 //! 0       magic  b"RSCK"
-//! 4       format version (u32, currently 5)
+//! 4       format version (u32, currently 6)
 //! 8       network fingerprint (u64)
 //! 16      SimConfig digest (u64) — excludes the unread `workers` field,
 //!         so a checkpoint resumes whatever value it holds
@@ -62,7 +62,9 @@ const MAGIC: &[u8; 4] = b"RSCK";
 /// plan alone — the solver's problem or the kinetic tree — without the
 /// vehicle's copy of its position, clock and riders. Version 5 drops the
 /// riders' pickup clocks: a drop-off reads them from the trace row.
-const VERSION: u32 = 5;
+/// Version 6 drops the request cap from the configuration digest and
+/// always hashes the batch window.
+const VERSION: u32 = 6;
 
 /// Digest of the parts of a [`SimConfig`] that determine simulation
 /// *results*. `workers` is excluded: no code reads it, and it never was
@@ -81,20 +83,13 @@ pub fn digest_config(config: &SimConfig) -> u64 {
     bin::put_f64(&mut buf, config.speed_mps);
     bin::put_f64(&mut buf, config.grid_cell_meters);
     codec::put_bool(&mut buf, config.cruise_when_idle);
-    match config.max_requests {
-        Some(n) => bin::put_u64(&mut buf, n as u64),
-        None => bin::put_u64(&mut buf, u64::MAX),
-    }
     bin::put_u64(&mut buf, config.seed);
     bin::put_f64(&mut buf, config.dispatcher.radius_factor);
     // Batched ticks change when vehicles move between requests, so the
-    // window width is result-determining — but only appended when set, so
-    // per-request checkpoints written before the knob existed keep their
-    // digest. `dispatcher.use_pruning` is deliberately absent: pruned and
-    // exhaustive evaluation produce bit-identical results (property-tested).
-    if config.batch_window_seconds != 0.0 {
-        bin::put_f64(&mut buf, config.batch_window_seconds);
-    }
+    // window width is result-determining. `dispatcher.use_pruning` is
+    // deliberately absent: pruned and exhaustive evaluation produce
+    // bit-identical results (property-tested).
+    bin::put_f64(&mut buf, config.batch_window_seconds);
     bin::fnv1a(&buf)
 }
 
@@ -631,7 +626,7 @@ mod tests {
         let digest = digest_trips(&w.trips);
         let oracle = CachedOracle::new(&w.network);
         let sim = Simulation::new(&w.network, &oracle, config());
-        for old in [1u32, 2, 3, 4] {
+        for old in [1u32, 2, 3, 4, 5] {
             // Stamp an old version and re-sign, so only the version is stale.
             let mut bytes = sim.checkpoint_bytes(0, digest);
             bytes[4..8].copy_from_slice(&old.to_le_bytes());

@@ -29,8 +29,6 @@ pub struct SimConfig {
     /// Whether idle vehicles cruise by following random road segments (the
     /// paper's behaviour) or park at their last position.
     pub cruise_when_idle: bool,
-    /// Process at most this many requests from the workload (None = all).
-    pub max_requests: Option<usize>,
     /// Seed for vehicle placement and cruising decisions.
     pub seed: u64,
     /// Dispatcher behaviour (radius slack, slack pruning).
@@ -63,7 +61,6 @@ impl Default for SimConfig {
             speed_mps: 14.0,
             grid_cell_meters: 2_000.0,
             cruise_when_idle: true,
-            max_requests: None,
             seed: 0,
             dispatcher: DispatcherConfig::default(),
             workers: 1,

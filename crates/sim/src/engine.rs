@@ -156,8 +156,7 @@ impl<'a> Simulation<'a> {
     /// simulation keeps running until every committed stop has been served
     /// (bounded by a four-hour drain horizon).
     pub fn run(&mut self, trips: &[TripEvent]) -> SimReport {
-        let limit = self.config.max_requests.unwrap_or(usize::MAX);
-        self.submit_windows(&trips[..trips.len().min(limit)], |_, _| {});
+        self.submit_windows(trips, |_, _| {});
         self.drain();
         self.report()
     }
@@ -961,20 +960,6 @@ mod tests {
                 assert_eq!(report.service_rate(), 0.0, "{case}");
             }
         }
-    }
-
-    #[test]
-    fn max_requests_limits_the_run() {
-        let w = small_workload(50, 5);
-        let oracle = CachedOracle::new(&w.network);
-        let config = SimConfig {
-            vehicles: 5,
-            max_requests: Some(7),
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(&w.network, &oracle, config);
-        let report = sim.run(&w.trips);
-        assert_eq!(report.requests, 7);
     }
 
     #[test]
