@@ -178,16 +178,10 @@ pub mod bin {
             )));
         }
         let found = r.u32(&format!("{what} version"))?;
-        if found < version {
+        if found != version {
             return Err(RoadNetError::Persist(format!(
-                "unsupported {what} version {found}: a version-{found} file predates \
-                 this build, which reads version-{version} only; write it again"
-            )));
-        }
-        if found > version {
-            return Err(RoadNetError::Persist(format!(
-                "unsupported {what} version {found}: written by a newer build; \
-                 this build reads version-{version} only"
+                "unsupported {what} version {found}: this build reads only \
+                 version-{version}, not version-{found}"
             )));
         }
         Ok(())
@@ -483,7 +477,7 @@ mod tests {
         let old = err(stamped(b"TEST", 6));
         assert!(old.contains("unsupported test file version 6"), "{old}");
         assert!(old.contains("version-7"), "{old}");
-        assert!(err(stamped(b"TEST", 8)).contains("newer build"));
+        assert!(err(stamped(b"TEST", 8)).contains("not version-8"));
         assert!(bin::open(&stamped(b"TEST", 7), b"TEST", 7, "test file").is_ok());
     }
 
