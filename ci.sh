@@ -43,6 +43,11 @@ run bash -c 'set -o pipefail; cargo run --release --quiet --offline --manifest-p
 # its parent decided leaves them equal. A PR that must move a digest edits
 # the literal in check-smoke-digests.sh and says why in CHANGES.md.
 run ./check-smoke-digests.sh target/bench-smoke.txt
+# The same four digests at full size (--seconds 1 keeps the run short;
+# the digest does not depend on it): only there do the kinetic trees grow
+# the wide levels of a few hundred nodes that smoke size never reaches.
+run bash -c 'set -o pipefail; cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload all --seed 1 --seconds 1 | tee target/bench-full.txt'
+run ./check-smoke-digests.sh --full target/bench-full.txt
 # bench-smoke: hub-label builds must match Dijkstra ground truth — in
 # distance, and in the vertex sequence of every path unpacked straight
 # from the labels (HubLabels::path, not the oracle that would fall back

@@ -25,9 +25,10 @@ pub struct KineticConfig {
     /// models the paper's 3 GB memory cap that makes the basic/slack
     /// variants break off at high capacities (Fig. 9(c)). The count is of
     /// nodes visited, not kept: the recursion stops below a node where the
-    /// new trip is already late without visiting that subtree, so an
-    /// insertion may fit although the same tree walked without that cut
-    /// would not.
+    /// new trip is already late without visiting that subtree, and does not
+    /// place a new stop below which every old child is already ruled out,
+    /// so an insertion may fit although the same tree walked without those
+    /// cuts would not.
     pub max_nodes: usize,
 }
 
@@ -222,11 +223,11 @@ fn best_of(nodes: &[TreeNode]) -> Option<(&TreeNode, Cost)> {
 /// Whether appending `stop` failed on `stop`'s own limit — its pickup
 /// deadline, or its ride or drop-off deadline — which only grows harder
 /// to meet further along the route.
-fn misses_own_limit(stop: Stop, step: Result<(), ValidationError>) -> bool {
+fn misses_own_limit(stop: Stop, step: &Result<(), ValidationError>) -> bool {
     matches!(
         step,
         Err(ValidationError::WaitingTimeViolated { trip, .. }
-            | ValidationError::ServiceConstraintViolated { trip, .. }) if trip == stop.trip
+            | ValidationError::ServiceConstraintViolated { trip, .. }) if *trip == stop.trip
     )
 }
 
@@ -438,17 +439,21 @@ impl KineticTree {
             Stop::dropoff(trip.trip, trip.dropoff),
         ];
         let mut budget = self.config.max_nodes as i64;
+        let mut ruled_out = std::mem::take(&mut scratch.ruled_out);
+        ruled_out.clear();
         let mut walker = ScheduleWalker::with_trip(&self.problem, trip, scratch);
         let level = self.extend(
             &self.children,
             &mut walker,
             0.0,
-            false,
+            None,
             &to_insert,
+            &mut ruled_out,
             &mut budget,
             oracle,
         );
         *scratch = walker.into_scratch();
+        scratch.ruled_out = ruled_out;
         let level: L = level?;
         if level.is_empty() {
             return Err(TreeInsertError::Infeasible);
@@ -546,104 +551,161 @@ impl KineticTree {
     /// `detour` is the extra distance accumulated along the walked prefix
     /// relative to the same prefix of old stops in the old tree (i.e. how
     /// much later every old stop below will now be reached); the slack-time
-    /// variant prunes on it. `fresh_location` is true when the walker's
-    /// current location is a newly inserted stop rather than the old parent,
-    /// in which case the cached child legs are stale and must be re-derived
-    /// from the oracle. `walker` is advanced into each branch and rewound
-    /// out of it, so it stands at the same prefix on return.
+    /// variant prunes on it. `walker` is advanced into each branch and
+    /// rewound out of it, so it stands at the same prefix on return.
+    ///
+    /// While a new stop is left to place, the level pushes onto
+    /// `ruled_out`, one entry per old child, whether the child is ruled out
+    /// right below that stop (PAPER.md, "what a probe already knows"): it
+    /// is when it is ruled out here — dropped on slack, or failing its
+    /// walker step on anything but capacity — since its detour only grows
+    /// below a new stop, or when the bound `|d(here, child) − d(here,
+    /// stop)|` on its leg from the stop (the reverse triangle inequality)
+    /// already breaks its slack there. `parent` is where the level that
+    /// placed the stop the walker stands on pushed its entries: `Some`
+    /// when the walker stands on a new stop, whose legs to the old
+    /// children not ruled out are asked, `None` when it stands on the old
+    /// children's own parent, whose cached legs hold. A level whose
+    /// hotspot pin tries no old child rules none out. A new stop is not
+    /// placed where every old child would be ruled out right below it, and
+    /// a descent into an old child skips the late cut's ask when the same
+    /// bound already makes the next new stop late there.
     ///
     /// Every decision reads only the old tree, never what `L` keeps, so the
     /// build (`Vec<TreeNode>`) and the probe (`Cheapest`) visit the same
     /// nodes.
     #[expect(
         clippy::too_many_arguments,
-        reason = "each recursive step threads the old subtree, the walker, the detour, the stops left, the budget and the oracle; a struct would only rename them"
+        reason = "each recursive step threads the old subtree, the walker, the detour, where the parent's entries are, the stops left, the entry stack, the budget and the oracle; a struct would only rename them"
     )]
     fn extend<L: Level>(
         &self,
         old_children: &[TreeNode],
         walker: &mut ScheduleWalker<'_>,
         detour: Cost,
-        fresh_location: bool,
+        parent: Option<usize>,
         remaining: &[Stop],
+        ruled_out: &mut Vec<bool>,
         budget: &mut i64,
         oracle: &dyn DistanceOracle,
     ) -> Result<L, TreeInsertError> {
         let mut out = L::default();
+        // Theorem 1: whether no route through `child` can absorb the detour
+        // of reaching it by `leg` from a prefix already `detour` behind the
+        // old tree's.
+        let past_slack = |child: &TreeNode, detour: Cost, leg: Cost| {
+            self.config.use_slack && detour + leg - child.leg > child.slack_root
+        };
 
         // The late cut. A stop already past its own limit here is past it
         // below every old child too: each leg is a shortest distance, so
         // for any node `y` below here the triangle inequality gives
         // `cum(y) + d(y, s) >= cum + d(here, s)`. Nothing below can be
         // kept, so none of it is visited. A full vehicle proves no such
-        // thing, since seats free up further down.
-        let next_new = remaining
-            .first()
-            .map(|&stop| (stop, oracle.dist(walker.location, stop.node)));
-        if let Some((stop, leg)) = next_new {
-            if misses_own_limit(stop, walker.check(stop, leg)) {
-                return Ok(out);
+        // thing, since seats free up further down. The step's check is
+        // kept for Option B, which appends the stop at this same prefix.
+        let next_new = match remaining.first() {
+            Some(&stop) => {
+                let leg = oracle.dist(walker.location, stop.node);
+                let step = walker.check(stop, leg);
+                if misses_own_limit(stop, &step) {
+                    return Ok(out);
+                }
+                Some((stop, leg, step.is_ok()))
             }
-        }
+            None => None,
+        };
 
         // Hotspot clustering: if the next new stop is within θ of one of the
         // old alternatives (and of everything already merged into it), pin
         // it right here and do not try it anywhere deeper in this subtree.
         let hotspot = match (self.config.hotspot_theta, next_new) {
-            (Some(theta), Some((next_new, _))) => old_children
+            (Some(theta), Some((next_new, _, _))) => old_children
                 .iter()
                 .find(|c| joins_hotspot(&c.group, next_new.node, theta, oracle)),
             _ => None,
         };
 
+        // Whether `child`, reached by at least `bound` from the next new
+        // stop placed here, is past its slack right below that stop.
+        let past_slack_below_new = |child: &TreeNode, bound: Cost| {
+            next_new.is_some_and(|(_, to_new, _)| past_slack(child, detour + to_new, bound))
+        };
+        let base = ruled_out.len();
+        if next_new.is_some() {
+            ruled_out.resize(base + old_children.len(), false);
+        }
+
         // Option A: keep an old alternative as the next stop.
         if hotspot.is_none() {
-            for child in old_children {
-                let leg = if fresh_location {
-                    // The node immediately below an insertion point gets a
-                    // fresh leg from the walker's current location.
-                    oracle.dist(walker.location, child.stop.node)
-                } else {
-                    child.leg
+            for (i, child) in old_children.iter().enumerate() {
+                let out_below_new = 'child: {
+                    let leg = match parent {
+                        None => child.leg,
+                        // The node immediately below an insertion point
+                        // gets a fresh leg from the walker's current
+                        // location, unless the level above ruled it out.
+                        Some(at) if ruled_out[at + i] => break 'child true,
+                        Some(_) => oracle.dist(walker.location, child.stop.node),
+                    };
+                    if past_slack(child, detour, leg) {
+                        break 'child true;
+                    }
+                    // The reverse triangle inequality bounds the next new
+                    // stop's leg from this child, and this child's from
+                    // that stop placed here.
+                    let bound = next_new.map_or(0.0, |(_, to_new, _)| (leg - to_new).abs());
+                    let mark = walker.mark();
+                    match walker.advance_with_distance(child.stop, leg) {
+                        Ok(()) => {}
+                        Err(ValidationError::CapacityExceeded { .. }) => {
+                            break 'child past_slack_below_new(child, bound)
+                        }
+                        Err(_) => break 'child true,
+                    }
+                    *budget -= 1;
+                    if *budget < 0 {
+                        return Err(TreeInsertError::Overflow);
+                    }
+                    let late_below = next_new.is_some_and(|(stop, _, _)| {
+                        misses_own_limit(stop, &walker.check(stop, bound))
+                    });
+                    let below: L = if late_below {
+                        L::default()
+                    } else {
+                        self.extend(
+                            &child.children,
+                            walker,
+                            // Extra distance this child (and everything
+                            // below it) incurs compared to the old tree.
+                            detour + leg - child.leg,
+                            None,
+                            remaining,
+                            ruled_out,
+                            budget,
+                            oracle,
+                        )?
+                    };
+                    walker.rewind(mark);
+                    let is_complete_leaf = child.children.is_empty() && remaining.is_empty();
+                    if !below.is_empty() || is_complete_leaf {
+                        out.keep(walker, child.stop, leg, || child.group.clone(), below);
+                    }
+                    past_slack_below_new(child, bound)
                 };
-                // Extra distance this child (and everything below it) incurs
-                // compared to the old tree.
-                let child_detour = detour + leg - child.leg;
-                if self.config.use_slack && child_detour > child.slack_root {
-                    // Theorem 1: no route through this child can absorb the
-                    // detour already inserted above it.
-                    continue;
+                if next_new.is_some() {
+                    ruled_out[base + i] = out_below_new;
                 }
-                let mark = walker.mark();
-                if walker.advance_with_distance(child.stop, leg).is_err() {
-                    continue;
-                }
-                *budget -= 1;
-                if *budget < 0 {
-                    return Err(TreeInsertError::Overflow);
-                }
-                let below: L = self.extend(
-                    &child.children,
-                    walker,
-                    child_detour,
-                    false,
-                    remaining,
-                    budget,
-                    oracle,
-                )?;
-                walker.rewind(mark);
-                let is_complete_leaf = child.children.is_empty() && remaining.is_empty();
-                if below.is_empty() && !is_complete_leaf {
-                    continue;
-                }
-                out.keep(walker, child.stop, leg, || child.group.clone(), below);
             }
         }
 
-        // Option B: serve the next new stop now.
-        if let Some((new_stop, leg)) = next_new {
-            let mark = walker.mark();
-            if leg.is_finite() && walker.advance_with_distance(new_stop, leg).is_ok() {
+        // Option B: serve the next new stop now, unless every old child
+        // would be ruled out right below it, and so anywhere below it.
+        if let Some((new_stop, leg, fits)) = next_new {
+            let all_out = !old_children.is_empty() && ruled_out[base..].iter().all(|&out| out);
+            if fits && leg.is_finite() && !all_out {
+                let mark = walker.mark();
+                walker.append(new_stop, leg);
                 *budget -= 1;
                 if *budget < 0 {
                     return Err(TreeInsertError::Overflow);
@@ -652,8 +714,9 @@ impl KineticTree {
                     old_children,
                     walker,
                     detour + leg,
-                    true,
+                    Some(base),
                     &remaining[1..],
+                    ruled_out,
                     budget,
                     oracle,
                 )?;
@@ -671,6 +734,7 @@ impl KineticTree {
                 }
             }
         }
+        ruled_out.truncate(base);
 
         Ok(out)
     }
@@ -1095,31 +1159,69 @@ mod tests {
         );
     }
 
+    /// Drives a tree of `config` on `grid_oracle(8)` through every
+    /// change a tree undergoes — three inserts, `advance_to`, a re-root
+    /// elsewhere and one in place, and a decode — calling `check` after
+    /// each with the change's name.
+    fn through_every_change(config: KineticConfig, check: impl Fn(&KineticTree, &str)) {
+        let oracle = grid_oracle(8);
+        let tree = KineticTree::new(0, 0.0, 6, config);
+        check(&tree, "empty");
+        let t1 = make_trip(&oracle, 1, 5, 30, 0.0, 20_000.0, 1.0);
+        let (tree, _) = tree.try_insert(t1, &oracle).unwrap();
+        let t2 = make_trip(&oracle, 2, 6, 31, 0.0, 20_000.0, 1.0);
+        let (tree, _) = tree.try_insert(t2, &oracle).unwrap();
+        let t3 = make_trip(&oracle, 3, 12, 2, 0.0, 20_000.0, 1.0);
+        let (mut tree, _) = tree.try_insert(t3, &oracle).unwrap();
+        check(&tree, "try_insert");
+        let (_, route) = tree.best_route().unwrap();
+        tree.advance_to(route[0]).unwrap();
+        check(&tree, "advance_to");
+        let elsewhere = (tree.problem().start + 1) % oracle.node_count() as NodeId;
+        tree.reroot(elsewhere, 5_000.0, &oracle);
+        check(&tree, "reroot elsewhere");
+        tree.reroot(elsewhere, 5_100.0, &oracle);
+        check(&tree, "reroot in place");
+        let mut bytes = Vec::new();
+        tree.encode(&mut bytes);
+        let back = KineticTree::decode(&mut Reader::new(&bytes)).unwrap();
+        check(&back, "decode");
+    }
+
     #[test]
     fn cached_completions_equal_a_full_recursion_through_every_change() {
-        let oracle = grid_oracle(8);
         for config in [KineticConfig::basic(), KineticConfig::hotspot(300.0)] {
-            let tree = KineticTree::new(0, 0.0, 6, config);
-            assert_cache_matches_recursion(&tree, "empty");
-            let t1 = make_trip(&oracle, 1, 5, 30, 0.0, 20_000.0, 1.0);
-            let (tree, _) = tree.try_insert(t1, &oracle).unwrap();
-            let t2 = make_trip(&oracle, 2, 6, 31, 0.0, 20_000.0, 1.0);
-            let (tree, _) = tree.try_insert(t2, &oracle).unwrap();
-            let t3 = make_trip(&oracle, 3, 12, 2, 0.0, 20_000.0, 1.0);
-            let (mut tree, _) = tree.try_insert(t3, &oracle).unwrap();
-            assert_cache_matches_recursion(&tree, "try_insert");
-            let (_, route) = tree.best_route().unwrap();
-            tree.advance_to(route[0]).unwrap();
-            assert_cache_matches_recursion(&tree, "advance_to");
-            let elsewhere = (tree.problem().start + 1) % oracle.node_count() as NodeId;
-            tree.reroot(elsewhere, 5_000.0, &oracle);
-            assert_cache_matches_recursion(&tree, "reroot elsewhere");
-            tree.reroot(elsewhere, 5_100.0, &oracle);
-            assert_cache_matches_recursion(&tree, "reroot in place");
-            let mut bytes = Vec::new();
-            tree.encode(&mut bytes);
-            let back = KineticTree::decode(&mut Reader::new(&bytes)).unwrap();
-            assert_cache_matches_recursion(&back, "decode");
+            through_every_change(config, assert_cache_matches_recursion);
+        }
+    }
+
+    /// The insertion reads a cached leg as the distance from the node's
+    /// parent — the tree's start for a root branch — and bounds the legs
+    /// it has not asked by it, so each must be that distance bit for bit.
+    #[test]
+    fn every_leg_is_the_distance_from_its_parent_through_every_change() {
+        fn check(nodes: &[TreeNode], from: NodeId, oracle: &MatrixOracle, step: &str) {
+            for node in nodes {
+                let want = oracle.dist(from, node.stop.node);
+                assert_eq!(
+                    node.leg.to_bits(),
+                    want.to_bits(),
+                    "{step}: leg of {:?} from {from} is {}, not {want}",
+                    node.stop,
+                    node.leg
+                );
+                check(&node.children, node.stop.node, oracle, step);
+            }
+        }
+        let oracle = grid_oracle(8);
+        for config in [
+            KineticConfig::basic(),
+            KineticConfig::slack(),
+            KineticConfig::hotspot(300.0),
+        ] {
+            through_every_change(config, |tree, step| {
+                check(&tree.children, tree.problem().start, &oracle, step)
+            });
         }
     }
 
@@ -1298,6 +1400,186 @@ mod tests {
         for config in [KineticConfig::basic(), KineticConfig::slack()] {
             let tree = chain_tree(&oracle, config, 1);
             assert_eq!(probe_build_and_brute_force(&tree, trip, &oracle), Ok(800.0));
+        }
+    }
+
+    /// The pairs `oracle` was asked for while `tree` priced `trip`, after
+    /// asserting probe = build = brute force = `cost`.
+    fn asks_to_price(
+        oracle: &CountingOracle,
+        tree: &KineticTree,
+        trip: WaitingTrip,
+        cost: Cost,
+    ) -> Vec<(NodeId, NodeId)> {
+        oracle.asked.borrow_mut().clear();
+        let probed = tree.probe_insert(trip, oracle, &mut ProbeScratch::default());
+        let asked = oracle.asked.take();
+        assert_eq!(probed, Ok(cost), "{:?}", tree.config());
+        assert_eq!(probe_build_and_brute_force(tree, trip, oracle), Ok(cost));
+        asked
+    }
+
+    #[test]
+    fn a_child_ruled_out_above_a_new_stop_is_not_asked_for_below_it() {
+        let oracle = CountingOracle::new(line_oracle());
+        // Picked up at 0 right away, the rider leaves the chain's first
+        // stop (3, due by 200) to be reached at 400: late on the basic
+        // tree, and on the slack tree a detour of 200 against its slack of
+        // 0. So the drop-off at 2 is never asked for a leg to 3.
+        let behind = WaitingTrip {
+            trip: 3,
+            pickup: 0,
+            dropoff: 2,
+            pickup_deadline: 10_000.0,
+            max_ride: 10_000.0,
+        };
+        // Picked up at 6 between 7 and 9, the rider makes trip 2 ride 400
+        // against its limit of 200, and so the drop-off at 4 is never
+        // asked for a leg to 9 (from 7 on, its own ride limit of 300 is
+        // broken first).
+        let between = WaitingTrip {
+            trip: 3,
+            pickup: 6,
+            dropoff: 4,
+            pickup_deadline: 10_000.0,
+            max_ride: 300.0,
+        };
+        for config in [KineticConfig::basic(), KineticConfig::slack()] {
+            let tree = chain_tree(&oracle, config, 4);
+            for (trip, pair, cost) in [(behind, (2, 3), 1_900.0), (between, (4, 9), 1_300.0)] {
+                let asked = asks_to_price(&oracle, &tree, trip, cost);
+                assert!(!asked.contains(&pair), "{config:?}: asked for {pair:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_child_ruled_out_beside_a_viable_one_is_not_asked_below_the_next_new_stop() {
+        let oracle = CountingOracle::new(line_oracle());
+        // From a vehicle at 4, trip 1 rides 6 to 7 (due by 600) and trip
+        // 2 rides 2 to 3, in either order. The new rider rides 0 to 1 with
+        // no detour. Picked up at 0 from the root or after 2, the rider
+        // makes trip 1's pickup late but not trip 2's, so the drop-off at
+        // 1 is placed there and asked for its leg to 2 (or 3), never to 6.
+        let trip = |trip, pickup, dropoff, pickup_deadline, max_ride| WaitingTrip {
+            trip,
+            pickup,
+            dropoff,
+            pickup_deadline,
+            max_ride,
+        };
+        let mut tree = KineticTree::new(4, 0.0, 4, KineticConfig::basic());
+        for old in [
+            trip(1, 6, 7, 600.0, 10_000.0),
+            trip(2, 2, 3, 10_000.0, 10_000.0),
+        ] {
+            tree = tree.try_insert(old, &oracle).unwrap().0;
+        }
+        assert_eq!(tree.root_branches().count(), 2);
+        let asked = asks_to_price(&oracle, &tree, trip(3, 0, 1, 10_000.0, 100.0), 1_300.0);
+        assert!(asked.contains(&(1, 2)), "never asked 1 to 2");
+        assert!(!asked.contains(&(1, 6)), "asked for 1 to 6");
+    }
+
+    #[test]
+    fn a_child_full_only_on_seats_is_still_asked_for_below_a_new_stop() {
+        let oracle = CountingOracle::new(line_oracle());
+        // One seat; trip 1 rides 5 to 9 from a vehicle at 0, and the new
+        // rider 2 to 3 fits only before it. Picked up at 2, the rider
+        // leaves no seat for trip 1 there, but one frees up at 3.
+        let trip = |trip, pickup, dropoff| WaitingTrip {
+            trip,
+            pickup,
+            dropoff,
+            pickup_deadline: 10_000.0,
+            max_ride: 10_000.0,
+        };
+        for config in [KineticConfig::basic(), KineticConfig::slack()] {
+            let (tree, _) = KineticTree::new(0, 0.0, 1, config)
+                .try_insert(trip(1, 5, 9), &oracle)
+                .unwrap();
+            let asked = asks_to_price(&oracle, &tree, trip(2, 2, 3), 900.0);
+            assert!(asked.contains(&(3, 5)), "{config:?}: never asked 3 to 5");
+        }
+    }
+
+    #[test]
+    fn a_new_stop_is_not_placed_where_every_old_child_is_ruled_out() {
+        let oracle = CountingOracle::new(line_oracle());
+        // From a vehicle at 1, trip 1 rides 3 to 5 with no slack at
+        // either stop. The new rider 0 to 2 fits only after it, for
+        // 1,100. A walk visits 3, 5, the new pickup and drop-off after 5,
+        // and the new pickup at 3 and at the root; below either pickup
+        // the old child is over its ride or late (on the slack tree, the
+        // latter is past its slack first), so the drop-off is not placed
+        // there: six visits.
+        let old = WaitingTrip {
+            trip: 1,
+            pickup: 3,
+            dropoff: 5,
+            pickup_deadline: 200.0,
+            max_ride: 200.0,
+        };
+        let new = WaitingTrip {
+            trip: 2,
+            pickup: 0,
+            dropoff: 2,
+            pickup_deadline: 10_000.0,
+            max_ride: 10_000.0,
+        };
+        for config in [KineticConfig::basic(), KineticConfig::slack()] {
+            let tree = |max_nodes| {
+                let config = KineticConfig {
+                    max_nodes,
+                    ..config
+                };
+                KineticTree::new(1, 0.0, 4, config)
+                    .try_insert(old, &oracle)
+                    .unwrap()
+                    .0
+            };
+            let asked = asks_to_price(&oracle, &tree(6), new, 1_100.0);
+            for pair in [(2, 3), (2, 5)] {
+                assert!(!asked.contains(&pair), "{config:?}: asked for {pair:?}");
+            }
+            let probed = tree(5).probe_insert(new, &oracle, &mut ProbeScratch::default());
+            assert_eq!(probed, Err(TreeInsertError::Overflow), "{config:?}");
+            let built = tree(5).try_insert(new, &oracle).map(|(_, cost)| cost);
+            assert_eq!(built, probed, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn the_reverse_triangle_bounds_a_leg_either_way_round() {
+        let oracle = CountingOracle::new(line_oracle());
+        // The new pickup at 8 is farther from the vehicle at 1 (700) than
+        // the chain's first stop 3 (200), so from 8 that stop is at least
+        // 500 away: a detour of 1,000 against its slack of 0. The slack
+        // tree does not place the pickup at the root, nor asks 8 to 3.
+        let far = WaitingTrip {
+            trip: 3,
+            pickup: 8,
+            dropoff: 0,
+            pickup_deadline: 10_000.0,
+            max_ride: 10_000.0,
+        };
+        let tree = chain_tree(&oracle, KineticConfig::slack(), 4);
+        let asked = asks_to_price(&oracle, &tree, far, 1_700.0);
+        assert!(!asked.contains(&(8, 3)), "asked for 8 to 3");
+        // The pickup at 2, due by 100, is nearer the vehicle (100) than 3
+        // (200), so from 3 it is at least 100 away, reached at 300 or
+        // later: the descent into 3 cuts it without asking 3 to 2.
+        let near = WaitingTrip {
+            trip: 3,
+            pickup: 2,
+            dropoff: 4,
+            pickup_deadline: 100.0,
+            max_ride: 200.0,
+        };
+        for config in [KineticConfig::basic(), KineticConfig::slack()] {
+            let tree = chain_tree(&oracle, config, 4);
+            let asked = asks_to_price(&oracle, &tree, near, 800.0);
+            assert!(!asked.contains(&(3, 2)), "{config:?}: asked for 3 to 2");
         }
     }
 

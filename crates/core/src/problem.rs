@@ -269,14 +269,20 @@ impl SchedulingProblem {
     }
 }
 
-/// The buffers behind a [`ScheduleWalker`]'s prefix lists, kept between
-/// walks: a caller that prices many insertions (the dispatcher probing its
-/// candidates) lends the same pair to each walk instead of allocating one
-/// per walk. Holds nothing a walk reads: every walk starts by clearing it.
+/// The buffers behind a [`ScheduleWalker`]'s prefix lists, and the kinetic
+/// tree's per-child entries ([`crate::KineticTree::probe_insert`]), kept
+/// between walks: a caller that prices many insertions (the dispatcher
+/// probing its candidates) lends the same buffers to each walk instead of
+/// allocating them per walk. Holds nothing a walk reads: every walk starts
+/// by clearing it.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeScratch {
     picked_at: Vec<(TripId, Cost)>,
     dropped: Vec<TripId>,
+    /// The insertion recursion's stack of which old children are ruled out
+    /// below each new stop it places, one entry per child, with no limit on
+    /// a level's width.
+    pub(crate) ruled_out: Vec<bool>,
 }
 
 /// Incremental validity checking while building a schedule stop by stop.
@@ -345,6 +351,7 @@ impl<'p> ScheduleWalker<'p> {
         ProbeScratch {
             picked_at: self.picked_at,
             dropped: self.dropped,
+            ruled_out: Vec::new(),
         }
     }
 
@@ -421,6 +428,14 @@ impl<'p> ScheduleWalker<'p> {
     /// leaves the walker as it was.
     pub fn advance_with_distance(&mut self, stop: Stop, leg: Cost) -> Result<(), ValidationError> {
         self.check(stop, leg)?;
+        self.append(stop, leg);
+        Ok(())
+    }
+
+    /// The write half of [`ScheduleWalker::advance_with_distance`]: appends
+    /// `stop` at `leg` without checking it, for a step whose
+    /// [`ScheduleWalker::check`] at this very prefix already passed.
+    pub(crate) fn append(&mut self, stop: Stop, leg: Cost) {
         let new_dist = self.cum_dist + leg;
         match stop.kind {
             StopKind::Pickup => {
@@ -434,7 +449,6 @@ impl<'p> ScheduleWalker<'p> {
         }
         self.location = stop.node;
         self.cum_dist = new_dist;
-        Ok(())
     }
 
     /// What [`ScheduleWalker::advance_with_distance`] would return for
